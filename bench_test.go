@@ -243,8 +243,8 @@ func BenchmarkSuiteFunctional(b *testing.B) {
 //
 //	seq:       experiments one at a time, each over its own private
 //	           workload pool (the pre-scheduler harness)
-//	scheduler: one shared worker pool over all cells (RunSuite), with
-//	           multi-variant cells replaying chunk-parallel
+//	scheduler: one shared worker pool over all cells (RunSuite), each
+//	           cell replaying its stream once
 //
 // The seq/scheduler ratio is the suite-level speedup; it grows with
 // GOMAXPROCS, since the sequential path serialises experiments behind

@@ -110,9 +110,9 @@ func newDDTChecked(capacity int, recordLoads bool, sc bool) *DDT {
 		recordLoads: recordLoads,
 		// +1: a full table holds capacity+1 index entries for a moment
 		// during eviction (insert first, then delete the victim).
-		idx:         container.NewU32Map[int32](capacity + 1),
-		head:        ddtNil,
-		tail:        ddtNil,
+		idx:  container.NewU32Map[int32](capacity + 1),
+		head: ddtNil,
+		tail: ddtNil,
 	}
 	if capacity > 0 {
 		d.nodes = make([]ddtNode, 0, capacity)

@@ -147,20 +147,27 @@ type Engine struct {
 
 // New returns an engine for the configuration.
 func New(cfg Config) *Engine {
-	sc := cfg.SelfCheck || SelfCheckEnabled()
-	var det Detector
+	return newEngine(cfg, newDetector(cfg, cfg.SelfCheck || SelfCheckEnabled()))
+}
+
+// newDetector builds the dependence detector cfg describes; sc selects
+// the self-checking variant.
+func newDetector(cfg Config, sc bool) Detector {
 	if cfg.SplitDDT {
-		det = newSplitDDTChecked(cfg.DDTCapacity, cfg.DDTCapacity, sc)
-	} else {
-		det = newDDTChecked(cfg.DDTCapacity, cfg.Mode == ModeRAWRAR, sc)
+		return newSplitDDTChecked(cfg.DDTCapacity, cfg.DDTCapacity, sc)
 	}
+	return newDDTChecked(cfg.DDTCapacity, cfg.Mode == ModeRAWRAR, sc)
+}
+
+// newEngine returns an engine for cfg that detects through det.
+func newEngine(cfg Config, det Detector) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		detector: det,
 		dpnt:     NewDPNT(cfg.DPNTSets, cfg.DPNTWays, cfg.Confidence, cfg.Merge),
 		sf:       NewSynonymFile(cfg.SFSets, cfg.SFWays),
 	}
-	if sc {
+	if cfg.SelfCheck || SelfCheckEnabled() {
 		e.sc = true
 		e.scSamp = check.NewSampler(engineSweepInterval)
 	}

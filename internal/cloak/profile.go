@@ -91,13 +91,12 @@ func (p *Profile) Len() int { return len(p.pairs) }
 // never learn pairs the profile missed — the trade-off the paper's
 // related-work section points at.
 func NewStaticEngine(cfg Config, profile *Profile, minCount uint64) *Engine {
-	e := New(cfg)
+	// Disable runtime detection: the nil detector observes stores (for
+	// API symmetry) but never reports dependences.
+	e := newEngine(cfg, noDetect{})
 	for _, dep := range profile.Pairs(minCount) {
 		e.dpnt.RecordDependence(dep)
 	}
-	// Disable runtime detection: the nil detector observes stores (for
-	// API symmetry) but never reports dependences.
-	e.detector = noDetect{}
 	return e
 }
 

@@ -47,30 +47,20 @@ type AblationResult struct {
 	}
 }
 
-// variantCells builds a CellRunner with one cloaking engine per variant,
-// each consuming the immutable stream from its own goroutine (the
-// engines share no state, so a multi-variant cell uses one core per
-// variant instead of fanning out per event on one).
-func variantCells(title string, variants []string, mk func(variant int) cloak.Config) CellRunner {
+// variantCells builds a CellRunner that replays each stream once into a
+// bank of one cloaking engine per variant (cfgs, index-aligned with
+// variants); variants that agree on the DDT share one detector.
+func variantCells(title string, variants []string, cfgs []cloak.Config) CellRunner {
 	type row = struct {
 		Workload workload.Workload
 		Cells    []ablCell
 	}
 	return tracedCells(workload.ReferenceSize,
 		func(_ Options, w workload.Workload, tr *trace.Stream) (row, error) {
-			engines := make([]*cloak.Engine, len(variants))
-			sinks := make([]trace.Sink, len(variants))
-			for i := range variants {
-				eng := cloak.New(mk(i))
-				engines[i] = eng
-				sinks[i] = trace.SinkFuncs{
-					OnLoad:  func(pc, addr, value uint32) { eng.Load(pc, addr, value) },
-					OnStore: func(pc, addr, value uint32) { eng.Store(pc, addr, value) },
-				}
-			}
-			tr.ReplayEach(sinks...)
+			bank := cloak.NewBank(cfgs...)
+			tr.Replay(trace.SinkFuncs{OnLoad: bank.Load, OnStore: bank.Store})
 			r := row{Workload: w, Cells: make([]ablCell, len(variants))}
-			for i, eng := range engines {
+			for i, eng := range bank.Engines() {
 				st := eng.Stats()
 				r.Cells[i] = ablCell{
 					Coverage: stats.Ratio(st.Covered(), st.Loads),
@@ -84,35 +74,38 @@ func variantCells(title string, variants []string, mk func(variant int) cloak.Co
 		})
 }
 
-var ablMergeCells = func() CellRunner {
-	variants := []string{"incremental", "full", "never"}
-	merges := []cloak.MergeKind{cloak.MergeIncremental, cloak.MergeFull, cloak.MergeNever}
-	return variantCells("Synonym merge policy", variants, func(i int) cloak.Config {
-		cfg := cloak.DefaultConfig()
-		cfg.Merge = merges[i]
-		return cfg
-	})
-}()
+// defaultVariants returns n copies of cloak.DefaultConfig, each edited
+// by set with its index.
+func defaultVariants(n int, set func(i int, cfg *cloak.Config)) []cloak.Config {
+	cfgs := make([]cloak.Config, n)
+	for i := range cfgs {
+		cfgs[i] = cloak.DefaultConfig()
+		set(i, &cfgs[i])
+	}
+	return cfgs
+}
+
+var ablMergeConfigs = defaultVariants(3, func(i int, cfg *cloak.Config) {
+	cfg.Merge = []cloak.MergeKind{cloak.MergeIncremental, cloak.MergeFull, cloak.MergeNever}[i]
+})
+
+var ablMergeCells = variantCells("Synonym merge policy",
+	[]string{"incremental", "full", "never"}, ablMergeConfigs)
+
+var ablSplitConfigs = defaultVariants(2, func(i int, cfg *cloak.Config) { cfg.SplitDDT = i == 1 })
 
 var ablSplitCells = variantCells("Shared vs split DDT",
-	[]string{"shared 128", "split 128+128"}, func(i int) cloak.Config {
-		cfg := cloak.DefaultConfig()
-		cfg.SplitDDT = i == 1
-		return cfg
-	})
+	[]string{"shared 128", "split 128+128"}, ablSplitConfigs)
 
-var ablDPNTCells = func() CellRunner {
-	sizes := []int{512, 2048, 8192, 0}
-	variants := []string{"512", "2K", "8K", "inf"}
-	return variantCells("DPNT capacity", variants, func(i int) cloak.Config {
-		cfg := cloak.DefaultConfig()
-		if sizes[i] > 0 {
-			cfg.DPNTSets = sizes[i] / 2
-			cfg.DPNTWays = 2
-		}
-		return cfg
-	})
-}()
+var ablDPNTConfigs = defaultVariants(4, func(i int, cfg *cloak.Config) {
+	if size := []int{512, 2048, 8192, 0}[i]; size > 0 {
+		cfg.DPNTSets = size / 2
+		cfg.DPNTWays = 2
+	}
+})
+
+var ablDPNTCells = variantCells("DPNT capacity",
+	[]string{"512", "2K", "8K", "inf"}, ablDPNTConfigs)
 
 func runAblMerge(opt Options) (Result, error) { return runCells(opt, ablMergeCells) }
 

@@ -38,26 +38,21 @@ type WindowResult struct {
 	Rows []WindowRow
 }
 
-// ablWindowCells runs one locality analyzer per window size, each
-// consuming the shared immutable stream from its own goroutine.
+// ablWindowCells analyzes every window size in one replay per workload:
+// one DDT sweep detects at all sizes, and each window keeps its own sink
+// histories.
 var ablWindowCells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, tr *trace.Stream) (WindowRow, error) {
-		analyzers := make([]*locality.RARLocality, len(WindowSizes))
-		sinks := make([]trace.Sink, len(WindowSizes))
-		for i, ws := range WindowSizes {
-			a := locality.NewRARLocality(ws)
-			analyzers[i] = a
-			sinks[i] = trace.SinkFuncs{
-				OnLoad:  func(pc, addr, _ uint32) { a.Load(pc, addr) },
-				OnStore: func(pc, addr, _ uint32) { a.Store(pc, addr) },
-			}
-		}
-		tr.ReplayEach(sinks...)
+		l := locality.NewRARLocalitySweep(WindowSizes...)
+		tr.Replay(trace.SinkFuncs{
+			OnLoad:  func(pc, addr, _ uint32) { l.Load(pc, addr) },
+			OnStore: func(pc, addr, _ uint32) { l.Store(pc, addr) },
+		})
 		loads := tr.Loads()
 		row := WindowRow{Workload: w}
-		for _, a := range analyzers {
-			row.SinkFrac = append(row.SinkFrac, stats.Ratio(a.SinkLoads(), loads))
-			row.Locality1 = append(row.Locality1, a.Locality(1))
+		for i := range WindowSizes {
+			row.SinkFrac = append(row.SinkFrac, stats.Ratio(l.SinkLoads(i), loads))
+			row.Locality1 = append(row.Locality1, l.Locality(i, 1))
 		}
 		return row, nil
 	},

@@ -39,24 +39,20 @@ type Fig2Result struct {
 	Rows []Fig2Row
 }
 
-// fig2Cells analyzes both address windows per workload, each consuming
-// the immutable stream from its own goroutine (the analyzers are
-// independent, so the two-variant cell uses two cores).
+// fig2Cells analyzes both address windows in one replay per workload:
+// one DDT sweep detects at both sizes.
 var fig2Cells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig2Row, error) {
-		inf := locality.NewRARLocality(0)
-		win := locality.NewRARLocality(Fig2Window)
-		tr.ReplayEach(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { inf.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { inf.Store(pc, addr) },
-		}, trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { win.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { win.Store(pc, addr) },
+		const win, inf = 0, 1 // window indices
+		l := locality.NewRARLocalitySweep(Fig2Window, 0)
+		tr.Replay(trace.SinkFuncs{
+			OnLoad:  func(pc, addr, _ uint32) { l.Load(pc, addr) },
+			OnStore: func(pc, addr, _ uint32) { l.Store(pc, addr) },
 		})
-		row := Fig2Row{Workload: w, SinkInf: inf.SinkLoads(), SinkWin: win.SinkLoads()}
+		row := Fig2Row{Workload: w, SinkInf: l.SinkLoads(inf), SinkWin: l.SinkLoads(win)}
 		for n := 1; n <= locality.MaxDepth; n++ {
-			row.Infinite[n-1] = inf.Locality(n)
-			row.Windowed[n-1] = win.Locality(n)
+			row.Infinite[n-1] = l.Locality(inf, n)
+			row.Windowed[n-1] = l.Locality(win, n)
 		}
 		return row, nil
 	},

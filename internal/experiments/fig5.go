@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"rarpred/internal/cloak"
@@ -41,31 +42,21 @@ type Fig5Result struct {
 	Rows []Fig5Row
 }
 
-// fig5Cells runs one combined-DDT detector per size, each consuming the
-// immutable stream from its own goroutine: the sweep's seven detectors
-// are independent, so the cell uses up to seven cores instead of paying
-// a per-event fan-out loop on one.
+// fig5Cells replays each stream once through a DDT sweep that answers
+// all seven sizes of the combined table at once.
 var fig5Cells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig5Row, error) {
 		raw := make([]uint64, len(Fig5Sizes))
 		rar := make([]uint64, len(Fig5Sizes))
-		sinks := make([]trace.Sink, len(Fig5Sizes))
-		for i, s := range Fig5Sizes {
-			i, d := i, cloak.NewDDT(s, true)
-			sinks[i] = trace.SinkFuncs{
-				OnLoad: func(pc, addr, _ uint32) {
-					if dep, ok := d.Load(addr, pc); ok {
-						if dep.Kind == cloak.DepRAW {
-							raw[i]++
-						} else {
-							rar[i]++
-						}
-					}
-				},
-				OnStore: func(pc, addr, _ uint32) { d.Store(addr, pc) },
-			}
-		}
-		tr.ReplayEach(sinks...)
+		sweep := cloak.NewDDTSweep(Fig5Sizes...)
+		tr.Replay(trace.SinkFuncs{
+			OnLoad: func(pc, addr, _ uint32) {
+				rawAt, rarAt := sweep.Load(addr, pc)
+				tally(raw, rawAt)
+				tally(rar, rarAt)
+			},
+			OnStore: func(pc, addr, _ uint32) { sweep.Store(addr, pc) },
+		})
 		loads := tr.Loads()
 		row := Fig5Row{Workload: w}
 		for i, s := range Fig5Sizes {
@@ -82,6 +73,13 @@ var fig5Cells = tracedCells(workload.ReferenceSize,
 	})
 
 func runFig5(opt Options) (Result, error) { return runCells(opt, fig5Cells) }
+
+// tally adds one to counts[c] for every bit c set in mask.
+func tally(counts []uint64, mask uint32) {
+	for ; mask != 0; mask &= mask - 1 {
+		counts[bits.TrailingZeros32(mask)]++
+	}
+}
 
 // Point returns the sweep point for a DDT size.
 func (r Fig5Row) Point(ddtSize int) (Fig5Point, bool) {

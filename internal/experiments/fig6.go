@@ -59,26 +59,19 @@ func cellFrom(st cloak.Stats) Fig6Cell {
 	}
 }
 
-// fig6Cells runs the 1-bit and 2-bit engines on separate goroutines over
-// the shared immutable stream.
+// fig6Cells replays each stream once into a bank of the 1-bit and 2-bit
+// engines, which differ only in confidence and so share one DDT.
 var fig6Cells = tracedCells(workload.ReferenceSize,
 	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig6Row, error) {
 		cfg1 := cloak.DefaultConfig()
 		cfg1.Confidence = cloak.NonAdaptive1Bit
-		cfg2 := cloak.DefaultConfig()
-		e1 := cloak.New(cfg1)
-		e2 := cloak.New(cfg2)
-		tr.ReplayEach(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, value uint32) { e1.Load(pc, addr, value) },
-			OnStore: func(pc, addr, value uint32) { e1.Store(pc, addr, value) },
-		}, trace.SinkFuncs{
-			OnLoad:  func(pc, addr, value uint32) { e2.Load(pc, addr, value) },
-			OnStore: func(pc, addr, value uint32) { e2.Store(pc, addr, value) },
-		})
+		bank := cloak.NewBank(cfg1, cloak.DefaultConfig())
+		tr.Replay(trace.SinkFuncs{OnLoad: bank.Load, OnStore: bank.Store})
+		es := bank.Engines()
 		return Fig6Row{
 			Workload: w,
-			OneBit:   cellFrom(e1.Stats()),
-			TwoBit:   cellFrom(e2.Stats()),
+			OneBit:   cellFrom(es[0].Stats()),
+			TwoBit:   cellFrom(es[1].Stats()),
 		}, nil
 	},
 	func(_ Options, ws []workload.Workload, rows []Fig6Row, fails []*runerr.WorkloadError) (Result, error) {

@@ -5,6 +5,8 @@
 package locality
 
 import (
+	"math/bits"
+
 	"rarpred/internal/cloak"
 	"rarpred/internal/container"
 )
@@ -22,7 +24,11 @@ const MaxDepth = 4
 // and stores); windowSize 0 models the infinite window of Figure 2(a).
 type RARLocality struct {
 	window *cloak.DDT
+	rarSinks
+}
 
+// rarSinks is the sink-load bookkeeping of one address window.
+type rarSinks struct {
 	// history maps static sink-load PC to its MRU-ordered list of unique
 	// RAR source PCs, deepest MaxDepth.
 	history *container.U32Map[depHistory]
@@ -38,13 +44,14 @@ type depHistory struct {
 	pcs [MaxDepth]uint32
 }
 
+func newRARSinks() rarSinks {
+	return rarSinks{history: container.NewU32Map[depHistory](0)}
+}
+
 // NewRARLocality returns an analyzer with the given address-window size
 // (0 = infinite).
 func NewRARLocality(windowSize int) *RARLocality {
-	return &RARLocality{
-		window:  cloak.NewDDT(windowSize, true),
-		history: container.NewU32Map[depHistory](0),
-	}
+	return &RARLocality{window: cloak.NewDDT(windowSize, true), rarSinks: newRARSinks()}
 }
 
 // Store feeds one committed store.
@@ -52,21 +59,33 @@ func (l *RARLocality) Store(pc, addr uint32) { l.window.Store(addr, pc) }
 
 // Load feeds one committed load.
 func (l *RARLocality) Load(pc, addr uint32) {
-	dep, ok := l.window.Load(addr, pc)
-	if !ok || dep.Kind != cloak.DepRAR {
-		return
+	if dep, ok := l.window.Load(addr, pc); ok && dep.Kind == cloak.DepRAR {
+		l.observe(pc, dep.SourcePC)
 	}
-	l.total++
-	hist, _ := l.history.GetOrPut(pc)
+}
+
+// SinkLoads returns the number of dynamic sink loads observed.
+func (l *RARLocality) SinkLoads() uint64 { return l.total }
+
+// Locality returns memory-dependence-locality(n) for n in 1..MaxDepth:
+// the fraction of sink loads whose dependence was within the last n
+// unique dependences. It returns 0 when no sink loads were observed.
+func (l *RARLocality) Locality(n int) float64 { return l.locality(n) }
+
+// observe records one execution of the sink load at pc whose RAR source
+// is src.
+func (s *rarSinks) observe(pc, src uint32) {
+	s.total++
+	hist, _ := s.history.GetOrPut(pc)
 	rank := int32(-1)
 	for i := int32(0); i < hist.n; i++ {
-		if hist.pcs[i] == dep.SourcePC {
+		if hist.pcs[i] == src {
 			rank = i
 			break
 		}
 	}
 	if rank >= 0 {
-		l.hits[rank]++
+		s.hits[rank]++
 	}
 	// Move-to-front update of the unique-dependence history: shift the
 	// entries above the hit (or the whole list, dropping the LRU) down
@@ -81,17 +100,11 @@ func (l *RARLocality) Load(pc, addr uint32) {
 		}
 	}
 	copy(hist.pcs[1:top+1], hist.pcs[:top])
-	hist.pcs[0] = dep.SourcePC
+	hist.pcs[0] = src
 }
 
-// SinkLoads returns the number of dynamic sink loads observed.
-func (l *RARLocality) SinkLoads() uint64 { return l.total }
-
-// Locality returns memory-dependence-locality(n) for n in 1..MaxDepth:
-// the fraction of sink loads whose dependence was within the last n
-// unique dependences. It returns 0 when no sink loads were observed.
-func (l *RARLocality) Locality(n int) float64 {
-	if l.total == 0 {
+func (s *rarSinks) locality(n int) float64 {
+	if s.total == 0 {
 		return 0
 	}
 	if n > MaxDepth {
@@ -99,10 +112,49 @@ func (l *RARLocality) Locality(n int) float64 {
 	}
 	var h uint64
 	for i := 0; i < n; i++ {
-		h += l.hits[i]
+		h += s.hits[i]
 	}
-	return float64(h) / float64(l.total)
+	return float64(h) / float64(s.total)
 }
+
+// RARLocalitySweep is RARLocality over several address windows in one
+// pass: one cloak.DDTSweep detects at every window size, and each window
+// keeps its own sink histories.
+type RARLocalitySweep struct {
+	windows *cloak.DDTSweep
+	sinks   []rarSinks
+}
+
+// NewRARLocalitySweep returns an analyzer over the given address-window
+// sizes: strictly ascending, optionally ending in 0 (infinite), as
+// cloak.NewDDTSweep requires. Window index w refers to windowSizes[w].
+func NewRARLocalitySweep(windowSizes ...int) *RARLocalitySweep {
+	l := &RARLocalitySweep{windows: cloak.NewDDTSweep(windowSizes...)}
+	for range windowSizes {
+		l.sinks = append(l.sinks, newRARSinks())
+	}
+	return l
+}
+
+// Store feeds one committed store.
+func (l *RARLocalitySweep) Store(pc, addr uint32) { l.windows.Store(addr, pc) }
+
+// Load feeds one committed load.
+func (l *RARLocalitySweep) Load(pc, addr uint32) {
+	_, rar := l.windows.Load(addr, pc)
+	for m := rar; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros32(m)
+		l.sinks[w].observe(pc, l.windows.Source(w))
+	}
+}
+
+// SinkLoads returns the number of dynamic sink loads observed under
+// window index w.
+func (l *RARLocalitySweep) SinkLoads(w int) uint64 { return l.sinks[w].total }
+
+// Locality returns memory-dependence-locality(n) under window index w,
+// as RARLocality.Locality does for a single window.
+func (l *RARLocalitySweep) Locality(w, n int) float64 { return l.sinks[w].locality(n) }
 
 // LastMap tracks, per static load PC, the last observed word (an address
 // or a value) and reports whether consecutive executions repeat it. It

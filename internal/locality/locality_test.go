@@ -1,6 +1,7 @@
 package locality
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -180,5 +181,45 @@ func TestQuickLocalityBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRARLocalitySweepMatchesSingleWindows: the one-pass multi-window
+// analyzer reports, per window, exactly what an independent RARLocality
+// of that window size reports.
+func TestRARLocalitySweepMatchesSingleWindows(t *testing.T) {
+	windows := []int{1, 3, 16, 0}
+	sweep := NewRARLocalitySweep(windows...)
+	singles := make([]*RARLocality, len(windows))
+	for i, w := range windows {
+		singles[i] = NewRARLocality(w)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50000; i++ {
+		pc, addr := uint32(rng.Intn(24))<<2, uint32(rng.Intn(40))<<2
+		if rng.Intn(6) == 0 {
+			sweep.Store(pc, addr)
+			for _, l := range singles {
+				l.Store(pc, addr)
+			}
+			continue
+		}
+		sweep.Load(pc, addr)
+		for _, l := range singles {
+			l.Load(pc, addr)
+		}
+	}
+	for i, l := range singles {
+		if l.SinkLoads() == 0 {
+			t.Fatalf("window %d: no sink loads; the stream exercises nothing", windows[i])
+		}
+		if got, want := sweep.SinkLoads(i), l.SinkLoads(); got != want {
+			t.Errorf("window %d: sweep saw %d sink loads, single analyzer %d", windows[i], got, want)
+		}
+		for n := 1; n <= MaxDepth; n++ {
+			if got, want := sweep.Locality(i, n), l.Locality(n); got != want {
+				t.Errorf("window %d: locality(%d) = %v, single analyzer %v", windows[i], n, got, want)
+			}
+		}
 	}
 }

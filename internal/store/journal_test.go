@@ -98,8 +98,8 @@ func TestJournalMissingStartsFresh(t *testing.T) {
 // complete record, drop the tail, and leave the file appendable.
 func TestJournalTornTail(t *testing.T) {
 	for _, tail := range [][]byte{
-		{0x40},                          // lone length byte
-		{0x40, 0x00, 0x00, 0x00, 0xab},  // length promising more than present
+		{0x40},                         // lone length byte
+		{0x40, 0x00, 0x00, 0x00, 0xab}, // length promising more than present
 		{0x0c, 0x00, 0x00, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xde, 0xad, 0xbe, 0xef}, // full record, bad CRC
 	} {
 		path := journalFile(t)

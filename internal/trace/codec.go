@@ -125,7 +125,7 @@ var eventScratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-func getEventScratch() *eventScratch  { return eventScratchPool.Get().(*eventScratch) }
+func getEventScratch() *eventScratch { return eventScratchPool.Get().(*eventScratch) }
 func putEventScratch(sc *eventScratch) {
 	sc.kinds, sc.pcs, sc.addrs, sc.values = sc.kinds[:0], sc.pcs[:0], sc.addrs[:0], sc.values[:0]
 	eventScratchPool.Put(sc)

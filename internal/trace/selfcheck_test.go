@@ -113,8 +113,8 @@ func (r *recordingSink) Load(pc, addr, value uint32)  { r.loads++ }
 func (r *recordingSink) Store(pc, addr, value uint32) { r.stores++ }
 
 // TestPartialSinkFuncsBothPaths: a SinkFuncs with only one callback set
-// means "skip the other kind" on every replay path — the unwrapped
-// single-sink fast path, the multi-sink lockstep path, and ReplayEach.
+// means "skip the other kind" on both replay paths — the unwrapped
+// single-sink fast path and the multi-sink lockstep path.
 func TestPartialSinkFuncsBothPaths(t *testing.T) {
 	s := buildStream(300)
 	wantLoads, wantStores := int(s.loads), s.n-int(s.loads)
@@ -137,11 +137,5 @@ func TestPartialSinkFuncsBothPaths(t *testing.T) {
 	if full.loads != wantLoads || full.stores != wantStores {
 		t.Errorf("multi-sink: interface sink saw %d/%d, want %d/%d",
 			full.loads, full.stores, wantLoads, wantStores)
-	}
-
-	loads, stores = 0, 0
-	s.ReplayEach(loadOnly, storeOnly)
-	if loads != wantLoads || stores != wantStores {
-		t.Errorf("ReplayEach: partial sinks saw %d/%d, want %d/%d", loads, stores, wantLoads, wantStores)
 	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"rarpred/internal/check"
 	"rarpred/internal/funcsim"
@@ -202,8 +201,7 @@ func (s *Stream) RawBytes() int64 { return int64(s.n) * eventBytes }
 
 // Replay feeds the stream to the sinks, in recorded order. Every sink
 // sees every event before the next event is delivered (lockstep), so
-// sinks may share per-event state. For independent sinks, ReplayEach
-// replays them concurrently instead.
+// sinks may share per-event state.
 func (s *Stream) Replay(sinks ...Sink) {
 	if len(sinks) == 1 {
 		s.ReplayChunks(0, len(s.chunks), sinks[0])
@@ -243,9 +241,8 @@ func (s *Stream) NumChunks() int { return len(s.chunks) }
 
 // ReplayChunks feeds chunks [lo, hi) to snk, in recorded order. It is
 // the chunk-granular replay primitive: a consumer that walks the chunk
-// range itself can interleave replay with other work, and independent
-// consumers can each walk the immutable stream from their own
-// goroutine (see ReplayEach). The common SinkFuncs adapter is unwrapped
+// range itself can interleave replay with other work. The common
+// SinkFuncs adapter is unwrapped
 // so each event costs one direct closure call instead of an interface
 // dispatch plus nil checks; a partial SinkFuncs (nil callback) skips
 // that event kind, exactly like the interface path.
@@ -285,44 +282,6 @@ func sinkCallbacks(snk Sink) (onLoad, onStore func(pc, addr, value uint32)) {
 		return onLoad, onStore
 	}
 	return snk.Load, snk.Store
-}
-
-// ReplayEach replays the full stream into every sink concurrently: one
-// goroutine per sink, each consuming the immutable chunks at its own
-// pace via ReplayChunks. Unlike Replay, sinks are NOT in lockstep —
-// they must be independent of each other. ReplayEach returns once every
-// sink has seen every event; a panic in any sink is re-raised in the
-// caller's goroutine (first one wins), so the caller's recovery policy
-// applies as if the replay were inline.
-func (s *Stream) ReplayEach(sinks ...Sink) {
-	if len(sinks) == 1 {
-		s.ReplayChunks(0, len(s.chunks), sinks[0])
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		panicked any
-		once     sync.Once
-	)
-	n := len(s.chunks)
-	for _, snk := range sinks {
-		wg.Add(1)
-		go func(snk Sink) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { panicked = r })
-				}
-			}()
-			for c := 0; c < n; c++ {
-				s.ReplayChunks(c, c+1, snk)
-			}
-		}(snk)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 // Validate cross-checks the event tally against the execution profile

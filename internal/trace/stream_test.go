@@ -130,8 +130,8 @@ func TestReplayChunks(t *testing.T) {
 	}
 }
 
-// TestReplayEach: every sink sees the full stream in order when each
-// consumes it from its own goroutine.
+// TestReplayEach: each of several sinks sees the full multi-chunk stream
+// in recorded order through one lockstep Replay.
 func TestReplayEach(t *testing.T) {
 	s := NewStream()
 	const n = chunkEvents + 100
@@ -159,7 +159,7 @@ func TestReplayEach(t *testing.T) {
 		}
 		all[i] = SinkFuncs{OnLoad: on, OnStore: on}
 	}
-	s.ReplayEach(all...)
+	s.Replay(all...)
 	for i := 0; i < sinks; i++ {
 		if counts[i] != n {
 			t.Errorf("sink %d saw %d events, want %d", i, counts[i], n)
@@ -168,27 +168,6 @@ func TestReplayEach(t *testing.T) {
 			t.Errorf("sink %d saw events out of order", i)
 		}
 	}
-}
-
-// TestReplayEachPanicPropagates: a panic in one sink's goroutine
-// re-raises in the caller, so the harness's per-cell recovery owns it.
-func TestReplayEachPanicPropagates(t *testing.T) {
-	s := NewStream()
-	s.Append(KindLoad, 1, 2, 3)
-	s.Append(KindLoad, 4, 5, 6)
-	ok := SinkFuncs{OnLoad: func(_, _, _ uint32) {}, OnStore: func(_, _, _ uint32) {}}
-	bad := SinkFuncs{
-		OnLoad:  func(_, _, _ uint32) { panic("sink exploded") },
-		OnStore: func(_, _, _ uint32) {},
-	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("panic did not propagate out of ReplayEach")
-		} else if r != "sink exploded" {
-			t.Fatalf("recovered %v, want the sink's panic value", r)
-		}
-	}()
-	s.ReplayEach(ok, bad, ok)
 }
 
 // TestRecordStreamMatchesRecord: the struct-of-arrays recorder produces
