@@ -15,7 +15,6 @@
 //	rarsim -exp fig9 -size 6     # smaller workloads (faster)
 //	rarsim -exp fig2 -bench gcc  # restrict to one workload
 //	rarsim -workloads            # list the benchmark suite
-//	rarsim -exp all -live        # re-simulate per experiment (no cache)
 //	rarsim -exp all -cpuprofile cpu.pprof   # profile the run
 //	rarsim -exp all -timeout 10m -keepgoing # bounded, best-effort sweep
 //	rarsim -exp all -benchjson BENCH_suite.json  # machine-readable timings
@@ -27,7 +26,8 @@
 // one shared worker pool (-parallelism workers), each workload's trace
 // records once no matter how many experiments need it, and results
 // print in paper order as they complete — the output is byte-identical
-// to the sequential per-experiment path, which -seq restores.
+// at any parallelism, which -check verifies against a sequential
+// per-experiment shadow run.
 //
 // The run is cancellable: Ctrl-C (SIGINT), SIGTERM, and -timeout all
 // stop the simulators at the next poll point. A workload exceeding
@@ -66,7 +66,6 @@ import (
 	"rarpred/internal/metrics"
 	"rarpred/internal/pipeline"
 	"rarpred/internal/store"
-	"rarpred/internal/supervise"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -87,9 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list experiments and exit")
 		lists      = fs.Bool("workloads", false, "list the benchmark suite and exit")
 		parallel   = fs.Int("p", 0, "max concurrent workload simulations (0 = GOMAXPROCS)")
-		seq        = fs.Bool("seq", false, "run experiments sequentially (one private pool each) instead of the shared suite scheduler")
 		benchjson  = fs.String("benchjson", "", "write machine-readable suite timings (per-experiment, per-cell, trace cache, scheduler utilization) to this JSON file")
-		live       = fs.Bool("live", false, "re-simulate workloads per experiment instead of replaying the shared trace cache")
 		traceMB    = fs.Int64("tracebudget", 0, "trace cache budget in MiB (0 = default 512)")
 		traceStats = fs.Bool("tracestats", false, "print trace cache statistics (per-stream raw/compressed sizes) to stderr after the run")
 		traceComp  = fs.String("tracecompress", "on", "columnar compression of cached and persisted traces: on or off (off keeps raw chunks, for A/B verification)")
@@ -101,11 +98,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeDir   = fs.String("store", "", "directory for durable artifacts: persisted trace recordings and the suite run journal")
 		resume     = fs.Bool("resume", false, "with -store: replay cells the journal recorded as complete and simulate only the remainder")
 		progress   = fs.Bool("progress", false, "periodic one-line status on stderr (cells done/total, ETA, cache residency, Minsts/s); redraws in place on a TTY, plain lines otherwise")
-		stallTO    = fs.Duration("stall-timeout", 0, "watchdog: preempt and retry any suite cell whose heartbeat makes no progress for this long (0 = off)")
-		maxRetries = fs.Int("max-retries", 0, "re-dispatch a failed suite cell up to this many times with exponential backoff (crash-looping cells are quarantined)")
-		memWater   = fs.Int64("memwatermark", 0, "high memory watermark in MiB: above it the trace-cache budget is squeezed and new cell admission pauses, resuming at 3/4 of the watermark (0 = off)")
 		httpmon    = fs.String("httpmon", "", "serve live monitoring on this address (host:port; :0 picks a port): /metrics is a JSON snapshot of every counter, plus net/http/pprof")
-		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and (unless -seq) a sequential shadow run compared against the scheduler's output")
+		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and a sequential shadow run compared against the scheduler's output")
 	)
 	fs.IntVar(parallel, "parallelism", 0, "alias of -p")
 	if err := fs.Parse(args); err != nil {
@@ -129,9 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	case *resume && *storeDir == "":
 		fmt.Fprintln(stderr, "rarsim: -resume requires -store")
-		return 2
-	case *resume && *seq:
-		fmt.Fprintln(stderr, "rarsim: -resume needs the suite scheduler (drop -seq)")
 		return 2
 	case *traceComp != "on" && *traceComp != "off":
 		fmt.Fprintf(stderr, "rarsim: -tracecompress must be on or off, got %q\n", *traceComp)
@@ -205,7 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opt := experiments.Options{
 		Size:            *size,
 		Parallelism:     *parallel,
-		Live:            *live,
 		Context:         ctx,
 		WorkloadTimeout: *wtimeout,
 		Check:           *selfcheck,
@@ -230,23 +220,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The self-healing layer arms when any of its knobs is set. It rides
-	// the suite scheduler (per-cell supervision has no seam on the -seq
-	// path, whose per-experiment pools predate cells).
-	var sup *supervise.Supervisor
-	if (*stallTO > 0 || *maxRetries > 0 || *memWater > 0) && !*seq {
-		sup = supervise.New(supervise.Config{
-			StallTimeout: *stallTO,
-			MaxRetries:   *maxRetries,
-		})
-		sup.RegisterMetrics(metrics.Default(), "supervise")
-		if *memWater > 0 {
-			sup.StartMemWatch(supervise.MemConfig{HighWater: *memWater << 20}, experiments.TraceCache())
-		}
-		defer sup.Close()
-		opt.Supervise = sup
-	}
-
 	var todo []experiments.Experiment
 	if *exp == "all" {
 		todo = experiments.All()
@@ -262,25 +235,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The durable artifact store plugs in as the trace cache's second
-	// tier, and (on scheduler sweeps) opens the run journal that makes
-	// the sweep resumable. The tier is detached on the way out because
-	// the cache is process-wide and in-process callers (tests) must not
-	// inherit a closed run's store.
+	// tier and opens the run journal that makes the sweep resumable. The
+	// tier is detached on the way out because the cache is process-wide
+	// and in-process callers (tests) must not inherit a closed run's
+	// store.
 	var artifacts *store.Store
 	var jnl *store.Journal
-	var breaker *store.Breaker
 	if *storeDir != "" {
 		// The fault-injecting FS wrapper costs one atomic load per
 		// operation when nothing is armed, so the CLI always routes
 		// through it: disk-fault drills then exercise the exact
-		// production store path, not a test-only double. The circuit
-		// breaker is always armed — it costs one mutex per disk op and
-		// stays closed until consecutive faults prove the disk gone.
-		breaker = &store.Breaker{}
-		breaker.RegisterMetrics(metrics.Default(), "store")
-		st, err := store.Open(*storeDir,
-			store.WithFS(store.NewFaultFS(store.OS{}, nil)),
-			store.WithBreaker(breaker))
+		// production store path, not a test-only double.
+		st, err := store.Open(*storeDir, store.WithFS(store.NewFaultFS(store.OS{}, nil)))
 		if err != nil {
 			fmt.Fprintf(stderr, "rarsim: -store: %v\n", err)
 			return 1
@@ -288,66 +254,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		artifacts = st
 		experiments.TraceCache().SetTier(st)
 		defer experiments.TraceCache().SetTier(nil)
-		if !*seq {
-			// The journal is bound to the run configuration: resuming
-			// under different experiments, workloads, or modes would
-			// splice rows that mean something else into the report.
-			fingerprint := fmt.Sprintf("v1 exp=%s size=%d bench=%s live=%t check=%t",
-				expIDs(todo), *size, *bench, *live, *selfcheck)
-			jnl, err = st.OpenJournal(fingerprint, *resume)
-			if err != nil {
-				fmt.Fprintf(stderr, "rarsim: -store: %v\n", err)
-				return 1
-			}
-			defer jnl.Close()
-			opt.Journal = jnl
-			if *resume && jnl.Resumed() > 0 {
-				fmt.Fprintf(stderr, "rarsim: resuming: %d cell(s) journaled by a previous run\n", jnl.Resumed())
-			}
-			// Breaker transitions are journaled as annotation records;
-			// on resume, a journal that saw the breaker open warns that
-			// this store's artifacts may lag the cells that completed
-			// while persistence was bypassed.
-			if *resume {
-				if notes := jnl.Notes("breaker"); len(notes) > 0 {
-					fmt.Fprintf(stderr, "rarsim: resuming: store breaker tripped in a previous run (%s); artifacts recorded then may be stale or absent\n",
-						strings.Join(notes, ", "))
-				}
-			}
-			journal := jnl
-			breaker.OnTransition = func(from, to string) {
-				fmt.Fprintf(stderr, "rarsim: store breaker %s -> %s\n", from, to)
-				_ = journal.Note("breaker", from+"->"+to) // best effort: the disk may be the problem
-			}
+		// The journal is bound to the run configuration: resuming under
+		// different experiments, workloads, or modes would splice rows
+		// that mean something else into the report.
+		fingerprint := fmt.Sprintf("v2 exp=%s size=%d bench=%s check=%t",
+			expIDs(todo), *size, *bench, *selfcheck)
+		jnl, err = st.OpenJournal(fingerprint, *resume)
+		if err != nil {
+			fmt.Fprintf(stderr, "rarsim: -store: %v\n", err)
+			return 1
+		}
+		defer jnl.Close()
+		opt.Journal = jnl
+		if *resume && jnl.Resumed() > 0 {
+			fmt.Fprintf(stderr, "rarsim: resuming: %d cell(s) journaled by a previous run\n", jnl.Resumed())
 		}
 	}
 
-	if !*seq {
-		// Feed the scheduler a longest-first cost model from whatever
-		// timing history exists: a previous sweep's -benchjson payload,
-		// with the resume journal's exact per-cell seconds taking
-		// precedence. No history at all leaves the queue in paper order.
-		opt.CellCost = cellCost(*benchjson, jnl)
-	}
+	// Feed the scheduler a longest-first cost model from whatever timing
+	// history exists: a previous sweep's -benchjson payload, with the
+	// resume journal's exact per-cell seconds taking precedence. No
+	// history at all leaves the queue in paper order.
+	opt.CellCost = cellCost(*benchjson, jnl)
 
 	var failed []string
 	breport := newBenchReport(*parallel)
 	breport.store = artifacts
-	breport.breaker = breaker
-	breport.sup = sup
 
 	// Under -check, the scheduler's rendered output is captured so a
 	// sequential shadow run can be compared against it afterwards.
-	shadowArmed := *selfcheck && !*seq
 	var schedOut strings.Builder
-	if shadowArmed {
+	if *selfcheck {
 		stdout = io.MultiWriter(stdout, &schedOut)
 	}
 
-	// report mirrors the sequential harness's per-experiment output for a
-	// completed (or skipped) experiment, appending to failed as it goes.
-	// It returns false when the sweep must stop (hard failure without
-	// -keepgoing).
+	// report prints one completed (or skipped) experiment's output,
+	// appending to failed as it goes. It returns false when the sweep
+	// must stop (hard failure without -keepgoing).
 	report := func(item experiments.SuiteItem) bool {
 		if item.Index > 0 {
 			fmt.Fprintln(stdout)
@@ -364,10 +307,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if item.Err != nil {
 			fmt.Fprintf(stderr, "rarsim: %v\n", item.Err)
 			failed = append(failed, item.Exp.ID)
-			// A supervisor whose global error budget is spent has flipped
-			// the sweep into degraded mode: keep collecting what still
-			// works, exactly as -keepgoing would.
-			return *keepgoing || errors.Is(item.Err, ctx.Err()) || (sup != nil && sup.Degraded())
+			return *keepgoing || errors.Is(item.Err, ctx.Err())
 		}
 		fmt.Fprint(stdout, item.Result.String())
 		if p, ok := item.Result.(*experiments.PartialResult); ok {
@@ -377,36 +317,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return true
 	}
 
-	if *seq {
-		// Pre-scheduler path: one experiment at a time, each over its own
-		// private workload pool.
-		for i, e := range todo {
-			item := experiments.SuiteItem{Index: i, Exp: e}
-			if err := ctx.Err(); err != nil {
-				item.NotRun, item.Err = true, err
-			} else {
-				start := time.Now()
-				item.Result, item.Err = e.Run(opt)
-				item.Elapsed = time.Since(start)
-			}
-			if !report(item) {
-				break
-			}
-		}
-	} else {
-		stats := experiments.RunSuite(opt, todo, report)
-		breport.Scheduler = &benchScheduler{
-			Cells:       stats.Cells,
-			Workers:     stats.Workers,
-			WallSeconds: stats.Wall.Seconds(),
-			BusySeconds: stats.Busy.Seconds(),
-			Utilization: stats.Busy.Seconds() / (stats.Wall.Seconds() * float64(stats.Workers)),
-		}
-		if shadowArmed && len(failed) == 0 && ctx.Err() == nil {
-			if msg := shadowCompare(opt, todo, schedOut.String()); msg != "" {
-				fmt.Fprintf(stderr, "rarsim: -check: %s\n", msg)
-				failed = append(failed, "check-shadow")
-			}
+	stats := experiments.RunSuite(opt, todo, report)
+	breport.Scheduler = &benchScheduler{
+		Cells:       stats.Cells,
+		Workers:     stats.Workers,
+		WallSeconds: stats.Wall.Seconds(),
+		BusySeconds: stats.Busy.Seconds(),
+		Utilization: stats.Busy.Seconds() / (stats.Wall.Seconds() * float64(stats.Workers)),
+	}
+	if *selfcheck && len(failed) == 0 && ctx.Err() == nil {
+		if msg := shadowCompare(opt, todo, schedOut.String()); msg != "" {
+			fmt.Fprintf(stderr, "rarsim: -check: %s\n", msg)
+			failed = append(failed, "check-shadow")
 		}
 	}
 
@@ -581,9 +503,9 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // a verbatim snapshot of the unified registry (counters, gauges,
 // span histograms) taken at report time — the same snapshot -httpmon
 // serves, so the two reporting paths cannot drift; version 6 added the
-// supervision section (stalls, retries, quarantined cells, backpressure
-// squeezes — present when supervision was armed) and the store's
-// circuit-breaker stats.
+// optional supervise section and store breaker stats, both omitempty
+// and no longer emitted since the supervisor and circuit breaker were
+// removed (a v6 reader sees payloads without them, as when unarmed).
 const benchSchemaVersion = 6
 
 // benchReport is the -benchjson payload: machine-readable timings for
@@ -606,13 +528,8 @@ type benchReport struct {
 	// The cache and store sections above are derived from the same
 	// instruments, so the numbers agree by construction.
 	Metrics metrics.Snapshot `json:"metrics"`
-	// Supervise reports the self-healing layer (schema v6); present only
-	// when -stall-timeout / -max-retries / -memwatermark armed it.
-	Supervise *supervise.Summary `json:"supervise,omitempty"`
 
-	store        *store.Store          // nil without -store
-	breaker      *store.Breaker        // nil without -store
-	sup          *supervise.Supervisor // nil unless supervision armed
+	store        *store.Store // nil without -store
 	resumedCells int
 }
 
@@ -656,8 +573,6 @@ type benchStore struct {
 	// ResumedCells counts cells replayed from the run journal instead of
 	// simulated.
 	ResumedCells int `json:"resumed_cells"`
-	// Breaker reports the circuit breaker's end state (schema v6).
-	Breaker *store.BreakerStats `json:"breaker,omitempty"`
 }
 
 type benchCache struct {
@@ -736,14 +651,6 @@ func (b *benchReport) write(path string) error {
 			RawBytesWritten: ss.RawBytesWritten,
 			ResumedCells:    b.resumedCells,
 		}
-		if b.breaker != nil {
-			bs := b.breaker.Stats()
-			b.Store.Breaker = &bs
-		}
-	}
-	if b.sup != nil {
-		s := b.sup.Summary()
-		b.Supervise = &s
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"os"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"rarpred/internal/faultsim"
 	"rarpred/internal/workload"
@@ -130,7 +134,7 @@ func TestRunTimeoutEndsSweep(t *testing.T) {
 	faultsim.Inject(wname(t, "go"), faultsim.Fault{Kind: faultsim.Stall})
 
 	// -p 1: with a single worker fig2's cell cannot start before the
-	// deadline fires, so it is reported not-run (matching -seq).
+	// deadline fires, so it is reported not-run.
 	code, _, errw := runCLI("-exp", "table51,fig2", "-timeout", "75ms",
 		"-size", "19", "-bench", "go", "-p", "1")
 	if code != 1 {
@@ -141,5 +145,90 @@ func TestRunTimeoutEndsSweep(t *testing.T) {
 	}
 	if !strings.Contains(errw, "completed with failures") {
 		t.Errorf("stderr lacks the aggregate summary: %q", errw)
+	}
+}
+
+// syncBuilder is a strings.Builder safe for the watcher goroutine to
+// write while the test reads.
+type syncBuilder struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuilder) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuilder) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestWatchSignalsForceExit: the first signal is left to graceful
+// cancellation; the second dumps every goroutine and force-exits with
+// the dedicated code.
+func TestWatchSignalsForceExit(t *testing.T) {
+	sigs := make(chan os.Signal, 2)
+	done := make(chan struct{})
+	var errw syncBuilder
+	exited := make(chan int, 1)
+	go watchSignals(sigs, done, &errw, func(code int) { exited <- code })
+
+	sigs <- syscall.SIGINT
+	select {
+	case code := <-exited:
+		t.Fatalf("first signal force-exited with code %d", code)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	sigs <- syscall.SIGTERM
+	select {
+	case code := <-exited:
+		if code != forceExitCode {
+			t.Errorf("force exit code = %d, want %d", code, forceExitCode)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("second signal did not force an exit")
+	}
+	out := errw.String()
+	if !strings.Contains(out, "second signal") {
+		t.Errorf("stderr lacks the escalation notice:\n%s", out)
+	}
+	if !strings.Contains(out, "goroutine") {
+		t.Errorf("stderr lacks the goroutine dump:\n%s", out)
+	}
+	close(done) // retires the watcher after exit
+}
+
+// TestWatchSignalsRetiresOnDone: a normal exit closes done and the
+// watcher returns without ever calling exit, even after one signal.
+func TestWatchSignalsRetiresOnDone(t *testing.T) {
+	sigs := make(chan os.Signal, 1)
+	done := make(chan struct{})
+	var errw syncBuilder
+	exited := make(chan int, 1)
+	retired := make(chan struct{})
+	go func() {
+		watchSignals(sigs, done, &errw, func(code int) { exited <- code })
+		close(retired)
+	}()
+
+	sigs <- syscall.SIGINT
+	close(done)
+	select {
+	case <-retired:
+	case <-time.After(2 * time.Second):
+		t.Fatal("watcher did not retire when done closed")
+	}
+	select {
+	case code := <-exited:
+		t.Fatalf("retired watcher called exit(%d)", code)
+	default:
+	}
+	if out := errw.String(); out != "" {
+		t.Errorf("retired watcher wrote to stderr:\n%s", out)
 	}
 }

@@ -113,9 +113,9 @@ func (m *progressMonitor) close() {
 	}
 }
 
-// render draws one status line. Sequential runs (-seq) never set the
-// suite gauges, so the cells/ETA fields show only when a scheduler run
-// has populated them; cache residency and throughput always show.
+// render draws one status line. The cells/ETA fields show once the
+// suite scheduler has populated its gauges (a tick before the sweep
+// starts finds them zero); cache residency and throughput always show.
 func (m *progressMonitor) render() {
 	now := time.Now()
 	insts := m.funcInsts.Value() + m.pipeInsts.Value()

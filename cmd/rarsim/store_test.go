@@ -56,13 +56,6 @@ func TestResumeRequiresStore(t *testing.T) {
 	}
 }
 
-func TestResumeRejectsSeq(t *testing.T) {
-	code, _, errw := runCLI("-exp", "fig2", "-store", t.TempDir(), "-resume", "-seq")
-	if code != 2 || !strings.Contains(errw, "drop -seq") {
-		t.Fatalf("exit %d, stderr %q", code, errw)
-	}
-}
-
 // TestStorePersistsAndServesAcrossRuns: a second run over the same
 // store directory reads its traces from disk instead of re-simulating —
 // the cross-process flow, with the memory cache evicted to stand in for

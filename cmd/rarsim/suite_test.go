@@ -22,9 +22,8 @@ func normalizeTiming(out string) string {
 }
 
 // TestSuiteOutputDeterministic is the scheduler's contract: `-exp all`
-// prints byte-identical stdout under the pre-scheduler sequential path
-// (-seq), a single-worker pool, and a wide pool — only the wall-clock
-// timings may differ.
+// prints byte-identical stdout under a single-worker pool and a wide
+// pool — only the wall-clock timings may differ.
 func TestSuiteOutputDeterministic(t *testing.T) {
 	base := []string{"-exp", "all", "-size", "3", "-bench", "go,gcc"}
 	run := func(extra ...string) string {
@@ -36,23 +35,20 @@ func TestSuiteOutputDeterministic(t *testing.T) {
 		}
 		return normalizeTiming(out)
 	}
-	seq := run("-seq")
 	p1 := run("-p", "1")
 	pN := run("-parallelism", "4")
-	if seq != p1 {
-		t.Errorf("-p 1 output differs from -seq:\n--- seq ---\n%s\n--- p 1 ---\n%s", seq, p1)
-	}
-	if seq != pN {
-		t.Errorf("-parallelism 4 output differs from -seq:\n--- seq ---\n%s\n--- p 4 ---\n%s", seq, pN)
+	if p1 != pN {
+		t.Errorf("-parallelism 4 output differs from -p 1:\n--- p 1 ---\n%s\n--- p 4 ---\n%s", p1, pN)
 	}
 
 	// -check arms the oracles and invariant sweeps; none of them may
-	// perturb the report, at any parallelism. The -p runs also exercise
-	// the sequential shadow comparison end to end (a divergence would
-	// exit non-zero inside run above).
-	for _, extra := range [][]string{{"-check", "-seq"}, {"-check", "-p", "1"}, {"-check", "-p", "4"}} {
-		if out := run(extra...); out != seq {
-			t.Errorf("%v output differs from -seq:\n--- seq ---\n%s\n--- checked ---\n%s", extra, seq, out)
+	// perturb the report, at any parallelism. These runs also exercise
+	// the sequential shadow comparison against the standalone
+	// Experiment.Run path end to end (a divergence would exit non-zero
+	// inside run above).
+	for _, extra := range [][]string{{"-check", "-p", "1"}, {"-check", "-p", "4"}} {
+		if out := run(extra...); out != p1 {
+			t.Errorf("%v output differs from -p 1:\n--- p 1 ---\n%s\n--- checked ---\n%s", extra, p1, out)
 		}
 	}
 }
@@ -106,6 +102,30 @@ func TestBenchJSONWritten(t *testing.T) {
 		`"utilization"`, `"cells"`, `"workload"`} {
 		if !strings.Contains(data, want) {
 			t.Errorf("bench report lacks %s:\n%s", want, data)
+		}
+	}
+}
+
+// TestBenchJSONOmitsSupervisionWhenUnarmed: schema v6's optional
+// supervise and store breaker sections are no longer emitted, even with
+// -store, so the payload keeps the shape of a v5 run.
+func TestBenchJSONOmitsSupervisionWhenUnarmed(t *testing.T) {
+	path := t.TempDir() + "/BENCH_suite.json"
+	code, _, errw := runCLI("-exp", "fig2", "-size", "14", "-bench", "go,gcc",
+		"-store", t.TempDir(), "-benchjson", path)
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, errw)
+	}
+	data, err := readFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(data, `"store"`) {
+		t.Errorf("run with -store lacks the store section:\n%s", data)
+	}
+	for _, gone := range []string{`"supervise"`, `"breaker"`} {
+		if strings.Contains(data, gone) {
+			t.Errorf("bench report emitted the removed %s section:\n%s", gone, data)
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"rarpred/internal/faultsim"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/runerr"
-	"rarpred/internal/supervise"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -84,15 +83,6 @@ type Options struct {
 	// still assemble and deliver in suite order, so output is
 	// byte-identical with or without it. nil keeps construction order.
 	CellCost func(exp, workload string) (float64, bool)
-
-	// Supervise, when non-nil, routes every suite cell through the
-	// self-healing layer: a stall watchdog preempts cells whose
-	// heartbeat goes silent, failed cells retry under per-cell and
-	// global budgets (with crash-loop quarantine), and the admission
-	// gate holds workers back under memory backpressure. nil runs cells
-	// bare, exactly as before supervision existed. Only RunSuite
-	// consults it; standalone Experiment.Run does not.
-	Supervise *supervise.Supervisor
 
 	// Check arms the run's differential oracle: the first time each
 	// cached reference stream is served, it is re-recorded live on the
@@ -405,11 +395,6 @@ func tracedCells[T any](
 				if err != nil {
 					return zero, err
 				}
-				// Obtaining the stream is the cell's long pole (recording
-				// beats through the interpreter's poll sites); mark the
-				// hand-off to the analyzer so the watchdog sees a cell
-				// that just left the cache as live, not silent.
-				supervise.FromContext(ctx).Beat()
 				defer startSpan("cell/replay").End()
 				return fn(opt, w, tr)
 			},

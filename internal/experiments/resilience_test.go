@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -104,7 +105,11 @@ func TestStalledWorkloadHitsDeadline(t *testing.T) {
 
 	opt := subset("go", "tom")
 	opt.Size = 3
-	opt.WorkloadTimeout = 50 * time.Millisecond
+	// The deadline only needs to be shorter than forever (go stalls until
+	// canceled); it must be long enough that the healthy tom cell cannot
+	// blow it on a slow or race-instrumented run, or every workload fails
+	// and no partial result comes back.
+	opt.WorkloadTimeout = time.Second
 	faultsim.Inject(name(t, "go"), faultsim.Fault{Kind: faultsim.Stall})
 
 	res, err := runTable51(opt)
@@ -137,6 +142,38 @@ func TestStalledWorkloadHitsDeadline(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestDeadlineAnnotationReportsElapsed: the per-workload deadline error
+// carries elapsed-vs-configured time, so a !! line distinguishes a
+// near-miss from a hard hang.
+func TestDeadlineAnnotationReportsElapsed(t *testing.T) {
+	defer faultsim.Reset()
+	opt := subset("go", "tom")
+	opt.Size = 12
+	opt.MaxInsts = 1_000_000
+	opt.WorkloadTimeout = time.Second
+	faultsim.Inject(name(t, "go"), faultsim.Fault{Kind: faultsim.Stall})
+
+	res, err := runTable51(opt)
+	if err != nil {
+		t.Fatalf("deadline aborted the suite: %v", err)
+	}
+	p, ok := res.(*PartialResult)
+	if !ok {
+		t.Fatalf("result is %T, want *PartialResult", res)
+	}
+	f := p.Fails[0]
+	if !errors.Is(f, runerr.ErrDeadline) {
+		t.Fatalf("failure %v is not ErrDeadline", f)
+	}
+	want := regexp.MustCompile(`deadline exceeded \([0-9.]+s > 1s\)`)
+	if !want.MatchString(f.Error()) {
+		t.Errorf("deadline error lacks elapsed-vs-configured annotation: %v", f)
+	}
+	if !want.MatchString(p.String()) {
+		t.Errorf("rendered !! line lacks the annotation:\n%s", p.String())
 	}
 }
 

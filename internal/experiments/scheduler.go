@@ -327,24 +327,9 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 					}
 				} else {
 					w := ws[j.wi]
-					// Memory backpressure: a paused admission gate holds the
-					// worker here — in-flight cells drain and release memory
-					// while no new ones start. The run context ending
-					// releases the wait with its error, like any other
-					// never-started cell.
-					if err = ctx.Err(); err == nil && opt.Supervise != nil {
-						err = opt.Supervise.Admit(ctx)
-					}
-					if err == nil {
+					if err = ctx.Err(); err == nil {
 						st.started.Store(true)
-						if opt.Supervise != nil {
-							row, err = opt.Supervise.RunCell(ctx, st.exp.ID+"/"+w.Name,
-								func(actx context.Context) (any, error) {
-									return runCell(actx, opt, st.exp.Cells, w)
-								})
-						} else {
-							row, err = runCell(ctx, opt, st.exp.Cells, w)
-						}
+						row, err = runCell(ctx, opt, st.exp.Cells, w)
 					}
 					if sk, ok := st.exp.Cells.(StreamKeyer); ok {
 						if key, need := sk.StreamKey(opt, w); need {

@@ -9,7 +9,6 @@ import (
 	"rarpred/internal/funcsim"
 	"rarpred/internal/pipeline"
 	"rarpred/internal/runerr"
-	"rarpred/internal/supervise"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -95,18 +94,14 @@ func runTimingConfigs(ctx context.Context, opt Options, w workload.Workload, siz
 }
 
 // interruptHook builds the pipeline Config.Interrupt seam from the run
-// context: the hook beats any supervision heartbeat riding in ctx and
-// surfaces cancellation, both at the pipeline's InterruptEvery commit
-// boundary. nil (no per-instruction cost) when neither is in play.
+// context: the hook surfaces cancellation at the pipeline's
+// InterruptEvery commit boundary. nil (no per-instruction cost) when
+// ctx can never be canceled.
 func interruptHook(ctx context.Context) func() error {
-	hb := supervise.FromContext(ctx)
-	if ctx.Done() == nil && hb == nil {
+	if ctx.Done() == nil {
 		return nil
 	}
-	return func() error {
-		hb.Beat()
-		return ctx.Err()
-	}
+	return ctx.Err
 }
 
 // workloadIStream obtains one workload's committed instruction stream

@@ -13,10 +13,10 @@ import (
 // so the shared trace cache and the timing oracle's verified-key set
 // cannot be pre-populated by another test.
 
-// TestTimingLiveMatchesReplay: -live forces every configuration onto a
-// private live interpreter; the rendered result must be identical to
-// the shared-recording replay path. This is the experiment-level twin
-// of pipeline's TestReplayMatchesLive.
+// TestTimingLiveMatchesReplay: Options.Live forces every configuration
+// onto a private live interpreter; the rendered result must be
+// identical to the shared-recording replay path. This is the
+// experiment-level twin of pipeline's TestReplayMatchesLive.
 func TestTimingLiveMatchesReplay(t *testing.T) {
 	opt := subset("go", "tom")
 	opt.Size = 8
@@ -30,7 +30,7 @@ func TestTimingLiveMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if live.String() != replayed.String() {
-		t.Errorf("-live diverges from replay:\n--- replay ---\n%s--- live ---\n%s",
+		t.Errorf("Live diverges from replay:\n--- replay ---\n%s--- live ---\n%s",
 			replayed.String(), live.String())
 	}
 }

@@ -38,15 +38,6 @@ const (
 	// degradation path. The caller applies the corruption (see
 	// ShouldCorrupt); this package stays dependency-free.
 	Corrupt
-	// Livelock blocks the workload's interpreter hook while IGNORING
-	// context cancellation — the hook only returns once the fault table
-	// is Reset. Unlike Stall (which unwinds as soon as the deadline or
-	// watchdog cancels it), Livelock models a truly wedged cell and
-	// exercises the supervisor's grace-expiry path: preempt, wait out the
-	// grace period, abandon the worker, re-dispatch. Tests must Reset
-	// before their goroutine-leak assertions so the abandoned worker
-	// unblocks and exits.
-	Livelock
 )
 
 // String names the kind for error messages.
@@ -58,8 +49,6 @@ func (k Kind) String() string {
 		return "stall"
 	case Corrupt:
 		return "corrupt"
-	case Livelock:
-		return "livelock"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -76,14 +65,11 @@ type Fault struct {
 	Times int
 }
 
-// armed is a registered fault plus its firing state. Livelock faults
-// carry a release channel closed by Reset, so the wedged hook (which
-// ignores its context by design) still has a way out at test cleanup.
+// armed is a registered fault plus its firing state.
 type armed struct {
-	f       Fault
-	polls   int
-	fired   int
-	release chan struct{}
+	f     Fault
+	polls int
+	fired int
 }
 
 var (
@@ -102,28 +88,17 @@ func Inject(workload string, f Fault) {
 	if faults == nil {
 		faults = make(map[string]*armed)
 	}
-	a := &armed{f: f}
-	if f.Kind == Livelock {
-		a.release = make(chan struct{})
-	}
-	faults[workload] = a
+	faults[workload] = &armed{f: f}
 	active.Store(true)
 }
 
-// Reset disarms every fault, including disk faults and the memory hog,
-// and releases any wedged Livelock hooks. Tests defer it.
+// Reset disarms every fault, including disk faults. Tests defer it.
 func Reset() {
 	mu.Lock()
-	for _, a := range faults {
-		if a.release != nil {
-			close(a.release)
-		}
-	}
 	faults = nil
 	active.Store(false)
 	mu.Unlock()
 	ResetDisk()
-	memHog.Store(0)
 }
 
 // Enabled reports whether any fault is armed (one atomic load).
@@ -155,14 +130,12 @@ func take(workload string, k Kind, countPoll bool) bool {
 	return true
 }
 
-// Hook returns an interrupt hook delivering the workload's armed Panic,
-// Stall, or Livelock fault, or nil when none is armed. The hook is
-// handed to the funcsim interpreter (via trace.RecordStreamContext),
-// which polls it every funcsim.InterruptEvery committed instructions. A
-// Stall blocks until ctx is done and then returns the context error, so
-// a "hung" workload ends with the run instead of leaking its goroutine.
-// A Livelock ignores ctx entirely and blocks until Reset — the worker
-// goroutine is genuinely wedged until test cleanup.
+// Hook returns an interrupt hook delivering the workload's armed Panic
+// or Stall fault, or nil when none is armed. The hook is handed to the
+// funcsim interpreter (via trace.RecordStreamContext), which polls it
+// every funcsim.InterruptEvery committed instructions. A Stall blocks
+// until ctx is done and then returns the context error, so a "hung"
+// workload ends with the run instead of leaking its goroutine.
 func Hook(workload string, ctx context.Context) func() error {
 	if !active.Load() {
 		return nil
@@ -170,10 +143,10 @@ func Hook(workload string, ctx context.Context) func() error {
 	mu.Lock()
 	a, ok := faults[workload]
 	mu.Unlock()
-	if !ok || (a.f.Kind != Panic && a.f.Kind != Stall && a.f.Kind != Livelock) {
+	if !ok || (a.f.Kind != Panic && a.f.Kind != Stall) {
 		return nil
 	}
-	kind, release := a.f.Kind, a.release
+	kind := a.f.Kind
 	return func() error {
 		if !take(workload, kind, true) {
 			return nil
@@ -184,12 +157,6 @@ func Hook(workload string, ctx context.Context) func() error {
 		case Stall:
 			<-ctx.Done()
 			return ctx.Err()
-		case Livelock:
-			<-release
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("faultsim: livelock in %s released", workload)
 		}
 		return nil
 	}
@@ -201,20 +168,6 @@ func Hook(workload string, ctx context.Context) func() error {
 func ShouldCorrupt(workload string) bool {
 	return take(workload, Corrupt, false)
 }
-
-// memHog is the injected phantom allocation (bytes). The memory
-// watermark monitor adds it to the real heap reading, so tests can
-// deterministically push "usage" over any watermark without actually
-// allocating (which would be slow, flaky under GC, and hostile to
-// -race runs). Reset clears it.
-var memHog atomic.Int64
-
-// InjectMemHog arms a phantom allocation of n bytes that the memory
-// backpressure monitor counts as live heap. Replaces any previous hog.
-func InjectMemHog(n int64) { memHog.Store(n) }
-
-// MemHogBytes returns the armed phantom allocation (0 when none).
-func MemHogBytes() int64 { return memHog.Load() }
 
 // DiskKind enumerates the injectable filesystem failure modes. They
 // model the ways long simulation campaigns actually lose artifacts: a

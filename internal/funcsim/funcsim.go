@@ -17,7 +17,6 @@ import (
 	"rarpred/internal/isa"
 	"rarpred/internal/mem"
 	"rarpred/internal/metrics"
-	"rarpred/internal/supervise"
 )
 
 // InstsCommitted counts instructions committed by every functional
@@ -417,18 +416,13 @@ func (s *Sim) Run(max uint64) error {
 // RunContext is Run with cancellation: ctx is polled alongside any
 // installed Interrupt hook, every InterruptEvery committed instructions.
 // A context that can never be canceled (Done() == nil, e.g.
-// context.Background) adds no per-instruction cost. When a supervision
-// heartbeat rides in ctx (supervise.WithHeartbeat), it is beaten at the
-// same poll boundary — before the cancellation check, so even an
-// attempt that is being preempted reports the progress it made.
+// context.Background) adds no per-instruction cost.
 func (s *Sim) RunContext(ctx context.Context, max uint64) error {
-	hb := supervise.FromContext(ctx)
-	if ctx.Done() == nil && hb == nil {
+	if ctx.Done() == nil {
 		return s.Run(max)
 	}
 	prev := s.Interrupt
 	s.Interrupt = func() error {
-		hb.Beat()
 		if err := ctx.Err(); err != nil {
 			return err
 		}

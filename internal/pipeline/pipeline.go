@@ -155,10 +155,10 @@ type Config struct {
 	// Interrupt, when non-nil, is polled every funcsim.InterruptEvery
 	// committed instructions — the same boundary the committed-inst
 	// counter flushes on. A non-nil error aborts the run with that
-	// error. The experiment layer installs cancellation checks and the
-	// supervision heartbeat here, giving timing runs the same bounded
-	// preemption latency as functional ones. Purely a control seam:
-	// timing results are identical with or without it.
+	// error. The experiment layer installs cancellation checks here,
+	// giving timing runs the same bounded cancellation latency as
+	// functional ones. Purely a control seam: timing results are
+	// identical with or without it.
 	Interrupt func() error
 }
 

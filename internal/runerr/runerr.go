@@ -49,14 +49,6 @@ var (
 	// failed through the bounded retry. Persistence is lost for that
 	// artifact; the in-memory run continues.
 	ErrDiskFault = errors.New("artifact store I/O failed")
-
-	// ErrStalled: the supervision watchdog observed no heartbeat progress
-	// from a running cell for longer than the stall timeout and preempted
-	// it (context cancellation, then a grace period). Unlike ErrDeadline —
-	// a configured bound expiring on a cell that was making progress — a
-	// stall is a livelock diagnosis, and the supervisor retries the cell
-	// on the assumption the hang was environmental.
-	ErrStalled = errors.New("cell stalled")
 )
 
 // WorkloadError is a failure attributed to one workload of one

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strings"
 	"sync"
 
 	"rarpred/internal/runerr"
@@ -62,18 +61,9 @@ type Journal struct {
 	path    string
 	f       File
 	entries map[journalKey]journalEntry
-	notes   map[string][]string
 	loaded  int
 	store   *Store // optional, for byte accounting
 }
-
-// notePrefix marks a record as an annotation rather than a cell: the
-// "experiment" field is "\x00" + kind, a name no real experiment can
-// have (ids are identifier-shaped). Notes share the record framing —
-// same length-prefix, checksum, torn-tail repair — so the format
-// version is unchanged and old readers of the entries map never see
-// them as cells.
-const notePrefix = "\x00"
 
 type journalKey struct{ exp, workload string }
 
@@ -86,7 +76,7 @@ type journalEntry struct {
 // one (a run without -resume must not inherit stale cells).
 func CreateJournal(fsys FS, path, fingerprint string) (*Journal, error) {
 	removeQuiet(fsys, path)
-	j := &Journal{fs: fsys, path: path, entries: make(map[journalKey]journalEntry), notes: make(map[string][]string)}
+	j := &Journal{fs: fsys, path: path, entries: make(map[journalKey]journalEntry)}
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -121,12 +111,7 @@ func ResumeJournal(fsys FS, path, fingerprint string) (*Journal, error) {
 	}
 
 	entries := make(map[journalKey]journalEntry)
-	notes := make(map[string][]string)
 	good, err := scanJournal(data, fingerprint, func(exp, wl string, row []byte, seconds float64) {
-		if kind, ok := strings.CutPrefix(exp, notePrefix); ok {
-			notes[kind] = append(notes[kind], wl)
-			return
-		}
 		entries[journalKey{exp, wl}] = journalEntry{row: row, seconds: seconds}
 	})
 	if err != nil {
@@ -148,7 +133,7 @@ func ResumeJournal(fsys FS, path, fingerprint string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{fs: fsys, path: path, f: f, entries: entries, notes: notes, loaded: len(entries)}, nil
+	return &Journal{fs: fsys, path: path, f: f, entries: entries, loaded: len(entries)}, nil
 }
 
 // journalHeader renders the header block for fingerprint.
@@ -281,26 +266,6 @@ func (j *Journal) Record(exp, workload string, row []byte, seconds float64) erro
 	defer j.mu.Unlock()
 	j.entries[journalKey{exp, workload}] = journalEntry{row: row, seconds: seconds}
 	return j.appendLocked(exp, workload, row, seconds)
-}
-
-// Note durably appends an annotation record — breaker state changes,
-// say — that resume surfaces through Notes without ever mistaking it
-// for a completed cell.
-func (j *Journal) Note(kind, text string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.notes[kind] = append(j.notes[kind], text)
-	return j.appendLocked(notePrefix+kind, text, nil, 0)
-}
-
-// Notes returns the annotation texts recorded under kind, oldest first —
-// both those loaded at resume and those appended this run.
-func (j *Journal) Notes(kind string) []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]string, len(j.notes[kind]))
-	copy(out, j.notes[kind])
-	return out
 }
 
 // appendLocked frames, checksums, writes and fsyncs one record.

@@ -58,11 +58,10 @@ type Stats struct {
 // trace.Cache (Cache.SetTier) gives every recording a durable second
 // tier behind the in-memory one. A Store is safe for concurrent use.
 type Store struct {
-	dir     string
-	fs      FS
-	retry   RetryPolicy
-	sleep   func(time.Duration)
-	breaker *Breaker
+	dir   string
+	fs    FS
+	retry RetryPolicy
+	sleep func(time.Duration)
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -90,13 +89,6 @@ func WithRetry(p RetryPolicy) Option { return func(s *Store) { s.retry = p } }
 
 // WithSleep substitutes the backoff sleeper (tests pass a no-op).
 func WithSleep(f func(time.Duration)) Option { return func(s *Store) { s.sleep = f } }
-
-// WithBreaker arms the circuit breaker: b trips after its threshold of
-// consecutive disk faults, after which Load reports misses and Store
-// skips persistence (pure in-memory operation) until a half-open probe
-// finds the disk recovered. nil (the default) keeps the pre-breaker
-// behavior: every operation hits the disk with only per-op retry.
-func WithBreaker(b *Breaker) Option { return func(s *Store) { s.breaker = b } }
 
 // WithJitterSource substitutes the backoff jitter's randomness source.
 // Tests inject a fixed seed for reproducible backoff sequences; by
@@ -227,38 +219,12 @@ func (s *Store) quarantine(path string) {
 	}
 }
 
-// Breaker returns the armed circuit breaker, or nil.
-func (s *Store) Breaker() *Breaker { return s.breaker }
-
 // Load implements trace.Tier: it returns the recording stored for key,
 // (nil, nil) when no artifact exists, or a typed error. A corrupt
 // artifact is quarantined and reported as runerr.ErrStoreCorrupt — the
 // cache treats any error as a miss and re-records, so corruption heals
-// by live re-recording while the evidence is kept. With an open breaker
-// the disk is not touched at all: Load reports a miss and the cache
-// records in memory, which is exactly the degradation a failed read
-// would have produced — minus the doomed I/O and its retry backoff.
+// by live re-recording while the evidence is kept.
 func (s *Store) Load(key trace.Key) (trace.Cached, error) {
-	if s.breaker != nil && !s.breaker.Allow() {
-		return nil, nil
-	}
-	v, err := s.load(key)
-	if s.breaker != nil {
-		if v == nil && err == nil {
-			// A miss is neutral: no meaningful I/O happened, so it proves
-			// nothing about device health. Counting it as a success would
-			// let a write-only fault pattern (a full disk, say) reset the
-			// consecutive count between every failed save and keep the
-			// breaker from ever opening.
-			s.breaker.Neutral()
-		} else {
-			s.breaker.Record(err)
-		}
-	}
-	return v, err
-}
-
-func (s *Store) load(key trace.Key) (trace.Cached, error) {
 	path := s.artifactPath(key)
 	var data []byte
 	err := s.withRetry(func() error {
@@ -314,21 +280,7 @@ func (s *Store) load(key trace.Key) (trace.Cached, error) {
 // chunk per write, so peak memory during save is one chunk's frame, not
 // the whole artifact. Failures (after bounded retry) are reported but
 // non-fatal to the caller's run; the artifact simply is not persisted.
-// With an open breaker the write is skipped outright (nil — the caller
-// already treats persistence as best-effort, and the bypass is counted
-// on the breaker's instruments).
 func (s *Store) Store(key trace.Key, v trace.Cached) error {
-	if s.breaker != nil && !s.breaker.Allow() {
-		return nil
-	}
-	err := s.persist(key, v)
-	if s.breaker != nil {
-		s.breaker.Record(err)
-	}
-	return err
-}
-
-func (s *Store) persist(key trace.Key, v trace.Cached) error {
 	var writeTo func(io.Writer) (int64, error)
 	var raw int64
 	switch t := v.(type) {

@@ -152,20 +152,6 @@ func (c *Cache) SetBudget(budget int64) {
 	c.evictLocked()
 }
 
-// Budget returns the current byte budget (<= 0 means unbounded). With
-// ResidentBytes it forms the seam the supervision layer's memory
-// watermark monitor squeezes through, without importing this package's
-// types.
-func (c *Cache) Budget() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.budget
-}
-
-// ResidentBytes returns the resident (compressed) payload total counted
-// against the budget.
-func (c *Cache) ResidentBytes() int64 { return c.bytes.Value() }
-
 // Get returns the stream for key, calling record to produce it on a
 // miss. Concurrent Gets for the same key share one record call; its
 // error (if any) is returned to every waiter and the entry is dropped so

@@ -262,7 +262,10 @@ func TestReplayAllocs(t *testing.T) {
 	// not the caller's interface conversion.
 	var snk Sink = SinkFuncs{OnLoad: count, OnStore: count}
 	s.ReplayChunks(0, s.NumChunks(), snk) // warm the pools
-	if avg := testing.AllocsPerRun(10, func() { s.ReplayChunks(0, s.NumChunks(), snk) }); avg != 0 {
+	// The race detector makes sync.Pool drop a share of Puts on purpose,
+	// so pooled scratch is reallocated at random: both counts below hold
+	// only in an uninstrumented build.
+	if avg := testing.AllocsPerRun(10, func() { s.ReplayChunks(0, s.NumChunks(), snk) }); avg != 0 && !raceEnabled {
 		t.Errorf("replay allocates %.1f objects per run, want 0", avg)
 	}
 
@@ -291,7 +294,7 @@ func TestReplayAllocs(t *testing.T) {
 	walk() // warm the pools
 	// The cursor itself is one allocation; the per-chunk decodes must be
 	// free. Allow exactly that one object.
-	if avg := testing.AllocsPerRun(10, walk); avg > 1 {
+	if avg := testing.AllocsPerRun(10, walk); avg > 1 && !raceEnabled {
 		t.Errorf("cursor walk allocates %.1f objects per run, want <= 1", avg)
 	}
 }
