@@ -461,7 +461,9 @@ var timingLine = regexp.MustCompile(`\[([a-z0-9]+) in [0-9.]+s\]`)
 // time, each over its private pool) and compares the rendered reports,
 // which the two paths promise to keep byte-identical modulo elapsed
 // times. The functional experiments replay from the already-warm trace
-// cache, so the shadow pass mostly re-prices the timing studies. It
+// cache, so the shadow pass mostly re-prices the timing studies: each
+// standalone Run simulates its own configurations, so the timing
+// Results the scheduler's cells shared are checked independently. It
 // runs only after a clean scheduler sweep — with failures the outputs
 // legitimately differ by failure ordering.
 func shadowCompare(opt experiments.Options, todo []experiments.Experiment, schedOut string) string {

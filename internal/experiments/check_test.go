@@ -3,7 +3,10 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rarpred/internal/faultsim"
@@ -13,8 +16,8 @@ import (
 )
 
 // These tests use workload sizes no other test uses (13, 15, 17, 19,
-// 21, 23), so the shared trace cache and the oracle's verified-key set
-// cannot be pre-populated by another test.
+// 21, 23, 25), so the shared trace cache cannot be pre-populated by
+// another test.
 
 func mustByID(t *testing.T, id string) Experiment {
 	t.Helper()
@@ -157,8 +160,192 @@ func TestCheckOracleCatchesDivergence(t *testing.T) {
 	opt.Size = 23
 	opt.MaxInsts = 1_000_000
 	opt.Check = true
-	w := opt.Workloads[0]
+	poisonStream(t, opt)
 
+	res, err := runFig2(opt)
+	assertDivergence(t, "fig2", res, err, opt.Workloads[0])
+}
+
+// TestVerdictReachesEveryStreamConsumer: the oracle's verdict on a
+// divergent stream fails every experiment that reads it — the suite's
+// cells and a standalone run after the suite — not only the first
+// consumer to check it.
+func TestVerdictReachesEveryStreamConsumer(t *testing.T) {
+	opt := subset("com", "m88")
+	opt.Size = 25
+	opt.MaxInsts = 1_000_000
+	opt.Check = true
+	opt.Parallelism = 2
+	poisonStream(t, opt)
+
+	exps := []Experiment{mustByID(t, "fig2"), mustByID(t, "table51")}
+	delivered := 0
+	RunSuite(opt, exps, func(item SuiteItem) bool {
+		delivered++
+		assertDivergence(t, item.Exp.ID, item.Result, item.Err, opt.Workloads[0])
+		return true
+	})
+	if delivered != len(exps) {
+		t.Fatalf("delivered %d experiments, want %d", delivered, len(exps))
+	}
+	res, err := runFig5(opt)
+	assertDivergence(t, "fig5", res, err, opt.Workloads[0])
+}
+
+// verdictKey is a cache key no experiment uses, with its verdict
+// removed when the test ends.
+func verdictKey(t *testing.T) trace.Key {
+	key := trace.Key{Workload: "verdict-" + t.Name()}
+	t.Cleanup(func() {
+		verdicts.Lock()
+		delete(verdicts.m, key)
+		verdicts.Unlock()
+	})
+	return key
+}
+
+// TestVerdictOneCheckPerRecording: consumers of one recording share one
+// check — the ones arriving while it runs wait for it, later ones reuse
+// it — so a divergence fails all of them; a recording re-recorded under
+// the same key is checked afresh.
+func TestVerdictOneCheckPerRecording(t *testing.T) {
+	key := verdictKey(t)
+	diverged := errors.New("diverges")
+	rec := trace.NewStream()
+	var checks atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	check := func() (error, error) {
+		if checks.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return diverged, nil
+	}
+
+	const consumers = 4
+	errs := make([]error, consumers)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs[0] = verifyOnce(context.Background(), key, rec, check)
+	}()
+	<-started
+	for i := 1; i < consumers; i++ {
+		probe := newWaitProbe(context.Background())
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = verifyOnce(probe, key, rec, check)
+		}(i)
+		<-probe.waiting
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, diverged) {
+			t.Errorf("consumer %d got %v, want the divergence", i, err)
+		}
+	}
+	if err := verifyOnce(context.Background(), key, rec, check); !errors.Is(err, diverged) {
+		t.Errorf("later consumer got %v, want the divergence", err)
+	}
+	if n := checks.Load(); n != 1 {
+		t.Errorf("one recording was checked %d times, want once", n)
+	}
+
+	rerecorded := trace.NewStream()
+	if err := verifyOnce(context.Background(), key, rerecorded, func() (error, error) {
+		checks.Add(1)
+		return nil, nil
+	}); err != nil {
+		t.Errorf("re-recorded stream got %v, want a fresh verdict", err)
+	}
+	if n := checks.Load(); n != 2 {
+		t.Errorf("re-recorded stream was not checked afresh (%d checks)", n)
+	}
+}
+
+// TestVerdictUndecidedCheckRetries: a check that cannot decide — its
+// live re-record fails or is canceled, or it panics — reports to its
+// own consumer only and leaves no verdict; the consumers waiting on it
+// check again (once, under their own contexts) and get the real verdict.
+func TestVerdictUndecidedCheckRetries(t *testing.T) {
+	canceled := fmt.Errorf("check: live re-record for oracle failed: %w", context.Canceled)
+	for _, tc := range []struct {
+		name  string
+		check func() (error, error)
+		want  func(err error, panicked any) bool
+	}{
+		{
+			name:  "canceled",
+			check: func() (error, error) { return nil, canceled },
+			want:  func(err error, _ any) bool { return errors.Is(err, context.Canceled) },
+		},
+		{
+			name:  "panic",
+			check: func() (error, error) { panic("shadow exploded") },
+			want:  func(_ error, panicked any) bool { return panicked == "shadow exploded" },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := verdictKey(t)
+			rec := trace.NewStream()
+			var (
+				wg         sync.WaitGroup
+				firstErr   error
+				firstPanic any
+				rechecks   atomic.Int32
+				waiterErrs [3]error
+			)
+			started, release := make(chan struct{}), make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { firstPanic = recover() }()
+				firstErr = verifyOnce(context.Background(), key, rec, func() (error, error) {
+					close(started)
+					<-release
+					return tc.check()
+				})
+			}()
+			<-started
+			for i := range waiterErrs {
+				probe := newWaitProbe(context.Background())
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					waiterErrs[i] = verifyOnce(probe, key, rec, func() (error, error) {
+						rechecks.Add(1)
+						return nil, nil
+					})
+				}(i)
+				<-probe.waiting
+			}
+			close(release)
+			wg.Wait()
+
+			if !tc.want(firstErr, firstPanic) {
+				t.Errorf("first consumer got err %v, panic %v; want its own undecided check", firstErr, firstPanic)
+			}
+			for i, err := range waiterErrs {
+				if err != nil {
+					t.Errorf("waiter %d inherited %v, want the re-check's verdict", i, err)
+				}
+			}
+			if n := rechecks.Load(); n != 1 {
+				t.Errorf("waiters re-checked %d times, want once", n)
+			}
+		})
+	}
+}
+
+// poisonStream caches, for opt's first workload, a memory stream that
+// passes Validate (tallies intact) but holds one wrong value, and drops
+// it when the test ends.
+func poisonStream(t *testing.T, opt Options) {
+	t.Helper()
+	w := opt.Workloads[0]
 	correct, err := trace.RecordStreamBaselineContext(context.Background(), w.Assemble(opt.Size), opt.MaxInsts)
 	if err != nil {
 		t.Fatal(err)
@@ -184,20 +371,28 @@ func TestCheckOracleCatchesDivergence(t *testing.T) {
 	if _, err := TraceCache().Get(key, func() (*trace.Stream, error) { return bad, nil }); err != nil {
 		t.Fatal(err)
 	}
-	defer TraceCache().Drop(key)
+	t.Cleanup(func() { TraceCache().Drop(key) })
+}
 
-	res, err := runFig2(opt)
+// assertDivergence reports unless exp's outcome is a partial result in
+// which exactly the poisoned workload w failed the -check oracle. It
+// only uses t.Errorf, so suite delivery callbacks may call it.
+func assertDivergence(t *testing.T, exp string, res Result, err error, w workload.Workload) {
+	t.Helper()
 	if err != nil {
-		t.Fatalf("divergence aborted the run instead of failing the workload: %v", err)
+		t.Errorf("%s: divergence aborted the run instead of failing the workload: %v", exp, err)
+		return
 	}
 	p, ok := res.(*PartialResult)
 	if !ok {
-		t.Fatalf("poisoned stream produced a clean result: %s", res)
+		t.Errorf("%s: poisoned recording produced a clean result: %s", exp, res)
+		return
 	}
 	if len(p.Fails) != 1 || p.Fails[0].Workload != w.Name {
-		t.Fatalf("failures = %v, want exactly the poisoned workload", p.Fails)
+		t.Errorf("%s: failures = %v, want exactly the poisoned workload", exp, p.Fails)
+		return
 	}
 	if msg := p.Fails[0].Error(); !strings.Contains(msg, "diverges") {
-		t.Errorf("failure does not describe the divergence: %s", msg)
+		t.Errorf("%s: failure does not describe the divergence: %s", exp, msg)
 	}
 }

@@ -92,6 +92,10 @@ type Options struct {
 	// invariant sweeps are armed separately via their packages'
 	// SetSelfCheck (cmd/rarsim -check does both).
 	Check bool
+
+	// sims shares timing Results among the cells of one run: RunSuite
+	// and runCells each install a fresh memo (see simMemo).
+	sims *simMemo
 }
 
 func (o Options) workloads() []workload.Workload {
@@ -468,9 +472,11 @@ func collectCells(ws []workload.Workload, rows []any, errs []error) ([]any, []wo
 // runCells is the standalone executor behind every Experiment.Run: the
 // runner's cells execute once per workload over a private bounded pool,
 // with runCell's isolation, and the survivors are assembled into the
-// Result. The error return is reserved for hard aborts: the run context
-// ending, or every workload failing.
+// Result. The call is one run: its cells share a fresh simMemo. The
+// error return is reserved for hard aborts: the run context ending, or
+// every workload failing.
 func runCells(opt Options, r CellRunner) (Result, error) {
+	opt.sims = newSimMemo()
 	ctx := opt.ctx()
 	ws := opt.workloads()
 	rows := make([]any, len(ws))
@@ -518,12 +524,14 @@ func assembleCells(opt Options, r CellRunner, ws []workload.Workload, rows []any
 // parallelSims runs n independent deterministic simulations of one cell
 // concurrently — fig9's five pipeline configurations, say — so a
 // multi-variant cell uses as many cores as it has variants instead of
-// one. sim(i) must only write state owned by variant i. A panic in any
-// variant is re-raised in the caller's goroutine, keeping the per-cell
-// isolation policy intact; errors are reported lowest-index first so
-// the outcome is deterministic. The context is checked once per
-// simulation, preserving the serial path's "no in-loop poll, bounded
-// staleness" semantics.
+// one. sim(i) must only write state owned by variant i. Each variant
+// has its own goroutine, so a variant waiting on another cell's
+// in-flight simulation (simMemo) holds up no simulation of its own. A
+// panic in any variant is re-raised in the caller's goroutine, keeping
+// the per-cell isolation policy intact; errors are reported
+// lowest-index first so the outcome is deterministic. The context is
+// checked once per simulation before it starts; a running simulation
+// polls it through its pipeline.Config.Interrupt hook.
 func parallelSims(ctx context.Context, n int, sim func(i int) error) error {
 	errs := make([]error, n)
 	var (
@@ -638,30 +646,99 @@ func workloadStream(ctx context.Context, opt Options, w workload.Workload, size 
 	return tr, nil
 }
 
-// streamVerified tracks which cache keys the differential oracle has
-// already cross-checked, so a -check run pays the live re-record once
-// per stream rather than once per consuming cell.
-var streamVerified sync.Map // trace.Key -> struct{}
-
 // verifyStreamOnce is the replay-vs-live differential oracle: the served
 // stream must be event-for-event identical to a fresh recording on the
 // baseline Step interpreter (an independent implementation of the same
-// semantics — different memory model, no recording fast path). The first
-// caller per key performs the comparison; concurrent callers may race to
-// verify the same key once each, which is only redundant work.
+// semantics — different memory model, no recording fast path).
+// verifyOnce runs it once per recording and gives every consumer its
+// verdict.
 func verifyStreamOnce(ctx context.Context, key trace.Key, tr *trace.Stream, w workload.Workload, size int, maxInsts uint64) error {
-	if _, done := streamVerified.LoadOrStore(key, struct{}{}); done {
-		return nil
+	return verifyOnce(ctx, key, tr, func() (diverged, err error) {
+		live, err := trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
+		if err != nil {
+			return nil, fmt.Errorf("check: live re-record for oracle failed: %w", err)
+		}
+		if err := trace.DiffStreams(tr, live); err != nil {
+			return fmt.Errorf("check: replayed stream diverges from live baseline: %w", err), nil
+		}
+		return nil, nil
+	})
+}
+
+// verdicts holds the -check oracles' verdict on the recording last
+// judged under each cache key (memory and timing recordings differ by
+// trace.Key.Timing), so a -check run pays each live shadow once per
+// recording rather than once per consuming cell. Each verdict keeps its
+// recording reachable until another recording under the same key
+// replaces it.
+var verdicts = struct {
+	sync.Mutex
+	m map[trace.Key]*verdict
+}{m: make(map[trace.Key]*verdict)}
+
+// verdict is an oracle's judgement of one recording. done closes once
+// the check returns; err (the divergence, or nil for a verified
+// recording) and undecided (cleared when the check decides) are
+// written before that and never after.
+type verdict struct {
+	rec       any // the *trace.Stream or *trace.IStream judged
+	done      chan struct{}
+	err       error
+	undecided bool
+}
+
+// verifyOnce gives every consumer of rec, the recording served under
+// key, one verdict from check. The first consumer runs check; concurrent
+// consumers wait for its verdict, bounded by their own ctx; later
+// consumers reuse it, so a divergence fails every consumer of rec. check
+// returns the divergence, or err when it could not decide — say the
+// live re-record was canceled — which it reports to its own consumer
+// and leaves no verdict: the next consumer checks again, as does each
+// waiter, and so does a panic. A recording re-recorded under the same
+// key is a different rec and is checked afresh.
+func verifyOnce(ctx context.Context, key trace.Key, rec any, check func() (diverged, err error)) error {
+	for {
+		verdicts.Lock()
+		v := verdicts.m[key]
+		judge := v == nil || v.rec != rec
+		if judge {
+			v = &verdict{rec: rec, done: make(chan struct{}), undecided: true}
+			verdicts.m[key] = v
+		}
+		verdicts.Unlock()
+		if judge {
+			return v.judge(key, check)
+		}
+		select {
+		case <-v.done:
+			if !v.undecided {
+				return v.err
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	live, err := trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
+}
+
+// judge runs check for v. Unless check returns a verdict, v is removed
+// from verdicts before done closes, so waiters check again.
+func (v *verdict) judge(key trace.Key, check func() (diverged, err error)) error {
+	defer func() {
+		if v.undecided {
+			verdicts.Lock()
+			if verdicts.m[key] == v {
+				delete(verdicts.m, key)
+			}
+			verdicts.Unlock()
+		}
+		close(v.done)
+	}()
+	diverged, err := check()
 	if err != nil {
-		streamVerified.Delete(key) // transient; let a retry re-verify
-		return fmt.Errorf("check: live re-record for oracle failed: %w", err)
+		return err
 	}
-	if err := trace.DiffStreams(tr, live); err != nil {
-		return fmt.Errorf("check: replayed stream diverges from live baseline: %w", err)
-	}
-	return nil
+	v.err, v.undecided = diverged, false
+	return diverged
 }
 
 // meansByClass computes the SPECint, SPECfp and overall arithmetic means

@@ -51,18 +51,19 @@ type MemSpecResult struct {
 
 // ablMemSpecCells runs the three LSQ scheduling policies as concurrent
 // independent simulations of each workload, replaying one shared
-// instruction recording (runTimingConfigs).
+// instruction recording (runTimingConfigs). The no-speculation and
+// naive columns are fig10's and fig9's base runs, which the suite
+// scheduler simulates once for both experiments (simMemo).
 var ablMemSpecCells = timingCellsOf(
 	func(ctx context.Context, opt Options, w workload.Workload) (MemSpecRow, error) {
 		size := opt.size(workload.TimingSize)
 		row := MemSpecRow{Workload: w}
 		pols := []pipeline.MemSpecPolicy{pipeline.NoSpec, pipeline.NaiveSpec, pipeline.StoreSets}
-		cfgs := make([]pipeline.Config, len(pols))
+		specs := make([]simSpec, len(pols))
 		for i, pol := range pols {
-			cfgs[i] = pipeline.DefaultConfig()
-			cfgs[i].MemSpec = pol
+			specs[i] = baseSpec(pol)
 		}
-		results, err := runTimingConfigs(ctx, opt, w, size, cfgs, func(i int, err error) error {
+		results, err := runTimingConfigs(ctx, opt, w, size, specs, func(i int, err error) error {
 			return fmt.Errorf("%s/%s: %w", w.Name, pols[i], err)
 		})
 		if err != nil {
@@ -113,22 +114,18 @@ type RecoveryResult struct {
 
 // ablRecoveryCells runs the base processor and the three recovery
 // policies as four concurrent independent simulations replaying one
-// shared instruction recording (runTimingConfigs).
+// shared instruction recording (runTimingConfigs). All but the oracle
+// run are fig9's base, selective RAW+RAR and squash RAW+RAR runs, which
+// the suite scheduler simulates once for both experiments (simMemo).
 var ablRecoveryCells = timingCellsOf(
 	func(ctx context.Context, opt Options, w workload.Workload) (RecoveryRow, error) {
 		size := opt.size(workload.TimingSize)
 		row := RecoveryRow{Workload: w}
-		recs := []pipeline.RecoveryPolicy{pipeline.Selective, pipeline.Squash, pipeline.Oracle}
-		cfgs := []pipeline.Config{pipeline.DefaultConfig()}
-		for _, rec := range recs {
-			cfg := pipeline.DefaultConfig()
-			cc := cloak.TimingConfig(cloak.ModeRAWRAR)
-			cfg.Cloak = &cc
-			cfg.Bypassing = true
-			cfg.Recovery = rec
-			cfgs = append(cfgs, cfg)
+		specs := []simSpec{baseSpec(pipeline.NaiveSpec)}
+		for _, rec := range []pipeline.RecoveryPolicy{pipeline.Selective, pipeline.Squash, pipeline.Oracle} {
+			specs = append(specs, cloakSpec(cloak.ModeRAWRAR, rec, pipeline.NaiveSpec))
 		}
-		results, err := runTimingConfigs(ctx, opt, w, size, cfgs, func(_ int, err error) error {
+		results, err := runTimingConfigs(ctx, opt, w, size, specs, func(_ int, err error) error {
 			return err
 		})
 		if err != nil {

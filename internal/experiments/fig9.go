@@ -63,27 +63,6 @@ type Fig9Result struct {
 	HMSelective float64
 }
 
-// timingConfigs builds the four mechanism configurations.
-func timingConfig(mode cloak.Mode, rec pipeline.RecoveryPolicy, nospec bool) pipeline.Config {
-	cfg := pipeline.DefaultConfig()
-	cc := cloak.TimingConfig(mode)
-	cfg.Cloak = &cc
-	cfg.Bypassing = true
-	cfg.Recovery = rec
-	if nospec {
-		cfg.MemSpec = pipeline.NoSpec
-	}
-	return cfg
-}
-
-func baseConfig(nospec bool) pipeline.Config {
-	cfg := pipeline.DefaultConfig()
-	if nospec {
-		cfg.MemSpec = pipeline.NoSpec
-	}
-	return cfg
-}
-
 func speedup(base, mech uint64) float64 {
 	if mech == 0 {
 		return 0
@@ -95,24 +74,30 @@ func speedup(base, mech uint64) float64 {
 // configurations as concurrent simulations replaying one shared
 // instruction recording (runTimingConfigs): the simulators are
 // deterministic and no state is shared, so the cell uses one core per
-// configuration (parallelSims). The context is checked once per
-// simulation — the cycle-level model has no in-loop poll.
+// configuration (parallelSims). Under the suite scheduler, fig9's base
+// and RAW+RAR runs are also ablmemspec's and ablrecovery's, and fig10's
+// base run is ablmemspec's no-speculation column; whichever cell gets
+// to a configuration first simulates it for all of them (simMemo).
 func timingCells(nospec bool) CellRunner {
+	pol := pipeline.NaiveSpec
+	if nospec {
+		pol = pipeline.NoSpec
+	}
 	return timingCellsOf(
 		func(ctx context.Context, opt Options, w workload.Workload) (Fig9Row, error) {
 			size := opt.size(workload.TimingSize)
 			row := Fig9Row{Workload: w}
-			cfgs := []pipeline.Config{
-				baseConfig(nospec),
-				timingConfig(cloak.ModeRAW, pipeline.Selective, nospec),
-				timingConfig(cloak.ModeRAWRAR, pipeline.Selective, nospec),
+			specs := []simSpec{
+				baseSpec(pol),
+				cloakSpec(cloak.ModeRAW, pipeline.Selective, pol),
+				cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pol),
 			}
 			if !nospec {
-				cfgs = append(cfgs,
-					timingConfig(cloak.ModeRAW, pipeline.Squash, nospec),
-					timingConfig(cloak.ModeRAWRAR, pipeline.Squash, nospec))
+				specs = append(specs,
+					cloakSpec(cloak.ModeRAW, pipeline.Squash, pol),
+					cloakSpec(cloak.ModeRAWRAR, pipeline.Squash, pol))
 			}
-			results, err := runTimingConfigs(ctx, opt, w, size, cfgs, func(i int, err error) error {
+			results, err := runTimingConfigs(ctx, opt, w, size, specs, func(i int, err error) error {
 				if i == 0 {
 					return fmt.Errorf("%s base: %w", w.Name, err)
 				}

@@ -92,7 +92,9 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 // shared cache's single-flight no matter how many experiments' cells
 // are waiting on it. Stream-consuming cells pin their cache entry
 // (trace.Cache.Retain) for the whole run so eviction cannot drop a
-// stream that scheduled-but-not-yet-run cells still need.
+// stream that scheduled-but-not-yet-run cells still need. Timing cells
+// share one simMemo for the call, so a configuration that several
+// timing experiments report is simulated once per workload.
 //
 // Results are assembled the moment an experiment's last cell retires and
 // delivered in suite order — deliver(item) is called exactly once per
@@ -115,6 +117,7 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 // one.
 func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) SuiteStats {
 	begin := time.Now()
+	opt.sims = newSimMemo()
 	runCtx := opt.ctx()
 	// The internal cancel propagates a deliver=false stop to every
 	// not-yet-run cell; the run context's own end is observed through it

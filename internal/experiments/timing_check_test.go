@@ -2,16 +2,14 @@ package experiments
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"rarpred/internal/faultsim"
 	"rarpred/internal/trace"
 )
 
-// These tests use workload sizes no other test uses (8, 10, 14, 16),
-// so the shared trace cache and the timing oracle's verified-key set
-// cannot be pre-populated by another test.
+// These tests use timing sizes no other test uses (8, 10, 14, 16, 17),
+// so the shared trace cache cannot be pre-populated by another test.
 
 // TestTimingLiveMatchesReplay: Options.Live forces every configuration
 // onto a private live interpreter; the rendered result must be
@@ -66,9 +64,45 @@ func TestTimingCheckCatchesDivergence(t *testing.T) {
 	opt := subset("com", "m88")
 	opt.Size = 16
 	opt.Check = true
+	poisonIStream(t, opt)
+
+	res, err := runFig10(opt)
+	assertDivergence(t, "fig10", res, err, opt.Workloads[0])
+}
+
+// TestVerdictReachesEveryTimingConsumer: the pipeline oracle's verdict
+// on a divergent recording fails every timing experiment that replays
+// it — the suite's cells and a standalone run after the suite — so no
+// consumer times, or shares a Result computed from, an unverified
+// recording.
+func TestVerdictReachesEveryTimingConsumer(t *testing.T) {
+	opt := subset("apl", "li")
+	opt.Size = 17
+	opt.Check = true
+	opt.Parallelism = 2
+	poisonIStream(t, opt)
+
+	exps := []Experiment{mustByID(t, "fig10"), mustByID(t, "ablmemspec")}
+	delivered := 0
+	RunSuite(opt, exps, func(item SuiteItem) bool {
+		delivered++
+		assertDivergence(t, item.Exp.ID, item.Result, item.Err, opt.Workloads[0])
+		return true
+	})
+	if delivered != len(exps) {
+		t.Fatalf("delivered %d experiments, want %d", delivered, len(exps))
+	}
+	res, err := runFig9(opt)
+	assertDivergence(t, "fig9", res, err, opt.Workloads[0])
+}
+
+// poisonIStream caches, for opt's first workload, an instruction
+// recording that passes Validate but records the 50th branch going the
+// wrong way, and drops it when the test ends.
+func poisonIStream(t *testing.T, opt Options) {
+	t.Helper()
 	w := opt.Workloads[0]
 	prog := w.Program(opt.Size)
-
 	correct, err := trace.RecordIStreamBaselineContext(context.Background(), w.Assemble(opt.Size), opt.maxInsts())
 	if err != nil {
 		t.Fatal(err)
@@ -117,22 +151,7 @@ func TestTimingCheckCatchesDivergence(t *testing.T) {
 		func() (*trace.IStream, error) { return bad, nil }); err != nil {
 		t.Fatal(err)
 	}
-	defer TraceCache().Drop(key)
-
-	res, err := runFig10(opt)
-	if err != nil {
-		t.Fatalf("divergence aborted the run instead of failing the workload: %v", err)
-	}
-	p, ok := res.(*PartialResult)
-	if !ok {
-		t.Fatalf("poisoned recording produced a clean result: %s", res)
-	}
-	if len(p.Fails) != 1 || p.Fails[0].Workload != w.Name {
-		t.Fatalf("failures = %v, want exactly the poisoned workload", p.Fails)
-	}
-	if msg := p.Fails[0].Error(); !strings.Contains(msg, "diverges") {
-		t.Errorf("failure does not describe the divergence: %s", msg)
-	}
+	t.Cleanup(func() { TraceCache().Drop(key) })
 }
 
 // TestTimingCorruptRecordingDegrades: an injected recording corruption
