@@ -290,44 +290,6 @@ func BenchmarkSuiteAll(b *testing.B) {
 			b.ReportMetric(last.Busy.Seconds()/(last.Wall.Seconds()*float64(last.Workers)), "utilization")
 		}
 	})
-	b.Run("scheduler-lpt", func(b *testing.B) {
-		warm(b)
-		// One untimed pass measures every cell, then the timed passes
-		// feed those seconds back as the cost model — the same loop
-		// rarsim closes by replaying a previous sweep's -benchjson
-		// timings. Comparing against the plain scheduler sub-benchmark
-		// shows the makespan effect of longest-first ordering.
-		cost := make(map[string]float64)
-		experiments.RunSuite(benchOptions(), exps, func(item experiments.SuiteItem) bool {
-			for _, c := range item.Cells {
-				if c.Workload != "" {
-					cost[item.Exp.ID+"/"+c.Workload] = c.Elapsed.Seconds()
-				}
-			}
-			return item.Err == nil
-		})
-		opt := benchOptions()
-		opt.CellCost = func(exp, wl string) (float64, bool) {
-			s, ok := cost[exp+"/"+wl]
-			return s, ok
-		}
-		b.ResetTimer()
-		var last experiments.SuiteStats
-		for i := 0; i < b.N; i++ {
-			last = experiments.RunSuite(opt, exps,
-				func(item experiments.SuiteItem) bool {
-					if item.Err != nil {
-						b.Errorf("%s: %v", item.Exp.ID, item.Err)
-						return false
-					}
-					return true
-				})
-		}
-		if last.Wall > 0 && last.Workers > 0 {
-			b.ReportMetric(last.Busy.Seconds()/(last.Wall.Seconds()*float64(last.Workers)), "utilization")
-			b.ReportMetric(last.Wall.Seconds(), "makespan-s")
-		}
-	})
 }
 
 // BenchmarkFunctionalSim measures raw functional-simulation throughput.

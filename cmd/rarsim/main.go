@@ -5,7 +5,8 @@
 // All functional (non-timing) experiments draw each workload's committed
 // memory reference stream from a shared in-process trace cache, so
 // `-exp all` simulates every workload once and replays the stream into
-// each experiment's analyzers.
+// each experiment's analyzers. The cache keeps every stream it records
+// for the life of the process.
 //
 // Usage:
 //
@@ -22,12 +23,12 @@
 //	rarsim -exp all -store .rarstore -resume  # continue an interrupted sweep
 //
 // Multi-experiment sweeps run on a suite-level scheduler: every
-// (experiment × workload) cell from every requested experiment feeds
-// one shared worker pool (-parallelism workers), each workload's trace
-// records once no matter how many experiments need it, and results
-// print in paper order as they complete — the output is byte-identical
-// at any parallelism, which -check verifies against a sequential
-// per-experiment shadow run.
+// (experiment × workload) cell from every requested experiment feeds,
+// in paper order, one shared worker pool (-parallelism workers), each
+// workload's trace records once no matter how many experiments need it,
+// and results print in paper order as they complete — the output is
+// byte-identical at any parallelism, which -check verifies against a
+// sequential per-experiment shadow run.
 //
 // The run is cancellable: Ctrl-C (SIGINT), SIGTERM, and -timeout all
 // stop the simulators at the next poll point. A workload exceeding
@@ -66,7 +67,6 @@ import (
 	"rarpred/internal/metrics"
 	"rarpred/internal/pipeline"
 	"rarpred/internal/store"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -87,9 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lists      = fs.Bool("workloads", false, "list the benchmark suite and exit")
 		parallel   = fs.Int("p", 0, "max concurrent workload simulations (0 = GOMAXPROCS)")
 		benchjson  = fs.String("benchjson", "", "write machine-readable suite timings (per-experiment, per-cell, trace cache, scheduler utilization) to this JSON file")
-		traceMB    = fs.Int64("tracebudget", 0, "trace cache budget in MiB (0 = default 512)")
 		traceStats = fs.Bool("tracestats", false, "print trace cache statistics (per-stream raw/compressed sizes) to stderr after the run")
-		traceComp  = fs.String("tracecompress", "on", "columnar compression of cached and persisted traces: on or off (off keeps raw chunks, for A/B verification)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		timeout    = fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
@@ -124,19 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *resume && *storeDir == "":
 		fmt.Fprintln(stderr, "rarsim: -resume requires -store")
 		return 2
-	case *traceComp != "on" && *traceComp != "off":
-		fmt.Fprintf(stderr, "rarsim: -tracecompress must be on or off, got %q\n", *traceComp)
-		return 2
-	}
-
-	// Compression changes only how streams are stored (in memory and on
-	// disk), never their event content, so it stays out of the journal
-	// fingerprint and the report is byte-identical either way. The
-	// previous setting is restored on the way out for in-process callers.
-	defer trace.SetCompression(trace.SetCompression(*traceComp == "on"))
-
-	if *traceMB > 0 {
-		experiments.TraceCache().SetBudget(*traceMB << 20)
 	}
 
 	if *cpuprofile != "" {
@@ -240,7 +225,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// and in-process callers (tests) must not inherit a closed run's
 	// store.
 	var artifacts *store.Store
-	var jnl *store.Journal
 	if *storeDir != "" {
 		// The fault-injecting FS wrapper costs one atomic load per
 		// operation when nothing is armed, so the CLI always routes
@@ -259,7 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// that mean something else into the report.
 		fingerprint := fmt.Sprintf("v2 exp=%s size=%d bench=%s check=%t",
 			expIDs(todo), *size, *bench, *selfcheck)
-		jnl, err = st.OpenJournal(fingerprint, *resume)
+		jnl, err := st.OpenJournal(fingerprint, *resume)
 		if err != nil {
 			fmt.Fprintf(stderr, "rarsim: -store: %v\n", err)
 			return 1
@@ -270,12 +254,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "rarsim: resuming: %d cell(s) journaled by a previous run\n", jnl.Resumed())
 		}
 	}
-
-	// Feed the scheduler a longest-first cost model from whatever timing
-	// history exists: a previous sweep's -benchjson payload, with the
-	// resume journal's exact per-cell seconds taking precedence. No
-	// history at all leaves the queue in paper order.
-	opt.CellCost = cellCost(*benchjson, jnl)
 
 	var failed []string
 	breport := newBenchReport(*parallel)
@@ -343,105 +321,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return finish(stderr, *traceStats, *memprofile, artifacts, failed)
 }
 
-// cellCost builds the scheduler's longest-processing-time cost model.
-// Estimates come from a previous sweep's -benchjson payload; the resume
-// journal's exact seconds override them for any cell it has seen (a
-// journaled-but-undecodable cell re-runs, and its last true runtime is
-// a better estimate than a stale benchmark). Returns nil when no source
-// exists, which keeps the queue in construction (paper) order.
-func cellCost(benchPath string, jnl *store.Journal) func(exp, wl string) (float64, bool) {
-	fromBench := loadBenchSeconds(benchPath)
-	if fromBench == nil && jnl == nil {
-		return nil
-	}
-	return func(exp, wl string) (float64, bool) {
-		if jnl != nil {
-			if sec, ok := jnl.Seconds(exp, wl); ok {
-				return sec, true
-			}
-		}
-		sec, ok := fromBench[[2]string{exp, wl}]
-		return sec, ok
-	}
-}
-
-// loadBenchSeconds parses just the per-cell timings out of an earlier
-// -benchjson payload. Two files can hold history: the file named by
-// -benchjson (usually last run's output, about to be overwritten) and
-// the committed BENCH_suite.json in the working directory. The sources
-// are tried newest-modification-first — an old leftover at the
-// -benchjson path must not shadow a freshly regenerated
-// BENCH_suite.json — with an exact tie going to the explicitly named
-// path (the user pointed at it). Cost estimation is best effort: any
-// missing file or parse problem just falls through to the other
-// source, then to "no estimates", never a failed run. Cells the
-// earlier run resumed from its journal carry near-zero seconds and are
-// skipped rather than mistaken for cheap.
-func loadBenchSeconds(benchPath string) map[[2]string]float64 {
-	for _, path := range benchSourceOrder(benchPath, "BENCH_suite.json") {
-		if m := parseBenchSeconds(path); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
-// benchSourceOrder ranks the candidate timing files newest-first by
-// modification time; a tie (or an unstattable fallback) keeps the
-// explicitly named path first.
-func benchSourceOrder(benchPath, fallback string) []string {
-	if benchPath == "" || benchPath == fallback {
-		return []string{fallback}
-	}
-	bi, berr := os.Stat(benchPath)
-	fi, ferr := os.Stat(fallback)
-	switch {
-	case berr != nil:
-		return []string{fallback, benchPath}
-	case ferr != nil:
-		return []string{benchPath, fallback}
-	case bi.ModTime().Before(fi.ModTime()):
-		return []string{fallback, benchPath}
-	default:
-		return []string{benchPath, fallback}
-	}
-}
-
-// parseBenchSeconds extracts non-resumed per-cell seconds from one
-// benchjson file, or nil if the file is missing, unparsable, or empty.
-func parseBenchSeconds(path string) map[[2]string]float64 {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var doc struct {
-		Experiments []struct {
-			ID    string `json:"id"`
-			Cells []struct {
-				Workload string  `json:"workload"`
-				Seconds  float64 `json:"seconds"`
-				Resumed  bool    `json:"resumed"`
-			} `json:"cells"`
-		} `json:"experiments"`
-	}
-	if json.Unmarshal(data, &doc) != nil {
-		return nil
-	}
-	m := make(map[[2]string]float64)
-	for _, e := range doc.Experiments {
-		for _, c := range e.Cells {
-			if c.Resumed {
-				continue
-			}
-			m[[2]string{e.ID, c.Workload}] = c.Seconds
-		}
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	return m
-}
-
 // expIDs renders the sweep's experiment list for the journal
 // fingerprint.
 func expIDs(todo []experiments.Experiment) string {
@@ -507,8 +386,12 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // serves, so the two reporting paths cannot drift; version 6 added the
 // optional supervise section and store breaker stats, both omitempty
 // and no longer emitted since the supervisor and circuit breaker were
-// removed (a v6 reader sees payloads without them, as when unarmed).
-const benchSchemaVersion = 6
+// removed (a v6 reader sees payloads without them, as when unarmed);
+// version 7 dropped trace_cache's evictions, pinned and budget_mib
+// fields and the metrics snapshot's suite.cost_* gauges and
+// trace.cache.{evictions,pinned,budget} instruments, since the cache no
+// longer evicts and the scheduler no longer orders cells by cost.
+const benchSchemaVersion = 7
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -578,17 +461,13 @@ type benchStore struct {
 }
 
 type benchCache struct {
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Evictions uint64  `json:"evictions"`
-	Entries   int     `json:"entries"`
-	Pinned    int     `json:"pinned"`
-	MiB       float64 `json:"mib"`
-	BudgetMiB float64 `json:"budget_mib"`
+	Hits    uint64  `json:"hits"`
+	Misses  uint64  `json:"misses"`
+	Entries int     `json:"entries"`
+	MiB     float64 `json:"mib"`
 	// TraceRawBytes is the resident streams' uncompressed event payload;
-	// TraceResidentBytes is what they actually occupy (and what the
-	// budget charges). CompressionRatio is raw/resident; 1.0 when
-	// compression is off or the cache is empty.
+	// TraceResidentBytes is what they actually occupy. CompressionRatio
+	// is raw/resident; 1.0 when the cache is empty.
 	TraceRawBytes      int64   `json:"trace_raw_bytes"`
 	TraceResidentBytes int64   `json:"trace_resident_bytes"`
 	CompressionRatio   float64 `json:"compression_ratio"`
@@ -631,11 +510,8 @@ func (b *benchReport) write(path string) error {
 	b.TraceCache = benchCache{
 		Hits:               st.Hits,
 		Misses:             st.Misses,
-		Evictions:          st.Evictions,
 		Entries:            st.Entries,
-		Pinned:             st.Pinned,
 		MiB:                float64(st.Bytes) / (1 << 20),
-		BudgetMiB:          float64(st.Budget) / (1 << 20),
 		TraceRawBytes:      st.RawBytes,
 		TraceResidentBytes: st.Bytes,
 		CompressionRatio:   compressionRatio(st.RawBytes, st.Bytes),
@@ -676,9 +552,9 @@ func finish(stderr io.Writer, traceStats bool, memprofile string, artifacts *sto
 	if traceStats {
 		st := experiments.TraceCache().Stats()
 		fmt.Fprintf(stderr,
-			"trace cache: %d hits, %d misses, %d evictions, %d streams resident (%.1f of %.0f MiB, %.1f MiB raw, %.2fx)\n",
-			st.Hits, st.Misses, st.Evictions, st.Entries,
-			float64(st.Bytes)/(1<<20), float64(st.Budget)/(1<<20),
+			"trace cache: %d hits, %d misses, %d streams resident (%.1f MiB, %.1f MiB raw, %.2fx)\n",
+			st.Hits, st.Misses, st.Entries,
+			float64(st.Bytes)/(1<<20),
 			float64(st.RawBytes)/(1<<20), compressionRatio(st.RawBytes, st.Bytes))
 		for _, r := range experiments.TraceCache().Residents() {
 			kind := "mem"

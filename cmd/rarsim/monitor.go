@@ -21,9 +21,9 @@ import (
 // monitoring on.
 //
 //   - -progress: a periodic one-line status on stderr (cells done/total,
-//     ETA from the scheduler's LPT cost estimates, cache residency,
-//     Minsts/s). On a TTY the line redraws in place via carriage
-//     return; piped to a file it degrades to plain lines.
+//     ETA from the cells done so far, cache residency, Minsts/s). On a
+//     TTY the line redraws in place via carriage return; piped to a file
+//     it degrades to plain lines.
 //   - -httpmon addr: an HTTP server with /metrics (point-in-time JSON
 //     snapshot of the registry) and the standard net/http/pprof
 //     endpoints, shut down cleanly when the run drains (including on
@@ -46,8 +46,6 @@ type progressMonitor struct {
 	// own, so the ticker shares books with the subsystems).
 	cellsTotal *metrics.Gauge
 	cellsDone  *metrics.Gauge
-	costTotal  *metrics.Gauge
-	costDone   *metrics.Gauge
 	cacheBytes *metrics.Gauge
 	funcInsts  *metrics.Counter
 	pipeInsts  *metrics.Counter
@@ -79,8 +77,6 @@ func startProgress(out io.Writer) *progressMonitor {
 		ticker:     time.NewTicker(progressInterval),
 		cellsTotal: r.Gauge("suite.cells_total"),
 		cellsDone:  r.Gauge("suite.cells_done"),
-		costTotal:  r.Gauge("suite.cost_total_ms"),
-		costDone:   r.Gauge("suite.cost_done_ms"),
 		cacheBytes: r.Gauge("trace.cache.bytes"),
 		funcInsts:  r.Counter("funcsim.insts_committed"),
 		pipeInsts:  r.Counter("pipeline.insts_committed"),
@@ -140,10 +136,10 @@ func (m *progressMonitor) render() {
 	fmt.Fprintln(m.out, line)
 }
 
-// eta projects time remaining from the LPT cost books: elapsed scaled
-// by the cost not yet retired. Nothing retired yet means no estimate.
+// eta projects time remaining from the cells done so far: elapsed
+// scaled by the cells not yet done. No cell done yet means no estimate.
 func (m *progressMonitor) eta(now time.Time) (time.Duration, bool) {
-	total, done := m.costTotal.Value(), m.costDone.Value()
+	total, done := m.cellsTotal.Value(), m.cellsDone.Value()
 	if total <= 0 || done <= 0 {
 		return 0, false
 	}

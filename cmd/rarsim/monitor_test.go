@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,33 +11,6 @@ import (
 
 	"rarpred/internal/metrics"
 )
-
-// TestMonitoredStdoutByteIdentical is the tentpole's observability
-// contract: turning on -progress and -httpmon must not perturb the
-// suite report on stdout by a single byte — all monitoring output goes
-// to stderr or the HTTP server.
-func TestMonitoredStdoutByteIdentical(t *testing.T) {
-	base := []string{"-exp", "table51,fig2", "-size", "3", "-bench", "go,gcc"}
-	code, plain, errw := runCLI(base...)
-	if code != 0 {
-		t.Fatalf("plain run exit %d; stderr:\n%s", code, errw)
-	}
-	args := append(append([]string{}, base...), "-progress", "-httpmon", "127.0.0.1:0")
-	code, monitored, errw := runCLI(args...)
-	if code != 0 {
-		t.Fatalf("monitored run exit %d; stderr:\n%s", code, errw)
-	}
-	if !strings.Contains(errw, "monitoring on http://") {
-		t.Errorf("-httpmon did not announce its address on stderr:\n%s", errw)
-	}
-	if !strings.Contains(errw, "rarsim: ") {
-		t.Errorf("-progress produced no status line on stderr:\n%s", errw)
-	}
-	if normalizeTiming(plain) != normalizeTiming(monitored) {
-		t.Errorf("monitored stdout differs from plain:\n--- plain ---\n%s\n--- monitored ---\n%s",
-			plain, monitored)
-	}
-}
 
 // TestHTTPMonServesMetricsAndPprof drives the monitor server directly:
 // /metrics returns a decodable registry snapshot containing the shared
@@ -80,8 +52,8 @@ func TestHTTPMonServesMetricsAndPprof(t *testing.T) {
 	if _, ok := snap.Counters["trace.cache.hits"]; !ok {
 		t.Errorf("snapshot lacks trace.cache.hits; counters: %v", snap.Counters)
 	}
-	if _, ok := snap.Gauges["trace.cache.budget"]; !ok {
-		t.Errorf("snapshot lacks trace.cache.budget; gauges: %v", snap.Gauges)
+	if _, ok := snap.Gauges["trace.cache.entries"]; !ok {
+		t.Errorf("snapshot lacks trace.cache.entries; gauges: %v", snap.Gauges)
 	}
 
 	pp, err := http.Get(base + "/debug/pprof/cmdline")
@@ -114,7 +86,6 @@ func TestBenchJSONMetricsConsistent(t *testing.T) {
 		TraceCache    struct {
 			Hits               uint64 `json:"hits"`
 			Misses             uint64 `json:"misses"`
-			Evictions          uint64 `json:"evictions"`
 			TraceRawBytes      int64  `json:"trace_raw_bytes"`
 			TraceResidentBytes int64  `json:"trace_resident_bytes"`
 		} `json:"trace_cache"`
@@ -127,9 +98,8 @@ func TestBenchJSONMetricsConsistent(t *testing.T) {
 		t.Fatalf("schema_version = %d, want %d", rep.SchemaVersion, benchSchemaVersion)
 	}
 	for name, want := range map[string]uint64{
-		"trace.cache.hits":      rep.TraceCache.Hits,
-		"trace.cache.misses":    rep.TraceCache.Misses,
-		"trace.cache.evictions": rep.TraceCache.Evictions,
+		"trace.cache.hits":   rep.TraceCache.Hits,
+		"trace.cache.misses": rep.TraceCache.Misses,
 	} {
 		if got := rep.Metrics.Counters[name]; got != want {
 			t.Errorf("metrics counter %s = %d, legacy section says %d", name, got, want)
@@ -158,69 +128,21 @@ func TestBenchJSONMetricsConsistent(t *testing.T) {
 	}
 }
 
-// benchDoc renders a minimal parseable benchjson payload whose single
-// cell takes sec seconds — enough for loadBenchSeconds to distinguish
-// which file it read.
-func benchDoc(sec float64) string {
-	return fmt.Sprintf(`{"experiments":[{"id":"e","cells":[{"workload":"w","seconds":%g}]}]}`, sec)
-}
-
-// TestLoadBenchSecondsPrefersNewerFile covers the cost-model staleness
-// bug: when both the -benchjson path and BENCH_suite.json exist, the
-// more recently modified file wins; an exact mtime tie keeps the
-// explicitly named path; and a corrupt newer file falls through to the
-// older one rather than discarding estimates.
-func TestLoadBenchSecondsPrefersNewerFile(t *testing.T) {
-	dir := t.TempDir()
-	t.Chdir(dir)
-	named := filepath.Join(dir, "last.json")
-	fallback := "BENCH_suite.json"
-	old := time.Now().Add(-time.Hour)
-	write := func(path, content string, mtime time.Time) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(path, mtime, mtime); err != nil {
-			t.Fatal(err)
-		}
+// TestProgressETA: the -progress ETA scales elapsed time by the cells
+// not yet done.
+func TestProgressETA(t *testing.T) {
+	now := time.Now()
+	m := &progressMonitor{start: now.Add(-10 * time.Second), cellsTotal: &metrics.Gauge{}, cellsDone: &metrics.Gauge{}}
+	m.cellsTotal.Set(36)
+	if _, ok := m.eta(now); ok {
+		t.Error("ETA with no cell done, want no estimate")
 	}
-	secondsOf := func(m map[[2]string]float64) float64 {
-		t.Helper()
-		if m == nil {
-			t.Fatal("loadBenchSeconds returned nil")
-		}
-		return m[[2]string{"e", "w"}]
+	m.cellsDone.Set(18)
+	if eta, ok := m.eta(now); !ok || eta != 10*time.Second {
+		t.Errorf("ETA with half the cells done after 10s = %v, %v; want 10s", eta, ok)
 	}
-
-	// Fallback strictly newer than the named file: fallback wins.
-	write(named, benchDoc(1), old)
-	write(fallback, benchDoc(2), old.Add(time.Minute))
-	if got := secondsOf(loadBenchSeconds(named)); got != 2 {
-		t.Errorf("newer BENCH_suite.json ignored: got %g seconds, want 2", got)
-	}
-
-	// Named file strictly newer: named wins.
-	write(named, benchDoc(1), old.Add(2*time.Minute))
-	if got := secondsOf(loadBenchSeconds(named)); got != 1 {
-		t.Errorf("newer -benchjson file ignored: got %g seconds, want 1", got)
-	}
-
-	// Exact tie: the explicitly named path wins.
-	write(named, benchDoc(1), old)
-	write(fallback, benchDoc(2), old)
-	if got := secondsOf(loadBenchSeconds(named)); got != 1 {
-		t.Errorf("mtime tie did not prefer the named file: got %g seconds, want 1", got)
-	}
-
-	// Corrupt newer file: fall through to the older parseable one.
-	write(named, "not json", old.Add(time.Minute))
-	if got := secondsOf(loadBenchSeconds(named)); got != 2 {
-		t.Errorf("corrupt newer file did not fall through: got %g seconds, want 2", got)
-	}
-
-	// No named path at all: fallback alone.
-	if got := secondsOf(loadBenchSeconds("")); got != 2 {
-		t.Errorf("empty -benchjson path: got %g seconds, want 2", got)
+	m.cellsDone.Set(36)
+	if eta, ok := m.eta(now); !ok || eta != 0 {
+		t.Errorf("ETA with every cell done = %v, %v; want 0", eta, ok)
 	}
 }

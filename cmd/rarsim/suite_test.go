@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"rarpred/internal/experiments"
 	"rarpred/internal/faultsim"
+	"rarpred/internal/trace"
 )
 
 func readFile(path string) (string, error) {
@@ -19,38 +21,6 @@ func readFile(path string) (string, error) {
 // comparison.
 func normalizeTiming(out string) string {
 	return timingLine.ReplaceAllString(out, "[$1]")
-}
-
-// TestSuiteOutputDeterministic is the scheduler's contract: `-exp all`
-// prints byte-identical stdout under a single-worker pool and a wide
-// pool — only the wall-clock timings may differ.
-func TestSuiteOutputDeterministic(t *testing.T) {
-	base := []string{"-exp", "all", "-size", "3", "-bench", "go,gcc"}
-	run := func(extra ...string) string {
-		t.Helper()
-		args := append(append([]string{}, base...), extra...)
-		code, out, errw := runCLI(args...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d; stderr:\n%s", extra, code, errw)
-		}
-		return normalizeTiming(out)
-	}
-	p1 := run("-p", "1")
-	pN := run("-parallelism", "4")
-	if p1 != pN {
-		t.Errorf("-parallelism 4 output differs from -p 1:\n--- p 1 ---\n%s\n--- p 4 ---\n%s", p1, pN)
-	}
-
-	// -check arms the oracles and invariant sweeps; none of them may
-	// perturb the report, at any parallelism. These runs also exercise
-	// the sequential shadow comparison against the standalone
-	// Experiment.Run path end to end (a divergence would exit non-zero
-	// inside run above).
-	for _, extra := range [][]string{{"-check", "-p", "1"}, {"-check", "-p", "4"}} {
-		if out := run(extra...); out != p1 {
-			t.Errorf("%v output differs from -p 1:\n--- p 1 ---\n%s\n--- checked ---\n%s", extra, p1, out)
-		}
-	}
 }
 
 // TestSchedulerIsolatesPanickingCells: under the shared pool, a
@@ -127,5 +97,32 @@ func TestBenchJSONOmitsSupervisionWhenUnarmed(t *testing.T) {
 		if strings.Contains(data, gone) {
 			t.Errorf("bench report emitted the removed %s section:\n%s", gone, data)
 		}
+	}
+}
+
+func dropSize6(t *testing.T) {
+	t.Helper()
+	for _, ab := range []string{"go", "gcc"} {
+		experiments.TraceCache().Drop(trace.Key{Workload: wname(t, ab), Size: 6, MaxInsts: defaultMaxInsts})
+	}
+}
+
+// TestTraceStatsListsStreams: -tracestats itemizes every resident
+// stream with raw and resident sizes. It uses size 6, which no other
+// test uses, so the streams it lists are its own recordings.
+func TestTraceStatsListsStreams(t *testing.T) {
+	dropSize6(t)
+	defer dropSize6(t)
+	code, _, errw := runCLI("-exp", "fig2", "-size", "6", "-bench", "go,gcc", "-tracestats")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errw)
+	}
+	for _, w := range []string{wname(t, "go"), wname(t, "gcc")} {
+		if !strings.Contains(errw, w) {
+			t.Errorf("tracestats missing stream %s:\n%s", w, errw)
+		}
+	}
+	if !strings.Contains(errw, "MiB raw ->") {
+		t.Errorf("tracestats missing per-stream raw/resident listing:\n%s", errw)
 	}
 }

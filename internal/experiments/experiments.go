@@ -72,18 +72,6 @@ type Options struct {
 	// persistence layer.
 	Journal SuiteJournal
 
-	// CellCost, when non-nil, estimates one (experiment × workload)
-	// cell's runtime in seconds so RunSuite can order its job queue
-	// longest-processing-time-first, shrinking the makespan tail where a
-	// long cell picked up last overhangs an otherwise drained pool. The
-	// second return reports whether an estimate exists; cells with no
-	// estimate sort ahead of estimated ones (an unknown cell may be the
-	// one that must record a stream — starting it early is the safe
-	// bet). Ordering changes only which worker runs a cell when; results
-	// still assemble and deliver in suite order, so output is
-	// byte-identical with or without it. nil keeps construction order.
-	CellCost func(exp, workload string) (float64, bool)
-
 	// Check arms the run's differential oracle: the first time each
 	// cached reference stream is served, it is re-recorded live on the
 	// independent baseline interpreter and the two streams compared
@@ -279,10 +267,8 @@ type CellRunner interface {
 // attempt.
 type SuiteJournal interface {
 	Lookup(exp, workload string) ([]byte, bool)
-	// Record appends one completed cell: its encoded row plus the wall
-	// seconds the cell took, which future runs can feed back through
-	// Options.CellCost to schedule longest-first.
-	Record(exp, workload string, row []byte, seconds float64) error
+	// Record appends one completed cell's encoded row.
+	Record(exp, workload string, row []byte) error
 }
 
 // RowCodec is implemented by cell runners whose rows can round-trip
@@ -296,17 +282,6 @@ type RowCodec interface {
 	// DecodeRow reverses EncodeRow into the concrete row type Assemble
 	// expects.
 	DecodeRow(data []byte) (any, error)
-}
-
-// StreamKeyer is implemented by cell runners whose cells consume the
-// recorded reference stream. The suite scheduler uses it to draw the
-// dependency edge from each pending cell to its workload's stream,
-// pinning the trace-cache entry (trace.Cache.Retain) until the cell has
-// run so eviction never drops a stream that is still needed.
-type StreamKeyer interface {
-	// StreamKey returns the trace-cache key the cell will consume, or
-	// ok=false when the run bypasses the cache (Options.Live).
-	StreamKey(opt Options, w workload.Workload) (key trace.Key, ok bool)
 }
 
 // cellRunner adapts a typed per-workload function and assembler to the
@@ -354,7 +329,7 @@ func (r cellRunner[T]) DecodeRow(data []byte) (any, error) {
 }
 
 // cells builds a CellRunner from a typed per-workload function and
-// assembler (the cycle-level experiments, which re-simulate live).
+// assembler.
 func cells[T any](
 	cell func(ctx context.Context, opt Options, w workload.Workload) (T, error),
 	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
@@ -362,48 +337,27 @@ func cells[T any](
 	return cellRunner[T]{cell: cell, assemble: assemble}
 }
 
-// tracedRunner is cells plus the stream dependency edge: its Cell
-// obtains the workload's committed reference stream (shared cache,
-// degradation policy and all) before invoking the experiment's analyzer
-// function, and StreamKey exposes the cache key for scheduler pinning.
-type tracedRunner[T any] struct {
-	cellRunner[T]
-	defSize int
-}
-
-func (r tracedRunner[T]) StreamKey(opt Options, w workload.Workload) (trace.Key, bool) {
-	if opt.Live {
-		return trace.Key{}, false
-	}
-	return trace.Key{Workload: w.Name, Size: opt.size(r.defSize), MaxInsts: opt.maxInsts()}, true
-}
-
 // tracedCells builds a CellRunner for experiments that only consume the
 // committed memory reference stream (all the non-timing experiments;
 // the Section 5.6 cycle-level studies need full register-state
-// simulation and use cells). fn receives the workload and its recorded
-// stream, obtained from the shared cache — recorded on first use,
-// replayed thereafter. opt.Live bypasses the cache and re-records.
+// simulation, so their cells call runTimingConfigs). fn receives the
+// workload and its recorded stream, obtained from the shared cache —
+// recorded on first use, replayed thereafter. opt.Live bypasses the
+// cache and re-records.
 func tracedCells[T any](
 	defSize int,
 	fn func(opt Options, w workload.Workload, tr *trace.Stream) (T, error),
 	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
 ) CellRunner {
-	return tracedRunner[T]{
-		defSize: defSize,
-		cellRunner: cellRunner[T]{
-			assemble: assemble,
-			cell: func(ctx context.Context, opt Options, w workload.Workload) (T, error) {
-				var zero T
-				tr, err := workloadStream(ctx, opt, w, opt.size(defSize), opt.maxInsts())
-				if err != nil {
-					return zero, err
-				}
-				defer startSpan("cell/replay").End()
-				return fn(opt, w, tr)
-			},
-		},
-	}
+	return cells(func(ctx context.Context, opt Options, w workload.Workload) (T, error) {
+		var zero T
+		tr, err := workloadStream(ctx, opt, w, opt.size(defSize), opt.maxInsts())
+		if err != nil {
+			return zero, err
+		}
+		defer startSpan("cell/replay").End()
+		return fn(opt, w, tr)
+	}, assemble)
 }
 
 // runCell executes one (experiment × workload) cell under the shared
@@ -510,7 +464,7 @@ func runCells(opt Options, r CellRunner) (Result, error) {
 // isolation as its cells: a panicking Assemble fails its experiment
 // instead of the process — and, under the suite scheduler, instead of
 // the pool worker that happened to retire the last cell (which still
-// owns queued cells and their stream pins).
+// owns queued cells).
 func assembleCells(opt Options, r CellRunner, ws []workload.Workload, rows []any, fails []*runerr.WorkloadError) (res Result, err error) {
 	defer startSpan("assemble").End()
 	defer func() {
@@ -575,9 +529,9 @@ func parallelSims(ctx context.Context, n int, sim func(i int) error) error {
 // Every functional experiment in a run (and every run in a process)
 // shares it, so `rarsim -exp all` simulates each workload once and
 // replays the stream into every analyzer.
-var traceCache = trace.NewCache(trace.DefaultBudget)
+var traceCache = trace.NewCache()
 
-// TraceCache exposes the shared stream cache (for budget control and
+// TraceCache exposes the shared stream cache (for its durable tier and
 // statistics reporting in cmd/rarsim).
 func TraceCache() *trace.Cache { return traceCache }
 

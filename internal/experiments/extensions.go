@@ -54,7 +54,7 @@ type MemSpecResult struct {
 // instruction recording (runTimingConfigs). The no-speculation and
 // naive columns are fig10's and fig9's base runs, which the suite
 // scheduler simulates once for both experiments (simMemo).
-var ablMemSpecCells = timingCellsOf(
+var ablMemSpecCells = cells(
 	func(ctx context.Context, opt Options, w workload.Workload) (MemSpecRow, error) {
 		size := opt.size(workload.TimingSize)
 		row := MemSpecRow{Workload: w}
@@ -117,7 +117,7 @@ type RecoveryResult struct {
 // shared instruction recording (runTimingConfigs). All but the oracle
 // run are fig9's base, selective RAW+RAR and squash RAW+RAR runs, which
 // the suite scheduler simulates once for both experiments (simMemo).
-var ablRecoveryCells = timingCellsOf(
+var ablRecoveryCells = cells(
 	func(ctx context.Context, opt Options, w workload.Workload) (RecoveryRow, error) {
 		size := opt.size(workload.TimingSize)
 		row := RecoveryRow{Workload: w}

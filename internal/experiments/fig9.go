@@ -83,7 +83,7 @@ func timingCells(nospec bool) CellRunner {
 	if nospec {
 		pol = pipeline.NoSpec
 	}
-	return timingCellsOf(
+	return cells(
 		func(ctx context.Context, opt Options, w workload.Workload) (Fig9Row, error) {
 			size := opt.size(workload.TimingSize)
 			row := Fig9Row{Workload: w}

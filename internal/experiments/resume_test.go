@@ -18,7 +18,6 @@ import (
 type memJournal struct {
 	mu      sync.Mutex
 	m       map[string][]byte
-	secs    map[string]float64
 	records int
 }
 
@@ -29,15 +28,13 @@ func (j *memJournal) Lookup(exp, wl string) ([]byte, bool) {
 	return row, ok
 }
 
-func (j *memJournal) Record(exp, wl string, row []byte, seconds float64) error {
+func (j *memJournal) Record(exp, wl string, row []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.m == nil {
 		j.m = make(map[string][]byte)
-		j.secs = make(map[string]float64)
 	}
 	j.m[exp+"/"+wl] = row
-	j.secs[exp+"/"+wl] = seconds
 	j.records++
 	return nil
 }
@@ -161,7 +158,7 @@ func TestSuiteResumePartialJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jnl.Record("synthC", w.Name, enc, 1)
+		jnl.Record("synthC", w.Name, enc)
 	}
 
 	var resumedCalls atomic.Int64
@@ -231,7 +228,7 @@ func TestSuiteResumeUndecodableRowReruns(t *testing.T) {
 	ws := workload.All()[:3]
 	jnl := &memJournal{}
 	for _, w := range ws {
-		jnl.Record("synthE", w.Name, []byte("not a gob row"), 1)
+		jnl.Record("synthE", w.Name, []byte("not a gob row"))
 	}
 	var calls atomic.Int64
 	renderSuite(t, Options{Workloads: ws, Journal: jnl},

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"math"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,11 +88,10 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 // (panic capture, per-workload deadline), identical to the standalone
 // per-experiment pools, and each workload's stream records once via the
 // shared cache's single-flight no matter how many experiments' cells
-// are waiting on it. Stream-consuming cells pin their cache entry
-// (trace.Cache.Retain) for the whole run so eviction cannot drop a
-// stream that scheduled-but-not-yet-run cells still need. Timing cells
-// share one simMemo for the call, so a configuration that several
-// timing experiments report is simulated once per workload.
+// are waiting on it. The queue holds the cells in paper order:
+// experiment by experiment, each over the workloads in suite order.
+// Timing cells share one simMemo for the call, so a configuration that
+// several timing experiments report is simulated once per workload.
 //
 // Results are assembled the moment an experiment's last cell retires and
 // delivered in suite order — deliver(item) is called exactly once per
@@ -110,7 +107,7 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 //
 // With Options.Journal set the suite is resumable: cells a previous run
 // journaled are prefilled from their decoded rows (CellStat.Resumed)
-// and never scheduled — no simulation, no stream pin — and each cell
+// and never scheduled — no simulation, no stream lookup — and each cell
 // that completes successfully in this run is journaled as it retires.
 // Because delivery order, row order, and assembly are unchanged, a
 // resumed run's aggregate output is byte-identical to an uninterrupted
@@ -127,10 +124,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 
 	ws := opt.workloads()
 	states := make([]*suiteExp, len(exps))
-	type job struct {
-		ei, wi int
-		estMs  int64 // ETA cost estimate (suite.cost_* gauges)
-	}
+	type job struct{ ei, wi int }
 	var jobs []job
 	var fullyResumed []int // experiments with every cell journaled
 	for ei, e := range exps {
@@ -169,21 +163,12 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				}
 			}
 			remaining := 0
-			for wi, w := range ws {
+			for wi := range ws {
 				if resumed[wi] {
 					continue
 				}
 				remaining++
 				jobs = append(jobs, job{ei: ei, wi: wi})
-				// Pin the stream this cell will consume, so the cache
-				// cannot evict a hot stream between now and the pool
-				// reaching the cell. Resumed cells never touch their
-				// stream, so they take no pin.
-				if sk, ok := e.Cells.(StreamKeyer); ok {
-					if key, need := sk.StreamKey(opt, w); need {
-						traceCache.Retain(key)
-					}
-				}
 			}
 			st.pending.Store(int32(remaining))
 			if remaining == 0 {
@@ -251,55 +236,13 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		assemble(ei)
 	}
 
-	// Longest-processing-time-first: with a cost model, pull the slowest
-	// cells to the front of the queue so the pool never drains down to
-	// one worker grinding a long cell it picked up last. Cells without
-	// an estimate sort first (an unknown cell may be the one that has to
-	// record its workload's stream — starting it early is the safe bet);
-	// the sort is stable, so with no estimates at all the original order
-	// survives. Only execution order changes: stream pins were taken
-	// above and delivery is buffered into suite order regardless.
-	cost := make([]float64, len(jobs))
-	for i := range cost {
-		cost[i] = math.Inf(1)
-	}
-	if opt.CellCost != nil {
-		for i, j := range jobs {
-			if j.wi >= 0 {
-				if sec, ok := opt.CellCost(exps[j.ei].ID, ws[j.wi].Name); ok {
-					cost[i] = sec
-				}
-			}
-		}
-		order := make([]int, len(jobs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
-		sorted := make([]job, len(jobs))
-		sortedCost := make([]float64, len(jobs))
-		for i, k := range order {
-			sorted[i], sortedCost[i] = jobs[k], cost[k]
-		}
-		jobs, cost = sorted, sortedCost
-	}
-
-	// Stamp each job with its ETA estimate and reset the suite gauges
-	// the -progress ticker reads. The estimates feed monitoring only;
-	// scheduling ran on the raw costs above.
-	var totalMs int64
-	for i, est := range estimateCosts(cost) {
-		jobs[i].estMs = int64(est * 1e3)
-		totalMs += jobs[i].estMs
-	}
+	// Reset the suite gauges the -progress ticker reads.
 	workers := opt.parallelism()
 	suiteCellsTotal.Set(int64(len(jobs)))
 	suiteCellsDone.Set(0)
 	suiteQueueDepth.Set(int64(len(jobs)))
 	suiteWorkers.Set(int64(workers))
 	suiteWorkersBusy.Set(0)
-	suiteCostTotal.Set(totalMs)
-	suiteCostDone.Set(0)
 
 	queue := make(chan job, len(jobs))
 	for _, j := range jobs {
@@ -329,30 +272,22 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 						row, err = runWhole(sub, st.exp)
 					}
 				} else {
-					w := ws[j.wi]
 					if err = ctx.Err(); err == nil {
 						st.started.Store(true)
-						row, err = runCell(ctx, opt, st.exp.Cells, w)
-					}
-					if sk, ok := st.exp.Cells.(StreamKeyer); ok {
-						if key, need := sk.StreamKey(opt, w); need {
-							traceCache.Release(key)
-						}
+						row, err = runCell(ctx, opt, st.exp.Cells, ws[j.wi])
 					}
 				}
 				elapsed := time.Since(cellStart)
 				span.End()
 				suiteWorkersBusy.Add(-1)
 				suiteCellsDone.Add(1)
-				suiteCostDone.Add(j.estMs)
 				if j.wi >= 0 && err == nil && opt.Journal != nil {
 					// Journal the finished cell durably, best effort: a
 					// failed append costs only this cell's resumability,
-					// never the run. The cell's wall seconds ride along so
-					// a resumed run can schedule longest-first.
+					// never the run.
 					if codec, ok := st.exp.Cells.(RowCodec); ok {
 						if enc, eerr := codec.EncodeRow(row); eerr == nil {
-							_ = opt.Journal.Record(st.exp.ID, ws[j.wi].Name, enc, elapsed.Seconds())
+							_ = opt.Journal.Record(st.exp.ID, ws[j.wi].Name, enc)
 						}
 					}
 				}

@@ -9,7 +9,6 @@ import (
 	"rarpred/internal/faultsim"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/pipeline"
-	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -23,35 +22,6 @@ import (
 // functional experiments' shared memory-trace cache. The experiments
 // also overlap in the configurations they time, so within one run each
 // distinct configuration is simulated once per recording (simMemo).
-
-// timingRunner is cells plus the timing-stream dependency edge: its
-// StreamKey lets the suite scheduler pin the instruction recording until
-// every consuming cell has run, exactly like tracedRunner does for
-// memory streams.
-type timingRunner[T any] struct {
-	cellRunner[T]
-}
-
-func (r timingRunner[T]) StreamKey(opt Options, w workload.Workload) (trace.Key, bool) {
-	if opt.Live {
-		return trace.Key{}, false
-	}
-	return trace.Key{
-		Workload: w.Name,
-		Size:     opt.size(workload.TimingSize),
-		MaxInsts: opt.maxInsts(),
-		Timing:   true,
-	}, true
-}
-
-// timingCellsOf builds a CellRunner for a timing experiment whose cells
-// replay the shared instruction recording (see runTimingConfigs).
-func timingCellsOf[T any](
-	cell func(ctx context.Context, opt Options, w workload.Workload) (T, error),
-	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
-) CellRunner {
-	return timingRunner[T]{cellRunner[T]{cell: cell, assemble: assemble}}
-}
 
 // simSpec describes one timing configuration of Section 5.6: the base
 // processor under a memory-dependence speculation policy, optionally

@@ -180,21 +180,3 @@ func TestTimingCorruptRecordingDegrades(t *testing.T) {
 			degraded.String(), plain.String())
 	}
 }
-
-// TestSuitePinsDrainTimingKeys: timing experiments declare their
-// recording dependencies through StreamKey like the functional ones do;
-// a suite over both kinds must release every pin it takes.
-func TestSuitePinsDrainTimingKeys(t *testing.T) {
-	opt := subset("go", "tom")
-	opt.Size = 8 // shares the TestTimingLiveMatchesReplay recordings
-	exps := []Experiment{mustByID(t, "fig9"), mustByID(t, "ablmemspec"), mustByID(t, "fig2")}
-	RunSuite(opt, exps, func(item SuiteItem) bool {
-		if item.Err != nil {
-			t.Errorf("%s: %v", item.Exp.ID, item.Err)
-		}
-		return true
-	})
-	if n := pinned(t); n != 0 {
-		t.Fatalf("%d streams still pinned after a clean timing suite", n)
-	}
-}

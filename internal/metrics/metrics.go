@@ -1,6 +1,6 @@
 // Package metrics is the simulator's unified instrumentation registry:
-// typed counters, gauges, and histograms with an atomic fast path, plus
-// labeled families and a point-in-time Snapshot for reporting. Every
+// typed counters and gauges with an atomic fast path, labeled histogram
+// families for spans, and a point-in-time Snapshot for reporting. Every
 // subsystem that used to keep ad-hoc stat fields (trace cache, artifact
 // store, suite scheduler, functional and pipeline simulators) registers
 // its instruments here, so the -benchjson report, the -progress ticker,
@@ -131,31 +131,6 @@ func (h *Histogram) value() HistogramValue {
 	return hv
 }
 
-// CounterVec is a labeled family of counters sharing one name. With is
-// a read-locked map hit on the steady state; callers on hot paths
-// should still cache the returned *Counter.
-type CounterVec struct {
-	mu sync.RWMutex
-	m  map[string]*Counter
-}
-
-// With returns the counter for the label, creating it on first use.
-func (v *CounterVec) With(label string) *Counter {
-	v.mu.RLock()
-	c := v.m[label]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.m[label]; c == nil {
-		c = &Counter{}
-		v.m[label] = c
-	}
-	return c
-}
-
 // HistogramVec is a labeled family of histograms sharing one name; the
 // span API records each span path into one member.
 type HistogramVec struct {
@@ -181,9 +156,9 @@ func (v *HistogramVec) With(label string) *Histogram {
 }
 
 // GaugeFunc is a gauge whose value is computed at snapshot time — for
-// values a subsystem already maintains under its own lock (cache
-// resident bytes, pinned entries) where mirroring into a Gauge on every
-// mutation would double the bookkeeping.
+// values a subsystem already maintains under its own lock (the cache's
+// entry count) where mirroring into a Gauge on every mutation would
+// double the bookkeeping.
 type GaugeFunc func() int64
 
 // Registry holds named instruments. Names are flat, dot-separated by
@@ -197,8 +172,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]GaugeFunc
-	histograms map[string]*Histogram
-	counterVec map[string]*CounterVec
 	histoVec   map[string]*HistogramVec
 }
 
@@ -208,8 +181,6 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]GaugeFunc),
-		histograms: make(map[string]*Histogram),
-		counterVec: make(map[string]*CounterVec),
 		histoVec:   make(map[string]*HistogramVec),
 	}
 }
@@ -230,12 +201,6 @@ func (r *Registry) checkName(name, kind string) {
 	}
 	if _, ok := r.gaugeFuncs[name]; ok && kind != "gaugefunc" {
 		panic("metrics: " + name + " already registered as gauge func")
-	}
-	if _, ok := r.histograms[name]; ok && kind != "histogram" {
-		panic("metrics: " + name + " already registered as histogram")
-	}
-	if _, ok := r.counterVec[name]; ok && kind != "countervec" {
-		panic("metrics: " + name + " already registered as counter vec")
 	}
 	if _, ok := r.histoVec[name]; ok && kind != "histogramvec" {
 		panic("metrics: " + name + " already registered as histogram vec")
@@ -298,32 +263,6 @@ func (r *Registry) RegisterGauge(name string, g *Gauge) {
 	r.gauges[name] = g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "histogram")
-	h := r.histograms[name]
-	if h == nil {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// CounterVec returns the named counter family, creating it on first use.
-func (r *Registry) CounterVec(name string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "countervec")
-	v := r.counterVec[name]
-	if v == nil {
-		v = &CounterVec{m: make(map[string]*Counter)}
-		r.counterVec[name] = v
-	}
-	return v
-}
-
 // HistogramVec returns the named histogram family, creating it on
 // first use.
 func (r *Registry) HistogramVec(name string) *HistogramVec {
@@ -368,16 +307,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, f := range r.gaugeFuncs {
 		s.Gauges[name] = f()
 	}
-	for name, h := range r.histograms {
-		s.Histograms[name] = h.value()
-	}
-	for name, v := range r.counterVec {
-		v.mu.RLock()
-		for label, c := range v.m {
-			s.Counters[name+"{"+label+"}"] = c.Value()
-		}
-		v.mu.RUnlock()
-	}
 	for name, v := range r.histoVec {
 		v.mu.RLock()
 		for label, h := range v.m {
@@ -410,12 +339,6 @@ func (r *Registry) Names() []string {
 		names = append(names, n)
 	}
 	for n := range r.gaugeFuncs {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	for n := range r.counterVec {
 		names = append(names, n)
 	}
 	for n := range r.histoVec {

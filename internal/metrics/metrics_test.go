@@ -58,19 +58,18 @@ func TestVecAndSnapshot(t *testing.T) {
 	r.Counter("plain").Add(5)
 	r.Gauge("depth").Set(-2)
 	r.GaugeFunc("derived", func() int64 { return 99 })
-	r.CounterVec("family").With("a").Inc()
-	r.CounterVec("family").With("b").Add(2)
-	r.Histogram("h").Observe(7)
 	r.HistogramVec("hv").With("x").Observe(1)
+	r.HistogramVec("hv").With("y").Observe(2)
+	r.HistogramVec("hv").With("y").Observe(3)
 
 	s := r.Snapshot()
-	if s.Counters["plain"] != 5 || s.Counters["family{a}"] != 1 || s.Counters["family{b}"] != 2 {
+	if s.Counters["plain"] != 5 {
 		t.Fatalf("counters = %v", s.Counters)
 	}
 	if s.Gauges["depth"] != -2 || s.Gauges["derived"] != 99 {
 		t.Fatalf("gauges = %v", s.Gauges)
 	}
-	if s.Histograms["h"].Count != 1 || s.Histograms["hv{x}"].Count != 1 {
+	if s.Histograms["hv{x}"].Count != 1 || s.Histograms["hv{y}"].Count != 2 {
 		t.Fatalf("histograms = %v", s.Histograms)
 	}
 
@@ -138,12 +137,11 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("shared")
-			v := r.CounterVec("vec")
+			v := r.HistogramVec("vec")
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				v.With("l").Inc()
+				v.With("l").Observe(int64(i))
 				r.Gauge("g").Add(1)
-				r.Histogram("h").Observe(int64(i))
 				sp := r.StartSpan("s")
 				sp.End()
 				_ = r.Snapshot()
@@ -152,14 +150,14 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Counters["shared"] != 8000 || s.Counters["vec{l}"] != 8000 {
+	if s.Counters["shared"] != 8000 {
 		t.Fatalf("counters = %v", s.Counters)
 	}
 	if s.Gauges["g"] != 8000 {
 		t.Fatalf("gauge = %d", s.Gauges["g"])
 	}
-	if s.Histograms["h"].Count != 8000 {
-		t.Fatalf("histogram count = %d", s.Histograms["h"].Count)
+	if s.Histograms["vec{l}"].Count != 8000 {
+		t.Fatalf("histogram count = %d", s.Histograms["vec{l}"].Count)
 	}
 }
 
@@ -190,7 +188,7 @@ func BenchmarkCounterInc(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("h")
+	var h Histogram
 	b.RunParallel(func(pb *testing.PB) {
 		var i int64
 		for pb.Next() {
@@ -209,11 +207,11 @@ func BenchmarkSpan(b *testing.B) {
 }
 
 func BenchmarkVecWith(b *testing.B) {
-	v := NewRegistry().CounterVec("v")
+	v := NewRegistry().HistogramVec("v")
 	v.With("hot")
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			v.With("hot").Inc()
+			v.With("hot").Observe(1)
 		}
 	})
 }

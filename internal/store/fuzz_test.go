@@ -61,7 +61,7 @@ func FuzzJournalScan(f *testing.F) {
 	f.Add(append(append([]byte{}, j...), 0x01, 0x02, 0x03))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		count := 0
-		good, err := scanJournal(data, testFP, func(exp, wl string, row []byte, seconds float64) { count++ })
+		good, err := scanJournal(data, testFP, func(exp, wl string, row []byte) { count++ })
 		if err != nil {
 			return
 		}
@@ -69,7 +69,7 @@ func FuzzJournalScan(f *testing.F) {
 			t.Fatalf("scan reported %d good bytes of %d", good, len(data))
 		}
 		recount := 0
-		regood, rerr := scanJournal(data[:good], testFP, func(exp, wl string, row []byte, seconds float64) { recount++ })
+		regood, rerr := scanJournal(data[:good], testFP, func(exp, wl string, row []byte) { recount++ })
 		if rerr != nil || regood != good || recount != count {
 			t.Fatalf("repair-truncated journal rescans differently: %d/%d records, %d/%d bytes, %v",
 				recount, count, regood, good, rerr)

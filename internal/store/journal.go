@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sync"
 
 	"rarpred/internal/runerr"
@@ -24,14 +23,11 @@ import (
 //	        | fpLen u32 | fingerprint | crc32c over everything before it
 //	record: len u32 | payload | crc32c(payload)
 //	payload: expLen u16 | exp | wlLen u16 | workload | rowLen u32 | row
-//	         | seconds f64 (IEEE 754 bits, little endian)
 //
-// seconds is the cell's wall-clock runtime in the run that journaled
-// it; a resumed run feeds it to the scheduler's longest-processing-time
-// job ordering so the slowest cells start first. Version 1 journals
-// (no seconds field) are quarantined on resume and the run starts a
-// fresh journal — re-simulating one suite is cheaper than carrying a
-// parallel decode path forever.
+// Journals of an older version (1, or 2 with its trailing per-cell
+// seconds) are quarantined on resume and the run starts a fresh journal
+// — re-simulating one suite is cheaper than carrying a parallel decode
+// path forever.
 //
 // The fingerprint binds the journal to the run configuration (experiment
 // list, workloads, size, instruction budget, flags that change output);
@@ -46,7 +42,7 @@ import (
 
 var journalMagic = [4]byte{'R', 'A', 'R', 'J'}
 
-const journalVersion = 2
+const journalVersion = 3
 
 // ErrJournalMismatch reports a -resume against a journal written by a
 // run with a different configuration.
@@ -60,23 +56,18 @@ type Journal struct {
 	fs      FS
 	path    string
 	f       File
-	entries map[journalKey]journalEntry
+	entries map[journalKey][]byte
 	loaded  int
 	store   *Store // optional, for byte accounting
 }
 
 type journalKey struct{ exp, workload string }
 
-type journalEntry struct {
-	row     []byte
-	seconds float64
-}
-
 // CreateJournal starts a fresh journal at path, discarding any previous
 // one (a run without -resume must not inherit stale cells).
 func CreateJournal(fsys FS, path, fingerprint string) (*Journal, error) {
 	removeQuiet(fsys, path)
-	j := &Journal{fs: fsys, path: path, entries: make(map[journalKey]journalEntry)}
+	j := &Journal{fs: fsys, path: path, entries: make(map[journalKey][]byte)}
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -110,9 +101,9 @@ func ResumeJournal(fsys FS, path, fingerprint string) (*Journal, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 
-	entries := make(map[journalKey]journalEntry)
-	good, err := scanJournal(data, fingerprint, func(exp, wl string, row []byte, seconds float64) {
-		entries[journalKey{exp, wl}] = journalEntry{row: row, seconds: seconds}
+	entries := make(map[journalKey][]byte)
+	good, err := scanJournal(data, fingerprint, func(exp, wl string, row []byte) {
+		entries[journalKey{exp, wl}] = row
 	})
 	if err != nil {
 		if err == ErrJournalMismatch {
@@ -156,7 +147,7 @@ func journalHeader(fingerprint string) []byte {
 // problems (bad magic/version/checksum) are errors; fingerprint
 // disagreement is ErrJournalMismatch; record-level damage just ends the
 // scan (the tail is the torn part a crash legitimately leaves).
-func scanJournal(data []byte, fingerprint string, visit func(exp, wl string, row []byte, seconds float64)) (int64, error) {
+func scanJournal(data []byte, fingerprint string, visit func(exp, wl string, row []byte)) (int64, error) {
 	if len(data) < 16 {
 		return 0, fmt.Errorf("%w: journal shorter than its header", runerr.ErrStoreCorrupt)
 	}
@@ -194,44 +185,39 @@ func scanJournal(data []byte, fingerprint string, visit func(exp, wl string, row
 		if crc != crc32.Checksum(payload, castagnoli) {
 			return off, nil
 		}
-		exp, wl, row, seconds, ok := parseRecord(payload)
+		exp, wl, row, ok := parseRecord(payload)
 		if !ok {
 			return off, nil
 		}
-		visit(exp, wl, row, seconds)
+		visit(exp, wl, row)
 		off += int64(8 + n)
 	}
 }
 
-func parseRecord(payload []byte) (exp, wl string, row []byte, seconds float64, ok bool) {
+func parseRecord(payload []byte) (exp, wl string, row []byte, ok bool) {
 	if len(payload) < 2 {
-		return "", "", nil, 0, false
+		return "", "", nil, false
 	}
 	en := int(binary.LittleEndian.Uint16(payload))
 	payload = payload[2:]
 	if len(payload) < en+2 {
-		return "", "", nil, 0, false
+		return "", "", nil, false
 	}
 	exp = string(payload[:en])
 	payload = payload[en:]
 	wn := int(binary.LittleEndian.Uint16(payload))
 	payload = payload[2:]
 	if len(payload) < wn+4 {
-		return "", "", nil, 0, false
+		return "", "", nil, false
 	}
 	wl = string(payload[:wn])
 	payload = payload[wn:]
 	rn := int(binary.LittleEndian.Uint32(payload))
 	payload = payload[4:]
-	if len(payload) != rn+8 {
-		return "", "", nil, 0, false
+	if len(payload) != rn {
+		return "", "", nil, false
 	}
-	row = payload[:rn]
-	seconds = math.Float64frombits(binary.LittleEndian.Uint64(payload[rn:]))
-	if math.IsNaN(seconds) || math.IsInf(seconds, 0) || seconds < 0 {
-		seconds = 0 // a defensible default; the LPT sort treats 0 as cheap
-	}
-	return exp, wl, row, seconds, true
+	return exp, wl, payload, true
 }
 
 // Lookup returns the journaled row for one cell, if a previous run
@@ -239,18 +225,8 @@ func parseRecord(payload []byte) (exp, wl string, row []byte, seconds float64, o
 func (j *Journal) Lookup(exp, workload string) ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e, ok := j.entries[journalKey{exp, workload}]
-	return e.row, ok
-}
-
-// Seconds returns the cell's journaled wall-clock runtime, if a
-// previous run completed it. The scheduler uses it as the job cost for
-// longest-processing-time ordering on resume.
-func (j *Journal) Seconds(exp, workload string) (float64, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e, ok := j.entries[journalKey{exp, workload}]
-	return e.seconds, ok
+	row, ok := j.entries[journalKey{exp, workload}]
+	return row, ok
 }
 
 // Resumed returns how many completed cells the journal carried at open.
@@ -258,38 +234,34 @@ func (j *Journal) Resumed() int { return j.loaded }
 
 // Record appends one completed cell durably: length-prefixed,
 // checksummed, fsynced before Record returns — once a cell is reported
-// done, no crash can un-journal it. seconds is the cell's wall-clock
-// runtime, journaled so a resumed run can order the remaining jobs
-// longest-first.
-func (j *Journal) Record(exp, workload string, row []byte, seconds float64) error {
+// done, no crash can un-journal it.
+func (j *Journal) Record(exp, workload string, row []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.entries[journalKey{exp, workload}] = journalEntry{row: row, seconds: seconds}
-	return j.appendLocked(exp, workload, row, seconds)
+	j.entries[journalKey{exp, workload}] = row
+	return j.appendLocked(exp, workload, row)
 }
 
 // appendLocked frames, checksums, writes and fsyncs one record.
-func (j *Journal) appendLocked(exp, workload string, row []byte, seconds float64) error {
-	payload := make([]byte, 0, 16+len(exp)+len(workload)+len(row))
-	var u [8]byte
+func (j *Journal) appendLocked(exp, workload string, row []byte) error {
+	payload := make([]byte, 0, 8+len(exp)+len(workload)+len(row))
+	var u [4]byte
 	binary.LittleEndian.PutUint16(u[:2], uint16(len(exp)))
 	payload = append(payload, u[0], u[1])
 	payload = append(payload, exp...)
 	binary.LittleEndian.PutUint16(u[:2], uint16(len(workload)))
 	payload = append(payload, u[0], u[1])
 	payload = append(payload, workload...)
-	binary.LittleEndian.PutUint32(u[:4], uint32(len(row)))
-	payload = append(payload, u[:4]...)
-	payload = append(payload, row...)
-	binary.LittleEndian.PutUint64(u[:], math.Float64bits(seconds))
+	binary.LittleEndian.PutUint32(u[:], uint32(len(row)))
 	payload = append(payload, u[:]...)
+	payload = append(payload, row...)
 
 	rec := make([]byte, 0, 8+len(payload))
-	binary.LittleEndian.PutUint32(u[:4], uint32(len(payload)))
-	rec = append(rec, u[:4]...)
+	binary.LittleEndian.PutUint32(u[:], uint32(len(payload)))
+	rec = append(rec, u[:]...)
 	rec = append(rec, payload...)
-	binary.LittleEndian.PutUint32(u[:4], crc32.Checksum(payload, castagnoli))
-	rec = append(rec, u[:4]...)
+	binary.LittleEndian.PutUint32(u[:], crc32.Checksum(payload, castagnoli))
+	rec = append(rec, u[:]...)
 
 	if _, err := j.f.Write(rec); err != nil {
 		return fmt.Errorf("journal: %w", err)

@@ -27,13 +27,8 @@ func TestJournalRecordAndResume(t *testing.T) {
 		{"fig2", "gcc_like"}: []byte("row-gcc"),
 		{"fig5", "go_like"}:  []byte("row-go-5"),
 	}
-	secs := map[[2]string]float64{
-		{"fig2", "go_like"}:  1.5,
-		{"fig2", "gcc_like"}: 0.25,
-		{"fig5", "go_like"}:  12.75,
-	}
 	for k, row := range cells {
-		if err := j.Record(k[0], k[1], row, secs[k]); err != nil {
+		if err := j.Record(k[0], k[1], row); err != nil {
 			t.Fatalf("Record(%v): %v", k, err)
 		}
 	}
@@ -55,20 +50,11 @@ func TestJournalRecordAndResume(t *testing.T) {
 			t.Fatalf("Lookup(%v) = %q, %v; want %q", k, got, ok, want)
 		}
 	}
-	for k, want := range secs {
-		got, ok := r.Seconds(k[0], k[1])
-		if !ok || got != want {
-			t.Fatalf("Seconds(%v) = %v, %v; want %v", k, got, ok, want)
-		}
-	}
 	if _, ok := r.Lookup("fig5", "gcc_like"); ok {
 		t.Fatal("Lookup invented a cell that was never journaled")
 	}
-	if _, ok := r.Seconds("fig5", "gcc_like"); ok {
-		t.Fatal("Seconds invented a cell that was never journaled")
-	}
 	// The resumed journal appends cleanly past the existing records.
-	if err := r.Record("fig5", "gcc_like", []byte("late"), 0); err != nil {
+	if err := r.Record("fig5", "gcc_like", []byte("late")); err != nil {
 		t.Fatalf("Record after resume: %v", err)
 	}
 	r.Close()
@@ -107,8 +93,8 @@ func TestJournalTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Record("fig2", "go_like", []byte("good-1"), 1)
-		j.Record("fig2", "gcc_like", []byte("good-2"), 2)
+		j.Record("fig2", "go_like", []byte("good-1"))
+		j.Record("fig2", "gcc_like", []byte("good-2"))
 		j.Close()
 		sizeBefore := fileSize(t, path)
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -128,7 +114,7 @@ func TestJournalTornTail(t *testing.T) {
 		if got := fileSize(t, path); got != sizeBefore {
 			t.Fatalf("torn tail %x: file is %d bytes, want repaired to %d", tail, got, sizeBefore)
 		}
-		if err := r.Record("fig2", "li_like", []byte("post-repair"), 3); err != nil {
+		if err := r.Record("fig2", "li_like", []byte("post-repair")); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
 		r.Close()
@@ -146,7 +132,7 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record("fig2", "go_like", []byte("row"), 0)
+	j.Record("fig2", "go_like", []byte("row"))
 	j.Close()
 	_, err = ResumeJournal(OS{}, path, "v1 exp=fig9 size=6 bench= live=false check=false")
 	if !errors.Is(err, ErrJournalMismatch) {
@@ -163,7 +149,7 @@ func TestJournalCorruptHeaderQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record("fig2", "go_like", []byte("row"), 0)
+	j.Record("fig2", "go_like", []byte("row"))
 	j.Close()
 	data, _ := os.ReadFile(path)
 	data[2] ^= 0xff // damage the magic
@@ -182,36 +168,39 @@ func TestJournalCorruptHeaderQuarantined(t *testing.T) {
 	}
 }
 
-// TestJournalOldVersionQuarantined: a version-1 journal (no per-cell
-// seconds) is quarantined on resume and the run starts a fresh journal,
-// rather than failing or misparsing records under the v2 layout.
+// TestJournalOldVersionQuarantined: a journal of an older version (1,
+// or 2 with per-cell seconds) is quarantined on resume and the run
+// starts a fresh journal, rather than failing or misparsing records
+// under the current layout.
 func TestJournalOldVersionQuarantined(t *testing.T) {
-	path := journalFile(t)
-	j, err := CreateJournal(OS{}, path, testFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Record("fig2", "go_like", []byte("row"), 1)
-	j.Close()
-	data, _ := os.ReadFile(path)
-	// Rewrite the header as version 1 and fix its checksum so only the
-	// version differs from a healthy journal.
-	data[4] = 1
-	fpLen := int(uint32(data[8]) | uint32(data[9])<<8 | uint32(data[10])<<16 | uint32(data[11])<<24)
-	crc := crc32.Checksum(data[:12+fpLen], castagnoli)
-	binary.LittleEndian.PutUint32(data[12+fpLen:], crc)
-	os.WriteFile(path, data, 0o644)
+	for _, version := range []byte{1, 2} {
+		path := journalFile(t)
+		j, err := CreateJournal(OS{}, path, testFP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Record("fig2", "go_like", []byte("row"))
+		j.Close()
+		data, _ := os.ReadFile(path)
+		// Rewrite the header's version and fix its checksum so only the
+		// version differs from a healthy journal.
+		data[4] = version
+		fpLen := int(uint32(data[8]) | uint32(data[9])<<8 | uint32(data[10])<<16 | uint32(data[11])<<24)
+		crc := crc32.Checksum(data[:12+fpLen], castagnoli)
+		binary.LittleEndian.PutUint32(data[12+fpLen:], crc)
+		os.WriteFile(path, data, 0o644)
 
-	r, err := ResumeJournal(OS{}, path, testFP)
-	if err != nil {
-		t.Fatalf("resume over v1 journal: %v", err)
-	}
-	defer r.Close()
-	if r.Resumed() != 0 {
-		t.Fatalf("v1 journal yielded %d cells", r.Resumed())
-	}
-	if _, serr := os.Stat(path + ".quarantined"); serr != nil {
-		t.Fatalf("v1 journal not quarantined: %v", serr)
+		r, err := ResumeJournal(OS{}, path, testFP)
+		if err != nil {
+			t.Fatalf("resume over v%d journal: %v", version, err)
+		}
+		if r.Resumed() != 0 {
+			t.Fatalf("v%d journal yielded %d cells", version, r.Resumed())
+		}
+		r.Close()
+		if _, serr := os.Stat(path + ".quarantined"); serr != nil {
+			t.Fatalf("v%d journal not quarantined: %v", version, serr)
+		}
 	}
 }
 
@@ -220,7 +209,7 @@ func TestJournalOldVersionQuarantined(t *testing.T) {
 func TestJournalCreateDiscardsPrevious(t *testing.T) {
 	path := journalFile(t)
 	j, _ := CreateJournal(OS{}, path, testFP)
-	j.Record("fig2", "go_like", []byte("stale"), 0)
+	j.Record("fig2", "go_like", []byte("stale"))
 	j.Close()
 	j2, err := CreateJournal(OS{}, path, testFP)
 	if err != nil {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sort"
@@ -26,7 +25,7 @@ type Key struct {
 }
 
 // Cached is what the cache stores: any recording that can report its
-// resident size for the byte budget. Stream and IStream satisfy it.
+// resident size for the byte accounting. Stream and IStream satisfy it.
 type Cached interface {
 	Bytes() int64
 }
@@ -43,34 +42,26 @@ type Tier interface {
 	Store(Key, Cached) error
 }
 
-// Cache is a process-wide, memory-bounded store of recorded streams.
+// Cache is a process-wide store of recorded streams. It keeps every
+// stream it records until Drop: the paper's evaluation is a fixed sweep
+// over 18 programs, and their whole trace set fits in memory.
 // Lookups are single-flight: when several goroutines request the same
 // key at once, exactly one records and the rest wait for its result.
-// Completed entries are evicted least-recently-used once the total
-// payload exceeds the byte budget. A Cache is safe for concurrent use.
+// A Cache is safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
-	budget  int64
 	tier    Tier
 	entries map[Key]*cacheEntry
-	lru     *list.List // completed entries; front = most recently used
-
-	// pins counts pending consumers per key (Retain/Release). A pinned
-	// key's entry is exempt from LRU eviction: a scheduler that knows
-	// which cells still need a stream pins it up front so the cache
-	// never drops a hot stream only to re-record it moments later.
-	pins map[Key]int
 
 	// Accounting lives in metrics instruments so a registry (see
-	// RegisterMetrics) reads the very numbers the cache runs on — one
-	// set of books for eviction decisions, Stats, -benchjson, and the
-	// /metrics endpoint. All mutations happen under mu; the instruments'
-	// atomics only buy lock-free reads for monitors.
-	bytes     metrics.Gauge // resident (compressed) payload vs budget
-	rawBytes  metrics.Gauge // uncompressed payload of the same entries
-	hits      metrics.Counter
-	misses    metrics.Counter
-	evictions metrics.Counter
+	// RegisterMetrics) reads the very numbers the cache keeps — one set
+	// of books for Stats, -benchjson, and the /metrics endpoint. All
+	// mutations happen under mu; the instruments' atomics only buy
+	// lock-free reads for monitors.
+	bytes    metrics.Gauge // resident (compressed) payload
+	rawBytes metrics.Gauge // uncompressed payload of the same entries
+	hits     metrics.Counter
+	misses   metrics.Counter
 }
 
 // testWaiterJoined, when non-nil, is called once a Get has committed to
@@ -79,60 +70,29 @@ type Cache struct {
 // injected fault only after every waiter has actually joined the flight.
 var testWaiterJoined func()
 
-// cacheEntry is one cached (or in-flight) recording. ready is closed
-// once val/err are set; elem is non-nil only for completed entries
-// resident in the LRU list.
+// cacheEntry is one cached (or in-flight) recording. ready is closed,
+// under the cache lock, once val/err are set and the entry's bytes are
+// accounted; a completed entry still in the map is resident.
 type cacheEntry struct {
 	key   Key
 	ready chan struct{}
 	val   Cached
 	err   error
-	elem  *list.Element
 }
 
-// DefaultBudget bounds the default shared cache: the full 18-workload
-// suite at reference size records ~150 MB of events, so half a GiB keeps
-// every stream resident with headroom for oversized sweeps.
-const DefaultBudget = 512 << 20
-
-// NewCache returns a cache bounded to budget payload bytes. A budget
-// <= 0 disables eviction (unbounded).
-func NewCache(budget int64) *Cache {
-	return &Cache{
-		budget:  budget,
-		entries: make(map[Key]*cacheEntry),
-		lru:     list.New(),
-		pins:    make(map[Key]int),
+// completed reports whether the entry's recording has finished.
+func (e *cacheEntry) completed() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
 	}
 }
 
-// Retain declares one pending consumer of key: until a matching Release,
-// the key's entry (present now or recorded later) is exempt from LRU
-// eviction. Retain does not populate the cache — it is the dependency
-// edge a scheduler draws from a future cell to the stream it will
-// consume. Retain/Release pairs nest (the pin is a refcount).
-func (c *Cache) Retain(key Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pins[key]++
-}
-
-// Release drops one Retain of key. When the last pin goes, the entry
-// rejoins the ordinary LRU economy and an over-budget cache may evict it
-// immediately. Releasing an unpinned key is a no-op.
-func (c *Cache) Release(key Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.pins[key]
-	if !ok {
-		return
-	}
-	if n <= 1 {
-		delete(c.pins, key)
-		c.evictLocked()
-		return
-	}
-	c.pins[key] = n - 1
+// NewCache returns an empty cache.
+func NewCache() *Cache {
+	return &Cache{entries: make(map[Key]*cacheEntry)}
 }
 
 // SetTier installs (or, with nil, removes) the durable second tier.
@@ -141,15 +101,6 @@ func (c *Cache) SetTier(t Tier) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tier = t
-}
-
-// SetBudget changes the byte budget and evicts immediately if the
-// resident total now exceeds it.
-func (c *Cache) SetBudget(budget int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.budget = budget
-	c.evictLocked()
 }
 
 // Get returns the stream for key, calling record to produce it on a
@@ -190,7 +141,7 @@ func (c *Cache) GetContext(ctx context.Context, key Key, record func() (*Stream,
 }
 
 // GetIStreamContext is GetContext for instruction-level timing
-// recordings: same single-flight, budget, and pinning semantics, with
+// recordings: same single-flight semantics, with
 // the entry keyed (by convention) with Key.Timing set so functional and
 // timing recordings of one workload coexist.
 func (c *Cache) GetIStreamContext(ctx context.Context, key Key, record func() (*IStream, error)) (*IStream, error) {
@@ -217,9 +168,6 @@ func (c *Cache) GetIStreamContext(ctx context.Context, key Key, record func() (*
 func (c *Cache) getContext(ctx context.Context, key Key, record func() (Cached, error)) (Cached, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
-		}
 		c.hits.Inc()
 		c.mu.Unlock()
 		if testWaiterJoined != nil {
@@ -244,23 +192,21 @@ func (c *Cache) getContext(ctx context.Context, key Key, record func() (Cached, 
 	panicked := true
 	defer func() {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		if panicked && e.err == nil {
 			e.err = fmt.Errorf("trace: recording %s/%d: %w",
 				key.Workload, key.Size, runerr.ErrWorkloadPanic)
 		}
-		// Only insert if the entry is still ours: a concurrent Drop may
-		// have disowned it while the recording ran.
+		// Only account the entry if it is still ours: a concurrent Drop
+		// may have disowned it while the recording ran.
 		if cur := c.entries[key]; cur == e {
 			if e.err != nil {
 				delete(c.entries, key)
 			} else {
-				e.elem = c.lru.PushFront(e)
 				c.bytes.Add(e.val.Bytes())
 				c.rawBytes.Add(rawBytesOf(e.val))
-				c.evictLocked()
 			}
 		}
-		c.mu.Unlock()
 		close(e.ready)
 	}()
 
@@ -295,23 +241,14 @@ func (c *Cache) Drop(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	select {
-	case <-e.ready:
-	default:
-		return // still recording
+	if !ok || !e.completed() {
+		return // absent, or still recording
 	}
 	delete(c.entries, key)
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		c.bytes.Add(-e.val.Bytes())
-		c.rawBytes.Add(-rawBytesOf(e.val))
-		e.elem = nil
-		if check.Enabled {
-			c.checkNoUnderflowLocked("Drop", e.key)
-		}
+	c.bytes.Add(-e.val.Bytes())
+	c.rawBytes.Add(-rawBytesOf(e.val))
+	if check.Enabled {
+		c.checkNoUnderflowLocked("Drop", e.key)
 	}
 }
 
@@ -325,44 +262,13 @@ func rawBytesOf(v Cached) int64 {
 	return v.Bytes()
 }
 
-// evictLocked drops least-recently-used completed entries until the
-// resident payload fits the budget. Pinned entries (Retain) are skipped:
-// a stream with pending consumers is never dropped, even over budget.
-// The most recently used entry always stays (a single stream larger
-// than the budget is still returned and cached until something newer
-// displaces it). In-flight recordings are not in the LRU list and are
-// never evicted.
-func (c *Cache) evictLocked() {
-	if c.budget <= 0 {
-		return
-	}
-	for el := c.lru.Back(); el != nil && el != c.lru.Front() && c.bytes.Value() > c.budget; {
-		prev := el.Prev()
-		e := el.Value.(*cacheEntry)
-		if c.pins[e.key] == 0 {
-			c.lru.Remove(el)
-			delete(c.entries, e.key)
-			c.bytes.Add(-e.val.Bytes())
-			c.rawBytes.Add(-rawBytesOf(e.val))
-			c.evictions.Inc()
-			if check.Enabled {
-				c.checkNoUnderflowLocked("evict", e.key)
-			}
-		}
-		el = prev
-	}
-}
-
 // Stats is a snapshot of cache effectiveness and residency.
 type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Entries   int
-	Bytes     int64 // resident (compressed) payload counted against Budget
-	RawBytes  int64 // uncompressed payload of the same entries
-	Budget    int64
-	Pinned    int // keys currently held by Retain
+	Hits     uint64
+	Misses   uint64
+	Entries  int
+	Bytes    int64 // resident (compressed) payload
+	RawBytes int64 // uncompressed payload of the same entries
 }
 
 // Stats returns a consistent snapshot.
@@ -370,43 +276,29 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Evictions: c.evictions.Value(),
-		Entries:   len(c.entries),
-		Bytes:     c.bytes.Value(),
-		RawBytes:  c.rawBytes.Value(),
-		Budget:    c.budget,
-		Pinned:    len(c.pins),
+		Hits:     c.hits.Value(),
+		Misses:   c.misses.Value(),
+		Entries:  len(c.entries),
+		Bytes:    c.bytes.Value(),
+		RawBytes: c.rawBytes.Value(),
 	}
 }
 
 // RegisterMetrics attaches the cache's live accounting to r under
-// prefix ("trace.cache", say): the hit/miss/eviction counters and the
-// resident/raw byte gauges are the cache's own instruments — the very
-// values eviction runs on — and entries/pinned/budget are computed at
-// snapshot time under the cache lock. Registering twice (or a second
-// cache under the same prefix) replaces the previous registration.
+// prefix ("trace.cache", say): the hit/miss counters and the
+// resident/raw byte gauges are the cache's own instruments, and entries
+// is computed at snapshot time under the cache lock. Registering twice
+// (or a second cache under the same prefix) replaces the previous
+// registration.
 func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
 	r.RegisterCounter(prefix+".hits", &c.hits)
 	r.RegisterCounter(prefix+".misses", &c.misses)
-	r.RegisterCounter(prefix+".evictions", &c.evictions)
 	r.RegisterGauge(prefix+".bytes", &c.bytes)
 	r.RegisterGauge(prefix+".raw_bytes", &c.rawBytes)
 	r.GaugeFunc(prefix+".entries", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.entries))
-	})
-	r.GaugeFunc(prefix+".pinned", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(len(c.pins))
-	})
-	r.GaugeFunc(prefix+".budget", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.budget
 	})
 }
 
@@ -431,14 +323,14 @@ type Resident struct {
 }
 
 // Residents returns the completed entries, sorted by key (workload,
-// size, budget, timing) so the listing is deterministic regardless of
-// recording order.
+// size, instruction budget, timing) so the listing is deterministic
+// regardless of recording order.
 func (c *Cache) Residents() []Resident {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rs := make([]Resident, 0, len(c.entries))
 	for _, e := range c.entries {
-		if e.elem == nil {
+		if !e.completed() {
 			continue // in flight
 		}
 		rs = append(rs, Resident{Key: e.key, Bytes: e.val.Bytes(), RawBytes: rawBytesOf(e.val)})

@@ -13,8 +13,7 @@ import (
 )
 
 // fullStream returns a stream occupying exactly chunks full chunks,
-// kept raw (unsealed) so its Bytes() is the exact chunkBytes multiple
-// the budget arithmetic below depends on.
+// kept raw (unsealed) so building one skips the chunk encoder.
 func fullStream(chunks int) *Stream {
 	s := NewStream()
 	s.compress = false
@@ -24,13 +23,10 @@ func fullStream(chunks int) *Stream {
 	return s
 }
 
-// chunkBytes is the payload allocation of one full chunk.
-const chunkBytes = int64(chunkEvents) * eventBytes
-
 // TestCacheSingleFlight: many goroutines asking for the same key share
 // exactly one recording. Run with -race.
 func TestCacheSingleFlight(t *testing.T) {
-	c := NewCache(DefaultBudget)
+	c := NewCache()
 	key := Key{Workload: "gcc", Size: 4}
 
 	var recordings atomic.Int64
@@ -67,120 +63,10 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCachePinSurvivesEviction: a Retained key is exempt from LRU
-// eviction even when the budget is blown, and rejoins the eviction
-// economy once Released. Retain before the entry exists works: the pin
-// is a dependency edge from a future consumer, not a handle.
-func TestCachePinSurvivesEviction(t *testing.T) {
-	c := NewCache(2 * chunkBytes)
-	recorded := make(map[string]int)
-	get := func(name string) {
-		t.Helper()
-		_, err := c.Get(Key{Workload: name, Size: 4}, func() (*Stream, error) {
-			recorded[name]++
-			return fullStream(1), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	hot := Key{Workload: "hot", Size: 4}
-	c.Retain(hot) // before the entry exists
-	c.Retain(hot) // pins nest
-	get("hot")
-	get("b")
-	get("c")
-	get("d") // budget is 2 chunks; hot would be LRU victim but is pinned
-	get("hot")
-	if recorded["hot"] != 1 {
-		t.Fatalf("pinned stream re-recorded %d times, want once", recorded["hot"])
-	}
-	if st := c.Stats(); st.Pinned != 1 {
-		t.Errorf("Stats().Pinned = %d, want 1", st.Pinned)
-	}
-
-	c.Release(hot)
-	get("e") // still pinned (refcount 1): hot must survive this insertion
-	get("hot")
-	if recorded["hot"] != 1 {
-		t.Fatalf("stream evicted while still pinned (recorded %d times)", recorded["hot"])
-	}
-	c.Release(hot)
-	if st := c.Stats(); st.Pinned != 0 {
-		t.Errorf("Stats().Pinned = %d after final release, want 0", st.Pinned)
-	}
-	// Unpinned and least-recently... make it LRU, then displace it.
-	get("f")
-	get("g")
-	get("hot")
-	if recorded["hot"] != 2 {
-		t.Errorf("unpinned stream recorded %d times, want re-record after eviction", recorded["hot"])
-	}
-
-	c.Release(Key{Workload: "never-pinned", Size: 1}) // no-op, must not panic
-}
-
-// TestCacheEviction: resident payload stays within the byte budget, old
-// entries go first, and a re-Get of an evicted key re-records.
-func TestCacheEviction(t *testing.T) {
-	c := NewCache(2 * chunkBytes)
-	recorded := make(map[string]int)
-	get := func(name string) {
-		t.Helper()
-		_, err := c.Get(Key{Workload: name, Size: 4}, func() (*Stream, error) {
-			recorded[name]++
-			return fullStream(1), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	get("a")
-	get("b")
-	get("c") // exceeds the 2-chunk budget: "a" (LRU) must go
-
-	st := c.Stats()
-	if st.Bytes > st.Budget {
-		t.Errorf("resident %d bytes exceeds budget %d", st.Bytes, st.Budget)
-	}
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Errorf("evictions=%d entries=%d, want 1 and 2", st.Evictions, st.Entries)
-	}
-
-	get("b") // still resident: hit, no re-record
-	get("a") // evicted: re-records, displacing "c" (now LRU)
-	if recorded["b"] != 1 {
-		t.Errorf(`"b" recorded %d times, want 1 (should have stayed resident)`, recorded["b"])
-	}
-	if recorded["a"] != 2 {
-		t.Errorf(`"a" recorded %d times, want 2 (evicted then re-requested)`, recorded["a"])
-	}
-	if c.Stats().Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", c.Stats().Evictions)
-	}
-}
-
-// TestCacheOversizedEntry: a stream bigger than the whole budget is
-// still returned and stays resident until something displaces it.
-func TestCacheOversizedEntry(t *testing.T) {
-	c := NewCache(chunkBytes)
-	s, err := c.Get(Key{Workload: "big"}, func() (*Stream, error) {
-		return fullStream(3), nil
-	})
-	if err != nil || s == nil {
-		t.Fatalf("oversized Get failed: %v", err)
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Errorf("oversized entry not resident: %+v", st)
-	}
-}
-
 // TestCacheErrorRetry: a failed recording is not cached; the next Get
 // retries and can succeed.
 func TestCacheErrorRetry(t *testing.T) {
-	c := NewCache(DefaultBudget)
+	c := NewCache()
 	key := Key{Workload: "flaky", Size: 4}
 	boom := errors.New("boom")
 
@@ -200,30 +86,13 @@ func TestCacheErrorRetry(t *testing.T) {
 	}
 }
 
-// TestCacheSetBudget: shrinking the budget evicts immediately.
-func TestCacheSetBudget(t *testing.T) {
-	c := NewCache(4 * chunkBytes)
-	for _, name := range []string{"a", "b", "c"} {
-		if _, err := c.Get(Key{Workload: name}, func() (*Stream, error) {
-			return fullStream(1), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.SetBudget(chunkBytes)
-	st := c.Stats()
-	if st.Entries != 1 || st.Bytes != chunkBytes {
-		t.Errorf("after shrink: %d entries / %d bytes, want 1 / %d", st.Entries, st.Bytes, chunkBytes)
-	}
-}
-
 // TestCachePanicReleasesWaiters is the regression test for the
 // single-flight deadlock: when record panics, every concurrent waiter
 // must be released with a typed error (not block forever on an unclosed
 // ready channel), the poisoned entry must be dropped, and the panic must
 // still reach the recording goroutine. Run with -race.
 func TestCachePanicReleasesWaiters(t *testing.T) {
-	c := NewCache(DefaultBudget)
+	c := NewCache()
 	key := Key{Workload: "kaboom", Size: 4}
 
 	const waiters = 8
@@ -297,9 +166,9 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 }
 
 // TestCacheDrop: a dropped entry stops being served and its bytes leave
-// the budget accounting; dropping unknown keys is a no-op.
+// the accounting; dropping unknown keys is a no-op.
 func TestCacheDrop(t *testing.T) {
-	c := NewCache(DefaultBudget)
+	c := NewCache()
 	key := Key{Workload: "w", Size: 4}
 	records := 0
 	get := func() (*Stream, error) {
@@ -325,7 +194,7 @@ func TestCacheDrop(t *testing.T) {
 // TestCacheDropLeavesInFlight: Drop during an active recording leaves
 // the flight to its owner, which still publishes the result.
 func TestCacheDropLeavesInFlight(t *testing.T) {
-	c := NewCache(DefaultBudget)
+	c := NewCache()
 	key := Key{Workload: "slow", Size: 4}
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -353,7 +222,7 @@ func TestCacheDropLeavesInFlight(t *testing.T) {
 // gives up with the context error while the stalled flight stays
 // untouched for its owner.
 func TestCacheGetContextWaiterTimeout(t *testing.T) {
-	c := NewCache(DefaultBudget)
+	c := NewCache()
 	key := Key{Workload: "stalled", Size: 4}
 	entered := make(chan struct{})
 	release := make(chan struct{})

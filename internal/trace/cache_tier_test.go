@@ -37,7 +37,7 @@ func (f *fakeTier) Store(key Key, v Cached) error {
 }
 
 func TestCacheTierHitSkipsRecording(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	key := Key{Workload: "w", Size: 1}
 	warm := buildStream(3)
 	tier := &fakeTier{m: map[Key]Cached{key: warm}}
@@ -62,7 +62,7 @@ func TestCacheTierHitSkipsRecording(t *testing.T) {
 }
 
 func TestCacheTierMissRecordsThenStores(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	key := Key{Workload: "w", Size: 2}
 	tier := &fakeTier{}
 	c.SetTier(tier)
@@ -85,7 +85,7 @@ func TestCacheTierMissRecordsThenStores(t *testing.T) {
 // TestCacheTierErrorFallsBackToRecording: a tier failure (corruption,
 // I/O) is a miss — the cache records live and the run continues.
 func TestCacheTierErrorFallsBackToRecording(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	key := Key{Workload: "w", Size: 3}
 	tier := &fakeTier{loadErr: errors.New("quarantined")}
 	c.SetTier(tier)
@@ -101,7 +101,7 @@ func TestCacheTierErrorFallsBackToRecording(t *testing.T) {
 // TestCacheTierFailedRecordingNotStored: a recording that errors is
 // never offered to the durable tier.
 func TestCacheTierFailedRecordingNotStored(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	tier := &fakeTier{}
 	c.SetTier(tier)
 	boom := errors.New("recording failed")
@@ -117,7 +117,7 @@ func TestCacheTierFailedRecordingNotStored(t *testing.T) {
 // TestCacheTierSingleFlight: concurrent misses of one key share a single
 // tier load, exactly as they share a single recording.
 func TestCacheTierSingleFlight(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	key := Key{Workload: "w", Size: 5}
 	warm := buildStream(3)
 	tier := &fakeTier{m: map[Key]Cached{key: warm}}
@@ -146,7 +146,7 @@ func TestCacheTierSingleFlight(t *testing.T) {
 }
 
 func TestCacheSetTierNilDetaches(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	tier := &fakeTier{m: map[Key]Cached{{Workload: "w", Size: 6}: buildStream(1)}}
 	c.SetTier(tier)
 	c.SetTier(nil)

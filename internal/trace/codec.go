@@ -90,16 +90,18 @@ const (
 func predIdx(ctx uint32) uint32 { return (ctx >> 2) & predMask }
 
 // compressionOn is the process-wide default captured by NewStream /
-// NewIStream: whether chunks seal (compress) as they fill. The
-// -tracecompress=off escape hatch clears it to keep the raw path alive
-// for A/B runs.
+// NewIStream: whether chunks seal (compress) as they fill. It is always
+// on outside tests; tests clear it to replay through the raw chunk path,
+// the oracle a compressed stream must match.
 var compressionOn atomic.Bool
 
 func init() { compressionOn.Store(true) }
 
 // SetCompression turns chunk compression on or off for streams created
 // afterwards and returns the previous setting (so callers can restore
-// it). Existing streams keep the mode they were created with.
+// it). Existing streams keep the mode they were created with. Only tests
+// call it: the raw path is the oracle the compressed one is checked
+// against, and a report must be byte-identical either way.
 func SetCompression(on bool) (prev bool) { return compressionOn.Swap(on) }
 
 // CompressionEnabled reports the current process-wide setting.

@@ -62,53 +62,39 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCacheRetainRelease drives a byte-budgeted cache with an arbitrary
-// op sequence (get, retain, release, drop, failed recording, budget
-// squeeze) over a small key space, validating the full accounting
-// invariant set after every op and that pins drain to zero once every
-// retain is matched.
-func FuzzCacheRetainRelease(f *testing.F) {
-	f.Add([]byte("retain-release"))
+// FuzzCacheOps drives a cache with an arbitrary op sequence (get, drop,
+// failed recording, stats) over a small key space, validating the full
+// accounting invariant set after every op and that the books return to
+// zero once every key is dropped.
+func FuzzCacheOps(f *testing.F) {
+	f.Add([]byte("get-drop-fail"))
 	f.Add([]byte{0, 1, 2, 8, 9, 10, 16, 17, 18, 3, 4, 5})
 	f.Add([]byte{0x00, 0x20, 0x01, 0x21, 0x04, 0x24, 0x02, 0x22, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const streamBytes = chunkEvents * eventBytes // one chunk per recorded stream
-		c := NewCache(3 * streamBytes)
-		pinned := make(map[Key]int)
+		c := NewCache()
+		keyOf := func(size int) Key { return Key{Workload: "w", Size: size} }
 		for _, b := range data {
-			key := Key{Workload: "w", Size: int(b >> 3 & 3)}
-			switch b & 7 {
-			case 0, 1:
+			key := keyOf(int(b >> 2 & 3))
+			switch b & 3 {
+			case 0:
 				if _, err := c.Get(key, func() (*Stream, error) { return buildStream(2), nil }); err != nil {
 					t.Fatalf("get: %v", err)
 				}
-			case 2:
-				c.Retain(key)
-				pinned[key]++
-			case 3:
-				c.Release(key)
-				if pinned[key] > 0 {
-					pinned[key]--
-				}
-			case 4:
+			case 1:
 				c.Drop(key)
-			case 5:
+			case 2:
 				c.Get(key, func() (*Stream, error) { return nil, errRecording })
-			case 6:
-				c.SetBudget(int64(b>>3+1) * streamBytes)
-			case 7:
+			case 3:
 				c.Stats()
 			}
 			c.CheckInvariants()
 		}
-		for key, n := range pinned {
-			for ; n > 0; n-- {
-				c.Release(key)
-			}
+		for size := 0; size < 4; size++ {
+			c.Drop(keyOf(size))
 		}
 		c.CheckInvariants()
-		if st := c.Stats(); st.Pinned != 0 {
-			t.Fatalf("%d keys still pinned after releasing every retain", st.Pinned)
+		if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.RawBytes != 0 {
+			t.Fatalf("after dropping every key: %+v, want empty books", st)
 		}
 	})
 }

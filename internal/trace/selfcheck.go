@@ -201,44 +201,31 @@ func DiffStreams(got, want *Stream) error {
 	}
 }
 
-// CheckInvariants validates the cache's accounting under its lock: the
-// LRU list holds exactly the completed entries, each resident entry is
-// owned by the map and error-free, resident and raw bytes equal the
-// sums of entry sizes, and every pin is a positive refcount (so
-// Stats.Pinned counts keys with live consumers, nothing else). Panics
-// with *check.Violation on the first breach.
+// CheckInvariants validates the cache's accounting under its lock: each
+// completed entry is error-free (a failed recording never stays
+// resident), and resident and raw bytes equal the sums of the completed
+// entries' sizes. Panics with *check.Violation on the first breach.
 func (c *Cache) CheckInvariants() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum, rawSum int64
-	resident := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.elem != el {
-			check.Failf("cache.lru", "key %+v: entry's elem does not point at its list node", e.key)
-		}
-		if cur, ok := c.entries[e.key]; !ok || cur != e {
-			check.Failf("cache.lru", "key %+v: resident entry disowned by the map", e.key)
-		}
-		select {
-		case <-e.ready:
-		default:
-			check.Failf("cache.lru", "key %+v: in-flight recording resident in the LRU", e.key)
+	for key, e := range c.entries {
+		if !e.completed() {
+			continue
 		}
 		if e.err != nil {
-			check.Failf("cache.lru", "key %+v: failed recording resident in the LRU: %v", e.key, e.err)
+			check.Failf("cache.entries", "key %+v: failed recording resident: %v", key, e.err)
 		}
 		sum += e.val.Bytes()
 		rawSum += rawBytesOf(e.val)
-		resident++
 	}
 	// Never-underflow: accounting going negative means a removal
 	// subtracted more than its entry's insertion added — the classic
 	// hazard for entries whose Bytes()/RawBytes() could drift between
-	// insert and Drop/eviction (e.g. a compressed entry loaded from the
-	// store tier, whose raw size is only known post-decode). Checked
-	// before the sum comparison so an underflow reports as itself, not
-	// as a generic mismatch.
+	// insert and Drop (e.g. a compressed entry loaded from the store
+	// tier, whose raw size is only known post-decode). Checked before the
+	// sum comparison so an underflow reports as itself, not as a generic
+	// mismatch.
 	if b := c.bytes.Value(); b < 0 {
 		check.Failf("cache.bytes", "resident bytes underflowed to %d", b)
 	}
@@ -250,25 +237,5 @@ func (c *Cache) CheckInvariants() {
 	}
 	if rawSum != c.rawBytes.Value() {
 		check.Failf("cache.bytes", "raw bytes %d != sum of entry raw sizes %d", c.rawBytes.Value(), rawSum)
-	}
-	completed := 0
-	for key, e := range c.entries {
-		if e.elem != nil {
-			completed++
-		} else {
-			select {
-			case <-e.ready:
-				check.Failf("cache.lru", "key %+v: completed entry missing from the LRU", key)
-			default:
-			}
-		}
-	}
-	if completed != resident {
-		check.Failf("cache.lru", "map holds %d completed entries, LRU holds %d", completed, resident)
-	}
-	for key, n := range c.pins {
-		if n <= 0 {
-			check.Failf("cache.pins", "key %+v pinned %d times", key, n)
-		}
 	}
 }

@@ -68,7 +68,7 @@ func TestDiffStreams(t *testing.T) {
 }
 
 func TestCacheInvariantsClean(t *testing.T) {
-	c := NewCache(4 * 900 * 1024)
+	c := NewCache()
 	for i := 0; i < 6; i++ {
 		key := Key{Workload: "w", Size: i}
 		if _, err := c.Get(key, func() (*Stream, error) { return buildStream(3), nil }); err != nil {
@@ -76,15 +76,12 @@ func TestCacheInvariantsClean(t *testing.T) {
 		}
 		c.CheckInvariants()
 	}
-	c.Retain(Key{Workload: "w", Size: 0})
-	c.CheckInvariants()
-	c.Release(Key{Workload: "w", Size: 0})
 	c.Drop(Key{Workload: "w", Size: 1})
 	c.CheckInvariants()
 }
 
 func TestCacheInvariantsCatchAccountingDrift(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	if _, err := c.Get(Key{Workload: "w"}, func() (*Stream, error) { return buildStream(3), nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +93,17 @@ func TestCacheInvariantsCatchAccountingDrift(t *testing.T) {
 	}
 }
 
-func TestCacheInvariantsCatchBadPin(t *testing.T) {
-	c := NewCache(0)
+func TestCacheInvariantsCatchFailedResident(t *testing.T) {
+	c := NewCache()
+	key := Key{Workload: "w"}
+	if _, err := c.Get(key, func() (*Stream, error) { return buildStream(3), nil }); err != nil {
+		t.Fatal(err)
+	}
 	c.mu.Lock()
-	c.pins[Key{Workload: "w"}] = 0 // refcount that should have been deleted
+	c.entries[key].err = errRecording // a failed recording that stayed resident
 	c.mu.Unlock()
-	if v := check.Catch(func() { c.CheckInvariants() }); v == nil || v.Site != "cache.pins" {
-		t.Fatalf("zero pin refcount not caught: %v", v)
+	if v := check.Catch(func() { c.CheckInvariants() }); v == nil || v.Site != "cache.entries" {
+		t.Fatalf("resident failed recording not caught: %v", v)
 	}
 }
 

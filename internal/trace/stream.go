@@ -180,7 +180,7 @@ const eventBytes = 13
 
 // Bytes returns the resident size of the stream in bytes: the packed
 // payload for sealed chunks, full chunk capacity (allocation, not
-// occupancy) for raw ones — so the cache budget reflects real memory
+// occupancy) for raw ones — so the cache's books reflect real memory
 // use in either mode.
 func (s *Stream) Bytes() int64 {
 	var b int64
