@@ -112,8 +112,8 @@ func TestGoldenReport(t *testing.T) {
 			if benchStoreField(t, m, "bytes_written") == 0 || benchStoreField(t, m, "disk_misses") == 0 {
 				t.Errorf("cold run wrote nothing to the store: %v", m["store"])
 			}
-			if v := m["schema_version"].(float64); v != 7 {
-				t.Errorf("benchjson schema_version = %v, want 7", v)
+			if v := m["schema_version"].(float64); v != 8 {
+				t.Errorf("benchjson schema_version = %v, want 8", v)
 			}
 			return out
 		}},

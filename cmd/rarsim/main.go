@@ -339,10 +339,10 @@ var timingLine = regexp.MustCompile(`\[([a-z0-9]+) in [0-9.]+s\]`)
 // re-runs the sweep on the pre-scheduler path (one experiment at a
 // time, each over its private pool) and compares the rendered reports,
 // which the two paths promise to keep byte-identical modulo elapsed
-// times. The functional experiments replay from the already-warm trace
-// cache, so the shadow pass mostly re-prices the timing studies: each
-// standalone Run simulates its own configurations, so the timing
-// Results the scheduler's cells shared are checked independently. It
+// times. Each standalone Run replays the already-warm trace cache in a
+// pass of its own and simulates its own timing configurations, so both
+// the passes the scheduler's functional cells shared and the timing
+// Results its timing cells shared are checked independently. It
 // runs only after a clean scheduler sweep — with failures the outputs
 // legitimately differ by failure ordering.
 func shadowCompare(opt experiments.Options, todo []experiments.Experiment, schedOut string) string {
@@ -390,8 +390,13 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // version 7 dropped trace_cache's evictions, pinned and budget_mib
 // fields and the metrics snapshot's suite.cost_* gauges and
 // trace.cache.{evictions,pinned,budget} instruments, since the cache no
-// longer evicts and the scheduler no longer orders cells by cost.
-const benchSchemaVersion = 7
+// longer evicts and the scheduler no longer orders cells by cost;
+// version 8 added each experiment's cost_seconds (the sum of its cells'
+// seconds, next to seconds, its span from first cell start to delivery)
+// and the per-cell fused flag: a suite runs each workload's functional
+// cells as one job, whose time is split evenly over the cells it
+// covers, so the cells' seconds sum to the scheduler's busy_seconds.
+const benchSchemaVersion = 8
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -419,18 +424,25 @@ type benchReport struct {
 }
 
 type benchExp struct {
-	ID      string      `json:"id"`
-	Seconds float64     `json:"seconds"`
-	NotRun  bool        `json:"not_run,omitempty"`
-	Failed  bool        `json:"failed,omitempty"`
-	Cells   []benchCell `json:"cells,omitempty"`
+	ID string `json:"id"`
+	// Seconds spans the experiment's first cell starting to its
+	// delivery; CostSeconds sums its cells' seconds.
+	Seconds     float64     `json:"seconds"`
+	CostSeconds float64     `json:"cost_seconds"`
+	NotRun      bool        `json:"not_run,omitempty"`
+	Failed      bool        `json:"failed,omitempty"`
+	Cells       []benchCell `json:"cells,omitempty"`
 }
 
 type benchCell struct {
-	Workload string  `json:"workload"`
-	Seconds  float64 `json:"seconds"`
-	Failed   bool    `json:"failed,omitempty"`
-	Resumed  bool    `json:"resumed,omitempty"`
+	Workload string `json:"workload"`
+	// Seconds is the cell's share of its job's time (schema 8).
+	Seconds float64 `json:"seconds"`
+	Failed  bool    `json:"failed,omitempty"`
+	Resumed bool    `json:"resumed,omitempty"`
+	// Fused marks a cell that ran in its workload's one pass with other
+	// experiments' cells (schema 8).
+	Fused bool `json:"fused,omitempty"`
 }
 
 type benchScheduler struct {
@@ -492,13 +504,15 @@ func (b *benchReport) add(item experiments.SuiteItem) {
 		Failed:  item.Err != nil,
 	}
 	for _, c := range item.Cells {
+		e.CostSeconds += c.Elapsed.Seconds()
 		if c.Workload == "" {
 			continue
 		}
 		if c.Resumed {
 			b.resumedCells++
 		}
-		e.Cells = append(e.Cells, benchCell{Workload: c.Workload, Seconds: c.Elapsed.Seconds(), Failed: c.Failed, Resumed: c.Resumed})
+		e.Cells = append(e.Cells, benchCell{Workload: c.Workload, Seconds: c.Elapsed.Seconds(),
+			Failed: c.Failed, Resumed: c.Resumed, Fused: c.Fused})
 	}
 	b.Experiments = append(b.Experiments, e)
 }

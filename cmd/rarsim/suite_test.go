@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -73,6 +75,51 @@ func TestBenchJSONWritten(t *testing.T) {
 		if !strings.Contains(data, want) {
 			t.Errorf("bench report lacks %s:\n%s", want, data)
 		}
+	}
+}
+
+// TestBenchJSONCellsSumToBusy: schema 8 splits each job's time over the
+// cells it covers, so the cells' seconds sum to the scheduler's busy
+// time, each experiment's cost_seconds sums its cells, and the
+// functional cells that shared a workload's pass are marked fused.
+func TestBenchJSONCellsSumToBusy(t *testing.T) {
+	path := t.TempDir() + "/BENCH_suite.json"
+	code, _, errw := runCLI("-exp", "table51,fig2,fig5,ablmemspec", "-size", "3",
+		"-bench", "go,gcc", "-p", "2", "-benchjson", path)
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, errw)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		SchemaVersion int            `json:"schema_version"`
+		Experiments   []benchExp     `json:"experiments"`
+		Scheduler     benchScheduler `json:"scheduler"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.SchemaVersion != 8 {
+		t.Errorf("schema_version = %d, want 8", rep.SchemaVersion)
+	}
+	var total float64
+	for _, e := range rep.Experiments {
+		var cost float64
+		for _, c := range e.Cells {
+			cost += c.Seconds
+			if fused := e.ID != "ablmemspec"; c.Fused != fused {
+				t.Errorf("%s/%s: fused = %t, want %t", e.ID, c.Workload, c.Fused, fused)
+			}
+		}
+		if math.Abs(cost-e.CostSeconds) > 1e-6 {
+			t.Errorf("%s: cost_seconds %g, cells sum to %g", e.ID, e.CostSeconds, cost)
+		}
+		total += cost
+	}
+	if busy := rep.Scheduler.BusySeconds; busy <= 0 || math.Abs(total-busy) > 1e-6 {
+		t.Errorf("cells sum to %g s, scheduler busy_seconds is %g", total, busy)
 	}
 }
 

@@ -2,6 +2,7 @@ package cloak
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rarpred/internal/trace"
@@ -155,4 +156,83 @@ func TestBankSelfCheck(t *testing.T) {
 		}
 	}
 	o.compare(t, "always-checked random stream")
+}
+
+// TestBankOneEnginePerConfig: equal configs share one engine, kept in
+// first-request order, and a later config that asks for self-checking
+// rebuilds its shared detector checked.
+func TestBankOneEnginePerConfig(t *testing.T) {
+	oneBit := DefaultConfig()
+	oneBit.Confidence = NonAdaptive1Bit
+	b := NewBank(DefaultConfig(), oneBit, DefaultConfig())
+	es := b.Engines()
+	if len(es) != 2 {
+		t.Fatalf("bank built %d engines for 2 distinct configs", len(es))
+	}
+	if b.Engine(DefaultConfig()) != es[0] || b.Engine(oneBit) != es[1] {
+		t.Error("Engine did not return the engine built for its config")
+	}
+	if len(b.Engines()) != 2 || len(b.shared) != 1 {
+		t.Errorf("repeat requests grew the bank to %d engines, %d detectors", len(b.Engines()), len(b.shared))
+	}
+	if b.shared[0].det.(*DDT).sc {
+		t.Fatal("detector self-checks with neither the gate nor a config asking")
+	}
+	checked := DefaultConfig()
+	checked.SelfCheck = true
+	b.Engine(checked)
+	if !b.shared[0].det.(*DDT).sc {
+		t.Error("a self-checking config left its shared detector unchecked")
+	}
+}
+
+// TestBankListenersAndProfile: every listener receives its engine's
+// outcome for each load, equal to what an independent engine reports,
+// and the bank's profile of the default DDT equals a Collector's.
+func TestBankListenersAndProfile(t *testing.T) {
+	cfgs := bankConfigs()
+	b := NewBank()
+	want := make([]LoadOutcome, len(cfgs))
+	calls := 0
+	for i, cfg := range cfgs {
+		b.OnLoad(cfg, func(pc, addr, value uint32, out LoadOutcome) {
+			calls++
+			if out != want[i] {
+				t.Fatalf("config %d, load pc=%#x addr=%#x: listener got %+v, independent engine %+v", i, pc, addr, out, want[i])
+			}
+		})
+	}
+	profile := b.Profile(DefaultConfig())
+	independent := make([]*Engine, len(cfgs))
+	for i, cfg := range cfgs {
+		independent[i] = New(cfg)
+	}
+	collector := NewCollector(128)
+	rng := rand.New(rand.NewSource(13))
+	loads := 0
+	for i := 0; i < 30000; i++ {
+		pc := uint32(rng.Intn(40))<<2 + 4
+		addr := uint32(rng.Intn(200)) << 2
+		value := uint32(rng.Intn(4))
+		if rng.Intn(4) == 0 {
+			for _, e := range independent {
+				e.Store(pc+0x1000, addr, value)
+			}
+			collector.Store(pc+0x1000, addr)
+			b.Store(pc+0x1000, addr, value)
+			continue
+		}
+		for j, e := range independent {
+			want[j] = e.Load(pc, addr, value)
+		}
+		collector.Load(pc, addr)
+		b.Load(pc, addr, value)
+		loads++
+	}
+	if calls != loads*len(cfgs) {
+		t.Errorf("listeners ran %d times, want %d loads x %d configs", calls, loads, len(cfgs))
+	}
+	if profile.Len() == 0 || !reflect.DeepEqual(profile.pairs, collector.Profile().pairs) {
+		t.Errorf("bank profile (%d pairs) differs from the collector's (%d pairs)", profile.Len(), collector.Profile().Len())
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/cloak"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -47,27 +46,32 @@ type AblationResult struct {
 	}
 }
 
-// variantCells builds a CellRunner that replays each stream once into a
-// bank of one cloaking engine per variant (cfgs, index-aligned with
-// variants); variants that agree on the DDT share one detector.
+// variantCells builds a CellRunner whose cell reads one cloaking engine
+// per variant (cfgs, index-aligned with variants) from the workload's
+// pass; variants that agree on the DDT share one detector, and a
+// variant another experiment also runs shares its engine.
 func variantCells(title string, variants []string, cfgs []cloak.Config) CellRunner {
 	type row = struct {
 		Workload workload.Workload
 		Cells    []ablCell
 	}
-	return tracedCells(workload.ReferenceSize,
-		func(_ Options, w workload.Workload, tr *trace.Stream) (row, error) {
-			bank := cloak.NewBank(cfgs...)
-			tr.Replay(trace.SinkFuncs{OnLoad: bank.Load, OnStore: bank.Store})
-			r := row{Workload: w, Cells: make([]ablCell, len(variants))}
-			for i, eng := range bank.Engines() {
-				st := eng.Stats()
-				r.Cells[i] = ablCell{
-					Coverage: stats.Ratio(st.Covered(), st.Loads),
-					Misp:     stats.Ratio(st.Mispredicted(), st.Loads),
-				}
+	return tracedCells(
+		func(p *pass) func() row {
+			engines := make([]*cloak.Engine, len(cfgs))
+			for i, cfg := range cfgs {
+				engines[i] = p.bank.Engine(cfg)
 			}
-			return r, nil
+			return func() row {
+				r := row{Workload: p.w, Cells: make([]ablCell, len(variants))}
+				for i, eng := range engines {
+					st := eng.Stats()
+					r.Cells[i] = ablCell{
+						Coverage: stats.Ratio(st.Covered(), st.Loads),
+						Misp:     stats.Ratio(st.Mispredicted(), st.Loads),
+					}
+				}
+				return r
+			}
 		},
 		func(_ Options, _ []workload.Workload, rows []row, fails []*runerr.WorkloadError) (Result, error) {
 			return annotate(&AblationResult{Title: title, Variants: variants, Rows: rows}, fails), nil

@@ -34,24 +34,26 @@ type DistResult struct {
 	Rows []DistRow
 }
 
-var ablDistCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (DistRow, error) {
+var ablDistCells = tracedCells(
+	func(p *pass) func() DistRow {
 		d := locality.NewDistanceAnalyzer()
-		tr.Replay(trace.SinkFuncs{
+		p.sink(trace.SinkFuncs{
 			OnLoad:  func(pc, addr, _ uint32) { d.Load(pc, addr) },
 			OnStore: func(pc, addr, _ uint32) { d.Store(pc, addr) },
 		})
-		return DistRow{
-			Workload: w,
-			Sinks:    d.Sinks(),
-			CDF32:    d.CDF(32),
-			CDF128:   d.CDF(128),
-			CDF512:   d.CDF(512),
-			CDF2K:    d.CDF(2048),
-			P50:      d.Percentile(0.50),
-			P90:      d.Percentile(0.90),
-			P99:      d.Percentile(0.99),
-		}, nil
+		return func() DistRow {
+			return DistRow{
+				Workload: p.w,
+				Sinks:    d.Sinks(),
+				CDF32:    d.CDF(32),
+				CDF128:   d.CDF(128),
+				CDF512:   d.CDF(512),
+				CDF2K:    d.CDF(2048),
+				P50:      d.Percentile(0.50),
+				P90:      d.Percentile(0.90),
+				P99:      d.Percentile(0.99),
+			}
+		}
 	},
 	func(_ Options, _ []workload.Workload, rows []DistRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&DistResult{Rows: rows}, fails), nil

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"rarpred/internal/locality"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -38,23 +36,21 @@ type WindowResult struct {
 	Rows []WindowRow
 }
 
-// ablWindowCells analyzes every window size in one replay per workload:
+// ablWindowCells reads every window size from the pass's window sweep:
 // one DDT sweep detects at all sizes, and each window keeps its own sink
 // histories.
-var ablWindowCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (WindowRow, error) {
-		l := locality.NewRARLocalitySweep(WindowSizes...)
-		tr.Replay(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { l.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { l.Store(pc, addr) },
-		})
-		loads := tr.Loads()
-		row := WindowRow{Workload: w}
-		for i := range WindowSizes {
-			row.SinkFrac = append(row.SinkFrac, stats.Ratio(l.SinkLoads(i), loads))
-			row.Locality1 = append(row.Locality1, l.Locality(i, 1))
+var ablWindowCells = tracedCells(
+	func(p *pass) func() WindowRow {
+		l := p.windowSweep()
+		return func() WindowRow {
+			loads := p.tr.Loads()
+			row := WindowRow{Workload: p.w}
+			for i := range WindowSizes {
+				row.SinkFrac = append(row.SinkFrac, stats.Ratio(l.SinkLoads(i), loads))
+				row.Locality1 = append(row.Locality1, l.Locality(i, 1))
+			}
+			return row
 		}
-		return row, nil
 	},
 	func(_ Options, _ []workload.Workload, rows []WindowRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&WindowResult{Rows: rows}, fails), nil

@@ -246,9 +246,10 @@ func IDs() []string {
 // CellRunner decomposes an experiment into independent per-workload
 // cells plus an assembly step. It is the contract the suite scheduler
 // pools work through: one (experiment × workload) cell is the unit of
-// scheduling, and Assemble turns the surviving cells back into the
-// experiment's paper-layout Result. Cell must be safe to call for
-// different workloads concurrently.
+// results, failures and journaling (the scheduler runs a workload's
+// functional cells as one job, see runFused), and Assemble turns the
+// surviving cells back into the experiment's paper-layout Result. Cell
+// must be safe to call for different workloads concurrently.
 type CellRunner interface {
 	// Cell runs the experiment's unit of work for one workload under
 	// ctx (the run context plus any per-workload deadline).
@@ -337,41 +338,30 @@ func cells[T any](
 	return cellRunner[T]{cell: cell, assemble: assemble}
 }
 
-// tracedCells builds a CellRunner for experiments that only consume the
-// committed memory reference stream (all the non-timing experiments;
-// the Section 5.6 cycle-level studies need full register-state
-// simulation, so their cells call runTimingConfigs). fn receives the
-// workload and its recorded stream, obtained from the shared cache —
-// recorded on first use, replayed thereafter. opt.Live bypasses the
-// cache and re-records.
-func tracedCells[T any](
-	defSize int,
-	fn func(opt Options, w workload.Workload, tr *trace.Stream) (T, error),
-	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
-) CellRunner {
-	return cells(func(ctx context.Context, opt Options, w workload.Workload) (T, error) {
-		var zero T
-		tr, err := workloadStream(ctx, opt, w, opt.size(defSize), opt.maxInsts())
-		if err != nil {
-			return zero, err
-		}
-		defer startSpan("cell/replay").End()
-		return fn(opt, w, tr)
-	}, assemble)
+// runCell executes one (experiment × workload) cell under the shared
+// isolation policy (isolate). Both the standalone per-experiment pool
+// (runCells) and the suite scheduler (RunSuite) execute cells through
+// this wrapper, or through runFused, which isolates a workload's
+// functional cells the same way, so a cell fails the same way on
+// either path.
+func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload) (row any, err error) {
+	err = isolate(ctx, opt, w, func(wctx context.Context) error {
+		var err error
+		row, err = r.Cell(wctx, opt, w)
+		return err
+	})
+	return row, err
 }
 
-// runCell executes one (experiment × workload) cell under the shared
-// isolation policy: a panic is recovered into a typed
-// runerr.ErrWorkloadPanic, and Options.WorkloadTimeout bounds the cell
-// with its own deadline. Both the standalone per-experiment pool
-// (runCells) and the suite scheduler (RunSuite) execute cells through
-// this wrapper, so a cell fails the same way on either path. An
-// exceeded per-workload deadline is annotated with elapsed-vs-configured
-// time ("deadline exceeded (12.3s > 10s)") so the suite's !! lines
+// isolate runs fn, the work of one or more cells of workload w: a panic
+// is recovered into a typed runerr.ErrWorkloadPanic, and
+// Options.WorkloadTimeout bounds fn with its own deadline. An exceeded
+// per-workload deadline is annotated with elapsed-vs-configured time
+// ("deadline exceeded (12.3s > 10s)") so the suite's !! lines
 // distinguish a near-miss from a hard hang; the parent run's own
 // deadline ending takes the plain path, because that bound was not this
-// cell's.
-func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload) (row any, err error) {
+// workload's.
+func isolate(ctx context.Context, opt Options, w workload.Workload, fn func(ctx context.Context) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = runerr.FromPanic(w.Name, p, debug.Stack())
@@ -390,7 +380,7 @@ func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload
 			}
 		}()
 	}
-	return r.Cell(wctx, opt, w)
+	return fn(wctx)
 }
 
 // collectCells splits per-cell outcomes into surviving rows (suite
@@ -527,8 +517,9 @@ func parallelSims(ctx context.Context, n int, sim func(i int) error) error {
 
 // traceCache is the process-wide store of committed reference streams.
 // Every functional experiment in a run (and every run in a process)
-// shares it, so `rarsim -exp all` simulates each workload once and
-// replays the stream into every analyzer.
+// shares it, so `rarsim -exp all` simulates each workload once; the
+// suite's one pass per workload then replays that stream into every
+// functional experiment's analyzers (see runFused).
 var traceCache = trace.NewCache()
 
 // TraceCache exposes the shared stream cache (for its durable tier and

@@ -10,7 +10,6 @@ import (
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/trace"
-	"rarpred/internal/vpred"
 	"rarpred/internal/workload"
 )
 
@@ -176,37 +175,33 @@ type SynergyResult struct {
 	CloakMean, VPMean, HybridMean float64
 }
 
-// synergyCells stays single-sink: the cloaking engine and value
-// predictor classify each load together.
-var synergyCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (SynergyRow, error) {
-		engine := cloak.New(table52Config())
-		vp := vpred.NewLastValue(vpred.DefaultEntries)
-		var loads, cCloak, cVP, cHybrid uint64
-		tr.Replay(trace.SinkFuncs{
-			OnLoad: func(pc, addr, value uint32) {
-				loads++
-				out := engine.Load(pc, addr, value)
-				_, vpCorrect := vp.Access(pc, value)
-				cloakCorrect := out.Used && out.Correct
-				if cloakCorrect {
-					cCloak++
-				}
-				if vpCorrect {
-					cVP++
-				}
-				if cloakCorrect || vpCorrect {
-					cHybrid++
-				}
-			},
-			OnStore: func(pc, addr, value uint32) { engine.Store(pc, addr, value) },
+// synergyCells counts from the same per-load pair as table52: the
+// table52Config engine's outcome and the last-value predictor's
+// verdict, computed once per pass for both.
+var synergyCells = tracedCells(
+	func(p *pass) func() SynergyRow {
+		var cCloak, cVP, cHybrid uint64
+		p.onValueLoad(func(out cloak.LoadOutcome, vpCorrect bool) {
+			cloakCorrect := out.Used && out.Correct
+			if cloakCorrect {
+				cCloak++
+			}
+			if vpCorrect {
+				cVP++
+			}
+			if cloakCorrect || vpCorrect {
+				cHybrid++
+			}
 		})
-		return SynergyRow{
-			Workload: w,
-			Cloak:    stats.Ratio(cCloak, loads),
-			VP:       stats.Ratio(cVP, loads),
-			Hybrid:   stats.Ratio(cHybrid, loads),
-		}, nil
+		return func() SynergyRow {
+			loads := p.tr.Loads()
+			return SynergyRow{
+				Workload: p.w,
+				Cloak:    stats.Ratio(cCloak, loads),
+				VP:       stats.Ratio(cVP, loads),
+				Hybrid:   stats.Ratio(cHybrid, loads),
+			}
+		}
 	},
 	func(_ Options, ws []workload.Workload, rows []SynergyRow, fails []*runerr.WorkloadError) (Result, error) {
 		res := &SynergyResult{Rows: rows}
@@ -258,40 +253,34 @@ type ProfileResult struct {
 // profileMinCount drops one-off pairs, as a compiler would.
 const profileMinCount = 4
 
-// ablProfileCells stays two-pass sequential: pass 2's software engine
-// needs the profile that pass 1 collects.
-var ablProfileCells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (ProfileRow, error) {
-		// Pass 1: profile (and measure hardware coverage on the same
-		// stream).
-		collector := cloak.NewCollector(128)
-		hw := cloak.New(cloak.DefaultConfig())
-		tr.Replay(trace.SinkFuncs{
-			OnLoad: func(pc, addr, value uint32) {
-				collector.Load(pc, addr)
-				hw.Load(pc, addr, value)
-			},
-			OnStore: func(pc, addr, value uint32) {
-				collector.Store(pc, addr)
-				hw.Store(pc, addr, value)
-			},
-		})
-		// Pass 2: replay the same stream under the software-guided engine
-		// (the program is deterministic, so a second execution would
-		// produce the identical reference stream anyway).
-		profile := collector.Profile()
-		sw := cloak.NewStaticEngine(cloak.DefaultConfig(), profile, profileMinCount)
-		tr.Replay(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, value uint32) { sw.Load(pc, addr, value) },
-			OnStore: func(pc, addr, value uint32) { sw.Store(pc, addr, value) },
-		})
-		hwStats, swStats := hw.Stats(), sw.Stats()
-		return ProfileRow{
-			Workload: w,
-			Hardware: stats.Ratio(hwStats.Covered(), hwStats.Loads),
-			Software: stats.Ratio(swStats.Covered(), swStats.Loads),
-			Pairs:    len(profile.Pairs(profileMinCount)),
-		}, nil
+// ablProfileCells takes pass 1 from the workload's pass: the hardware
+// engine is the default engine, and the profile is every dependence the
+// default engine's 128-entry DDT reports, the profile a
+// cloak.NewCollector(128) would collect with a DDT of its own. Its
+// software pass is the suite's one second replay of a stream: the
+// static engine needs the profile pass 1 collects.
+var ablProfileCells = tracedCells(
+	func(p *pass) func() ProfileRow {
+		hw := p.bank.Engine(cloak.DefaultConfig())
+		profile := p.bank.Profile(cloak.DefaultConfig())
+		return func() ProfileRow {
+			// Pass 2: replay the same stream under the software-guided
+			// engine (the program is deterministic, so a second execution
+			// would produce the identical reference stream anyway).
+			sw := cloak.NewStaticEngine(cloak.DefaultConfig(), profile, profileMinCount)
+			p.tr.Replay(trace.SinkFuncs{
+				OnLoad:  func(pc, addr, value uint32) { sw.Load(pc, addr, value) },
+				OnStore: sw.Store,
+			})
+			countEngineLoads(sw)
+			hwStats, swStats := hw.Stats(), sw.Stats()
+			return ProfileRow{
+				Workload: p.w,
+				Hardware: stats.Ratio(hwStats.Covered(), hwStats.Loads),
+				Software: stats.Ratio(swStats.Covered(), swStats.Loads),
+				Pairs:    len(profile.Pairs(profileMinCount)),
+			}
+		}
 	},
 	func(_ Options, _ []workload.Workload, rows []ProfileRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&ProfileResult{Rows: rows}, fails), nil

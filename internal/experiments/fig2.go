@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"rarpred/internal/locality"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -39,22 +39,21 @@ type Fig2Result struct {
 	Rows []Fig2Row
 }
 
-// fig2Cells analyzes both address windows in one replay per workload:
-// one DDT sweep detects at both sizes.
-var fig2Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig2Row, error) {
-		const win, inf = 0, 1 // window indices
-		l := locality.NewRARLocalitySweep(Fig2Window, 0)
-		tr.Replay(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { l.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { l.Store(pc, addr) },
-		})
-		row := Fig2Row{Workload: w, SinkInf: l.SinkLoads(inf), SinkWin: l.SinkLoads(win)}
-		for n := 1; n <= locality.MaxDepth; n++ {
-			row.Infinite[n-1] = l.Locality(inf, n)
-			row.Windowed[n-1] = l.Locality(win, n)
+// fig2Cells reads both address windows from the pass's window sweep,
+// which ablwindow shares: Fig2Window and the infinite window are two of
+// WindowSizes.
+var fig2Cells = tracedCells(
+	func(p *pass) func() Fig2Row {
+		win, inf := slices.Index(WindowSizes, Fig2Window), slices.Index(WindowSizes, 0)
+		l := p.windowSweep()
+		return func() Fig2Row {
+			row := Fig2Row{Workload: p.w, SinkInf: l.SinkLoads(inf), SinkWin: l.SinkLoads(win)}
+			for n := 1; n <= locality.MaxDepth; n++ {
+				row.Infinite[n-1] = l.Locality(inf, n)
+				row.Windowed[n-1] = l.Locality(win, n)
+			}
+			return row
 		}
-		return row, nil
 	},
 	func(_ Options, _ []workload.Workload, rows []Fig2Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Fig2Result{Rows: rows}, fails), nil

@@ -42,14 +42,14 @@ type Fig5Result struct {
 	Rows []Fig5Row
 }
 
-// fig5Cells replays each stream once through a DDT sweep that answers
-// all seven sizes of the combined table at once.
-var fig5Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig5Row, error) {
+// fig5Cells feeds the pass to a DDT sweep that answers all seven sizes
+// of the combined table at once.
+var fig5Cells = tracedCells(
+	func(p *pass) func() Fig5Row {
 		raw := make([]uint64, len(Fig5Sizes))
 		rar := make([]uint64, len(Fig5Sizes))
 		sweep := cloak.NewDDTSweep(Fig5Sizes...)
-		tr.Replay(trace.SinkFuncs{
+		p.sink(trace.SinkFuncs{
 			OnLoad: func(pc, addr, _ uint32) {
 				rawAt, rarAt := sweep.Load(addr, pc)
 				tally(raw, rawAt)
@@ -57,16 +57,18 @@ var fig5Cells = tracedCells(workload.ReferenceSize,
 			},
 			OnStore: func(pc, addr, _ uint32) { sweep.Store(addr, pc) },
 		})
-		loads := tr.Loads()
-		row := Fig5Row{Workload: w}
-		for i, s := range Fig5Sizes {
-			row.Points = append(row.Points, Fig5Point{
-				DDTSize: s,
-				RAWFrac: stats.Ratio(raw[i], loads),
-				RARFrac: stats.Ratio(rar[i], loads),
-			})
+		return func() Fig5Row {
+			loads := p.tr.Loads()
+			row := Fig5Row{Workload: p.w}
+			for i, s := range Fig5Sizes {
+				row.Points = append(row.Points, Fig5Point{
+					DDTSize: s,
+					RAWFrac: stats.Ratio(raw[i], loads),
+					RARFrac: stats.Ratio(rar[i], loads),
+				})
+			}
+			return row
 		}
-		return row, nil
 	},
 	func(_ Options, _ []workload.Workload, rows []Fig5Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Fig5Result{Rows: rows}, fails), nil

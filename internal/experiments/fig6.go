@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/cloak"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -59,20 +58,20 @@ func cellFrom(st cloak.Stats) Fig6Cell {
 	}
 }
 
-// fig6Cells replays each stream once into a bank of the 1-bit and 2-bit
-// engines, which differ only in confidence and so share one DDT.
-var fig6Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Fig6Row, error) {
+// fig6Cells reads the pass's 1-bit and 2-bit engines, which differ only
+// in confidence and so share one DDT.
+var fig6Cells = tracedCells(
+	func(p *pass) func() Fig6Row {
 		cfg1 := cloak.DefaultConfig()
 		cfg1.Confidence = cloak.NonAdaptive1Bit
-		bank := cloak.NewBank(cfg1, cloak.DefaultConfig())
-		tr.Replay(trace.SinkFuncs{OnLoad: bank.Load, OnStore: bank.Store})
-		es := bank.Engines()
-		return Fig6Row{
-			Workload: w,
-			OneBit:   cellFrom(es[0].Stats()),
-			TwoBit:   cellFrom(es[1].Stats()),
-		}, nil
+		oneBit, twoBit := p.bank.Engine(cfg1), p.bank.Engine(cloak.DefaultConfig())
+		return func() Fig6Row {
+			return Fig6Row{
+				Workload: p.w,
+				OneBit:   cellFrom(oneBit.Stats()),
+				TwoBit:   cellFrom(twoBit.Stats()),
+			}
+		}
 	},
 	func(_ Options, ws []workload.Workload, rows []Fig6Row, fails []*runerr.WorkloadError) (Result, error) {
 		res := &Fig6Result{Rows: rows}

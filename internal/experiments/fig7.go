@@ -8,7 +8,6 @@ import (
 	"rarpred/internal/locality"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -57,45 +56,45 @@ type Fig7Result struct {
 	Rows  []Fig7Row
 }
 
-// fig7Cells stays single-sink: the locality observation and the cloaking
-// outcome correlate per event, so they must walk the stream in lockstep.
+// fig7Cells correlates each load's locality observation with the
+// dependence the pass's default engine (the one fig6 and the ablations
+// read) detected for that load, which an outcome listener receives in
+// lockstep with the replay.
 func fig7Cells(value bool) CellRunner {
-	return tracedCells(workload.ReferenceSize,
-		func(_ Options, w workload.Workload, tr *trace.Stream) (Fig7Row, error) {
-			engine := cloak.New(cloak.DefaultConfig())
+	return tracedCells(
+		func(p *pass) func() Fig7Row {
+			cfg := cloak.DefaultConfig()
+			engine := p.bank.Engine(cfg)
 			last := locality.NewLastMap()
-			var loads, localRAW, localRAR, localNone uint64
-			tr.Replay(trace.SinkFuncs{
-				OnLoad: func(pc, addr, val uint32) {
-					loads++
-					word := addr
-					if value {
-						word = val
+			var localRAW, localRAR, localNone uint64
+			p.bank.OnLoad(cfg, func(pc, addr, val uint32, out cloak.LoadOutcome) {
+				word := addr
+				if value {
+					word = val
+				}
+				if last.Observe(pc, word) {
+					switch out.Dep {
+					case cloak.DepRAW:
+						localRAW++
+					case cloak.DepRAR:
+						localRAR++
+					default:
+						localNone++
 					}
-					repeats := last.Observe(pc, word)
-					out := engine.Load(pc, addr, val)
-					if repeats {
-						switch out.Dep {
-						case cloak.DepRAW:
-							localRAW++
-						case cloak.DepRAR:
-							localRAR++
-						default:
-							localNone++
-						}
-					}
-				},
-				OnStore: func(pc, addr, val uint32) { engine.Store(pc, addr, val) },
+				}
 			})
-			st := engine.Stats()
-			return Fig7Row{
-				Workload:    w,
-				LocalRAW:    stats.Ratio(localRAW, loads),
-				LocalRAR:    stats.Ratio(localRAR, loads),
-				LocalNone:   stats.Ratio(localNone, loads),
-				CoverageRAW: stats.Ratio(st.CorrectRAW, loads),
-				CoverageRAR: stats.Ratio(st.CorrectRAR, loads),
-			}, nil
+			return func() Fig7Row {
+				loads := p.tr.Loads()
+				st := engine.Stats()
+				return Fig7Row{
+					Workload:    p.w,
+					LocalRAW:    stats.Ratio(localRAW, loads),
+					LocalRAR:    stats.Ratio(localRAR, loads),
+					LocalNone:   stats.Ratio(localNone, loads),
+					CoverageRAW: stats.Ratio(st.CorrectRAW, loads),
+					CoverageRAR: stats.Ratio(st.CorrectRAR, loads),
+				}
+			}
 		},
 		func(_ Options, _ []workload.Workload, rows []Fig7Row, fails []*runerr.WorkloadError) (Result, error) {
 			return annotate(&Fig7Result{Value: value, Rows: rows}, fails), nil

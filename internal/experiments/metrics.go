@@ -13,7 +13,14 @@ import "rarpred/internal/metrics"
 //
 // Wall time inside cells is attributed through spans (spans_ns{cell},
 // {cell/record}, {cell/replay}, {assemble}).
+//
+// cloak.engine_loads counts the loads the functional experiments'
+// cloaking engines simulate, added once per engine when its pass ends,
+// next to trace.events_replayed (events decoded by trace.Stream
+// replays): together they measure a suite's functional work.
 var (
+	engineLoads = metrics.Default().Counter("cloak.engine_loads")
+
 	suiteCellsTotal  = metrics.Default().Gauge("suite.cells_total")
 	suiteCellsDone   = metrics.Default().Gauge("suite.cells_done")
 	suiteQueueDepth  = metrics.Default().Gauge("suite.queue_depth")

@@ -1,0 +1,213 @@
+package experiments
+
+import (
+	"context"
+
+	"rarpred/internal/cloak"
+	"rarpred/internal/locality"
+	"rarpred/internal/runerr"
+	"rarpred/internal/trace"
+	"rarpred/internal/vpred"
+	"rarpred/internal/workload"
+)
+
+// pass is one replay of a workload's committed reference stream, shared
+// by every functional cell of a job. Before the replay, each cell's
+// plan registers what it needs on the pass: engines by cloak.Config
+// (one engine per distinct config, in one cloak.Bank), per-load
+// outcome listeners, and analyzers. After the replay, each plan's
+// finish step builds the cell's row from what it registered. A suite
+// replays each stream once for all its functional experiments (one job
+// per workload, see RunSuite); a standalone cell is the same pass with
+// one plan.
+type pass struct {
+	w    workload.Workload
+	tr   *trace.Stream
+	bank *cloak.Bank
+	// sinks are the analyzers the bank does not drive.
+	sinks []trace.Sink
+	// windows is the RAR locality sweep over WindowSizes, built on first
+	// request; fig2's windows are two of its entries.
+	windows *locality.RARLocalitySweep
+	// valueLoads receive each load's Section 5.5 pair: the
+	// table52Config engine's outcome and whether one last-value
+	// predictor was correct.
+	valueLoads []func(out cloak.LoadOutcome, vpCorrect bool)
+}
+
+func newPass(w workload.Workload, tr *trace.Stream) *pass {
+	return &pass{w: w, tr: tr, bank: cloak.NewBank()}
+}
+
+// sink adds an analyzer that sees every event.
+func (p *pass) sink(s trace.Sink) { p.sinks = append(p.sinks, s) }
+
+// windowSweep returns the pass's RAR locality sweep over WindowSizes.
+// A sweep's windows are independent of each other, so a consumer that
+// needs only some of them reads those entries.
+func (p *pass) windowSweep() *locality.RARLocalitySweep {
+	if p.windows == nil {
+		l := locality.NewRARLocalitySweep(WindowSizes...)
+		p.windows = l
+		p.sink(trace.SinkFuncs{
+			OnLoad:  func(pc, addr, _ uint32) { l.Load(pc, addr) },
+			OnStore: func(pc, addr, _ uint32) { l.Store(pc, addr) },
+		})
+	}
+	return p.windows
+}
+
+// onValueLoad registers fn for every load with the table52Config
+// engine's outcome and whether the pass's one last-value predictor
+// (vpred.DefaultEntries) predicted the loaded value.
+func (p *pass) onValueLoad(fn func(out cloak.LoadOutcome, vpCorrect bool)) {
+	if p.valueLoads == nil {
+		vp := vpred.NewLastValue(vpred.DefaultEntries)
+		p.bank.OnLoad(table52Config(), func(pc, _, value uint32, out cloak.LoadOutcome) {
+			_, correct := vp.Access(pc, value)
+			for _, fn := range p.valueLoads {
+				fn(out, correct)
+			}
+		})
+	}
+	p.valueLoads = append(p.valueLoads, fn)
+}
+
+// replay feeds the stream once to the bank and every analyzer, then
+// counts the loads each engine simulated. A pass nothing registered on
+// decodes nothing.
+func (p *pass) replay() {
+	sinks := p.sinks
+	engines := p.bank.Engines()
+	if len(engines) > 0 {
+		sinks = append(sinks, trace.SinkFuncs{OnLoad: p.bank.Load, OnStore: p.bank.Store})
+	}
+	p.tr.Replay(sinks...)
+	for _, e := range engines {
+		countEngineLoads(e)
+	}
+}
+
+// countEngineLoads adds the loads e simulated to cloak.engine_loads;
+// call it once per engine, when its pass ends.
+func countEngineLoads(e *cloak.Engine) { engineLoads.Add(e.Stats().Loads) }
+
+// passRunner is the CellRunner of a functional experiment: its cell is
+// a plan on a pass of the workload's reference stream.
+type passRunner interface {
+	CellRunner
+	// planCell registers the cell's needs on p and returns the step
+	// that builds its row once p has replayed.
+	planCell(p *pass) func() any
+}
+
+// tracedRunner implements passRunner for a typed row.
+type tracedRunner[T any] struct {
+	cellRunner[T]
+	plan func(p *pass) func() T
+}
+
+func (r tracedRunner[T]) planCell(p *pass) func() any {
+	finish := r.plan(p)
+	return func() any { return finish() }
+}
+
+// Cell runs the cell standalone: a pass with this one plan.
+func (r tracedRunner[T]) Cell(ctx context.Context, opt Options, w workload.Workload) (any, error) {
+	tr, err := referenceStream(ctx, opt, w)
+	if err != nil {
+		return nil, err
+	}
+	return runPass(w, tr, []passRunner{r})[0], nil
+}
+
+// tracedCells builds the CellRunner of an experiment that only consumes
+// the committed memory reference stream (all the non-timing
+// experiments; the Section 5.6 cycle-level studies need full
+// register-state simulation, so their cells call runTimingConfigs).
+// plan registers the cell's needs on the workload's pass and returns
+// the step that builds the row after the replay. The stream comes from
+// the shared cache at workload.ReferenceSize, recorded on first use;
+// opt.Live re-records it instead.
+func tracedCells[T any](
+	plan func(p *pass) func() T,
+	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
+) CellRunner {
+	return tracedRunner[T]{cellRunner: cellRunner[T]{assemble: assemble}, plan: plan}
+}
+
+// referenceStream looks up w's committed memory stream at the
+// functional experiments' size.
+func referenceStream(ctx context.Context, opt Options, w workload.Workload) (*trace.Stream, error) {
+	return workloadStream(ctx, opt, w, opt.size(workload.ReferenceSize), opt.maxInsts())
+}
+
+// runPass replays tr once for the cells of rs and returns their rows,
+// in order.
+func runPass(w workload.Workload, tr *trace.Stream, rs []passRunner) []any {
+	defer startSpan("cell/replay").End()
+	p := newPass(w, tr)
+	finish := make([]func() any, len(rs))
+	for i, r := range rs {
+		finish[i] = r.planCell(p)
+	}
+	p.replay()
+	rows := make([]any, len(rs))
+	for i, f := range finish {
+		rows[i] = f()
+	}
+	return rows
+}
+
+// runFused runs the functional cells rs (paper order) of workload w as
+// one job: one stream lookup and one pass, under runCell's isolation.
+// Failures are attributed as if each cell had run alone:
+//
+//   - A failed lookup belongs to the first cell, which fails with the
+//     error its own cell would have returned; the remaining cells form a
+//     new job with their own lookup. (A transient fault thus fails one
+//     cell, and the next lookup re-records.)
+//   - Once the lookup succeeds, any failure of the pass — a panic, or
+//     the workload deadline passing — reruns each cell alone through
+//     runCell, so only a faulty cell fails.
+//   - The run context ending is a hard abort: nothing reruns.
+//
+// started counts the cells whose work began, a prefix of rs: the lookup
+// is its first cell's work, and the rest begin with the pass. The cells
+// after them never started, because the run ended first.
+func runFused(ctx context.Context, opt Options, w workload.Workload, rs []passRunner) (rows []any, errs []error, started int) {
+	rows, errs = make([]any, len(rs)), make([]error, len(rs))
+	first := 0
+	for first < len(rs) && ctx.Err() == nil {
+		var looked bool
+		var out []any
+		err := isolate(ctx, opt, w, func(wctx context.Context) error {
+			tr, err := referenceStream(wctx, opt, w)
+			if err != nil {
+				return err
+			}
+			looked = true
+			out = runPass(w, tr, rs[first:])
+			return wctx.Err()
+		})
+		if err == nil {
+			copy(rows[first:], out)
+			return rows, errs, len(rs)
+		}
+		if !looked {
+			errs[first] = err
+			first++
+			continue
+		}
+		for i := first; i < len(rs); i++ {
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				rows[i], errs[i] = runCell(ctx, opt, rs[i], w)
+			}
+		}
+		return rows, errs, len(rs)
+	}
+	for i := first; i < len(rs); i++ {
+		errs[i] = ctx.Err()
+	}
+	return rows, errs, first
+}

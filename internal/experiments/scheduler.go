@@ -35,12 +35,18 @@ type SuiteItem struct {
 // CellStat times one (experiment × workload) cell.
 type CellStat struct {
 	Workload string
-	Elapsed  time.Duration
-	Failed   bool
+	// Elapsed is the cell's share of its job's time: all of it for a job
+	// of one cell, an even split for a fused job. Over a suite, the
+	// cells' Elapsed sum to SuiteStats.Busy.
+	Elapsed time.Duration
+	Failed  bool
 	// Resumed reports the cell was replayed from the suite run journal
 	// (Options.Journal) instead of simulated: a previous interrupted run
 	// completed it and journaled its row.
 	Resumed bool
+	// Fused reports the cell ran in one job with other experiments'
+	// cells for the same workload: one pass over its stream (runFused).
+	Fused bool
 }
 
 // SuiteStats summarises a RunSuite call for benchmarking: utilization is
@@ -88,10 +94,17 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 // (panic capture, per-workload deadline), identical to the standalone
 // per-experiment pools, and each workload's stream records once via the
 // shared cache's single-flight no matter how many experiments' cells
-// are waiting on it. The queue holds the cells in paper order:
-// experiment by experiment, each over the workloads in suite order.
-// Timing cells share one simMemo for the call, so a configuration that
-// several timing experiments report is simulated once per workload.
+// are waiting on it.
+//
+// The unit of work is a job. The functional experiments' cells for one
+// workload form one job (runFused): one stream lookup and one pass that
+// replays the stream into every covered experiment's analyzers.
+// Options.Live opts out, giving each functional cell a job of its own.
+// Every other cell is a job of one. The queue holds the jobs in paper
+// order of their first cells: experiment by experiment, each over the
+// workloads in suite order. Timing cells share one simMemo for the
+// call, so a configuration that several timing experiments report is
+// simulated once per workload.
 //
 // Results are assembled the moment an experiment's last cell retires and
 // delivered in suite order — deliver(item) is called exactly once per
@@ -107,8 +120,9 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 //
 // With Options.Journal set the suite is resumable: cells a previous run
 // journaled are prefilled from their decoded rows (CellStat.Resumed)
-// and never scheduled — no simulation, no stream lookup — and each cell
-// that completes successfully in this run is journaled as it retires.
+// and never scheduled — no simulation, no stream lookup, no place in a
+// fused job — and each cell that completes successfully in this run is
+// journaled as it retires.
 // Because delivery order, row order, and assembly are unchanged, a
 // resumed run's aggregate output is byte-identical to an uninterrupted
 // one.
@@ -124,8 +138,17 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 
 	ws := opt.workloads()
 	states := make([]*suiteExp, len(exps))
-	type job struct{ ei, wi int }
-	var jobs []job
+	// A job runs one workload's cells of the experiments in eis, in
+	// paper order (wi -1: one undecomposed experiment). fused marks a
+	// workload's pass over its functional cells.
+	type job struct {
+		wi    int
+		eis   []int
+		fused bool
+	}
+	var jobs []*job
+	passJobs := make([]*job, len(ws)) // each workload's fused job, once it has one
+	cellsTotal := 0
 	var fullyResumed []int // experiments with every cell journaled
 	for ei, e := range exps {
 		st := &suiteExp{exp: e}
@@ -135,7 +158,8 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 			st.errs = make([]error, 1)
 			st.stats = make([]CellStat, 1)
 			st.pending.Store(1)
-			jobs = append(jobs, job{ei: ei, wi: -1})
+			jobs = append(jobs, &job{wi: -1, eis: []int{ei}})
+			cellsTotal++
 		} else {
 			st.rows = make([]any, len(ws))
 			st.errs = make([]error, len(ws))
@@ -162,14 +186,25 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 					st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
 				}
 			}
+			_, traced := e.Cells.(passRunner)
+			traced = traced && !opt.Live
 			remaining := 0
 			for wi := range ws {
 				if resumed[wi] {
 					continue
 				}
 				remaining++
-				jobs = append(jobs, job{ei: ei, wi: wi})
+				if traced && passJobs[wi] != nil {
+					passJobs[wi].eis = append(passJobs[wi].eis, ei)
+					continue
+				}
+				j := &job{wi: wi, eis: []int{ei}, fused: traced}
+				if traced {
+					passJobs[wi] = j
+				}
+				jobs = append(jobs, j)
 			}
+			cellsTotal += remaining
 			st.pending.Store(int32(remaining))
 			if remaining == 0 {
 				st.startOnce.Do(func() { st.start = time.Now() })
@@ -238,13 +273,66 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 
 	// Reset the suite gauges the -progress ticker reads.
 	workers := opt.parallelism()
-	suiteCellsTotal.Set(int64(len(jobs)))
+	suiteCellsTotal.Set(int64(cellsTotal))
 	suiteCellsDone.Set(0)
-	suiteQueueDepth.Set(int64(len(jobs)))
+	suiteQueueDepth.Set(int64(cellsTotal))
 	suiteWorkers.Set(int64(workers))
 	suiteWorkersBusy.Set(0)
 
-	queue := make(chan job, len(jobs))
+	// retire records one finished cell of experiment ei for workload wi
+	// (-1: the whole experiment) and assembles the experiment once its
+	// last cell is in.
+	retire := func(ei, wi int, row any, err error, stat CellStat) {
+		st := states[ei]
+		if wi >= 0 && err == nil && opt.Journal != nil {
+			// Journal the finished cell durably, best effort: a failed
+			// append costs only this cell's resumability, never the run.
+			if codec, ok := st.exp.Cells.(RowCodec); ok {
+				if enc, eerr := codec.EncodeRow(row); eerr == nil {
+					_ = opt.Journal.Record(st.exp.ID, ws[wi].Name, enc)
+				}
+			}
+		}
+		i := max(wi, 0)
+		st.rows[i], st.errs[i], st.stats[i] = row, err, stat
+		if st.pending.Add(-1) == 0 {
+			assemble(ei)
+		}
+	}
+
+	// run executes job j and returns one row and error per covered cell.
+	// It marks the experiments whose cells began as started.
+	run := func(j *job) ([]any, []error) {
+		n := len(j.eis)
+		rows, errs := make([]any, n), make([]error, n)
+		started := 0
+		switch err := ctx.Err(); {
+		case err != nil:
+			for k := range errs {
+				errs[k] = err
+			}
+		case j.wi < 0:
+			sub := opt
+			sub.Context = ctx
+			rows[0], errs[0] = runWhole(sub, exps[j.eis[0]])
+			started = 1
+		case j.fused:
+			rs := make([]passRunner, n)
+			for k, ei := range j.eis {
+				rs[k] = exps[ei].Cells.(passRunner)
+			}
+			rows, errs, started = runFused(ctx, opt, ws[j.wi], rs)
+		default:
+			rows[0], errs[0] = runCell(ctx, opt, exps[j.eis[0]].Cells, ws[j.wi])
+			started = 1
+		}
+		for _, ei := range j.eis[:started] {
+			states[ei].started.Store(true)
+		}
+		return rows, errs
+	}
+
+	queue := make(chan *job, len(jobs))
 	for _, j := range jobs {
 		queue <- j
 	}
@@ -256,51 +344,35 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		go func() {
 			defer wg.Done()
 			for j := range queue {
-				st := states[j.ei]
-				st.startOnce.Do(func() { st.start = time.Now() })
-				suiteQueueDepth.Add(-1)
+				n := len(j.eis)
+				for _, ei := range j.eis {
+					st := states[ei]
+					st.startOnce.Do(func() { st.start = time.Now() })
+				}
+				suiteQueueDepth.Add(-int64(n))
 				suiteWorkersBusy.Add(1)
 				span := startSpan("cell")
-				cellStart := time.Now()
-				var row any
-				var err error
-				if j.wi < 0 {
-					if err = ctx.Err(); err == nil {
-						st.started.Store(true)
-						sub := opt
-						sub.Context = ctx
-						row, err = runWhole(sub, st.exp)
-					}
-				} else {
-					if err = ctx.Err(); err == nil {
-						st.started.Store(true)
-						row, err = runCell(ctx, opt, st.exp.Cells, ws[j.wi])
-					}
-				}
-				elapsed := time.Since(cellStart)
+				jobStart := time.Now()
+				rows, errs := run(j)
+				elapsed := time.Since(jobStart)
 				span.End()
 				suiteWorkersBusy.Add(-1)
-				suiteCellsDone.Add(1)
-				if j.wi >= 0 && err == nil && opt.Journal != nil {
-					// Journal the finished cell durably, best effort: a
-					// failed append costs only this cell's resumability,
-					// never the run.
-					if codec, ok := st.exp.Cells.(RowCodec); ok {
-						if enc, eerr := codec.EncodeRow(row); eerr == nil {
-							_ = opt.Journal.Record(st.exp.ID, ws[j.wi].Name, enc)
-						}
-					}
-				}
+				suiteCellsDone.Add(int64(n))
 				atomic.AddInt64(&busy, int64(elapsed))
-				wi := max(j.wi, 0)
-				st.rows[wi], st.errs[wi] = row, err
 				name := ""
 				if j.wi >= 0 {
 					name = ws[j.wi].Name
 				}
-				st.stats[wi] = CellStat{Workload: name, Elapsed: elapsed, Failed: err != nil}
-				if st.pending.Add(-1) == 0 {
-					assemble(j.ei)
+				// Split the job's time evenly over its cells, the first
+				// cells taking the nanoseconds left over, so the cells'
+				// times sum to the job's exactly.
+				share, rest := elapsed/time.Duration(n), elapsed%time.Duration(n)
+				for k, ei := range j.eis {
+					stat := CellStat{Workload: name, Elapsed: share, Failed: errs[k] != nil, Fused: n > 1}
+					if time.Duration(k) < rest {
+						stat.Elapsed++
+					}
+					retire(ei, j.wi, rows[k], errs[k], stat)
 				}
 			}
 		}()
@@ -309,7 +381,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 
 	return SuiteStats{
 		Experiments: len(exps),
-		Cells:       len(jobs),
+		Cells:       cellsTotal,
 		Workers:     workers,
 		Wall:        time.Since(begin),
 		Busy:        time.Duration(atomic.LoadInt64(&busy)),

@@ -7,7 +7,6 @@ import (
 	"rarpred/internal/funcsim"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -30,9 +29,11 @@ type Table51Result struct {
 	Rows []Table51Row
 }
 
-var table51Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Table51Row, error) {
-		return Table51Row{Workload: w, Counts: tr.Counts}, nil
+// table51Cells registers nothing on the pass: its row is the recorded
+// execution profile, so a pass for table51 alone decodes nothing.
+var table51Cells = tracedCells(
+	func(p *pass) func() Table51Row {
+		return func() Table51Row { return Table51Row{Workload: p.w, Counts: p.tr.Counts} }
 	},
 	func(_ Options, _ []workload.Workload, rows []Table51Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Table51Result{Rows: rows}, fails), nil

@@ -7,8 +7,6 @@ import (
 	"rarpred/internal/cloak"
 	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
-	"rarpred/internal/trace"
-	"rarpred/internal/vpred"
 	"rarpred/internal/workload"
 )
 
@@ -60,38 +58,34 @@ func table52Config() cloak.Config {
 	}
 }
 
-// table52Cells stays single-sink: the cloaking engine and the value
-// predictor must observe each load together to classify the overlap.
-var table52Cells = tracedCells(workload.ReferenceSize,
-	func(_ Options, w workload.Workload, tr *trace.Stream) (Table52Row, error) {
-		engine := cloak.New(table52Config())
-		vp := vpred.NewLastValue(vpred.DefaultEntries)
-		var loads, cloakOnlyRAW, cloakOnlyRAR, vpOnly uint64
-		tr.Replay(trace.SinkFuncs{
-			OnLoad: func(pc, addr, value uint32) {
-				loads++
-				out := engine.Load(pc, addr, value)
-				_, vpCorrect := vp.Access(pc, value)
-				cloakCorrect := out.Used && out.Correct
-				switch {
-				case cloakCorrect && !vpCorrect:
-					if out.Kind == cloak.DepRAR {
-						cloakOnlyRAR++
-					} else {
-						cloakOnlyRAW++
-					}
-				case vpCorrect && !cloakCorrect:
-					vpOnly++
+// table52Cells classifies the overlap from each load's pair of the
+// table52Config engine's outcome and the last-value predictor's
+// verdict, which the pass computes once for table52 and synergy.
+var table52Cells = tracedCells(
+	func(p *pass) func() Table52Row {
+		var cloakOnlyRAW, cloakOnlyRAR, vpOnly uint64
+		p.onValueLoad(func(out cloak.LoadOutcome, vpCorrect bool) {
+			cloakCorrect := out.Used && out.Correct
+			switch {
+			case cloakCorrect && !vpCorrect:
+				if out.Kind == cloak.DepRAR {
+					cloakOnlyRAR++
+				} else {
+					cloakOnlyRAW++
 				}
-			},
-			OnStore: func(pc, addr, value uint32) { engine.Store(pc, addr, value) },
+			case vpCorrect && !cloakCorrect:
+				vpOnly++
+			}
 		})
-		return Table52Row{
-			Workload:     w,
-			CloakOnlyRAW: stats.Ratio(cloakOnlyRAW, loads),
-			CloakOnlyRAR: stats.Ratio(cloakOnlyRAR, loads),
-			VPOnly:       stats.Ratio(vpOnly, loads),
-		}, nil
+		return func() Table52Row {
+			loads := p.tr.Loads()
+			return Table52Row{
+				Workload:     p.w,
+				CloakOnlyRAW: stats.Ratio(cloakOnlyRAW, loads),
+				CloakOnlyRAR: stats.Ratio(cloakOnlyRAR, loads),
+				VPOnly:       stats.Ratio(vpOnly, loads),
+			}
+		}
 	},
 	func(_ Options, _ []workload.Workload, rows []Table52Row, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&Table52Result{Rows: rows}, fails), nil

@@ -7,6 +7,7 @@ import (
 	"rarpred/internal/check"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/isa"
+	"rarpred/internal/metrics"
 	"rarpred/internal/runerr"
 )
 
@@ -199,11 +200,19 @@ func (s *Stream) Bytes() int64 {
 // ratio Bytes is the denominator of.
 func (s *Stream) RawBytes() int64 { return int64(s.n) * eventBytes }
 
+// EventsReplayed counts the events Replay and ReplayChunks decode,
+// added once per call, so the work a suite spends on replay reads as a
+// count rather than a time.
+var EventsReplayed = metrics.Default().Counter("trace.events_replayed")
+
 // Replay feeds the stream to the sinks, in recorded order. Every sink
 // sees every event before the next event is delivered (lockstep), so
-// sinks may share per-event state.
+// sinks may share per-event state. With no sinks it decodes nothing.
 func (s *Stream) Replay(sinks ...Sink) {
-	if len(sinks) == 1 {
+	switch len(sinks) {
+	case 0:
+		return
+	case 1:
 		s.ReplayChunks(0, len(s.chunks), sinks[0])
 		return
 	}
@@ -233,6 +242,7 @@ func (s *Stream) Replay(sinks ...Sink) {
 	if sc != nil {
 		putEventScratch(sc)
 	}
+	EventsReplayed.Add(uint64(s.n))
 }
 
 // NumChunks returns the number of fixed-size chunks in the stream (the
@@ -249,8 +259,10 @@ func (s *Stream) NumChunks() int { return len(s.chunks) }
 func (s *Stream) ReplayChunks(lo, hi int, snk Sink) {
 	onLoad, onStore := sinkCallbacks(snk)
 	var sc *eventScratch
+	n := 0
 	for _, c := range s.chunks[lo:hi] {
 		kinds, pcs, addrs, values := c.columns(&sc)
+		n += len(kinds)
 		for i, k := range kinds {
 			if Kind(k) == KindLoad {
 				onLoad(pcs[i], addrs[i], values[i])
@@ -262,6 +274,7 @@ func (s *Stream) ReplayChunks(lo, hi int, snk Sink) {
 	if sc != nil {
 		putEventScratch(sc)
 	}
+	EventsReplayed.Add(uint64(n))
 }
 
 // sinkCallbacks resolves snk to one load and one store function for the

@@ -130,6 +130,36 @@ func TestReplayChunks(t *testing.T) {
 	}
 }
 
+// TestReplayCountsEventsOncePerCall: trace.events_replayed grows by the
+// events each Replay or ReplayChunks call decodes, counted once per call
+// however many sinks it feeds, and a Replay with no sinks decodes
+// nothing.
+func TestReplayCountsEventsOncePerCall(t *testing.T) {
+	s := NewStream()
+	const n = 2*chunkEvents + 7
+	for i := 0; i < n; i++ {
+		s.Append(KindLoad, uint32(i), 0, 0)
+	}
+	s.Seal()
+	snk := SinkFuncs{}
+	for _, c := range []struct {
+		name   string
+		replay func()
+		want   uint64
+	}{
+		{"no sinks", func() { s.Replay() }, 0},
+		{"one sink", func() { s.Replay(snk) }, n},
+		{"three sinks", func() { s.Replay(snk, snk, snk) }, n},
+		{"middle chunk", func() { s.ReplayChunks(1, 2, snk) }, chunkEvents},
+	} {
+		before := EventsReplayed.Value()
+		c.replay()
+		if got := EventsReplayed.Value() - before; got != c.want {
+			t.Errorf("%s: trace.events_replayed grew by %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestReplayEach: each of several sinks sees the full multi-chunk stream
 // in recorded order through one lockstep Replay.
 func TestReplayEach(t *testing.T) {
