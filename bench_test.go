@@ -244,7 +244,8 @@ func BenchmarkSuiteFunctional(b *testing.B) {
 //	seq:       experiments one at a time, each over its own private
 //	           workload pool (the pre-scheduler harness)
 //	scheduler: one shared worker pool over all cells (RunSuite), each
-//	           cell replaying its stream once
+//	           workload's functional cells sharing one replay and its
+//	           timing cells one simulation per distinct config
 //
 // The seq/scheduler ratio is the suite-level speedup; it grows with
 // GOMAXPROCS, since the sequential path serialises experiments behind

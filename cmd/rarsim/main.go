@@ -291,7 +291,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if p, ok := item.Result.(*experiments.PartialResult); ok {
 			failed = append(failed, fmt.Sprintf("%s (%d workloads)", item.Exp.ID, len(p.Fails)))
 		}
-		fmt.Fprintf(stdout, "[%s in %.1fs]\n", item.Exp.ID, item.Elapsed.Seconds())
+		fmt.Fprintf(stdout, "[%s in %.1fs]\n", item.Exp.ID, item.Cost().Seconds())
 		return true
 	}
 
@@ -394,8 +394,11 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // version 8 added each experiment's cost_seconds (the sum of its cells'
 // seconds, next to seconds, its span from first cell start to delivery)
 // and the per-cell fused flag: a suite runs each workload's functional
-// cells as one job, whose time is split evenly over the cells it
-// covers, so the cells' seconds sum to the scheduler's busy_seconds.
+// cells as one job, and its timing cells as another, whose time is
+// split evenly over the cells it covers, so the cells' seconds sum to
+// the scheduler's busy_seconds. (Version 8 first fused only functional
+// cells; timing cells joining a job of their own changed no field, so
+// the version stayed.)
 const benchSchemaVersion = 8
 
 // benchReport is the -benchjson payload: machine-readable timings for
@@ -440,8 +443,9 @@ type benchCell struct {
 	Seconds float64 `json:"seconds"`
 	Failed  bool    `json:"failed,omitempty"`
 	Resumed bool    `json:"resumed,omitempty"`
-	// Fused marks a cell that ran in its workload's one pass with other
-	// experiments' cells (schema 8).
+	// Fused marks a cell that ran in one of its workload's jobs with
+	// other experiments' cells: the pass over its reference stream, or
+	// the timing job over its instruction stream (schema 8).
 	Fused bool `json:"fused,omitempty"`
 }
 
@@ -498,16 +502,13 @@ func newBenchReport(parallelism int) *benchReport {
 
 func (b *benchReport) add(item experiments.SuiteItem) {
 	e := benchExp{
-		ID:      item.Exp.ID,
-		Seconds: item.Elapsed.Seconds(),
-		NotRun:  item.NotRun,
-		Failed:  item.Err != nil,
+		ID:          item.Exp.ID,
+		Seconds:     item.Elapsed.Seconds(),
+		CostSeconds: item.Cost().Seconds(),
+		NotRun:      item.NotRun,
+		Failed:      item.Err != nil,
 	}
 	for _, c := range item.Cells {
-		e.CostSeconds += c.Elapsed.Seconds()
-		if c.Workload == "" {
-			continue
-		}
 		if c.Resumed {
 			b.resumedCells++
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -80,11 +81,13 @@ func TestBenchJSONWritten(t *testing.T) {
 
 // TestBenchJSONCellsSumToBusy: schema 8 splits each job's time over the
 // cells it covers, so the cells' seconds sum to the scheduler's busy
-// time, each experiment's cost_seconds sums its cells, and the
-// functional cells that shared a workload's pass are marked fused.
+// time, each experiment's cost_seconds sums its cells, and the cells
+// that shared one of a workload's jobs are marked fused: the functional
+// cells its pass, and the timing cells its timing job. Each
+// experiment's report footer prints its cost_seconds.
 func TestBenchJSONCellsSumToBusy(t *testing.T) {
 	path := t.TempDir() + "/BENCH_suite.json"
-	code, _, errw := runCLI("-exp", "table51,fig2,fig5,ablmemspec", "-size", "3",
+	code, out, errw := runCLI("-exp", "table51,fig2,fig5,fig10,ablmemspec", "-size", "3",
 		"-bench", "go,gcc", "-p", "2", "-benchjson", path)
 	if code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, errw)
@@ -109,12 +112,15 @@ func TestBenchJSONCellsSumToBusy(t *testing.T) {
 		var cost float64
 		for _, c := range e.Cells {
 			cost += c.Seconds
-			if fused := e.ID != "ablmemspec"; c.Fused != fused {
-				t.Errorf("%s/%s: fused = %t, want %t", e.ID, c.Workload, c.Fused, fused)
+			if !c.Fused {
+				t.Errorf("%s/%s: not fused", e.ID, c.Workload)
 			}
 		}
 		if math.Abs(cost-e.CostSeconds) > 1e-6 {
 			t.Errorf("%s: cost_seconds %g, cells sum to %g", e.ID, e.CostSeconds, cost)
+		}
+		if footer := fmt.Sprintf("[%s in %.1fs]", e.ID, e.CostSeconds); !strings.Contains(out, footer) {
+			t.Errorf("report lacks the footer %s:\n%s", footer, out)
 		}
 		total += cost
 	}

@@ -27,6 +27,24 @@ func mustByID(t *testing.T, id string) Experiment {
 	return e
 }
 
+// waitProbe is a context that reports when the code under test first
+// asks for its Done channel — for verifyOnce, the moment a caller
+// starts waiting on someone else's check.
+type waitProbe struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitProbe(ctx context.Context) *waitProbe {
+	return &waitProbe{Context: ctx, waiting: make(chan struct{})}
+}
+
+func (p *waitProbe) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.waiting) })
+	return p.Context.Done()
+}
+
 // TestSuiteCancelAndStop: a dead run context delivers every experiment
 // as not run, and a deliver=false stop delivers nothing after the
 // result that stopped it.

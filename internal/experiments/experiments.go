@@ -42,13 +42,15 @@ type Options struct {
 	// Parallelism bounds concurrent workload simulations (0 = GOMAXPROCS).
 	Parallelism int
 
-	// Live forces the functional experiments onto the pre-cache path:
-	// each experiment assembles its workloads fresh and re-simulates them
-	// with the baseline Step interpreter over paged memory, instead of
-	// replaying the shared memory-trace cache. The results are identical
-	// either way (both paths commit the exact same stream); Live exists so
-	// the equivalence can be asserted and the pipeline's speedup measured
-	// against the costs it removed.
+	// Live forces the experiments onto the pre-cache path, instead of
+	// replaying the shared trace cache: a functional job assembles its
+	// workload fresh and re-records its stream with the baseline Step
+	// interpreter over paged memory, and a timing job runs a full live
+	// interpreter per configuration (pipeline.RunProgram). Live changes
+	// only how a job gets its recording, not which cells share a job.
+	// The results are identical either way (both paths commit the exact
+	// same stream); Live exists so the equivalence can be asserted and
+	// the cache's speedup measured against the costs it removed.
 	Live bool
 
 	// Context cancels the whole run: simulators poll it every
@@ -60,7 +62,9 @@ type Options struct {
 	// WorkloadTimeout bounds each workload's simulation inside an
 	// experiment. An exceeded deadline fails only that workload — it is
 	// collected as a runerr.ErrDeadline failure while the rest of the
-	// suite completes (0 = no per-workload bound).
+	// suite completes (0 = no per-workload bound). In a suite it bounds
+	// a workload's whole job, whose cells then rerun alone, each under
+	// a deadline of its own (see jobKind.runFused).
 	WorkloadTimeout time.Duration
 
 	// Journal, when non-nil, makes the suite run resumable: RunSuite
@@ -80,10 +84,6 @@ type Options struct {
 	// invariant sweeps are armed separately via their packages'
 	// SetSelfCheck (cmd/rarsim -check does both).
 	Check bool
-
-	// sims shares timing Results among the cells of one run: RunSuite
-	// and runCells each install a fresh memo (see simMemo).
-	sims *simMemo
 }
 
 func (o Options) workloads() []workload.Workload {
@@ -168,40 +168,37 @@ type Experiment struct {
 	ID string
 	// Title describes what the paper reports there.
 	Title string
-	// Run executes the experiment standalone (derived from Cells at
-	// registration when nil: a private workload pool plus Assemble).
-	Run func(Options) (Result, error)
 	// Cells decomposes the experiment into independent per-workload
 	// units, letting the suite scheduler pool them with every other
-	// experiment's cells (see RunSuite).
+	// experiment's cells (see RunSuite). Every experiment has them.
 	Cells CellRunner
+}
+
+// Run executes the experiment standalone: its cells over a private
+// workload pool plus Assemble (runCells). Every error leaving the
+// experiment layer is attributed: hard errors gain the experiment id
+// prefix and per-workload failures in a PartialResult are stamped with
+// it (completing the runerr.WorkloadError taxonomy).
+func (e Experiment) Run(opt Options) (Result, error) {
+	res, err := runCells(opt, e.Cells)
+	return stamp(e.ID, res, err)
 }
 
 var registry []Experiment
 
-// register adds e to the registry. A nil Run is derived from Cells, and
-// Run is wrapped so every error leaving the experiment layer is
-// attributed: hard errors gain the experiment id prefix and
-// per-workload failures in a PartialResult are stamped with it
-// (completing the runerr.WorkloadError taxonomy).
+// register adds e to the registry; an experiment without Cells is a
+// programming error.
 func register(e Experiment) {
-	if e.Run == nil && e.Cells != nil {
-		r := e.Cells
-		e.Run = func(opt Options) (Result, error) { return runCells(opt, r) }
-	}
-	id, run := e.ID, e.Run
-	e.Run = func(opt Options) (Result, error) {
-		res, err := run(opt)
-		return stamp(id, res, err)
+	if e.Cells == nil {
+		panic("experiments: " + e.ID + " registered without Cells")
 	}
 	registry = append(registry, e)
 }
 
 // stamp attributes an experiment's outcome to its id: hard errors gain
 // the id prefix, per-workload failures inside a PartialResult are
-// stamped with it. Both the standalone Run wrapper and the suite
-// scheduler funnel through here, so attribution is identical on either
-// path.
+// stamped with it. Both the standalone Run and the suite scheduler
+// funnel through here, so attribution is identical on either path.
 func stamp(id string, res Result, err error) (Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
@@ -247,9 +244,10 @@ func IDs() []string {
 // cells plus an assembly step. It is the contract the suite scheduler
 // pools work through: one (experiment × workload) cell is the unit of
 // results, failures and journaling (the scheduler runs a workload's
-// functional cells as one job, see runFused), and Assemble turns the
-// surviving cells back into the experiment's paper-layout Result. Cell
-// must be safe to call for different workloads concurrently.
+// functional cells as one job and its timing cells as another, see
+// jobKind.runFused), and Assemble turns the surviving cells back into
+// the experiment's paper-layout Result. Cell must be safe to call for
+// different workloads concurrently.
 type CellRunner interface {
 	// Cell runs the experiment's unit of work for one workload under
 	// ctx (the run context plus any per-workload deadline).
@@ -275,7 +273,7 @@ type SuiteJournal interface {
 // RowCodec is implemented by cell runners whose rows can round-trip
 // through the suite run journal. The typed cellRunner implements it
 // with gob over the concrete row type, so every experiment built from
-// cells/tracedCells/timingCells journals for free; a runner without the
+// cells/tracedCells/simCells journals for free; a runner without the
 // interface simply is not journaled (its cells re-run on resume).
 type RowCodec interface {
 	// EncodeRow serializes one cell's row (as returned by Cell).
@@ -341,9 +339,9 @@ func cells[T any](
 // runCell executes one (experiment × workload) cell under the shared
 // isolation policy (isolate). Both the standalone per-experiment pool
 // (runCells) and the suite scheduler (RunSuite) execute cells through
-// this wrapper, or through runFused, which isolates a workload's
-// functional cells the same way, so a cell fails the same way on
-// either path.
+// this wrapper, or through jobKind.runFused, which isolates a
+// workload's job the same way, so a cell fails the same way on either
+// path.
 func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload) (row any, err error) {
 	err = isolate(ctx, opt, w, func(wctx context.Context) error {
 		var err error
@@ -416,11 +414,12 @@ func collectCells(ws []workload.Workload, rows []any, errs []error) ([]any, []wo
 // runCells is the standalone executor behind every Experiment.Run: the
 // runner's cells execute once per workload over a private bounded pool,
 // with runCell's isolation, and the survivors are assembled into the
-// Result. The call is one run: its cells share a fresh simMemo. The
+// Result. Each cell is a job of its own, so it shares no work with
+// another experiment's cells: -check's shadow run, which diffs the suite
+// against these runs, stays an independent oracle for the sharing. The
 // error return is reserved for hard aborts: the run context ending, or
 // every workload failing.
 func runCells(opt Options, r CellRunner) (Result, error) {
-	opt.sims = newSimMemo()
 	ctx := opt.ctx()
 	ws := opt.workloads()
 	rows := make([]any, len(ws))
@@ -465,19 +464,18 @@ func assembleCells(opt Options, r CellRunner, ws []workload.Workload, rows []any
 	return r.Assemble(opt, ws, rows, fails)
 }
 
-// parallelSims runs n independent deterministic simulations of one cell
-// concurrently — fig9's five pipeline configurations, say — so a
-// multi-variant cell uses as many cores as it has variants instead of
-// one. sim(i) must only write state owned by variant i. Each variant
-// has its own goroutine, so a variant waiting on another cell's
-// in-flight simulation (simMemo) holds up no simulation of its own. A
-// panic in any variant is re-raised in the caller's goroutine, keeping
-// the per-cell isolation policy intact; errors are reported
+// parallelSims runs n independent deterministic simulations — a timing
+// job's distinct configurations — at most limit at a time, so a job
+// uses the run's cores without holding more simulations in memory than
+// the run has workers. sim(i) must only write state owned by simulation
+// i. A panic in any simulation is re-raised in the caller's goroutine,
+// keeping the per-cell isolation policy intact; errors are reported
 // lowest-index first so the outcome is deterministic. The context is
 // checked once per simulation before it starts; a running simulation
 // polls it through its pipeline.Config.Interrupt hook.
-func parallelSims(ctx context.Context, n int, sim func(i int) error) error {
+func parallelSims(ctx context.Context, n, limit int, sim func(i int) error) error {
 	errs := make([]error, n)
+	sem := make(chan struct{}, limit)
 	var (
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
@@ -487,6 +485,8 @@ func parallelSims(ctx context.Context, n int, sim func(i int) error) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
 			defer func() {
 				if p := recover(); p != nil {
 					panicMu.Lock()
@@ -519,7 +519,7 @@ func parallelSims(ctx context.Context, n int, sim func(i int) error) error {
 // Every functional experiment in a run (and every run in a process)
 // shares it, so `rarsim -exp all` simulates each workload once; the
 // suite's one pass per workload then replays that stream into every
-// functional experiment's analyzers (see runFused).
+// functional experiment's analyzers (see passJob).
 var traceCache = trace.NewCache()
 
 // TraceCache exposes the shared stream cache (for its durable tier and

@@ -39,7 +39,7 @@ func TestRegistry(t *testing.T) {
 	}
 	for _, id := range ids {
 		e, ok := ByID(id)
-		if !ok || e.ID != id || e.Title == "" || e.Run == nil {
+		if !ok || e.ID != id || e.Title == "" || e.Cells == nil {
 			t.Errorf("ByID(%s) broken: %+v, %v", id, e, ok)
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -48,32 +47,24 @@ type MemSpecResult struct {
 	Rows []MemSpecRow
 }
 
-// ablMemSpecCells runs the three LSQ scheduling policies as concurrent
-// independent simulations of each workload, replaying one shared
-// instruction recording (runTimingConfigs). The no-speculation and
-// naive columns are fig10's and fig9's base runs, which the suite
-// scheduler simulates once for both experiments (simMemo).
-var ablMemSpecCells = cells(
-	func(ctx context.Context, opt Options, w workload.Workload) (MemSpecRow, error) {
-		size := opt.size(workload.TimingSize)
-		row := MemSpecRow{Workload: w}
-		pols := []pipeline.MemSpecPolicy{pipeline.NoSpec, pipeline.NaiveSpec, pipeline.StoreSets}
-		specs := make([]simSpec, len(pols))
-		for i, pol := range pols {
-			specs[i] = baseSpec(pol)
+// ablMemSpecCells times the base processor under the three LSQ
+// scheduling policies on each workload's timing job (runSims). The
+// no-speculation and naive columns are fig10's and fig9's base runs,
+// which a suite's timing job simulates once for both experiments.
+var ablMemSpecCells = simCells(
+	[]simSpec{baseSpec(pipeline.NoSpec), baseSpec(pipeline.NaiveSpec), baseSpec(pipeline.StoreSets)},
+	func(w workload.Workload, s simSpec, err error) error {
+		return fmt.Errorf("%s/%s: %w", w.Name, s.memSpec, err)
+	},
+	func(w workload.Workload, results []pipeline.Result) MemSpecRow {
+		return MemSpecRow{
+			Workload:           w,
+			NoSpecIPC:          results[0].IPC(),
+			NaiveIPC:           results[1].IPC(),
+			NaiveViolations:    results[1].MemViolations,
+			StoreSetsIPC:       results[2].IPC(),
+			StoreSetViolations: results[2].MemViolations,
 		}
-		results, err := runTimingConfigs(ctx, opt, w, size, specs, func(i int, err error) error {
-			return fmt.Errorf("%s/%s: %w", w.Name, pols[i], err)
-		})
-		if err != nil {
-			return row, err
-		}
-		row.NoSpecIPC = results[0].IPC()
-		row.NaiveIPC = results[1].IPC()
-		row.NaiveViolations = results[1].MemViolations
-		row.StoreSetsIPC = results[2].IPC()
-		row.StoreSetViolations = results[2].MemViolations
-		return row, nil
 	},
 	func(_ Options, _ []workload.Workload, rows []MemSpecRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&MemSpecResult{Rows: rows}, fails), nil
@@ -111,31 +102,27 @@ type RecoveryResult struct {
 	Rows []RecoveryRow
 }
 
-// ablRecoveryCells runs the base processor and the three recovery
-// policies as four concurrent independent simulations replaying one
-// shared instruction recording (runTimingConfigs). All but the oracle
+// ablRecoveryCells times the base processor and the three recovery
+// policies on each workload's timing job (runSims). All but the oracle
 // run are fig9's base, selective RAW+RAR and squash RAW+RAR runs, which
-// the suite scheduler simulates once for both experiments (simMemo).
-var ablRecoveryCells = cells(
-	func(ctx context.Context, opt Options, w workload.Workload) (RecoveryRow, error) {
-		size := opt.size(workload.TimingSize)
-		row := RecoveryRow{Workload: w}
-		specs := []simSpec{baseSpec(pipeline.NaiveSpec)}
-		for _, rec := range []pipeline.RecoveryPolicy{pipeline.Selective, pipeline.Squash, pipeline.Oracle} {
-			specs = append(specs, cloakSpec(cloak.ModeRAWRAR, rec, pipeline.NaiveSpec))
-		}
-		results, err := runTimingConfigs(ctx, opt, w, size, specs, func(_ int, err error) error {
-			return err
-		})
-		if err != nil {
-			return row, err
-		}
+// a suite's timing job simulates once for both experiments.
+var ablRecoveryCells = simCells(
+	[]simSpec{
+		baseSpec(pipeline.NaiveSpec),
+		cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pipeline.NaiveSpec),
+		cloakSpec(cloak.ModeRAWRAR, pipeline.Squash, pipeline.NaiveSpec),
+		cloakSpec(cloak.ModeRAWRAR, pipeline.Oracle, pipeline.NaiveSpec),
+	},
+	nil,
+	func(w workload.Workload, results []pipeline.Result) RecoveryRow {
 		base := results[0]
-		row.Selective = speedup(base.Cycles, results[1].Cycles)
-		row.Squash = speedup(base.Cycles, results[2].Cycles)
-		row.Oracle = speedup(base.Cycles, results[3].Cycles)
-		row.Skipped = results[3].SpecSkipped
-		return row, nil
+		return RecoveryRow{
+			Workload:  w,
+			Selective: speedup(base.Cycles, results[1].Cycles),
+			Squash:    speedup(base.Cycles, results[2].Cycles),
+			Oracle:    speedup(base.Cycles, results[3].Cycles),
+			Skipped:   results[3].SpecSkipped,
+		}
 	},
 	func(_ Options, _ []workload.Workload, rows []RecoveryRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&RecoveryResult{Rows: rows}, fails), nil

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -70,45 +69,36 @@ func speedup(base, mech uint64) float64 {
 	return float64(base)/float64(mech) - 1
 }
 
-// timingCells runs each workload's three (fig10) or five (fig9) pipeline
-// configurations as concurrent simulations replaying one shared
-// instruction recording (runTimingConfigs): the simulators are
-// deterministic and no state is shared, so the cell uses one core per
-// configuration (parallelSims). Under the suite scheduler, fig9's base
-// and RAW+RAR runs are also ablmemspec's and ablrecovery's, and fig10's
-// base run is ablmemspec's no-speculation column; whichever cell gets
-// to a configuration first simulates it for all of them (simMemo).
+// timingCells times each workload's three (fig10) or five (fig9)
+// pipeline configurations on its timing job (runSims). fig9's base and
+// RAW+RAR runs are also ablmemspec's and ablrecovery's, and fig10's base
+// run is ablmemspec's no-speculation column, so a suite's timing job
+// simulates each of them once for every experiment that reports it.
 func timingCells(nospec bool) CellRunner {
 	pol := pipeline.NaiveSpec
 	if nospec {
 		pol = pipeline.NoSpec
 	}
-	return cells(
-		func(ctx context.Context, opt Options, w workload.Workload) (Fig9Row, error) {
-			size := opt.size(workload.TimingSize)
-			row := Fig9Row{Workload: w}
-			specs := []simSpec{
-				baseSpec(pol),
-				cloakSpec(cloak.ModeRAW, pipeline.Selective, pol),
-				cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pol),
+	specs := []simSpec{
+		baseSpec(pol),
+		cloakSpec(cloak.ModeRAW, pipeline.Selective, pol),
+		cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pol),
+	}
+	if !nospec {
+		specs = append(specs,
+			cloakSpec(cloak.ModeRAW, pipeline.Squash, pol),
+			cloakSpec(cloak.ModeRAWRAR, pipeline.Squash, pol))
+	}
+	return simCells(specs,
+		func(w workload.Workload, s simSpec, err error) error {
+			if !s.cloaked {
+				return fmt.Errorf("%s base: %w", w.Name, err)
 			}
-			if !nospec {
-				specs = append(specs,
-					cloakSpec(cloak.ModeRAW, pipeline.Squash, pol),
-					cloakSpec(cloak.ModeRAWRAR, pipeline.Squash, pol))
-			}
-			results, err := runTimingConfigs(ctx, opt, w, size, specs, func(i int, err error) error {
-				if i == 0 {
-					return fmt.Errorf("%s base: %w", w.Name, err)
-				}
-				return err
-			})
-			if err != nil {
-				return row, err
-			}
+			return err
+		},
+		func(w workload.Workload, results []pipeline.Result) Fig9Row {
 			base := results[0]
-			row.BaseCycles = base.Cycles
-			row.IPCBase = base.IPC()
+			row := Fig9Row{Workload: w, BaseCycles: base.Cycles, IPCBase: base.IPC()}
 			row.SelRAW = speedup(base.Cycles, results[1].Cycles)
 			row.SelRAWRAR = speedup(base.Cycles, results[2].Cycles)
 			if selBoth := results[2]; selBoth.Insts > 0 {
@@ -118,7 +108,7 @@ func timingCells(nospec bool) CellRunner {
 				row.SqRAW = speedup(base.Cycles, results[3].Cycles)
 				row.SqRAWRAR = speedup(base.Cycles, results[4].Cycles)
 			}
-			return row, nil
+			return row
 		},
 		func(_ Options, ws []workload.Workload, rows []Fig9Row, fails []*runerr.WorkloadError) (Result, error) {
 			res := &Fig9Result{NoSpec: nospec, Rows: rows}

@@ -10,6 +10,7 @@ import (
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/faultsim"
+	"rarpred/internal/metrics"
 	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
@@ -85,41 +86,80 @@ func TestSuitePassMatchesStandaloneCells(t *testing.T) {
 	}
 }
 
-// TestSuiteFunctionalWorkCounts pins the functional work of `-exp all`
-// without -check: each memory stream is replayed twice (the shared pass
-// and ablprofile's software pass), and the loads of ten engines are
+// pipelineInsts counts simulations: every pipeline run adds its
+// committed instructions to it.
+var pipelineInsts = metrics.Default().Counter("pipeline.insts_committed")
+
+// grown runs f and returns how much trace.events_replayed,
+// cloak.engine_loads and pipeline.insts_committed grew: the memory
+// stream events it replayed, the engine loads it simulated and the
+// instructions its timing simulations committed.
+func grown(f func()) (d [3]uint64) {
+	counters := []*metrics.Counter{trace.EventsReplayed, engineLoads, pipelineInsts}
+	var before [3]uint64
+	for i, c := range counters {
+		before[i] = c.Value()
+	}
+	f()
+	for i, c := range counters {
+		d[i] = c.Value() - before[i]
+	}
+	return d
+}
+
+// suiteWork runs exps as one suite, failing the test on any experiment
+// error, and returns each experiment's item by id and the suite's work
+// as grown counts it.
+func suiteWork(t *testing.T, opt Options, exps []Experiment) (map[string]SuiteItem, [3]uint64) {
+	t.Helper()
+	var items map[string]SuiteItem
+	d := grown(func() { items = suiteRows(opt, exps) })
+	for _, e := range exps {
+		if err := items[e.ID].Err; err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+		}
+	}
+	return items, d
+}
+
+// TestSuiteFunctionalWorkCounts pins the functional work of `rarsim -exp
+// all -size 4` without -check, so a change that raises any of it fails
+// here: each memory stream is replayed twice (the shared pass and
+// ablprofile's software pass), and the loads of ten engines are
 // simulated per stream (nine distinct configs plus ablprofile's static
-// engine). A table51-only suite registers nothing and replays nothing.
+// engine). The functional experiments simulate no pipeline, and a
+// table51-only suite registers nothing and replays nothing.
+// TestSimMemoSuiteSimulatesEachConfigOnce pins the timing share of the
+// same run.
 func TestSuiteFunctionalWorkCounts(t *testing.T) {
 	opt := tiny()
-	run := func(exps []Experiment) (replayed, loads uint64) {
-		replayed, loads = trace.EventsReplayed.Value(), engineLoads.Value()
-		RunSuite(opt, exps, func(item SuiteItem) bool {
-			if item.Err != nil {
-				t.Fatalf("%s: %v", item.Exp.ID, item.Err)
-			}
-			return true
-		})
-		return trace.EventsReplayed.Value() - replayed, engineLoads.Value() - loads
+	if _, d := suiteWork(t, opt, []Experiment{mustByID(t, "table51")}); d != [3]uint64{} {
+		t.Errorf("table51 alone replayed, loaded and committed %v, want none", d)
 	}
-	if replayed, loads := run([]Experiment{mustByID(t, "table51")}); replayed != 0 || loads != 0 {
-		t.Errorf("table51 alone replayed %d events into %d engine loads, want none", replayed, loads)
+	var functional []Experiment
+	for _, e := range All() {
+		if _, timing := e.Cells.(simRunner); !timing {
+			functional = append(functional, e)
+		}
 	}
-	replayed, loads := run(All())
-	var events, streamLoads uint64
+	_, d := suiteWork(t, opt, functional)
+	if want := [3]uint64{1_152_044, 4_526_850, 0}; d != want {
+		t.Errorf("trace.events_replayed, cloak.engine_loads, pipeline.insts_committed grew by %v, want %v", d, want)
+	}
+	var events, loads uint64
 	for _, w := range opt.workloads() {
 		tr, err := referenceStream(context.Background(), opt, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		events += uint64(tr.Len())
-		streamLoads += tr.Loads()
+		loads += tr.Loads()
 	}
-	if replayed != 2*events {
-		t.Errorf("trace.events_replayed grew by %d, want 2 passes x %d events", replayed, events)
+	if d[0] != 2*events {
+		t.Errorf("trace.events_replayed grew by %d, want 2 passes x %d events", d[0], events)
 	}
-	if loads != 10*streamLoads {
-		t.Errorf("cloak.engine_loads grew by %d, want 10 engines x %d loads", loads, streamLoads)
+	if d[1] != 10*loads {
+		t.Errorf("cloak.engine_loads grew by %d, want 10 engines x %d loads", d[1], loads)
 	}
 }
 
@@ -139,14 +179,17 @@ func rowBomb(bad string) Experiment {
 					return countRow{Workload: p.w, Value: int(engine.Stats().Loads)}
 				}
 			},
-			func(_ Options, _ []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
-				res := countResult{}
-				for _, r := range rows {
-					res.lines = append(res.lines, fmt.Sprintf("%s=%d", r.Name, r.Value))
-				}
-				return annotate(res, fails), nil
-			}),
+			countLines),
 	}
+}
+
+// countLines renders one "workload=value" line per surviving row.
+func countLines(_ Options, _ []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
+	res := countResult{}
+	for _, r := range rows {
+		res.lines = append(res.lines, fmt.Sprintf("%s=%d", r.Name, r.Value))
+	}
+	return annotate(res, fails), nil
 }
 
 // suiteRows runs exps as a suite and returns each experiment's item by

@@ -114,21 +114,17 @@ func (r tracedRunner[T]) planCell(p *pass) func() any {
 
 // Cell runs the cell standalone: a pass with this one plan.
 func (r tracedRunner[T]) Cell(ctx context.Context, opt Options, w workload.Workload) (any, error) {
-	tr, err := referenceStream(ctx, opt, w)
-	if err != nil {
-		return nil, err
-	}
-	return runPass(w, tr, []passRunner{r})[0], nil
+	return passJob.cell(ctx, opt, w, r)
 }
 
 // tracedCells builds the CellRunner of an experiment that only consumes
 // the committed memory reference stream (all the non-timing
 // experiments; the Section 5.6 cycle-level studies need full
-// register-state simulation, so their cells call runTimingConfigs).
-// plan registers the cell's needs on the workload's pass and returns
-// the step that builds the row after the replay. The stream comes from
-// the shared cache at workload.ReferenceSize, recorded on first use;
-// opt.Live re-records it instead.
+// register-state simulation, so their cells are plans on a timing job,
+// see simCells). plan registers the cell's needs on the workload's pass
+// and returns the step that builds the row after the replay. The stream
+// comes from the shared cache at workload.ReferenceSize, recorded on
+// first use; opt.Live re-records it instead.
 func tracedCells[T any](
 	plan func(p *pass) func() T,
 	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
@@ -140,6 +136,15 @@ func tracedCells[T any](
 // functional experiments' size.
 func referenceStream(ctx context.Context, opt Options, w workload.Workload) (*trace.Stream, error) {
 	return workloadStream(ctx, opt, w, opt.size(workload.ReferenceSize), opt.maxInsts())
+}
+
+// passJob is a workload's functional job: one lookup of its reference
+// stream, then one pass over it for every cell (runPass).
+var passJob = jobKind[passRunner, *trace.Stream]{
+	lookup: referenceStream,
+	shared: func(_ context.Context, _ Options, w workload.Workload, tr *trace.Stream, rs []passRunner) ([]any, error) {
+		return runPass(w, tr, rs), nil
+	},
 }
 
 // runPass replays tr once for the cells of rs and returns their rows,
@@ -157,57 +162,4 @@ func runPass(w workload.Workload, tr *trace.Stream, rs []passRunner) []any {
 		rows[i] = f()
 	}
 	return rows
-}
-
-// runFused runs the functional cells rs (paper order) of workload w as
-// one job: one stream lookup and one pass, under runCell's isolation.
-// Failures are attributed as if each cell had run alone:
-//
-//   - A failed lookup belongs to the first cell, which fails with the
-//     error its own cell would have returned; the remaining cells form a
-//     new job with their own lookup. (A transient fault thus fails one
-//     cell, and the next lookup re-records.)
-//   - Once the lookup succeeds, any failure of the pass — a panic, or
-//     the workload deadline passing — reruns each cell alone through
-//     runCell, so only a faulty cell fails.
-//   - The run context ending is a hard abort: nothing reruns.
-//
-// started counts the cells whose work began, a prefix of rs: the lookup
-// is its first cell's work, and the rest begin with the pass. The cells
-// after them never started, because the run ended first.
-func runFused(ctx context.Context, opt Options, w workload.Workload, rs []passRunner) (rows []any, errs []error, started int) {
-	rows, errs = make([]any, len(rs)), make([]error, len(rs))
-	first := 0
-	for first < len(rs) && ctx.Err() == nil {
-		var looked bool
-		var out []any
-		err := isolate(ctx, opt, w, func(wctx context.Context) error {
-			tr, err := referenceStream(wctx, opt, w)
-			if err != nil {
-				return err
-			}
-			looked = true
-			out = runPass(w, tr, rs[first:])
-			return wctx.Err()
-		})
-		if err == nil {
-			copy(rows[first:], out)
-			return rows, errs, len(rs)
-		}
-		if !looked {
-			errs[first] = err
-			first++
-			continue
-		}
-		for i := first; i < len(rs); i++ {
-			if errs[i] = ctx.Err(); errs[i] == nil {
-				rows[i], errs[i] = runCell(ctx, opt, rs[i], w)
-			}
-		}
-		return rows, errs, len(rs)
-	}
-	for i := first; i < len(rs); i++ {
-		errs[i] = ctx.Err()
-	}
-	return rows, errs, first
 }

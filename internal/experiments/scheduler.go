@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rarpred/internal/runerr"
+	"rarpred/internal/workload"
 )
 
 // SuiteItem is one experiment's completed outcome, delivered to the
@@ -32,6 +32,16 @@ type SuiteItem struct {
 	Cells []CellStat
 }
 
+// Cost sums the experiment's cells' Elapsed: its share of the workers'
+// time. Over a suite, the items' costs sum to SuiteStats.Busy.
+func (it SuiteItem) Cost() time.Duration {
+	var d time.Duration
+	for _, c := range it.Cells {
+		d += c.Elapsed
+	}
+	return d
+}
+
 // CellStat times one (experiment × workload) cell.
 type CellStat struct {
 	Workload string
@@ -45,7 +55,8 @@ type CellStat struct {
 	// completed it and journaled its row.
 	Resumed bool
 	// Fused reports the cell ran in one job with other experiments'
-	// cells for the same workload: one pass over its stream (runFused).
+	// cells for the same workload: one pass over its reference stream, or
+	// one timing job over its instruction stream (jobKind.runFused).
 	Fused bool
 }
 
@@ -74,18 +85,6 @@ type suiteExp struct {
 	started   atomic.Bool // any cell began with the run context alive
 }
 
-// runWhole runs an undecomposed experiment (no Cells) as a single unit
-// with the same panic isolation a cell gets, so a panicking Run fails
-// its experiment rather than the pool worker executing it.
-func runWhole(opt Options, e Experiment) (res Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, runerr.FromPanic(e.ID, p, debug.Stack())
-		}
-	}()
-	return e.Run(opt)
-}
-
 // RunSuite executes the experiments as one work pool over their
 // (experiment × workload) cells: every cell from every experiment feeds
 // a single queue drained by Options.parallelism() workers, so a slow
@@ -97,14 +96,14 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 // are waiting on it.
 //
 // The unit of work is a job. The functional experiments' cells for one
-// workload form one job (runFused): one stream lookup and one pass that
-// replays the stream into every covered experiment's analyzers.
-// Options.Live opts out, giving each functional cell a job of its own.
-// Every other cell is a job of one. The queue holds the jobs in paper
-// order of their first cells: experiment by experiment, each over the
-// workloads in suite order. Timing cells share one simMemo for the
-// call, so a configuration that several timing experiments report is
-// simulated once per workload.
+// workload form one job (passJob): one stream lookup and one pass that
+// replays the stream into every covered experiment's analyzers. The
+// timing experiments' cells for one workload form another (simJob): one
+// instruction-stream lookup, then each distinct configuration they time
+// simulated once. Both kinds share one set of failure rules
+// (jobKind.runFused). Any other cell is a job of one. The queue holds
+// the jobs in paper order of their first cells: experiment by
+// experiment, each over the workloads in suite order.
 //
 // Results are assembled the moment an experiment's last cell retires and
 // delivered in suite order — deliver(item) is called exactly once per
@@ -121,14 +120,12 @@ func runWhole(opt Options, e Experiment) (res Result, err error) {
 // With Options.Journal set the suite is resumable: cells a previous run
 // journaled are prefilled from their decoded rows (CellStat.Resumed)
 // and never scheduled — no simulation, no stream lookup, no place in a
-// fused job — and each cell that completes successfully in this run is
-// journaled as it retires.
-// Because delivery order, row order, and assembly are unchanged, a
-// resumed run's aggregate output is byte-identical to an uninterrupted
-// one.
+// workload's job — and each cell that completes successfully in this
+// run is journaled as it retires. Because delivery order, row order,
+// and assembly are unchanged, a resumed run's aggregate output is
+// byte-identical to an uninterrupted one.
 func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) SuiteStats {
 	begin := time.Now()
-	opt.sims = newSimMemo()
 	runCtx := opt.ctx()
 	// The internal cancel propagates a deliver=false stop to every
 	// not-yet-run cell; the run context's own end is observed through it
@@ -139,77 +136,74 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	ws := opt.workloads()
 	states := make([]*suiteExp, len(exps))
 	// A job runs one workload's cells of the experiments in eis, in
-	// paper order (wi -1: one undecomposed experiment). fused marks a
-	// workload's pass over its functional cells.
+	// paper order, through run: a workload's pass or timing job, or
+	// runAlone for a job of one plain cell.
 	type job struct {
-		wi    int
-		eis   []int
-		fused bool
+		wi  int
+		eis []int
+		run func(ctx context.Context, opt Options, w workload.Workload, rs []CellRunner) ([]any, []error, int)
 	}
 	var jobs []*job
-	passJobs := make([]*job, len(ws)) // each workload's fused job, once it has one
+	// Each workload's pass and timing jobs, once it has them.
+	passJobs, simJobs := make([]*job, len(ws)), make([]*job, len(ws))
 	cellsTotal := 0
 	var fullyResumed []int // experiments with every cell journaled
 	for ei, e := range exps {
-		st := &suiteExp{exp: e}
-		if e.Cells == nil {
-			// No cell decomposition: the whole experiment is one unit.
-			st.rows = make([]any, 1)
-			st.errs = make([]error, 1)
-			st.stats = make([]CellStat, 1)
-			st.pending.Store(1)
-			jobs = append(jobs, &job{wi: -1, eis: []int{ei}})
-			cellsTotal++
-		} else {
-			st.rows = make([]any, len(ws))
-			st.errs = make([]error, len(ws))
-			st.stats = make([]CellStat, len(ws))
-			// Prefill cells the journal already holds: the decoded row
-			// lands exactly where the worker would have put it, so
-			// assembly cannot tell a resumed cell from a fresh one. An
-			// undecodable journal row (foreign build's gob layout, say)
-			// just re-runs the cell — resume is an optimisation, never a
-			// correctness risk.
-			resumed := make([]bool, len(ws))
-			if codec, ok := e.Cells.(RowCodec); ok && opt.Journal != nil {
-				for wi, w := range ws {
-					enc, hit := opt.Journal.Lookup(e.ID, w.Name)
-					if !hit {
-						continue
-					}
-					row, derr := codec.DecodeRow(enc)
-					if derr != nil {
-						continue
-					}
-					resumed[wi] = true
-					st.rows[wi] = row
-					st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
-				}
-			}
-			_, traced := e.Cells.(passRunner)
-			traced = traced && !opt.Live
-			remaining := 0
-			for wi := range ws {
-				if resumed[wi] {
+		st := &suiteExp{
+			exp:   e,
+			rows:  make([]any, len(ws)),
+			errs:  make([]error, len(ws)),
+			stats: make([]CellStat, len(ws)),
+		}
+		// Prefill cells the journal already holds: the decoded row lands
+		// exactly where the worker would have put it, so assembly cannot
+		// tell a resumed cell from a fresh one. An undecodable journal row
+		// (foreign build's gob layout, say) just re-runs the cell — resume
+		// is an optimisation, never a correctness risk.
+		resumed := make([]bool, len(ws))
+		if codec, ok := e.Cells.(RowCodec); ok && opt.Journal != nil {
+			for wi, w := range ws {
+				enc, hit := opt.Journal.Lookup(e.ID, w.Name)
+				if !hit {
 					continue
 				}
-				remaining++
-				if traced && passJobs[wi] != nil {
-					passJobs[wi].eis = append(passJobs[wi].eis, ei)
+				row, derr := codec.DecodeRow(enc)
+				if derr != nil {
 					continue
 				}
-				j := &job{wi: wi, eis: []int{ei}, fused: traced}
-				if traced {
-					passJobs[wi] = j
-				}
-				jobs = append(jobs, j)
+				resumed[wi] = true
+				st.rows[wi] = row
+				st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
 			}
-			cellsTotal += remaining
-			st.pending.Store(int32(remaining))
-			if remaining == 0 {
-				st.startOnce.Do(func() { st.start = time.Now() })
-				fullyResumed = append(fullyResumed, ei)
+		}
+		run, shared := runAlone, []*job(nil)
+		switch e.Cells.(type) {
+		case passRunner:
+			run, shared = passJob.runFused, passJobs
+		case simRunner:
+			run, shared = simJob.runFused, simJobs
+		}
+		remaining := 0
+		for wi := range ws {
+			if resumed[wi] {
+				continue
 			}
+			remaining++
+			if shared != nil && shared[wi] != nil {
+				shared[wi].eis = append(shared[wi].eis, ei)
+				continue
+			}
+			j := &job{wi: wi, eis: []int{ei}, run: run}
+			if shared != nil {
+				shared[wi] = j
+			}
+			jobs = append(jobs, j)
+		}
+		cellsTotal += remaining
+		st.pending.Store(int32(remaining))
+		if remaining == 0 {
+			st.startOnce.Do(func() { st.start = time.Now() })
+			fullyResumed = append(fullyResumed, ei)
 		}
 		states[ei] = st
 	}
@@ -240,10 +234,6 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		st := states[ei]
 		item := SuiteItem{Index: ei, Exp: st.exp, Elapsed: time.Since(st.start), Cells: st.stats}
 		switch {
-		case st.exp.Cells == nil:
-			item.Result, _ = st.rows[0].(Result)
-			item.Err = st.errs[0]
-			item.NotRun = !st.started.Load() && runCtx.Err() != nil
 		case runCtx.Err() != nil && !st.started.Load():
 			item.NotRun = true
 			item.Err = runCtx.Err()
@@ -280,11 +270,10 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	suiteWorkersBusy.Set(0)
 
 	// retire records one finished cell of experiment ei for workload wi
-	// (-1: the whole experiment) and assembles the experiment once its
-	// last cell is in.
+	// and assembles the experiment once its last cell is in.
 	retire := func(ei, wi int, row any, err error, stat CellStat) {
 		st := states[ei]
-		if wi >= 0 && err == nil && opt.Journal != nil {
+		if err == nil && opt.Journal != nil {
 			// Journal the finished cell durably, best effort: a failed
 			// append costs only this cell's resumability, never the run.
 			if codec, ok := st.exp.Cells.(RowCodec); ok {
@@ -293,8 +282,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				}
 			}
 		}
-		i := max(wi, 0)
-		st.rows[i], st.errs[i], st.stats[i] = row, err, stat
+		st.rows[wi], st.errs[wi], st.stats[wi] = row, err, stat
 		if st.pending.Add(-1) == 0 {
 			assemble(ei)
 		}
@@ -304,28 +292,18 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	// It marks the experiments whose cells began as started.
 	run := func(j *job) ([]any, []error) {
 		n := len(j.eis)
-		rows, errs := make([]any, n), make([]error, n)
-		started := 0
-		switch err := ctx.Err(); {
-		case err != nil:
+		if err := ctx.Err(); err != nil {
+			errs := make([]error, n)
 			for k := range errs {
 				errs[k] = err
 			}
-		case j.wi < 0:
-			sub := opt
-			sub.Context = ctx
-			rows[0], errs[0] = runWhole(sub, exps[j.eis[0]])
-			started = 1
-		case j.fused:
-			rs := make([]passRunner, n)
-			for k, ei := range j.eis {
-				rs[k] = exps[ei].Cells.(passRunner)
-			}
-			rows, errs, started = runFused(ctx, opt, ws[j.wi], rs)
-		default:
-			rows[0], errs[0] = runCell(ctx, opt, exps[j.eis[0]].Cells, ws[j.wi])
-			started = 1
+			return make([]any, n), errs
 		}
+		rs := make([]CellRunner, n)
+		for k, ei := range j.eis {
+			rs[k] = exps[ei].Cells
+		}
+		rows, errs, started := j.run(ctx, opt, ws[j.wi], rs)
 		for _, ei := range j.eis[:started] {
 			states[ei].started.Store(true)
 		}
@@ -359,16 +337,12 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				suiteWorkersBusy.Add(-1)
 				suiteCellsDone.Add(int64(n))
 				atomic.AddInt64(&busy, int64(elapsed))
-				name := ""
-				if j.wi >= 0 {
-					name = ws[j.wi].Name
-				}
 				// Split the job's time evenly over its cells, the first
 				// cells taking the nanoseconds left over, so the cells'
 				// times sum to the job's exactly.
 				share, rest := elapsed/time.Duration(n), elapsed%time.Duration(n)
 				for k, ei := range j.eis {
-					stat := CellStat{Workload: name, Elapsed: share, Failed: errs[k] != nil, Fused: n > 1}
+					stat := CellStat{Workload: ws[j.wi].Name, Elapsed: share, Failed: errs[k] != nil, Fused: n > 1}
 					if time.Duration(k) < rest {
 						stat.Elapsed++
 					}
@@ -386,4 +360,93 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		Wall:        time.Since(begin),
 		Busy:        time.Duration(atomic.LoadInt64(&busy)),
 	}
+}
+
+// runAlone runs a job of one plain cell: runCell.
+func runAlone(ctx context.Context, opt Options, w workload.Workload, rs []CellRunner) ([]any, []error, int) {
+	row, err := runCell(ctx, opt, rs[0], w)
+	return []any{row}, []error{err}, 1
+}
+
+// jobKind is one way a workload's cells share their work: the lookup of
+// the source they all read, and the shared step that builds their rows
+// (index-aligned with rs) from it. passJob looks up the reference stream
+// and replays it once; simJob looks up the instruction stream and
+// simulates each distinct configuration once.
+type jobKind[R CellRunner, S any] struct {
+	lookup func(ctx context.Context, opt Options, w workload.Workload) (S, error)
+	shared func(ctx context.Context, opt Options, w workload.Workload, src S, rs []R) ([]any, error)
+}
+
+// cell runs r standalone: the job with this one cell.
+func (k jobKind[R, S]) cell(ctx context.Context, opt Options, w workload.Workload, r R) (any, error) {
+	src, err := k.lookup(ctx, opt, w)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := k.shared(ctx, opt, w, src, []R{r})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// runFused runs the cells rs (paper order, each an R) of workload w as
+// one job: one lookup and one shared step, under runCell's isolation.
+// Failures are attributed as if each cell had run alone:
+//
+//   - A failed lookup belongs to the first cell, which fails with the
+//     error its own cell would have returned; the remaining cells form a
+//     new job with their own lookup. (A transient fault thus fails one
+//     cell, and the next lookup re-records.)
+//   - Once the lookup succeeds, any failure of the job — an error or
+//     panic in the shared step, or the workload deadline passing —
+//     reruns each cell alone through runCell, so only a faulty cell
+//     fails, with its own experiment's error.
+//   - The run context ending is a hard abort: nothing reruns.
+//
+// started counts the cells whose work began, a prefix of rs: the lookup
+// is its first cell's work, and the rest begin with the shared step.
+// The cells after them never started, because the run ended first.
+func (k jobKind[R, S]) runFused(ctx context.Context, opt Options, w workload.Workload, rs []CellRunner) (rows []any, errs []error, started int) {
+	typed := make([]R, len(rs))
+	for i, r := range rs {
+		typed[i] = r.(R)
+	}
+	rows, errs = make([]any, len(rs)), make([]error, len(rs))
+	first := 0
+	for first < len(rs) && ctx.Err() == nil {
+		var looked bool
+		var out []any
+		err := isolate(ctx, opt, w, func(wctx context.Context) error {
+			src, err := k.lookup(wctx, opt, w)
+			if err != nil {
+				return err
+			}
+			looked = true
+			if out, err = k.shared(wctx, opt, w, src, typed[first:]); err != nil {
+				return err
+			}
+			return wctx.Err()
+		})
+		if err == nil {
+			copy(rows[first:], out)
+			return rows, errs, len(rs)
+		}
+		if !looked {
+			errs[first] = err
+			first++
+			continue
+		}
+		for i := first; i < len(rs); i++ {
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				rows[i], errs[i] = runCell(ctx, opt, rs[i], w)
+			}
+		}
+		return rows, errs, len(rs)
+	}
+	for i := first; i < len(rs); i++ {
+		errs[i] = ctx.Err()
+	}
+	return rows, errs, first
 }

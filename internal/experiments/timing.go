@@ -3,12 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/faultsim"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/pipeline"
+	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -19,16 +19,17 @@ import (
 // benchmark, so the harness records that stream once (trace.IStream,
 // cached under the shared trace.Cache with Timing keys) and replays it
 // into every configuration's pipeline.Sim — the timing sibling of the
-// functional experiments' shared memory-trace cache. The experiments
-// also overlap in the configurations they time, so within one run each
-// distinct configuration is simulated once per recording (simMemo).
+// functional experiments' shared memory-trace cache. A timing cell is a
+// plan on its workload's timing job (simJob): it declares the specs it
+// times, and the job simulates each distinct spec once for every cell
+// it covers.
 
 // simSpec describes one timing configuration of Section 5.6: the base
 // processor under a memory-dependence speculation policy, optionally
 // with cloaking/bypassing in one mode and one value-misspeculation
 // recovery policy. Every timing experiment builds its pipeline.Configs
 // from simSpecs, so two equal specs always mean the same whole Config
-// and a spec is the comparable form simMemo keys on.
+// and a spec is the comparable form a timing job dedups on.
 type simSpec struct {
 	memSpec  pipeline.MemSpecPolicy
 	cloaked  bool
@@ -60,143 +61,125 @@ func (s simSpec) config() pipeline.Config {
 	return cfg
 }
 
-// runTimingConfigs runs one workload under every spec concurrently
-// (parallelSims). On the cached path the committed instruction stream is
-// recorded once, and each spec's Result comes from the run's simMemo:
-// replayed from that recording by the first cell to ask for it, awaited
-// or reused by every other. Options.Live forces every spec onto the
-// pre-trace path — a full live interpreter per pipeline.Sim, no memo —
-// the oracle the replayed and shared Results are tested against. wrap
-// attributes spec i's error the way the calling experiment labels its
-// variants.
-func runTimingConfigs(ctx context.Context, opt Options, w workload.Workload, size int,
-	specs []simSpec, wrap func(i int, err error) error) ([]pipeline.Result, error) {
-	results := make([]pipeline.Result, len(specs))
+// simRunner is the CellRunner of a timing experiment: its cell is a plan
+// on its workload's timing job.
+type simRunner interface {
+	CellRunner
+	// sims returns the specs the cell times, the same on every workload.
+	sims() []simSpec
+	// simRow builds the cell's row from its specs' Results, index-aligned
+	// with sims.
+	simRow(w workload.Workload, res []pipeline.Result) any
+	// simErr labels spec s's failure the way the experiment names its
+	// variants.
+	simErr(w workload.Workload, s simSpec, err error) error
+}
+
+// simCellRunner implements simRunner for a typed row.
+type simCellRunner[T any] struct {
+	cellRunner[T]
+	specs []simSpec
+	label func(w workload.Workload, s simSpec, err error) error
+	row   func(w workload.Workload, res []pipeline.Result) T
+}
+
+func (r simCellRunner[T]) sims() []simSpec { return r.specs }
+
+func (r simCellRunner[T]) simRow(w workload.Workload, res []pipeline.Result) any {
+	return r.row(w, res)
+}
+
+func (r simCellRunner[T]) simErr(w workload.Workload, s simSpec, err error) error {
+	if r.label == nil {
+		return err
+	}
+	return r.label(w, s, err)
+}
+
+// Cell runs the cell standalone: a timing job with this one runner.
+func (r simCellRunner[T]) Cell(ctx context.Context, opt Options, w workload.Workload) (any, error) {
+	return simJob.cell(ctx, opt, w, r)
+}
+
+// simCells builds the CellRunner of a timing experiment. Its cell times
+// specs on the workload's timing job, and row builds the cell's row from
+// their Results. label attributes a spec's error the way the experiment
+// names its variants; nil leaves errors as they are.
+func simCells[T any](
+	specs []simSpec,
+	label func(w workload.Workload, s simSpec, err error) error,
+	row func(w workload.Workload, res []pipeline.Result) T,
+	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
+) CellRunner {
+	return simCellRunner[T]{cellRunner: cellRunner[T]{assemble: assemble}, specs: specs, label: label, row: row}
+}
+
+// simJob is a workload's timing job: one lookup of its committed
+// instruction stream, then each distinct spec its cells time simulated
+// once (runSims).
+var simJob = jobKind[simRunner, *trace.IStream]{lookup: timingStream, shared: runSims}
+
+// timingStream looks up w's committed instruction stream at the timing
+// experiments' size. Under Options.Live there is none to look up: every
+// spec interprets the program live.
+func timingStream(ctx context.Context, opt Options, w workload.Workload) (*trace.IStream, error) {
 	if opt.Live {
-		err := parallelSims(ctx, len(specs), func(i int) error {
-			cfg := specs[i].config()
-			cfg.Interrupt = interruptHook(ctx)
-			res, err := pipeline.RunProgram(w.Program(size), cfg)
-			results[i] = res
-			if err != nil {
-				return wrap(i, err)
+		return nil, nil
+	}
+	return workloadIStream(ctx, opt, w, opt.size(workload.TimingSize), opt.maxInsts())
+}
+
+// runSims simulates each distinct spec the cells rs time once, at most
+// opt.parallelism() at a time, replaying is (or, with no recording under
+// Options.Live, a full live interpreter per spec, the oracle the
+// replayed Results are tested against). It then builds every cell's row
+// from its own specs' Results. A failed simulation fails the job with
+// the error as labelled by the first cell, in rs order, that times the
+// spec, so a job of one cell fails exactly as that cell names it.
+func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IStream, rs []simRunner) ([]any, error) {
+	var (
+		specs  []simSpec
+		askers []simRunner // the first cell to time each spec
+	)
+	index := make(map[simSpec]int)
+	for _, r := range rs {
+		for _, s := range r.sims() {
+			if _, seen := index[s]; !seen {
+				index[s] = len(specs)
+				specs = append(specs, s)
+				askers = append(askers, r)
 			}
-			return nil
-		})
-		return results, err
+		}
 	}
-	is, err := workloadIStream(ctx, opt, w, size, opt.maxInsts())
-	if err != nil {
-		return nil, err
-	}
-	sims := opt.sims
-	if sims == nil {
-		sims = newSimMemo() // a cell called outside RunSuite and runCells is a run of its own
-	}
-	prog := w.Program(size)
-	err = parallelSims(ctx, len(specs), func(i int) error {
-		res, err := sims.do(ctx, simKey{is: is, spec: specs[i]}, func() (pipeline.Result, error) {
+	prog := w.Program(opt.size(workload.TimingSize))
+	results := make([]pipeline.Result, len(specs))
+	err := parallelSims(ctx, len(specs), opt.parallelism(), func(j int) (err error) {
+		cfg := specs[j].config()
+		cfg.Interrupt = interruptHook(ctx)
+		if is == nil {
+			results[j], err = pipeline.RunProgram(prog, cfg)
+		} else {
 			defer startSpan("cell/replay").End()
-			cfg := specs[i].config()
-			cfg.Interrupt = interruptHook(ctx)
-			return pipeline.NewReplay(prog, is, cfg).Run()
-		})
-		results[i] = res
+			results[j], err = pipeline.NewReplay(prog, is, cfg).Run()
+		}
 		if err != nil {
-			return wrap(i, err)
+			return askers[j].simErr(w, specs[j], err)
 		}
 		return nil
 	})
-	return results, err
-}
-
-// simMemo is a single-flight memo of timing Results for one run: one
-// RunSuite or runCells call installs a fresh one in Options. The timing
-// experiments overlap — ablmemspec's naive and no-speculation columns
-// are fig9's and fig10's base runs, and ablrecovery's base, selective
-// and squash runs are fig9's own — so a suite over all four simulates
-// 10 configurations per workload instead of 15. The first cell to ask
-// for a key simulates it; a cell asking while that simulation is in
-// flight waits for it, bounded by its own context; a later cell reuses
-// the Result.
-//
-// A simulation that fails (error, deadline, cancellation or panic)
-// leaves nothing behind: its entry is dropped before waiters wake, the
-// failure reaches only the simulating cell, and each waiter recomputes
-// under its own context. The memo never outlives its run, so -check's
-// shadow run (each experiment's standalone Run) simulates afresh and
-// stays an independent oracle for the scheduler's shared results.
-type simMemo struct {
-	mu      sync.Mutex
-	entries map[simKey]*simEntry
-}
-
-// simKey identifies a simulation by the exact recording it replays — a
-// recording dropped and re-recorded under the same cache key is a new
-// key here — and the spec its whole pipeline.Config is built from. The
-// run's recordings stay reachable through their keys until the run
-// ends.
-type simKey struct {
-	is   *trace.IStream
-	spec simSpec
-}
-
-// simEntry is one simulation's outcome. done closes when the simulating
-// cell finishes; res and ok are written before that and never after.
-type simEntry struct {
-	done chan struct{}
-	res  pipeline.Result
-	ok   bool
-}
-
-func newSimMemo() *simMemo { return &simMemo{entries: make(map[simKey]*simEntry)} }
-
-// do returns key's Result: reused when an earlier simulation of key
-// succeeded, awaited (until ctx ends) while one is in flight, and
-// computed by sim otherwise. sim must not consult the memo, so a waiter
-// only ever waits on a running simulation, never on another waiter.
-func (m *simMemo) do(ctx context.Context, key simKey, sim func() (pipeline.Result, error)) (pipeline.Result, error) {
-	for {
-		m.mu.Lock()
-		e, found := m.entries[key]
-		if !found {
-			e = &simEntry{done: make(chan struct{})}
-			m.entries[key] = e
-		}
-		m.mu.Unlock()
-		if !found {
-			return m.fill(key, e, sim)
-		}
-		select {
-		case <-e.done:
-			if e.ok {
-				return e.res, nil
-			}
-			// The simulating cell failed and dropped the entry: this cell
-			// simulates (or waits on whoever got there first) afresh.
-		case <-ctx.Done():
-			return pipeline.Result{}, ctx.Err()
-		}
+	if err != nil {
+		return nil, err
 	}
-}
-
-// fill runs sim for key's entry e. Unless sim succeeds the entry is
-// dropped before done closes, so no waiter sees the failure, and a
-// panic keeps unwinding into the simulating cell's runCell.
-func (m *simMemo) fill(key simKey, e *simEntry, sim func() (pipeline.Result, error)) (pipeline.Result, error) {
-	defer func() {
-		if !e.ok {
-			m.mu.Lock()
-			delete(m.entries, key)
-			m.mu.Unlock()
+	rows := make([]any, len(rs))
+	for k, r := range rs {
+		own := r.sims()
+		res := make([]pipeline.Result, len(own))
+		for i, s := range own {
+			res[i] = results[index[s]]
 		}
-		close(e.done)
-	}()
-	res, err := sim()
-	if err == nil {
-		e.res, e.ok = res, true
+		rows[k] = r.simRow(w, res)
 	}
-	return res, err
+	return rows, nil
 }
 
 // interruptHook builds the pipeline Config.Interrupt seam from the run
