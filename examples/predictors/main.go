@@ -44,7 +44,7 @@ func figure4Walkthrough() {
 	// deposits the value it reads from memory (4).
 	pred, _ := dpnt.Lookup(ld)
 	fmt.Printf("LD  prediction: producer=%v (a load producer: %v)\n",
-		pred.Producer, pred.ProducerIsLoad)
+		pred.Producer, dpnt.ProducerIsLoad(ld))
 	sf.Allocate(pred.Synonym)
 	valueFromMemory := uint32(42)
 	sf.Write(pred.Synonym, valueFromMemory, cloak.DepRAR, ld)

@@ -1,52 +1,44 @@
 package cloak
 
-import "rarpred/internal/check"
+import "rarpred/internal/trace"
 
 // Bank runs engines over one committed stream: one engine per distinct
 // config, and one detector per distinct detection setup. Detection
 // happens at commit in the DDT alone: the DPNT, synonym file,
 // confidence and merge policy never feed back into it. Engines whose
 // configs agree on DDTCapacity, SplitDDT and Mode therefore see
-// identical dependences, and one table answers for all of them. The
-// bank drives each shared detector once per event, and every engine
-// reads the result through a tap detector, so the engines' own Load
-// and Store paths run unchanged.
+// identical dependences, and one table answers for all of them.
+//
+// A bank is a trace.Sink that walks whole chunks: each shared detector
+// first walks the chunk and writes every load's dependence into its
+// column, then each engine walks the chunk, reading its detector's
+// column where an engine of its own would probe a DDT. Each table thus
+// stays hot for a whole chunk instead of sharing the cache with every
+// other engine's tables at each event.
 //
 // Several consumers can ask for the same config; they share its
 // engine. A consumer that needs each load's outcome, not only the
 // engine's totals, registers a listener with OnLoad. Every request
-// (Engine, OnLoad, Profile) must come before the first event.
+// (Engine, OnLoad, Profile) must come before the first chunk.
 type Bank struct {
 	engines   []*Engine
-	byConfig  map[Config]int // config → index into engines
+	byConfig  map[Config]int    // config → index into engines
+	detectors []*sharedDetector // engine index → its shared detector
 	listeners [][]func(pc, addr, value uint32, out LoadOutcome)
 	shared    []*sharedDetector
 	byDetect  map[Config]int // detection fields only → index into shared
 }
 
-// sharedDetector is one detector of a bank plus the event it last
-// processed and, for a load, the result its taps hand back.
+// sharedDetector is one detector of a bank and its dependence column
+// for the chunk being walked.
 type sharedDetector struct {
-	det      Detector
-	sc       bool // det is the self-checking variant
-	addr, pc uint32
-	dep      Dependence
-	ok       bool
-	profile  *Profile // records every dependence det reports, once asked for
-}
-
-// tap is a bank engine's detector. The shared detector has already
-// recorded each store, and a load returns the shared result.
-type tap struct{ s *sharedDetector }
-
-func (tap) Store(addr, pc uint32) {}
-
-func (t tap) Load(addr, pc uint32) (Dependence, bool) {
-	if check.Enabled {
-		check.Assertf(addr == t.s.addr && pc == t.s.pc, "bank.tap",
-			"engine load addr=%#x pc=%#x, shared detector last saw addr=%#x pc=%#x", addr, pc, t.s.addr, t.s.pc)
-	}
-	return t.s.dep, t.s.ok
+	det Detector
+	sc  bool // det is the self-checking variant
+	// deps[i] is the dependence chunk event i found, if it is a load
+	// (Kind DepNone: none visible); it holds at most one chunk and is
+	// reused for every chunk.
+	deps    []Dependence
+	profile *Profile // records every dependence det reports, once asked for
 }
 
 // NewBank returns a bank holding an engine for each config. Equal
@@ -68,7 +60,8 @@ func (b *Bank) add(cfg Config) int {
 	}
 	i := len(b.engines)
 	b.byConfig[cfg] = i
-	b.engines = append(b.engines, newEngine(cfg, tap{b.detector(cfg)}))
+	b.engines = append(b.engines, newEngine(cfg, nil))
+	b.detectors = append(b.detectors, b.detector(cfg))
 	b.listeners = append(b.listeners, nil)
 	return i
 }
@@ -93,8 +86,8 @@ func (b *Bank) detector(cfg Config) *sharedDetector {
 }
 
 // Engine returns the bank's engine for cfg, adding one if no earlier
-// request named cfg. Drive it only through the bank: its detector
-// answers for the bank's latest event.
+// request named cfg. It has no detector of its own: drive it only
+// through the bank.
 func (b *Bank) Engine(cfg Config) *Engine { return b.engines[b.add(cfg)] }
 
 // Engines returns the bank's engines in the order their configs were
@@ -103,7 +96,8 @@ func (b *Bank) Engines() []*Engine { return b.engines }
 
 // OnLoad registers fn to receive every load after the engine for cfg
 // (added if new) has processed it, with the outcome that engine
-// reported.
+// reported. Listeners run while their engine walks a chunk, so each
+// sees the loads in recorded order.
 func (b *Bank) OnLoad(cfg Config, fn func(pc, addr, value uint32, out LoadOutcome)) {
 	i := b.add(cfg)
 	b.listeners[i] = append(b.listeners[i], fn)
@@ -120,31 +114,50 @@ func (b *Bank) Profile(cfg Config) *Profile {
 	return s.profile
 }
 
-// Store feeds one committed store to every engine.
-func (b *Bank) Store(pc, addr, value uint32) {
+// WalkChunk implements trace.Sink: every shared detector walks the
+// chunk into its column, then every engine walks it in turn and hands
+// each load's outcome to its listeners.
+func (b *Bank) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
+	n := len(kinds)
+	pcs, addrs, values = pcs[:n], addrs[:n], values[:n]
 	for _, s := range b.shared {
-		s.addr, s.pc = addr, pc
-		s.det.Store(addr, pc)
+		s.detect(kinds, pcs, addrs)
 	}
-	for _, e := range b.engines {
-		e.Store(pc, addr, value)
+	for i, e := range b.engines {
+		deps := b.detectors[i].deps[:n]
+		fns := b.listeners[i]
+		for j, k := range kinds {
+			pc, value := pcs[j], values[j]
+			pred, havePred := e.dpnt.Lookup(pc)
+			if trace.Kind(k) != trace.KindLoad {
+				e.store(pc, value, pred, havePred)
+				continue
+			}
+			out := e.load(pc, value, pred, havePred, deps[j])
+			for _, fn := range fns {
+				fn(pc, addrs[j], value, out)
+			}
+		}
 	}
 }
 
-// Load feeds one committed load to every engine, and each engine's
-// outcome to its listeners.
-func (b *Bank) Load(pc, addr, value uint32) {
-	for _, s := range b.shared {
-		s.addr, s.pc = addr, pc
-		s.dep, s.ok = s.det.Load(addr, pc)
-		if s.ok && s.profile != nil {
-			s.profile.Record(s.dep)
-		}
+// detect runs the chunk through the detector, recording each store and
+// writing each load's dependence into the column.
+func (s *sharedDetector) detect(kinds []uint8, pcs, addrs []uint32) {
+	n := len(kinds)
+	if cap(s.deps) < n {
+		s.deps = make([]Dependence, n)
 	}
-	for i, e := range b.engines {
-		out := e.Load(pc, addr, value)
-		for _, fn := range b.listeners[i] {
-			fn(pc, addr, value, out)
+	deps, pcs, addrs := s.deps[:n], pcs[:n], addrs[:n]
+	for j, k := range kinds {
+		if trace.Kind(k) != trace.KindLoad {
+			s.det.Store(addrs[j], pcs[j])
+			continue
+		}
+		dep, ok := s.det.Load(addrs[j], pcs[j])
+		deps[j] = dep
+		if ok && s.profile != nil {
+			s.profile.Record(dep)
 		}
 	}
 }

@@ -35,7 +35,8 @@ func bankConfigs() []Config {
 // bankGroups is the number of distinct detectors bankConfigs needs.
 const bankGroups = 5
 
-// bankOracle drives a bank and one independent engine per config.
+// bankOracle runs a bank and, next to it, one independent engine per
+// config.
 type bankOracle struct {
 	bank    *Bank
 	engines []*Engine
@@ -49,18 +50,14 @@ func newBankOracle(cfgs []Config) *bankOracle {
 	return o
 }
 
-func (o *bankOracle) load(pc, addr, value uint32) {
-	o.bank.Load(pc, addr, value)
+// replay feeds tr to the bank, which walks whole chunks, and event by
+// event to every independent engine.
+func (o *bankOracle) replay(tr *trace.Stream) {
+	sinks := []trace.Sink{o.bank}
 	for _, e := range o.engines {
-		e.Load(pc, addr, value)
+		sinks = append(sinks, engineSink(e))
 	}
-}
-
-func (o *bankOracle) store(pc, addr, value uint32) {
-	o.bank.Store(pc, addr, value)
-	for _, e := range o.engines {
-		e.Store(pc, addr, value)
-	}
+	tr.Replay(sinks...)
 }
 
 func (o *bankOracle) compare(t *testing.T, what string) {
@@ -71,6 +68,38 @@ func (o *bankOracle) compare(t *testing.T, what string) {
 		}
 	}
 }
+
+// engineSink drives e event by event.
+func engineSink(e *Engine) trace.Sink {
+	return trace.SinkFuncs{
+		OnLoad:  func(pc, addr, value uint32) { e.Load(pc, addr, value) },
+		OnStore: e.Store,
+	}
+}
+
+// randomStream returns a sealed stream of n random events: loads on
+// pcs static loads, one store in four on as many static stores (the
+// two PC ranges are disjoint, as in a real program), addrs words and
+// values distinct values.
+func randomStream(seed int64, n, pcs, addrs, values int) *trace.Stream {
+	rng := rand.New(rand.NewSource(seed))
+	tr := trace.NewStream()
+	for i := 0; i < n; i++ {
+		pc := uint32(rng.Intn(pcs))<<2 + 4
+		addr := uint32(rng.Intn(addrs)) << 2
+		value := uint32(rng.Intn(values))
+		if rng.Intn(4) == 0 {
+			tr.Append(trace.KindStore, pc+0x1000, addr, value)
+		} else {
+			tr.Append(trace.KindLoad, pc, addr, value)
+		}
+	}
+	tr.Seal()
+	return tr
+}
+
+// multiChunk is long enough for a stream to span three chunks.
+const multiChunk = 150000
 
 func TestBankSharesDetectors(t *testing.T) {
 	b := NewBank(bankConfigs()...)
@@ -83,19 +112,12 @@ func TestBankSharesDetectors(t *testing.T) {
 }
 
 func TestBankMatchesIndependentEngines(t *testing.T) {
-	o := newBankOracle(bankConfigs())
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 50000; i++ {
-		// Loads and stores get disjoint PC ranges, as in a real program.
-		pc := uint32(rng.Intn(40))<<2 + 4
-		addr := uint32(rng.Intn(48)) << 2
-		value := uint32(rng.Intn(4))
-		if rng.Intn(4) == 0 {
-			o.store(pc+0x1000, addr, value)
-		} else {
-			o.load(pc, addr, value)
-		}
+	tr := randomStream(11, multiChunk, 40, 48, 4)
+	if tr.NumChunks() < 3 {
+		t.Fatalf("random stream has %d chunks, want at least 3", tr.NumChunks())
 	}
+	o := newBankOracle(bankConfigs())
+	o.replay(tr)
 	o.compare(t, "random stream")
 }
 
@@ -107,7 +129,7 @@ func TestBankMatchesIndependentEnginesOnWorkloads(t *testing.T) {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		o := newBankOracle(bankConfigs())
-		tr.Replay(trace.SinkFuncs{OnLoad: o.load, OnStore: o.store})
+		o.replay(tr)
 		o.compare(t, w.Name)
 	}
 }
@@ -146,15 +168,7 @@ func TestBankSelfCheck(t *testing.T) {
 			det.forceWindow()
 		}
 	}
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 5000; i++ {
-		pc, addr, value := uint32(rng.Intn(32))<<2, uint32(rng.Intn(20)), uint32(rng.Intn(3))
-		if rng.Intn(3) == 0 {
-			o.store(pc+0x1000, addr, value)
-		} else {
-			o.load(pc, addr, value)
-		}
-	}
+	o.replay(randomStream(12, 5000, 32, 20, 3))
 	o.compare(t, "always-checked random stream")
 }
 
@@ -187,50 +201,42 @@ func TestBankOneEnginePerConfig(t *testing.T) {
 }
 
 // TestBankListenersAndProfile: every listener receives its engine's
-// outcome for each load, equal to what an independent engine reports,
-// and the bank's profile of the default DDT equals a Collector's.
+// outcome for each load, in recorded order, equal to what an
+// independent engine reports, and the bank's profile of the default DDT
+// equals a Collector's.
 func TestBankListenersAndProfile(t *testing.T) {
 	cfgs := bankConfigs()
 	b := NewBank()
-	want := make([]LoadOutcome, len(cfgs))
-	calls := 0
+	got := make([][]LoadOutcome, len(cfgs))
 	for i, cfg := range cfgs {
 		b.OnLoad(cfg, func(pc, addr, value uint32, out LoadOutcome) {
-			calls++
-			if out != want[i] {
-				t.Fatalf("config %d, load pc=%#x addr=%#x: listener got %+v, independent engine %+v", i, pc, addr, out, want[i])
-			}
+			got[i] = append(got[i], out)
 		})
 	}
 	profile := b.Profile(DefaultConfig())
-	independent := make([]*Engine, len(cfgs))
+	want := make([][]LoadOutcome, len(cfgs))
+	sinks := []trace.Sink{b}
 	for i, cfg := range cfgs {
-		independent[i] = New(cfg)
+		e := New(cfg)
+		sinks = append(sinks, trace.SinkFuncs{
+			OnLoad:  func(pc, addr, value uint32) { want[i] = append(want[i], e.Load(pc, addr, value)) },
+			OnStore: e.Store,
+		})
 	}
 	collector := NewCollector(128)
-	rng := rand.New(rand.NewSource(13))
-	loads := 0
-	for i := 0; i < 30000; i++ {
-		pc := uint32(rng.Intn(40))<<2 + 4
-		addr := uint32(rng.Intn(200)) << 2
-		value := uint32(rng.Intn(4))
-		if rng.Intn(4) == 0 {
-			for _, e := range independent {
-				e.Store(pc+0x1000, addr, value)
-			}
-			collector.Store(pc+0x1000, addr)
-			b.Store(pc+0x1000, addr, value)
-			continue
+	sinks = append(sinks, trace.SinkFuncs{
+		OnLoad:  func(pc, addr, _ uint32) { collector.Load(pc, addr) },
+		OnStore: func(pc, addr, _ uint32) { collector.Store(pc, addr) },
+	})
+	tr := randomStream(13, multiChunk, 40, 200, 4)
+	tr.Replay(sinks...)
+	for i := range cfgs {
+		if uint64(len(got[i])) != tr.Loads() {
+			t.Errorf("config %d: listener ran %d times, want %d loads", i, len(got[i]), tr.Loads())
 		}
-		for j, e := range independent {
-			want[j] = e.Load(pc, addr, value)
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("config %d: listener outcomes differ from the independent engine's", i)
 		}
-		collector.Load(pc, addr)
-		b.Load(pc, addr, value)
-		loads++
-	}
-	if calls != loads*len(cfgs) {
-		t.Errorf("listeners ran %d times, want %d loads x %d configs", calls, loads, len(cfgs))
 	}
 	if profile.Len() == 0 || !reflect.DeepEqual(profile.pairs, collector.Profile().pairs) {
 		t.Errorf("bank profile (%d pairs) differs from the collector's (%d pairs)", profile.Len(), collector.Profile().Len())

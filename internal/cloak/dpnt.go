@@ -85,7 +85,9 @@ func (t *DPNT) Merges() uint64 { return t.merges }
 // Confidence returns the table's confidence mechanism.
 func (t *DPNT) Confidence() ConfKind { return t.conf }
 
-// Prediction is the result of a DPNT lookup at decode time.
+// Prediction is the result of a DPNT lookup at decode time. It has four
+// fields, so the compiler keeps it in registers; a fifth would put it
+// in memory on every lookup (ProducerIsLoad is a DPNT method instead).
 type Prediction struct {
 	Synonym uint32
 	// Producer reports that the instruction is predicted to produce a
@@ -98,9 +100,6 @@ type Prediction struct {
 	// does not (yet) allow use; the engine still verifies the would-be
 	// value to rebuild confidence.
 	ConsumerShadow bool
-	// ProducerIsLoad distinguishes RAR producers from RAW (store)
-	// producers.
-	ProducerIsLoad bool
 }
 
 // Lookup predicts the role of the instruction at pc. It does not allocate.
@@ -109,7 +108,7 @@ func (t *DPNT) Lookup(pc uint32) (Prediction, bool) {
 	if e == nil || !e.hasSyn {
 		return Prediction{}, false
 	}
-	p := Prediction{Synonym: e.synonym, ProducerIsLoad: e.producerIsLoad}
+	p := Prediction{Synonym: e.synonym}
 	if e.producer.detected {
 		p.Producer = true
 	}
@@ -124,6 +123,14 @@ func (t *DPNT) Lookup(pc uint32) (Prediction, bool) {
 		return Prediction{}, false
 	}
 	return p, true
+}
+
+// ProducerIsLoad reports whether the instruction at pc was last trained
+// as a RAR producer (the earliest load of a group) rather than a RAW
+// (store) producer.
+func (t *DPNT) ProducerIsLoad(pc uint32) bool {
+	e := t.table.Get(key(pc))
+	return e != nil && e.producerIsLoad
 }
 
 // RecordDependence trains the table with a detected dependence: both

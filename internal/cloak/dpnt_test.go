@@ -80,7 +80,7 @@ func TestDPNTRoles(t *testing.T) {
 	if !ok || !src.Producer || src.Consumer || src.ConsumerShadow {
 		t.Errorf("source prediction = %+v, %v", src, ok)
 	}
-	if !src.ProducerIsLoad {
+	if !d.ProducerIsLoad(40) {
 		t.Error("RAR source not marked as load producer")
 	}
 	snk, ok := d.Lookup(80)
@@ -90,8 +90,7 @@ func TestDPNTRoles(t *testing.T) {
 
 	d2 := NewDPNT(0, 0, Adaptive2Bit, MergeIncremental)
 	d2.RecordDependence(Dependence{Kind: DepRAW, SourcePC: 40, SinkPC: 80})
-	src2, _ := d2.Lookup(40)
-	if src2.ProducerIsLoad {
+	if d2.ProducerIsLoad(40) {
 		t.Error("RAW source wrongly marked as load producer")
 	}
 }

@@ -159,7 +159,8 @@ func newDetector(cfg Config, sc bool) Detector {
 	return newDDTChecked(cfg.DDTCapacity, cfg.Mode == ModeRAWRAR, sc)
 }
 
-// newEngine returns an engine for cfg that detects through det.
+// newEngine returns an engine for cfg that detects through det; a bank
+// engine has no detector of its own (det is nil).
 func newEngine(cfg Config, det Detector) *Engine {
 	e := &Engine{
 		cfg:      cfg,
@@ -198,15 +199,22 @@ func (e *Engine) Store(pc, addr, value uint32) {
 // second probe (the prediction must come from DPNT().Lookup(pc) with no
 // intervening engine mutation).
 func (e *Engine) StoreWith(pc, addr, value uint32, pred Prediction, havePred bool) {
+	e.store(pc, value, pred, havePred)
+	// Detect (at commit): record the store; this also breaks RAR chains
+	// through addr.
+	e.detector.Store(addr, pc)
+}
+
+// store is the engine's step for one committed store, less detection:
+// Store and StoreWith record the store in the engine's detector, and a
+// bank's shared detector has already recorded it for a bank engine.
+func (e *Engine) store(pc, value uint32, pred Prediction, havePred bool) {
 	e.stats.Stores++
 	// Predict: a store marked as a producer deposits its value in the
 	// synonym file so predicted consumers can name it.
 	if havePred && pred.Producer {
 		e.sf.Write(pred.Synonym, value, DepRAW, pc)
 	}
-	// Detect (at commit): record the store; this also breaks RAR chains
-	// through addr.
-	e.detector.Store(addr, pc)
 }
 
 // Load processes one committed load in program order and reports what the
@@ -221,6 +229,17 @@ func (e *Engine) Load(pc, addr, value uint32) LoadOutcome {
 // LoadWith is Load with the DPNT prediction supplied by the caller (same
 // contract as StoreWith).
 func (e *Engine) LoadWith(pc, addr, value uint32, pred Prediction, havePred bool) LoadOutcome {
+	// Detect (at commit): probing the DDT first is safe, because
+	// detection never reads the DPNT or the synonym file.
+	dep, _ := e.detector.Load(addr, pc)
+	return e.load(pc, value, pred, havePred, dep)
+}
+
+// load is the engine's step for one committed load whose DDT probe
+// found dep (Kind DepNone: no visible dependence). Load and LoadWith
+// probe the engine's own detector; a bank engine reads its shared
+// detector's column.
+func (e *Engine) load(pc, value uint32, pred Prediction, havePred bool, dep Dependence) LoadOutcome {
 	e.stats.Loads++
 	var out LoadOutcome
 	if havePred && (pred.Consumer || pred.ConsumerShadow) {
@@ -254,8 +273,8 @@ func (e *Engine) LoadWith(pc, addr, value uint32, pred Prediction, havePred bool
 		}
 	}
 
-	// Detect (at commit): probe the DDT, train the DPNT.
-	if dep, ok := e.detector.Load(addr, pc); ok {
+	// Train the DPNT with the detected dependence.
+	if dep.Kind != DepNone {
 		out.Dep = dep.Kind
 		switch dep.Kind {
 		case DepRAW:

@@ -58,8 +58,8 @@ type Fig7Result struct {
 
 // fig7Cells correlates each load's locality observation with the
 // dependence the pass's default engine (the one fig6 and the ablations
-// read) detected for that load, which an outcome listener receives in
-// lockstep with the replay.
+// read) detected for that load, which an outcome listener receives as
+// that engine walks each chunk, in recorded order.
 func fig7Cells(value bool) CellRunner {
 	return tracedCells(
 		func(p *pass) func() Fig7Row {

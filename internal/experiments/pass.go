@@ -24,7 +24,7 @@ type pass struct {
 	w    workload.Workload
 	tr   *trace.Stream
 	bank *cloak.Bank
-	// sinks are the analyzers the bank does not drive.
+	// sinks are the analyzers besides the bank, which is the last sink.
 	sinks []trace.Sink
 	// windows is the RAR locality sweep over WindowSizes, built on first
 	// request; fig2's windows are two of its entries.
@@ -73,14 +73,14 @@ func (p *pass) onValueLoad(fn func(out cloak.LoadOutcome, vpCorrect bool)) {
 	p.valueLoads = append(p.valueLoads, fn)
 }
 
-// replay feeds the stream once to the bank and every analyzer, then
+// replay feeds the stream once to every analyzer and the bank, then
 // counts the loads each engine simulated. A pass nothing registered on
 // decodes nothing.
 func (p *pass) replay() {
 	sinks := p.sinks
 	engines := p.bank.Engines()
 	if len(engines) > 0 {
-		sinks = append(sinks, trace.SinkFuncs{OnLoad: p.bank.Load, OnStore: p.bank.Store})
+		sinks = append(sinks, p.bank)
 	}
 	p.tr.Replay(sinks...)
 	for _, e := range engines {

@@ -1,6 +1,10 @@
 package locality
 
-import "rarpred/internal/container"
+import (
+	"math/bits"
+
+	"rarpred/internal/container"
+)
 
 // DistanceAnalyzer measures RAR dependence *distances*: for each sink
 // load, the number of unique addresses touched between the source load's
@@ -13,6 +17,9 @@ import "rarpred/internal/container"
 // algorithm: a Fenwick tree over access timestamps marks, for every
 // address, its most recent access time; the stack distance of an access
 // is the number of marked timestamps after the address's previous mark.
+// Every mark sits before the current access, one per address seen, so
+// that count is the live addresses less the marks up to the previous
+// one: one prefix sum, plus two updates to move the mark.
 type DistanceAnalyzer struct {
 	fen      *fenwick
 	last     *container.U32Map[int] // address -> timestamp of most recent access
@@ -41,15 +48,15 @@ func NewDistanceAnalyzer() *DistanceAnalyzer {
 // stack distance to the previous access of addr (-1 if first touch).
 func (d *DistanceAnalyzer) touch(addr uint32) int {
 	d.time++
+	live := d.last.Len() // addresses seen before this access, one mark each
 	prev, seen := d.last.Put(addr, d.time)
 	dist := -1
 	if seen {
 		// Unique addresses touched strictly after prev = marks in
 		// (prev, time).
-		dist = d.fen.sumRange(prev+1, d.time-1)
+		dist = live - d.fen.sum(prev)
 		d.fen.add(prev, -1)
 	}
-	d.fen.ensure(d.time)
 	d.fen.add(d.time, 1)
 	return dist
 }
@@ -102,46 +109,51 @@ func (d *DistanceAnalyzer) CDF(bound int) float64 {
 }
 
 // Percentile returns the smallest power-of-two distance bound covering
-// at least frac of the dependences.
+// at least frac of the dependences: the smallest bound whose CDF is at
+// least frac. The cumulative count is compared as a fraction, as CDF
+// reports it, so a frac such as 0.07 is met by exactly 7 of 100 (the
+// product 0.07 × 100 rounds up to just over 7).
 func (d *DistanceAnalyzer) Percentile(frac float64) int {
 	if d.total == 0 {
 		return 0
 	}
-	want := uint64(frac * float64(d.total))
 	var n uint64
 	for b := 0; b < distanceBuckets; b++ {
 		n += d.hist[b]
-		if n >= want {
+		if float64(n)/float64(d.total) >= frac {
 			return 1 << b
 		}
 	}
 	return 1 << (distanceBuckets - 1)
 }
 
-// fenwick is a 1-indexed binary indexed tree over timestamps, grown on
-// demand.
+// fenwick is a 1-indexed binary indexed tree over timestamps. Its size,
+// len(tree)-1, is a power of two, doubled on demand.
 type fenwick struct {
 	tree []int
 }
 
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
+// newFenwick returns a tree covering [1, n], n rounded up to a power of
+// two.
+func newFenwick(n int) *fenwick {
+	return &fenwick{tree: make([]int, 1<<bits.Len(uint(n-1))+1)}
+}
 
-// ensure grows the tree to cover index i. A freshly appended node at
-// index idx covers the range (idx - lowbit(idx), idx]; position idx
-// itself has no value yet, so the node's initial value is the existing
-// sum over (idx - lowbit(idx), idx-1] — appending zeros would silently
-// corrupt later prefix sums.
-func (f *fenwick) ensure(i int) {
-	for len(f.tree) <= i {
-		idx := len(f.tree)
-		low := idx & (-idx)
-		v := f.sum(idx-1) - f.sum(idx-low)
-		f.tree = append(f.tree, v)
+// grow doubles the tree until it covers index i. In a tree of size n, a
+// power of two, the new nodes n+1..2n-1 cover ranges above n, which
+// hold nothing yet, and node 2n covers (0, 2n], so it starts at the
+// total, which node n holds.
+func (f *fenwick) grow(i int) {
+	for n := len(f.tree) - 1; n < i; n *= 2 {
+		f.tree = append(f.tree, make([]int, n)...)
+		f.tree[2*n] = f.tree[n]
 	}
 }
 
 func (f *fenwick) add(i, v int) {
-	f.ensure(i)
+	if i >= len(f.tree) {
+		f.grow(i)
+	}
 	for ; i < len(f.tree); i += i & (-i) {
 		f.tree[i] += v
 	}
@@ -157,12 +169,4 @@ func (f *fenwick) sum(i int) int {
 		s += f.tree[i]
 	}
 	return s
-}
-
-// sumRange returns the sum over [lo, hi] (0 when lo > hi).
-func (f *fenwick) sumRange(lo, hi int) int {
-	if lo > hi {
-		return 0
-	}
-	return f.sum(hi) - f.sum(lo-1)
 }

@@ -1,8 +1,13 @@
 package locality
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"rarpred/internal/trace"
+	"rarpred/internal/workload"
 )
 
 func TestFenwickBasic(t *testing.T) {
@@ -16,11 +21,8 @@ func TestFenwickBasic(t *testing.T) {
 	if got := f.sum(8); got != 4 {
 		t.Errorf("sum(8) = %d", got)
 	}
-	if got := f.sumRange(4, 6); got != 1 {
-		t.Errorf("sumRange(4,6) = %d", got)
-	}
-	if got := f.sumRange(6, 4); got != 0 {
-		t.Errorf("empty range = %d", got)
+	if got := f.sum(6) - f.sum(3); got != 1 {
+		t.Errorf("sum over [4,6] = %d", got)
 	}
 	f.add(5, -1)
 	if got := f.sum(8); got != 3 {
@@ -171,5 +173,129 @@ func TestDistanceEmpty(t *testing.T) {
 	d := NewDistanceAnalyzer()
 	if d.CDF(128) != 0 || d.Percentile(0.5) != 0 {
 		t.Error("empty analyzer nonzero")
+	}
+}
+
+// TestDistancePercentileSingleSink: one RAR sink at distance 100 is
+// covered by the bound 128 at every percentile, and by no smaller one.
+func TestDistancePercentileSingleSink(t *testing.T) {
+	d := NewDistanceAnalyzer()
+	d.Load(4, 0x10000)
+	for i := 0; i < 100; i++ {
+		d.Load(12, uint32(i*4))
+	}
+	d.Load(8, 0x10000)
+	if d.Sinks() != 1 || d.CDF(64) != 0 || d.CDF(128) != 1 {
+		t.Fatalf("sinks %d, CDF(64) %v, CDF(128) %v: want one sink at distance 100", d.Sinks(), d.CDF(64), d.CDF(128))
+	}
+	for _, frac := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
+		if p := d.Percentile(frac); p != 128 {
+			t.Errorf("Percentile(%v) = %d, want 128", frac, p)
+		}
+	}
+}
+
+// TestDistancePercentileExactFractions: a fraction met exactly by a
+// cumulative count is covered by that count's bound, whichever way the
+// product frac × total rounds (0.07 × 100 rounds up to just over 7,
+// 0.29 × 100 down to just under 29).
+func TestDistancePercentileExactFractions(t *testing.T) {
+	d := NewDistanceAnalyzer()
+	d.total = 100
+	d.hist[0], d.hist[2], d.hist[5] = 7, 22, 71 // cumulative 7, 29, 100
+	for _, c := range []struct {
+		frac float64
+		want int
+	}{{0.07, 1}, {0.08, 4}, {0.29, 4}, {0.3, 32}, {0.9, 32}, {1, 32}} {
+		if p := d.Percentile(c.frac); p != c.want {
+			t.Errorf("Percentile(%v) = %d, want %d", c.frac, p, c.want)
+		}
+	}
+}
+
+// naiveDistances is the reference model of DistanceAnalyzer: an explicit
+// LRU stack of addresses, where an access's distance is its address's
+// depth in the stack, and the same RAR rule (the first load since the
+// last store is the source; a different static load is a sink).
+type naiveDistances struct {
+	stack    []uint32 // most recent first
+	lastLoad map[uint32]uint32
+	hist     [distanceBuckets]uint64
+}
+
+func (n *naiveDistances) touch(addr uint32) int {
+	i := slices.Index(n.stack, addr)
+	if i < 0 {
+		n.stack = slices.Insert(n.stack, 0, addr)
+		return -1
+	}
+	copy(n.stack[1:i+1], n.stack[:i])
+	n.stack[0] = addr
+	return i
+}
+
+func (n *naiveDistances) access(load bool, pc, addr uint32) {
+	dist := n.touch(addr)
+	if !load {
+		delete(n.lastLoad, addr)
+		return
+	}
+	src, ok := n.lastLoad[addr]
+	if ok && src != pc && dist >= 0 {
+		b := 0
+		for 1<<b <= dist && b < distanceBuckets-1 {
+			b++
+		}
+		n.hist[b]++
+	}
+	if !ok {
+		n.lastLoad[addr] = pc
+	}
+}
+
+// checkAgainstNaive feeds the same accesses to the analyzer and the
+// reference model and requires identical histograms.
+func checkAgainstNaive(t *testing.T, what string, feed func(on func(load bool, pc, addr uint32))) {
+	t.Helper()
+	d := NewDistanceAnalyzer()
+	n := &naiveDistances{lastLoad: map[uint32]uint32{}}
+	feed(func(load bool, pc, addr uint32) {
+		if load {
+			d.Load(pc, addr)
+		} else {
+			d.Store(pc, addr)
+		}
+		n.access(load, pc, addr)
+	})
+	if !slices.Equal(d.hist, n.hist[:]) {
+		t.Errorf("%s: histogram %v, naive LRU stack %v", what, d.hist, n.hist)
+	}
+}
+
+// TestDistanceMatchesNaiveStack: the Fenwick-tree distances equal an
+// explicit LRU stack's, exactly, on random streams (whose timestamps
+// cross several doublings of the tree) and on recorded workloads.
+func TestDistanceMatchesNaiveStack(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		events, addrs := 500+rng.Intn(5000), 1+rng.Intn(600)
+		checkAgainstNaive(t, "random stream", func(on func(load bool, pc, addr uint32)) {
+			for i := 0; i < events; i++ {
+				on(rng.Intn(4) != 0, uint32(rng.Intn(16))<<2, uint32(rng.Intn(addrs))<<2)
+			}
+		})
+	}
+	for _, abbrev := range []string{"go", "li", "vor", "wav"} {
+		w, _ := workload.ByAbbrev(abbrev)
+		tr, err := trace.RecordStream(w.Program(4), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		checkAgainstNaive(t, w.Name, func(on func(load bool, pc, addr uint32)) {
+			tr.Replay(trace.SinkFuncs{
+				OnLoad:  func(pc, addr, _ uint32) { on(true, pc, addr) },
+				OnStore: func(pc, addr, _ uint32) { on(false, pc, addr) },
+			})
+		})
 	}
 }

@@ -107,15 +107,23 @@ func TestCacheInvariantsCatchFailedResident(t *testing.T) {
 	}
 }
 
-// recordingSink tallies what it sees, for the nil-callback replay tests.
+// recordingSink tallies what it sees, walking each chunk's columns
+// itself.
 type recordingSink struct{ loads, stores int }
 
-func (r *recordingSink) Load(pc, addr, value uint32)  { r.loads++ }
-func (r *recordingSink) Store(pc, addr, value uint32) { r.stores++ }
+func (r *recordingSink) WalkChunk(kinds []uint8, _, _, _ []uint32) {
+	for _, k := range kinds {
+		if Kind(k) == KindLoad {
+			r.loads++
+		} else {
+			r.stores++
+		}
+	}
+}
 
 // TestPartialSinkFuncsBothPaths: a SinkFuncs with only one callback set
-// means "skip the other kind" on both replay paths — the unwrapped
-// single-sink fast path and the multi-sink lockstep path.
+// means "skip the other kind", whether it is a replay's only sink or
+// one of several next to a sink that walks the columns itself.
 func TestPartialSinkFuncsBothPaths(t *testing.T) {
 	s := buildStream(300)
 	wantLoads, wantStores := int(s.loads), s.n-int(s.loads)
@@ -124,19 +132,19 @@ func TestPartialSinkFuncsBothPaths(t *testing.T) {
 	loadOnly := SinkFuncs{OnLoad: func(pc, addr, value uint32) { loads++ }}
 	storeOnly := SinkFuncs{OnStore: func(pc, addr, value uint32) { stores++ }}
 
-	s.Replay(loadOnly) // single sink → ReplayChunks fast path
+	s.Replay(loadOnly)
 	if loads != wantLoads {
-		t.Errorf("fast path: load-only sink saw %d loads, want %d", loads, wantLoads)
+		t.Errorf("one sink: load-only sink saw %d loads, want %d", loads, wantLoads)
 	}
 
 	loads, stores = 0, 0
 	full := &recordingSink{}
-	s.Replay(loadOnly, storeOnly, full) // multi-sink lockstep path
+	s.Replay(loadOnly, storeOnly, full)
 	if loads != wantLoads || stores != wantStores {
-		t.Errorf("multi-sink: partial sinks saw %d/%d, want %d/%d", loads, stores, wantLoads, wantStores)
+		t.Errorf("three sinks: partial sinks saw %d/%d, want %d/%d", loads, stores, wantLoads, wantStores)
 	}
 	if full.loads != wantLoads || full.stores != wantStores {
-		t.Errorf("multi-sink: interface sink saw %d/%d, want %d/%d",
+		t.Errorf("three sinks: column sink saw %d/%d, want %d/%d",
 			full.loads, full.stores, wantLoads, wantStores)
 	}
 }

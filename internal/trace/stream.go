@@ -205,96 +205,38 @@ func (s *Stream) RawBytes() int64 { return int64(s.n) * eventBytes }
 // count rather than a time.
 var EventsReplayed = metrics.Default().Counter("trace.events_replayed")
 
-// Replay feeds the stream to the sinks, in recorded order. Every sink
-// sees every event before the next event is delivered (lockstep), so
-// sinks may share per-event state. With no sinks it decodes nothing.
-func (s *Stream) Replay(sinks ...Sink) {
-	switch len(sinks) {
-	case 0:
-		return
-	case 1:
-		s.ReplayChunks(0, len(s.chunks), sinks[0])
-		return
-	}
-	// Unwrap each SinkFuncs adapter once, the way the single-sink path
-	// does, so the per-event fan-out costs direct closure calls instead
-	// of interface dispatches plus nil checks.
-	onLoads := make([]func(pc, addr, value uint32), len(sinks))
-	onStores := make([]func(pc, addr, value uint32), len(sinks))
-	for i, snk := range sinks {
-		onLoads[i], onStores[i] = sinkCallbacks(snk)
-	}
-	var sc *eventScratch
-	for _, c := range s.chunks {
-		kinds, pcs, addrs, values := c.columns(&sc)
-		for i, k := range kinds {
-			if Kind(k) == KindLoad {
-				for _, onLoad := range onLoads {
-					onLoad(pcs[i], addrs[i], values[i])
-				}
-			} else {
-				for _, onStore := range onStores {
-					onStore(pcs[i], addrs[i], values[i])
-				}
-			}
-		}
-	}
-	if sc != nil {
-		putEventScratch(sc)
-	}
-	EventsReplayed.Add(uint64(s.n))
-}
+// Replay feeds the stream to the sinks, in recorded order, chunk-major:
+// it decodes each chunk once, and every sink walks the whole chunk, in
+// argument order, before the next sink starts; no sink sees a chunk
+// until every sink has finished the one before. Each sink therefore sees
+// every event in recorded order and keeps its own tables hot across a
+// chunk, but sinks must not share per-event state. With no sinks it
+// decodes nothing.
+func (s *Stream) Replay(sinks ...Sink) { s.ReplayChunks(0, len(s.chunks), sinks...) }
 
 // NumChunks returns the number of fixed-size chunks in the stream (the
 // granularity of ReplayChunks).
 func (s *Stream) NumChunks() int { return len(s.chunks) }
 
-// ReplayChunks feeds chunks [lo, hi) to snk, in recorded order. It is
-// the chunk-granular replay primitive: a consumer that walks the chunk
-// range itself can interleave replay with other work. The common
-// SinkFuncs adapter is unwrapped
-// so each event costs one direct closure call instead of an interface
-// dispatch plus nil checks; a partial SinkFuncs (nil callback) skips
-// that event kind, exactly like the interface path.
-func (s *Stream) ReplayChunks(lo, hi int, snk Sink) {
-	onLoad, onStore := sinkCallbacks(snk)
+// ReplayChunks is Replay over chunks [lo, hi) only: a consumer that
+// walks the chunk range itself can interleave replay with other work.
+func (s *Stream) ReplayChunks(lo, hi int, sinks ...Sink) {
+	if len(sinks) == 0 {
+		return
+	}
 	var sc *eventScratch
 	n := 0
 	for _, c := range s.chunks[lo:hi] {
 		kinds, pcs, addrs, values := c.columns(&sc)
 		n += len(kinds)
-		for i, k := range kinds {
-			if Kind(k) == KindLoad {
-				onLoad(pcs[i], addrs[i], values[i])
-			} else {
-				onStore(pcs[i], addrs[i], values[i])
-			}
+		for _, snk := range sinks {
+			snk.WalkChunk(kinds, pcs, addrs, values)
 		}
 	}
 	if sc != nil {
 		putEventScratch(sc)
 	}
 	EventsReplayed.Add(uint64(n))
-}
-
-// sinkCallbacks resolves snk to one load and one store function for the
-// replay inner loops. A SinkFuncs adapter is unwrapped to its closures
-// with nil callbacks replaced by no-ops, so nil-means-skip holds on the
-// unwrapped fast path and the interface path alike (the methods on
-// SinkFuncs nil-check too); any other sink contributes its bound
-// methods.
-func sinkCallbacks(snk Sink) (onLoad, onStore func(pc, addr, value uint32)) {
-	if sf, ok := snk.(SinkFuncs); ok {
-		onLoad, onStore = sf.OnLoad, sf.OnStore
-		if onLoad == nil {
-			onLoad = func(pc, addr, value uint32) {}
-		}
-		if onStore == nil {
-			onStore = func(pc, addr, value uint32) {}
-		}
-		return onLoad, onStore
-	}
-	return snk.Load, snk.Store
 }
 
 // Validate cross-checks the event tally against the execution profile
@@ -376,24 +318,30 @@ func (s *Stream) AppendPackedChunk(payload []byte) error {
 	return nil
 }
 
-// SinkFuncs adapts plain load/store callbacks to the Sink interface. A
-// nil callback ignores that event kind.
+// SinkFuncs adapts plain load/store callbacks to the Sink interface: it
+// walks each chunk event by event. A nil callback ignores that event
+// kind.
 type SinkFuncs struct {
 	OnLoad  func(pc, addr, value uint32)
 	OnStore func(pc, addr, value uint32)
 }
 
-// Load implements Sink.
-func (s SinkFuncs) Load(pc, addr, value uint32) {
-	if s.OnLoad != nil {
-		s.OnLoad(pc, addr, value)
+// WalkChunk implements Sink.
+func (s SinkFuncs) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
+	onLoad, onStore := s.OnLoad, s.OnStore
+	if onLoad == nil {
+		onLoad = func(pc, addr, value uint32) {}
 	}
-}
-
-// Store implements Sink.
-func (s SinkFuncs) Store(pc, addr, value uint32) {
-	if s.OnStore != nil {
-		s.OnStore(pc, addr, value)
+	if onStore == nil {
+		onStore = func(pc, addr, value uint32) {}
+	}
+	pcs, addrs, values = pcs[:len(kinds)], addrs[:len(kinds)], values[:len(kinds)]
+	for i, k := range kinds {
+		if Kind(k) == KindLoad {
+			onLoad(pcs[i], addrs[i], values[i])
+		} else {
+			onStore(pcs[i], addrs[i], values[i])
+		}
 	}
 }
 

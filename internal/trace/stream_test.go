@@ -57,38 +57,57 @@ func TestStreamAppendReplay(t *testing.T) {
 	}
 }
 
-// TestStreamFanOutOrder: with several sinks, each sink sees the full
-// stream in recorded order and per-event fan-out is sink-ordered.
+// TestStreamFanOutOrder: Replay is chunk-major. Each sink sees every
+// event in recorded order; within a chunk the sinks run in argument
+// order; and no sink sees chunk k+1 until every sink has finished
+// chunk k.
 func TestStreamFanOutOrder(t *testing.T) {
 	s := NewStream()
-	s.Append(KindLoad, 1, 10, 100)
-	s.Append(KindStore, 2, 20, 200)
-	s.Append(KindLoad, 3, 30, 300)
-
-	type ev struct {
-		sink int
-		kind Kind
-		pc   uint32
+	const n, sinks = 2*chunkEvents + 100, 3
+	for i := 0; i < n; i++ {
+		kind := KindLoad
+		if i%3 == 1 {
+			kind = KindStore
+		}
+		s.Append(kind, uint32(i), 0, 0)
 	}
-	var got []ev
+	s.Seal()
+
+	// run is one stretch of consecutive events delivered to one sink.
+	type run struct {
+		sink        int
+		first, last uint32
+	}
+	var got []run
 	mk := func(id int) Sink {
-		return SinkFuncs{
-			OnLoad:  func(pc, _, _ uint32) { got = append(got, ev{id, KindLoad, pc}) },
-			OnStore: func(pc, _, _ uint32) { got = append(got, ev{id, KindStore, pc}) },
+		on := func(pc, _, _ uint32) {
+			if k := len(got) - 1; k >= 0 && got[k].sink == id && got[k].last+1 == pc {
+				got[k].last = pc
+				return
+			}
+			got = append(got, run{id, pc, pc})
+		}
+		return SinkFuncs{OnLoad: on, OnStore: on}
+	}
+	all := make([]Sink, sinks)
+	for id := range all {
+		all[id] = mk(id)
+	}
+	s.Replay(all...)
+
+	var want []run
+	for lo := 0; lo < n; lo += chunkEvents {
+		hi := min(lo+chunkEvents, n)
+		for id := 0; id < sinks; id++ {
+			want = append(want, run{id, uint32(lo), uint32(hi - 1)})
 		}
 	}
-	s.Replay(mk(0), mk(1))
-	want := []ev{
-		{0, KindLoad, 1}, {1, KindLoad, 1},
-		{0, KindStore, 2}, {1, KindStore, 2},
-		{0, KindLoad, 3}, {1, KindLoad, 3},
-	}
 	if len(got) != len(want) {
-		t.Fatalf("got %d events, want %d", len(got), len(want))
+		t.Fatalf("got %d runs %v, want %d %v", len(got), got, len(want), want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
+			t.Fatalf("run %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -161,7 +180,7 @@ func TestReplayCountsEventsOncePerCall(t *testing.T) {
 }
 
 // TestReplayEach: each of several sinks sees the full multi-chunk stream
-// in recorded order through one lockstep Replay.
+// in recorded order through one Replay.
 func TestReplayEach(t *testing.T) {
 	s := NewStream()
 	const n = chunkEvents + 100

@@ -62,25 +62,16 @@ func Record(prog *isa.Program, maxInsts uint64) (*Trace, error) {
 	return tr, nil
 }
 
-// Sink consumes a replayed access stream. Both the cloaking engine and
-// the locality analyzers satisfy it through small adapters; EngineSink
-// covers the common case.
+// Sink consumes a replayed access stream a decoded chunk at a time (see
+// Stream.Replay for the order). SinkFuncs adapts per-event callbacks; a
+// sink that walks the columns itself, like cloak.Bank, can run one
+// structure over the whole chunk before the next.
 type Sink interface {
-	Load(pc, addr, value uint32)
-	Store(pc, addr, value uint32)
-}
-
-// Replay feeds the trace to the sinks, in order.
-func (t *Trace) Replay(sinks ...Sink) {
-	for _, e := range t.Events {
-		for _, s := range sinks {
-			if e.Kind == KindLoad {
-				s.Load(e.PC, e.Addr, e.Value)
-			} else {
-				s.Store(e.PC, e.Addr, e.Value)
-			}
-		}
-	}
+	// WalkChunk receives one chunk's events in recorded order as
+	// parallel columns: event i is a Kind(kinds[i]) access by the
+	// instruction at pcs[i] to addrs[i] that read or wrote values[i].
+	// The columns are valid only until WalkChunk returns.
+	WalkChunk(kinds []uint8, pcs, addrs, values []uint32)
 }
 
 // Loads returns the number of load events.

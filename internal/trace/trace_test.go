@@ -1,4 +1,6 @@
-package trace
+// cloak imports trace (its bank is a trace sink), so these tests, which
+// drive cloak engines, live in an external test package.
+package trace_test
 
 import (
 	"bytes"
@@ -6,19 +8,22 @@ import (
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/funcsim"
+	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
 // engineSink adapts a cloaking engine to the Sink interface.
-type engineSink struct{ e *cloak.Engine }
+func engineSink(e *cloak.Engine) trace.Sink {
+	return trace.SinkFuncs{
+		OnLoad:  func(pc, addr, value uint32) { e.Load(pc, addr, value) },
+		OnStore: e.Store,
+	}
+}
 
-func (s engineSink) Load(pc, addr, value uint32)  { s.e.Load(pc, addr, value) }
-func (s engineSink) Store(pc, addr, value uint32) { s.e.Store(pc, addr, value) }
-
-func record(t *testing.T) *Trace {
+func record(t *testing.T) *trace.Trace {
 	t.Helper()
 	w, _ := workload.ByAbbrev("per")
-	tr, err := Record(w.Program(4), 0)
+	tr, err := trace.Record(w.Program(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +34,13 @@ func TestRecordMatchesDirectObservation(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
 	tr := record(t)
 
-	var direct []Event
+	var direct []trace.Event
 	s := funcsim.New(w.Program(4))
 	s.OnLoad = func(e funcsim.MemEvent) {
-		direct = append(direct, Event{Kind: KindLoad, PC: e.PC, Addr: e.Addr, Value: e.Value})
+		direct = append(direct, trace.Event{Kind: trace.KindLoad, PC: e.PC, Addr: e.Addr, Value: e.Value})
 	}
 	s.OnStore = func(e funcsim.MemEvent) {
-		direct = append(direct, Event{Kind: KindStore, PC: e.PC, Addr: e.Addr, Value: e.Value})
+		direct = append(direct, trace.Event{Kind: trace.KindStore, PC: e.PC, Addr: e.Addr, Value: e.Value})
 	}
 	if err := s.Run(0); err != nil {
 		t.Fatal(err)
@@ -53,16 +58,16 @@ func TestRecordMatchesDirectObservation(t *testing.T) {
 	}
 }
 
-// TestReplayEqualsLive: a replayed trace drives the engine to the exact
-// same statistics as live simulation.
+// TestReplayEqualsLive: a replayed stream drives the engine to the
+// exact same statistics as live simulation.
 func TestReplayEqualsLive(t *testing.T) {
 	w, _ := workload.ByAbbrev("gcc")
-	tr, err := Record(w.Program(4), 0)
+	tr, err := trace.RecordStream(w.Program(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayed := cloak.New(cloak.DefaultConfig())
-	tr.Replay(engineSink{replayed})
+	tr.Replay(engineSink(replayed))
 
 	live := cloak.New(cloak.DefaultConfig())
 	s := funcsim.New(w.Program(4))
@@ -76,12 +81,16 @@ func TestReplayEqualsLive(t *testing.T) {
 	}
 }
 
-// TestReplayFanOut: one trace drives several engines at once.
+// TestReplayFanOut: one stream drives several engines in one replay.
 func TestReplayFanOut(t *testing.T) {
-	tr := record(t)
+	w, _ := workload.ByAbbrev("per")
+	tr, err := trace.RecordStream(w.Program(4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw := cloak.New(cloak.Config{DDTCapacity: 128, Mode: cloak.ModeRAW, Confidence: cloak.Adaptive2Bit})
 	both := cloak.New(cloak.DefaultConfig())
-	tr.Replay(engineSink{raw}, engineSink{both})
+	tr.Replay(engineSink(raw), engineSink(both))
 	if raw.Stats().Loads != both.Stats().Loads {
 		t.Error("sinks saw different event counts")
 	}
@@ -100,7 +109,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if buf.Len() != wantSize {
 		t.Errorf("encoded size %d, want %d", buf.Len(), wantSize)
 	}
-	got, err := Load(&buf)
+	got, err := trace.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +131,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{'R', 'A', 'R', 9, 0, 0, 0, 0}, // wrong version
 	}
 	for _, c := range cases {
-		if _, err := Load(bytes.NewReader(c)); err == nil {
+		if _, err := trace.Load(bytes.NewReader(c)); err == nil {
 			t.Errorf("Load(%q) succeeded", c)
 		}
 	}
@@ -133,7 +142,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Load(bytes.NewReader(trunc)); err == nil {
+	if _, err := trace.Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
 	}
 	// Implausible count.
@@ -141,14 +150,14 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	for i := 12; i < 20; i++ {
 		hdr[i] = 0xff
 	}
-	if _, err := Load(bytes.NewReader(hdr)); err == nil {
+	if _, err := trace.Load(bytes.NewReader(hdr)); err == nil {
 		t.Error("implausible event count accepted")
 	}
 }
 
 func TestLoadsCounter(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Kind: KindLoad}, {Kind: KindStore}, {Kind: KindLoad},
+	tr := &trace.Trace{Events: []trace.Event{
+		{Kind: trace.KindLoad}, {Kind: trace.KindStore}, {Kind: trace.KindLoad},
 	}}
 	if tr.Loads() != 2 {
 		t.Errorf("Loads() = %d", tr.Loads())
