@@ -14,7 +14,9 @@ import "rarpred/internal/trace"
 // column, then each engine walks the chunk, reading its detector's
 // column where an engine of its own would probe a DDT. Each table thus
 // stays hot for a whole chunk instead of sharing the cache with every
-// other engine's tables at each event.
+// other engine's tables at each event. The chunks' address column must
+// hold address ids, not addresses: replay the stream through a
+// trace.AddrIDs, whose ids index the shared detectors' tables directly.
 //
 // Several consumers can ask for the same config; they share its
 // engine. A consumer that needs each load's outcome, not only the
@@ -75,11 +77,11 @@ func (b *Bank) detector(cfg Config) *sharedDetector {
 	if i, ok := b.byDetect[key]; ok {
 		s := b.shared[i]
 		if sc && !s.sc {
-			s.det, s.sc = newDetector(key, true), true
+			s.det, s.sc = newDetector(key, true, false), true
 		}
 		return s
 	}
-	s := &sharedDetector{det: newDetector(key, sc), sc: sc}
+	s := &sharedDetector{det: newDetector(key, sc, false), sc: sc}
 	b.byDetect[key] = len(b.shared)
 	b.shared = append(b.shared, s)
 	return s
@@ -96,8 +98,8 @@ func (b *Bank) Engines() []*Engine { return b.engines }
 
 // OnLoad registers fn to receive every load after the engine for cfg
 // (added if new) has processed it, with the outcome that engine
-// reported. Listeners run while their engine walks a chunk, so each
-// sees the loads in recorded order.
+// reported; addr is the load's address id. Listeners run while their
+// engine walks a chunk, so each sees the loads in recorded order.
 func (b *Bank) OnLoad(cfg Config, fn func(pc, addr, value uint32, out LoadOutcome)) {
 	i := b.add(cfg)
 	b.listeners[i] = append(b.listeners[i], fn)
@@ -114,9 +116,10 @@ func (b *Bank) Profile(cfg Config) *Profile {
 	return s.profile
 }
 
-// WalkChunk implements trace.Sink: every shared detector walks the
-// chunk into its column, then every engine walks it in turn and hands
-// each load's outcome to its listeners.
+// WalkChunk implements trace.Sink over a chunk whose address column
+// holds address ids: every shared detector walks the chunk into its
+// column, then every engine walks it in turn and hands each load's
+// outcome to its listeners.
 func (b *Bank) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
 	n := len(kinds)
 	pcs, addrs, values = pcs[:n], addrs[:n], values[:n]
@@ -128,12 +131,12 @@ func (b *Bank) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
 		fns := b.listeners[i]
 		for j, k := range kinds {
 			pc, value := pcs[j], values[j]
-			pred, havePred := e.dpnt.Lookup(pc)
+			ent, pred, havePred := e.dpnt.lookup(pc)
 			if trace.Kind(k) != trace.KindLoad {
 				e.store(pc, value, pred, havePred)
 				continue
 			}
-			out := e.load(pc, value, pred, havePred, deps[j])
+			out := e.load(pc, value, ent, pred, havePred, deps[j])
 			for _, fn := range fns {
 				fn(pc, addrs[j], value, out)
 			}

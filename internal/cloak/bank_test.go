@@ -50,10 +50,11 @@ func newBankOracle(cfgs []Config) *bankOracle {
 	return o
 }
 
-// replay feeds tr to the bank, which walks whole chunks, and event by
-// event to every independent engine.
+// replay feeds tr to the bank, which walks whole chunks of address ids
+// as a pass numbers them, and event by event, with the addresses
+// themselves, to every independent engine.
 func (o *bankOracle) replay(tr *trace.Stream) {
-	sinks := []trace.Sink{o.bank}
+	sinks := []trace.Sink{trace.NewAddrIDs(o.bank)}
 	for _, e := range o.engines {
 		sinks = append(sinks, engineSink(e))
 	}
@@ -215,7 +216,7 @@ func TestBankListenersAndProfile(t *testing.T) {
 	}
 	profile := b.Profile(DefaultConfig())
 	want := make([][]LoadOutcome, len(cfgs))
-	sinks := []trace.Sink{b}
+	sinks := []trace.Sink{trace.NewAddrIDs(b)}
 	for i, cfg := range cfgs {
 		e := New(cfg)
 		sinks = append(sinks, trace.SinkFuncs{

@@ -37,7 +37,10 @@ type Dependence struct {
 }
 
 // Detector is the dependence-detection interface the engine drives: one
-// call per committed store and load, in program order.
+// call per committed store and load, in program order. addr is a raw
+// address or an address id (container.IDs), as the detector was built
+// for: NewDDT, NewSplitDDT and New's detectors take addresses, a bank's
+// take ids.
 type Detector interface {
 	// Store records a committed store.
 	Store(addr, pc uint32)
@@ -48,9 +51,10 @@ type Detector interface {
 
 // ddtNode is the per-address record: the PC of the most recent store and
 // the PC of the earliest load since that store, linked into the LRU
-// order by slice index (head = most recently used, -1 = none).
+// order by slice index (head = most recently used, -1 = none). id is
+// the address id (see DDT) the node is resident under.
 type ddtNode struct {
-	addr       uint32
+	id         uint32
 	storePC    uint32
 	loadPC     uint32
 	storeValid bool
@@ -69,16 +73,19 @@ const ddtNil = int32(-1)
 // when no other load has been recorded (so the *earliest* load in program
 // order is annotated as the RAR producer).
 //
-// The table is the hottest structure in every stream analysis, so nodes
+// A fully-associative table compares addresses only for equality, so
+// the table works on dense address ids (container.IDs) instead: nodes
 // live in one slice (indices instead of pointers, no per-entry
-// allocation after warm-up) and the address index is an open-addressed
-// container.U32Map rather than a built-in map.
+// allocation after warm-up), and an id indexes the node slice through a
+// flat array, with no hashing. A table from NewDDT numbers the raw
+// addresses it is given itself, one map probe per access; a bank's
+// shared detectors are handed ids by the pass (trace.AddrIDs).
 type DDT struct {
 	capacity    int // 0 means unbounded (the "infinite address window")
 	recordLoads bool
-	idx         *container.U32Map[int32]
+	ids         *container.IDs // raw address → id; nil when callers pass ids
+	idx         []int32        // id → resident node + 1; 0 = not resident
 	nodes       []ddtNode
-	free        []int32
 	head, tail  int32
 
 	evictions uint64
@@ -98,27 +105,26 @@ var _ Detector = (*DDT)(nil)
 // NewDDT returns a DDT holding at most capacity addresses (0 = unbounded).
 // recordLoads selects whether loads are recorded, i.e. whether RAR
 // dependences are detectable; the original RAW-only cloaking passes false.
-// Under the package self-check gate (SetSelfCheck) the table cross-checks
-// itself against a reference model on sampled windows.
+// Its Store and Load take raw addresses. Under the package self-check
+// gate (SetSelfCheck) the table cross-checks itself against a reference
+// model on sampled windows.
 func NewDDT(capacity int, recordLoads bool) *DDT {
-	return newDDTChecked(capacity, recordLoads, SelfCheckEnabled())
+	d := newDDTChecked(capacity, recordLoads, SelfCheckEnabled())
+	d.ids = container.NewIDs()
+	return d
 }
 
+// newDDTChecked returns a table whose Store and Load take address ids;
+// sc selects the self-checking variant.
 func newDDTChecked(capacity int, recordLoads bool, sc bool) *DDT {
 	d := &DDT{
 		capacity:    capacity,
 		recordLoads: recordLoads,
-		// +1: a full table holds capacity+1 index entries for a moment
-		// during eviction (insert first, then delete the victim).
-		idx:  container.NewU32Map[int32](capacity + 1),
-		head: ddtNil,
-		tail: ddtNil,
+		head:        ddtNil,
+		tail:        ddtNil,
 	}
 	if capacity > 0 {
 		d.nodes = make([]ddtNode, 0, capacity)
-		// The free list holds at most one victim per insertion; sizing it
-		// up front keeps the steady-state eviction path allocation-free.
-		d.free = make([]int32, 0, capacity)
 	}
 	if sc {
 		d.sc = true
@@ -130,8 +136,9 @@ func newDDTChecked(capacity int, recordLoads bool, sc bool) *DDT {
 // Capacity returns the table's entry limit (0 = unbounded).
 func (d *DDT) Capacity() int { return d.capacity }
 
-// Len returns the number of resident addresses.
-func (d *DDT) Len() int { return d.idx.Len() }
+// Len returns the number of resident addresses. An evicted node is
+// reused by the insertion that evicted it, so every node is resident.
+func (d *DDT) Len() int { return len(d.nodes) }
 
 // Evictions returns the cumulative LRU eviction count.
 func (d *DDT) Evictions() uint64 { return d.evictions }
@@ -172,64 +179,60 @@ func (d *DDT) touch(i int32) {
 	d.pushFront(i)
 }
 
-// lookup returns the resident node for addr, touching it, or allocates
-// one (evicting LRU if at capacity). The pointer is valid until the next
-// lookup.
-func (d *DDT) lookup(addr uint32, alloc bool) *ddtNode {
-	if !alloc {
-		if i, ok := d.idx.Get(addr); ok {
-			d.touch(i)
-			return &d.nodes[i]
-		}
-		return nil
+// addrID returns addr's id under ids, or addr itself when ids is nil
+// (the caller passes ids).
+func addrID(ids *container.IDs, addr uint32) uint32 {
+	if ids != nil {
+		return ids.ID(addr)
 	}
-	// One probe resolves both the membership check and the insertion
-	// slot; on a miss the slot is fixed up to the node index below.
-	p, inserted := d.idx.GetOrPut(addr)
-	if !inserted {
-		i := *p
+	return addr
+}
+
+// resident returns the node index of id, or ddtNil.
+func (d *DDT) resident(id uint32) int32 {
+	if int(id) < len(d.idx) {
+		return d.idx[id] - 1
+	}
+	return ddtNil
+}
+
+// lookup returns the resident node for id, touching it, or allocates
+// one (evicting LRU if at capacity) when alloc is set. The pointer is
+// valid until the next lookup.
+func (d *DDT) lookup(id uint32, alloc bool) *ddtNode {
+	if i := d.resident(id); i != ddtNil {
 		d.touch(i)
 		return &d.nodes[i]
 	}
-	var victimAddr uint32
-	evicted := false
-	if d.capacity > 0 && d.idx.Len() > d.capacity {
-		victim := d.tail
-		d.unlink(victim)
-		victimAddr = d.nodes[victim].addr
-		evicted = true
-		d.free = append(d.free, victim)
-		d.evictions++
+	if !alloc {
+		return nil
 	}
+	d.idx = container.Grow(d.idx, id)
 	var i int32
-	if len(d.free) > 0 {
-		i = d.free[len(d.free)-1]
-		d.free = d.free[:len(d.free)-1]
-		d.nodes[i] = ddtNode{addr: addr, prev: ddtNil, next: ddtNil}
+	if d.capacity > 0 && len(d.nodes) == d.capacity {
+		// The LRU entry leaves, and its node takes the new address.
+		i = d.tail
+		d.unlink(i)
+		d.idx[d.nodes[i].id] = 0
+		d.evictions++
+		d.nodes[i] = ddtNode{id: id, prev: ddtNil, next: ddtNil}
 	} else {
 		i = int32(len(d.nodes))
-		d.nodes = append(d.nodes, ddtNode{addr: addr, prev: ddtNil, next: ddtNil})
+		d.nodes = append(d.nodes, ddtNode{id: id, prev: ddtNil, next: ddtNil})
 	}
-	if evicted {
-		// Deleting the victim's index entry shifts slots around, which may
-		// move the entry GetOrPut just inserted, so re-point it by key.
-		d.idx.Delete(victimAddr)
-		d.idx.Put(addr, i)
-	} else {
-		*p = i
-	}
+	d.idx[id] = i + 1
 	d.pushFront(i)
 	if check.Enabled {
 		check.Assertf(d.head == i, "ddt.lru", "fresh node %d not at head (head=%d)", i, d.head)
-		check.Assertf(d.capacity == 0 || d.idx.Len() <= d.capacity,
-			"ddt.capacity", "%d indexed entries exceed capacity %d", d.idx.Len(), d.capacity)
+		check.Assertf(d.capacity == 0 || len(d.nodes) <= d.capacity,
+			"ddt.capacity", "%d resident entries exceed capacity %d", len(d.nodes), d.capacity)
 	}
 	return &d.nodes[i]
 }
 
-// peek returns the resident node for addr without touching recency.
-func (d *DDT) peek(addr uint32) *ddtNode {
-	if i, ok := d.idx.Get(addr); ok {
+// peek returns the resident node for id without touching recency.
+func (d *DDT) peek(id uint32) *ddtNode {
+	if i := d.resident(id); i != ddtNil {
 		return &d.nodes[i]
 	}
 	return nil
@@ -239,13 +242,14 @@ func (d *DDT) peek(addr uint32) *ddtNode {
 // any load annotation is cleared, because a store breaks the RAR chain
 // through this address.
 func (d *DDT) Store(addr, pc uint32) {
-	n := d.lookup(addr, true)
+	id := addrID(d.ids, addr)
+	n := d.lookup(id, true)
 	n.storePC = pc
 	n.storeValid = true
 	n.loadValid = false
 	if d.sc {
 		if d.ref != nil {
-			d.ref.store(addr, pc)
+			d.ref.store(id, pc)
 		}
 		d.scStep()
 	}
@@ -257,13 +261,14 @@ func (d *DDT) Store(addr, pc uint32) {
 // otherwise the load is recorded as the earliest load for the address
 // (when load recording is enabled).
 func (d *DDT) Load(addr, pc uint32) (Dependence, bool) {
-	dep, ok := d.load(addr, pc)
+	id := addrID(d.ids, addr)
+	dep, ok := d.load(id, pc)
 	if d.sc {
 		if d.ref != nil {
-			rdep, rok := d.ref.load(addr, pc)
+			rdep, rok := d.ref.load(id, pc)
 			if rok != ok || rdep != dep {
-				check.Failf("ddt.oracle", "load addr=%#x pc=%#x: table (%+v,%v), model (%+v,%v)",
-					addr, pc, dep, ok, rdep, rok)
+				check.Failf("ddt.oracle", "load addr=%#x (id %d) pc=%#x: table (%+v,%v), model (%+v,%v)",
+					addr, id, pc, dep, ok, rdep, rok)
 			}
 		}
 		d.scStep()
@@ -271,8 +276,8 @@ func (d *DDT) Load(addr, pc uint32) (Dependence, bool) {
 	return dep, ok
 }
 
-func (d *DDT) load(addr, pc uint32) (Dependence, bool) {
-	n := d.lookup(addr, d.recordLoads)
+func (d *DDT) load(id, pc uint32) (Dependence, bool) {
+	n := d.lookup(id, d.recordLoads)
 	if n == nil {
 		return Dependence{}, false
 	}
@@ -302,6 +307,7 @@ func (d *DDT) load(addr, pc uint32) (Dependence, bool) {
 type SplitDDT struct {
 	stores *DDT
 	loads  *DDT
+	ids    *container.IDs // raw address → id, shared by both halves; nil when callers pass ids
 
 	// Self-check state (see selfcheck.go). The halves are built with
 	// their own checking off: SplitDDT manipulates their nodes directly
@@ -317,11 +323,15 @@ type SplitDDT struct {
 var _ Detector = (*SplitDDT)(nil)
 
 // NewSplitDDT returns a split detector with the given per-half
-// capacities (0 = unbounded).
+// capacities (0 = unbounded). Its Store and Load take raw addresses.
 func NewSplitDDT(storeCapacity, loadCapacity int) *SplitDDT {
-	return newSplitDDTChecked(storeCapacity, loadCapacity, SelfCheckEnabled())
+	s := newSplitDDTChecked(storeCapacity, loadCapacity, SelfCheckEnabled())
+	s.ids = container.NewIDs()
+	return s
 }
 
+// newSplitDDTChecked returns a split detector whose Store and Load take
+// address ids; sc selects the self-checking variant.
 func newSplitDDTChecked(storeCapacity, loadCapacity int, sc bool) *SplitDDT {
 	s := &SplitDDT{
 		stores: newDDTChecked(storeCapacity, false, false),
@@ -338,14 +348,15 @@ func newSplitDDTChecked(storeCapacity, loadCapacity int, sc bool) *SplitDDT {
 // annotation for the address in the load half (an intervening store
 // breaks RAR chains regardless of which table tracks them).
 func (s *SplitDDT) Store(addr, pc uint32) {
-	s.stores.Store(addr, pc)
-	if n := s.loads.peek(addr); n != nil {
+	id := addrID(s.ids, addr)
+	s.stores.Store(id, pc)
+	if n := s.loads.peek(id); n != nil {
 		n.loadValid = false
 		n.storeValid = false
 	}
 	if s.sc {
 		if s.ref != nil {
-			s.ref.store(addr, pc)
+			s.ref.store(id, pc)
 		}
 		s.scStep()
 	}
@@ -355,13 +366,14 @@ func (s *SplitDDT) Store(addr, pc uint32) {
 // combined table) and falls back to the load half for RAR detection and
 // earliest-load recording.
 func (s *SplitDDT) Load(addr, pc uint32) (Dependence, bool) {
-	dep, ok := s.load(addr, pc)
+	id := addrID(s.ids, addr)
+	dep, ok := s.load(id, pc)
 	if s.sc {
 		if s.ref != nil {
-			rdep, rok := s.ref.load(addr, pc)
+			rdep, rok := s.ref.load(id, pc)
 			if rok != ok || rdep != dep {
-				check.Failf("splitddt.oracle", "load addr=%#x pc=%#x: table (%+v,%v), model (%+v,%v)",
-					addr, pc, dep, ok, rdep, rok)
+				check.Failf("splitddt.oracle", "load addr=%#x (id %d) pc=%#x: table (%+v,%v), model (%+v,%v)",
+					addr, id, pc, dep, ok, rdep, rok)
 			}
 		}
 		s.scStep()
@@ -369,9 +381,9 @@ func (s *SplitDDT) Load(addr, pc uint32) (Dependence, bool) {
 	return dep, ok
 }
 
-func (s *SplitDDT) load(addr, pc uint32) (Dependence, bool) {
-	if n := s.stores.lookup(addr, false); n != nil && n.storeValid {
+func (s *SplitDDT) load(id, pc uint32) (Dependence, bool) {
+	if n := s.stores.lookup(id, false); n != nil && n.storeValid {
 		return Dependence{Kind: DepRAW, SourcePC: n.storePC, SinkPC: pc}, true
 	}
-	return s.loads.load(addr, pc)
+	return s.loads.load(id, pc)
 }

@@ -58,7 +58,8 @@ type dpntEntry struct {
 // DPNT is the Dependence Prediction and Naming Table: a PC-indexed table
 // associating static loads and stores with synonyms and prediction
 // confidence. Construct with NewDPNT; sets <= 0 models the infinite DPNT
-// of Section 5.3.
+// of Section 5.3, one entry per static instruction indexed directly by
+// pc>>2 (container.Assoc's unbounded mode).
 type DPNT struct {
 	table *container.Assoc[dpntEntry]
 	conf  ConfKind
@@ -104,9 +105,17 @@ type Prediction struct {
 
 // Lookup predicts the role of the instruction at pc. It does not allocate.
 func (t *DPNT) Lookup(pc uint32) (Prediction, bool) {
+	_, p, ok := t.lookup(pc)
+	return p, ok
+}
+
+// lookup is Lookup that also returns the entry it probed (nil if pc has
+// none), so that the engine can verify the prediction through it
+// without a second probe.
+func (t *DPNT) lookup(pc uint32) (*dpntEntry, Prediction, bool) {
 	e := t.table.Get(key(pc))
 	if e == nil || !e.hasSyn {
-		return Prediction{}, false
+		return e, Prediction{}, false
 	}
 	p := Prediction{Synonym: e.synonym}
 	if e.producer.detected {
@@ -120,9 +129,9 @@ func (t *DPNT) Lookup(pc uint32) (Prediction, bool) {
 		}
 	}
 	if !p.Producer && !p.Consumer && !p.ConsumerShadow {
-		return Prediction{}, false
+		return e, Prediction{}, false
 	}
-	return p, true
+	return e, p, true
 }
 
 // ProducerIsLoad reports whether the instruction at pc was last trained
@@ -140,7 +149,7 @@ func (t *DPNT) ProducerIsLoad(pc uint32) bool {
 func (t *DPNT) RecordDependence(dep Dependence) uint32 {
 	// src must survive the sink's insertion (unbounded tables may move
 	// entries when they grow).
-	t.table.Reserve(2)
+	t.table.Reserve(max(key(dep.SourcePC), key(dep.SinkPC)))
 	src, _ := t.table.GetOrInsert(key(dep.SourcePC))
 	snk, _ := t.table.GetOrInsert(key(dep.SinkPC))
 	if src == snk {
@@ -193,10 +202,13 @@ func (t *DPNT) RecordDependence(dep Dependence) uint32 {
 // VerifyConsumer feeds the verification outcome of a consumer prediction
 // back into the confidence automaton.
 func (t *DPNT) VerifyConsumer(pc uint32, correct bool) {
-	e := t.table.Get(key(pc))
-	if e == nil {
-		return
+	if e := t.table.Get(key(pc)); e != nil {
+		e.verify(correct)
 	}
+}
+
+// verify is VerifyConsumer on the entry itself.
+func (e *dpntEntry) verify(correct bool) {
 	if correct {
 		e.consumer.onCorrect()
 	} else {
@@ -228,7 +240,8 @@ type SFEntry struct {
 }
 
 // SynonymFile is the synonym-indexed value store. sets <= 0 models an
-// unbounded file.
+// unbounded file, indexed directly by synonym: synonyms come from a
+// counter, so they are dense.
 type SynonymFile struct {
 	table *container.Assoc[SFEntry]
 }
@@ -261,6 +274,11 @@ func (f *SynonymFile) Read(syn uint32) (SFEntry, bool) {
 	}
 	return *e, true
 }
+
+// line is Read that returns the resident line itself (nil if none), so
+// that a load that reads and then produces for the same synonym writes
+// through it without a second probe.
+func (f *SynonymFile) line(syn uint32) *SFEntry { return f.table.Get(syn) }
 
 // Len returns the number of resident entries.
 func (f *SynonymFile) Len() int { return f.table.Len() }

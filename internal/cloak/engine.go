@@ -1,6 +1,9 @@
 package cloak
 
-import "rarpred/internal/check"
+import (
+	"rarpred/internal/check"
+	"rarpred/internal/container"
+)
 
 // Mode selects which dependence kinds the mechanism exploits.
 type Mode uint8
@@ -145,18 +148,28 @@ type Engine struct {
 	scSamp check.Sampler
 }
 
-// New returns an engine for the configuration.
+// New returns an engine for the configuration. Its Load, Store,
+// LoadWith and StoreWith take raw addresses.
 func New(cfg Config) *Engine {
-	return newEngine(cfg, newDetector(cfg, cfg.SelfCheck || SelfCheckEnabled()))
+	return newEngine(cfg, newDetector(cfg, cfg.SelfCheck || SelfCheckEnabled(), true))
 }
 
 // newDetector builds the dependence detector cfg describes; sc selects
-// the self-checking variant.
-func newDetector(cfg Config, sc bool) Detector {
-	if cfg.SplitDDT {
-		return newSplitDDTChecked(cfg.DDTCapacity, cfg.DDTCapacity, sc)
+// the self-checking variant, and raw one that takes raw addresses and
+// numbers them itself rather than one that takes address ids.
+func newDetector(cfg Config, sc, raw bool) Detector {
+	var ids *container.IDs
+	if raw {
+		ids = container.NewIDs()
 	}
-	return newDDTChecked(cfg.DDTCapacity, cfg.Mode == ModeRAWRAR, sc)
+	if cfg.SplitDDT {
+		s := newSplitDDTChecked(cfg.DDTCapacity, cfg.DDTCapacity, sc)
+		s.ids = ids
+		return s
+	}
+	d := newDDTChecked(cfg.DDTCapacity, cfg.Mode == ModeRAWRAR, sc)
+	d.ids = ids
+	return d
 }
 
 // newEngine returns an engine for cfg that detects through det; a bank
@@ -222,8 +235,9 @@ func (e *Engine) store(pc, value uint32, pred Prediction, havePred bool) {
 func (e *Engine) Load(pc, addr, value uint32) LoadOutcome {
 	// Predict: the DPNT is consulted with the state established by
 	// *earlier* instances (Figure 4(b) actions 5–8).
-	pred, havePred := e.dpnt.Lookup(pc)
-	return e.LoadWith(pc, addr, value, pred, havePred)
+	ent, pred, havePred := e.dpnt.lookup(pc)
+	dep, _ := e.detector.Load(addr, pc)
+	return e.load(pc, value, ent, pred, havePred, dep)
 }
 
 // LoadWith is Load with the DPNT prediction supplied by the caller (same
@@ -232,24 +246,32 @@ func (e *Engine) LoadWith(pc, addr, value uint32, pred Prediction, havePred bool
 	// Detect (at commit): probing the DDT first is safe, because
 	// detection never reads the DPNT or the synonym file.
 	dep, _ := e.detector.Load(addr, pc)
-	return e.load(pc, value, pred, havePred, dep)
+	return e.load(pc, value, nil, pred, havePred, dep)
 }
 
 // load is the engine's step for one committed load whose DDT probe
 // found dep (Kind DepNone: no visible dependence). Load and LoadWith
 // probe the engine's own detector; a bank engine reads its shared
-// detector's column.
-func (e *Engine) load(pc, value uint32, pred Prediction, havePred bool, dep Dependence) LoadOutcome {
+// detector's column. ent is the DPNT entry the lookup behind pred
+// probed, when the caller has it: the consumer's confidence trains
+// through it, and otherwise through a second probe. Likewise a load
+// that consumes and then produces for one synonym writes through the SF
+// line its read found. Neither table changes between the two accesses,
+// so a reused pointer is still valid, and in a bounded table the
+// skipped probe would only re-touch the set's most recent line, which
+// leaves every set's LRU order as it was.
+func (e *Engine) load(pc, value uint32, ent *dpntEntry, pred Prediction, havePred bool, dep Dependence) LoadOutcome {
 	e.stats.Loads++
 	var out LoadOutcome
+	var line *SFEntry // the synonym's SF line, once the consumer read found it
 	if havePred && (pred.Consumer || pred.ConsumerShadow) {
-		if entry, ok := e.sf.Read(pred.Synonym); ok && entry.Full {
-			correct := entry.Value == value
+		if line = e.sf.line(pred.Synonym); line != nil && line.Full {
+			correct := line.Value == value
 			if pred.Consumer {
 				out.Used = true
 				out.Correct = correct
-				out.Kind = entry.Kind
-				if entry.Kind == DepRAR {
+				out.Kind = line.Kind
+				if line.Kind == DepRAR {
 					e.stats.UsedRAR++
 					if correct {
 						e.stats.CorrectRAR++
@@ -267,7 +289,11 @@ func (e *Engine) load(pc, value uint32, pred Prediction, havePred bool, dep Depe
 			} else {
 				e.stats.ShadowChecks++
 			}
-			e.dpnt.VerifyConsumer(pc, correct)
+			if ent != nil {
+				ent.verify(correct)
+			} else {
+				e.dpnt.VerifyConsumer(pc, correct)
+			}
 		} else {
 			e.stats.NoValue++
 		}
@@ -290,7 +316,11 @@ func (e *Engine) load(pc, value uint32, pred Prediction, havePred bool, dep Depe
 	// consumer read above: a load can be the sink of one instance and the
 	// source for the next.
 	if havePred && pred.Producer {
-		e.sf.Write(pred.Synonym, value, DepRAR, pc)
+		if line != nil {
+			*line = SFEntry{Value: value, Full: true, Kind: DepRAR, WriterPC: pc}
+		} else {
+			e.sf.Write(pred.Synonym, value, DepRAR, pc)
+		}
 	}
 	if e.sc && e.scSamp.Tick() {
 		e.checkInvariants()

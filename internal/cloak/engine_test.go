@@ -1,6 +1,11 @@
 package cloak
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"rarpred/internal/trace"
+)
 
 // ldPC and stPC build distinct instruction addresses.
 func pc(i int) uint32 { return uint32(i * 4) }
@@ -378,5 +383,135 @@ func TestStaticVsHardwareCoverage(t *testing.T) {
 	empty := drive(NewStaticEngine(DefaultConfig(), NewProfile(), 1))
 	if empty.Covered() != 0 {
 		t.Errorf("empty profile covered %d", empty.Covered())
+	}
+}
+
+// refEngine is the engine's step written against the tables' public
+// methods, one probe per call, as the engine did before it reused the
+// DPNT entry and the synonym-file line its first probes found. It is
+// the reference that reuse must match, in bounded tables too, where a
+// skipped probe is a skipped LRU touch.
+type refEngine struct {
+	det   Detector
+	dpnt  *DPNT
+	sf    *SynonymFile
+	stats Stats
+}
+
+func newRefEngine(cfg Config) *refEngine {
+	return &refEngine{
+		det:  newDetector(cfg, false, true),
+		dpnt: NewDPNT(cfg.DPNTSets, cfg.DPNTWays, cfg.Confidence, cfg.Merge),
+		sf:   NewSynonymFile(cfg.SFSets, cfg.SFWays),
+	}
+}
+
+func (r *refEngine) store(pc, addr, value uint32) {
+	r.stats.Stores++
+	if p, ok := r.dpnt.Lookup(pc); ok && p.Producer {
+		r.sf.Write(p.Synonym, value, DepRAW, pc)
+	}
+	r.det.Store(addr, pc)
+}
+
+func (r *refEngine) load(pc, addr, value uint32) LoadOutcome {
+	r.stats.Loads++
+	p, ok := r.dpnt.Lookup(pc)
+	dep, _ := r.det.Load(addr, pc)
+	var out LoadOutcome
+	if ok && (p.Consumer || p.ConsumerShadow) {
+		if entry, resident := r.sf.Read(p.Synonym); resident && entry.Full {
+			correct := entry.Value == value
+			if p.Consumer {
+				out = LoadOutcome{Used: true, Correct: correct, Kind: entry.Kind}
+				used, right, wrong := &r.stats.UsedRAW, &r.stats.CorrectRAW, &r.stats.WrongRAW
+				if entry.Kind == DepRAR {
+					used, right, wrong = &r.stats.UsedRAR, &r.stats.CorrectRAR, &r.stats.WrongRAR
+				}
+				*used++
+				if correct {
+					*right++
+				} else {
+					*wrong++
+				}
+			} else {
+				r.stats.ShadowChecks++
+			}
+			r.dpnt.VerifyConsumer(pc, correct)
+		} else {
+			r.stats.NoValue++
+		}
+	}
+	if dep.Kind != DepNone {
+		out.Dep = dep.Kind
+		if dep.Kind == DepRAW {
+			r.stats.LoadsWithRAW++
+		} else {
+			r.stats.LoadsWithRAR++
+		}
+		r.dpnt.RecordDependence(dep)
+	}
+	if ok && p.Producer {
+		r.sf.Write(p.Synonym, value, DepRAR, pc)
+	}
+	return out
+}
+
+// TestEngineMatchesOneProbePerCallReference: Engine.Load, LoadWith and
+// a bank engine report, load by load, what the one-probe-per-call
+// reference reports, with unbounded tables and with tiny bounded ones
+// that evict constantly.
+func TestEngineMatchesOneProbePerCallReference(t *testing.T) {
+	var cfgs []Config
+	for _, edit := range []func(*Config){
+		func(c *Config) {},
+		func(c *Config) { c.DPNTSets, c.DPNTWays, c.SFSets, c.SFWays = 4, 2, 2, 2 },
+		func(c *Config) {
+			c.DPNTSets, c.DPNTWays, c.SFSets, c.SFWays, c.Confidence = 8, 1, 4, 1, NonAdaptive1Bit
+		},
+		func(c *Config) { c.DPNTSets, c.DPNTWays, c.SFSets, c.SFWays, c.Mode = 2, 4, 1, 3, ModeRAW },
+	} {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		cfgs = append(cfgs, cfg)
+	}
+	tr := randomStream(21, 40000, 40, 24, 3)
+	for _, cfg := range cfgs {
+		ref, load, loadWith := newRefEngine(cfg), New(cfg), New(cfg)
+		var want, got, gotWith []LoadOutcome
+		b := NewBank()
+		var gotBank []LoadOutcome
+		b.OnLoad(cfg, func(_, _, _ uint32, out LoadOutcome) { gotBank = append(gotBank, out) })
+		tr.Replay(trace.SinkFuncs{
+			OnLoad: func(pc, addr, value uint32) {
+				want = append(want, ref.load(pc, addr, value))
+				got = append(got, load.Load(pc, addr, value))
+				pred, ok := loadWith.DPNT().Lookup(pc)
+				gotWith = append(gotWith, loadWith.LoadWith(pc, addr, value, pred, ok))
+			},
+			OnStore: func(pc, addr, value uint32) {
+				ref.store(pc, addr, value)
+				load.Store(pc, addr, value)
+				loadWith.Store(pc, addr, value)
+			},
+		}, trace.NewAddrIDs(b))
+		for name, e := range map[string]struct {
+			outs  []LoadOutcome
+			stats Stats
+		}{
+			"Load":     {got, load.Stats()},
+			"LoadWith": {gotWith, loadWith.Stats()},
+			"bank":     {gotBank, b.Engine(cfg).Stats()},
+		} {
+			if !reflect.DeepEqual(e.outs, want) {
+				t.Errorf("%+v: %s outcomes differ from the reference", cfg, name)
+			}
+			if e.stats != ref.stats {
+				t.Errorf("%+v: %s stats %+v, reference %+v", cfg, name, e.stats, ref.stats)
+			}
+		}
+		if ref.stats.Covered() == 0 || ref.stats.Mispredicted() == 0 {
+			t.Errorf("%+v: reference %+v exercises no covered and mispredicted loads", cfg, ref.stats)
+		}
 	}
 }

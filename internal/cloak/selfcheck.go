@@ -9,8 +9,8 @@ import (
 // Self-checking for the cloaking structures (rarsim -check).
 //
 // The DDT is the hottest and subtlest structure in the simulator — an
-// intrusive LRU over a slice with an open-addressed index whose Delete
-// shifts entries — so it gets the strongest treatment: a naive,
+// intrusive LRU over a slice whose nodes are reused on eviction, found
+// through an id-indexed array — so it gets the strongest treatment: a naive,
 // obviously-correct executable model of Section 3.1's table (linear
 // scan, MRU-first slice) is cross-checked against the real table on
 // sampled windows. A window opens every scInterval operations by
@@ -47,11 +47,11 @@ const (
 	engineSweepInterval = 1 << 12
 )
 
-// refEntry mirrors one DDT address record. PCs are normalised to zero
-// when the matching valid bit is clear so snapshots and live nodes
-// compare field-wise regardless of stale values.
+// refEntry mirrors one DDT address record, keyed by the table's address
+// id. PCs are normalised to zero when the matching valid bit is clear so
+// snapshots and live nodes compare field-wise regardless of stale values.
 type refEntry struct {
-	addr       uint32
+	id         uint32
 	storePC    uint32
 	loadPC     uint32
 	storeValid bool
@@ -88,9 +88,9 @@ func newRefDDT(capacity int, recordLoads bool) *refDDT {
 	return r
 }
 
-func (r *refDDT) find(addr uint32) int {
+func (r *refDDT) find(id uint32) int {
 	for i := range r.order {
-		if r.order[i].addr == addr {
+		if r.order[i].id == id {
 			return i
 		}
 	}
@@ -107,25 +107,25 @@ func (r *refDDT) touch(i int) {
 	r.order[0] = e
 }
 
-// get returns the entry for addr touched to MRU, allocating (and
-// evicting the LRU entry) when alloc is set; nil when absent and !alloc.
-// The pointer is valid until the next get.
-func (r *refDDT) get(addr uint32, alloc bool) *refEntry {
+// get returns the entry for id touched to MRU, allocating (and evicting
+// the LRU entry) when alloc is set; nil when absent and !alloc. The
+// pointer is valid until the next get.
+func (r *refDDT) get(id uint32, alloc bool) *refEntry {
 	if r.m != nil {
-		e, ok := r.m[addr]
+		e, ok := r.m[id]
 		if !ok {
 			if !alloc {
 				return nil
 			}
-			e = refEntry{addr: addr}
+			e = refEntry{id: id}
 		}
-		r.m[addr] = e
+		r.m[id] = e
 		// Maps in Go don't give stable interior pointers; stage the
 		// mutation through a copy the callers write back via put.
 		r.scratch = e
 		return &r.scratch
 	}
-	if i := r.find(addr); i >= 0 {
+	if i := r.find(id); i >= 0 {
 		r.touch(i)
 		return &r.order[0]
 	}
@@ -137,20 +137,20 @@ func (r *refDDT) get(addr uint32, alloc bool) *refEntry {
 	}
 	r.order = append(r.order, refEntry{})
 	copy(r.order[1:], r.order[:len(r.order)-1])
-	r.order[0] = refEntry{addr: addr}
+	r.order[0] = refEntry{id: id}
 	return &r.order[0]
 }
 
 // store mirrors DDT.Store.
-func (r *refDDT) store(addr, pc uint32) {
-	e := r.get(addr, true)
+func (r *refDDT) store(id, pc uint32) {
+	e := r.get(id, true)
 	e.storePC, e.storeValid, e.loadValid = pc, true, false
 	r.put(e)
 }
 
 // load mirrors DDT.Load.
-func (r *refDDT) load(addr, pc uint32) (Dependence, bool) {
-	e := r.get(addr, r.recordLoads)
+func (r *refDDT) load(id, pc uint32) (Dependence, bool) {
+	e := r.get(id, r.recordLoads)
 	if e == nil {
 		return Dependence{}, false
 	}
@@ -173,8 +173,8 @@ func (r *refDDT) load(addr, pc uint32) (Dependence, bool) {
 
 // probeTouch mirrors SplitDDT.Load's probe of the store half: touch on
 // residency, report a visible store.
-func (r *refDDT) probeTouch(addr uint32) (pc uint32, ok bool) {
-	e := r.get(addr, false)
+func (r *refDDT) probeTouch(id uint32) (pc uint32, ok bool) {
+	e := r.get(id, false)
 	if e == nil {
 		return 0, false
 	}
@@ -187,15 +187,15 @@ func (r *refDDT) probeTouch(addr uint32) (pc uint32, ok bool) {
 
 // clearPeek mirrors SplitDDT.Store's kill of the load-half annotation:
 // no recency change.
-func (r *refDDT) clearPeek(addr uint32) {
+func (r *refDDT) clearPeek(id uint32) {
 	if r.m != nil {
-		if e, ok := r.m[addr]; ok {
+		if e, ok := r.m[id]; ok {
 			e.loadValid, e.storeValid = false, false
-			r.m[addr] = e
+			r.m[id] = e
 		}
 		return
 	}
-	if i := r.find(addr); i >= 0 {
+	if i := r.find(id); i >= 0 {
 		r.order[i].loadValid = false
 		r.order[i].storeValid = false
 	}
@@ -205,7 +205,7 @@ func (r *refDDT) clearPeek(addr uint32) {
 // writes it back.
 func (r *refDDT) put(e *refEntry) {
 	if r.m != nil && e == &r.scratch {
-		r.m[e.addr] = *e
+		r.m[e.id] = *e
 	}
 }
 
@@ -216,16 +216,16 @@ type refSplit struct {
 	stores, loads *refDDT
 }
 
-func (r *refSplit) store(addr, pc uint32) {
-	r.stores.store(addr, pc)
-	r.loads.clearPeek(addr)
+func (r *refSplit) store(id, pc uint32) {
+	r.stores.store(id, pc)
+	r.loads.clearPeek(id)
 }
 
-func (r *refSplit) load(addr, pc uint32) (Dependence, bool) {
-	if spc, ok := r.stores.probeTouch(addr); ok {
+func (r *refSplit) load(id, pc uint32) (Dependence, bool) {
+	if spc, ok := r.stores.probeTouch(id); ok {
 		return Dependence{Kind: DepRAW, SourcePC: spc, SinkPC: pc}, true
 	}
-	return r.loads.load(addr, pc)
+	return r.loads.load(id, pc)
 }
 
 // snapshotRef captures the table's current residency, fields, and LRU
@@ -235,11 +235,11 @@ func (d *DDT) snapshotRef() *refDDT {
 	for i := d.head; i != ddtNil; i = d.nodes[i].next {
 		n := d.nodes[i]
 		e := normRef(refEntry{
-			addr: n.addr, storePC: n.storePC, loadPC: n.loadPC,
+			id: n.id, storePC: n.storePC, loadPC: n.loadPC,
 			storeValid: n.storeValid, loadValid: n.loadValid,
 		})
 		if r.m != nil {
-			r.m[e.addr] = e
+			r.m[e.id] = e
 		} else {
 			r.order = append(r.order, e)
 		}
@@ -254,14 +254,14 @@ func (d *DDT) compareAgainst(r *refDDT) {
 	for i := d.head; i != ddtNil; i = d.nodes[i].next {
 		node := d.nodes[i]
 		got := normRef(refEntry{
-			addr: node.addr, storePC: node.storePC, loadPC: node.loadPC,
+			id: node.id, storePC: node.storePC, loadPC: node.loadPC,
 			storeValid: node.storeValid, loadValid: node.loadValid,
 		})
 		var want refEntry
 		if r.m != nil {
-			w, ok := r.m[node.addr]
+			w, ok := r.m[node.id]
 			if !ok {
-				check.Failf("ddt.oracle", "addr %#x resident in table, absent from model", node.addr)
+				check.Failf("ddt.oracle", "id %d resident in table, absent from model", node.id)
 			}
 			want = w
 		} else {
@@ -269,13 +269,13 @@ func (d *DDT) compareAgainst(r *refDDT) {
 				check.Failf("ddt.oracle", "table holds more than the model's %d entries", len(r.order))
 			}
 			want = r.order[n]
-			if want.addr != got.addr {
-				check.Failf("ddt.oracle", "LRU position %d: table addr %#x, model addr %#x",
-					n, got.addr, want.addr)
+			if want.id != got.id {
+				check.Failf("ddt.oracle", "LRU position %d: table id %d, model id %d",
+					n, got.id, want.id)
 			}
 		}
 		if want = normRef(want); got != want {
-			check.Failf("ddt.oracle", "addr %#x: table %+v, model %+v", node.addr, got, want)
+			check.Failf("ddt.oracle", "id %d: table %+v, model %+v", node.id, got, want)
 		}
 		n++
 	}
@@ -289,20 +289,20 @@ func (d *DDT) compareAgainst(r *refDDT) {
 }
 
 // CheckInvariants validates the table's internal consistency: the LRU
-// list is a well-formed chain covering exactly the indexed nodes, every
-// index entry points at a node carrying its address, the free list
-// accounts for the rest of the slice, and a bounded table is within
-// capacity. Panics with *check.Violation on the first breach.
+// list is a well-formed chain covering every node of the slice, every
+// node is indexed at its id and the index holds nothing else, and a
+// bounded table is within capacity. Panics with *check.Violation on the
+// first breach.
 func (d *DDT) CheckInvariants() {
 	count := 0
 	prev := ddtNil
 	for i := d.head; i != ddtNil; i = d.nodes[i].next {
 		n := d.nodes[i]
 		if n.prev != prev {
-			check.Failf("ddt.lru", "node %d (addr %#x): prev link %d, want %d", i, n.addr, n.prev, prev)
+			check.Failf("ddt.lru", "node %d (id %d): prev link %d, want %d", i, n.id, n.prev, prev)
 		}
-		if j, ok := d.idx.Get(n.addr); !ok || j != i {
-			check.Failf("ddt.idx", "node %d (addr %#x) not indexed at itself (idx=%d ok=%v)", i, n.addr, j, ok)
+		if j := d.resident(n.id); j != i {
+			check.Failf("ddt.idx", "node %d (id %d) not indexed at itself (idx=%d)", i, n.id, j)
 		}
 		count++
 		if count > len(d.nodes) {
@@ -313,11 +313,17 @@ func (d *DDT) CheckInvariants() {
 	if prev != d.tail {
 		check.Failf("ddt.lru", "chain ends at node %d, tail says %d", prev, d.tail)
 	}
-	if count != d.idx.Len() {
-		check.Failf("ddt.idx", "LRU chain holds %d nodes, index holds %d", count, d.idx.Len())
+	if count != len(d.nodes) {
+		check.Failf("ddt.lru", "LRU chain holds %d nodes, slice %d", count, len(d.nodes))
 	}
-	if live := len(d.nodes) - len(d.free); count != live {
-		check.Failf("ddt.free", "chain holds %d nodes, slice accounts for %d live", count, live)
+	indexed := 0
+	for _, i := range d.idx {
+		if i != 0 {
+			indexed++
+		}
+	}
+	if count != indexed {
+		check.Failf("ddt.idx", "LRU chain holds %d nodes, index holds %d", count, indexed)
 	}
 	if d.capacity > 0 && count > d.capacity {
 		check.Failf("ddt.capacity", "%d resident entries exceed capacity %d", count, d.capacity)
@@ -358,7 +364,7 @@ func (s *SplitDDT) CheckInvariants() {
 	s.loads.CheckInvariants()
 	for i := s.loads.head; i != ddtNil; i = s.loads.nodes[i].next {
 		if n := s.loads.nodes[i]; n.storeValid {
-			check.Failf("splitddt.loads", "load half holds a store annotation for addr %#x", n.addr)
+			check.Failf("splitddt.loads", "load half holds a store annotation for id %d", n.id)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func TestOracleCatchesLRUSlip(t *testing.T) {
 	driveRandomDet(rand.New(rand.NewSource(4)), d, 500)
 	// Re-read the LRU address through the internal path only: the table
 	// touches it, the model does not see the op at all.
-	d.load(d.nodes[d.tail].addr, 0x40)
+	d.load(d.nodes[d.tail].id, 0x40)
 	v := check.Catch(func() { d.compareAgainst(d.ref) })
 	if v == nil || v.Site != "ddt.oracle" {
 		t.Fatalf("LRU slip not caught: %v", v)
@@ -92,7 +92,7 @@ func TestInvariantsCatchBrokenChain(t *testing.T) {
 func TestInvariantsCatchIndexMismatch(t *testing.T) {
 	d := newDDTChecked(8, true, false)
 	driveRandomDet(rand.New(rand.NewSource(6)), d, 500)
-	d.nodes[d.head].addr++ // node no longer carries its indexed address
+	d.nodes[d.head].id++ // node no longer carries its indexed id
 	v := check.Catch(func() { d.CheckInvariants() })
 	if v == nil || v.Site != "ddt.idx" {
 		t.Fatalf("index mismatch not caught: %v", v)

@@ -49,9 +49,9 @@ const maxSweepCaps = 32
 //     another source, a RAW, or nothing at a larger capacity, so RAR
 //     detection, and with it total detection, need not grow with size.
 type DDTSweep struct {
-	caps    []int  // strictly ascending; a trailing 0 is unbounded
-	all     uint32 // one bit per capacity
-	idx     *container.U32Map[int32]
+	caps    []int   // strictly ascending; a trailing 0 is unbounded
+	all     uint32  // one bit per capacity
+	idx     []int32 // address id → resident node + 1; 0 = not resident
 	nodes   []sweepNode
 	loadPCs []uint32 // earliest load of node i at capacity c: loadPCs[i*len(caps)+c]
 
@@ -68,13 +68,13 @@ type DDTSweep struct {
 	scSamp  check.Sampler
 }
 
-// sweepNode is one resident address. seg is its segment: the index of
-// the smallest capacity it is resident at.
+// sweepNode is one resident address, by id. seg is its segment: the
+// index of the smallest capacity it is resident at.
 type sweepNode struct {
-	addr, storePC uint32
-	sv            uint32
-	seg           int32
-	prev, next    int32
+	id, storePC uint32
+	sv          uint32
+	seg         int32
+	prev, next  int32
 }
 
 // zeroPCs extends loadPCs by one node's PCs without allocating.
@@ -83,8 +83,10 @@ var zeroPCs [maxSweepCaps]uint32
 // NewDDTSweep returns a sweep over caps: strictly ascending positive
 // capacities, optionally followed by 0 for the unbounded table, at most
 // 32 in all. Capacity index c in Load's masks and in Source refers to
-// caps[c]. Under the package self-check gate (SetSelfCheck) every Load is
-// compared against one checked DDT per capacity.
+// caps[c]. Store and Load take address ids (trace.AddrIDs), which index
+// the sweep's nodes directly. Under the package self-check gate
+// (SetSelfCheck) every Load is compared against one checked DDT per
+// capacity.
 func NewDDTSweep(caps ...int) *DDTSweep {
 	k := len(caps)
 	ok := k > 0 && k <= maxSweepCaps
@@ -109,7 +111,6 @@ func NewDDTSweep(caps ...int) *DDTSweep {
 	s := &DDTSweep{
 		caps:  append([]int(nil), caps...),
 		all:   ^uint32(0) >> (32 - k),
-		idx:   container.NewU32Map[int32](hint + 1),
 		head:  ddtNil,
 		tail:  ddtNil,
 		tails: make([]int32, bounded),
@@ -160,14 +161,13 @@ func (s *DDTSweep) pushFront(i int32) {
 	}
 }
 
-// access moves addr's node to the top of the stack, allocating it (and
+// access moves id's node to the top of the stack, allocating it (and
 // evicting the largest bounded table's LRU entry) when it is resident
 // nowhere. It returns the node and the mask of capacities at which the
 // address was resident before the access.
-func (s *DDTSweep) access(addr uint32) (int32, uint32) {
-	p, inserted := s.idx.GetOrPut(addr)
-	if !inserted {
-		i := *p
+func (s *DDTSweep) access(id uint32) (int32, uint32) {
+	if int(id) < len(s.idx) && s.idx[id] != 0 {
+		i := s.idx[id] - 1
 		n := &s.nodes[i]
 		j := int(n.seg)
 		if i != s.head {
@@ -187,25 +187,25 @@ func (s *DDTSweep) access(addr uint32) (int32, uint32) {
 		return i, s.all &^ (1<<j - 1)
 	}
 
-	resident := s.idx.Len()
+	s.idx = container.Grow(s.idx, id)
+	// Every node is resident: an evicted one is reused at once.
+	resident := len(s.nodes) + 1
 	var i int32
 	if len(s.tails) == len(s.caps) && resident > s.caps[len(s.caps)-1] {
 		// The largest table is full: its LRU entry leaves every table and
-		// its node is reused. Deleting the victim's index entry can move
-		// the one GetOrPut just inserted, so re-point it by key.
+		// its node is reused.
 		i = s.tail
 		s.unlink(i)
 		s.tails[len(s.tails)-1] = ddtNil
-		s.idx.Delete(s.nodes[i].addr)
-		s.idx.Put(addr, i)
+		s.idx[s.nodes[i].id] = 0
 		resident--
 	} else {
 		i = int32(len(s.nodes))
 		s.nodes = append(s.nodes, sweepNode{})
 		s.loadPCs = append(s.loadPCs, zeroPCs[:len(s.caps)]...)
-		*p = i
 	}
-	s.nodes[i] = sweepNode{addr: addr, prev: ddtNil, next: ddtNil}
+	s.idx[id] = i + 1
+	s.nodes[i] = sweepNode{id: id, prev: ddtNil, next: ddtNil}
 	s.pushFront(i)
 	for b, t := range s.tails {
 		if t != ddtNil {
@@ -218,24 +218,24 @@ func (s *DDTSweep) access(addr uint32) (int32, uint32) {
 	return i, 0
 }
 
-// Store records a committed store at every capacity.
-func (s *DDTSweep) Store(addr, pc uint32) {
-	i, _ := s.access(addr)
+// Store records a committed store to address id at every capacity.
+func (s *DDTSweep) Store(id, pc uint32) {
+	i, _ := s.access(id)
 	n := &s.nodes[i]
 	n.storePC, n.sv = pc, s.all
 	if s.shadows != nil {
 		for _, d := range s.shadows {
-			d.Store(addr, pc)
+			d.Store(id, pc)
 		}
 		s.scStep()
 	}
 }
 
-// Load processes a committed load at every capacity. Bit c of raw is set
-// when the load sees a RAW dependence at capacity index c, bit c of rar
-// when it sees a RAR one; Source names the producers.
-func (s *DDTSweep) Load(addr, pc uint32) (raw, rar uint32) {
-	i, hit := s.access(addr)
+// Load processes a committed load of address id at every capacity. Bit
+// c of raw is set when the load sees a RAW dependence at capacity index
+// c, bit c of rar when it sees a RAR one; Source names the producers.
+func (s *DDTSweep) Load(id, pc uint32) (raw, rar uint32) {
+	i, hit := s.access(id)
 	s.last = i
 	n := &s.nodes[i]
 	n.sv &= hit
@@ -254,10 +254,10 @@ func (s *DDTSweep) Load(addr, pc uint32) (raw, rar uint32) {
 	}
 	if check.Enabled {
 		check.Assertf(upwardClosed(raw, s.all), "ddtsweep.inclusion",
-			"load addr=%#x: RAW capacity mask %#x not upward closed", addr, raw)
+			"load id %d: RAW capacity mask %#x not upward closed", id, raw)
 	}
 	if s.shadows != nil {
-		s.checkLoad(addr, pc, raw, rar)
+		s.checkLoad(id, pc, raw, rar)
 	}
 	return raw, rar
 }
@@ -282,9 +282,9 @@ func upwardClosed(mask, all uint32) bool {
 
 // checkLoad compares one Load's per-capacity results against the shadow
 // tables.
-func (s *DDTSweep) checkLoad(addr, pc, raw, rar uint32) {
+func (s *DDTSweep) checkLoad(id, pc, raw, rar uint32) {
 	for c, d := range s.shadows {
-		want, wantOK := d.Load(addr, pc)
+		want, wantOK := d.Load(id, pc)
 		var got Dependence
 		switch bit := uint32(1) << c; {
 		case raw&bit != 0:
@@ -293,8 +293,8 @@ func (s *DDTSweep) checkLoad(addr, pc, raw, rar uint32) {
 			got = Dependence{Kind: DepRAR, SourcePC: s.Source(c), SinkPC: pc}
 		}
 		if gotOK := got.Kind != DepNone; gotOK != wantOK || got != want {
-			check.Failf("ddtsweep.oracle", "capacity %d, load addr=%#x pc=%#x: sweep (%+v,%v), DDT (%+v,%v)",
-				s.caps[c], addr, pc, got, gotOK, want, wantOK)
+			check.Failf("ddtsweep.oracle", "capacity %d, load id %d pc=%#x: sweep (%+v,%v), DDT (%+v,%v)",
+				s.caps[c], id, pc, got, gotOK, want, wantOK)
 		}
 	}
 	s.scStep()
@@ -323,17 +323,17 @@ func (s *DDTSweep) CheckInvariants() {
 		case seg == len(s.caps):
 			check.Failf("ddtsweep.capacity", "%d resident entries exceed capacity %d", pos+1, s.caps[seg-1])
 		case n.prev != prev:
-			check.Failf("ddtsweep.lru", "node %d (addr %#x): prev link %d, want %d", i, n.addr, n.prev, prev)
+			check.Failf("ddtsweep.lru", "node %d (id %d): prev link %d, want %d", i, n.id, n.prev, prev)
 		case int(n.seg) != seg:
-			check.Failf("ddtsweep.seg", "node %d (addr %#x) at stack position %d: segment %d, want %d",
-				i, n.addr, pos, n.seg, seg)
+			check.Failf("ddtsweep.seg", "node %d (id %d) at stack position %d: segment %d, want %d",
+				i, n.id, pos, n.seg, seg)
 		case seg < len(s.tails) && pos == s.caps[seg]-1 && s.tails[seg] != i:
 			check.Failf("ddtsweep.tail", "capacity %d: tail %d, want node %d", s.caps[seg], s.tails[seg], i)
 		case !upwardClosed(n.sv, s.all):
-			check.Failf("ddtsweep.inclusion", "addr %#x: store-valid mask %#x not upward closed", n.addr, n.sv)
+			check.Failf("ddtsweep.inclusion", "id %d: store-valid mask %#x not upward closed", n.id, n.sv)
 		}
-		if j, ok := s.idx.Get(n.addr); !ok || j != i {
-			check.Failf("ddtsweep.idx", "node %d (addr %#x) not indexed at itself (idx=%d ok=%v)", i, n.addr, j, ok)
+		if int(n.id) >= len(s.idx) || s.idx[n.id] != i+1 {
+			check.Failf("ddtsweep.idx", "node %d (id %d) not indexed at itself", i, n.id)
 		}
 		pos++
 		prev = i
@@ -344,8 +344,14 @@ func (s *DDTSweep) CheckInvariants() {
 	if prev != s.tail {
 		check.Failf("ddtsweep.lru", "chain ends at node %d, tail says %d", prev, s.tail)
 	}
-	if pos != s.idx.Len() || pos != len(s.nodes) {
-		check.Failf("ddtsweep.idx", "chain holds %d nodes, index %d, slice %d", pos, s.idx.Len(), len(s.nodes))
+	indexed := 0
+	for _, i := range s.idx {
+		if i != 0 {
+			indexed++
+		}
+	}
+	if pos != indexed || pos != len(s.nodes) {
+		check.Failf("ddtsweep.idx", "chain holds %d nodes, index %d, slice %d", pos, indexed, len(s.nodes))
 	}
 	for j, t := range s.tails {
 		if pos < s.caps[j] && t != ddtNil {

@@ -109,7 +109,9 @@ func TestDDTSweepMatchesPerCapacityDDTs(t *testing.T) {
 }
 
 // TestDDTSweepMatchesWorkloads checks the sweep event by event against
-// one NewDDT per capacity on every workload's committed stream.
+// one NewDDT per capacity on every workload's committed stream. The
+// stream's addresses are numbered as a pass numbers them, because the
+// sweep takes address ids; each NewDDT numbers what it is given again.
 func TestDDTSweepMatchesWorkloads(t *testing.T) {
 	caps := []int{1, 32, 100, 128, 1000, 2048, 0}
 	for _, w := range workload.All() {
@@ -119,14 +121,14 @@ func TestDDTSweepMatchesWorkloads(t *testing.T) {
 		}
 		o := newSweepOracle(false, caps...)
 		var fail string
-		tr.Replay(trace.SinkFuncs{
-			OnLoad: func(pc, addr, _ uint32) {
-				if msg := o.load(addr, pc); msg != "" && fail == "" {
+		tr.Replay(trace.NewAddrIDs(trace.SinkFuncs{
+			OnLoad: func(pc, id, _ uint32) {
+				if msg := o.load(id, pc); msg != "" && fail == "" {
 					fail = msg
 				}
 			},
-			OnStore: func(pc, addr, _ uint32) { o.store(addr, pc) },
-		})
+			OnStore: func(pc, id, _ uint32) { o.store(id, pc) },
+		}))
 		if fail != "" {
 			t.Errorf("%s: %s", w.Name, fail)
 		}

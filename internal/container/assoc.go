@@ -1,24 +1,34 @@
 // Package container provides the small hardware-table containers shared
-// by the predictors and caches: a set-associative LRU table and a
-// fully-associative LRU map.
+// by the predictors and caches: a set-associative LRU table, a
+// fully-associative LRU table, an open-addressed uint32 map, and the
+// dense key numbering (IDs) and doubling growth (Grow) behind the
+// directly indexed tables.
 package container
 
 // Assoc is a set-associative, LRU-replaced table keyed by uint32, used to
-// model finite PC-, address- and synonym-indexed hardware structures.
-// Construct with NewAssoc; sets <= 0 selects an unbounded map-backed
-// table, which models "infinite" configurations in accuracy studies.
+// model finite PC- and synonym-indexed hardware structures. Construct
+// with NewAssoc; sets <= 0 selects an unbounded table, which models
+// "infinite" configurations in accuracy studies.
 //
-// Values live inline in the table, so in unbounded mode a pointer
-// obtained from Get, Peek or GetOrInsert is valid only until the next
-// GetOrInsert (the table may grow); callers that must hold a pointer
-// across insertions bracket them with Reserve. Bounded tables never
-// move entries, but an entry may be evicted and reused by any later
-// GetOrInsert.
+// An unbounded table is a slice indexed directly by key, grown by
+// doubling (Grow): its keys must be dense (pc>>2, synonyms), and a key
+// past DenseLimit panics. Values live inline, so in unbounded mode a
+// pointer obtained from Get, Peek or GetOrInsert is valid only until the
+// next GetOrInsert of a key beyond the table (it may grow); callers that
+// must hold a pointer across insertions bracket them with Reserve.
+// Bounded tables never move entries, but an entry may be evicted and
+// reused by any later GetOrInsert. A bounded table fills a set's ways in
+// order and never empties one, so its valid ways are a prefix of the
+// set and a lookup stops at the first invalid way.
 type Assoc[V any] struct {
 	sets, ways int
 	lines      []line[V]
-	unbounded  *U32Map[V]
 	clock      uint64
+
+	// dense holds an unbounded table's entries, indexed by key; n counts
+	// the valid ones.
+	dense []denseLine[V]
+	n     int
 }
 
 type line[V any] struct {
@@ -28,12 +38,17 @@ type line[V any] struct {
 	val   V
 }
 
+type denseLine[V any] struct {
+	valid bool
+	val   V
+}
+
 // NewAssoc returns a table with the given geometry. Pass sets <= 0 for an
 // unbounded table; ways < 1 is treated as 1. sets is rounded up to a
 // power of two so the index is a mask.
 func NewAssoc[V any](sets, ways int) *Assoc[V] {
 	if sets <= 0 {
-		return &Assoc[V]{unbounded: NewU32Map[V](0)}
+		return &Assoc[V]{}
 	}
 	if ways < 1 {
 		ways = 1
@@ -60,18 +75,38 @@ func (t *Assoc[V]) set(key uint32) []line[V] {
 	return t.lines[i*t.ways : (i+1)*t.ways]
 }
 
+// densePtr returns an unbounded table's value under key, or nil.
+func (t *Assoc[V]) densePtr(key uint32) *V {
+	if int(key) < len(t.dense) && t.dense[key].valid {
+		return &t.dense[key].val
+	}
+	return nil
+}
+
 // Get returns the value stored under key, or nil. A hit refreshes the
 // entry's recency.
 func (t *Assoc[V]) Get(key uint32) *V {
-	if t.unbounded != nil {
-		return t.unbounded.Ptr(key)
+	if t.sets == 0 {
+		return t.densePtr(key)
 	}
+	l := t.find(key)
+	if l == nil {
+		return nil
+	}
+	t.clock++
+	l.lru = t.clock
+	return &l.val
+}
+
+// find returns a bounded table's line holding key, or nil.
+func (t *Assoc[V]) find(key uint32) *line[V] {
 	set := t.set(key)
 	for i := range set {
-		if set[i].valid && set[i].key == key {
-			t.clock++
-			set[i].lru = t.clock
-			return &set[i].val
+		if !set[i].valid {
+			break
+		}
+		if set[i].key == key {
+			return &set[i]
 		}
 	}
 	return nil
@@ -79,14 +114,11 @@ func (t *Assoc[V]) Get(key uint32) *V {
 
 // Peek returns the value under key without refreshing recency.
 func (t *Assoc[V]) Peek(key uint32) *V {
-	if t.unbounded != nil {
-		return t.unbounded.Ptr(key)
+	if t.sets == 0 {
+		return t.densePtr(key)
 	}
-	set := t.set(key)
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			return &set[i].val
-		}
+	if l := t.find(key); l != nil {
+		return &l.val
 	}
 	return nil
 }
@@ -95,20 +127,31 @@ func (t *Assoc[V]) Peek(key uint32) *V {
 // set's LRU entry if necessary) when absent. inserted reports whether a
 // new entry was created; a new entry starts at the zero value of V.
 func (t *Assoc[V]) GetOrInsert(key uint32) (v *V, inserted bool) {
-	if t.unbounded != nil {
-		return t.unbounded.GetOrPut(key)
+	if t.sets == 0 {
+		t.dense = Grow(t.dense, key)
+		l := &t.dense[key]
+		if !l.valid {
+			l.valid = true
+			t.n++
+			inserted = true
+		}
+		return &l.val, inserted
 	}
+	// The new entry takes the set's first invalid way, or else its LRU
+	// way.
 	set := t.set(key)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].key == key {
 			t.clock++
 			set[i].lru = t.clock
 			return &set[i].val, false
 		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lru < set[victim].lru {
+		if set[i].lru < set[victim].lru {
 			victim = i
 		}
 	}
@@ -117,20 +160,24 @@ func (t *Assoc[V]) GetOrInsert(key uint32) (v *V, inserted bool) {
 	return &set[victim].val, true
 }
 
-// Reserve ensures the next n GetOrInsert calls cannot move entries, so
-// pointers obtained before them stay valid. It is a no-op on bounded
-// tables, whose entries never move.
-func (t *Assoc[V]) Reserve(n int) {
-	if t.unbounded != nil {
-		t.unbounded.Reserve(n)
+// Reserve ensures that GetOrInsert calls on keys up to maxKey cannot
+// move entries, so pointers obtained before them stay valid. It is a
+// no-op on bounded tables, whose entries never move.
+func (t *Assoc[V]) Reserve(maxKey uint32) {
+	if t.sets == 0 {
+		t.dense = Grow(t.dense, maxKey)
 	}
 }
 
 // ForEach visits every valid entry without touching recency. Iteration
 // order is unspecified.
 func (t *Assoc[V]) ForEach(f func(key uint32, v *V)) {
-	if t.unbounded != nil {
-		t.unbounded.ForEach(f)
+	if t.sets == 0 {
+		for k := range t.dense {
+			if t.dense[k].valid {
+				f(uint32(k), &t.dense[k].val)
+			}
+		}
 		return
 	}
 	for i := range t.lines {
@@ -142,8 +189,8 @@ func (t *Assoc[V]) ForEach(f func(key uint32, v *V)) {
 
 // Len returns the number of valid entries.
 func (t *Assoc[V]) Len() int {
-	if t.unbounded != nil {
-		return t.unbounded.Len()
+	if t.sets == 0 {
+		return t.n
 	}
 	n := 0
 	for i := range t.lines {

@@ -1,13 +1,15 @@
 package container
 
 // LRU is a fully-associative table with least-recently-used replacement,
-// keyed by uint32. It models fully-associative hardware structures (the
-// paper's fully-associative value predictor, the address-window tracker
-// of Section 2). Construct with NewLRU; capacity 0 means unbounded.
+// keyed by small dense uint32 keys (the value predictor's pc>>2): it
+// indexes its entries directly by key, grown by doubling (Grow), so a
+// key past DenseLimit panics. It models the paper's fully-associative
+// value predictor. Construct with NewLRU; capacity 0 means unbounded.
 type LRU[V any] struct {
 	capacity   int
-	entries    *U32Map[*lruNode[V]]
-	head, tail *lruNode[V] // head = most recently used
+	entries    []*lruNode[V] // by key; nil = not resident
+	n          int           // resident entries
+	head, tail *lruNode[V]   // head = most recently used
 	evictions  uint64
 
 	// OnEvict, when non-nil, is called with each evicted key/value just
@@ -23,11 +25,11 @@ type lruNode[V any] struct {
 
 // NewLRU returns an LRU with the given capacity (0 = unbounded).
 func NewLRU[V any](capacity int) *LRU[V] {
-	return &LRU[V]{capacity: capacity, entries: NewU32Map[*lruNode[V]](capacity)}
+	return &LRU[V]{capacity: capacity}
 }
 
 // Len returns the number of resident entries.
-func (l *LRU[V]) Len() int { return l.entries.Len() }
+func (l *LRU[V]) Len() int { return l.n }
 
 // Capacity returns the entry limit (0 = unbounded).
 func (l *LRU[V]) Capacity() int { return l.capacity }
@@ -49,6 +51,14 @@ func (l *LRU[V]) unlink(n *lruNode[V]) {
 	n.prev, n.next = nil, nil
 }
 
+// node returns the resident node under key, or nil.
+func (l *LRU[V]) node(key uint32) *lruNode[V] {
+	if int(key) < len(l.entries) {
+		return l.entries[key]
+	}
+	return nil
+}
+
 func (l *LRU[V]) pushFront(n *lruNode[V]) {
 	n.next = l.head
 	if l.head != nil {
@@ -62,7 +72,7 @@ func (l *LRU[V]) pushFront(n *lruNode[V]) {
 
 // Get returns the value under key, refreshing its recency, or nil.
 func (l *LRU[V]) Get(key uint32) *V {
-	n, _ := l.entries.Get(key)
+	n := l.node(key)
 	if n == nil {
 		return nil
 	}
@@ -75,7 +85,7 @@ func (l *LRU[V]) Get(key uint32) *V {
 
 // Peek returns the value under key without refreshing recency, or nil.
 func (l *LRU[V]) Peek(key uint32) *V {
-	n, _ := l.entries.Get(key)
+	n := l.node(key)
 	if n == nil {
 		return nil
 	}
@@ -85,35 +95,39 @@ func (l *LRU[V]) Peek(key uint32) *V {
 // GetOrInsert returns the value under key, allocating (and evicting the
 // LRU entry if at capacity) when absent.
 func (l *LRU[V]) GetOrInsert(key uint32) (v *V, inserted bool) {
-	if n, _ := l.entries.Get(key); n != nil {
+	if n := l.node(key); n != nil {
 		if l.head != n {
 			l.unlink(n)
 			l.pushFront(n)
 		}
 		return &n.val, false
 	}
-	if l.capacity > 0 && l.entries.Len() >= l.capacity {
+	if l.capacity > 0 && l.n >= l.capacity {
 		victim := l.tail
 		if l.OnEvict != nil {
 			l.OnEvict(victim.key, &victim.val)
 		}
 		l.unlink(victim)
-		l.entries.Delete(victim.key)
+		l.entries[victim.key] = nil
+		l.n--
 		l.evictions++
 	}
+	l.entries = Grow(l.entries, key)
 	n := &lruNode[V]{key: key}
-	l.entries.Put(key, n)
+	l.entries[key] = n
+	l.n++
 	l.pushFront(n)
 	return &n.val, true
 }
 
 // Remove deletes the entry under key, reporting whether it was resident.
 func (l *LRU[V]) Remove(key uint32) bool {
-	n, _ := l.entries.Get(key)
+	n := l.node(key)
 	if n == nil {
 		return false
 	}
 	l.unlink(n)
-	l.entries.Delete(key)
+	l.entries[key] = nil
+	l.n--
 	return true
 }

@@ -3,7 +3,8 @@ package container
 import "math/bits"
 
 // U32Map is an open-addressed hash map keyed by uint32, tuned for the
-// simulator's per-event hot paths (address- and PC-indexed side tables).
+// simulator's per-event hot paths on sparse keys (IDs' address
+// numbering, a cache's resident blocks, per-address analyzer state).
 // Compared to a built-in map it stores slots inline in one slice (one
 // cache line per probe, no per-entry allocation), hashes with a single
 // multiply, and deletes by backward shifting so the table never
@@ -65,16 +66,6 @@ func (m *U32Map[V]) find(k uint32) (uint32, bool) {
 	}
 }
 
-// Get returns the value under k.
-func (m *U32Map[V]) Get(k uint32) (V, bool) {
-	i, ok := m.find(k)
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return m.slots[i].val, true
-}
-
 // Ptr returns a pointer to the value under k, or nil. Like GetOrPut
 // pointers, it is valid only until the next insertion or deletion.
 func (m *U32Map[V]) Ptr(k uint32) *V {
@@ -83,32 +74,6 @@ func (m *U32Map[V]) Ptr(k uint32) *V {
 		return nil
 	}
 	return &m.slots[i].val
-}
-
-// Reserve grows the table, if needed, so that the next extra insertions
-// cannot trigger a rehash — callers that must hold a GetOrPut pointer
-// across further insertions use it to keep the pointer valid.
-func (m *U32Map[V]) Reserve(extra int) {
-	for m.n+extra > m.limit {
-		m.rehash()
-	}
-}
-
-// Put stores v under k, returning the previous value if one existed.
-func (m *U32Map[V]) Put(k uint32, v V) (prev V, existed bool) {
-	i, ok := m.find(k)
-	if ok {
-		prev = m.slots[i].val
-		m.slots[i].val = v
-		return prev, true
-	}
-	if m.n >= m.limit {
-		m.rehash()
-		i, _ = m.find(k)
-	}
-	m.slots[i] = slot[V]{key: k, used: true, val: v}
-	m.n++
-	return prev, false
 }
 
 // GetOrPut returns a pointer to the value under k, inserting the zero
@@ -155,16 +120,6 @@ func (m *U32Map[V]) Delete(k uint32) bool {
 				i = j
 				break
 			}
-		}
-	}
-}
-
-// ForEach visits every entry in unspecified order. The callback must
-// not insert or delete.
-func (m *U32Map[V]) ForEach(f func(k uint32, v *V)) {
-	for i := range m.slots {
-		if m.slots[i].used {
-			f(m.slots[i].key, &m.slots[i].val)
 		}
 	}
 }

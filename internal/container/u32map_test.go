@@ -7,18 +7,20 @@ import (
 
 func TestU32MapBasic(t *testing.T) {
 	m := NewU32Map[int](0)
-	if _, ok := m.Get(0); ok {
+	if m.Ptr(0) != nil {
 		t.Error("empty map reports key 0")
 	}
 	// Key 0 is an ordinary key (no sentinel confusion).
-	if _, existed := m.Put(0, 10); existed {
-		t.Error("fresh Put reports existed")
+	p, inserted := m.GetOrPut(0)
+	if !inserted {
+		t.Error("fresh GetOrPut reports existed")
 	}
-	if v, ok := m.Get(0); !ok || v != 10 {
-		t.Errorf("Get(0) = %d, %v", v, ok)
+	*p = 10
+	if v := m.Ptr(0); v == nil || *v != 10 {
+		t.Errorf("Ptr(0) = %v", v)
 	}
-	if prev, existed := m.Put(0, 11); !existed || prev != 10 {
-		t.Errorf("Put overwrite = %d, %v", prev, existed)
+	if p, inserted := m.GetOrPut(0); inserted || *p != 10 {
+		t.Errorf("GetOrPut of a present key = %d, %v", *p, inserted)
 	}
 	if !m.Delete(0) {
 		t.Error("Delete(0) missed")
@@ -45,8 +47,8 @@ func TestU32MapGetOrPut(t *testing.T) {
 }
 
 // TestU32MapQuick: the map behaves exactly like a builtin map under a
-// random workload of puts, deletes and lookups, across many growths and
-// backward-shift deletions.
+// random workload of insertions, deletes and lookups, across many
+// growths and backward-shift deletions.
 func TestU32MapQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewU32Map[uint32](0)
@@ -58,11 +60,12 @@ func TestU32MapQuick(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			v := rng.Uint32()
-			prev, existed := m.Put(k, v)
+			p, inserted := m.GetOrPut(k)
 			refPrev, refExisted := ref[k]
-			if existed != refExisted || prev != refPrev {
-				t.Fatalf("op %d: Put(%d) = %d,%v want %d,%v", op, k, prev, existed, refPrev, refExisted)
+			if inserted == refExisted || *p != refPrev {
+				t.Fatalf("op %d: GetOrPut(%d) = %d,%v want %d,%v", op, k, *p, !inserted, refPrev, refExisted)
 			}
+			*p = v
 			ref[k] = v
 		case 1:
 			if m.Delete(k) != (func() bool { _, ok := ref[k]; return ok })() {
@@ -70,25 +73,21 @@ func TestU32MapQuick(t *testing.T) {
 			}
 			delete(ref, k)
 		case 2:
-			v, ok := m.Get(k)
+			p := m.Ptr(k)
 			refV, refOK := ref[k]
-			if ok != refOK || v != refV {
-				t.Fatalf("op %d: Get(%d) = %d,%v want %d,%v", op, k, v, ok, refV, refOK)
+			if (p != nil) != refOK || (p != nil && *p != refV) {
+				t.Fatalf("op %d: Ptr(%d) = %v want %d,%v", op, k, p, refV, refOK)
 			}
 		}
 		if m.Len() != len(ref) {
 			t.Fatalf("op %d: Len %d != %d", op, m.Len(), len(ref))
 		}
 	}
-	// Final full cross-check, both directions.
-	got := map[uint32]uint32{}
-	m.ForEach(func(k uint32, v *uint32) { got[k] = *v })
-	if len(got) != len(ref) {
-		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(ref))
-	}
+	// Final full cross-check: every reference entry is present with its
+	// value, and Len (checked above) rules out extra entries.
 	for k, v := range ref {
-		if got[k] != v {
-			t.Fatalf("key %d: %d != %d", k, got[k], v)
+		if p := m.Ptr(k); p == nil || *p != v {
+			t.Fatalf("key %d: %v != %d", k, p, v)
 		}
 	}
 }
@@ -99,11 +98,12 @@ func TestU32MapHint(t *testing.T) {
 		t.Errorf("hint 1000 gives limit %d; would grow immediately", m.limit)
 	}
 	for i := uint32(0); i < 1000; i++ {
-		m.Put(i, int(i))
+		p, _ := m.GetOrPut(i)
+		*p = int(i)
 	}
 	for i := uint32(0); i < 1000; i++ {
-		if v, ok := m.Get(i); !ok || v != int(i) {
-			t.Fatalf("Get(%d) = %d, %v", i, v, ok)
+		if p := m.Ptr(i); p == nil || *p != int(i) {
+			t.Fatalf("Ptr(%d) = %v", i, p)
 		}
 	}
 }
@@ -112,8 +112,9 @@ func BenchmarkU32MapMixed(b *testing.B) {
 	m := NewU32Map[uint32](0)
 	for i := 0; i < b.N; i++ {
 		k := uint32(i%4096) * 4
-		m.Put(k, uint32(i))
-		m.Get(k)
+		p, _ := m.GetOrPut(k)
+		*p = uint32(i)
+		m.Ptr(k)
 		if i%8 == 0 {
 			m.Delete(k)
 		}

@@ -38,8 +38,8 @@ var ablDistCells = tracedCells(
 	func(p *pass) func() DistRow {
 		d := locality.NewDistanceAnalyzer()
 		p.sink(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { d.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { d.Store(pc, addr) },
+			OnLoad:  func(pc, id, _ uint32) { d.Load(pc, id) },
+			OnStore: func(pc, id, _ uint32) { d.Store(pc, id) },
 		})
 		return func() DistRow {
 			return DistRow{

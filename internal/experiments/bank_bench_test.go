@@ -10,9 +10,11 @@ import (
 // BenchmarkBankReplay replays a sealed multi-chunk reference stream
 // through the bank of a suite pass: every functional experiment's plan
 // registered on one pass, which gives the pass's engine configs, shared
-// detectors and outcome listeners. After one warm-up replay every table
-// and dependence column is allocated, so -benchmem must report
-// 0 allocs/op; a column allocated per chunk would show here.
+// detectors and outcome listeners. The bank takes address ids, so the
+// stream goes through the pass's numbering (trace.AddrIDs), which keeps
+// its ids across replays. After one warm-up replay every table, id and
+// column is allocated, so -benchmem must report 0 allocs/op; a column
+// allocated per chunk would show here.
 func BenchmarkBankReplay(b *testing.B) {
 	w, _ := workload.ByAbbrev("gcc")
 	tr, err := trace.RecordStream(w.Program(workload.ReferenceSize), 0)
@@ -28,7 +30,7 @@ func BenchmarkBankReplay(b *testing.B) {
 			r.planCell(p)
 		}
 	}
-	var bank trace.Sink = p.bank
+	bank := trace.NewAddrIDs(p.bank)
 	tr.Replay(bank) // warm up
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -50,12 +50,12 @@ var fig5Cells = tracedCells(
 		rar := make([]uint64, len(Fig5Sizes))
 		sweep := cloak.NewDDTSweep(Fig5Sizes...)
 		p.sink(trace.SinkFuncs{
-			OnLoad: func(pc, addr, _ uint32) {
-				rawAt, rarAt := sweep.Load(addr, pc)
+			OnLoad: func(pc, id, _ uint32) {
+				rawAt, rarAt := sweep.Load(id, pc)
 				tally(raw, rawAt)
 				tally(rar, rarAt)
 			},
-			OnStore: func(pc, addr, _ uint32) { sweep.Store(addr, pc) },
+			OnStore: func(pc, id, _ uint32) { sweep.Store(id, pc) },
 		})
 		return func() Fig5Row {
 			loads := p.tr.Loads()

@@ -67,8 +67,10 @@ func fig7Cells(value bool) CellRunner {
 			engine := p.bank.Engine(cfg)
 			last := locality.NewLastMap()
 			var localRAW, localRAR, localNone uint64
-			p.bank.OnLoad(cfg, func(pc, addr, val uint32, out cloak.LoadOutcome) {
-				word := addr
+			p.bank.OnLoad(cfg, func(pc, id, val uint32, out cloak.LoadOutcome) {
+				// Address locality compares addresses only for
+				// equality, so the address id serves.
+				word := id
 				if value {
 					word = val
 				}

@@ -103,9 +103,29 @@ func refVariants(w workload.Workload, tr *trace.Stream, cfgs []cloak.Config) any
 	return row
 }
 
+// bijectAddrs returns a copy of tr whose addresses are multiplied by an
+// odd constant: a bijection on uint32 that scatters a data segment's
+// consecutive words far apart and out of order.
+func bijectAddrs(tr *trace.Stream) *trace.Stream {
+	const odd = 0x9e3779b1
+	out := trace.NewStream()
+	tr.Replay(trace.SinkFuncs{
+		OnLoad:  func(pc, addr, value uint32) { out.Append(trace.KindLoad, pc, addr*odd, value) },
+		OnStore: func(pc, addr, value uint32) { out.Append(trace.KindStore, pc, addr*odd, value) },
+	})
+	out.Seal()
+	out.Counts, out.Truncated = tr.Counts, tr.Truncated
+	return out
+}
+
 // TestOnePassCellsMatchPerVariantReference: every cell that replays its
 // stream once through a DDT sweep or an engine bank produces exactly the
 // row of its per-variant reference, on every workload.
+//
+// It also checks the premise of the pass's address ids: no functional
+// result depends on address values, only on which accesses share an
+// address. Every functional cell's row on an address-bijected copy of
+// each stream must equal its row on the stream itself.
 func TestOnePassCellsMatchPerVariantReference(t *testing.T) {
 	opt := tiny()
 	ctx := context.Background()
@@ -113,6 +133,18 @@ func TestOnePassCellsMatchPerVariantReference(t *testing.T) {
 		tr, err := workloadStream(ctx, opt, w, opt.size(workload.ReferenceSize), opt.maxInsts())
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
+		}
+		mapped := bijectAddrs(tr)
+		for _, e := range All() {
+			r, ok := e.Cells.(passRunner)
+			if !ok {
+				continue
+			}
+			want := fmt.Sprintf("%#v", runPass(w, tr, []passRunner{r})[0])
+			if got := fmt.Sprintf("%#v", runPass(w, mapped, []passRunner{r})[0]); got != want {
+				t.Errorf("%s/%s: row on the address-bijected stream differs:\n got %s\nwant %s",
+					e.ID, w.Name, got, want)
+			}
 		}
 		for _, c := range []struct {
 			id    string

@@ -20,6 +20,11 @@ import (
 // replays each stream once for all its functional experiments (one job
 // per workload, see RunSuite); a standalone cell is the same pass with
 // one plan.
+//
+// The replay numbers the stream's addresses (trace.AddrIDs), and every
+// sink and listener receives address ids in place of addresses: they
+// compare addresses only for equality, and the detectors index flat
+// arrays by id.
 type pass struct {
 	w    workload.Workload
 	tr   *trace.Stream
@@ -39,7 +44,7 @@ func newPass(w workload.Workload, tr *trace.Stream) *pass {
 	return &pass{w: w, tr: tr, bank: cloak.NewBank()}
 }
 
-// sink adds an analyzer that sees every event.
+// sink adds an analyzer that sees every event, with address ids.
 func (p *pass) sink(s trace.Sink) { p.sinks = append(p.sinks, s) }
 
 // windowSweep returns the pass's RAR locality sweep over WindowSizes.
@@ -50,8 +55,8 @@ func (p *pass) windowSweep() *locality.RARLocalitySweep {
 		l := locality.NewRARLocalitySweep(WindowSizes...)
 		p.windows = l
 		p.sink(trace.SinkFuncs{
-			OnLoad:  func(pc, addr, _ uint32) { l.Load(pc, addr) },
-			OnStore: func(pc, addr, _ uint32) { l.Store(pc, addr) },
+			OnLoad:  func(pc, id, _ uint32) { l.Load(pc, id) },
+			OnStore: func(pc, id, _ uint32) { l.Store(pc, id) },
 		})
 	}
 	return p.windows
@@ -73,16 +78,18 @@ func (p *pass) onValueLoad(fn func(out cloak.LoadOutcome, vpCorrect bool)) {
 	p.valueLoads = append(p.valueLoads, fn)
 }
 
-// replay feeds the stream once to every analyzer and the bank, then
-// counts the loads each engine simulated. A pass nothing registered on
-// decodes nothing.
+// replay feeds the stream once, with address ids, to every analyzer and
+// the bank, then counts the loads each engine simulated. A pass nothing
+// registered on decodes and numbers nothing.
 func (p *pass) replay() {
 	sinks := p.sinks
 	engines := p.bank.Engines()
 	if len(engines) > 0 {
 		sinks = append(sinks, p.bank)
 	}
-	p.tr.Replay(sinks...)
+	if len(sinks) > 0 {
+		p.tr.Replay(trace.NewAddrIDs(sinks...))
+	}
 	for _, e := range engines {
 		countEngineLoads(e)
 	}

@@ -19,12 +19,12 @@ import (
 // is the number of marked timestamps after the address's previous mark.
 // Every mark sits before the current access, one per address seen, so
 // that count is the live addresses less the marks up to the previous
-// one: one prefix sum, plus two updates to move the mark.
+// one: one prefix sum, plus two updates to move the mark. Addresses are
+// only compared for equality, so address ids serve as well.
 type DistanceAnalyzer struct {
-	fen      *fenwick
-	last     *container.U32Map[int] // address -> timestamp of most recent access
-	lastLoad *container.U32Map[uint32]
-	time     int
+	fen   *fenwick
+	addrs *container.U32Map[addrState] // one probe per access
+	time  int
 
 	// Histogram buckets: power-of-two upper bounds 2^0..2^(buckets-1),
 	// with the final bucket catching everything larger.
@@ -34,50 +34,59 @@ type DistanceAnalyzer struct {
 
 const distanceBuckets = 22 // up to 2^21 unique addresses, then overflow
 
+// addrState is what the analyzer keeps per address.
+type addrState struct {
+	time    int    // timestamp of the most recent access
+	loadPC  uint32 // the earliest load since the latest store, if hasLoad
+	hasLoad bool
+}
+
 // NewDistanceAnalyzer returns an empty analyzer.
 func NewDistanceAnalyzer() *DistanceAnalyzer {
 	return &DistanceAnalyzer{
-		fen:      newFenwick(1 << 10),
-		last:     container.NewU32Map[int](0),
-		lastLoad: container.NewU32Map[uint32](0),
-		hist:     make([]uint64, distanceBuckets),
+		fen:   newFenwick(1 << 10),
+		addrs: container.NewU32Map[addrState](0),
+		hist:  make([]uint64, distanceBuckets),
 	}
 }
 
-// touch updates the recency structures for an access and returns the
-// stack distance to the previous access of addr (-1 if first touch).
-func (d *DistanceAnalyzer) touch(addr uint32) int {
+// touch updates the recency structures for an access and returns addr's
+// state and the stack distance to its previous access (-1 if first
+// touch). The state pointer is valid until the next touch.
+func (d *DistanceAnalyzer) touch(addr uint32) (*addrState, int) {
 	d.time++
-	live := d.last.Len() // addresses seen before this access, one mark each
-	prev, seen := d.last.Put(addr, d.time)
+	live := d.addrs.Len() // addresses seen before this access, one mark each
+	a, inserted := d.addrs.GetOrPut(addr)
 	dist := -1
-	if seen {
-		// Unique addresses touched strictly after prev = marks in
-		// (prev, time).
-		dist = live - d.fen.sum(prev)
-		d.fen.add(prev, -1)
+	if !inserted {
+		// Unique addresses touched strictly after the previous access =
+		// marks in (a.time, time).
+		dist = live - d.fen.sum(a.time)
+		d.fen.add(a.time, -1)
 	}
+	a.time = d.time
 	d.fen.add(d.time, 1)
-	return dist
+	return a, dist
 }
 
 // Store observes a committed store: it refreshes recency and breaks the
 // RAR chain through addr.
 func (d *DistanceAnalyzer) Store(pc, addr uint32) {
-	d.touch(addr)
-	d.lastLoad.Delete(addr)
+	a, _ := d.touch(addr)
+	a.hasLoad = false
 }
 
 // Load observes a committed load. If a different static load touched the
 // address more recently than any store, the RAR distance is recorded.
+// An address with a load on record has been touched before, so its
+// distance is defined.
 func (d *DistanceAnalyzer) Load(pc, addr uint32) {
-	dist := d.touch(addr)
-	srcPC, hasLoad := d.lastLoad.Get(addr)
-	if hasLoad && srcPC != pc && dist >= 0 {
+	a, dist := d.touch(addr)
+	switch {
+	case !a.hasLoad:
+		a.loadPC, a.hasLoad = pc, true
+	case a.loadPC != pc:
 		d.record(dist)
-	}
-	if !hasLoad {
-		d.lastLoad.Put(addr, pc)
 	}
 }
 

@@ -29,9 +29,10 @@ type RARLocality struct {
 
 // rarSinks is the sink-load bookkeeping of one address window.
 type rarSinks struct {
-	// history maps static sink-load PC to its MRU-ordered list of unique
-	// RAR source PCs, deepest MaxDepth.
-	history *container.U32Map[depHistory]
+	// history holds each static sink load's MRU-ordered list of unique
+	// RAR source PCs, deepest MaxDepth, indexed by pc>>2 (text starts at
+	// 0, so the index is below the program length).
+	history []depHistory
 
 	hits  [MaxDepth]uint64 // hits[i]: dependence found at MRU rank i
 	total uint64           // dynamic sink loads (executions with a RAR dependence)
@@ -44,14 +45,10 @@ type depHistory struct {
 	pcs [MaxDepth]uint32
 }
 
-func newRARSinks() rarSinks {
-	return rarSinks{history: container.NewU32Map[depHistory](0)}
-}
-
 // NewRARLocality returns an analyzer with the given address-window size
-// (0 = infinite).
+// (0 = infinite). Its Store and Load take raw addresses.
 func NewRARLocality(windowSize int) *RARLocality {
-	return &RARLocality{window: cloak.NewDDT(windowSize, true), rarSinks: newRARSinks()}
+	return &RARLocality{window: cloak.NewDDT(windowSize, true)}
 }
 
 // Store feeds one committed store.
@@ -76,7 +73,9 @@ func (l *RARLocality) Locality(n int) float64 { return l.locality(n) }
 // is src.
 func (s *rarSinks) observe(pc, src uint32) {
 	s.total++
-	hist, _ := s.history.GetOrPut(pc)
+	k := pc >> 2
+	s.history = container.Grow(s.history, k)
+	hist := &s.history[k]
 	rank := int32(-1)
 	for i := int32(0); i < hist.n; i++ {
 		if hist.pcs[i] == src {
@@ -128,20 +127,20 @@ type RARLocalitySweep struct {
 // NewRARLocalitySweep returns an analyzer over the given address-window
 // sizes: strictly ascending, optionally ending in 0 (infinite), as
 // cloak.NewDDTSweep requires. Window index w refers to windowSizes[w].
+// Like the sweep, its Store and Load take address ids (trace.AddrIDs).
 func NewRARLocalitySweep(windowSizes ...int) *RARLocalitySweep {
-	l := &RARLocalitySweep{windows: cloak.NewDDTSweep(windowSizes...)}
-	for range windowSizes {
-		l.sinks = append(l.sinks, newRARSinks())
+	return &RARLocalitySweep{
+		windows: cloak.NewDDTSweep(windowSizes...),
+		sinks:   make([]rarSinks, len(windowSizes)),
 	}
-	return l
 }
 
-// Store feeds one committed store.
-func (l *RARLocalitySweep) Store(pc, addr uint32) { l.windows.Store(addr, pc) }
+// Store feeds one committed store to address id.
+func (l *RARLocalitySweep) Store(pc, id uint32) { l.windows.Store(id, pc) }
 
-// Load feeds one committed load.
-func (l *RARLocalitySweep) Load(pc, addr uint32) {
-	_, rar := l.windows.Load(addr, pc)
+// Load feeds one committed load of address id.
+func (l *RARLocalitySweep) Load(pc, id uint32) {
+	_, rar := l.windows.Load(id, pc)
 	for m := rar; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros32(m)
 		l.sinks[w].observe(pc, l.windows.Source(w))
@@ -158,29 +157,38 @@ func (l *RARLocalitySweep) Locality(w, n int) float64 { return l.sinks[w].locali
 
 // LastMap tracks, per static load PC, the last observed word (an address
 // or a value) and reports whether consecutive executions repeat it. It
-// implements both address locality and value locality.
+// implements both address locality and value locality. Words are only
+// compared for equality, so an address id serves as well as the
+// address.
 type LastMap struct {
-	last    *container.U32Map[uint32]
+	last    []lastWord // by pc>>2
 	observe uint64
 	same    uint64
 }
 
-// NewLastMap returns an empty tracker.
-func NewLastMap() *LastMap {
-	return &LastMap{last: container.NewU32Map[uint32](0)}
+// lastWord is one static load's previous word, once it has one.
+type lastWord struct {
+	word uint32
+	seen bool
 }
+
+// NewLastMap returns an empty tracker.
+func NewLastMap() *LastMap { return &LastMap{} }
 
 // Observe records one execution of the static load at pc with the given
 // word, and reports whether the word equals the previous execution's.
 // The first execution of a load reports false.
 func (m *LastMap) Observe(pc, word uint32) bool {
 	m.observe++
-	prev, seen := m.last.Put(pc, word)
-	if seen && prev == word {
+	k := pc >> 2
+	m.last = container.Grow(m.last, k)
+	l := &m.last[k]
+	repeat := l.seen && l.word == word
+	*l = lastWord{word: word, seen: true}
+	if repeat {
 		m.same++
-		return true
 	}
-	return false
+	return repeat
 }
 
 // Fraction returns the fraction of observations that repeated the
