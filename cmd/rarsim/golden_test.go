@@ -175,12 +175,9 @@ func TestGoldenReport(t *testing.T) {
 			}
 			return out
 		}},
-		// Monitoring writes only to stderr and the HTTP socket.
+		// Monitoring writes only to stderr.
 		{"monitored", func(t *testing.T, dir string) string {
-			out, errw := goldenRun(t, "-progress", "-httpmon", "127.0.0.1:0")
-			if !strings.Contains(errw, "monitoring on http://") {
-				t.Errorf("-httpmon did not announce its address on stderr:\n%s", errw)
-			}
+			out, errw := goldenRun(t, "-progress")
 			if !strings.Contains(errw, "| cells ") {
 				t.Errorf("-progress produced no status line on stderr:\n%s", errw)
 			}

@@ -31,11 +31,11 @@
 // sequential per-experiment shadow run.
 //
 // The run is cancellable: Ctrl-C (SIGINT), SIGTERM, and -timeout all
-// stop the simulators at the next poll point. A workload exceeding
-// -workload-timeout fails alone — the experiment renders its remaining
-// rows and annotates the loss. With -keepgoing an experiment that fails
-// outright is reported and the sweep continues; either way rarsim exits
-// non-zero if anything failed.
+// stop the simulators at the next poll point. A workload that panics or
+// yields a corrupt trace fails only its own cells: the experiment
+// renders its remaining rows and annotates the loss. With -keepgoing an
+// experiment that fails outright is reported and the sweep continues;
+// either way rarsim exits non-zero if anything failed.
 //
 // -store makes the run crash-safe: trace recordings persist as
 // checksummed artifacts (a durable second tier behind the in-memory
@@ -91,12 +91,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		timeout    = fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
-		wtimeout   = fs.Duration("workload-timeout", 0, "deadline per workload simulation (0 = none)")
 		keepgoing  = fs.Bool("keepgoing", false, "on experiment failure, report it and continue with the rest")
 		storeDir   = fs.String("store", "", "directory for durable artifacts: persisted trace recordings and the suite run journal")
 		resume     = fs.Bool("resume", false, "with -store: replay cells the journal recorded as complete and simulate only the remainder")
 		progress   = fs.Bool("progress", false, "periodic one-line status on stderr (cells done/total, ETA, cache residency, Minsts/s); redraws in place on a TTY, plain lines otherwise")
-		httpmon    = fs.String("httpmon", "", "serve live monitoring on this address (host:port; :0 picks a port): /metrics is a JSON snapshot of every counter, plus net/http/pprof")
 		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and a sequential shadow run compared against the scheduler's output")
 	)
 	fs.IntVar(parallel, "parallelism", 0, "alias of -p")
@@ -160,30 +158,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	// Monitoring writes only to stderr (and the HTTP socket), so the
-	// suite report on stdout is byte-identical with or without it. Both
-	// are torn down by deferred calls, which run after the signal-aware
-	// context has drained the run — a SIGINT/SIGTERM exit shuts the
-	// server down as cleanly as a natural finish.
-	if *httpmon != "" {
-		shutdownMon, err := startHTTPMon(*httpmon, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "rarsim: -httpmon: %v\n", err)
-			return 1
-		}
-		defer shutdownMon()
-	}
+	// -progress writes only to stderr, so the suite report on stdout is
+	// byte-identical with or without it. Its deferred close runs after
+	// the signal-aware context has drained the run.
 	if *progress {
 		mon := startProgress(stderr)
 		defer mon.close()
 	}
 
 	opt := experiments.Options{
-		Size:            *size,
-		Parallelism:     *parallel,
-		Context:         ctx,
-		WorkloadTimeout: *wtimeout,
-		Check:           *selfcheck,
+		Size:        *size,
+		Parallelism: *parallel,
+		Context:     ctx,
+		Check:       *selfcheck,
 	}
 	if *selfcheck {
 		// Arm the per-package invariant sweeps for every simulator built
@@ -382,8 +369,7 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // trace compression accounting (trace_cache raw/resident bytes and
 // ratio, store raw_bytes_written); version 5 added the metrics section,
 // a verbatim snapshot of the unified registry (counters, gauges,
-// span histograms) taken at report time — the same snapshot -httpmon
-// serves, so the two reporting paths cannot drift; version 6 added the
+// span histograms) taken at report time; version 6 added the
 // optional supervise section and store breaker stats, both omitempty
 // and no longer emitted since the supervisor and circuit breaker were
 // removed (a v6 reader sees payloads without them, as when unarmed);

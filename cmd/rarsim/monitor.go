@@ -1,13 +1,8 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"sync"
 	"time"
@@ -15,19 +10,13 @@ import (
 	"rarpred/internal/metrics"
 )
 
-// Live monitoring for long sweeps. Both faces read the same default
-// metrics registry every subsystem reports through, and neither ever
-// writes to stdout — the suite report stays byte-identical with
-// monitoring on.
-//
-//   - -progress: a periodic one-line status on stderr (cells done/total,
-//     ETA from the cells done so far, cache residency, Minsts/s). On a
-//     TTY the line redraws in place via carriage return; piped to a file
-//     it degrades to plain lines.
-//   - -httpmon addr: an HTTP server with /metrics (point-in-time JSON
-//     snapshot of the registry) and the standard net/http/pprof
-//     endpoints, shut down cleanly when the run drains (including on
-//     SIGINT/SIGTERM, which end the run context first).
+// Live monitoring for long sweeps: -progress prints a periodic one-line
+// status on stderr (cells done/total, ETA from the cells done so far,
+// cache residency, Minsts/s), read from the default metrics registry
+// that the trace cache, scheduler and simulators report through. On a
+// TTY the line redraws in place via carriage return; piped to a file it
+// degrades to plain lines. It never writes to stdout, so the suite
+// report stays byte-identical with monitoring on.
 
 // progressInterval paces the -progress ticker: fast enough to feel
 // live, slow enough that a piped log stays readable.
@@ -160,46 +149,4 @@ func fmtDuration(d time.Duration) string {
 		return fmt.Sprintf("%dm%02ds", int(d.Minutes()), int(d.Seconds())%60)
 	}
 	return fmt.Sprintf("%ds", int(d.Seconds()))
-}
-
-// startHTTPMon serves /metrics and net/http/pprof on addr (":0" picks a
-// free port; the actual address prints to stderr). The returned
-// shutdown drains in-flight requests before returning and is safe to
-// call exactly once.
-func startHTTPMon(addr string, stderr io.Writer) (shutdown func(), err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(metrics.Default().Snapshot())
-	})
-	// The pprof handlers are registered explicitly on our private mux —
-	// importing net/http/pprof for its side effect would pollute
-	// http.DefaultServeMux, which this server deliberately does not use.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	srv := &http.Server{Handler: mux}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(ln) // ErrServerClosed on shutdown
-	}()
-	fmt.Fprintf(stderr, "rarsim: monitoring on http://%s/metrics\n", ln.Addr())
-	return func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if srv.Shutdown(ctx) != nil {
-			_ = srv.Close()
-		}
-		<-served
-	}, nil
 }

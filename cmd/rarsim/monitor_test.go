@@ -2,69 +2,13 @@ package main
 
 import (
 	"encoding/json"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"rarpred/internal/metrics"
 )
-
-// TestHTTPMonServesMetricsAndPprof drives the monitor server directly:
-// /metrics returns a decodable registry snapshot containing the shared
-// instruments, the pprof index answers, and shutdown returns cleanly.
-func TestHTTPMonServesMetricsAndPprof(t *testing.T) {
-	var errw strings.Builder
-	shutdown, err := startHTTPMon("127.0.0.1:0", &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
-	// The announce line is the documented way to learn the bound port.
-	line := errw.String()
-	start := strings.Index(line, "http://")
-	if start < 0 {
-		t.Fatalf("no address announced: %q", line)
-	}
-	base := strings.TrimSpace(line[start:])
-	base = strings.TrimSuffix(base, "/metrics")
-
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/metrics Content-Type = %q", ct)
-	}
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decoding /metrics: %v", err)
-	}
-	// The trace cache registers on the default registry at package init,
-	// so its instruments must be visible even before any run.
-	if _, ok := snap.Counters["trace.cache.hits"]; !ok {
-		t.Errorf("snapshot lacks trace.cache.hits; counters: %v", snap.Counters)
-	}
-	if _, ok := snap.Gauges["trace.cache.entries"]; !ok {
-		t.Errorf("snapshot lacks trace.cache.entries; gauges: %v", snap.Gauges)
-	}
-
-	pp, err := http.Get(base + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp.Body.Close()
-	if pp.StatusCode != http.StatusOK {
-		t.Errorf("/debug/pprof/cmdline status %d", pp.StatusCode)
-	}
-}
 
 // TestBenchJSONMetricsConsistent: schema v5 embeds the registry
 // snapshot, and because the legacy trace_cache section and the snapshot

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"rarpred/internal/faultsim"
 	"rarpred/internal/funcsim"
@@ -58,14 +57,6 @@ type Options struct {
 	// aborts (hard error, no partial result) once it is done. nil means
 	// context.Background().
 	Context context.Context
-
-	// WorkloadTimeout bounds each workload's simulation inside an
-	// experiment. An exceeded deadline fails only that workload — it is
-	// collected as a runerr.ErrDeadline failure while the rest of the
-	// suite completes (0 = no per-workload bound). In a suite it bounds
-	// a workload's whole job, whose cells then rerun alone, each under
-	// a deadline of its own (see jobKind.runFused).
-	WorkloadTimeout time.Duration
 
 	// Journal, when non-nil, makes the suite run resumable: RunSuite
 	// consults it before scheduling each (experiment × workload) cell —
@@ -198,15 +189,19 @@ func register(e Experiment) {
 // stamp attributes an experiment's outcome to its id: hard errors gain
 // the id prefix, per-workload failures inside a PartialResult are
 // stamped with it. Both the standalone Run and the suite scheduler
-// funnel through here, so attribution is identical on either path.
+// funnel through here, so attribution is identical on either path. A
+// failure is stamped on a copy, because a fused job hands one error to
+// the cells of every experiment it covers.
 func stamp(id string, res Result, err error) (Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
 	if p, ok := res.(*PartialResult); ok {
-		for _, f := range p.Fails {
+		for i, f := range p.Fails {
 			if f.Experiment == "" {
-				f.Experiment = id
+				stamped := *f
+				stamped.Experiment = id
+				p.Fails[i] = &stamped
 			}
 		}
 	}
@@ -250,7 +245,7 @@ func IDs() []string {
 // different workloads concurrently.
 type CellRunner interface {
 	// Cell runs the experiment's unit of work for one workload under
-	// ctx (the run context plus any per-workload deadline).
+	// ctx, the run context.
 	Cell(ctx context.Context, opt Options, w workload.Workload) (any, error)
 	// Assemble combines the surviving cells (suite order, index-aligned
 	// with ws) and the per-workload failures into the Result.
@@ -340,45 +335,25 @@ func cells[T any](
 // isolation policy (isolate). Both the standalone per-experiment pool
 // (runCells) and the suite scheduler (RunSuite) execute cells through
 // this wrapper, or through jobKind.runFused, which isolates a
-// workload's job the same way, so a cell fails the same way on either
-// path.
+// workload's job the same way.
 func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload) (row any, err error) {
-	err = isolate(ctx, opt, w, func(wctx context.Context) error {
+	err = isolate(w, func() error {
 		var err error
-		row, err = r.Cell(wctx, opt, w)
+		row, err = r.Cell(ctx, opt, w)
 		return err
 	})
 	return row, err
 }
 
-// isolate runs fn, the work of one or more cells of workload w: a panic
-// is recovered into a typed runerr.ErrWorkloadPanic, and
-// Options.WorkloadTimeout bounds fn with its own deadline. An exceeded
-// per-workload deadline is annotated with elapsed-vs-configured time
-// ("deadline exceeded (12.3s > 10s)") so the suite's !! lines
-// distinguish a near-miss from a hard hang; the parent run's own
-// deadline ending takes the plain path, because that bound was not this
-// workload's.
-func isolate(ctx context.Context, opt Options, w workload.Workload, fn func(ctx context.Context) error) (err error) {
+// isolate runs fn, the work of one or more cells of workload w, and
+// recovers a panic into a typed runerr.ErrWorkloadPanic.
+func isolate(w workload.Workload, fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = runerr.FromPanic(w.Name, p, debug.Stack())
 		}
 	}()
-	wctx := ctx
-	if opt.WorkloadTimeout > 0 {
-		var cancel context.CancelFunc
-		wctx, cancel = context.WithTimeout(ctx, opt.WorkloadTimeout)
-		defer cancel()
-		start := time.Now()
-		defer func() {
-			if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				err = fmt.Errorf("%w (%.1fs > %s): %w",
-					runerr.ErrDeadline, time.Since(start).Seconds(), opt.WorkloadTimeout, err)
-			}
-		}()
-	}
-	return fn(wctx)
+	return fn()
 }
 
 // collectCells splits per-cell outcomes into surviving rows (suite

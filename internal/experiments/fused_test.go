@@ -203,58 +203,6 @@ func suiteRows(opt Options, exps []Experiment) map[string]SuiteItem {
 	return items
 }
 
-// TestFusedPassPanicFailsOnlyItsCell: a row step that panics fails the
-// pass of its workload's job, whose cells then rerun alone — only the
-// faulty experiment's cell fails, and the other experiments' rows for
-// that workload equal their standalone cells.
-func TestFusedPassPanicFailsOnlyItsCell(t *testing.T) {
-	opt := subset("go", "gcc", "tom")
-	opt.Size = 15
-	opt.Parallelism = 2
-	bad := opt.Workloads[1]
-	items := suiteRows(opt, []Experiment{mustByID(t, "fig2"), rowBomb(bad.Name), mustByID(t, "table51")})
-
-	bomb := items["rowbomb"]
-	p, ok := bomb.Result.(*PartialResult)
-	if bomb.Err != nil || !ok {
-		t.Fatalf("rowbomb = %v, %v; want a partial result", bomb.Result, bomb.Err)
-	}
-	if len(p.Fails) != 1 || p.Fails[0].Workload != bad.Name || !errors.Is(p.Fails[0], runerr.ErrWorkloadPanic) {
-		t.Fatalf("rowbomb failures = %v, want one panic on %s", p.Fails, bad.Name)
-	}
-	if got := strings.Count(p.String(), "="); got != 2 {
-		t.Errorf("rowbomb rendered %d surviving rows, want 2:\n%s", got, p)
-	}
-
-	ctx := context.Background()
-	for _, c := range []struct {
-		id    string
-		cells CellRunner
-		rows  func(Result) []any
-	}{
-		{"fig2", fig2Cells, func(r Result) []any { return boxRows(r.(*Fig2Result).Rows) }},
-		{"table51", table51Cells, func(r Result) []any { return boxRows(r.(*Table51Result).Rows) }},
-	} {
-		item := items[c.id]
-		if item.Err != nil {
-			t.Fatalf("%s: %v", c.id, item.Err)
-		}
-		if _, partial := item.Result.(*PartialResult); partial {
-			t.Fatalf("%s failed a cell: %s", c.id, item.Result)
-		}
-		if !item.Cells[1].Fused {
-			t.Errorf("%s/%s did not run in a fused job", c.id, bad.Name)
-		}
-		want, err := c.cells.Cell(ctx, opt, bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprintf("%#v", c.rows(item.Result)[1]), fmt.Sprintf("%#v", want); got != want {
-			t.Errorf("%s/%s: row after the rerun differs from the standalone cell:\n got %s\nwant %s", c.id, bad.Name, got, want)
-		}
-	}
-}
-
 func boxRows[T any](rows []T) []any {
 	out := make([]any, len(rows))
 	for i, r := range rows {
@@ -263,25 +211,108 @@ func boxRows[T any](rows []T) []any {
 	return out
 }
 
-// TestFusedLookupFailureFailsFirstCell: a stream lookup that fails
-// belongs to the job's first cell, in paper order; the rest look the
-// stream up again, which re-records it once a transient fault has
-// passed.
-func TestFusedLookupFailureFailsFirstCell(t *testing.T) {
-	defer faultsim.Reset()
-	opt := subset("go", "gcc")
-	opt.Size = 27
-	bad := opt.Workloads[1]
-	traceCache.Drop(trace.Key{Workload: bad.Name, Size: opt.Size, MaxInsts: opt.maxInsts()})
-	faultsim.Inject(bad.Name, faultsim.Fault{Kind: faultsim.Panic, Times: 1})
+// TestFusedJobFailsAsOne: a workload's job fails as one, for both job
+// kinds. Each row runs three experiments as one suite over three
+// workloads: on the second, a synthetic experiment's row step panics; on
+// the third, every recording panics. Each of those two workloads' cells
+// fails with ErrWorkloadPanic in every experiment, each annotation
+// naming its own experiment, and the panicking lookup records once for
+// its whole job. The first workload's rows equal its standalone cells.
+func TestFusedJobFailsAsOne(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		abbrevs []string // healthy, row step panics, lookup panics
+		size    int
+		timing  bool
+		exps    func(bad string) []Experiment
+		rows    func(Result) []any // a real experiment's rows, nil for the synthetic one
+	}{
+		{"pass", []string{"go", "gcc", "tom"}, 15, false,
+			func(bad string) []Experiment {
+				return []Experiment{mustByID(t, "fig2"), rowBomb(bad), mustByID(t, "table51")}
+			},
+			func(r Result) []any {
+				switch r := r.(type) {
+				case *Fig2Result:
+					return boxRows(r.Rows)
+				case *Table51Result:
+					return boxRows(r.Rows)
+				}
+				return nil
+			}},
+		{"timing", []string{"apl", "go", "tom"}, 3, true,
+			func(bad string) []Experiment {
+				return []Experiment{mustByID(t, "fig10"), simBomb(bad), mustByID(t, "ablmemspec")}
+			},
+			timingRows},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer faultsim.Reset()
+			opt := subset(c.abbrevs...)
+			opt.Size = c.size
+			opt.Parallelism = 2
+			healthy, rowBad, lookupBad := opt.Workloads[0], opt.Workloads[1], opt.Workloads[2]
+			ctx := context.Background()
+			// Record the streams that look up cleanly first, so the suite's
+			// only cache miss is the panicking lookup's.
+			for _, w := range []workload.Workload{healthy, rowBad} {
+				var err error
+				if c.timing {
+					_, err = timingStream(ctx, opt, w)
+				} else {
+					_, err = referenceStream(ctx, opt, w)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			traceCache.Drop(trace.Key{Workload: lookupBad.Name, Size: c.size, MaxInsts: opt.maxInsts(), Timing: c.timing})
+			faultsim.Inject(lookupBad.Name, faultsim.Fault{Kind: faultsim.Panic})
 
-	items := suiteRows(opt, []Experiment{mustByID(t, "table51"), mustByID(t, "fig2")})
-	p, ok := items["table51"].Result.(*PartialResult)
-	if !ok || len(p.Fails) != 1 || p.Fails[0].Workload != bad.Name || !errors.Is(p.Fails[0], runerr.ErrWorkloadPanic) {
-		t.Fatalf("table51 = %v, %v; want one panic on %s", items["table51"].Result, items["table51"].Err, bad.Name)
-	}
-	fig2 := items["fig2"]
-	if _, partial := fig2.Result.(*PartialResult); fig2.Err != nil || partial {
-		t.Fatalf("fig2 did not recover after the first cell took the failed lookup: %v, %v", fig2.Result, fig2.Err)
+			exps := c.exps(rowBad.Name)
+			misses := traceCache.Stats().Misses
+			items := suiteRows(opt, exps)
+			if got := traceCache.Stats().Misses - misses; got != 1 {
+				t.Errorf("the panicking lookup recorded %d times, want once for its job", got)
+			}
+
+			for _, e := range exps {
+				item := items[e.ID]
+				p, ok := item.Result.(*PartialResult)
+				if item.Err != nil || !ok {
+					t.Fatalf("%s = %v, %v; want a partial result", e.ID, item.Result, item.Err)
+				}
+				if len(p.Fails) != 2 {
+					t.Fatalf("%s failures = %v, want one on %s and one on %s", e.ID, p.Fails, rowBad.Name, lookupBad.Name)
+				}
+				for k, w := range []workload.Workload{rowBad, lookupBad} {
+					if f := p.Fails[k]; f.Workload != w.Name || f.Experiment != e.ID || !errors.Is(f, runerr.ErrWorkloadPanic) {
+						t.Errorf("%s failure %d = %v, want a panic on %s", e.ID, k, f, w.Name)
+					}
+					if want := "!!   " + e.ID + "/" + w.Name + ": "; !strings.Contains(p.String(), want) {
+						t.Errorf("%s lacks the annotation %q:\n%s", e.ID, want, p)
+					}
+				}
+				for wi, cell := range item.Cells {
+					if !cell.Fused || cell.Failed != (wi > 0) {
+						t.Errorf("%s cell %+v, want fused, and failed unless on %s", e.ID, cell, healthy.Name)
+					}
+				}
+				rows := c.rows(p.Result)
+				if rows == nil {
+					if got := p.Result.String(); !strings.HasPrefix(got, healthy.Name+"=") || strings.Count(got, "=") != 1 {
+						t.Errorf("%s survivors = %q, want one row on %s", e.ID, got, healthy.Name)
+					}
+					continue
+				}
+				want, err := e.Cells.Cell(ctx, opt, healthy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != 1 || fmt.Sprintf("%#v", rows[0]) != fmt.Sprintf("%#v", want) {
+					t.Errorf("%s survivors differ from the standalone cell on %s:\n got %#v\nwant %#v", e.ID, healthy.Name, rows, want)
+				}
+			}
+		})
 	}
 }

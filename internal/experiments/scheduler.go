@@ -90,10 +90,10 @@ type suiteExp struct {
 // a single queue drained by Options.parallelism() workers, so a slow
 // experiment no longer serialises the suite behind it — its cells
 // interleave with everyone else's. Cells run under runCell's isolation
-// (panic capture, per-workload deadline), identical to the standalone
-// per-experiment pools, and each workload's stream records once via the
-// shared cache's single-flight no matter how many experiments' cells
-// are waiting on it.
+// (panic capture), identical to the standalone per-experiment pools,
+// and each workload's stream records once via the shared cache's
+// single-flight no matter how many experiments' cells are waiting on
+// it.
 //
 // The unit of work is a job. The functional experiments' cells for one
 // workload form one job (passJob): one stream lookup and one pass that
@@ -393,60 +393,39 @@ func (k jobKind[R, S]) cell(ctx context.Context, opt Options, w workload.Workloa
 
 // runFused runs the cells rs (paper order, each an R) of workload w as
 // one job: one lookup and one shared step, under runCell's isolation.
-// Failures are attributed as if each cell had run alone:
-//
-//   - A failed lookup belongs to the first cell, which fails with the
-//     error its own cell would have returned; the remaining cells form a
-//     new job with their own lookup. (A transient fault thus fails one
-//     cell, and the next lookup re-records.)
-//   - Once the lookup succeeds, any failure of the job — an error or
-//     panic in the shared step, or the workload deadline passing —
-//     reruns each cell alone through runCell, so only a faulty cell
-//     fails, with its own experiment's error.
-//   - The run context ending is a hard abort: nothing reruns.
+// The job fails as one: a failed lookup, or an error or panic in the
+// shared step, fails every cell with that error. The simulation is
+// deterministic, so the failure reproduces, and `rarsim -exp <id>
+// -bench <w>` runs one cell as a job of its own to attribute it. A job
+// the run's end overtook fails with the run context's error, so it
+// journals nothing.
 //
 // started counts the cells whose work began, a prefix of rs: the lookup
 // is its first cell's work, and the rest begin with the shared step.
-// The cells after them never started, because the run ended first.
+// After a failed lookup only the first cell started.
 func (k jobKind[R, S]) runFused(ctx context.Context, opt Options, w workload.Workload, rs []CellRunner) (rows []any, errs []error, started int) {
 	typed := make([]R, len(rs))
 	for i, r := range rs {
 		typed[i] = r.(R)
 	}
-	rows, errs = make([]any, len(rs)), make([]error, len(rs))
-	first := 0
-	for first < len(rs) && ctx.Err() == nil {
-		var looked bool
-		var out []any
-		err := isolate(ctx, opt, w, func(wctx context.Context) error {
-			src, err := k.lookup(wctx, opt, w)
-			if err != nil {
-				return err
-			}
-			looked = true
-			if out, err = k.shared(wctx, opt, w, src, typed[first:]); err != nil {
-				return err
-			}
-			return wctx.Err()
-		})
-		if err == nil {
-			copy(rows[first:], out)
-			return rows, errs, len(rs)
+	started = 1
+	err := isolate(w, func() error {
+		src, err := k.lookup(ctx, opt, w)
+		if err != nil {
+			return err
 		}
-		if !looked {
-			errs[first] = err
-			first++
-			continue
+		started = len(rs)
+		if rows, err = k.shared(ctx, opt, w, src, typed); err != nil {
+			return err
 		}
-		for i := first; i < len(rs); i++ {
-			if errs[i] = ctx.Err(); errs[i] == nil {
-				rows[i], errs[i] = runCell(ctx, opt, rs[i], w)
-			}
+		return ctx.Err()
+	})
+	errs = make([]error, len(rs))
+	if err != nil {
+		rows = make([]any, len(rs))
+		for i := range errs {
+			errs[i] = err
 		}
-		return rows, errs, len(rs)
 	}
-	for i := first; i < len(rs); i++ {
-		errs[i] = ctx.Err()
-	}
-	return rows, errs, first
+	return rows, errs, started
 }

@@ -2,17 +2,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"rarpred/internal/cloak"
-	"rarpred/internal/faultsim"
 	"rarpred/internal/pipeline"
-	"rarpred/internal/runerr"
-	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
 
@@ -86,77 +81,6 @@ func simBomb(bad string) Experiment {
 				return countRow{Workload: w, Value: int(res[0].Cycles)}
 			},
 			countLines),
-	}
-}
-
-// TestTimingJobRowPanicFailsOnlyItsCell: a row step that panics fails
-// its workload's timing job, whose cells then rerun alone — only the
-// faulty experiment's cell fails, and the other experiments' rows for
-// that workload equal their standalone cells.
-func TestTimingJobRowPanicFailsOnlyItsCell(t *testing.T) {
-	opt := subset("apl", "go", "tom")
-	opt.Size = 3
-	opt.Parallelism = 2
-	bad := opt.Workloads[1]
-	items := suiteRows(opt, []Experiment{mustByID(t, "fig10"), simBomb(bad.Name), mustByID(t, "ablmemspec")})
-
-	bomb := items["simbomb"]
-	p, ok := bomb.Result.(*PartialResult)
-	if bomb.Err != nil || !ok {
-		t.Fatalf("simbomb = %v, %v; want a partial result", bomb.Result, bomb.Err)
-	}
-	if len(p.Fails) != 1 || p.Fails[0].Workload != bad.Name || !errors.Is(p.Fails[0], runerr.ErrWorkloadPanic) {
-		t.Fatalf("simbomb failures = %v, want one panic on %s", p.Fails, bad.Name)
-	}
-	if got := strings.Count(p.String(), "="); got != 2 {
-		t.Errorf("simbomb rendered %d surviving rows, want 2:\n%s", got, p)
-	}
-
-	ctx := context.Background()
-	for _, id := range []string{"fig10", "ablmemspec"} {
-		item := items[id]
-		if item.Err != nil {
-			t.Fatalf("%s: %v", id, item.Err)
-		}
-		rows := timingRows(item.Result)
-		if rows == nil {
-			t.Fatalf("%s failed a cell: %s", id, item.Result)
-		}
-		if !item.Cells[1].Fused {
-			t.Errorf("%s/%s did not run in a fused job", id, bad.Name)
-		}
-		want, err := item.Exp.Cells.Cell(ctx, opt, bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprintf("%#v", rows[1]), fmt.Sprintf("%#v", want); got != want {
-			t.Errorf("%s/%s: row after the rerun differs from the standalone cell:\n got %s\nwant %s", id, bad.Name, got, want)
-		}
-	}
-}
-
-// TestTimingJobLookupFailureFailsFirstCell: an instruction-stream lookup
-// that fails belongs to the first cell of the workload's timing job, in
-// paper order; the rest look the stream up again, which re-records it
-// once a transient fault has passed.
-func TestTimingJobLookupFailureFailsFirstCell(t *testing.T) {
-	defer faultsim.Reset()
-	opt := subset("go", "gcc")
-	opt.Size = 2
-	bad := opt.Workloads[1]
-	traceCache.Drop(trace.Key{Workload: bad.Name, Size: opt.Size, MaxInsts: opt.maxInsts(), Timing: true})
-	faultsim.Inject(bad.Name, faultsim.Fault{Kind: faultsim.Panic, Times: 1})
-
-	items := suiteRows(opt, []Experiment{mustByID(t, "fig10"), mustByID(t, "ablmemspec"), mustByID(t, "ablrecovery")})
-	p, ok := items["fig10"].Result.(*PartialResult)
-	if !ok || len(p.Fails) != 1 || p.Fails[0].Workload != bad.Name || !errors.Is(p.Fails[0], runerr.ErrWorkloadPanic) {
-		t.Fatalf("fig10 = %v, %v; want one panic on %s", items["fig10"].Result, items["fig10"].Err, bad.Name)
-	}
-	for _, id := range []string{"ablmemspec", "ablrecovery"} {
-		item := items[id]
-		if _, partial := item.Result.(*PartialResult); item.Err != nil || partial {
-			t.Fatalf("%s did not recover after the first cell took the failed lookup: %v, %v", id, item.Result, item.Err)
-		}
 	}
 }
 

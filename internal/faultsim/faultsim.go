@@ -30,8 +30,9 @@ const (
 	// worker-goroutine recovery and trace.Cache poisoning paths.
 	Panic Kind = iota + 1
 	// Stall blocks the workload's interpreter hook until its context is
-	// canceled (then returns the context error) — exercising the
-	// per-workload deadline path without leaking a goroutine.
+	// canceled (then returns the context error) — exercising the run
+	// deadline (-timeout) and cancellation paths without leaking a
+	// goroutine.
 	Stall
 	// Corrupt flags the workload's next recorded stream for corruption —
 	// exercising Stream.Validate, cache Drop, and the live re-record

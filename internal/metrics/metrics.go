@@ -1,11 +1,9 @@
 // Package metrics is the simulator's unified instrumentation registry:
 // typed counters and gauges with an atomic fast path, labeled histogram
-// families for spans, and a point-in-time Snapshot for reporting. Every
-// subsystem that used to keep ad-hoc stat fields (trace cache, artifact
-// store, suite scheduler, functional and pipeline simulators) registers
-// its instruments here, so the -benchjson report, the -progress ticker,
-// and the -httpmon /metrics endpoint all read the same numbers and can
-// never drift apart.
+// families for spans, and a point-in-time Snapshot for reporting. The
+// trace cache, suite scheduler, and functional and pipeline simulators
+// register their instruments here, so the -benchjson report and the
+// -progress ticker read the same numbers and can never drift apart.
 //
 // Design constraints, in order:
 //
@@ -24,7 +22,6 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -92,15 +89,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
 
 // HistogramValue is a histogram's state in a Snapshot. Buckets maps the
 // inclusive upper bound of each non-empty power-of-two bucket (2^i - 1,
@@ -324,26 +312,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = nil
 	}
 	return s
-}
-
-// Names returns every registered instrument name (vec families count
-// once, without label expansion), sorted. Handy for tests and docs.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.gaugeFuncs {
-		names = append(names, n)
-	}
-	for n := range r.histoVec {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -48,9 +48,6 @@ func TestHistogram(t *testing.T) {
 			t.Fatalf("bucket %s = %d, want %d (all: %v)", ub, hv.Buckets[ub], n, hv.Buckets)
 		}
 	}
-	if m := h.Mean(); m != 105.0/6.0 {
-		t.Fatalf("mean = %v", m)
-	}
 }
 
 func TestVecAndSnapshot(t *testing.T) {
@@ -102,20 +99,18 @@ func TestKindCollisionPanics(t *testing.T) {
 func TestSpanNesting(t *testing.T) {
 	r := NewRegistry()
 	outer := r.StartSpan("cell")
-	inner := outer.Child("record")
+	inner := r.StartSpan("cell/record")
 	time.Sleep(time.Millisecond)
 	inner.End()
-	grand := inner.Child("decode")
-	grand.End()
 	outer.End()
 
 	s := r.Snapshot()
-	for _, path := range []string{"spans_ns{cell}", "spans_ns{cell/record}", "spans_ns{cell/record/decode}"} {
+	for _, path := range []string{"spans_ns{cell}", "spans_ns{cell/record}"} {
 		if s.Histograms[path].Count != 1 {
 			t.Fatalf("span %s count = %d, want 1 (have %v)", path, s.Histograms[path].Count, s.Histograms)
 		}
 	}
-	// The child slept ≥1ms; the parent encloses it.
+	// The inner span slept ≥1ms; the outer one encloses it.
 	child := s.Histograms["spans_ns{cell/record}"].Sum
 	parent := s.Histograms["spans_ns{cell}"].Sum
 	if child < int64(time.Millisecond) {
@@ -161,20 +156,27 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestNames: a snapshot lists each instrument under its registered
+// name, a vec member as name{label}, and registering a subsystem-owned
+// instrument under a taken name replaces the previous one.
 func TestNames(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b")
-	r.Gauge("a")
-	r.HistogramVec("c")
-	got := r.Names()
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("names = %v", got)
+	r.Counter("b").Add(1)
+	r.Gauge("a").Set(2)
+	r.HistogramVec("c").With("x").Observe(3)
+	var owned Counter
+	owned.Add(4)
+	r.RegisterCounter("b", &owned)
+
+	s := r.Snapshot()
+	if len(s.Counters) != 1 || s.Counters["b"] != 4 {
+		t.Errorf("counters = %v, want b=4 from the registered instrument", s.Counters)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("names = %v, want %v", got, want)
-		}
+	if len(s.Gauges) != 1 || s.Gauges["a"] != 2 {
+		t.Errorf("gauges = %v, want a=2", s.Gauges)
+	}
+	if len(s.Histograms) != 1 || s.Histograms["c{x}"].Sum != 3 {
+		t.Errorf("histograms = %v, want c{x}", s.Histograms)
 	}
 }
 

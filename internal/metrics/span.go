@@ -7,9 +7,10 @@ import "time"
 // member holding nanosecond durations.
 const spanFamily = "spans_ns"
 
-// Span attributes wall time inside a phase of work. Spans nest: a child
-// records under "parent/child", so the suite's per-cell breakdown
-// (record → replay → assemble) reads directly out of a snapshot as
+// Span attributes wall time inside a phase of work. A nested phase's
+// path names its parent ("parent/child"), so the suite's per-cell
+// breakdown (record → replay → assemble) reads directly out of a
+// snapshot as
 //
 //	spans_ns{cell}          — whole cells
 //	spans_ns{cell/record}   — trace recording inside a cell
@@ -18,8 +19,8 @@ const spanFamily = "spans_ns"
 // A Span is a 3-word value, started with one clock read and ended with
 // one clock read plus one histogram observe — cheap enough to wrap
 // every cell without moving the suite benchmark. Spans are not
-// goroutine-local or context-propagated; the caller hands a child span
-// down explicitly where nesting crosses a function boundary.
+// goroutine-local or context-propagated; a nested phase starts its own
+// span under its full path.
 type Span struct {
 	vec   *HistogramVec
 	path  string
@@ -29,11 +30,6 @@ type Span struct {
 // StartSpan opens a top-level span named path.
 func (r *Registry) StartSpan(path string) Span {
 	return Span{vec: r.HistogramVec(spanFamily), path: path, start: time.Now()}
-}
-
-// Child opens a nested span recording under parent.path + "/" + name.
-func (s Span) Child(name string) Span {
-	return Span{vec: s.vec, path: s.path + "/" + name, start: time.Now()}
 }
 
 // End records the span's elapsed nanoseconds. End on a zero Span is a

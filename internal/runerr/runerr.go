@@ -1,7 +1,7 @@
 // Package runerr is the error taxonomy of the resilient experiment
 // harness. Every way a workload simulation can fail mid-suite — a panic
-// in a worker goroutine, an exceeded per-workload deadline, a canceled
-// run, a corrupt recorded stream — maps to one sentinel here, wrapped in
+// in a worker goroutine, the run's deadline passing, a canceled run, a
+// corrupt recorded stream — maps to one sentinel here, wrapped in
 // a WorkloadError that names the workload (and, once known, the
 // experiment) it came from. Callers branch with errors.Is and render
 // with errors.As; nothing in this package depends on the rest of the
@@ -25,8 +25,8 @@ var (
 	// recovered and converted instead of crashing the suite.
 	ErrWorkloadPanic = errors.New("workload panicked")
 
-	// ErrDeadline: a per-workload timeout expired before the simulation
-	// finished.
+	// ErrDeadline: the run's deadline (-timeout) passed while this
+	// workload was in flight.
 	ErrDeadline = errors.New("deadline exceeded")
 
 	// ErrCanceled: the whole run was canceled (Ctrl-C or run timeout)

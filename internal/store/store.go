@@ -66,9 +66,8 @@ type Store struct {
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
 
-	// Counters are metrics instruments so RegisterMetrics can expose
-	// the store's own books — Stats, -benchjson, and /metrics all read
-	// the same atomics.
+	// Counters are atomic, so Stats reads them without a lock while
+	// concurrent loads and saves update them.
 	diskHits, diskMisses    metrics.Counter
 	bytesRead, bytesWritten metrics.Counter
 	rawBytesWritten         metrics.Counter
@@ -153,22 +152,6 @@ func (s *Store) Stats() Stats {
 		Retries:         s.retries.Value(),
 		SaveErrors:      s.saveErrors.Value(),
 	}
-}
-
-// RegisterMetrics attaches the store's counters to r under prefix
-// ("store", say). The instruments are the store's own — the same
-// atomics Stats reads — so the registry, -benchjson, and -tracestats
-// can never disagree. A reopened store re-registering the prefix
-// replaces the previous instance's instruments.
-func (s *Store) RegisterMetrics(r *metrics.Registry, prefix string) {
-	r.RegisterCounter(prefix+".disk_hits", &s.diskHits)
-	r.RegisterCounter(prefix+".disk_misses", &s.diskMisses)
-	r.RegisterCounter(prefix+".bytes_read", &s.bytesRead)
-	r.RegisterCounter(prefix+".bytes_written", &s.bytesWritten)
-	r.RegisterCounter(prefix+".raw_bytes_written", &s.rawBytesWritten)
-	r.RegisterCounter(prefix+".quarantines", &s.quarantines)
-	r.RegisterCounter(prefix+".retries", &s.retries)
-	r.RegisterCounter(prefix+".save_errors", &s.saveErrors)
 }
 
 // backoff sleeps before retry attempt n (0-based), exponential with up
