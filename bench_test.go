@@ -198,14 +198,16 @@ var functionalIDs = []string{
 }
 
 // BenchmarkSuiteFunctional runs every functional experiment back to
-// back, the way `rarsim -exp all` does, under both execution models:
+// back, each alone (Experiment.Run, a suite of one, so every experiment
+// replays the stream in a pass of its own), under both recording
+// models:
 //
 //	live:   each experiment re-simulates every workload (the pre-cache
 //	        behaviour, forced via Options.Live)
 //	replay: experiments replay the shared recorded streams
 //
 // Comparing the two sub-benchmarks in one run measures the speedup the
-// trace cache buys for the multi-experiment workflow.
+// trace cache buys when experiments run one after another.
 func BenchmarkSuiteFunctional(b *testing.B) {
 	runSuite := func(b *testing.B, opt experiments.Options) {
 		for i := 0; i < b.N; i++ {
@@ -239,19 +241,19 @@ func BenchmarkSuiteFunctional(b *testing.B) {
 }
 
 // BenchmarkSuiteAll runs the entire suite — every (experiment ×
-// workload) cell — under both harnesses:
+// workload) cell — two ways:
 //
-//	seq:       experiments one at a time, each over its own private
-//	           workload pool (the pre-scheduler harness)
-//	scheduler: one shared worker pool over all cells (RunSuite), each
-//	           workload's functional cells sharing one replay and its
-//	           timing cells one simulation per distinct config
+//	seq:       experiments one at a time, each a suite of its own
+//	           (Experiment.Run), so no two experiments share a job
+//	scheduler: one suite over all cells (RunSuite), each workload's
+//	           functional cells sharing one replay and its timing
+//	           cells one simulation per distinct config
 //
-// The seq/scheduler ratio is the suite-level speedup; it grows with
-// GOMAXPROCS, since the sequential path serialises experiments behind
-// each other's stragglers while the pool keeps every core fed. Both
-// sub-benchmarks run against a warm trace cache so they measure
-// analysis and scheduling, not one-time recording.
+// The seq/scheduler ratio is the suite-level speedup. It comes from the
+// shared jobs and from the pool: it grows with GOMAXPROCS, since seq
+// waits out each experiment's stragglers while one suite keeps every
+// core fed. Both sub-benchmarks run against a warm trace cache so they
+// measure analysis and scheduling, not one-time recording.
 func BenchmarkSuiteAll(b *testing.B) {
 	exps := experiments.All()
 	warm := func(b *testing.B) {

@@ -86,7 +86,7 @@ func TestGoldenReport(t *testing.T) {
 			return out
 		}},
 		// -check arms the oracles and invariant sweeps, and a mismatch
-		// in its sequential shadow run exits non-zero inside goldenRun.
+		// in its shadow run exits non-zero inside goldenRun.
 		{"check-p1", func(t *testing.T, dir string) string {
 			out, _ := goldenRun(t, "-check", "-p", "1")
 			return out

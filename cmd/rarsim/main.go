@@ -28,7 +28,8 @@
 // workload's trace records once no matter how many experiments need it,
 // and results print in paper order as they complete — the output is
 // byte-identical at any parallelism, which -check verifies against a
-// sequential per-experiment shadow run.
+// shadow run of each experiment alone, where no two experiments share
+// a job.
 //
 // The run is cancellable: Ctrl-C (SIGINT), SIGTERM, and -timeout all
 // stop the simulators at the next poll point. A workload that panics or
@@ -95,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeDir   = fs.String("store", "", "directory for durable artifacts: persisted trace recordings and the suite run journal")
 		resume     = fs.Bool("resume", false, "with -store: replay cells the journal recorded as complete and simulate only the remainder")
 		progress   = fs.Bool("progress", false, "periodic one-line status on stderr (cells done/total, ETA, cache residency, Minsts/s); redraws in place on a TTY, plain lines otherwise")
-		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and a sequential shadow run compared against the scheduler's output")
+		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and a shadow run of each experiment alone compared against the suite's output")
 	)
 	fs.IntVar(parallel, "parallelism", 0, "alias of -p")
 	if err := fs.Parse(args); err != nil {
@@ -246,8 +247,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	breport := newBenchReport(*parallel)
 	breport.store = artifacts
 
-	// Under -check, the scheduler's rendered output is captured so a
-	// sequential shadow run can be compared against it afterwards.
+	// Under -check, the suite's rendered output is captured so a shadow
+	// run of each experiment alone can be compared against it afterwards.
 	var schedOut strings.Builder
 	if *selfcheck {
 		stdout = io.MultiWriter(stdout, &schedOut)
@@ -290,19 +291,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BusySeconds: stats.Busy.Seconds(),
 		Utilization: stats.Busy.Seconds() / (stats.Wall.Seconds() * float64(stats.Workers)),
 	}
-	if *selfcheck && len(failed) == 0 && ctx.Err() == nil {
-		if msg := shadowCompare(opt, todo, schedOut.String()); msg != "" {
-			fmt.Fprintf(stderr, "rarsim: -check: %s\n", msg)
-			failed = append(failed, "check-shadow")
-		}
-	}
-
+	// The shadow run below runs suites of its own, which reset the
+	// suite gauges and add to the counters, so the report is written
+	// first: it describes the main run alone.
+	shadow := *selfcheck && len(failed) == 0 && ctx.Err() == nil
 	if *benchjson != "" {
 		if err := breport.write(*benchjson); err != nil {
 			fmt.Fprintf(stderr, "rarsim: -benchjson: %v\n", err)
 			if len(failed) == 0 {
 				failed = append(failed, "benchjson")
 			}
+		}
+	}
+	if shadow {
+		if msg := shadowCompare(opt, todo, schedOut.String()); msg != "" {
+			fmt.Fprintf(stderr, "rarsim: -check: %s\n", msg)
+			failed = append(failed, "check-shadow")
 		}
 	}
 	return finish(stderr, *traceStats, *memprofile, artifacts, failed)
@@ -322,16 +326,16 @@ func expIDs(todo []experiments.Experiment) string {
 // nondeterministic bytes in a sweep's report.
 var timingLine = regexp.MustCompile(`\[([a-z0-9]+) in [0-9.]+s\]`)
 
-// shadowCompare is the scheduler-vs-sequential differential oracle: it
-// re-runs the sweep on the pre-scheduler path (one experiment at a
-// time, each over its private pool) and compares the rendered reports,
-// which the two paths promise to keep byte-identical modulo elapsed
-// times. Each standalone Run replays the already-warm trace cache in a
-// pass of its own and simulates its own timing configurations, so both
-// the passes the scheduler's functional cells shared and the timing
-// Results its timing cells shared are checked independently. It
-// runs only after a clean scheduler sweep — with failures the outputs
-// legitimately differ by failure ordering.
+// shadowCompare is the sharing-vs-alone differential oracle: it re-runs
+// the sweep one experiment at a time (Experiment.Run, a suite of one
+// that never touches the journal) and compares the rendered reports,
+// which the two runs promise to keep byte-identical modulo elapsed
+// times. Each experiment alone replays the already-warm trace cache in
+// a pass of its own and simulates its own timing configurations, so
+// both the passes the suite's functional cells shared and the timing
+// Results its timing cells shared are checked independently. It runs
+// only after a clean sweep — with failures the outputs legitimately
+// differ by failure ordering.
 func shadowCompare(opt experiments.Options, todo []experiments.Experiment, schedOut string) string {
 	var sb strings.Builder
 	for i, e := range todo {
@@ -340,7 +344,7 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 		}
 		res, err := e.Run(opt)
 		if err != nil {
-			return fmt.Sprintf("sequential shadow run of %s failed: %v", e.ID, err)
+			return fmt.Sprintf("shadow run of %s alone failed: %v", e.ID, err)
 		}
 		fmt.Fprintf(&sb, "== %s: %s\n", e.ID, e.Title)
 		fmt.Fprint(&sb, res.String())
@@ -354,11 +358,11 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			return fmt.Sprintf("scheduler output diverges from sequential at line %d:\n  scheduler:  %q\n  sequential: %q",
+			return fmt.Sprintf("suite output diverges from the experiments run alone at line %d:\n  suite: %q\n  alone: %q",
 				i+1, gl[i], wl[i])
 		}
 	}
-	return fmt.Sprintf("scheduler output diverges from sequential: %d vs %d lines", len(gl), len(wl))
+	return fmt.Sprintf("suite output diverges from the experiments run alone: %d vs %d lines", len(gl), len(wl))
 }
 
 // benchSchemaVersion identifies the -benchjson layout so downstream

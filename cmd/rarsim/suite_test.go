@@ -79,6 +79,35 @@ func TestBenchJSONWritten(t *testing.T) {
 	}
 }
 
+// TestBenchJSONDescribesMainRunUnderCheck: -check's shadow run runs a
+// suite per experiment, and each suite resets the suite gauges, so
+// -benchjson is written before it: its suite.cells_total counts the
+// main run's cells (two experiments × two workloads), not the last
+// shadow suite's.
+func TestBenchJSONDescribesMainRunUnderCheck(t *testing.T) {
+	path := t.TempDir() + "/BENCH_suite.json"
+	code, _, errw := runCLI("-exp", "table51,fig2", "-size", "3",
+		"-bench", "go,gcc", "-check", "-benchjson", path)
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, errw)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Metrics struct {
+			Gauges map[string]int64 `json:"gauges"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Metrics.Gauges["suite.cells_total"]; got != 4 {
+		t.Errorf("suite.cells_total = %d, want the main run's 4", got)
+	}
+}
+
 // TestBenchJSONCellsSumToBusy: schema 8 splits each job's time over the
 // cells it covers, so the cells' seconds sum to the scheduler's busy
 // time, each experiment's cost_seconds sums its cells, and the cells

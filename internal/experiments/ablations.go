@@ -111,12 +111,6 @@ var ablDPNTConfigs = defaultVariants(4, func(i int, cfg *cloak.Config) {
 var ablDPNTCells = variantCells("DPNT capacity",
 	[]string{"512", "2K", "8K", "inf"}, ablDPNTConfigs)
 
-func runAblMerge(opt Options) (Result, error) { return runCells(opt, ablMergeCells) }
-
-func runAblSplit(opt Options) (Result, error) { return runCells(opt, ablSplitCells) }
-
-func runAblDPNT(opt Options) (Result, error) { return runCells(opt, ablDPNTCells) }
-
 // String renders coverage and misspeculation per variant.
 func (r *AblationResult) String() string {
 	var sb strings.Builder

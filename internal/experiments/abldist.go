@@ -59,8 +59,6 @@ var ablDistCells = tracedCells(
 		return annotate(&DistResult{Rows: rows}, fails), nil
 	})
 
-func runAblDist(opt Options) (Result, error) { return runCells(opt, ablDistCells) }
-
 // String renders the distance CDF at the Figure 5 DDT sizes.
 func (r *DistResult) String() string {
 	var sb strings.Builder

@@ -56,8 +56,6 @@ var ablWindowCells = tracedCells(
 		return annotate(&WindowResult{Rows: rows}, fails), nil
 	})
 
-func runAblWindow(opt Options) (Result, error) { return runCells(opt, ablWindowCells) }
-
 // String renders the sweep: sinks detected and their regularity per
 // window size.
 func (r *WindowResult) String() string {

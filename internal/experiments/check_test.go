@@ -81,8 +81,8 @@ func TestAssemblePanicIsolated(t *testing.T) {
 	bomb := Experiment{
 		ID:    "bomb",
 		Title: "assembler that panics",
-		Cells: cells(
-			func(ctx context.Context, opt Options, w workload.Workload) (int, error) { return 1, nil },
+		Cells: tracedCells(
+			func(p *pass) func() int { return func() int { return 1 } },
 			func(opt Options, ws []workload.Workload, rows []int, fails []*runerr.WorkloadError) (Result, error) {
 				panic("assembler exploded")
 			},
@@ -110,12 +110,12 @@ func TestAssemblePanicIsolated(t *testing.T) {
 func TestCheckOracleCleanRun(t *testing.T) {
 	opt := subset("com", "hyd")
 	opt.Size = 21
-	plain, err := runFig2(opt)
+	plain, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Check = true
-	checked, err := runFig2(opt)
+	checked, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCheckOracleCatchesDivergence(t *testing.T) {
 	opt.Check = true
 	poisonStream(t, opt)
 
-	res, err := runFig2(opt)
+	res, err := mustByID(t, "fig2").Run(opt)
 	assertDivergence(t, "fig2", res, err, opt.Workloads[0])
 }
 
@@ -164,7 +164,7 @@ func TestVerdictReachesEveryStreamConsumer(t *testing.T) {
 	if delivered != len(exps) {
 		t.Fatalf("delivered %d experiments, want %d", delivered, len(exps))
 	}
-	res, err := runFig5(opt)
+	res, err := mustByID(t, "fig5").Run(opt)
 	assertDivergence(t, "fig5", res, err, opt.Workloads[0])
 }
 

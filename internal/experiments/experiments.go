@@ -159,39 +159,46 @@ type Experiment struct {
 	ID string
 	// Title describes what the paper reports there.
 	Title string
-	// Cells decomposes the experiment into independent per-workload
-	// units, letting the suite scheduler pool them with every other
-	// experiment's cells (see RunSuite). Every experiment has them.
+	// Cells decomposes the experiment into per-workload cells: a pass
+	// runner (tracedCells) or a timing runner (simCells), the two job
+	// kinds RunSuite pools with every other experiment's cells.
 	Cells CellRunner
 }
 
-// Run executes the experiment standalone: its cells over a private
-// workload pool plus Assemble (runCells). Every error leaving the
-// experiment layer is attributed: hard errors gain the experiment id
-// prefix and per-workload failures in a PartialResult are stamped with
-// it (completing the runerr.WorkloadError taxonomy).
+// Run executes the experiment alone: a suite of one (RunSuite), whose
+// jobs each hold only this experiment's cell, so it shares no work with
+// any other experiment. It never journals: opt.Journal is ignored. Every
+// error leaving the experiment layer is attributed: hard errors gain
+// the experiment id prefix (a run the context ended before any cell
+// began included) and per-workload failures in a PartialResult are
+// stamped with it (completing the runerr.WorkloadError taxonomy).
 func (e Experiment) Run(opt Options) (Result, error) {
-	res, err := runCells(opt, e.Cells)
-	return stamp(e.ID, res, err)
+	opt.Journal = nil
+	var item SuiteItem
+	RunSuite(opt, []Experiment{e}, func(it SuiteItem) bool { item = it; return true })
+	if item.NotRun {
+		return stamp(e.ID, nil, runerr.Classify(item.Err))
+	}
+	return item.Result, item.Err
 }
 
 var registry []Experiment
 
-// register adds e to the registry; an experiment without Cells is a
-// programming error.
+// register adds e to the registry. Its Cells must be a pass runner or a
+// timing runner: RunSuite has no other job kind.
 func register(e Experiment) {
-	if e.Cells == nil {
-		panic("experiments: " + e.ID + " registered without Cells")
+	switch e.Cells.(type) {
+	case passRunner, simRunner:
+	default:
+		panic("experiments: " + e.ID + " registered without pass or timing cells")
 	}
 	registry = append(registry, e)
 }
 
 // stamp attributes an experiment's outcome to its id: hard errors gain
 // the id prefix, per-workload failures inside a PartialResult are
-// stamped with it. Both the standalone Run and the suite scheduler
-// funnel through here, so attribution is identical on either path. A
-// failure is stamped on a copy, because a fused job hands one error to
-// the cells of every experiment it covers.
+// stamped with it. A failure is stamped on a copy, because a fused job
+// hands one error to the cells of every experiment it covers.
 func stamp(id string, res Result, err error) (Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
@@ -235,21 +242,23 @@ func IDs() []string {
 	return ids
 }
 
-// CellRunner decomposes an experiment into independent per-workload
-// cells plus an assembly step. It is the contract the suite scheduler
-// pools work through: one (experiment × workload) cell is the unit of
-// results, failures and journaling (the scheduler runs a workload's
-// functional cells as one job and its timing cells as another, see
+// CellRunner decomposes an experiment into per-workload cells plus an
+// assembly step. It is the contract the suite scheduler pools work
+// through: one (experiment × workload) cell is the unit of results,
+// failures and journaling (the scheduler runs a workload's functional
+// cells as one job and its timing cells as another, see
 // jobKind.runFused), and Assemble turns the surviving cells back into
-// the experiment's paper-layout Result. Cell must be safe to call for
-// different workloads concurrently.
+// the experiment's paper-layout Result. Every runner is a passRunner or
+// a simRunner, built from a typed cellRunner.
 type CellRunner interface {
-	// Cell runs the experiment's unit of work for one workload under
-	// ctx, the run context.
-	Cell(ctx context.Context, opt Options, w workload.Workload) (any, error)
 	// Assemble combines the surviving cells (suite order, index-aligned
 	// with ws) and the per-workload failures into the Result.
 	Assemble(opt Options, ws []workload.Workload, rows []any, fails []*runerr.WorkloadError) (Result, error)
+	// EncodeRow serializes one cell's row for the suite run journal.
+	EncodeRow(row any) ([]byte, error)
+	// DecodeRow reverses EncodeRow into the concrete row type Assemble
+	// expects.
+	DecodeRow(data []byte) (any, error)
 }
 
 // SuiteJournal is the resume seam between the suite scheduler and the
@@ -265,28 +274,10 @@ type SuiteJournal interface {
 	Record(exp, workload string, row []byte) error
 }
 
-// RowCodec is implemented by cell runners whose rows can round-trip
-// through the suite run journal. The typed cellRunner implements it
-// with gob over the concrete row type, so every experiment built from
-// cells/tracedCells/simCells journals for free; a runner without the
-// interface simply is not journaled (its cells re-run on resume).
-type RowCodec interface {
-	// EncodeRow serializes one cell's row (as returned by Cell).
-	EncodeRow(row any) ([]byte, error)
-	// DecodeRow reverses EncodeRow into the concrete row type Assemble
-	// expects.
-	DecodeRow(data []byte) (any, error)
-}
-
-// cellRunner adapts a typed per-workload function and assembler to the
-// boxed CellRunner contract.
+// cellRunner implements the typed half of CellRunner: the assembler and
+// the journal codec over the concrete row type T.
 type cellRunner[T any] struct {
-	cell     func(ctx context.Context, opt Options, w workload.Workload) (T, error)
 	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error)
-}
-
-func (r cellRunner[T]) Cell(ctx context.Context, opt Options, w workload.Workload) (any, error) {
-	return r.cell(ctx, opt, w)
 }
 
 func (r cellRunner[T]) Assemble(opt Options, ws []workload.Workload, rows []any, fails []*runerr.WorkloadError) (Result, error) {
@@ -297,7 +288,7 @@ func (r cellRunner[T]) Assemble(opt Options, ws []workload.Workload, rows []any,
 	return r.assemble(opt, ws, typed, fails)
 }
 
-// EncodeRow implements RowCodec: gob over the concrete row type. Row
+// EncodeRow implements CellRunner: gob over the concrete row type. Row
 // types are plain structs of exported fields (plus an embedded
 // workload.Workload, whose unexported build function gob skips and the
 // workload registry rehydrates), so gob needs no registration.
@@ -313,7 +304,7 @@ func (r cellRunner[T]) EncodeRow(row any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeRow implements RowCodec.
+// DecodeRow implements CellRunner.
 func (r cellRunner[T]) DecodeRow(data []byte) (any, error) {
 	var t T
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&t); err != nil {
@@ -322,31 +313,9 @@ func (r cellRunner[T]) DecodeRow(data []byte) (any, error) {
 	return t, nil
 }
 
-// cells builds a CellRunner from a typed per-workload function and
-// assembler.
-func cells[T any](
-	cell func(ctx context.Context, opt Options, w workload.Workload) (T, error),
-	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
-) CellRunner {
-	return cellRunner[T]{cell: cell, assemble: assemble}
-}
-
-// runCell executes one (experiment × workload) cell under the shared
-// isolation policy (isolate). Both the standalone per-experiment pool
-// (runCells) and the suite scheduler (RunSuite) execute cells through
-// this wrapper, or through jobKind.runFused, which isolates a
-// workload's job the same way.
-func runCell(ctx context.Context, opt Options, r CellRunner, w workload.Workload) (row any, err error) {
-	err = isolate(w, func() error {
-		var err error
-		row, err = r.Cell(ctx, opt, w)
-		return err
-	})
-	return row, err
-}
-
 // isolate runs fn, the work of one or more cells of workload w, and
-// recovers a panic into a typed runerr.ErrWorkloadPanic.
+// recovers a panic into a typed runerr.ErrWorkloadPanic. Every job runs
+// under it (jobKind.runFused).
 func isolate(w workload.Workload, fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -386,49 +355,10 @@ func collectCells(ws []workload.Workload, rows []any, errs []error) ([]any, []wo
 	return outRows, outWs, fails, nil
 }
 
-// runCells is the standalone executor behind every Experiment.Run: the
-// runner's cells execute once per workload over a private bounded pool,
-// with runCell's isolation, and the survivors are assembled into the
-// Result. Each cell is a job of its own, so it shares no work with
-// another experiment's cells: -check's shadow run, which diffs the suite
-// against these runs, stays an independent oracle for the sharing. The
-// error return is reserved for hard aborts: the run context ending, or
-// every workload failing.
-func runCells(opt Options, r CellRunner) (Result, error) {
-	ctx := opt.ctx()
-	ws := opt.workloads()
-	rows := make([]any, len(ws))
-	errs := make([]error, len(ws))
-	sem := make(chan struct{}, opt.parallelism())
-	var wg sync.WaitGroup
-	for i, w := range ws {
-		wg.Add(1)
-		go func(i int, w workload.Workload) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rows[i], errs[i] = runCell(ctx, opt, r, w)
-		}(i, w)
-	}
-	wg.Wait()
-
-	// The run itself ending is a hard abort, not a per-workload failure:
-	// whatever rows completed are moot because the caller is going away.
-	if err := ctx.Err(); err != nil {
-		return nil, runerr.Classify(err)
-	}
-	outRows, outWs, fails, err := collectCells(ws, rows, errs)
-	if err != nil {
-		return nil, err
-	}
-	return assembleCells(opt, r, outWs, outRows, fails)
-}
-
 // assembleCells invokes the experiment's assembler under the same panic
 // isolation as its cells: a panicking Assemble fails its experiment
-// instead of the process — and, under the suite scheduler, instead of
-// the pool worker that happened to retire the last cell (which still
-// owns queued cells).
+// instead of the pool worker that happened to retire the last cell
+// (which still owns queued jobs), and so instead of the process.
 func assembleCells(opt Options, r CellRunner, ws []workload.Workload, rows []any, fails []*runerr.WorkloadError) (res Result, err error) {
 	defer startSpan("assemble").End()
 	defer func() {

@@ -23,6 +23,14 @@ func subset(abbrevs ...string) Options {
 	return opt
 }
 
+// leading returns tiny options over the suite's first n workloads: the
+// synthetic experiments' passes look up small real streams.
+func leading(n int) Options {
+	opt := tiny()
+	opt.Workloads = workload.All()[:n]
+	return opt
+}
+
 func TestRegistry(t *testing.T) {
 	ids := IDs()
 	want := []string{"abldist", "abldpnt", "ablmemspec", "ablmerge",
@@ -49,7 +57,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestTable51(t *testing.T) {
-	res, err := runTable51(tiny())
+	res, err := mustByID(t, "table51").Run(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +79,7 @@ func TestTable51(t *testing.T) {
 }
 
 func TestFig2LocalityIsCDF(t *testing.T) {
-	res, err := runFig2(subset("gcc", "tom", "com"))
+	res, err := mustByID(t, "fig2").Run(subset("gcc", "tom", "com"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +106,7 @@ func TestFig2LocalityIsCDF(t *testing.T) {
 }
 
 func TestFig5DetectionGrowsWithDDT(t *testing.T) {
-	res, err := runFig5(subset("go", "vor", "hyd"))
+	res, err := mustByID(t, "fig5").Run(subset("go", "vor", "hyd"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +139,7 @@ func TestFig5DetectionGrowsWithDDT(t *testing.T) {
 }
 
 func TestFig6AdaptiveCutsMisspeculation(t *testing.T) {
-	res, err := runFig6(subset("go", "m88", "tom"))
+	res, err := mustByID(t, "fig6").Run(subset("go", "m88", "tom"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +156,8 @@ func TestFig6AdaptiveCutsMisspeculation(t *testing.T) {
 }
 
 func TestFig7FractionsInRange(t *testing.T) {
-	for _, value := range []bool{false, true} {
-		res, err := runFig7(subset("go", "hyd"), value)
+	for _, id := range []string{"fig7a", "fig7b"} {
+		res, err := mustByID(t, id).Run(subset("go", "hyd"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +174,7 @@ func TestFig7FractionsInRange(t *testing.T) {
 }
 
 func TestTable52Exclusive(t *testing.T) {
-	res, err := runTable52(subset("vor", "hyd"))
+	res, err := mustByID(t, "table52").Run(subset("vor", "hyd"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +203,7 @@ func TestTable52Exclusive(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	res, err := runFig9(subset("gcc", "su2"))
+	res, err := mustByID(t, "fig9").Run(subset("gcc", "su2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +225,11 @@ func TestFig9Shapes(t *testing.T) {
 
 func TestFig10LargerThanFig9(t *testing.T) {
 	opt := subset("li", "gcc")
-	r9, err := runFig9(opt)
+	r9, err := mustByID(t, "fig9").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r10, err := runFig10(opt)
+	r10, err := mustByID(t, "fig10").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +269,24 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesOtherCells: RunSuite has two job kinds, so
+// register refuses an experiment whose Cells is neither a pass runner
+// nor a timing runner.
+func TestRegisterRefusesOtherCells(t *testing.T) {
+	for _, r := range []CellRunner{nil, cellRunner[int]{}} {
+		func() {
+			n := len(registry)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("register accepted Cells %#v", r)
+				}
+				registry = registry[:n]
+			}()
+			register(Experiment{ID: "plain", Cells: r})
+		}()
+	}
+}
+
 func TestMeansByClass(t *testing.T) {
 	ws := []workload.Workload{
 		{Abbrev: "a", Class: workload.Int},
@@ -294,7 +320,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestExtensionExperiments(t *testing.T) {
 	opt := subset("com", "hyd")
 
-	memspec, err := runAblMemSpec(opt)
+	memspec, err := mustByID(t, "ablmemspec").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +335,7 @@ func TestExtensionExperiments(t *testing.T) {
 		}
 	}
 
-	rec, err := runAblRecovery(opt)
+	rec, err := mustByID(t, "ablrecovery").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +347,7 @@ func TestExtensionExperiments(t *testing.T) {
 		}
 	}
 
-	syn, err := runSynergy(opt)
+	syn, err := mustByID(t, "synergy").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,6 @@ var ablMemSpecCells = simCells(
 		return annotate(&MemSpecResult{Rows: rows}, fails), nil
 	})
 
-func runAblMemSpec(opt Options) (Result, error) { return runCells(opt, ablMemSpecCells) }
-
 // String renders IPCs and violation counts.
 func (r *MemSpecResult) String() string {
 	var sb strings.Builder
@@ -127,8 +125,6 @@ var ablRecoveryCells = simCells(
 	func(_ Options, _ []workload.Workload, rows []RecoveryRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&RecoveryResult{Rows: rows}, fails), nil
 	})
-
-func runAblRecovery(opt Options) (Result, error) { return runCells(opt, ablRecoveryCells) }
 
 // String renders the three speedup columns.
 func (r *RecoveryResult) String() string {
@@ -197,8 +193,6 @@ var synergyCells = tracedCells(
 		_, _, res.HybridMean = meansByClass(ws, rows, func(r SynergyRow) float64 { return r.Hybrid })
 		return annotate(res, fails), nil
 	})
-
-func runSynergy(opt Options) (Result, error) { return runCells(opt, synergyCells) }
 
 // String renders per-program and mean coverage of each mechanism.
 func (r *SynergyResult) String() string {
@@ -272,8 +266,6 @@ var ablProfileCells = tracedCells(
 	func(_ Options, _ []workload.Workload, rows []ProfileRow, fails []*runerr.WorkloadError) (Result, error) {
 		return annotate(&ProfileResult{Rows: rows}, fails), nil
 	})
-
-func runAblProfile(opt Options) (Result, error) { return runCells(opt, ablProfileCells) }
 
 // String renders hardware vs software-guided coverage.
 func (r *ProfileResult) String() string {

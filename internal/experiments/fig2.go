@@ -59,8 +59,6 @@ var fig2Cells = tracedCells(
 		return annotate(&Fig2Result{Rows: rows}, fails), nil
 	})
 
-func runFig2(opt Options) (Result, error) { return runCells(opt, fig2Cells) }
-
 // String renders both sub-figures as locality(1..4) columns.
 func (r *Fig2Result) String() string {
 	var sb strings.Builder

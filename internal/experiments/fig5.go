@@ -74,8 +74,6 @@ var fig5Cells = tracedCells(
 		return annotate(&Fig5Result{Rows: rows}, fails), nil
 	})
 
-func runFig5(opt Options) (Result, error) { return runCells(opt, fig5Cells) }
-
 // tally adds one to counts[c] for every bit c set in mask.
 func tally(counts []uint64, mask uint32) {
 	for ; mask != 0; mask &= mask - 1 {

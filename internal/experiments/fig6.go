@@ -82,8 +82,6 @@ var fig6Cells = tracedCells(
 		return annotate(res, fails), nil
 	})
 
-func runFig6(opt Options) (Result, error) { return runCells(opt, fig6Cells) }
-
 // String renders coverage (part a) and misspeculation (part b), one pair
 // of bars (1-bit, 2-bit) per program, split RAW/RAR as in the paper.
 func (r *Fig6Result) String() string {

@@ -103,10 +103,6 @@ func fig7Cells(value bool) CellRunner {
 		})
 }
 
-func runFig7(opt Options, value bool) (Result, error) {
-	return runCells(opt, fig7Cells(value))
-}
-
 // String renders left (locality breakdown) and right (coverage) bars.
 func (r *Fig7Result) String() string {
 	kind, fig := "Address", "7(a)"

@@ -126,10 +126,6 @@ func timingCells(nospec bool) CellRunner {
 		})
 }
 
-func runFig9(opt Options) (Result, error) { return runCells(opt, timingCells(false)) }
-
-func runFig10(opt Options) (Result, error) { return runCells(opt, timingCells(true)) }
-
 // String renders the speedup bars.
 func (r *Fig9Result) String() string {
 	var sb strings.Builder

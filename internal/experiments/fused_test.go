@@ -37,7 +37,8 @@ func (r rowRecorder) planCell(p *pass) func() any {
 
 // TestSuitePassMatchesStandaloneCells: with one pass per workload for
 // every functional experiment, each cell's row equals the row of that
-// experiment's standalone cell (a pass of its own) on every workload.
+// experiment's standalone cell (a pass with its one plan) on every
+// workload.
 func TestSuitePassMatchesStandaloneCells(t *testing.T) {
 	opt := tiny()
 	opt.Parallelism = 2
@@ -70,13 +71,9 @@ func TestSuitePassMatchesStandaloneCells(t *testing.T) {
 		}
 		return true
 	})
-	ctx := context.Background()
 	for _, e := range exps {
 		for _, w := range opt.workloads() {
-			want, err := recs[e.ID].passRunner.Cell(ctx, opt, w)
-			if err != nil {
-				t.Fatalf("%s/%s standalone: %v", e.ID, w.Name, err)
-			}
+			want := standaloneCell(t, opt, w, recs[e.ID].passRunner)
 			// %#v rather than reflect.DeepEqual: Workload carries a
 			// generator func, and DeepEqual calls any non-nil func unequal.
 			if got, want := fmt.Sprintf("%#v", recs[e.ID].rows[w.Name]), fmt.Sprintf("%#v", want); got != want {
@@ -305,10 +302,7 @@ func TestFusedJobFailsAsOne(t *testing.T) {
 					}
 					continue
 				}
-				want, err := e.Cells.Cell(ctx, opt, healthy)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := standaloneCell(t, opt, healthy, e.Cells)
 				if len(rows) != 1 || fmt.Sprintf("%#v", rows[0]) != fmt.Sprintf("%#v", want) {
 					t.Errorf("%s survivors differ from the standalone cell on %s:\n got %#v\nwant %#v", e.ID, healthy.Name, rows, want)
 				}

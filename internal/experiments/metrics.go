@@ -4,8 +4,8 @@ import "rarpred/internal/metrics"
 
 // Suite-level instruments on the default registry. RunSuite resets the
 // gauges at suite start (a process runs suites sequentially), workers
-// update them as cells move through the pool, and the -progress ticker
-// and /metrics endpoint read them lock-free:
+// update them as jobs move through the pool, and the -progress ticker
+// and the -benchjson snapshot read them lock-free:
 //
 //	suite.cells_total / suite.cells_done — scheduled (non-resumed) cells
 //	suite.queue_depth                    — cells not yet picked up
@@ -30,8 +30,8 @@ var (
 
 func init() {
 	// The process-wide stream cache reports through the same registry
-	// the CLI snapshots, so -benchjson, -progress, and /metrics all see
-	// one set of books.
+	// the CLI snapshots, so -benchjson and -progress see one set of
+	// books.
 	traceCache.RegisterMetrics(metrics.Default(), "trace.cache")
 }
 

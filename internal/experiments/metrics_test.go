@@ -5,25 +5,26 @@ import (
 	"testing"
 
 	"rarpred/internal/metrics"
-	"rarpred/internal/workload"
 )
 
 // TestSuiteGaugesAndSpans: after a suite run the registry's gauges have
 // retired every scheduled cell, the queue and busy-worker gauges are
-// back to zero, and each cell produced a span observation.
+// back to zero, and each job — one pass per workload — produced a span
+// observation.
 func TestSuiteGaugesAndSpans(t *testing.T) {
-	ws := workload.All()[:3]
+	opt := leading(3)
+	opt.Parallelism = 2
 	var mu sync.Mutex
 	var order []string
 	exps := []Experiment{
-		orderedExperiment("synthG1", &mu, &order),
-		orderedExperiment("synthG2", &mu, &order),
+		orderedExperiment("synthG1", &mu, &order, false),
+		orderedExperiment("synthG2", &mu, &order, false),
 	}
 	before := metrics.Default().Snapshot().Histograms["spans_ns{cell}"].Count
-	renderSuite(t, Options{Workloads: ws, Parallelism: 2}, exps)
+	renderSuite(t, opt, exps)
 
 	s := metrics.Default().Snapshot()
-	cells := int64(len(exps) * len(ws))
+	cells := int64(len(exps) * len(opt.Workloads))
 	if got := s.Gauges["suite.cells_total"]; got != cells {
 		t.Fatalf("suite.cells_total = %d, want %d", got, cells)
 	}
@@ -39,7 +40,7 @@ func TestSuiteGaugesAndSpans(t *testing.T) {
 	if got := s.Gauges["suite.workers"]; got != 2 {
 		t.Fatalf("suite.workers = %d, want 2", got)
 	}
-	if got := s.Histograms["spans_ns{cell}"].Count - before; got != uint64(cells) {
-		t.Fatalf("spans_ns{cell} grew by %d, want %d", got, cells)
+	if got, jobs := s.Histograms["spans_ns{cell}"].Count-before, uint64(len(opt.Workloads)); got != jobs {
+		t.Fatalf("spans_ns{cell} grew by %d, want %d (one pass per workload)", got, jobs)
 	}
 }

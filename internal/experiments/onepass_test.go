@@ -159,10 +159,7 @@ func TestOnePassCellsMatchPerVariantReference(t *testing.T) {
 			{"ablsplit", ablSplitCells, func() any { return refVariants(w, tr, ablSplitConfigs) }},
 			{"abldpnt", ablDPNTCells, func() any { return refVariants(w, tr, ablDPNTConfigs) }},
 		} {
-			got, err := c.cells.Cell(ctx, opt, w)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", c.id, w.Name, err)
-			}
+			got := standaloneCell(t, opt, w, c.cells)
 			// %#v rather than reflect.DeepEqual: Workload carries a
 			// generator func, and DeepEqual calls any non-nil func unequal.
 			if g, want := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", c.ref()); g != want {

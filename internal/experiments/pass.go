@@ -18,8 +18,7 @@ import (
 // outcome listeners, and analyzers. After the replay, each plan's
 // finish step builds the cell's row from what it registered. A suite
 // replays each stream once for all its functional experiments (one job
-// per workload, see RunSuite); a standalone cell is the same pass with
-// one plan.
+// per workload, see RunSuite); Experiment.Run's pass holds one plan.
 //
 // The replay numbers the stream's addresses (trace.AddrIDs), and every
 // sink and listener receives address ids in place of addresses: they
@@ -117,11 +116,6 @@ type tracedRunner[T any] struct {
 func (r tracedRunner[T]) planCell(p *pass) func() any {
 	finish := r.plan(p)
 	return func() any { return finish() }
-}
-
-// Cell runs the cell standalone: a pass with this one plan.
-func (r tracedRunner[T]) Cell(ctx context.Context, opt Options, w workload.Workload) (any, error) {
-	return passJob.cell(ctx, opt, w, r)
 }
 
 // tracedCells builds the CellRunner of an experiment that only consumes

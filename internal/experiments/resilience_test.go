@@ -37,7 +37,7 @@ func TestPanicIsolatedIntoPartialResult(t *testing.T) {
 	opt.Size = 5
 	faultsim.Inject(name(t, "gcc"), faultsim.Fault{Kind: faultsim.Panic})
 
-	res, err := runFig2(opt)
+	res, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
 		t.Fatalf("experiment aborted instead of isolating the panic: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestStalledWorkloadHitsDeadline(t *testing.T) {
 	opt.Context = ctx
 	faultsim.Inject(name(t, "go"), faultsim.Fault{Kind: faultsim.Stall})
 
-	res, err := runTable51(opt)
+	res, err := mustByID(t, "table51").Run(opt)
 	if err == nil {
 		t.Fatalf("stalled run returned a result: %v", res)
 	}
@@ -138,7 +138,7 @@ func TestCorruptStreamDegradesToLiveRecord(t *testing.T) {
 	opt.Size = 7
 	faultsim.Inject(name(t, "hyd"), faultsim.Fault{Kind: faultsim.Corrupt, Times: 1})
 
-	res, err := runFig2(opt)
+	res, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
 		t.Fatalf("degradation failed: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestCorruptStreamDegradesToLiveRecord(t *testing.T) {
 	}
 
 	faultsim.Reset()
-	clean, err := runFig2(opt)
+	clean, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRunContextCancelAborts(t *testing.T) {
 	cancel()
 	opt.Context = ctx
 
-	res, err := runFig2(opt)
+	res, err := mustByID(t, "fig2").Run(opt)
 	if err == nil {
 		t.Fatalf("canceled run returned a result: %v", res)
 	}
@@ -185,7 +185,7 @@ func TestEveryWorkloadFailingIsAnError(t *testing.T) {
 	faultsim.Inject(name(t, "li"), faultsim.Fault{Kind: faultsim.Panic})
 	faultsim.Inject(name(t, "m88"), faultsim.Fault{Kind: faultsim.Panic})
 
-	_, err := runTable51(opt)
+	_, err := mustByID(t, "table51").Run(opt)
 	if err == nil {
 		t.Fatal("all-failed suite returned a result")
 	}
@@ -208,14 +208,14 @@ func TestTransientPanicRetriesCleanly(t *testing.T) {
 	opt.Size = 11
 	faultsim.Inject(name(t, "su2"), faultsim.Fault{Kind: faultsim.Panic, Times: 1})
 
-	res1, err := runTable51(opt)
+	res1, err := mustByID(t, "table51").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := res1.(*PartialResult); !ok {
 		t.Fatalf("first run should be partial, got %T", res1)
 	}
-	res2, err := runFig2(opt)
+	res2, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -14,16 +12,18 @@ import (
 )
 
 // memJournal is an in-memory SuiteJournal standing in for the store's
-// durable one.
+// durable one. It counts the calls made to it.
 type memJournal struct {
 	mu      sync.Mutex
 	m       map[string][]byte
+	lookups int
 	records int
 }
 
 func (j *memJournal) Lookup(exp, wl string) ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.lookups++
 	row, ok := j.m[exp+"/"+wl]
 	return row, ok
 }
@@ -50,20 +50,22 @@ type countResult struct{ lines []string }
 
 func (r countResult) String() string { return strings.Join(r.lines, "\n") + "\n" }
 
-// countingExperiment builds a synthetic cell-decomposed experiment whose
-// cell invocations are counted, so resume can prove cells did not
-// re-run.
+// countingExperiment builds a synthetic functional experiment whose
+// cells are counted as they plan their pass, so resume can prove cells
+// did not re-run. Its row step panics on the workload named fail.
 func countingExperiment(id string, calls *atomic.Int64, fail string) Experiment {
 	return Experiment{
 		ID:    id,
 		Title: "synthetic " + id,
-		Cells: cells(
-			func(ctx context.Context, opt Options, w workload.Workload) (countRow, error) {
+		Cells: tracedCells(
+			func(p *pass) func() countRow {
 				calls.Add(1)
-				if w.Name == fail {
-					return countRow{}, errors.New("synthetic cell failure")
+				return func() countRow {
+					if p.w.Name == fail {
+						panic("synthetic cell failure")
+					}
+					return countRow{Workload: p.w, Value: len(p.w.Name) + len(id)}
 				}
-				return countRow{Workload: w, Value: len(w.Name) + len(id)}, nil
 			},
 			func(opt Options, ws []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
 				res := countResult{}
@@ -94,10 +96,11 @@ func renderSuite(t *testing.T, opt Options, exps []Experiment) (string, [][]Cell
 }
 
 func TestSuiteResumeSkipsJournaledCells(t *testing.T) {
-	ws := workload.All()[:5]
+	opt := leading(5)
+	ws := opt.Workloads
 	jnl := &memJournal{}
+	opt.Journal = jnl
 	var calls1, calls2 atomic.Int64
-	opt := Options{Workloads: ws, Journal: jnl}
 
 	ref, _ := renderSuite(t, opt, []Experiment{
 		countingExperiment("synthA", &calls1, ""),
@@ -134,9 +137,10 @@ func TestSuiteResumeSkipsJournaledCells(t *testing.T) {
 // TestSuiteResumePartialJournal: only some cells journaled — the rest
 // run, and the combined output matches an uninterrupted run.
 func TestSuiteResumePartialJournal(t *testing.T) {
-	ws := workload.All()[:6]
+	opt := leading(6)
+	ws := opt.Workloads
 	var refCalls atomic.Int64
-	ref, _ := renderSuite(t, Options{Workloads: ws}, []Experiment{
+	ref, _ := renderSuite(t, opt, []Experiment{
 		countingExperiment("synthC", &refCalls, ""),
 	})
 
@@ -145,16 +149,11 @@ func TestSuiteResumePartialJournal(t *testing.T) {
 	jnl := &memJournal{}
 	var firstCalls atomic.Int64
 	first := countingExperiment("synthC", &firstCalls, "")
-	codec := first.Cells.(RowCodec)
 	for i, w := range ws {
 		if i%2 != 0 {
 			continue
 		}
-		row, err := first.Cells.Cell(context.Background(), Options{}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := codec.EncodeRow(row)
+		enc, err := first.Cells.EncodeRow(standaloneCell(t, opt, w, first.Cells))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +161,8 @@ func TestSuiteResumePartialJournal(t *testing.T) {
 	}
 
 	var resumedCalls atomic.Int64
-	out, stats := renderSuite(t, Options{Workloads: ws, Journal: jnl},
+	opt.Journal = jnl
+	out, stats := renderSuite(t, opt,
 		[]Experiment{countingExperiment("synthC", &resumedCalls, "")})
 	if out != ref {
 		t.Fatalf("partially resumed output differs:\n--- fresh ---\n%s--- resumed ---\n%s", ref, out)
@@ -184,13 +184,16 @@ func TestSuiteResumePartialJournal(t *testing.T) {
 // TestSuiteResumeFailedCellsRerun: failures are never journaled, so a
 // resumed run retries them — and, the fault now gone, succeeds.
 func TestSuiteResumeFailedCellsRerun(t *testing.T) {
-	ws := workload.All()[:4]
+	plain := leading(4)
+	ws := plain.Workloads
 	bad := ws[2].Name
 	jnl := &memJournal{}
+	opt := plain
+	opt.Journal = jnl
 	var calls atomic.Int64
 
 	var sawPartial bool
-	RunSuite(Options{Workloads: ws, Journal: jnl},
+	RunSuite(opt,
 		[]Experiment{countingExperiment("synthD", &calls, bad)},
 		func(item SuiteItem) bool {
 			if item.Err != nil {
@@ -208,13 +211,13 @@ func TestSuiteResumeFailedCellsRerun(t *testing.T) {
 
 	// Resume without the injected failure: only the failed cell runs.
 	var retryCalls atomic.Int64
-	out, _ := renderSuite(t, Options{Workloads: ws, Journal: jnl},
+	out, _ := renderSuite(t, opt,
 		[]Experiment{countingExperiment("synthD", &retryCalls, "")})
 	if retryCalls.Load() != 1 {
 		t.Fatalf("resume invoked %d cells, want 1 (the previously failed one)", retryCalls.Load())
 	}
 	var refCalls atomic.Int64
-	ref, _ := renderSuite(t, Options{Workloads: ws},
+	ref, _ := renderSuite(t, plain,
 		[]Experiment{countingExperiment("synthD", &refCalls, "")})
 	if out != ref {
 		t.Fatalf("healed resume differs from clean run:\n%s\nvs\n%s", out, ref)
@@ -225,32 +228,59 @@ func TestSuiteResumeFailedCellsRerun(t *testing.T) {
 // decode (foreign layout) silently re-runs the cell instead of failing
 // the suite.
 func TestSuiteResumeUndecodableRowReruns(t *testing.T) {
-	ws := workload.All()[:3]
+	opt := leading(3)
 	jnl := &memJournal{}
-	for _, w := range ws {
+	for _, w := range opt.Workloads {
 		jnl.Record("synthE", w.Name, []byte("not a gob row"))
 	}
+	opt.Journal = jnl
 	var calls atomic.Int64
-	renderSuite(t, Options{Workloads: ws, Journal: jnl},
-		[]Experiment{countingExperiment("synthE", &calls, "")})
-	if got, want := calls.Load(), int64(len(ws)); got != want {
+	renderSuite(t, opt, []Experiment{countingExperiment("synthE", &calls, "")})
+	if got, want := calls.Load(), int64(len(opt.Workloads)); got != want {
 		t.Fatalf("undecodable rows: %d cells ran, want %d", got, want)
 	}
 }
 
-// TestRowCodecWorkloadRehydrates: a row's embedded Workload survives the
-// gob round trip with its registry identity intact — including the
-// unexported build function, restored by name.
-func TestRowCodecWorkloadRehydrates(t *testing.T) {
+// TestRunNeverJournals: Experiment.Run ignores Options.Journal. Given a
+// journal that holds every row it would produce, it neither looks a
+// cell up nor records one, and runs every cell — so -check's shadow run
+// stays independent of the main run's journal.
+func TestRunNeverJournals(t *testing.T) {
+	opt := leading(3)
+	jnl := &memJournal{}
+	opt.Journal = jnl
+	var calls atomic.Int64
+	renderSuite(t, opt, []Experiment{countingExperiment("synthH", &calls, "")})
+	if jnl.records != len(opt.Workloads) {
+		t.Fatalf("setup: the suite journaled %d rows, want %d", jnl.records, len(opt.Workloads))
+	}
+	lookups, records := jnl.lookups, jnl.records
+
+	calls.Store(0)
+	if _, err := countingExperiment("synthH", &calls, "").Run(opt); err != nil {
+		t.Fatal(err)
+	}
+	if jnl.lookups != lookups || jnl.records != records {
+		t.Errorf("Run made %d lookups and %d records, want none",
+			jnl.lookups-lookups, jnl.records-records)
+	}
+	if got, want := calls.Load(), int64(len(opt.Workloads)); got != want {
+		t.Errorf("Run ran %d cells, want all %d", got, want)
+	}
+}
+
+// TestRowEncodingRehydratesWorkload: a row's embedded Workload survives
+// the journal's gob round trip with its registry identity intact —
+// including the unexported build function, restored by name.
+func TestRowEncodingRehydratesWorkload(t *testing.T) {
 	w := workload.All()[0]
 	var calls atomic.Int64
 	e := countingExperiment("synthF", &calls, "")
-	codec := e.Cells.(RowCodec)
-	enc, err := codec.EncodeRow(countRow{Workload: w, Value: 9})
+	enc, err := e.Cells.EncodeRow(countRow{Workload: w, Value: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := codec.DecodeRow(enc)
+	back, err := e.Cells.DecodeRow(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,13 @@ type SuiteItem struct {
 	// Index is the experiment's position in the suite.
 	Index int
 	Exp   Experiment
-	// Result and Err mirror Experiment.Run's contract (Err is stamped
-	// with the experiment id; a partial run arrives as *PartialResult).
+	// Result and Err are the experiment's outcome, as Experiment.Run
+	// returns it (Err is stamped with the experiment id; a partial run
+	// arrives as *PartialResult).
 	Result Result
 	Err    error
 	// NotRun reports that the run context ended before any of the
-	// experiment's cells started; Err carries the context error.
+	// experiment's cells started; Err carries the bare context error.
 	NotRun bool
 	// Elapsed spans the experiment's first cell starting to its result
 	// assembling. Under the shared pool experiments overlap, so these
@@ -45,9 +46,9 @@ func (it SuiteItem) Cost() time.Duration {
 // CellStat times one (experiment × workload) cell.
 type CellStat struct {
 	Workload string
-	// Elapsed is the cell's share of its job's time: all of it for a job
-	// of one cell, an even split for a fused job. Over a suite, the
-	// cells' Elapsed sum to SuiteStats.Busy.
+	// Elapsed is the cell's share of its job's time, split evenly over
+	// the cells the job covers. Over a suite, the cells' Elapsed sum to
+	// SuiteStats.Busy.
 	Elapsed time.Duration
 	Failed  bool
 	// Resumed reports the cell was replayed from the suite run journal
@@ -89,33 +90,30 @@ type suiteExp struct {
 // (experiment × workload) cells: every cell from every experiment feeds
 // a single queue drained by Options.parallelism() workers, so a slow
 // experiment no longer serialises the suite behind it — its cells
-// interleave with everyone else's. Cells run under runCell's isolation
-// (panic capture), identical to the standalone per-experiment pools,
-// and each workload's stream records once via the shared cache's
-// single-flight no matter how many experiments' cells are waiting on
-// it.
+// interleave with everyone else's. Each workload's stream records once
+// via the shared cache's single-flight no matter how many experiments'
+// cells are waiting on it. Experiment.Run is a suite of one.
 //
-// The unit of work is a job. The functional experiments' cells for one
-// workload form one job (passJob): one stream lookup and one pass that
-// replays the stream into every covered experiment's analyzers. The
-// timing experiments' cells for one workload form another (simJob): one
-// instruction-stream lookup, then each distinct configuration they time
-// simulated once. Both kinds share one set of failure rules
-// (jobKind.runFused). Any other cell is a job of one. The queue holds
-// the jobs in paper order of their first cells: experiment by
-// experiment, each over the workloads in suite order.
+// The unit of work is a job, and there are two kinds. The functional
+// experiments' cells for one workload form one job (passJob): one
+// stream lookup and one pass that replays the stream into every covered
+// experiment's analyzers. The timing experiments' cells for one
+// workload form another (simJob): one instruction-stream lookup, then
+// each distinct configuration they time simulated once. Both kinds share
+// one set of failure rules and one panic isolation (jobKind.runFused).
+// The queue holds the jobs in paper order of their first cells:
+// experiment by experiment, each over the workloads in suite order.
 //
 // Results are assembled the moment an experiment's last cell retires and
 // delivered in suite order — deliver(item) is called exactly once per
 // experiment, ordered, from whichever worker completed the ordering
 // gap. deliver returning false stops the suite: the remaining cells are
-// drained without running and nothing further is delivered (matching
-// the sequential harness, which returns on a non-keepgoing failure).
+// drained without running and nothing further is delivered.
 //
 // If the run context ends mid-suite, experiments whose cells never
 // started are delivered with NotRun set; experiments caught mid-flight
-// get the context error as a hard failure, exactly like their
-// standalone Run would.
+// get the classified context error as a hard failure, stamped with
+// their id.
 //
 // With Options.Journal set the suite is resumable: cells a previous run
 // journaled are prefilled from their decoded rows (CellStat.Resumed)
@@ -136,8 +134,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	ws := opt.workloads()
 	states := make([]*suiteExp, len(exps))
 	// A job runs one workload's cells of the experiments in eis, in
-	// paper order, through run: a workload's pass or timing job, or
-	// runAlone for a job of one plain cell.
+	// paper order, through run: a workload's pass or timing job.
 	type job struct {
 		wi  int
 		eis []int
@@ -161,13 +158,13 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		// (foreign build's gob layout, say) just re-runs the cell — resume
 		// is an optimisation, never a correctness risk.
 		resumed := make([]bool, len(ws))
-		if codec, ok := e.Cells.(RowCodec); ok && opt.Journal != nil {
+		if opt.Journal != nil {
 			for wi, w := range ws {
 				enc, hit := opt.Journal.Lookup(e.ID, w.Name)
 				if !hit {
 					continue
 				}
-				row, derr := codec.DecodeRow(enc)
+				row, derr := e.Cells.DecodeRow(enc)
 				if derr != nil {
 					continue
 				}
@@ -176,12 +173,13 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
 			}
 		}
-		run, shared := runAlone, []*job(nil)
+		run, shared := passJob.runFused, passJobs
 		switch e.Cells.(type) {
 		case passRunner:
-			run, shared = passJob.runFused, passJobs
 		case simRunner:
 			run, shared = simJob.runFused, simJobs
+		default:
+			panic("experiments: " + e.ID + " has neither pass nor timing cells")
 		}
 		remaining := 0
 		for wi := range ws {
@@ -189,15 +187,12 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 				continue
 			}
 			remaining++
-			if shared != nil && shared[wi] != nil {
+			if shared[wi] != nil {
 				shared[wi].eis = append(shared[wi].eis, ei)
 				continue
 			}
-			j := &job{wi: wi, eis: []int{ei}, run: run}
-			if shared != nil {
-				shared[wi] = j
-			}
-			jobs = append(jobs, j)
+			shared[wi] = &job{wi: wi, eis: []int{ei}, run: run}
+			jobs = append(jobs, shared[wi])
 		}
 		cellsTotal += remaining
 		st.pending.Store(int32(remaining))
@@ -238,8 +233,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 			item.NotRun = true
 			item.Err = runCtx.Err()
 		case runCtx.Err() != nil:
-			// Hard abort mid-experiment, exactly like runCells (and the
-			// error is stamped with the experiment id, like Run's).
+			// Hard abort mid-experiment, stamped with the experiment id.
 			_, item.Err = stamp(st.exp.ID, nil, runerr.Classify(runCtx.Err()))
 		default:
 			outRows, outWs, fails, err := collectCells(ws, st.rows, st.errs)
@@ -276,10 +270,8 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		if err == nil && opt.Journal != nil {
 			// Journal the finished cell durably, best effort: a failed
 			// append costs only this cell's resumability, never the run.
-			if codec, ok := st.exp.Cells.(RowCodec); ok {
-				if enc, eerr := codec.EncodeRow(row); eerr == nil {
-					_ = opt.Journal.Record(st.exp.ID, ws[wi].Name, enc)
-				}
+			if enc, eerr := st.exp.Cells.EncodeRow(row); eerr == nil {
+				_ = opt.Journal.Record(st.exp.ID, ws[wi].Name, enc)
 			}
 		}
 		st.rows[wi], st.errs[wi], st.stats[wi] = row, err, stat
@@ -362,12 +354,6 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	}
 }
 
-// runAlone runs a job of one plain cell: runCell.
-func runAlone(ctx context.Context, opt Options, w workload.Workload, rs []CellRunner) ([]any, []error, int) {
-	row, err := runCell(ctx, opt, rs[0], w)
-	return []any{row}, []error{err}, 1
-}
-
 // jobKind is one way a workload's cells share their work: the lookup of
 // the source they all read, and the shared step that builds their rows
 // (index-aligned with rs) from it. passJob looks up the reference stream
@@ -378,24 +364,11 @@ type jobKind[R CellRunner, S any] struct {
 	shared func(ctx context.Context, opt Options, w workload.Workload, src S, rs []R) ([]any, error)
 }
 
-// cell runs r standalone: the job with this one cell.
-func (k jobKind[R, S]) cell(ctx context.Context, opt Options, w workload.Workload, r R) (any, error) {
-	src, err := k.lookup(ctx, opt, w)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := k.shared(ctx, opt, w, src, []R{r})
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
 // runFused runs the cells rs (paper order, each an R) of workload w as
-// one job: one lookup and one shared step, under runCell's isolation.
-// The job fails as one: a failed lookup, or an error or panic in the
-// shared step, fails every cell with that error. The simulation is
-// deterministic, so the failure reproduces, and `rarsim -exp <id>
+// one job: one lookup and one shared step, under isolate's panic
+// capture. The job fails as one: a failed lookup, or an error or panic
+// in the shared step, fails every cell with that error. The simulation
+// is deterministic, so the failure reproduces, and `rarsim -exp <id>
 // -bench <w>` runs one cell as a job of its own to attribute it. A job
 // the run's end overtook fails with the run context's error, so it
 // journals nothing.

@@ -7,48 +7,75 @@ import (
 	"sync"
 	"testing"
 
+	"rarpred/internal/pipeline"
 	"rarpred/internal/runerr"
 	"rarpred/internal/workload"
 )
 
-// orderedExperiment is a synthetic cell experiment that appends each
-// cell's "exp/workload" key to order as it starts.
-func orderedExperiment(id string, mu *sync.Mutex, order *[]string) Experiment {
-	return Experiment{
-		ID:    id,
-		Title: "synthetic " + id,
-		Cells: cells(
-			func(ctx context.Context, opt Options, w workload.Workload) (countRow, error) {
-				mu.Lock()
-				*order = append(*order, id+"/"+w.Name)
-				mu.Unlock()
-				return countRow{Workload: w, Value: len(w.Name)}, nil
-			},
-			func(opt Options, ws []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
-				res := countResult{}
-				for _, r := range rows {
-					res.lines = append(res.lines, fmt.Sprintf("%s %s=%d", id, r.Name, r.Value))
-				}
-				return annotate(res, fails), nil
-			},
-		),
+// standaloneCell runs r's cell for w as a job of its own: r's job kind
+// over a one-runner slice, the job a suite of r's experiment alone runs.
+func standaloneCell(t *testing.T, opt Options, w workload.Workload, r CellRunner) any {
+	t.Helper()
+	run := passJob.runFused
+	if _, timing := r.(simRunner); timing {
+		run = simJob.runFused
 	}
+	rows, errs, _ := run(context.Background(), opt, w, []CellRunner{r})
+	if errs[0] != nil {
+		t.Fatalf("%s standalone: %v", w.Name, errs[0])
+	}
+	return rows[0]
 }
 
-// TestSuiteRunsCellsInPaperOrder: one worker runs the cells in
-// construction order — experiment by experiment, each over the
-// workloads in suite order.
+// orderedExperiment is a synthetic experiment that appends each cell's
+// "exp/workload" key to order as the cell runs: a functional one as it
+// plans its pass, a timing one (timing set) as it builds its row from
+// one base-processor simulation.
+func orderedExperiment(id string, mu *sync.Mutex, order *[]string, timing bool) Experiment {
+	note := func(w workload.Workload) countRow {
+		mu.Lock()
+		*order = append(*order, id+"/"+w.Name)
+		mu.Unlock()
+		return countRow{Workload: w, Value: len(w.Name)}
+	}
+	assemble := func(opt Options, ws []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
+		res := countResult{}
+		for _, r := range rows {
+			res.lines = append(res.lines, fmt.Sprintf("%s %s=%d", id, r.Name, r.Value))
+		}
+		return annotate(res, fails), nil
+	}
+	cells := tracedCells(func(p *pass) func() countRow {
+		row := note(p.w)
+		return func() countRow { return row }
+	}, assemble)
+	if timing {
+		cells = simCells([]simSpec{baseSpec(pipeline.NoSpec)}, nil,
+			func(w workload.Workload, _ []pipeline.Result) countRow { return note(w) }, assemble)
+	}
+	return Experiment{ID: id, Title: "synthetic " + id, Cells: cells}
+}
+
+// TestSuiteRunsCellsInPaperOrder: one worker runs the jobs in the paper
+// order of their first cells — experiment by experiment, each over the
+// workloads in suite order, so the timing experiment's jobs run before
+// the passes — and each pass plans its cells in paper order.
 func TestSuiteRunsCellsInPaperOrder(t *testing.T) {
-	ws := workload.All()[:3]
+	opt := leading(3)
+	opt.Parallelism = 1
 	var mu sync.Mutex
 	var order []string
-	renderSuite(t, Options{Workloads: ws, Parallelism: 1}, []Experiment{
-		orderedExperiment("synthP1", &mu, &order),
-		orderedExperiment("synthP2", &mu, &order),
+	renderSuite(t, opt, []Experiment{
+		orderedExperiment("synthT", &mu, &order, true),
+		orderedExperiment("synthP1", &mu, &order, false),
+		orderedExperiment("synthP2", &mu, &order, false),
 	})
 	var want []string
-	for _, id := range []string{"synthP1", "synthP2"} {
-		for _, w := range ws {
+	for _, w := range opt.Workloads {
+		want = append(want, "synthT/"+w.Name)
+	}
+	for _, w := range opt.Workloads {
+		for _, id := range []string{"synthP1", "synthP2"} {
 			want = append(want, id+"/"+w.Name)
 		}
 	}

@@ -39,8 +39,6 @@ var table51Cells = tracedCells(
 		return annotate(&Table51Result{Rows: rows}, fails), nil
 	})
 
-func runTable51(opt Options) (Result, error) { return runCells(opt, table51Cells) }
-
 // String renders the table in the paper's layout (instruction counts in
 // millions; this reproduction runs smaller full programs instead of
 // sampled 100M-instruction runs).

@@ -91,8 +91,6 @@ var table52Cells = tracedCells(
 		return annotate(&Table52Result{Rows: rows}, fails), nil
 	})
 
-func runTable52(opt Options) (Result, error) { return runCells(opt, table52Cells) }
-
 // String renders the paper's column layout: Cloaking/Bypassing RAW, RAR,
 // Total, then VP.
 func (r *Table52Result) String() string {

@@ -96,11 +96,6 @@ func (r simCellRunner[T]) simErr(w workload.Workload, s simSpec, err error) erro
 	return r.label(w, s, err)
 }
 
-// Cell runs the cell standalone: a timing job with this one runner.
-func (r simCellRunner[T]) Cell(ctx context.Context, opt Options, w workload.Workload) (any, error) {
-	return simJob.cell(ctx, opt, w, r)
-}
-
 // simCells builds the CellRunner of a timing experiment. Its cell times
 // specs on the workload's timing job, and row builds the cell's row from
 // their Results. label attributes a spec's error the way the experiment

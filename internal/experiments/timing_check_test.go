@@ -18,12 +18,12 @@ import (
 func TestTimingLiveMatchesReplay(t *testing.T) {
 	opt := subset("go", "tom")
 	opt.Size = 8
-	replayed, err := runFig9(opt)
+	replayed, err := mustByID(t, "fig9").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Live = true
-	live, err := runFig9(opt)
+	live, err := mustByID(t, "fig9").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ func TestTimingLiveMatchesReplay(t *testing.T) {
 func TestTimingCheckCleanRun(t *testing.T) {
 	opt := subset("com", "hyd")
 	opt.Size = 14
-	plain, err := runFig10(opt)
+	plain, err := mustByID(t, "fig10").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Check = true
-	checked, err := runFig10(opt)
+	checked, err := mustByID(t, "fig10").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTimingCheckCatchesDivergence(t *testing.T) {
 	opt.Check = true
 	poisonIStream(t, opt)
 
-	res, err := runFig10(opt)
+	res, err := mustByID(t, "fig10").Run(opt)
 	assertDivergence(t, "fig10", res, err, opt.Workloads[0])
 }
 
@@ -92,7 +92,7 @@ func TestVerdictReachesEveryTimingConsumer(t *testing.T) {
 	if delivered != len(exps) {
 		t.Fatalf("delivered %d experiments, want %d", delivered, len(exps))
 	}
-	res, err := runFig9(opt)
+	res, err := mustByID(t, "fig9").Run(opt)
 	assertDivergence(t, "fig9", res, err, opt.Workloads[0])
 }
 
@@ -163,7 +163,7 @@ func TestTimingCorruptRecordingDegrades(t *testing.T) {
 	opt := subset("li")
 	opt.Size = 10
 	faultsim.Inject(opt.Workloads[0].Name, faultsim.Fault{Kind: faultsim.Corrupt, Times: 1})
-	degraded, err := runFig10(opt)
+	degraded, err := mustByID(t, "fig10").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTimingCorruptRecordingDegrades(t *testing.T) {
 		t.Fatalf("corrupt recording failed the workload instead of degrading: %s", degraded)
 	}
 	faultsim.Reset()
-	plain, err := runFig10(opt)
+	plain, err := mustByID(t, "fig10").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ func TestSuiteTimingMatchesStandaloneCells(t *testing.T) {
 	opt := tiny()
 	opt.Parallelism = 2
 	items := suiteRows(opt, timingExps(t))
-	ctx := context.Background()
 	for _, e := range timingExps(t) {
 		item := items[e.ID]
 		if item.Err != nil {
@@ -53,10 +52,7 @@ func TestSuiteTimingMatchesStandaloneCells(t *testing.T) {
 			if !item.Cells[wi].Fused {
 				t.Errorf("%s/%s did not run in its workload's timing job", e.ID, w.Name)
 			}
-			want, err := e.Cells.Cell(ctx, opt, w)
-			if err != nil {
-				t.Fatalf("%s/%s standalone: %v", e.ID, w.Name, err)
-			}
+			want := standaloneCell(t, opt, w, e.Cells)
 			// %#v rather than reflect.DeepEqual: Workload carries a
 			// generator func, and DeepEqual calls any non-nil func unequal.
 			if got, want := fmt.Sprintf("%#v", rows[wi]), fmt.Sprintf("%#v", want); got != want {

@@ -55,7 +55,7 @@ type Cache struct {
 
 	// Accounting lives in metrics instruments so a registry (see
 	// RegisterMetrics) reads the very numbers the cache keeps — one set
-	// of books for Stats, -benchjson, and the /metrics endpoint. All
+	// of books for Stats, -benchjson and -progress. All
 	// mutations happen under mu; the instruments' atomics only buy
 	// lock-free reads for monitors.
 	bytes    metrics.Gauge // resident (compressed) payload

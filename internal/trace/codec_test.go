@@ -261,11 +261,11 @@ func TestReplayAllocs(t *testing.T) {
 	// Box the sink once: the measurement covers the replay/decode path,
 	// not the caller's interface conversion.
 	var snk Sink = SinkFuncs{OnLoad: count, OnStore: count}
-	s.ReplayChunks(0, s.NumChunks(), snk) // warm the pools
+	s.Replay(snk) // warm the pools
 	// The race detector makes sync.Pool drop a share of Puts on purpose,
 	// so pooled scratch is reallocated at random: both counts below hold
 	// only in an uninstrumented build.
-	if avg := testing.AllocsPerRun(10, func() { s.ReplayChunks(0, s.NumChunks(), snk) }); avg != 0 && !raceEnabled {
+	if avg := testing.AllocsPerRun(10, func() { s.Replay(snk) }); avg != 0 && !raceEnabled {
 		t.Errorf("replay allocates %.1f objects per run, want 0", avg)
 	}
 
@@ -330,12 +330,12 @@ func BenchmarkReplay(b *testing.B) {
 			var acc uint64
 			count := func(_, _, v uint32) { acc += uint64(v) }
 			var snk Sink = SinkFuncs{OnLoad: count, OnStore: count}
-			s.ReplayChunks(0, s.NumChunks(), snk) // warm the pools
+			s.Replay(snk) // warm the pools
 			b.SetBytes(int64(s.Len()) * eventBytes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.ReplayChunks(0, s.NumChunks(), snk)
+				s.Replay(snk)
 			}
 		})
 	}

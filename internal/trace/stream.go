@@ -200,9 +200,9 @@ func (s *Stream) Bytes() int64 {
 // ratio Bytes is the denominator of.
 func (s *Stream) RawBytes() int64 { return int64(s.n) * eventBytes }
 
-// EventsReplayed counts the events Replay and ReplayChunks decode,
-// added once per call, so the work a suite spends on replay reads as a
-// count rather than a time.
+// EventsReplayed counts the events Replay decodes, added once per call,
+// so the work a suite spends on replay reads as a count rather than a
+// time.
 var EventsReplayed = metrics.Default().Counter("trace.events_replayed")
 
 // Replay feeds the stream to the sinks, in recorded order, chunk-major:
@@ -212,21 +212,13 @@ var EventsReplayed = metrics.Default().Counter("trace.events_replayed")
 // every event in recorded order and keeps its own tables hot across a
 // chunk, but sinks must not share per-event state. With no sinks it
 // decodes nothing.
-func (s *Stream) Replay(sinks ...Sink) { s.ReplayChunks(0, len(s.chunks), sinks...) }
-
-// NumChunks returns the number of fixed-size chunks in the stream (the
-// granularity of ReplayChunks).
-func (s *Stream) NumChunks() int { return len(s.chunks) }
-
-// ReplayChunks is Replay over chunks [lo, hi) only: a consumer that
-// walks the chunk range itself can interleave replay with other work.
-func (s *Stream) ReplayChunks(lo, hi int, sinks ...Sink) {
+func (s *Stream) Replay(sinks ...Sink) {
 	if len(sinks) == 0 {
 		return
 	}
 	var sc *eventScratch
 	n := 0
-	for _, c := range s.chunks[lo:hi] {
+	for _, c := range s.chunks {
 		kinds, pcs, addrs, values := c.columns(&sc)
 		n += len(kinds)
 		for _, snk := range sinks {
@@ -238,6 +230,10 @@ func (s *Stream) ReplayChunks(lo, hi int, sinks ...Sink) {
 	}
 	EventsReplayed.Add(uint64(n))
 }
+
+// NumChunks returns the number of fixed-size chunks in the stream: the
+// unit Replay decodes and an artifact persists.
+func (s *Stream) NumChunks() int { return len(s.chunks) }
 
 // Validate cross-checks the event tally against the execution profile
 // recorded alongside it: every committed load and store appends exactly

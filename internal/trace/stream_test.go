@@ -112,9 +112,8 @@ func TestStreamFanOutOrder(t *testing.T) {
 	}
 }
 
-// TestReplayChunks: the chunk-granular primitive covers the stream
-// exactly when walked range by range, and a partial range sees only its
-// chunks.
+// TestReplayChunks: a stream holds one chunk per chunkEvents events,
+// the last one partial, and Replay walks every chunk in recorded order.
 func TestReplayChunks(t *testing.T) {
 	s := NewStream()
 	const n = 2*chunkEvents + 7
@@ -125,34 +124,23 @@ func TestReplayChunks(t *testing.T) {
 		t.Fatalf("NumChunks() = %d, want 3", s.NumChunks())
 	}
 	var pcs []uint32
-	for c := 0; c < s.NumChunks(); c++ {
-		s.ReplayChunks(c, c+1, SinkFuncs{
-			OnLoad:  func(pc, _, _ uint32) { pcs = append(pcs, pc) },
-			OnStore: func(pc, _, _ uint32) { t.Error("store in a load-only stream") },
-		})
-	}
+	s.Replay(SinkFuncs{
+		OnLoad:  func(pc, _, _ uint32) { pcs = append(pcs, pc) },
+		OnStore: func(pc, _, _ uint32) { t.Error("store in a load-only stream") },
+	})
 	if len(pcs) != n {
-		t.Fatalf("chunk walk saw %d events, want %d", len(pcs), n)
+		t.Fatalf("replay saw %d events, want %d", len(pcs), n)
 	}
 	for i, pc := range pcs {
 		if pc != uint32(i) {
 			t.Fatalf("event %d out of order: pc %d", i, pc)
 		}
 	}
-	var mid int
-	s.ReplayChunks(1, 2, SinkFuncs{
-		OnLoad:  func(pc, _, _ uint32) { mid++ },
-		OnStore: func(_, _, _ uint32) {},
-	})
-	if mid != chunkEvents {
-		t.Errorf("middle chunk replayed %d events, want %d", mid, chunkEvents)
-	}
 }
 
 // TestReplayCountsEventsOncePerCall: trace.events_replayed grows by the
-// events each Replay or ReplayChunks call decodes, counted once per call
-// however many sinks it feeds, and a Replay with no sinks decodes
-// nothing.
+// events each Replay call decodes, counted once per call however many
+// sinks it feeds, and a Replay with no sinks decodes nothing.
 func TestReplayCountsEventsOncePerCall(t *testing.T) {
 	s := NewStream()
 	const n = 2*chunkEvents + 7
@@ -169,7 +157,6 @@ func TestReplayCountsEventsOncePerCall(t *testing.T) {
 		{"no sinks", func() { s.Replay() }, 0},
 		{"one sink", func() { s.Replay(snk) }, n},
 		{"three sinks", func() { s.Replay(snk, snk, snk) }, n},
-		{"middle chunk", func() { s.ReplayChunks(1, 2, snk) }, chunkEvents},
 	} {
 		before := EventsReplayed.Value()
 		c.replay()
