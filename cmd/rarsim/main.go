@@ -60,6 +60,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -160,11 +161,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// -progress writes only to stderr, so the suite report on stdout is
-	// byte-identical with or without it. Its deferred close runs after
-	// the signal-aware context has drained the run.
+	// byte-identical with or without it. It monitors the main run alone:
+	// stopProgress closes it, with a final status, once that run is
+	// done, before -check's shadow run resets the suite gauges; the
+	// deferred call covers the early returns.
+	stopProgress := func() {}
 	if *progress {
-		mon := startProgress(stderr)
-		defer mon.close()
+		stopProgress = sync.OnceFunc(startProgress(stderr).close)
+		defer stopProgress()
 	}
 
 	opt := experiments.Options{
@@ -284,6 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	stats := experiments.RunSuite(opt, todo, report)
+	stopProgress()
 	breport.Scheduler = &benchScheduler{
 		Cells:       stats.Cells,
 		Workers:     stats.Workers,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
@@ -69,6 +70,27 @@ func TestBenchJSONMetricsConsistent(t *testing.T) {
 	h, ok := rep.Metrics.Histograms["spans_ns{cell}"]
 	if !ok || h.Count == 0 {
 		t.Errorf("spans_ns{cell} missing or empty: %+v", h)
+	}
+}
+
+// TestProgressStopsBeforeShadowRun: -progress monitors the main run
+// alone. -check's shadow run runs a suite per experiment, and each suite
+// resets the suite gauges, so the monitor closes, drawing its final
+// status, before the shadow run starts: the last cells field on stderr
+// is the main run's 4/4 (two experiments × two workloads), not the last
+// shadow suite's 2/2.
+func TestProgressStopsBeforeShadowRun(t *testing.T) {
+	code, _, errw := runCLI("-exp", "table51,fig2", "-size", "3",
+		"-bench", "go,gcc", "-check", "-progress")
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, errw)
+	}
+	fields := regexp.MustCompile(`cells (\d+/\d+)`).FindAllStringSubmatch(errw, -1)
+	if len(fields) == 0 {
+		t.Fatalf("no cells field on stderr:\n%s", errw)
+	}
+	if last := fields[len(fields)-1][1]; last != "4/4" {
+		t.Errorf("last cells field %s, want the main run's 4/4; stderr:\n%s", last, errw)
 	}
 }
 

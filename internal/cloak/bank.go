@@ -20,13 +20,19 @@ import "rarpred/internal/trace"
 //
 // Several consumers can ask for the same config; they share its
 // engine. A consumer that needs each load's outcome, not only the
-// engine's totals, registers a listener with OnLoad. Every request
-// (Engine, OnLoad, Profile) must come before the first chunk.
+// engine's totals, registers a listener with OnLoad; a timing model,
+// which needs each access's Decision, reads a column (Decisions). Every
+// request (Engine, OnLoad, Decisions, Profile) must come before the
+// first chunk.
 type Bank struct {
 	engines   []*Engine
 	byConfig  map[Config]int    // config → index into engines
 	detectors []*sharedDetector // engine index → its shared detector
 	listeners [][]func(pc, addr, value uint32, out LoadOutcome)
+	// decisions[i] is engine i's decision column for the chunk walked
+	// last, once asked for (deciding[i]).
+	decisions [][]Decision
+	deciding  []bool
 	shared    []*sharedDetector
 	byDetect  map[Config]int // detection fields only → index into shared
 }
@@ -65,6 +71,8 @@ func (b *Bank) add(cfg Config) int {
 	b.engines = append(b.engines, newEngine(cfg, nil))
 	b.detectors = append(b.detectors, b.detector(cfg))
 	b.listeners = append(b.listeners, nil)
+	b.decisions = append(b.decisions, nil)
+	b.deciding = append(b.deciding, false)
 	return i
 }
 
@@ -105,6 +113,16 @@ func (b *Bank) OnLoad(cfg Config, fn func(pc, addr, value uint32, out LoadOutcom
 	b.listeners[i] = append(b.listeners[i], fn)
 }
 
+// Decisions returns the Decision the engine for cfg made for each event
+// of the chunk walked last, in order. The first call adds the engine if
+// new and has it record its decisions from then on; until a chunk is
+// walked, the column is empty.
+func (b *Bank) Decisions(cfg Config) []Decision {
+	i := b.add(cfg)
+	b.deciding[i] = true
+	return b.decisions[i]
+}
+
 // Profile returns the profile of every dependence that the detector
 // for cfg's detection setup reports: the profile a Collector with the
 // same DDT would collect over the stream.
@@ -118,8 +136,9 @@ func (b *Bank) Profile(cfg Config) *Profile {
 
 // WalkChunk implements trace.Sink over a chunk whose address column
 // holds address ids: every shared detector walks the chunk into its
-// column, then every engine walks it in turn and hands each load's
-// outcome to its listeners.
+// column, then every engine walks it in turn, hands each load's outcome
+// to its listeners and, if asked, writes each event's Decision into its
+// column.
 func (b *Bank) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
 	n := len(kinds)
 	pcs, addrs, values = pcs[:n], addrs[:n], values[:n]
@@ -129,14 +148,28 @@ func (b *Bank) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
 	for i, e := range b.engines {
 		deps := b.detectors[i].deps[:n]
 		fns := b.listeners[i]
+		var decs []Decision
+		if b.deciding[i] {
+			if cap(b.decisions[i]) < n {
+				b.decisions[i] = make([]Decision, n)
+			}
+			decs = b.decisions[i][:n]
+			b.decisions[i] = decs
+		}
 		for j, k := range kinds {
 			pc, value := pcs[j], values[j]
 			ent, pred, havePred := e.dpnt.lookup(pc)
 			if trace.Kind(k) != trace.KindLoad {
 				e.store(pc, value, pred, havePred)
+				if decs != nil {
+					decs[j] = decide(pred, LoadOutcome{})
+				}
 				continue
 			}
 			out := e.load(pc, value, ent, pred, havePred, deps[j])
+			if decs != nil {
+				decs[j] = decide(pred, out)
+			}
 			for _, fn := range fns {
 				fn(pc, addrs[j], value, out)
 			}

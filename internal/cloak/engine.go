@@ -149,7 +149,7 @@ type Engine struct {
 }
 
 // New returns an engine for the configuration. Its Load, Store,
-// LoadWith and StoreWith take raw addresses.
+// DecideLoad and DecideStore take raw addresses.
 func New(cfg Config) *Engine {
 	return newEngine(cfg, newDetector(cfg, cfg.SelfCheck || SelfCheckEnabled(), true))
 }
@@ -194,32 +194,17 @@ func (e *Engine) Config() Config { return e.cfg }
 // Stats returns a snapshot of the accumulated statistics.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// DPNT exposes the prediction table (for tests and the timing model).
+// DPNT exposes the prediction table (for tests).
 func (e *Engine) DPNT() *DPNT { return e.dpnt }
 
-// SF exposes the synonym file (for tests and the timing model).
+// SF exposes the synonym file (for tests).
 func (e *Engine) SF() *SynonymFile { return e.sf }
 
 // Store processes one committed store in program order.
-func (e *Engine) Store(pc, addr, value uint32) {
-	pred, havePred := e.dpnt.Lookup(pc)
-	e.StoreWith(pc, addr, value, pred, havePred)
-}
-
-// StoreWith is Store with the DPNT prediction supplied by the caller.
-// The timing model consults the table for scheduling immediately before
-// handing the access to the engine; passing the result in avoids a
-// second probe (the prediction must come from DPNT().Lookup(pc) with no
-// intervening engine mutation).
-func (e *Engine) StoreWith(pc, addr, value uint32, pred Prediction, havePred bool) {
-	e.store(pc, value, pred, havePred)
-	// Detect (at commit): record the store; this also breaks RAR chains
-	// through addr.
-	e.detector.Store(addr, pc)
-}
+func (e *Engine) Store(pc, addr, value uint32) { e.DecideStore(pc, addr, value) }
 
 // store is the engine's step for one committed store, less detection:
-// Store and StoreWith record the store in the engine's detector, and a
+// Store and DecideStore record the store in the engine's detector, and a
 // bank's shared detector has already recorded it for a bank engine.
 func (e *Engine) store(pc, value uint32, pred Prediction, havePred bool) {
 	e.stats.Stores++
@@ -240,17 +225,61 @@ func (e *Engine) Load(pc, addr, value uint32) LoadOutcome {
 	return e.load(pc, value, ent, pred, havePred, dep)
 }
 
-// LoadWith is Load with the DPNT prediction supplied by the caller (same
-// contract as StoreWith).
-func (e *Engine) LoadWith(pc, addr, value uint32, pred Prediction, havePred bool) LoadOutcome {
-	// Detect (at commit): probing the DDT first is safe, because
-	// detection never reads the DPNT or the synonym file.
+// DecideLoad is Load for a timing model: it processes one committed
+// load and returns the load's Decision instead of its outcome.
+func (e *Engine) DecideLoad(pc, addr, value uint32) Decision {
+	ent, pred, havePred := e.dpnt.lookup(pc)
 	dep, _ := e.detector.Load(addr, pc)
-	return e.load(pc, value, nil, pred, havePred, dep)
+	return decide(pred, e.load(pc, value, ent, pred, havePred, dep))
+}
+
+// DecideStore is Store for a timing model: it processes one committed
+// store and returns the store's Decision.
+func (e *Engine) DecideStore(pc, addr, value uint32) Decision {
+	pred, havePred := e.dpnt.Lookup(pc)
+	e.store(pc, value, pred, havePred)
+	// Detect (at commit): record the store; this also breaks RAR chains
+	// through addr.
+	e.detector.Store(addr, pc)
+	return decide(pred, LoadOutcome{})
+}
+
+// Decision is an engine's verdict on one committed memory operation:
+// the DPNT's prediction from before the access and, for a load, what
+// the synonym file supplied. It is all a timing model reads from the
+// engine, and it depends only on the committed stream and the config,
+// so one engine's decisions serve every pipeline that shares its config
+// (pipeline.Walk).
+type Decision struct {
+	// Synonym names the instruction's communication group when Producer
+	// or Consumer is set.
+	Synonym uint32
+	// Producer: the instruction deposits its value for the group.
+	Producer bool
+	// Consumer: the load may obtain the group's value speculatively.
+	Consumer bool
+	// Used, Correct and RAR are the load's outcome (false for a store):
+	// a speculative value was supplied, it matched memory, and a load,
+	// not a store, produced it.
+	Used, Correct, RAR bool
+}
+
+// decide builds the Decision for an access looked up as pred whose
+// outcome was out (zero for a store). A lookup that found nothing
+// returns the zero Prediction.
+func decide(pred Prediction, out LoadOutcome) Decision {
+	return Decision{
+		Synonym:  pred.Synonym,
+		Producer: pred.Producer,
+		Consumer: pred.Consumer,
+		Used:     out.Used,
+		Correct:  out.Correct,
+		RAR:      out.Used && out.Kind == DepRAR,
+	}
 }
 
 // load is the engine's step for one committed load whose DDT probe
-// found dep (Kind DepNone: no visible dependence). Load and LoadWith
+// found dep (Kind DepNone: no visible dependence). Load and DecideLoad
 // probe the engine's own detector; a bank engine reads its shared
 // detector's column. ent is the DPNT entry the lookup behind pred
 // probed, when the caller has it: the consumer's confidence trains

@@ -457,10 +457,17 @@ func (r *refEngine) load(pc, addr, value uint32) LoadOutcome {
 	return out
 }
 
-// TestEngineMatchesOneProbePerCallReference: Engine.Load, LoadWith and
-// a bank engine report, load by load, what the one-probe-per-call
-// reference reports, with unbounded tables and with tiny bounded ones
-// that evict constantly.
+// chunkSink is a trace.Sink that calls f once per chunk.
+type chunkSink func()
+
+func (f chunkSink) WalkChunk([]uint8, []uint32, []uint32, []uint32) { f() }
+
+// TestEngineMatchesOneProbePerCallReference: Engine.Load,
+// Engine.DecideLoad and a bank engine report, load by load, what the
+// one-probe-per-call reference reports, with unbounded tables and with
+// tiny bounded ones that evict constantly. Each Decision, the inline
+// engine's and the bank's column alike, carries the reference's
+// prediction from before the access and, for a load, its outcome.
 func TestEngineMatchesOneProbePerCallReference(t *testing.T) {
 	var cfgs []Config
 	for _, edit := range []func(*Config){
@@ -477,37 +484,58 @@ func TestEngineMatchesOneProbePerCallReference(t *testing.T) {
 	}
 	tr := randomStream(21, 40000, 40, 24, 3)
 	for _, cfg := range cfgs {
-		ref, load, loadWith := newRefEngine(cfg), New(cfg), New(cfg)
-		var want, got, gotWith []LoadOutcome
+		ref, load, decider := newRefEngine(cfg), New(cfg), New(cfg)
+		var want, got []LoadOutcome
+		var wantDecs, gotDecs, bankDecs []Decision
 		b := NewBank()
 		var gotBank []LoadOutcome
 		b.OnLoad(cfg, func(_, _, _ uint32, out LoadOutcome) { gotBank = append(gotBank, out) })
+		b.Decisions(cfg)
+		// A lookup before the reference's own leaves every table as it
+		// was: it touches the line the reference's lookup touches next.
+		refPred := func(pc uint32) Prediction {
+			p, _ := ref.dpnt.Lookup(pc)
+			return p
+		}
 		tr.Replay(trace.SinkFuncs{
 			OnLoad: func(pc, addr, value uint32) {
-				want = append(want, ref.load(pc, addr, value))
+				pred := refPred(pc)
+				out := ref.load(pc, addr, value)
+				want = append(want, out)
+				wantDecs = append(wantDecs, decide(pred, out))
 				got = append(got, load.Load(pc, addr, value))
-				pred, ok := loadWith.DPNT().Lookup(pc)
-				gotWith = append(gotWith, loadWith.LoadWith(pc, addr, value, pred, ok))
+				gotDecs = append(gotDecs, decider.DecideLoad(pc, addr, value))
 			},
 			OnStore: func(pc, addr, value uint32) {
+				wantDecs = append(wantDecs, decide(refPred(pc), LoadOutcome{}))
 				ref.store(pc, addr, value)
 				load.Store(pc, addr, value)
-				loadWith.Store(pc, addr, value)
+				gotDecs = append(gotDecs, decider.DecideStore(pc, addr, value))
 			},
-		}, trace.NewAddrIDs(b))
+		}, trace.NewAddrIDs(b), chunkSink(func() {
+			// The bank has walked the chunk by now: collect its column.
+			bankDecs = append(bankDecs, b.Decisions(cfg)...)
+		}))
 		for name, e := range map[string]struct {
 			outs  []LoadOutcome
 			stats Stats
 		}{
-			"Load":     {got, load.Stats()},
-			"LoadWith": {gotWith, loadWith.Stats()},
-			"bank":     {gotBank, b.Engine(cfg).Stats()},
+			"Load": {got, load.Stats()},
+			"bank": {gotBank, b.Engine(cfg).Stats()},
 		} {
 			if !reflect.DeepEqual(e.outs, want) {
 				t.Errorf("%+v: %s outcomes differ from the reference", cfg, name)
 			}
 			if e.stats != ref.stats {
 				t.Errorf("%+v: %s stats %+v, reference %+v", cfg, name, e.stats, ref.stats)
+			}
+		}
+		if decider.Stats() != ref.stats {
+			t.Errorf("%+v: DecideLoad/DecideStore stats %+v, reference %+v", cfg, decider.Stats(), ref.stats)
+		}
+		for name, decs := range map[string][]Decision{"inline": gotDecs, "bank": bankDecs} {
+			if !reflect.DeepEqual(decs, wantDecs) {
+				t.Errorf("%+v: %s decisions differ from the reference's", cfg, name)
 			}
 		}
 		if ref.stats.Covered() == 0 || ref.stats.Mispredicted() == 0 {

@@ -36,7 +36,7 @@ type DistResult struct {
 
 var ablDistCells = tracedCells(
 	func(p *pass) func() DistRow {
-		d := locality.NewDistanceAnalyzer()
+		d := locality.NewDistanceAnalyzerIDs()
 		p.sink(trace.SinkFuncs{
 			OnLoad:  func(pc, id, _ uint32) { d.Load(pc, id) },
 			OnStore: func(pc, id, _ uint32) { d.Store(pc, id) },

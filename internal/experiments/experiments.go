@@ -369,57 +369,6 @@ func assembleCells(opt Options, r CellRunner, ws []workload.Workload, rows []any
 	return r.Assemble(opt, ws, rows, fails)
 }
 
-// parallelSims runs n independent deterministic simulations — a timing
-// job's distinct configurations — at most limit at a time, so a job
-// uses the run's cores without holding more simulations in memory than
-// the run has workers. sim(i) must only write state owned by simulation
-// i. A panic in any simulation is re-raised in the caller's goroutine,
-// keeping the per-cell isolation policy intact; errors are reported
-// lowest-index first so the outcome is deterministic. The context is
-// checked once per simulation before it starts; a running simulation
-// polls it through its pipeline.Config.Interrupt hook.
-func parallelSims(ctx context.Context, n, limit int, sim func(i int) error) error {
-	errs := make([]error, n)
-	sem := make(chan struct{}, limit)
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			defer func() {
-				if p := recover(); p != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = p
-					}
-					panicMu.Unlock()
-				}
-			}()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = sim(i)
-		}(i)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // traceCache is the process-wide store of committed reference streams.
 // Every functional experiment in a run (and every run in a process)
 // shares it, so `rarsim -exp all` simulates each workload once; the

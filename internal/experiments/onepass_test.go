@@ -103,6 +103,25 @@ func refVariants(w workload.Workload, tr *trace.Stream, cfgs []cloak.Config) any
 	return row
 }
 
+func refAblDist(w workload.Workload, tr *trace.Stream) DistRow {
+	d := locality.NewDistanceAnalyzer()
+	tr.Replay(trace.SinkFuncs{
+		OnLoad:  func(pc, addr, _ uint32) { d.Load(pc, addr) },
+		OnStore: func(pc, addr, _ uint32) { d.Store(pc, addr) },
+	})
+	return DistRow{
+		Workload: w,
+		Sinks:    d.Sinks(),
+		CDF32:    d.CDF(32),
+		CDF128:   d.CDF(128),
+		CDF512:   d.CDF(512),
+		CDF2K:    d.CDF(2048),
+		P50:      d.Percentile(0.50),
+		P90:      d.Percentile(0.90),
+		P99:      d.Percentile(0.99),
+	}
+}
+
 // bijectAddrs returns a copy of tr whose addresses are multiplied by an
 // odd constant: a bijection on uint32 that scatters a data segment's
 // consecutive words far apart and out of order.
@@ -120,7 +139,8 @@ func bijectAddrs(tr *trace.Stream) *trace.Stream {
 
 // TestOnePassCellsMatchPerVariantReference: every cell that replays its
 // stream once through a DDT sweep or an engine bank produces exactly the
-// row of its per-variant reference, on every workload.
+// row of its per-variant reference, on every workload, and abldist's
+// analyzer, fed address ids, the row of one fed raw addresses.
 //
 // It also checks the premise of the pass's address ids: no functional
 // result depends on address values, only on which accesses share an
@@ -158,6 +178,7 @@ func TestOnePassCellsMatchPerVariantReference(t *testing.T) {
 			{"ablmerge", ablMergeCells, func() any { return refVariants(w, tr, ablMergeConfigs) }},
 			{"ablsplit", ablSplitCells, func() any { return refVariants(w, tr, ablSplitConfigs) }},
 			{"abldpnt", ablDPNTCells, func() any { return refVariants(w, tr, ablDPNTConfigs) }},
+			{"abldist", ablDistCells, func() any { return refAblDist(w, tr) }},
 		} {
 			got := standaloneCell(t, opt, w, c.cells)
 			// %#v rather than reflect.DeepEqual: Workload carries a

@@ -22,7 +22,7 @@ import (
 // functional experiments' shared memory-trace cache. A timing cell is a
 // plan on its workload's timing job (simJob): it declares the specs it
 // times, and the job simulates each distinct spec once for every cell
-// it covers.
+// it covers, walking the stream once per distinct cloak config.
 
 // simSpec describes one timing configuration of Section 5.6: the base
 // processor under a memory-dependence speculation policy, optionally
@@ -111,7 +111,7 @@ func simCells[T any](
 
 // simJob is a workload's timing job: one lookup of its committed
 // instruction stream, then each distinct spec its cells time simulated
-// once (runSims).
+// once, in one walk of the stream per distinct cloak config (runSims).
 var simJob = jobKind[simRunner, *trace.IStream]{lookup: timingStream, shared: runSims}
 
 // timingStream looks up w's committed instruction stream at the timing
@@ -124,13 +124,25 @@ func timingStream(ctx context.Context, opt Options, w workload.Workload) (*trace
 	return workloadIStream(ctx, opt, w, opt.size(workload.TimingSize), opt.maxInsts())
 }
 
-// runSims simulates each distinct spec the cells rs time once, at most
-// opt.parallelism() at a time, replaying is (or, with no recording under
-// Options.Live, a full live interpreter per spec, the oracle the
-// replayed Results are tested against). It then builds every cell's row
-// from its own specs' Results. A failed simulation fails the job with
-// the error as labelled by the first cell, in rs order, that times the
-// spec, so a job of one cell fails exactly as that cell names it.
+// runSims simulates each distinct spec the cells rs time once and builds
+// every cell's row from its own specs' Results.
+//
+// A cloak engine sees only the committed loads' and stores' (pc,
+// address, value) in program order, so its decisions depend only on the
+// stream and its config. runSims therefore groups the specs by
+// Config.Cloak (the base processor's, RAW's and RAW+RAR's: three groups
+// for the four timing experiments) and walks is once per group, in turn
+// (pipeline.Walk): each step decodes the next stretch of the stream
+// once, runs the group's one engine over it, and times the group's Sims
+// over it, at most opt.parallelism() at a time. Only one group's Sims
+// are alive at once. With no recording, under Options.Live, each spec
+// instead runs a full live interpreter with its own engine, the oracle
+// the walked Results are tested against.
+//
+// A failed simulation fails the job with the error as labelled by the
+// first cell, in rs order, that times the spec; within a group the first
+// failed spec in first-request order reports, so a job of one cell fails
+// exactly as that cell names it.
 func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IStream, rs []simRunner) ([]any, error) {
 	var (
 		specs  []simSpec
@@ -148,22 +160,37 @@ func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IS
 	}
 	prog := w.Program(opt.size(workload.TimingSize))
 	results := make([]pipeline.Result, len(specs))
-	err := parallelSims(ctx, len(specs), opt.parallelism(), func(j int) (err error) {
-		cfg := specs[j].config()
-		cfg.Interrupt = interruptHook(ctx)
+	for _, group := range cloakGroups(specs) {
+		sims := make([]*pipeline.Sim, len(group))
+		for k, j := range group {
+			cfg := specs[j].config()
+			cfg.Interrupt = interruptHook(ctx)
+			if is == nil {
+				sims[k] = pipeline.New(prog, cfg)
+			} else {
+				sims[k] = pipeline.NewReplay(prog, is, cfg)
+			}
+		}
+		var (
+			res  []pipeline.Result
+			errs []error
+		)
 		if is == nil {
-			results[j], err = pipeline.RunProgram(prog, cfg)
+			res, errs = make([]pipeline.Result, len(sims)), make([]error, len(sims))
+			for k, s := range sims {
+				res[k], errs[k] = s.Run()
+			}
 		} else {
-			defer startSpan("cell/replay").End()
-			results[j], err = pipeline.NewReplay(prog, is, cfg).Run()
+			span := startSpan("cell/replay")
+			res, errs = pipeline.Walk(sims, opt.parallelism())
+			span.End()
 		}
-		if err != nil {
-			return askers[j].simErr(w, specs[j], err)
+		for k, j := range group {
+			if errs[k] != nil {
+				return nil, askers[j].simErr(w, specs[j], errs[k])
+			}
+			results[j] = res[k]
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	rows := make([]any, len(rs))
 	for k, r := range rs {
@@ -175,6 +202,26 @@ func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IS
 		rows[k] = r.simRow(w, res)
 	}
 	return rows, nil
+}
+
+// cloakGroups partitions the indices of specs by the cloak config their
+// Sims run, groups and members in first-request order: the specs one
+// walk times with one engine. config builds Config.Cloak from cloaked
+// and mode alone, so those two fields key the groups.
+func cloakGroups(specs []simSpec) [][]int {
+	var groups [][]int
+	at := make(map[simSpec]int)
+	for j, s := range specs {
+		key := simSpec{cloaked: s.cloaked, mode: s.mode}
+		g, ok := at[key]
+		if !ok {
+			g = len(groups)
+			at[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], j)
+	}
+	return groups
 }
 
 // interruptHook builds the pipeline Config.Interrupt seam from the run
@@ -240,23 +287,32 @@ func workloadIStream(ctx context.Context, opt Options, w workload.Workload, size
 // simulation fed from the recorded stream must produce a Result
 // identical to one driven by the live functional interpreter (the feed
 // is the only difference between the two simulations, so any divergence
-// means the recording or the replay path is broken). verifyOnce runs it
-// once per recording and gives every consumer its verdict.
+// means the recording or the replay path is broken). It times the base
+// processor and one cloaked spec (RAW+RAR, selective, naive
+// speculation), so the walk's decision column is checked against the
+// live feed's inline engine on every workload it records too.
+// verifyOnce runs it once per recording and gives every consumer its
+// verdict.
 func verifyIStreamOnce(ctx context.Context, key trace.Key, is *trace.IStream, w workload.Workload, size int) error {
 	return verifyOnce(ctx, key, is, func() (diverged, err error) {
 		prog := w.Program(size)
-		cfg := pipeline.DefaultConfig()
-		cfg.Interrupt = interruptHook(ctx)
-		live, err := pipeline.RunProgram(prog, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("check: live pipeline shadow failed: %w", err)
-		}
-		replay, err := pipeline.NewReplay(prog, is, cfg).Run()
-		if err != nil {
-			return nil, fmt.Errorf("check: replayed pipeline shadow failed: %w", err)
-		}
-		if replay != live {
-			return fmt.Errorf("check: replayed timing run diverges from live pipeline: got %+v, want %+v", replay, live), nil
+		for _, spec := range []simSpec{
+			baseSpec(pipeline.NaiveSpec),
+			cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pipeline.NaiveSpec),
+		} {
+			cfg := spec.config()
+			cfg.Interrupt = interruptHook(ctx)
+			live, err := pipeline.RunProgram(prog, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("check: live pipeline shadow failed: %w", err)
+			}
+			replay, err := pipeline.NewReplay(prog, is, cfg).Run()
+			if err != nil {
+				return nil, fmt.Errorf("check: replayed pipeline shadow failed: %w", err)
+			}
+			if replay != live {
+				return fmt.Errorf("check: replayed timing run diverges from live pipeline: got %+v, want %+v", replay, live), nil
+			}
 		}
 		return nil, nil
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rarpred/internal/cloak"
+	"rarpred/internal/metrics"
 	"rarpred/internal/pipeline"
 	"rarpred/internal/workload"
 )
@@ -126,6 +127,112 @@ func TestSimMemoSuiteSimulatesEachConfigOnce(t *testing.T) {
 		if got := items[e.ID].Result.String(); got != res.String() {
 			t.Errorf("%s: suite diverges from standalone run:\n--- suite ---\n%s--- standalone ---\n%s",
 				e.ID, got, res.String())
+		}
+	}
+}
+
+// timingSpecs returns the distinct specs of the four timing experiments,
+// in first-request order.
+func timingSpecs(t *testing.T) []simSpec {
+	var specs []simSpec
+	seen := map[simSpec]bool{}
+	for _, e := range timingExps(t) {
+		for _, s := range e.Cells.(simRunner).sims() {
+			if !seen[s] {
+				seen[s] = true
+				specs = append(specs, s)
+			}
+		}
+	}
+	return specs
+}
+
+// TestTimingJobWalkMatchesLive is the premise of the timing job's walks:
+// a cloak engine sees only the committed loads and stores in program
+// order, so one engine per cloak config can decide for every Sim of the
+// config. Every distinct spec of the four timing experiments, timed by
+// one timing job (one walk per cloak config, its Sims fanned out two at
+// a time), must equal pipeline.RunProgram's Result, which runs the live
+// interpreter and an engine of its own inline, on all 18 workloads.
+func TestTimingJobWalkMatchesLive(t *testing.T) {
+	opt := Options{Size: 2, Parallelism: 2}
+	specs := timingSpecs(t)
+	if len(specs) != 10 {
+		t.Fatalf("%d distinct timing specs, want 10", len(specs))
+	}
+	all := simCells(specs, nil,
+		func(_ workload.Workload, res []pipeline.Result) []pipeline.Result { return res }, nil).(simRunner)
+	for _, w := range opt.workloads() {
+		t.Run(w.Abbrev, func(t *testing.T) {
+			t.Parallel()
+			is, err := timingStream(context.Background(), opt, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := runSims(context.Background(), opt, w, is, []simRunner{all})
+			if err != nil {
+				t.Fatal(err)
+			}
+			walked := rows[0].([]pipeline.Result)
+			prog := w.Program(opt.size(workload.TimingSize))
+			for i, s := range specs {
+				live, err := pipeline.RunProgram(prog, s.config())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if walked[i] != live {
+					t.Errorf("spec %+v: walked Result differs from the live run:\n got %+v\nwant %+v", s, walked[i], live)
+				}
+			}
+		})
+	}
+}
+
+// walkWork runs f and returns how much pipeline.stream_walks and
+// pipeline.engine_loads grew: the walks over instruction streams it
+// made, and the loads their cloak engines decided.
+func walkWork(f func()) (walks, loads uint64) {
+	w, l := metrics.Default().Counter("pipeline.stream_walks"), metrics.Default().Counter("pipeline.engine_loads")
+	w0, l0 := w.Value(), l.Value()
+	f()
+	return w.Value() - w0, l.Value() - l0
+}
+
+// TestTimingJobWalksOncePerCloakConfig pins the work the walks save: a
+// timing job walks its stream once per distinct cloak config of its
+// specs, and only a cloaked config runs an engine. A suite of the four
+// timing experiments at size 4 walks each stream three times (base
+// processor, RAW, RAW+RAR), and its engines decide each load twice. Run
+// alone, fig9 and fig10 walk each stream three times, ablrecovery twice
+// (base, RAW+RAR) and ablmemspec, all base processor, once. The counts
+// are per stream, so two workloads keep the test short under the race
+// detector; TestSimMemoSuiteSimulatesEachConfigOnce pins the whole
+// suite's simulations.
+func TestTimingJobWalksOncePerCloakConfig(t *testing.T) {
+	opt := subset("apl", "go")
+	var streams, loads uint64
+	for _, w := range opt.workloads() {
+		is, err := timingStream(context.Background(), opt, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams++
+		loads += is.Counts.Loads
+	}
+	walks, decided := walkWork(func() { suiteWork(t, opt, timingExps(t)) })
+	if walks != 3*streams || decided != 2*loads {
+		t.Errorf("suite walked %d streams and decided %d loads, want 3 x %d and 2 x %d", walks, decided, streams, loads)
+	}
+	for i, e := range timingExps(t) {
+		walks, decided := walkWork(func() {
+			if _, err := e.Run(opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		wantWalks, wantEngines := []uint64{3, 3, 1, 2}[i], []uint64{2, 2, 0, 1}[i]
+		if walks != wantWalks*streams || decided != wantEngines*loads {
+			t.Errorf("standalone %s walked %d streams and decided %d loads, want %d x %d and %d x %d",
+				e.ID, walks, decided, wantWalks, streams, wantEngines, loads)
 		}
 	}
 }

@@ -20,10 +20,13 @@ import (
 // Every mark sits before the current access, one per address seen, so
 // that count is the live addresses less the marks up to the previous
 // one: one prefix sum, plus two updates to move the mark. Addresses are
-// only compared for equality, so address ids serve as well.
+// only compared for equality, so address ids serve as well, and the
+// per-address state is a flat array indexed by id.
 type DistanceAnalyzer struct {
 	fen   *fenwick
-	addrs *container.U32Map[addrState] // one probe per access
+	ids   *container.IDs // raw address → id; nil when callers pass ids
+	addrs []addrState    // by address id
+	seen  int            // addresses touched so far, one mark each
 	time  int
 
 	// Histogram buckets: power-of-two upper bounds 2^0..2^(buckets-1),
@@ -36,17 +39,25 @@ const distanceBuckets = 22 // up to 2^21 unique addresses, then overflow
 
 // addrState is what the analyzer keeps per address.
 type addrState struct {
-	time    int    // timestamp of the most recent access
+	time    int    // timestamp of the most recent access; 0 = never touched
 	loadPC  uint32 // the earliest load since the latest store, if hasLoad
 	hasLoad bool
 }
 
-// NewDistanceAnalyzer returns an empty analyzer.
+// NewDistanceAnalyzer returns an empty analyzer whose Store and Load
+// take raw addresses: it numbers them itself, one map probe per access.
 func NewDistanceAnalyzer() *DistanceAnalyzer {
+	d := NewDistanceAnalyzerIDs()
+	d.ids = container.NewIDs()
+	return d
+}
+
+// NewDistanceAnalyzerIDs returns an empty analyzer whose Store and Load
+// take address ids (trace.AddrIDs), which index its state directly.
+func NewDistanceAnalyzerIDs() *DistanceAnalyzer {
 	return &DistanceAnalyzer{
-		fen:   newFenwick(1 << 10),
-		addrs: container.NewU32Map[addrState](0),
-		hist:  make([]uint64, distanceBuckets),
+		fen:  newFenwick(1 << 10),
+		hist: make([]uint64, distanceBuckets),
 	}
 }
 
@@ -54,14 +65,20 @@ func NewDistanceAnalyzer() *DistanceAnalyzer {
 // state and the stack distance to its previous access (-1 if first
 // touch). The state pointer is valid until the next touch.
 func (d *DistanceAnalyzer) touch(addr uint32) (*addrState, int) {
+	id := addr
+	if d.ids != nil {
+		id = d.ids.ID(addr)
+	}
+	d.addrs = container.Grow(d.addrs, id)
+	a := &d.addrs[id]
 	d.time++
-	live := d.addrs.Len() // addresses seen before this access, one mark each
-	a, inserted := d.addrs.GetOrPut(addr)
 	dist := -1
-	if !inserted {
+	if a.time == 0 {
+		d.seen++
+	} else {
 		// Unique addresses touched strictly after the previous access =
-		// marks in (a.time, time).
-		dist = live - d.fen.sum(a.time)
+		// marks in (a.time, time); every address seen holds one mark.
+		dist = d.seen - d.fen.sum(a.time)
 		d.fen.add(a.time, -1)
 	}
 	a.time = d.time

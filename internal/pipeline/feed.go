@@ -3,64 +3,71 @@ package pipeline
 import (
 	"fmt"
 
+	"rarpred/internal/cloak"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/isa"
-	"rarpred/internal/trace"
 )
 
-// Step is one committed dynamic instruction as the timing model consumes
-// it: the instruction, where it was fetched, where control went next,
-// and — for loads and stores — the effective address and the word moved.
-// Addr/Value are meaningful only when the instruction is a memory
-// operation.
-type Step struct {
+// committed is one committed dynamic instruction as the timing model
+// consumes it: the instruction, where it was fetched, where control went
+// next, and — for loads and stores — the effective address, the word
+// moved and the cloak engine's decision. The memory fields are
+// meaningful only when the instruction is a memory operation, and Dec
+// only when the Sim is cloaked.
+type committed struct {
 	Inst   isa.Inst
 	PC     uint32
 	NextPC uint32
 	Addr   uint32
 	Value  uint32
+	Dec    cloak.Decision
 }
 
-// Feed supplies the committed instruction stream a timing simulation
-// runs over. The paper's methodology times a *fixed* committed stream,
-// so the feed is purely an oracle: the timing model never influences
-// what commits next. Two implementations exist — liveFeed executes the
-// program through the functional interpreter as it goes, and ReplayFeed
-// walks a trace.IStream recorded once and shared by every timing
-// configuration.
-type Feed interface {
-	// Next fills st with the next committed instruction. ok=false means
-	// the program halted (or the stream ended); a non-nil error aborts
-	// the run.
-	Next(st *Step) (ok bool, err error)
-
-	// Counts returns the execution profile of the instructions delivered
-	// so far. The tallies must stay mutually consistent after every Next
-	// (funcsim.Counts.CheckInvariants).
-	Counts() funcsim.Counts
-}
-
-// liveFeed drives the functional interpreter one instruction at a time,
-// observing its committed memory accesses into the caller's Step.
+// liveFeed feeds a Sim from New: it drives the functional interpreter
+// one instruction at a time, observing its committed memory accesses
+// into the caller's record and, for a cloaked Sim, deciding each access
+// with the feed's own engine. A Sim from NewReplay is fed by a walk
+// (Walk) over a recorded trace.IStream instead, which decides the same
+// accesses with one engine for all its Sims; the decisions agree
+// because an engine sees only the committed accesses in program order.
+// Either feed is purely an oracle, as the paper's methodology times a
+// fixed committed stream: the timing model never influences what
+// commits next.
 type liveFeed struct {
-	sim   *funcsim.Sim
-	insts []isa.Inst
-	limit uint32
-	cur   *Step // destination of the in-flight Next's mem observers
+	sim    *funcsim.Sim
+	insts  []isa.Inst
+	limit  uint32
+	engine *cloak.Engine // nil for the base processor
+	cur    *committed    // destination of the in-flight next's mem observers
 }
 
-func newLiveFeed(prog *isa.Program) *liveFeed {
+func newLiveFeed(prog *isa.Program, cc *cloak.Config) *liveFeed {
 	f := &liveFeed{
 		sim:   funcsim.New(prog),
 		insts: prog.Insts,
 		limit: uint32(len(prog.Insts)) * 4,
 	}
-	f.sim.OnLoad = func(e funcsim.MemEvent) { f.cur.Addr, f.cur.Value = e.Addr, e.Value }
-	f.sim.OnStore = func(e funcsim.MemEvent) { f.cur.Addr, f.cur.Value = e.Addr, e.Value }
+	if cc != nil {
+		f.engine = cloak.New(*cc)
+	}
+	f.sim.OnLoad = func(e funcsim.MemEvent) {
+		f.cur.Addr, f.cur.Value = e.Addr, e.Value
+		if f.engine != nil {
+			f.cur.Dec = f.engine.DecideLoad(e.PC, e.Addr, e.Value)
+		}
+	}
+	f.sim.OnStore = func(e funcsim.MemEvent) {
+		f.cur.Addr, f.cur.Value = e.Addr, e.Value
+		if f.engine != nil {
+			f.cur.Dec = f.engine.DecideStore(e.PC, e.Addr, e.Value)
+		}
+	}
 	return f
 }
 
-func (f *liveFeed) Next(st *Step) (bool, error) {
+// next fills st with the next committed instruction. ok=false means the
+// program halted; a non-nil error aborts the run.
+func (f *liveFeed) next(st *committed) (bool, error) {
 	if f.sim.Halted {
 		return false, nil
 	}
@@ -76,79 +83,4 @@ func (f *liveFeed) Next(st *Step) (bool, error) {
 	}
 	st.NextPC = f.sim.PC
 	return true, nil
-}
-
-func (f *liveFeed) Counts() funcsim.Counts { return f.sim.Counts }
-
-// ReplayFeed delivers a previously recorded committed stream. The
-// execution profile is rebuilt incrementally from the instructions as
-// they are delivered, so mid-run invariant sweeps see the same
-// consistent tallies a live interpreter would report.
-type ReplayFeed struct {
-	insts  []isa.Inst
-	dec    []decoded
-	cur    trace.ICursor
-	counts funcsim.Counts
-}
-
-// NewReplayFeed returns a feed that replays is against prog's text
-// segment. The stream must have been recorded from the same program at
-// the same size; Sim construction does not verify that (the -check
-// differential does).
-func NewReplayFeed(prog *isa.Program, is *trace.IStream) *ReplayFeed {
-	return &ReplayFeed{insts: prog.Insts, dec: decodeFor(prog), cur: is.Cursor()}
-}
-
-func (f *ReplayFeed) Next(st *Step) (bool, error) {
-	idx, next, ok := f.cur.NextInst()
-	if !ok {
-		return false, nil
-	}
-	if idx >= uint32(len(f.insts)) {
-		return false, fmt.Errorf("pipeline: PC 0x%08x outside text", idx*4)
-	}
-	in := f.insts[idx]
-	st.Inst = in
-	st.PC = idx * 4
-	st.NextPC = next
-	f.counts.Insts++
-	switch f.dec[idx].kind {
-	case kLoad:
-		addr, value, ok := f.cur.NextMem()
-		if !ok {
-			return false, fmt.Errorf("pipeline: replay stream out of memory events at PC 0x%08x", idx*4)
-		}
-		st.Addr, st.Value = addr, value
-		f.counts.Loads++
-	case kStore:
-		addr, value, ok := f.cur.NextMem()
-		if !ok {
-			return false, fmt.Errorf("pipeline: replay stream out of memory events at PC 0x%08x", idx*4)
-		}
-		st.Addr, st.Value = addr, value
-		f.counts.Stores++
-	case kBranch:
-		f.counts.Branches++
-		if next != st.PC+4 {
-			f.counts.Taken++
-		}
-	case kJump:
-		if in.Op == isa.OpJal || in.Op == isa.OpJalr {
-			f.counts.Calls++
-		}
-	}
-	return true, nil
-}
-
-func (f *ReplayFeed) Counts() funcsim.Counts { return f.counts }
-
-// NewReplay prepares a timing simulation of prog fed from a recorded
-// instruction stream instead of a live interpreter. Results are
-// identical to New(prog, cfg).Run() on the same program — the feed is
-// the only difference — which is what lets one recording serve every
-// timing configuration of an experiment.
-func NewReplay(prog *isa.Program, is *trace.IStream, cfg Config) *Sim {
-	s := newSim(prog, cfg)
-	s.feed = NewReplayFeed(prog, is)
-	return s
 }

@@ -26,6 +26,14 @@
 // available at its verification time, which is the behaviour the paper
 // measured as equivalent to an oracle that never speculates wrongly —
 // and squash invalidation restarts fetch after the mispredicted load.
+//
+// # Feeds
+//
+// A Sim from New runs the functional interpreter as it goes. A Sim from
+// NewReplay replays a recorded trace.IStream instead, and Walk times
+// several such Sims in one pass over the recording: the cloak engine
+// trains in program order on the committed accesses alone, so one
+// engine decides every access for all the Sims of one cloak config.
 package pipeline
 
 import (
@@ -39,6 +47,7 @@ import (
 	"rarpred/internal/funcsim"
 	"rarpred/internal/isa"
 	"rarpred/internal/metrics"
+	"rarpred/internal/trace"
 )
 
 // instsCommitted counts instructions the timing model has processed
@@ -224,24 +233,28 @@ func (r Result) EstimatedCycles() uint64 {
 // a power of two so reserve's cycle-to-slot mapping is a mask, not a
 // division.
 type slotCounter struct {
-	slots []cycleSlot // one cache line per probe: cycle and count together
+	// slots packs each ring entry's cycle and the slots taken in it into
+	// one word, cycle<<slotCountBits | count, so a probe reads one word.
+	slots []uint64
 	mask  uint64
-	limit uint16
+	limit uint64
 }
 
-type cycleSlot struct {
-	cycle uint64
-	count uint16
-}
+// slotCountBits is the width of a slot's count; a reserved cycle must
+// stay below 2^(64-slotCountBits).
+const slotCountBits = 16
 
 func newSlotCounter(limit, ring int) *slotCounter {
 	if ring&(ring-1) != 0 {
 		panic("pipeline: slotCounter ring must be a power of two")
 	}
+	if limit >= 1<<slotCountBits {
+		panic("pipeline: slotCounter limit does not fit a slot's count")
+	}
 	return &slotCounter{
-		slots: make([]cycleSlot, ring),
+		slots: make([]uint64, ring),
 		mask:  uint64(ring - 1),
-		limit: uint16(limit),
+		limit: uint64(limit),
 	}
 }
 
@@ -249,12 +262,15 @@ func newSlotCounter(limit, ring int) *slotCounter {
 func (s *slotCounter) reserve(t uint64) uint64 {
 	for {
 		sl := &s.slots[t&s.mask]
-		if sl.cycle != t {
-			sl.cycle = t
-			sl.count = 0
+		if *sl>>slotCountBits != t {
+			*sl = t << slotCountBits
 		}
-		if sl.count < s.limit {
-			sl.count++
+		if *sl&(1<<slotCountBits-1) < s.limit {
+			*sl++
+			if check.Enabled {
+				check.Assertf(t < 1<<(64-slotCountBits), "pipeline.slots",
+					"cycle %d does not fit a slot beside its count", t)
+			}
 			return t
 		}
 		t++
@@ -404,18 +420,27 @@ func decodeProgram(prog *isa.Program) []decoded {
 	return dec
 }
 
-// Sim runs timing simulations. Create with New; one Sim per program run.
+// Sim runs timing simulations. Create with New or NewReplay; one Sim per
+// program run.
 type Sim struct {
 	cfg  Config
-	feed Feed
+	prog *isa.Program
 	dec  []decoded
 	mem  *cache.Hierarchy
 	bp   *bpred.Predictor
 
-	engine *cloak.Engine
-	// srt is the Synonym Rename Table: in this timing model the "tag"
-	// installed for a synonym is the producer's value-ready cycle, which
-	// is exactly what a consumer resolving through the tag would observe.
+	// live feeds a Sim from New; is is the recording a Sim from
+	// NewReplay is walked over, and counts the execution profile its
+	// walk rebuilds (a live interpreter keeps its own).
+	live   *liveFeed
+	is     *trace.IStream
+	counts funcsim.Counts
+
+	// srt is the Synonym Rename Table, nil for the base processor: in
+	// this timing model the "tag" installed for a synonym is the
+	// producer's value-ready cycle, which is exactly what a consumer
+	// resolving through the tag would observe. The engine's decisions
+	// arrive with each committed access (committed.Dec).
 	srt *cloak.SRT
 
 	regs [isa.NumRegs]regState
@@ -454,7 +479,15 @@ type Sim struct {
 
 	res Result
 
-	st Step // the current committed instruction, filled by feed.Next
+	st committed // the current committed instruction
+
+	// Run state, kept across a walk's steps.
+	timing    bool   // in a timing phase (always, unless sampling)
+	phaseLeft uint64 // instructions left in the sampling phase
+	obs       uint64 // the sampling observation size
+	pending   uint64 // instructions not yet added to instsCommitted
+	done      bool   // a walked Sim takes no further instruction
+	err       error  // why a walked Sim stopped early, if it failed
 
 	sc     bool
 	scSamp check.Sampler
@@ -477,7 +510,7 @@ type amaxEntry struct {
 // New prepares a timing simulation of prog with a live functional feed.
 func New(prog *isa.Program, cfg Config) *Sim {
 	s := newSim(prog, cfg)
-	s.feed = newLiveFeed(prog)
+	s.live = newLiveFeed(prog, cfg.Cloak)
 	return s
 }
 
@@ -485,6 +518,7 @@ func New(prog *isa.Program, cfg Config) *Sim {
 func newSim(prog *isa.Program, cfg Config) *Sim {
 	s := &Sim{
 		cfg:            cfg,
+		prog:           prog,
 		dec:            decodeFor(prog),
 		mem:            cache.NewHierarchy(),
 		bp:             bpred.New(bpred.DefaultConfig()),
@@ -495,9 +529,16 @@ func newSim(prog *isa.Program, cfg Config) *Sim {
 		lsqRing:        make([]uint64, cfg.LSQSize),
 		stores:         make([]storeRec, 0, cfg.LSQSize),
 		lastFetchBlock: ^uint32(0),
+		timing:         true,
+		obs:            cfg.ObservationSize,
+	}
+	if s.obs == 0 {
+		s.obs = 50_000
+	}
+	if cfg.SampleRatio > 0 {
+		s.phaseLeft = s.obs
 	}
 	if cfg.Cloak != nil {
-		s.engine = cloak.New(*cfg.Cloak)
 		s.srt = cloak.NewSRT(0, 0)
 	}
 	if cfg.MemSpec == StoreSets {
@@ -514,65 +555,99 @@ func newSim(prog *isa.Program, cfg Config) *Sim {
 }
 
 // Run simulates to completion (or cfg.MaxInsts) and returns the result.
+// A Sim from NewReplay runs as a walk of one Sim.
 func (s *Sim) Run() (Result, error) {
-	obs := s.cfg.ObservationSize
-	if obs == 0 {
-		obs = 50_000
+	if s.live == nil {
+		res, errs := Walk([]*Sim{s}, 1)
+		return res[0], errs[0]
 	}
-	var phaseLeft uint64
-	timingPhase := true
-	if s.cfg.SampleRatio > 0 {
-		phaseLeft = obs
-	}
-	var pending uint64
-	defer func() { instsCommitted.Add(pending) }()
-	for {
-		if s.cfg.MaxInsts != 0 && s.res.Insts >= s.cfg.MaxInsts {
-			break
-		}
-		if s.cfg.SampleRatio > 0 && phaseLeft == 0 {
-			if timingPhase {
-				timingPhase = false
-				phaseLeft = obs * uint64(s.cfg.SampleRatio)
-			} else {
-				timingPhase = true
-				phaseLeft = obs
-				// Re-enter timing with a quiet machine: stale register
-				// timestamps from the previous sample are all in the past.
-				s.redirect(s.lastCommit)
-			}
-		}
-		ok, err := s.feed.Next(&s.st)
+	defer s.flush()
+	for !s.atLimit() {
+		s.samplePhase()
+		ok, err := s.live.next(&s.st)
 		if err != nil {
 			return s.res, err
 		}
 		if !ok {
 			break
 		}
-		if timingPhase {
-			s.step()
-		} else {
-			s.stepFunctional()
-		}
-		if pending++; pending == uint64(funcsim.InterruptEvery) {
-			instsCommitted.Add(pending)
-			pending = 0
-			if s.cfg.Interrupt != nil {
-				if err := s.cfg.Interrupt(); err != nil {
-					return s.res, fmt.Errorf("pipeline: interrupted after %d insts: %w", s.res.Insts, err)
-				}
-			}
-		}
-		if s.cfg.SampleRatio > 0 {
-			phaseLeft--
+		if err := s.commit(); err != nil {
+			return s.res, err
 		}
 	}
+	return s.finish(), nil
+}
+
+// atLimit reports that the Sim has committed cfg.MaxInsts instructions.
+func (s *Sim) atLimit() bool {
+	return s.cfg.MaxInsts != 0 && s.res.Insts >= s.cfg.MaxInsts
+}
+
+// samplePhase opens the next sampling phase when the current one is
+// spent; call it before each instruction.
+func (s *Sim) samplePhase() {
+	if s.cfg.SampleRatio == 0 || s.phaseLeft != 0 {
+		return
+	}
+	if s.timing {
+		s.timing = false
+		s.phaseLeft = s.obs * uint64(s.cfg.SampleRatio)
+		return
+	}
+	s.timing = true
+	s.phaseLeft = s.obs
+	// Re-enter timing with a quiet machine: stale register timestamps
+	// from the previous sample are all in the past.
+	s.redirect(s.lastCommit)
+}
+
+// commit times the current instruction (s.st), or observes it
+// functionally between samples, and polls cfg.Interrupt every
+// funcsim.InterruptEvery instructions.
+func (s *Sim) commit() error {
+	if s.timing {
+		s.step()
+	} else {
+		s.stepFunctional()
+	}
+	if s.pending++; s.pending == uint64(funcsim.InterruptEvery) {
+		s.flush()
+		if s.cfg.Interrupt != nil {
+			if err := s.cfg.Interrupt(); err != nil {
+				return fmt.Errorf("pipeline: interrupted after %d insts: %w", s.res.Insts, err)
+			}
+		}
+	}
+	if s.cfg.SampleRatio > 0 {
+		s.phaseLeft--
+	}
+	return nil
+}
+
+// flush adds the instructions committed since the last flush to
+// instsCommitted.
+func (s *Sim) flush() {
+	instsCommitted.Add(s.pending)
+	s.pending = 0
+}
+
+// finish completes the Result of a run that reached its end.
+func (s *Sim) finish() Result {
 	s.res.Cycles = s.lastCommit
-	s.res.Insts = s.feed.Counts().Insts
+	s.res.Insts = s.execCounts().Insts
 	s.res.L1DMissRate = s.mem.L1D.MissRate()
 	s.res.L1IMissRate = s.mem.L1I.MissRate()
 	s.res.BranchAcc = s.bp.Accuracy()
-	return s.res, nil
+	return s.res
+}
+
+// execCounts returns the execution profile of the instructions
+// committed so far: the live interpreter's, or the one a walk rebuilds.
+func (s *Sim) execCounts() funcsim.Counts {
+	if s.live != nil {
+		return s.live.sim.Counts
+	}
+	return s.counts
 }
 
 // advanceSeq commits one instruction's sequence bookkeeping: the global
@@ -602,17 +677,13 @@ func (s *Sim) stepFunctional() {
 	switch s.dec[pc>>2].kind {
 	case kLoad:
 		s.mem.LoadLatency(s.st.Addr)
-		if s.engine != nil {
-			s.engineLoad(s.memEvent(), s.lastCommit)
+		if s.srt != nil {
+			s.produce(s.lastCommit)
 		}
 	case kStore:
 		s.mem.StoreLatency(s.st.Addr, s.lastCommit)
-		if s.engine != nil {
-			pred, ok := s.engine.DPNT().Lookup(pc)
-			if ok && pred.Producer {
-				s.srt.Install(pred.Synonym, s.lastCommit, s.seq)
-			}
-			s.engine.StoreWith(pc, s.st.Addr, s.st.Value, pred, ok)
+		if s.srt != nil {
+			s.produce(s.lastCommit)
 		}
 	case kBranch:
 		taken := nextPC != pc+4
@@ -635,12 +706,6 @@ func (s *Sim) stepFunctional() {
 	}
 	s.advanceSeq()
 	s.res.Insts++
-}
-
-// memEvent views the current step's memory access as a funcsim event
-// (the access PC is the instruction's own).
-func (s *Sim) memEvent() funcsim.MemEvent {
-	return funcsim.MemEvent{PC: s.st.PC, Addr: s.st.Addr, Value: s.st.Value}
 }
 
 // fetchSlot assigns the fetch cycle for the next instruction, honouring
@@ -920,13 +985,13 @@ func (s *Sim) jumpIndirect(pc, target uint32, resolve uint64) {
 // timeLoad computes a load's completion and verification times, handling
 // memory dependence speculation and cloaking.
 func (s *Sim) timeLoad(entry, opReady, decode uint64) (done, verify uint64) {
-	ev := s.memEvent()
+	addr, pc := s.st.Addr, s.st.PC
 	entry = s.lsqEntry(entry)
 	addrReady := s.issue.reserve(max(entry, opReady)) + 1 // agen
 	// One cycle through the load/store scheduler after agen, then a port.
 	port := s.ports.reserve(max(addrReady+1, entry))
 
-	conflict := s.latestConflict(ev.Addr)
+	conflict := s.latestConflict(addr)
 
 	memStart := port
 	violation := false
@@ -934,7 +999,7 @@ func (s *Sim) timeLoad(entry, opReady, decode uint64) (done, verify uint64) {
 	case StoreSets:
 		// Wait for the predicted store set's last store, then behave like
 		// naive speculation; violations train the SSIT.
-		if pred, ok := s.ssets.lastStore(ev.PC); ok {
+		if pred, ok := s.ssets.lastStore(pc); ok {
 			if pred.addrReady > memStart {
 				memStart = pred.addrReady
 			}
@@ -947,7 +1012,7 @@ func (s *Sim) timeLoad(entry, opReady, decode uint64) (done, verify uint64) {
 			} else {
 				violation = true
 				s.res.MemViolations++
-				s.ssets.train(conflict.pc, ev.PC)
+				s.ssets.train(conflict.pc, pc)
 				detect := conflict.addrReady
 				s.redirect(detect)
 				restart := detect + 1 + uint64(s.cfg.FrontEndDepth)
@@ -986,32 +1051,33 @@ func (s *Sim) timeLoad(entry, opReady, decode uint64) (done, verify uint64) {
 	}
 	if done == 0 {
 		// Plain cache access.
-		done = memStart + uint64(s.mem.LoadLatency(ev.Addr))
+		done = memStart + uint64(s.mem.LoadLatency(addr))
 	}
 	verify = done
 
 	// --- Cloaking: predicted consumer loads obtain a speculative value
 	// at decode; verification happens when the memory access completes.
-	if s.engine != nil && !violation {
-		done = s.cloakLoad(ev, decode, done)
-	} else if s.engine != nil {
-		// Keep the engine's tables in sync even on violations.
-		s.engineLoad(ev, done)
+	if s.srt != nil && !violation {
+		done = s.cloakLoad(decode, done)
+	} else if s.srt != nil {
+		// A squashed load forgoes its speculative value, but a producer
+		// still deposits the one it fetches.
+		s.produce(done)
 	}
 	s.retireMemOp(verify)
 	return done, verify
 }
 
-// cloakLoad consults the cloaking engine for a load and returns the
+// cloakLoad applies the engine's decision for a load and returns the
 // load's effective result-availability time.
-func (s *Sim) cloakLoad(ev funcsim.MemEvent, decode, memDone uint64) uint64 {
-	// Capture the prediction and the SF timing before the engine mutates
-	// its state for this access.
+func (s *Sim) cloakLoad(decode, memDone uint64) uint64 {
+	// Resolve the prediction through the SRT before this load deposits
+	// its own value: a load can consume and produce for one synonym.
+	d := &s.st.Dec
 	var specReady uint64
 	var predicted bool
-	pred, havePred := s.engine.DPNT().Lookup(ev.PC)
-	if havePred && pred.Consumer {
-		if t, ok2 := s.srt.Lookup(pred.Synonym); ok2 {
+	if d.Consumer {
+		if t, ok := s.srt.Lookup(d.Synonym); ok {
 			predicted = true
 			specReady = max(decode+1, t)
 			if s.cfg.Bypassing {
@@ -1020,20 +1086,23 @@ func (s *Sim) cloakLoad(ev funcsim.MemEvent, decode, memDone uint64) uint64 {
 			}
 		}
 	}
-	out := s.engineLoadWith(ev, memDone, pred, havePred)
-	if !predicted || !out.Used {
+	// The producing load deposits its value when its memory access
+	// completes ("the value has to be fetched from memory by the first
+	// load", Section 3.1).
+	s.produce(memDone)
+	if !predicted || !d.Used {
 		return memDone
 	}
-	if !out.Correct && s.cfg.Recovery == Oracle {
+	if !d.Correct && s.cfg.Recovery == Oracle {
 		// The oracle declines to speculate; no value is used and no
 		// recovery is needed.
 		s.res.SpecSkipped++
 		return memDone
 	}
 	s.res.SpecUsed++
-	if out.Correct {
+	if d.Correct {
 		s.res.SpecCorrect++
-		if out.Kind == cloak.DepRAR {
+		if d.RAR {
 			s.res.SpecRAR++
 		} else {
 			s.res.SpecRAW++
@@ -1055,30 +1124,17 @@ func (s *Sim) cloakLoad(ev funcsim.MemEvent, decode, memDone uint64) uint64 {
 	return memDone
 }
 
-// engineLoad feeds a committed load to the cloak engine and updates the
-// synonym timing table for producer loads.
-func (s *Sim) engineLoad(ev funcsim.MemEvent, valueTime uint64) cloak.LoadOutcome {
-	pred, havePred := s.engine.DPNT().Lookup(ev.PC)
-	return s.engineLoadWith(ev, valueTime, pred, havePred)
-}
-
-// engineLoadWith is engineLoad with the DPNT prediction already probed
-// by the caller, so each committed load costs one table lookup.
-func (s *Sim) engineLoadWith(ev funcsim.MemEvent, valueTime uint64, pred cloak.Prediction, havePred bool) cloak.LoadOutcome {
-	out := s.engine.LoadWith(ev.PC, ev.Addr, ev.Value, pred, havePred)
-	if havePred && pred.Producer {
-		// The producing load deposits its value when its memory access
-		// completes ("the value has to be fetched from memory by the
-		// first load", Section 3.1).
-		s.srt.Install(pred.Synonym, valueTime, s.seq)
+// produce installs the current access in the SRT at time ready, if the
+// engine decided it produces for its synonym.
+func (s *Sim) produce(ready uint64) {
+	if d := &s.st.Dec; d.Producer {
+		s.srt.Install(d.Synonym, ready, s.seq)
 	}
-	return out
 }
 
 // timeStore computes a store's scheduling and records it for dependence
 // checks; stores complete into the write buffer at commit.
 func (s *Sim) timeStore(in isa.Inst, entry, decode uint64) {
-	ev := s.memEvent()
 	entry = s.lsqEntry(entry)
 	// Address generation needs the base register; data needs Rt. Stores
 	// post address and data independently (rules 3 and 4).
@@ -1092,11 +1148,11 @@ func (s *Sim) timeStore(in isa.Inst, entry, decode uint64) {
 	}
 	addrReady := s.issue.reserve(max(entry, baseReady)) + 1
 	port := s.ports.reserve(max(addrReady+1, entry))
-	_ = s.mem.StoreLatency(ev.Addr, port)
+	_ = s.mem.StoreLatency(s.st.Addr, port)
 
 	rec := storeRec{
-		pc:        ev.PC,
-		addr:      ev.Addr,
+		pc:        s.st.PC,
+		addr:      s.st.Addr,
 		addrReady: port,
 		dataReady: max(dataReady, port),
 		seq:       s.seq,
@@ -1107,18 +1163,11 @@ func (s *Sim) timeStore(in isa.Inst, entry, decode uint64) {
 		s.ssets.recordStore(rec)
 	}
 
-	if s.engine != nil {
+	if s.srt != nil {
 		// Producer stores deposit their value once the data is known.
-		pred, ok := s.engine.DPNT().Lookup(ev.PC)
-		if ok && pred.Producer {
-			s.srt.Install(pred.Synonym, max(decode+1, dataReady), s.seq)
-		}
-		s.engine.StoreWith(ev.PC, ev.Addr, ev.Value, pred, ok)
+		s.produce(max(decode+1, dataReady))
 	}
 }
-
-// Engine exposes the cloaking engine (nil for base runs).
-func (s *Sim) Engine() *cloak.Engine { return s.engine }
 
 // RunProgram is a convenience wrapper: simulate prog under cfg.
 func RunProgram(prog *isa.Program, cfg Config) (Result, error) {

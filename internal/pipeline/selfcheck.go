@@ -74,7 +74,10 @@ func (s *Sim) checkInvariants() {
 			s.lsqIdx, s.memOps, s.cfg.LSQSize)
 	}
 	s.checkStoreFilter()
-	s.feed.Counts().CheckInvariants()
+	if s.srt != nil {
+		s.srt.CheckInvariants(s.seq)
+	}
+	s.execCounts().CheckInvariants()
 }
 
 // checkStoreFilter recomputes the store-address filter and (under

@@ -286,41 +286,40 @@ func (s *IStream) Validate() error {
 // ICursor walks an IStream in commit order. NextInst yields successive
 // instruction records; NextMem yields successive memory records — the
 // caller interleaves them (one NextMem per memory instruction), which is
-// exactly the recorded order. The zero ICursor is not useful; obtain one
-// from Cursor. Each cursor is independent, so concurrent replays of one
-// immutable stream need no synchronisation — but a cursor must not be
-// copied once iteration has begun (copies would share decode scratch).
+// exactly the recorded order. ReadInsts and ReadMems copy runs of
+// records instead, for a consumer that takes a stream in steps. The zero
+// ICursor is not useful; obtain one from Cursor. Each cursor is
+// independent, so concurrent replays of one immutable stream need no
+// synchronisation — but a cursor must not be copied once iteration has
+// begun (copies would share decode scratch).
 //
 // A cursor owns one pooled decode buffer per plane, acquired eagerly at
-// Cursor and released back to the pool independently when each plane's
-// Next method first reports the end; after release that method keeps
-// returning ok=false. A cursor abandoned mid-stream leaves its buffers
-// to the GC.
+// Cursor and released back to the pool independently when each plane
+// first reports its end; after release that plane keeps reporting the
+// end. A cursor abandoned mid-stream leaves its buffers to the GC.
 type ICursor struct {
-	s *IStream
+	inst, mem pairCursor
+}
 
-	ci   int // current instruction chunk
-	ii   int // index within it
-	idx  []uint32
-	next []uint32
-
-	mci   int // current memory chunk
-	mi    int
-	maddr []uint32
-	mval  []uint32
-
-	isc *pairScratch // decode buffer for sealed instruction chunks
-	msc *pairScratch // decode buffer for sealed memory chunks
+// pairCursor walks one plane of an IStream: the chunk it is in, decoded
+// into its pooled buffer if sealed, and the position within it.
+type pairCursor struct {
+	chunks []*pairChunk
+	ci     int // current chunk
+	i      int // index within it
+	a, b   []uint32
+	sc     *pairScratch // decode buffer for sealed chunks
 }
 
 // Cursor returns a cursor positioned at the start of the stream.
 func (s *IStream) Cursor() ICursor {
-	c := ICursor{s: s, isc: getPairScratch(), msc: getPairScratch()}
-	if len(s.ichunks) > 0 {
-		c.idx, c.next = s.ichunks[0].columns(c.isc)
-	}
-	if len(s.mchunks) > 0 {
-		c.maddr, c.mval = s.mchunks[0].columns(c.msc)
+	return ICursor{inst: newPairCursor(s.ichunks), mem: newPairCursor(s.mchunks)}
+}
+
+func newPairCursor(chunks []*pairChunk) pairCursor {
+	c := pairCursor{chunks: chunks, sc: getPairScratch()}
+	if len(chunks) > 0 {
+		c.a, c.b = chunks[0].columns(c.sc)
 	}
 	return c
 }
@@ -328,50 +327,66 @@ func (s *IStream) Cursor() ICursor {
 // NextInst returns the next instruction record, or ok=false at the end
 // of the plane (which releases that plane's pooled decode buffer; the
 // memory plane may still be draining through NextMem).
-func (c *ICursor) NextInst() (idx, next uint32, ok bool) {
-	if c.ii < len(c.idx) {
-		idx, next = c.idx[c.ii], c.next[c.ii]
-		c.ii++
-		return idx, next, true
-	}
-	if c.ci+1 >= len(c.s.ichunks) {
-		if c.isc != nil {
-			putPairScratch(c.isc)
-			c.isc = nil
-		}
-		c.idx, c.next = nil, nil
-		c.ii, c.ci = 0, len(c.s.ichunks)
-		return 0, 0, false
-	}
-	c.ci++
-	c.idx, c.next = c.s.ichunks[c.ci].columns(c.isc)
-	c.ii = 1
-	return c.idx[0], c.next[0], true
-}
+func (c *ICursor) NextInst() (idx, next uint32, ok bool) { return c.inst.next() }
 
 // NextMem returns the next memory record, or ok=false when the stream
 // holds no further memory events (which a validated stream's consumer
 // never observes before its last memory instruction; reporting the end
 // releases the plane's pooled decode buffer).
-func (c *ICursor) NextMem() (addr, value uint32, ok bool) {
-	if c.mi < len(c.maddr) {
-		addr, value = c.maddr[c.mi], c.mval[c.mi]
-		c.mi++
-		return addr, value, true
-	}
-	if c.mci+1 >= len(c.s.mchunks) {
-		if c.msc != nil {
-			putPairScratch(c.msc)
-			c.msc = nil
+func (c *ICursor) NextMem() (addr, value uint32, ok bool) { return c.mem.next() }
+
+// ReadInsts copies the next instruction records into idx and next, as
+// many as the shorter of the two holds, and returns how many it copied:
+// fewer only at the end of the plane.
+func (c *ICursor) ReadInsts(idx, next []uint32) int { return c.inst.read(idx, next) }
+
+// ReadMems copies the next memory records into addr and value, as many
+// as the shorter of the two holds, and returns how many it copied: fewer
+// only at the end of the plane.
+func (c *ICursor) ReadMems(addr, value []uint32) int { return c.mem.read(addr, value) }
+
+func (c *pairCursor) next() (a, b uint32, ok bool) {
+	for c.i == len(c.a) {
+		if !c.advance() {
+			return 0, 0, false
 		}
-		c.maddr, c.mval = nil, nil
-		c.mi, c.mci = 0, len(c.s.mchunks)
-		return 0, 0, false
 	}
-	c.mci++
-	c.maddr, c.mval = c.s.mchunks[c.mci].columns(c.msc)
-	c.mi = 1
-	return c.maddr[0], c.mval[0], true
+	a, b = c.a[c.i], c.b[c.i]
+	c.i++
+	return a, b, true
+}
+
+func (c *pairCursor) read(a, b []uint32) int {
+	n := min(len(a), len(b))
+	done := 0
+	for done < n {
+		if c.i == len(c.a) && !c.advance() {
+			break
+		}
+		k := copy(a[done:n], c.a[c.i:])
+		copy(b[done:done+k], c.b[c.i:c.i+k])
+		c.i += k
+		done += k
+	}
+	return done
+}
+
+// advance moves to the next chunk of the plane, or reports the end,
+// releasing the decode buffer.
+func (c *pairCursor) advance() bool {
+	if c.ci+1 >= len(c.chunks) {
+		if c.sc != nil {
+			putPairScratch(c.sc)
+			c.sc = nil
+		}
+		c.a, c.b = nil, nil
+		c.i, c.ci = 0, len(c.chunks)
+		return false
+	}
+	c.ci++
+	c.a, c.b = c.chunks[c.ci].columns(c.sc)
+	c.i = 0
+	return true
 }
 
 // RecordIStream executes prog functionally (up to maxInsts; 0 = to

@@ -63,6 +63,59 @@ func TestIStreamAppendCursor(t *testing.T) {
 	}
 }
 
+// TestICursorReadsInSteps: ReadInsts and ReadMems, in steps that do not
+// divide a chunk, copy exactly the records NextInst and NextMem yield,
+// across chunk boundaries, and fall short only at the end of a plane.
+func TestICursorReadsInSteps(t *testing.T) {
+	s := NewIStream()
+	const n = 2*chunkEvents + 123
+	for i := 0; i < n; i++ {
+		s.AppendInst(uint32(i), uint32(i)*4+4)
+		if i%3 == 0 {
+			s.AppendMem(uint32(i)*8, ^uint32(i))
+		}
+	}
+	s.Seal()
+	for _, step := range []int{1, 1000, chunkEvents + 7} {
+		ref, cur := s.Cursor(), s.Cursor()
+		a, b := make([]uint32, step), make([]uint32, step)
+		for _, plane := range []struct {
+			name string
+			read func(a, b []uint32) int
+			next func() (uint32, uint32, bool)
+			want uint64
+		}{
+			{"inst", cur.ReadInsts, ref.NextInst, s.Len()},
+			{"mem", cur.ReadMems, ref.NextMem, s.MemEvents()},
+		} {
+			var total uint64
+			for {
+				got := plane.read(a, b)
+				total += uint64(got)
+				for k := 0; k < got; k++ {
+					x, y, ok := plane.next()
+					if !ok || x != a[k] || y != b[k] {
+						t.Fatalf("step %d %s record %d: read (%d, %d), next (%d, %d, %v)",
+							step, plane.name, total-uint64(got)+uint64(k), a[k], b[k], x, y, ok)
+					}
+				}
+				if got < step {
+					break
+				}
+			}
+			if total != plane.want {
+				t.Errorf("step %d: read %d %s records, want %d", step, total, plane.name, plane.want)
+			}
+			if _, _, ok := plane.next(); ok {
+				t.Errorf("step %d: reference %s cursor not at the end", step, plane.name)
+			}
+			if got := plane.read(a, b); got != 0 {
+				t.Errorf("step %d: %d %s records read past the end", step, got, plane.name)
+			}
+		}
+	}
+}
+
 // TestRecordIStreamMatchesBaseline proves the predecoded fast recorder
 // and the page-walking baseline recorder produce identical streams.
 func TestRecordIStreamMatchesBaseline(t *testing.T) {
