@@ -1,9 +1,9 @@
 // Package cache models the memory hierarchy of the paper's base
 // processor (Section 5.1): a non-blocking 32KB 2-way L1 data cache and
 // 64KB 2-way L1 instruction cache (16-byte blocks, 2-cycle hits), a
-// unified 4MB 8-way L2 with 128-byte blocks and 10-cycle hits, write
-// buffers with write combining between the levels, and a flat main
-// memory with a 50-cycle leading-word latency.
+// unified 4MB 8-way L2 with 128-byte blocks and 10-cycle hits, and a
+// flat main memory with a 50-cycle leading-word latency. Write buffers
+// are not modelled: a store allocates its line and costs no cycles.
 //
 // The model is latency-oriented: each access walks the hierarchy once,
 // updates replacement state, and returns the total access latency in
@@ -11,8 +11,6 @@
 // pipeline models port contention at the load/store scheduler instead),
 // matching the level of detail timing studies of this era used.
 package cache
-
-import "rarpred/internal/container"
 
 // Config shapes one cache level.
 type Config struct {
@@ -132,105 +130,11 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
-// WriteBuffer models a write-combining buffer of whole blocks between two
-// levels. Stores complete into the buffer; a full buffer adds stall
-// cycles. Draining is approximated by retiring one block per DrainRate
-// cycles of simulated time.
-type WriteBuffer struct {
-	capacity  int
-	blockMask uint32
-	drainRate int
-
-	// Buffered blocks: an open-addressed index for the combining check
-	// plus a FIFO ring ordering drains oldest-first (entries are unique,
-	// so the two structures always hold the same block set).
-	present   *container.U32Map[struct{}]
-	fifo      []uint32
-	head, n   int
-	lastDrain uint64
-
-	// Stats
-	Writes    uint64
-	Combines  uint64
-	FullStall uint64
-}
-
-// NewWriteBuffer returns a buffer holding capacity blocks of blockBytes,
-// draining one block every drainRate cycles.
-func NewWriteBuffer(capacity, blockBytes, drainRate int) *WriteBuffer {
-	return &WriteBuffer{
-		capacity:  capacity,
-		blockMask: ^uint32(blockBytes - 1),
-		drainRate: drainRate,
-		present:   container.NewU32Map[struct{}](capacity + 1),
-		fifo:      make([]uint32, capacity+1),
-	}
-}
-
-// Write inserts a store at the current cycle and returns the stall cycles
-// the store suffers (0 unless the buffer is full).
-func (w *WriteBuffer) Write(addr uint32, now uint64) int {
-	w.drain(now)
-	w.Writes++
-	block := addr & w.blockMask
-	if w.present.Ptr(block) != nil {
-		w.Combines++ // write combining: no new entry
-		return 0
-	}
-	if w.n >= w.capacity {
-		w.FullStall++
-		// The store waits for one drain period to free a slot.
-		w.forceDrainOne()
-		w.insert(block)
-		return w.drainRate
-	}
-	w.insert(block)
-	return 0
-}
-
-func (w *WriteBuffer) insert(block uint32) {
-	w.present.GetOrPut(block)
-	w.fifo[(w.head+w.n)%len(w.fifo)] = block
-	w.n++
-}
-
-// Pending returns the number of buffered blocks.
-func (w *WriteBuffer) Pending() int { return w.n }
-
-func (w *WriteBuffer) drain(now uint64) {
-	if w.drainRate <= 0 {
-		return
-	}
-	elapsed := now - w.lastDrain
-	n := int(elapsed) / w.drainRate
-	if n <= 0 {
-		return
-	}
-	w.lastDrain = now
-	for i := 0; i < n && w.n > 0; i++ {
-		w.forceDrainOne()
-	}
-}
-
-func (w *WriteBuffer) forceDrainOne() {
-	if w.n == 0 {
-		return
-	}
-	block := w.fifo[w.head]
-	w.head = (w.head + 1) % len(w.fifo)
-	w.n--
-	w.present.Delete(block)
-}
-
 // Hierarchy is the full Section 5.1 memory system.
 type Hierarchy struct {
 	L1D *Cache
 	L1I *Cache
 	L2  *Cache
-
-	// WB is the store buffer in front of the hierarchy (128 entries in
-	// the paper's processor).
-	WB *WriteBuffer
 
 	memLatency   int // leading word from main memory
 	l2ExtraWord  int // per additional word latency at L2
@@ -243,7 +147,6 @@ func NewHierarchy() *Hierarchy {
 		L1D: New(Config{SizeBytes: 32 << 10, BlockBytes: 16, Ways: 2, HitLatency: 2}),
 		L1I: New(Config{SizeBytes: 64 << 10, BlockBytes: 16, Ways: 2, HitLatency: 2}),
 		L2:  New(Config{SizeBytes: 4 << 20, BlockBytes: 128, Ways: 8, HitLatency: 10}),
-		WB:  NewWriteBuffer(128, 16, 4),
 
 		memLatency:   50,
 		l2ExtraWord:  1,
@@ -256,16 +159,12 @@ func (h *Hierarchy) LoadLatency(addr uint32) int {
 	return h.access(h.L1D, addr, false)
 }
 
-// StoreLatency performs a data store at addr at the given cycle and
-// returns the cycles the store occupies the port (writes complete into
-// the write buffer; the line is still allocated for coherence of the
-// model's state).
-func (h *Hierarchy) StoreLatency(addr uint32, now uint64) int {
-	stall := h.WB.Write(addr, now)
-	// Keep cache state in sync (write-allocate), without charging the
-	// store the full miss latency: the write buffer hides it.
-	h.access(h.L1D, addr, true)
-	return 1 + stall
+// WriteLatency performs a data store at addr and returns its latency.
+// Stores write-allocate, so a store that misses brings its line in as a
+// load would; the timing model charges the store none of the latency
+// (DESIGN.md §7).
+func (h *Hierarchy) WriteLatency(addr uint32) int {
+	return h.access(h.L1D, addr, true)
 }
 
 // FetchLatency performs an instruction fetch at addr and returns its

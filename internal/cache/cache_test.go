@@ -81,44 +81,6 @@ func TestBadGeometryPanics(t *testing.T) {
 	}
 }
 
-func TestWriteBufferCombining(t *testing.T) {
-	w := NewWriteBuffer(4, 16, 4)
-	if w.Write(0x100, 0) != 0 {
-		t.Error("first write stalled")
-	}
-	if w.Write(0x104, 0) != 0 {
-		t.Error("same-block write stalled")
-	}
-	if w.Combines != 1 {
-		t.Errorf("combines = %d", w.Combines)
-	}
-	if w.Pending() != 1 {
-		t.Errorf("pending = %d", w.Pending())
-	}
-}
-
-func TestWriteBufferFullStall(t *testing.T) {
-	w := NewWriteBuffer(2, 16, 4)
-	w.Write(0x000, 0)
-	w.Write(0x010, 0)
-	if stall := w.Write(0x020, 0); stall == 0 {
-		t.Error("full buffer did not stall")
-	}
-	if w.FullStall != 1 {
-		t.Errorf("full stalls = %d", w.FullStall)
-	}
-}
-
-func TestWriteBufferDrains(t *testing.T) {
-	w := NewWriteBuffer(2, 16, 4)
-	w.Write(0x000, 0)
-	w.Write(0x010, 0)
-	// 100 cycles later both blocks have drained; no stall.
-	if stall := w.Write(0x020, 100); stall != 0 {
-		t.Errorf("stall after drain = %d", stall)
-	}
-}
-
 func TestHierarchyLatencies(t *testing.T) {
 	h := NewHierarchy()
 	// Cold load: L1 miss + L2 miss -> 2 + 10 + 50 + extra words.
@@ -144,10 +106,18 @@ func TestHierarchyLatencies(t *testing.T) {
 	}
 }
 
-func TestHierarchyStoreCompletesIntoWB(t *testing.T) {
+// TestHierarchyStoreAllocates: a store that misses write-allocates its
+// line, so a later load of the line hits.
+func TestHierarchyStoreAllocates(t *testing.T) {
 	h := NewHierarchy()
-	if lat := h.StoreLatency(0x9000, 0); lat > 5 {
-		t.Errorf("store latency = %d; the write buffer should hide the miss", lat)
+	if lat := h.WriteLatency(0x9000); lat <= 2 {
+		t.Errorf("cold store latency = %d, want a miss", lat)
+	}
+	if lat := h.LoadLatency(0x9004); lat != 2 {
+		t.Errorf("load after a store to its line took %d cycles, want a hit", lat)
+	}
+	if h.L1D.Accesses != 2 || h.L1D.Misses != 1 {
+		t.Errorf("L1D saw %d accesses and %d misses, want 2 and 1", h.L1D.Accesses, h.L1D.Misses)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // functional experiments' shared memory-trace cache. A timing cell is a
 // plan on its workload's timing job (simJob): it declares the specs it
 // times, and the job simulates each distinct spec once for every cell
-// it covers, walking the stream once per distinct cloak config.
+// it covers, all of them in one walk of the stream.
 
 // simSpec describes one timing configuration of Section 5.6: the base
 // processor under a memory-dependence speculation policy, optionally
@@ -111,7 +111,7 @@ func simCells[T any](
 
 // simJob is a workload's timing job: one lookup of its committed
 // instruction stream, then each distinct spec its cells time simulated
-// once, in one walk of the stream per distinct cloak config (runSims).
+// once, all in one walk of the stream (runSims).
 var simJob = jobKind[simRunner, *trace.IStream]{lookup: timingStream, shared: runSims}
 
 // timingStream looks up w's committed instruction stream at the timing
@@ -128,21 +128,21 @@ func timingStream(ctx context.Context, opt Options, w workload.Workload) (*trace
 // every cell's row from its own specs' Results.
 //
 // A cloak engine sees only the committed loads' and stores' (pc,
-// address, value) in program order, so its decisions depend only on the
-// stream and its config. runSims therefore groups the specs by
-// Config.Cloak (the base processor's, RAW's and RAW+RAR's: three groups
-// for the four timing experiments) and walks is once per group, in turn
-// (pipeline.Walk): each step decodes the next stretch of the stream
-// once, runs the group's one engine over it, and times the group's Sims
-// over it, at most opt.parallelism() at a time. Only one group's Sims
-// are alive at once. With no recording, under Options.Live, each spec
-// instead runs a full live interpreter with its own engine, the oracle
-// the walked Results are tested against.
+// address, value) in program order, and so do the caches, the branch
+// predictor and the store-address search, so what they decide depends
+// only on the stream and, for an engine, its config. runSims therefore
+// times every spec in one walk of is (pipeline.Walk): each step decodes
+// the next stretch of the stream once, runs one engine per distinct
+// cloak config (RAW's and RAW+RAR's for the four timing experiments) and
+// one machine over it, and times all the specs' Sims over it, at most
+// opt.parallelism() at a time. With no recording, under Options.Live,
+// each spec instead runs a full live interpreter with its own engine and
+// machine, the oracle the walked Results are tested against.
 //
 // A failed simulation fails the job with the error as labelled by the
-// first cell, in rs order, that times the spec; within a group the first
-// failed spec in first-request order reports, so a job of one cell fails
-// exactly as that cell names it.
+// first cell, in rs order, that times the spec; the first failed spec in
+// first-request order reports, so a job of one cell fails exactly as
+// that cell names it.
 func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IStream, rs []simRunner) ([]any, error) {
 	var (
 		specs  []simSpec
@@ -159,37 +159,33 @@ func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IS
 		}
 	}
 	prog := w.Program(opt.size(workload.TimingSize))
-	results := make([]pipeline.Result, len(specs))
-	for _, group := range cloakGroups(specs) {
-		sims := make([]*pipeline.Sim, len(group))
-		for k, j := range group {
-			cfg := specs[j].config()
-			cfg.Interrupt = interruptHook(ctx)
-			if is == nil {
-				sims[k] = pipeline.New(prog, cfg)
-			} else {
-				sims[k] = pipeline.NewReplay(prog, is, cfg)
-			}
-		}
-		var (
-			res  []pipeline.Result
-			errs []error
-		)
+	sims := make([]*pipeline.Sim, len(specs))
+	for j, s := range specs {
+		cfg := s.config()
+		cfg.Interrupt = interruptHook(ctx)
 		if is == nil {
-			res, errs = make([]pipeline.Result, len(sims)), make([]error, len(sims))
-			for k, s := range sims {
-				res[k], errs[k] = s.Run()
-			}
+			sims[j] = pipeline.New(prog, cfg)
 		} else {
-			span := startSpan("cell/replay")
-			res, errs = pipeline.Walk(sims, opt.parallelism())
-			span.End()
+			sims[j] = pipeline.NewReplay(prog, is, cfg)
 		}
-		for k, j := range group {
-			if errs[k] != nil {
-				return nil, askers[j].simErr(w, specs[j], errs[k])
-			}
-			results[j] = res[k]
+	}
+	var (
+		results []pipeline.Result
+		errs    []error
+	)
+	if is == nil {
+		results, errs = make([]pipeline.Result, len(sims)), make([]error, len(sims))
+		for j, s := range sims {
+			results[j], errs[j] = s.Run()
+		}
+	} else {
+		span := startSpan("cell/replay")
+		results, errs = pipeline.Walk(sims, opt.parallelism())
+		span.End()
+	}
+	for j, err := range errs {
+		if err != nil {
+			return nil, askers[j].simErr(w, specs[j], err)
 		}
 	}
 	rows := make([]any, len(rs))
@@ -202,26 +198,6 @@ func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IS
 		rows[k] = r.simRow(w, res)
 	}
 	return rows, nil
-}
-
-// cloakGroups partitions the indices of specs by the cloak config their
-// Sims run, groups and members in first-request order: the specs one
-// walk times with one engine. config builds Config.Cloak from cloaked
-// and mode alone, so those two fields key the groups.
-func cloakGroups(specs []simSpec) [][]int {
-	var groups [][]int
-	at := make(map[simSpec]int)
-	for j, s := range specs {
-		key := simSpec{cloaked: s.cloaked, mode: s.mode}
-		g, ok := at[key]
-		if !ok {
-			g = len(groups)
-			at[key] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], j)
-	}
-	return groups
 }
 
 // interruptHook builds the pipeline Config.Interrupt seam from the run

@@ -147,13 +147,14 @@ func timingSpecs(t *testing.T) []simSpec {
 	return specs
 }
 
-// TestTimingJobWalkMatchesLive is the premise of the timing job's walks:
+// TestTimingJobWalkMatchesLive is the premise of the timing job's walk:
 // a cloak engine sees only the committed loads and stores in program
 // order, so one engine per cloak config can decide for every Sim of the
 // config. Every distinct spec of the four timing experiments, timed by
-// one timing job (one walk per cloak config, its Sims fanned out two at
-// a time), must equal pipeline.RunProgram's Result, which runs the live
-// interpreter and an engine of its own inline, on all 18 workloads.
+// one timing job (one walk, its Sims fanned out two at a time), must
+// equal pipeline.RunProgram's Result, which runs the live interpreter
+// and an engine of its own inline, on all 18 workloads. Both feeds run
+// the same machine code, so TestTimingResultsGolden pins the machine.
 func TestTimingJobWalkMatchesLive(t *testing.T) {
 	opt := Options{Size: 2, Parallelism: 2}
 	specs := timingSpecs(t)
@@ -198,17 +199,17 @@ func walkWork(f func()) (walks, loads uint64) {
 	return w.Value() - w0, l.Value() - l0
 }
 
-// TestTimingJobWalksOncePerCloakConfig pins the work the walks save: a
-// timing job walks its stream once per distinct cloak config of its
-// specs, and only a cloaked config runs an engine. A suite of the four
-// timing experiments at size 4 walks each stream three times (base
-// processor, RAW, RAW+RAR), and its engines decide each load twice. Run
-// alone, fig9 and fig10 walk each stream three times, ablrecovery twice
-// (base, RAW+RAR) and ablmemspec, all base processor, once. The counts
-// are per stream, so two workloads keep the test short under the race
-// detector; TestSimMemoSuiteSimulatesEachConfigOnce pins the whole
+// TestTimingJobWalksOnce pins the work the walk saves: a timing job
+// walks its stream once, whatever its specs, and its engines decide
+// each load once per distinct cloak config. A suite of the four timing
+// experiments at size 4 walks each stream once, and its engines (RAW and
+// RAW+RAR) decide each load twice. Run alone, fig9 and fig10 each make
+// one walk with two engines, ablrecovery one walk with one engine
+// (RAW+RAR) and ablmemspec, all base processor, one walk with none. The
+// counts are per stream, so two workloads keep the test short under the
+// race detector; TestSimMemoSuiteSimulatesEachConfigOnce pins the whole
 // suite's simulations.
-func TestTimingJobWalksOncePerCloakConfig(t *testing.T) {
+func TestTimingJobWalksOnce(t *testing.T) {
 	opt := subset("apl", "go")
 	var streams, loads uint64
 	for _, w := range opt.workloads() {
@@ -220,8 +221,8 @@ func TestTimingJobWalksOncePerCloakConfig(t *testing.T) {
 		loads += is.Counts.Loads
 	}
 	walks, decided := walkWork(func() { suiteWork(t, opt, timingExps(t)) })
-	if walks != 3*streams || decided != 2*loads {
-		t.Errorf("suite walked %d streams and decided %d loads, want 3 x %d and 2 x %d", walks, decided, streams, loads)
+	if walks != streams || decided != 2*loads {
+		t.Errorf("suite walked %d streams and decided %d loads, want %d and 2 x %d", walks, decided, streams, loads)
 	}
 	for i, e := range timingExps(t) {
 		walks, decided := walkWork(func() {
@@ -229,10 +230,10 @@ func TestTimingJobWalksOncePerCloakConfig(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		wantWalks, wantEngines := []uint64{3, 3, 1, 2}[i], []uint64{2, 2, 0, 1}[i]
-		if walks != wantWalks*streams || decided != wantEngines*loads {
-			t.Errorf("standalone %s walked %d streams and decided %d loads, want %d x %d and %d x %d",
-				e.ID, walks, decided, wantWalks, streams, wantEngines, loads)
+		wantEngines := []uint64{2, 2, 0, 1}[i]
+		if walks != streams || decided != wantEngines*loads {
+			t.Errorf("standalone %s walked %d streams and decided %d loads, want %d and %d x %d",
+				e.ID, walks, decided, streams, wantEngines, loads)
 		}
 	}
 }

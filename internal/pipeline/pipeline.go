@@ -31,17 +31,19 @@
 //
 // A Sim from New runs the functional interpreter as it goes. A Sim from
 // NewReplay replays a recorded trace.IStream instead, and Walk times
-// several such Sims in one pass over the recording: the cloak engine
-// trains in program order on the committed accesses alone, so one
-// engine decides every access for all the Sims of one cloak config.
+// several such Sims in one pass over the recording. Everything that
+// follows the committed stream in program order alone is computed once
+// per walk, not once per Sim: the cloak engines, which train on the
+// committed accesses, and the machine (the caches, the branch predictor,
+// the sampling schedule and the in-flight store addresses). Each Sim
+// keeps only its timing state and reads the walk's outcomes and
+// decisions.
 package pipeline
 
 import (
 	"fmt"
 	"sync"
 
-	"rarpred/internal/bpred"
-	"rarpred/internal/cache"
 	"rarpred/internal/check"
 	"rarpred/internal/cloak"
 	"rarpred/internal/funcsim"
@@ -229,7 +231,7 @@ func (r Result) EstimatedCycles() uint64 {
 }
 
 // slotCounter allocates per-cycle resource slots (issue width, memory
-// ports, commit width) with a lazily-reset ring. The ring length must be
+// ports) with a lazily-reset ring. The ring length must be
 // a power of two so reserve's cycle-to-slot mapping is a mask, not a
 // division.
 type slotCounter struct {
@@ -283,10 +285,10 @@ type regState struct {
 	verify uint64 // cycle the value is non-speculative (>= ready)
 }
 
-// storeRec tracks an in-flight store for memory dependence scheduling.
+// storeRec is the timing of an in-flight store for memory dependence
+// scheduling; the machine keeps its address in the same ring slot.
 type storeRec struct {
 	pc        uint32
-	addr      uint32
 	addrReady uint64
 	dataReady uint64
 	seq       uint64
@@ -421,13 +423,14 @@ func decodeProgram(prog *isa.Program) []decoded {
 }
 
 // Sim runs timing simulations. Create with New or NewReplay; one Sim per
-// program run.
+// program run. A Sim holds only timing state: what the caches, the
+// branch predictor, the store-address search and the sampling schedule
+// decide arrives with each committed instruction (committed.Out), from
+// its walk's machine or its live feed's.
 type Sim struct {
 	cfg  Config
 	prog *isa.Program
 	dec  []decoded
-	mem  *cache.Hierarchy
-	bp   *bpred.Predictor
 
 	// live feeds a Sim from New; is is the recording a Sim from
 	// NewReplay is walked over, and counts the execution profile its
@@ -445,30 +448,32 @@ type Sim struct {
 
 	regs [isa.NumRegs]regState
 
-	issue   *slotCounter
-	ports   *slotCounter
-	commits *slotCounter
+	issue *slotCounter
+	ports *slotCounter
 
-	nextFetch      uint64 // earliest cycle the next instruction can fetch
-	fetchCount     uint16 // instructions fetched in nextFetch's cycle
-	lastFetchBlock uint32
+	nextFetch  uint64 // earliest cycle the next instruction can fetch
+	fetchCount uint16 // instructions fetched in nextFetch's cycle
+	// refetch: a redirect restarted fetch, so the next instruction
+	// accesses the L1I even when it stays in the previous instruction's
+	// block. The machine accesses a block only when it changes; such a
+	// re-access is an L1I hit on the line accessed last, which leaves
+	// every set's LRU order as it was, so the Sim only counts it.
+	refetch bool
 
-	commitRing []uint64 // commit time of the last WindowSize instructions
-	winIdx     int      // seq % WindowSize, maintained incrementally
-	lsqRing    []uint64 // commit time of the last LSQSize memory operations
-	lsqIdx     int      // memOps % LSQSize, maintained incrementally
-	memOps     uint64
-	lastCommit uint64
+	commitRing  []uint64 // commit time of the last WindowSize instructions
+	winIdx      int      // seq % WindowSize, maintained incrementally
+	lsqRing     []uint64 // commit time of the last LSQSize memory operations
+	lsqIdx      int      // memOps % LSQSize, maintained incrementally
+	memOps      uint64
+	lastCommit  uint64
+	lastCommits int // instructions committed in lastCommit's cycle
 
-	stores    []storeRec // ring of the last LSQSize stores
+	// stores is the timing of the last LSQSize timing-phase stores, in
+	// the machine's store-ring slots (committed.Out.conflict indexes it).
+	stores    []storeRec
 	storeHead int
 	ssets     *storeSetTable
 	seq       uint64
-
-	// tags is a counting address filter over the store ring: a load whose
-	// address hashes to an empty bucket provably has no in-flight
-	// conflicting store, skipping the ring scan entirely.
-	tags [numTags]uint16
 
 	// amax is a monotonic deque over the store ring's addrReady times
 	// (front = exact sliding-window max), allocated only under NoSpec —
@@ -477,28 +482,42 @@ type Sim struct {
 	amaxHead int
 	amaxLen  int
 
+	// The Sim's own tallies behind Result's L1DMissRate, L1IMissRate and
+	// BranchAcc, counted from the outcomes of the instructions it took.
+	l1dMiss, l1iMiss, branchHit frac
+
 	res Result
 
 	st committed // the current committed instruction
 
 	// Run state, kept across a walk's steps.
-	timing    bool   // in a timing phase (always, unless sampling)
-	phaseLeft uint64 // instructions left in the sampling phase
-	obs       uint64 // the sampling observation size
-	pending   uint64 // instructions not yet added to instsCommitted
-	done      bool   // a walked Sim takes no further instruction
-	err       error  // why a walked Sim stopped early, if it failed
+	col     int    // the walk's decision column this Sim reads, if cloaked
+	pending uint64 // instructions not yet added to instsCommitted
+	done    bool   // a walked Sim takes no further instruction
+	err     error  // why a walked Sim stopped early, if it failed
 
 	sc     bool
 	scSamp check.Sampler
 }
 
-// numTags is the size of the store-address filter; buckets index by
-// word-address low bits, so the filter is exact for working sets under
-// 8 KiB and merely conservative (never wrong) beyond.
-const numTags = 2048
+// frac counts events (den) and those among them of interest (num), and
+// its value is their ratio, as cache.Cache.MissRate and
+// bpred.Predictor.Accuracy compute it.
+type frac struct{ num, den uint64 }
 
-func tagIdx(addr uint32) uint32 { return (addr >> 2) & (numTags - 1) }
+func (f *frac) add(in bool) {
+	f.den++
+	if in {
+		f.num++
+	}
+}
+
+func (f frac) value() float64 {
+	if f.den == 0 {
+		return 0
+	}
+	return float64(f.num) / float64(f.den)
+}
 
 // amaxEntry is one candidate in the sliding-window max over store
 // address-ready times.
@@ -510,33 +529,21 @@ type amaxEntry struct {
 // New prepares a timing simulation of prog with a live functional feed.
 func New(prog *isa.Program, cfg Config) *Sim {
 	s := newSim(prog, cfg)
-	s.live = newLiveFeed(prog, cfg.Cloak)
+	s.live = newLiveFeed(prog, cfg, s.sc)
 	return s
 }
 
 // newSim builds everything but the feed (see New and NewReplay).
 func newSim(prog *isa.Program, cfg Config) *Sim {
 	s := &Sim{
-		cfg:            cfg,
-		prog:           prog,
-		dec:            decodeFor(prog),
-		mem:            cache.NewHierarchy(),
-		bp:             bpred.New(bpred.DefaultConfig()),
-		issue:          newSlotCounter(cfg.Width, 1<<14),
-		ports:          newSlotCounter(cfg.MemPorts, 1<<14),
-		commits:        newSlotCounter(cfg.Width, 1<<14),
-		commitRing:     make([]uint64, cfg.WindowSize),
-		lsqRing:        make([]uint64, cfg.LSQSize),
-		stores:         make([]storeRec, 0, cfg.LSQSize),
-		lastFetchBlock: ^uint32(0),
-		timing:         true,
-		obs:            cfg.ObservationSize,
-	}
-	if s.obs == 0 {
-		s.obs = 50_000
-	}
-	if cfg.SampleRatio > 0 {
-		s.phaseLeft = s.obs
+		cfg:        cfg,
+		prog:       prog,
+		dec:        decodeFor(prog),
+		issue:      newSlotCounter(cfg.Width, 1<<14),
+		ports:      newSlotCounter(cfg.MemPorts, 1<<14),
+		commitRing: make([]uint64, cfg.WindowSize),
+		lsqRing:    make([]uint64, cfg.LSQSize),
+		stores:     make([]storeRec, 0, cfg.LSQSize),
 	}
 	if cfg.Cloak != nil {
 		s.srt = cloak.NewSRT(0, 0)
@@ -563,7 +570,6 @@ func (s *Sim) Run() (Result, error) {
 	}
 	defer s.flush()
 	for !s.atLimit() {
-		s.samplePhase()
 		ok, err := s.live.next(&s.st)
 		if err != nil {
 			return s.res, err
@@ -583,29 +589,27 @@ func (s *Sim) atLimit() bool {
 	return s.cfg.MaxInsts != 0 && s.res.Insts >= s.cfg.MaxInsts
 }
 
-// samplePhase opens the next sampling phase when the current one is
-// spent; call it before each instruction.
-func (s *Sim) samplePhase() {
-	if s.cfg.SampleRatio == 0 || s.phaseLeft != 0 {
-		return
-	}
-	if s.timing {
-		s.timing = false
-		s.phaseLeft = s.obs * uint64(s.cfg.SampleRatio)
-		return
-	}
-	s.timing = true
-	s.phaseLeft = s.obs
-	// Re-enter timing with a quiet machine: stale register timestamps
-	// from the previous sample are all in the past.
-	s.redirect(s.lastCommit)
-}
-
 // commit times the current instruction (s.st), or observes it
-// functionally between samples, and polls cfg.Interrupt every
-// funcsim.InterruptEvery instructions.
+// functionally between samples as its outcome says, counts its cache
+// accesses, and polls cfg.Interrupt every funcsim.InterruptEvery
+// instructions.
 func (s *Sim) commit() error {
-	if s.timing {
+	o := &s.st.Out
+	if o.flags&outResume != 0 {
+		// Re-enter timing with a quiet machine: stale register timestamps
+		// from the previous sample are all in the past.
+		s.redirect(s.lastCommit)
+	}
+	if o.fetchLat != 0 {
+		s.l1iMiss.add(o.fetchLat > l1HitLatency)
+	} else if s.refetch {
+		s.l1iMiss.add(false)
+	}
+	s.refetch = false
+	if o.dataLat != 0 {
+		s.l1dMiss.add(o.dataLat > l1HitLatency)
+	}
+	if o.flags&outTimed != 0 {
 		s.step()
 	} else {
 		s.stepFunctional()
@@ -617,9 +621,6 @@ func (s *Sim) commit() error {
 				return fmt.Errorf("pipeline: interrupted after %d insts: %w", s.res.Insts, err)
 			}
 		}
-	}
-	if s.cfg.SampleRatio > 0 {
-		s.phaseLeft--
 	}
 	return nil
 }
@@ -635,9 +636,9 @@ func (s *Sim) flush() {
 func (s *Sim) finish() Result {
 	s.res.Cycles = s.lastCommit
 	s.res.Insts = s.execCounts().Insts
-	s.res.L1DMissRate = s.mem.L1D.MissRate()
-	s.res.L1IMissRate = s.mem.L1I.MissRate()
-	s.res.BranchAcc = s.bp.Accuracy()
+	s.res.L1DMissRate = s.l1dMiss.value()
+	s.res.L1IMissRate = s.l1iMiss.value()
+	s.res.BranchAcc = s.branchHit.value()
 	return s.res
 }
 
@@ -663,46 +664,17 @@ func (s *Sim) advanceSeq() {
 // stepFunctional processes the current committed instruction (s.st) in
 // functional-sampling mode: no cycles pass, but the caches, branch
 // predictors and cloaking tables observe the instruction (the paper's
-// functional-sampling semantics).
+// functional-sampling semantics). The machine and the engine have
+// already observed it; the Sim counts its branch prediction and
+// installs its cloak value.
 func (s *Sim) stepFunctional() {
-	pc := s.st.PC
-	in := s.st.Inst
-	// I-cache training, one access per fetch block.
-	if block := pc &^ 15; block != s.lastFetchBlock {
-		s.lastFetchBlock = block
-		s.mem.FetchLatency(pc)
-	}
-	nextPC := s.st.NextPC
-
-	switch s.dec[pc>>2].kind {
-	case kLoad:
-		s.mem.LoadLatency(s.st.Addr)
-		if s.srt != nil {
-			s.produce(s.lastCommit)
-		}
-	case kStore:
-		s.mem.StoreLatency(s.st.Addr, s.lastCommit)
+	switch s.dec[s.st.PC>>2].kind {
+	case kLoad, kStore:
 		if s.srt != nil {
 			s.produce(s.lastCommit)
 		}
 	case kBranch:
-		taken := nextPC != pc+4
-		predTaken := s.bp.PredictDirection(pc)
-		s.bp.UpdateDirection(pc, taken, predTaken)
-	case kJump:
-		switch in.Op {
-		case isa.OpJal, isa.OpJalr:
-			s.bp.PushReturn(pc + 4)
-			if in.Op == isa.OpJalr {
-				s.bp.UpdateIndirect(pc, nextPC)
-			}
-		case isa.OpJr:
-			if in.IsReturn() {
-				s.bp.PopReturn()
-			} else {
-				s.bp.UpdateIndirect(pc, nextPC)
-			}
-		}
+		s.branchHit.add(s.st.Out.flags&outMispredict == 0)
 	}
 	s.advanceSeq()
 	s.res.Insts++
@@ -710,15 +682,11 @@ func (s *Sim) stepFunctional() {
 
 // fetchSlot assigns the fetch cycle for the next instruction, honouring
 // width and I-cache latency.
-func (s *Sim) fetchSlot(pc uint32) uint64 {
+func (s *Sim) fetchSlot() uint64 {
 	// I-cache: charge extra latency when a fetch block misses.
-	block := pc &^ 15
-	if block != s.lastFetchBlock {
-		s.lastFetchBlock = block
-		if lat := s.mem.FetchLatency(pc); lat > 2 {
-			s.nextFetch += uint64(lat - 2)
-			s.fetchCount = 0
-		}
+	if lat := uint64(s.st.Out.fetchLat); lat > l1HitLatency {
+		s.nextFetch += lat - l1HitLatency
+		s.fetchCount = 0
 	}
 	if s.fetchCount >= uint16(s.cfg.Width) {
 		s.nextFetch++
@@ -733,7 +701,7 @@ func (s *Sim) redirect(at uint64) {
 	if at+1 > s.nextFetch {
 		s.nextFetch = at + 1
 		s.fetchCount = 0
-		s.lastFetchBlock = ^uint32(0)
+		s.refetch = true
 	}
 }
 
@@ -800,29 +768,6 @@ func (s *Sim) setDest(dest uint8, ready, verify uint64) {
 	}
 }
 
-// latestConflict finds the latest earlier store to addr still in the
-// scheduler. The counting filter answers the common case (no earlier
-// store anywhere near the address) without touching the ring; otherwise
-// the ring is scanned newest-first so the first address match is the
-// latest by sequence, ending the scan.
-func (s *Sim) latestConflict(addr uint32) *storeRec {
-	if s.tags[tagIdx(addr)] == 0 {
-		return nil
-	}
-	n := len(s.stores)
-	i := s.storeHead
-	for k := 0; k < n; k++ {
-		i--
-		if i < 0 {
-			i += n
-		}
-		if s.stores[i].addr == addr {
-			return &s.stores[i]
-		}
-	}
-	return nil
-}
-
 // maxStoreAddrReady returns the latest address-ready time over all
 // stores in the scheduler (the NoSpec issue gate): the front of the
 // monotonic deque maintained by recordStore.
@@ -833,11 +778,11 @@ func (s *Sim) maxStoreAddrReady() uint64 {
 	return s.amax[s.amaxHead].addrReady
 }
 
-// recordStore inserts a store into the scheduler ring and keeps the
-// address filter (and, under NoSpec, the sliding-window max of
-// address-ready times) in sync with the ring contents.
+// recordStore inserts a store's timing into the scheduler ring, in the
+// slot machine.recordStore gives its address, and under NoSpec keeps the
+// sliding-window max of address-ready times in sync with the ring
+// contents.
 func (s *Sim) recordStore(rec storeRec) {
-	s.tags[tagIdx(rec.addr)]++
 	if s.amax != nil {
 		// Dominated candidates (no later than the newcomer and older) can
 		// never again be the window max.
@@ -853,7 +798,6 @@ func (s *Sim) recordStore(rec storeRec) {
 		s.stores = append(s.stores, rec)
 	} else {
 		old := s.stores[s.storeHead]
-		s.tags[tagIdx(old.addr)]--
 		if s.amax != nil && s.amaxLen > 0 && s.amax[s.amaxHead].seq == old.seq {
 			s.amaxHead = (s.amaxHead + 1) % len(s.amax)
 			s.amaxLen--
@@ -877,7 +821,7 @@ func (s *Sim) step() {
 	d := &s.dec[pc>>2]
 
 	// --- Front end ---
-	fetch := s.fetchSlot(pc)
+	fetch := s.fetchSlot()
 	decode := fetch + uint64(s.cfg.FrontEndDepth)
 	entry := s.windowEntry(decode)
 
@@ -893,39 +837,26 @@ func (s *Sim) step() {
 		s.setDest(d.dest, done, verify)
 	case kStore:
 		s.timeStore(s.st.Inst, entry, decode)
-		done, verify = entry, opVerify // stores retire via the write buffer
+		done, verify = entry, opVerify // its cache access costs it nothing (timeStore)
 	case kBranch:
 		done = s.issue.reserve(max(entry, opReady)) + 1
 		// Control with value-speculative inputs cannot resolve until the
 		// inputs verify (Section 5.6.1).
 		resolve := max(done, opVerify)
-		taken := nextPC != pc+4
-		predTaken := s.bp.PredictDirection(pc)
-		s.bp.UpdateDirection(pc, taken, predTaken)
+		mispredict := s.st.Out.flags&outMispredict != 0
 		s.res.Branches++
-		if predTaken != taken {
+		s.branchHit.add(!mispredict)
+		if mispredict {
 			s.res.BranchMispredicts++
 			s.redirect(resolve)
 		}
 		verify = opVerify
 	case kJump:
 		done = s.issue.reserve(max(entry, opReady)) + 1
-		resolve := max(done, opVerify)
-		switch s.st.Inst.Op {
-		case isa.OpJal:
-			s.bp.PushReturn(pc + 4)
-		case isa.OpJalr:
-			s.bp.PushReturn(pc + 4)
-			s.jumpIndirect(pc, nextPC, resolve)
-		case isa.OpJr:
-			if s.st.Inst.IsReturn() {
-				if s.bp.PopReturn() != nextPC {
-					s.res.BranchMispredicts++
-					s.redirect(resolve)
-				}
-			} else {
-				s.jumpIndirect(pc, nextPC, resolve)
-			}
+		// A return or other indirect jump the machine mispredicted.
+		if s.st.Out.flags&outMispredict != 0 {
+			s.res.BranchMispredicts++
+			s.redirect(max(done, opVerify))
 		}
 		s.setDest(d.dest, done, opVerify)
 		verify = opVerify
@@ -950,11 +881,16 @@ func (s *Sim) step() {
 	}
 
 	// --- Commit (in order, width-limited) ---
+	// Commit cycles never decrease, so only lastCommit's cycle can be
+	// partly taken: a later one is always free.
 	ct := max(done+1, s.lastCommit)
-	ct = s.commits.reserve(ct)
-	if ct < s.lastCommit {
-		ct = s.lastCommit
+	if ct == s.lastCommit && s.lastCommits == s.cfg.Width {
+		ct++
 	}
+	if ct != s.lastCommit {
+		s.lastCommits = 0
+	}
+	s.lastCommits++
 	if check.Enabled {
 		check.Assertf(decode >= fetch, "pipeline.time", "decode %d precedes fetch %d", decode, fetch)
 		check.Assertf(entry >= decode, "pipeline.time", "window entry %d precedes decode %d", entry, decode)
@@ -973,25 +909,19 @@ func (s *Sim) step() {
 	}
 }
 
-// jumpIndirect handles non-return indirect jump prediction.
-func (s *Sim) jumpIndirect(pc, target uint32, resolve uint64) {
-	if s.bp.PredictIndirect(pc) != target {
-		s.res.BranchMispredicts++
-		s.redirect(resolve)
-	}
-	s.bp.UpdateIndirect(pc, target)
-}
-
 // timeLoad computes a load's completion and verification times, handling
 // memory dependence speculation and cloaking.
 func (s *Sim) timeLoad(entry, opReady, decode uint64) (done, verify uint64) {
-	addr, pc := s.st.Addr, s.st.PC
+	pc := s.st.PC
 	entry = s.lsqEntry(entry)
 	addrReady := s.issue.reserve(max(entry, opReady)) + 1 // agen
 	// One cycle through the load/store scheduler after agen, then a port.
 	port := s.ports.reserve(max(addrReady+1, entry))
 
-	conflict := s.latestConflict(addr)
+	var conflict *storeRec
+	if c := s.st.Out.conflict; c >= 0 {
+		conflict = &s.stores[c]
+	}
 
 	memStart := port
 	violation := false
@@ -1050,8 +980,8 @@ func (s *Sim) timeLoad(entry, opReady, decode uint64) (done, verify uint64) {
 		}
 	}
 	if done == 0 {
-		// Plain cache access.
-		done = memStart + uint64(s.mem.LoadLatency(addr))
+		// Plain cache access: no in-flight store has the address.
+		done = memStart + uint64(s.st.Out.dataLat)
 	}
 	verify = done
 
@@ -1133,7 +1063,8 @@ func (s *Sim) produce(ready uint64) {
 }
 
 // timeStore computes a store's scheduling and records it for dependence
-// checks; stores complete into the write buffer at commit.
+// checks. A store's own cache access costs it nothing: it completes at
+// commit, and a full write buffer, which could stall it, is not modelled.
 func (s *Sim) timeStore(in isa.Inst, entry, decode uint64) {
 	entry = s.lsqEntry(entry)
 	// Address generation needs the base register; data needs Rt. Stores
@@ -1148,11 +1079,9 @@ func (s *Sim) timeStore(in isa.Inst, entry, decode uint64) {
 	}
 	addrReady := s.issue.reserve(max(entry, baseReady)) + 1
 	port := s.ports.reserve(max(addrReady+1, entry))
-	_ = s.mem.StoreLatency(s.st.Addr, port)
 
 	rec := storeRec{
 		pc:        s.st.PC,
-		addr:      s.st.Addr,
 		addrReady: port,
 		dataReady: max(dataReady, port),
 		seq:       s.seq,

@@ -121,9 +121,11 @@ func benchConfig() Config {
 }
 
 // BenchmarkPipeline measures per-instruction timing-model cost under
-// both feeds. Steady state must allocate nothing per step: the replay
-// cursor is by-value, the live feed reuses the interpreter, and the
-// simulator's rings are sized at construction.
+// both feeds, for one Sim: its own share of the work plus the feed's
+// machine and engine, which a walk of several Sims shares among them.
+// Steady state must allocate nothing per step: the replay cursor is
+// by-value, the live feed reuses the interpreter, and the simulator's
+// rings and the walk's columns are sized at construction.
 func BenchmarkPipeline(b *testing.B) {
 	w, ok := workload.ByAbbrev("gcc")
 	if !ok {

@@ -34,7 +34,8 @@ const sweepInterval = 1 << 12
 //     commit time is <= lastCommit, and commit order is what frees the
 //     WindowSize-bounded entries;
 //   - the store scheduler: at most LSQSize records, each with data no
-//     earlier than its address and a sequence number from the past;
+//     earlier than its address and a sequence number from the past, and
+//     under NoSpec the window max of their address-ready times;
 //   - the SRT: no live synonym entry owned by an instruction that has
 //     not been processed yet;
 //   - the functional oracle's execution profile tallies.
@@ -73,31 +74,26 @@ func (s *Sim) checkInvariants() {
 		check.Failf("pipeline.lsq", "maintained LSQ index %d != memOps %d mod %d",
 			s.lsqIdx, s.memOps, s.cfg.LSQSize)
 	}
-	s.checkStoreFilter()
+	s.checkStoreWindow()
 	if s.srt != nil {
 		s.srt.CheckInvariants(s.seq)
 	}
 	s.execCounts().CheckInvariants()
 }
 
-// checkStoreFilter recomputes the store-address filter and (under
-// NoSpec) the sliding-window max from the ring and compares them with
-// the incrementally maintained versions.
-func (s *Sim) checkStoreFilter() {
-	var tags [numTags]uint16
+// checkStoreWindow recomputes, under NoSpec, the sliding-window max of
+// store address-ready times from the ring and compares it with the
+// incrementally maintained deque. The machine sweeps its own address
+// filter (machine.checkStoreFilter).
+func (s *Sim) checkStoreWindow() {
+	if s.amax == nil {
+		return
+	}
 	var want uint64
 	for i := range s.stores {
-		tags[tagIdx(s.stores[i].addr)]++
-		if s.stores[i].addrReady > want {
-			want = s.stores[i].addrReady
-		}
+		want = max(want, s.stores[i].addrReady)
 	}
-	if tags != s.tags {
-		check.Failf("pipeline.lsq", "store-address filter out of sync with the ring")
-	}
-	if s.amax != nil {
-		if got := s.maxStoreAddrReady(); got != want {
-			check.Failf("pipeline.lsq", "window max addrReady %d, ring says %d", got, want)
-		}
+	if got := s.maxStoreAddrReady(); got != want {
+		check.Failf("pipeline.lsq", "window max addrReady %d, ring says %d", got, want)
 	}
 }

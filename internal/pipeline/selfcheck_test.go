@@ -101,6 +101,17 @@ func TestSweepCatchesCorruption(t *testing.T) {
 	if v := check.Catch(s.checkInvariants); v == nil || v.Site != "pipeline.lsq" {
 		t.Fatalf("future store sequence not caught: %v", v)
 	}
+
+	// The machine sweeps its own store-address filter.
+	m := newMachine(DefaultConfig(), true)
+	m.recordStore(0x100)
+	if v := check.Catch(m.checkStoreFilter); v != nil {
+		t.Fatalf("in-sync store filter flagged: %v", v)
+	}
+	m.tags[tagIdx(0x100)] = 0
+	if v := check.Catch(m.checkStoreFilter); v == nil || v.Site != "pipeline.lsq" {
+		t.Fatalf("store filter out of sync with the ring not caught: %v", v)
+	}
 }
 
 // TestSRTSweepCatchesFutureOwner covers the cloak-side SRT sweep the

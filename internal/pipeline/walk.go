@@ -20,8 +20,8 @@ const stepInsts = funcsim.InterruptEvery
 // Work counters of the replayed timing runs: streamWalks counts walks
 // (one per Walk call, however many Sims it times), and engineLoads the
 // loads the walks' cloak engines decide, added once per walk. A timing
-// job that walks each recording once per distinct cloak config reads
-// one walk per config and one engine's loads per cloaked config.
+// job walks its recording once, and its engines decide each load once
+// per distinct cloak config.
 var (
 	streamWalks = metrics.Default().Counter("pipeline.stream_walks")
 	engineLoads = metrics.Default().Counter("pipeline.engine_loads")
@@ -42,15 +42,18 @@ func NewReplay(prog *isa.Program, is *trace.IStream, cfg Config) *Sim {
 
 // Walk times sims over the recording they were made for (NewReplay) in
 // one pass. The sims must share the program, the recording and the
-// cloak config (Config.Cloak, compared by value); Walk panics
-// otherwise. Each step of the walk decodes the next stepInsts
-// instructions and the memory records they own once, runs the walk's one
-// cloak engine over those accesses into a column of decisions, then
-// times every Sim still running over the step, at most parallel Sims at
-// a time. The engine's decisions depend only on the committed accesses
-// in program order, so they are the ones each Sim's own engine would
-// make (New's live feed still makes them so, as the oracle). A panic in
-// any Sim is re-raised in the caller's goroutine.
+// fields of Config the machine reads (LSQSize, SampleRatio and
+// ObservationSize); Walk panics otherwise. Their cloak configs may
+// differ. Each step of the walk decodes the next stepInsts instructions
+// and the memory records they own once, runs the walk's cloak engines
+// over those accesses, one decision column per distinct cloak config,
+// runs the walk's one machine over the instructions into a column of
+// outcomes, then times every Sim still running over the step, at most
+// parallel Sims at a time. The decisions and the outcomes depend only on
+// the committed stream in program order, so they are the ones each Sim's
+// own engine and machine would produce (New's live feed still produces
+// them so, as the oracle). A panic in any Sim is re-raised in the
+// caller's goroutine.
 //
 // Walk returns each Sim's Result and error, index-aligned with sims. A
 // Sim that fails (an interrupt, or a step the stream cannot deliver)
@@ -92,7 +95,9 @@ func Walk(sims []*Sim, parallel int) ([]Result, []error) {
 		}
 	}
 	if w.bank != nil {
-		engineLoads.Add(w.bank.Engine(w.cc).Stats().Loads)
+		for _, e := range w.bank.Engines() {
+			engineLoads.Add(e.Stats().Loads)
+		}
 	}
 	res, errs := make([]Result, len(sims)), make([]error, len(sims))
 	for i, s := range sims {
@@ -104,26 +109,29 @@ func Walk(sims []*Sim, parallel int) ([]Result, []error) {
 	return res, errs
 }
 
-// walker is one walk's decoder and engine, and the step it last
-// decoded: at most stepInsts instruction records, the memory records
-// they own and, when the walk is cloaked, one decision per memory
-// record.
+// walker is one walk's decoder, engines and machine, and the step it
+// last decoded: at most stepInsts instruction records with one outcome
+// each, the memory records they own and, for each cloak config, one
+// decision per memory record.
 type walker struct {
 	insts []isa.Inst
 	dec   []decoded
 	cur   trace.ICursor
+	mach  *machine
 
-	idx, next   []uint32 // the step's instruction records
-	addr, value []uint32 // the memory records they own, in order
-	kinds       []uint8  // each memory record's kind (trace.Kind)
-	pcs         []uint32 // and its instruction's PC
+	idx, next   []uint32  // the step's instruction records
+	outs        []outcome // and the machine's outcome for each
+	addr, value []uint32  // the memory records they own, in order
+	kinds       []uint8   // each memory record's kind (trace.Kind)
+	pcs         []uint32  // and its instruction's PC
 
-	// The engine, when cloaked: a one-config bank behind the walk's own
-	// address numbering, fed the step's accesses and writing decs.
+	// The engines, when any Sim is cloaked: a bank with one engine per
+	// distinct cloak config (ccs) behind the walk's own address
+	// numbering, fed the step's accesses; decs[k] is ccs[k]'s column.
 	bank *cloak.Bank
-	cc   cloak.Config
+	ccs  []cloak.Config
 	ids  *trace.AddrIDs
-	decs []cloak.Decision
+	decs [][]cloak.Decision
 }
 
 func newWalker(sims []*Sim) *walker {
@@ -131,39 +139,59 @@ func newWalker(sims []*Sim) *walker {
 		panic("pipeline: Walk of no Sims")
 	}
 	s0 := sims[0]
+	sc := false
+	cols := make(map[cloak.Config]int)
+	var ccs []cloak.Config
 	for _, s := range sims {
 		if s.is == nil || s.is != s0.is || s.prog != s0.prog {
 			panic("pipeline: Walk's Sims must replay one recording of one program (NewReplay)")
 		}
-		if (s.cfg.Cloak == nil) != (s0.cfg.Cloak == nil) || s.cfg.Cloak != nil && *s.cfg.Cloak != *s0.cfg.Cloak {
-			panic("pipeline: Walk's Sims must share one cloak config")
+		if s.cfg.LSQSize != s0.cfg.LSQSize || s.cfg.SampleRatio != s0.cfg.SampleRatio ||
+			s.cfg.ObservationSize != s0.cfg.ObservationSize {
+			panic("pipeline: Walk's Sims must share LSQSize, SampleRatio and ObservationSize")
 		}
+		sc = sc || s.sc
+		if s.cfg.Cloak == nil {
+			continue
+		}
+		k, ok := cols[*s.cfg.Cloak]
+		if !ok {
+			k = len(ccs)
+			cols[*s.cfg.Cloak] = k
+			ccs = append(ccs, *s.cfg.Cloak)
+		}
+		s.col = k
 	}
 	w := &walker{
 		insts: s0.prog.Insts,
 		dec:   s0.dec,
 		cur:   s0.is.Cursor(),
+		mach:  newMachine(s0.cfg, sc),
 		idx:   make([]uint32, stepInsts),
 		next:  make([]uint32, stepInsts),
+		outs:  make([]outcome, stepInsts),
 		addr:  make([]uint32, stepInsts),
 		value: make([]uint32, stepInsts),
 		kinds: make([]uint8, stepInsts),
 		pcs:   make([]uint32, stepInsts),
 	}
-	if s0.cfg.Cloak != nil {
-		w.cc = *s0.cfg.Cloak
+	if len(ccs) > 0 {
+		w.ccs = ccs
 		w.bank = cloak.NewBank()
-		w.bank.Decisions(w.cc)
+		for _, cc := range ccs {
+			w.bank.Decisions(cc)
+		}
 		w.ids = trace.NewAddrIDs(w.bank)
+		w.decs = make([][]cloak.Decision, len(ccs))
 	}
 	return w
 }
 
 // decode reads the walk's next step, up to stepInsts instruction records
-// and the memory records they own, and runs the engine over those
-// accesses. It returns the instructions read, fewer than stepInsts only
-// at the end of the stream, or an error for a step the stream cannot
-// deliver whole.
+// and the memory records they own, runs the engines over those accesses
+// and the machine over the instructions. It returns the instructions
+// read, fewer than stepInsts only at the end of the stream, or an error
+// for a step the stream cannot deliver whole.
 func (w *walker) decode() (int, error) {
 	n := w.cur.ReadInsts(w.idx, w.next)
 	m := 0
@@ -185,7 +213,19 @@ func (w *walker) decode() (int, error) {
 	}
 	if w.bank != nil && m > 0 {
 		w.ids.WalkChunk(w.kinds[:m], w.pcs[:m], w.addr[:m], w.value[:m])
-		w.decs = w.bank.Decisions(w.cc)
+		for k, cc := range w.ccs {
+			w.decs[k] = w.bank.Decisions(cc)
+		}
+	}
+	m = 0
+	for i, idx := range w.idx[:n] {
+		kind := w.dec[idx].kind
+		var addr uint32
+		if kind == kLoad || kind == kStore {
+			addr = w.addr[m]
+			m++
+		}
+		w.outs[i] = w.mach.next(w.insts[idx], kind, idx*4, w.next[i], addr)
 	}
 	return n, nil
 }
@@ -195,13 +235,12 @@ func (w *walker) decode() (int, error) {
 // the execution profile as it goes, so mid-run invariant sweeps see the
 // same consistent tallies a live interpreter would report.
 func (s *Sim) walkStep(w *walker, n int) {
-	insts, nexts := w.insts, w.next[:n]
+	insts, nexts, outs := w.insts, w.next[:n], w.outs[:n]
 	m := 0
 	for i, idx := range w.idx[:n] {
-		s.samplePhase()
 		in := insts[idx]
 		pc := idx * 4
-		s.st.Inst, s.st.PC, s.st.NextPC = in, pc, nexts[i]
+		s.st.Inst, s.st.PC, s.st.NextPC, s.st.Out = in, pc, nexts[i], outs[i]
 		s.counts.Insts++
 		switch s.dec[idx].kind {
 		case kLoad:
@@ -237,8 +276,8 @@ func (s *Sim) walkStep(w *walker, n int) {
 // step's m-th memory record.
 func (s *Sim) memRecord(w *walker, m int) {
 	s.st.Addr, s.st.Value = w.addr[m], w.value[m]
-	if w.bank != nil {
-		s.st.Dec = w.decs[m]
+	if s.srt != nil {
+		s.st.Dec = w.decs[s.col][m]
 	}
 }
 

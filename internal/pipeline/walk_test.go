@@ -9,10 +9,12 @@ import (
 	"rarpred/internal/workload"
 )
 
-// TestWalkMatchesLivePerSim: one walk times Sims of one cloak config
-// that differ in everything else a Config holds (memory speculation,
-// recovery, an instruction budget that ends mid-step, sampling), two at
-// a time, and each Sim's Result equals its own live run's.
+// TestWalkMatchesLivePerSim: one walk times base, RAW and RAW+RAR Sims
+// that differ in everything else a Sim reads of its Config (memory
+// speculation, recovery, an instruction budget that ends mid-step), two
+// at a time, and each Sim's Result equals its own live run's. A sampled
+// Sim has a machine of its own, so a second walk times it with the same
+// check.
 func TestWalkMatchesLivePerSim(t *testing.T) {
 	w, ok := workload.ByAbbrev("tom")
 	if !ok {
@@ -23,39 +25,49 @@ func TestWalkMatchesLivePerSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := cloak.TimingConfig(cloak.ModeRAWRAR)
-	var cfgs []Config
-	for _, edit := range []func(*Config){
-		func(c *Config) {},
-		func(c *Config) { c.MemSpec, c.Recovery = StoreSets, Squash },
-		func(c *Config) { c.MemSpec, c.Recovery = NoSpec, Oracle },
-		func(c *Config) { c.MaxInsts = stepInsts + 1000 },
-		func(c *Config) { c.SampleRatio, c.ObservationSize = 2, 5000 },
-	} {
-		cfg := benchConfig()
-		cfg.Cloak = &cc
-		edit(&cfg)
-		cfgs = append(cfgs, cfg)
-	}
-	sims := make([]*Sim, len(cfgs))
-	for i, cfg := range cfgs {
-		sims[i] = NewReplay(prog, is, cfg)
-	}
-	res, errs := Walk(sims, 2)
-	for i, cfg := range cfgs {
-		if errs[i] != nil {
-			t.Fatalf("config %d: %v", i, errs[i])
+	raw, rawrar := cloak.TimingConfig(cloak.ModeRAW), cloak.TimingConfig(cloak.ModeRAWRAR)
+	configs := func(edits ...func(*Config)) []Config {
+		var cfgs []Config
+		for _, edit := range edits {
+			cfg := benchConfig()
+			edit(&cfg)
+			cfgs = append(cfgs, cfg)
 		}
-		live, err := RunProgram(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[i] != live {
-			t.Errorf("config %d: walked Result differs from the live run:\n got %+v\nwant %+v", i, res[i], live)
-		}
+		return cfgs
 	}
-	if res[3].Insts != stepInsts+1000 {
-		t.Errorf("budgeted Sim committed %d instructions, want %d", res[3].Insts, stepInsts+1000)
+	walks := [][]Config{
+		configs(
+			func(c *Config) {},
+			func(c *Config) { c.Cloak = nil },
+			func(c *Config) { c.Cloak, c.MemSpec = nil, StoreSets },
+			func(c *Config) { c.Cloak, c.MemSpec, c.Recovery = &raw, StoreSets, Squash },
+			func(c *Config) { c.MemSpec, c.Recovery = NoSpec, Oracle },
+			func(c *Config) { c.Cloak, c.MaxInsts = &raw, stepInsts+1000 },
+			func(c *Config) { c.Cloak, c.MaxInsts = &rawrar, stepInsts/2 },
+		),
+		configs(func(c *Config) { c.SampleRatio, c.ObservationSize = 2, 5000 }),
+	}
+	for wi, cfgs := range walks {
+		sims := make([]*Sim, len(cfgs))
+		for i, cfg := range cfgs {
+			sims[i] = NewReplay(prog, is, cfg)
+		}
+		res, errs := Walk(sims, 2)
+		for i, cfg := range cfgs {
+			if errs[i] != nil {
+				t.Fatalf("walk %d, config %d: %v", wi, i, errs[i])
+			}
+			live, err := RunProgram(prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i] != live {
+				t.Errorf("walk %d, config %d: walked Result differs from the live run:\n got %+v\nwant %+v", wi, i, res[i], live)
+			}
+			if budget := cfg.MaxInsts; budget != 0 && res[i].Insts != budget {
+				t.Errorf("walk %d, config %d: budgeted Sim committed %d instructions, want %d", wi, i, res[i].Insts, budget)
+			}
+		}
 	}
 }
 
@@ -107,25 +119,48 @@ func TestWalkFailsOnABrokenStream(t *testing.T) {
 	}
 }
 
-// TestWalkRejectsMixedCloakConfigs: one walk runs one engine, so Sims of
-// different cloak configs cannot share it.
-func TestWalkRejectsMixedCloakConfigs(t *testing.T) {
+// TestWalkRequiresOneMachine: one walk runs one machine, so Sims that
+// differ in a field the machine reads (LSQSize, or the sampling
+// schedule) cannot share it, while Sims of different cloak configs can.
+func TestWalkRequiresOneMachine(t *testing.T) {
 	w, _ := workload.ByAbbrev("gcc")
 	prog := w.Program(3)
 	is, err := trace.RecordIStream(prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := cloak.TimingConfig(cloak.ModeRAW)
-	cloaked := DefaultConfig()
-	cloaked.Cloak = &raw
-	defer func() {
-		if recover() == nil {
-			t.Error("Walk accepted a base and a cloaked Sim")
-		}
-	}()
-	Walk([]*Sim{NewReplay(prog, is, DefaultConfig()), NewReplay(prog, is, cloaked)}, 1)
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"LSQSize", func(c *Config) { c.LSQSize = 4 }},
+		{"SampleRatio", func(c *Config) { c.SampleRatio = 2 }},
+		{"ObservationSize", func(c *Config) { c.ObservationSize = 3000 }},
+	} {
+		other := DefaultConfig()
+		c.edit(&other)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Walk accepted Sims of different %s", c.name)
+				}
+			}()
+			Walk([]*Sim{NewReplay(prog, is, DefaultConfig()), NewReplay(prog, is, other)}, 1)
+		}()
+	}
+
+	var sims []*Sim
+	for _, cc := range []*cloak.Config{nil, ptr(cloak.TimingConfig(cloak.ModeRAW)), ptr(cloak.TimingConfig(cloak.ModeRAWRAR))} {
+		cfg := DefaultConfig()
+		cfg.Cloak = cc
+		sims = append(sims, NewReplay(prog, is, cfg))
+	}
+	if _, errs := Walk(sims, 1); errs[0] != nil || errs[1] != nil || errs[2] != nil {
+		t.Errorf("a walk of base, RAW and RAW+RAR Sims failed: %v", errs)
+	}
 }
+
+func ptr[T any](v T) *T { return &v }
 
 // TestFanOutReraisesPanics: a panic in any call reaches the caller's
 // goroutine, after every other call has returned.
