@@ -189,8 +189,7 @@ func BenchmarkAblationConfidence(b *testing.B) {
 }
 
 // functionalIDs are the experiments that consume only the committed
-// reference stream (everything but the cycle-level timing runs), i.e.
-// the ones the shared trace cache serves.
+// reference stream (everything but the cycle-level timing runs).
 var functionalIDs = []string{
 	"table51", "fig2", "fig5", "fig6", "fig7a", "fig7b", "table52",
 	"synergy", "ablprofile", "ablmerge", "ablsplit", "abldpnt",
@@ -199,15 +198,18 @@ var functionalIDs = []string{
 
 // BenchmarkSuiteFunctional runs every functional experiment back to
 // back, each alone (Experiment.Run, a suite of one, so every experiment
-// replays the stream in a pass of its own), under both recording
-// models:
+// obtains its stream and replays it in a pass of its own), under both
+// recording models:
 //
-//	live:   each experiment re-simulates every workload (the pre-cache
-//	        behaviour, forced via Options.Live)
-//	replay: experiments replay the shared recorded streams
+//	live:   each experiment re-simulates every workload on the baseline
+//	        interpreter (Options.Live)
+//	replay: each experiment records every workload with the fast
+//	        recorder and replays the recording
 //
-// Comparing the two sub-benchmarks in one run measures the speedup the
-// trace cache buys when experiments run one after another.
+// Nothing carries a recording from one experiment to the next, so both
+// sub-benchmarks pay for every recording in every iteration; comparing
+// them measures the fast recorder and the replay against baseline
+// interpretation.
 func BenchmarkSuiteFunctional(b *testing.B) {
 	runSuite := func(b *testing.B, opt experiments.Options) {
 		for i := 0; i < b.N; i++ {
@@ -225,18 +227,7 @@ func BenchmarkSuiteFunctional(b *testing.B) {
 		runSuite(b, opt)
 	})
 	b.Run("replay", func(b *testing.B) {
-		opt := benchOptions()
-		// Record once outside the timed region: steady state for the
-		// multi-experiment workflow is a warm cache, and the one-time
-		// recording otherwise dominates the first iteration.
-		for _, id := range functionalIDs {
-			e, _ := experiments.ByID(id)
-			if _, err := e.Run(opt); err != nil {
-				b.Fatalf("%s: %v", id, err)
-			}
-		}
-		b.ResetTimer()
-		runSuite(b, opt)
+		runSuite(b, benchOptions())
 	})
 }
 
@@ -246,27 +237,19 @@ func BenchmarkSuiteFunctional(b *testing.B) {
 //	seq:       experiments one at a time, each a suite of its own
 //	           (Experiment.Run), so no two experiments share a job
 //	scheduler: one suite over all cells (RunSuite), each workload's
-//	           functional cells sharing one replay and its timing
-//	           cells one simulation per distinct config
+//	           functional cells sharing one recording and one replay,
+//	           and its timing cells one recording and one simulation
+//	           per distinct config
 //
 // The seq/scheduler ratio is the suite-level speedup. It comes from the
 // shared jobs and from the pool: it grows with GOMAXPROCS, since seq
 // waits out each experiment's stragglers while one suite keeps every
-// core fed. Both sub-benchmarks run against a warm trace cache so they
-// measure analysis and scheduling, not one-time recording.
+// core fed. Both sub-benchmarks record every workload in every
+// iteration (seq once per experiment, the scheduler once per job), so
+// the ratio includes the recordings the shared jobs save.
 func BenchmarkSuiteAll(b *testing.B) {
 	exps := experiments.All()
-	warm := func(b *testing.B) {
-		b.Helper()
-		for _, e := range exps {
-			if _, err := e.Run(benchOptions()); err != nil {
-				b.Fatalf("%s: %v", e.ID, err)
-			}
-		}
-	}
 	b.Run("seq", func(b *testing.B) {
-		warm(b)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, e := range exps {
 				if _, err := e.Run(benchOptions()); err != nil {
@@ -276,8 +259,6 @@ func BenchmarkSuiteAll(b *testing.B) {
 		}
 	})
 	b.Run("scheduler", func(b *testing.B) {
-		warm(b)
-		b.ResetTimer()
 		var last experiments.SuiteStats
 		for i := 0; i < b.N; i++ {
 			last = experiments.RunSuite(benchOptions(), exps,

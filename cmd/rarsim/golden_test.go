@@ -8,28 +8,14 @@ import (
 	"strings"
 	"testing"
 
-	"rarpred/internal/experiments"
 	"rarpred/internal/trace"
 )
 
-// goldenSize is the workload size of the golden report test; no other
-// test uses it, so each row's recordings are its own.
+// goldenSize is the workload size of the golden report test.
 const goldenSize = 5
 
 // goldenBench pairs a SPECint with a SPECfp analog.
 var goldenBench = []string{"go", "tom"}
-
-// dropGolden empties the memory cache of the golden size's streams,
-// both memory and instruction recordings, the state a fresh process
-// starts in.
-func dropGolden(t *testing.T) {
-	t.Helper()
-	for _, ab := range goldenBench {
-		for _, timing := range []bool{false, true} {
-			experiments.TraceCache().Drop(trace.Key{Workload: wname(t, ab), Size: goldenSize, MaxInsts: defaultMaxInsts, Timing: timing})
-		}
-	}
-}
 
 // goldenRun runs `-exp all` over the golden subset with extra flags and
 // returns its stdout with the timing footers normalized, and its
@@ -65,10 +51,9 @@ func journalRecordEnds(t *testing.T, data []byte) []int {
 // subset prints byte-identical stdout, timing footers aside, in every
 // mode below — parallelism, oracles, raw traces, a cold or warm store,
 // a resume over a full or torn journal, and live monitoring. One -p 1
-// run is the baseline; each row reruns the command in one mode from an
-// empty memory cache and checks the mode's own effects.
+// run is the baseline; each row reruns the command in one mode and
+// checks the mode's own effects.
 func TestGoldenReport(t *testing.T) {
-	dropGolden(t)
 	want, _ := goldenRun(t, "-p", "1")
 	if !strings.Contains(want, "== fig9:") || strings.Contains(want, "partial result") {
 		t.Fatalf("baseline is not a clean full sweep:\n%s", want)
@@ -95,13 +80,16 @@ func TestGoldenReport(t *testing.T) {
 			out, _ := goldenRun(t, "-check", "-p", "4")
 			return out
 		}},
+		// The store writes the canonical packed encoding whatever the
+		// recordings hold in memory, so raw recordings are packed on the
+		// way to disk.
 		{"compression-off", func(t *testing.T, dir string) string {
 			defer trace.SetCompression(trace.SetCompression(false))
-			out, _ := goldenRun(t, "-p", "4")
-			for _, r := range experiments.TraceCache().Residents() {
-				if r.Key.Size == goldenSize && r.Bytes < r.RawBytes {
-					t.Errorf("%+v resident compressed (%d of %d raw bytes)", r.Key, r.Bytes, r.RawBytes)
-				}
+			bench := filepath.Join(dir, "b.json")
+			out, _ := goldenRun(t, "-p", "4", "-store", dir, "-benchjson", bench)
+			m := readBench(t, bench)
+			if written, raw := benchStoreField(t, m, "bytes_written"), benchStoreField(t, m, "raw_bytes_written"); written == 0 || written >= raw {
+				t.Errorf("store wrote %v bytes for %v raw bytes of recordings, want fewer but some", written, raw)
 			}
 			return out
 		}},
@@ -112,24 +100,26 @@ func TestGoldenReport(t *testing.T) {
 			if benchStoreField(t, m, "bytes_written") == 0 || benchStoreField(t, m, "disk_misses") == 0 {
 				t.Errorf("cold run wrote nothing to the store: %v", m["store"])
 			}
-			if v := m["schema_version"].(float64); v != 8 {
-				t.Errorf("benchjson schema_version = %v, want 8", v)
+			if v := m["schema_version"].(float64); v != 9 {
+				t.Errorf("benchjson schema_version = %v, want 9", v)
 			}
 			return out
 		}},
 		{"store-warm", func(t *testing.T, dir string) string {
 			goldenRun(t, "-store", dir)
-			dropGolden(t)
 			bench := filepath.Join(dir, "b.json")
 			out, _ := goldenRun(t, "-store", dir, "-benchjson", bench)
-			if got := benchStoreField(t, readBench(t, bench), "disk_hits"); got < float64(streams) {
-				t.Errorf("warm run read %v streams from disk, want >= %d", got, streams)
+			m := readBench(t, bench)
+			if got := benchStoreField(t, m, "disk_hits"); got != float64(streams) {
+				t.Errorf("warm run read %v streams from disk, want %d", got, streams)
+			}
+			if got := benchStoreField(t, m, "disk_misses"); got != 0 {
+				t.Errorf("warm run missed %v streams on disk, want none", got)
 			}
 			return out
 		}},
 		{"resume-full", func(t *testing.T, dir string) string {
 			goldenRun(t, "-store", dir)
-			dropGolden(t)
 			data, err := os.ReadFile(filepath.Join(dir, "journal.rarj"))
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +140,6 @@ func TestGoldenReport(t *testing.T) {
 		{"resume-torn", func(t *testing.T, dir string) string {
 			full := filepath.Join(dir, "full")
 			goldenRun(t, "-p", "1", "-store", full)
-			dropGolden(t)
 			data, err := os.ReadFile(filepath.Join(full, "journal.rarj"))
 			if err != nil {
 				t.Fatal(err)
@@ -186,7 +175,6 @@ func TestGoldenReport(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			dropGolden(t)
 			if got := row.run(t, t.TempDir()); got != want {
 				t.Errorf("report differs from the -p 1 baseline:\n--- baseline ---\n%s--- %s ---\n%s", want, row.name, got)
 			}

@@ -2,11 +2,12 @@
 // and figure of "Read-After-Read Memory Dependence Prediction" (MICRO
 // 1999), plus this repository's ablations.
 //
-// All functional (non-timing) experiments draw each workload's committed
-// memory reference stream from a shared in-process trace cache, so
-// `-exp all` simulates every workload once and replays the stream into
-// each experiment's analyzers. The cache keeps every stream it records
-// for the life of the process.
+// All functional (non-timing) experiments read each workload's committed
+// memory reference stream in one job, so `-exp all` records every
+// workload once and replays the stream into each experiment's analyzers
+// in one pass; the timing experiments likewise share one job, and one
+// instruction recording, per workload. A recording belongs to the job
+// that reads it and is released when the job ends.
 //
 // Usage:
 //
@@ -39,9 +40,11 @@
 // either way rarsim exits non-zero if anything failed.
 //
 // -store makes the run crash-safe: trace recordings persist as
-// checksummed artifacts (a durable second tier behind the in-memory
-// cache, shared across runs and processes), and multi-experiment sweeps
-// journal each completed (experiment × workload) cell durably.
+// checksummed artifacts (each job loads its recording from the store
+// before recording it, and saves one it recorded once it has passed
+// validation, so later runs and processes reuse it), and
+// multi-experiment sweeps journal each completed (experiment ×
+// workload) cell durably.
 // After an interruption — SIGKILL included — rerunning with -resume
 // replays the journaled cells' rows and simulates only the remainder,
 // producing byte-identical aggregate output.
@@ -88,15 +91,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list experiments and exit")
 		lists      = fs.Bool("workloads", false, "list the benchmark suite and exit")
 		parallel   = fs.Int("p", 0, "max concurrent workload simulations (0 = GOMAXPROCS)")
-		benchjson  = fs.String("benchjson", "", "write machine-readable suite timings (per-experiment, per-cell, trace cache, scheduler utilization) to this JSON file")
-		traceStats = fs.Bool("tracestats", false, "print trace cache statistics (per-stream raw/compressed sizes) to stderr after the run")
+		benchjson  = fs.String("benchjson", "", "write machine-readable suite timings (per-experiment, per-cell, scheduler utilization, artifact store) to this JSON file")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		timeout    = fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
 		keepgoing  = fs.Bool("keepgoing", false, "on experiment failure, report it and continue with the rest")
 		storeDir   = fs.String("store", "", "directory for durable artifacts: persisted trace recordings and the suite run journal")
 		resume     = fs.Bool("resume", false, "with -store: replay cells the journal recorded as complete and simulate only the remainder")
-		progress   = fs.Bool("progress", false, "periodic one-line status on stderr (cells done/total, ETA, cache residency, Minsts/s); redraws in place on a TTY, plain lines otherwise")
+		progress   = fs.Bool("progress", false, "periodic one-line status on stderr (cells done/total, ETA, Minsts/s); redraws in place on a TTY, plain lines otherwise")
 		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and a shadow run of each experiment alone compared against the suite's output")
 	)
 	fs.IntVar(parallel, "parallelism", 0, "alias of -p")
@@ -211,11 +213,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The durable artifact store plugs in as the trace cache's second
-	// tier and opens the run journal that makes the sweep resumable. The
-	// tier is detached on the way out because the cache is process-wide
-	// and in-process callers (tests) must not inherit a closed run's
-	// store.
+	// The durable artifact store holds the jobs' recordings
+	// (Options.Store) and opens the run journal that makes the sweep
+	// resumable.
 	var artifacts *store.Store
 	if *storeDir != "" {
 		// The fault-injecting FS wrapper costs one atomic load per
@@ -228,8 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		artifacts = st
-		experiments.TraceCache().SetTier(st)
-		defer experiments.TraceCache().SetTier(nil)
+		opt.Store = st
 		// The journal is bound to the run configuration: resuming under
 		// different experiments, workloads, or modes would splice rows
 		// that mean something else into the report.
@@ -314,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed = append(failed, "check-shadow")
 		}
 	}
-	return finish(stderr, *traceStats, *memprofile, artifacts, failed)
+	return finish(stderr, *memprofile, failed)
 }
 
 // expIDs renders the sweep's experiment list for the journal
@@ -335,13 +334,17 @@ var timingLine = regexp.MustCompile(`\[([a-z0-9]+) in [0-9.]+s\]`)
 // the sweep one experiment at a time (Experiment.Run, a suite of one
 // that never touches the journal) and compares the rendered reports,
 // which the two runs promise to keep byte-identical modulo elapsed
-// times. Each experiment alone replays the already-warm trace cache in
-// a pass of its own and simulates its own timing configurations, so
-// both the passes the suite's functional cells shared and the timing
-// Results its timing cells shared are checked independently. It runs
-// only after a clean sweep — with failures the outputs legitimately
-// differ by failure ordering.
+// times. Each experiment alone obtains its recordings again (from the
+// store, if there is one), replays them in a pass of its own and
+// simulates its own timing configurations, so both the passes the
+// suite's functional cells shared and the timing Results its timing
+// cells shared are checked independently. The main run's jobs have
+// verified every recording, so the shadow run does not verify again: a
+// recording it got that differed from the main run's would show in the
+// comparison. It runs only after a clean sweep — with failures the
+// outputs legitimately differ by failure ordering.
 func shadowCompare(opt experiments.Options, todo []experiments.Experiment, schedOut string) string {
+	opt.Check = false
 	var sb strings.Builder
 	for i, e := range todo {
 		if i > 0 {
@@ -393,8 +396,10 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // split evenly over the cells it covers, so the cells' seconds sum to
 // the scheduler's busy_seconds. (Version 8 first fused only functional
 // cells; timing cells joining a job of their own changed no field, so
-// the version stayed.)
-const benchSchemaVersion = 8
+// the version stayed.) Version 9 dropped the trace_cache section and
+// the metrics snapshot's trace.cache.* instruments: recordings belong
+// to the jobs that read them, and no process-wide cache holds them.
+const benchSchemaVersion = 9
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -408,13 +413,10 @@ type benchReport struct {
 	Parallelism int             `json:"parallelism"`
 	Experiments []benchExp      `json:"experiments"`
 	Scheduler   *benchScheduler `json:"scheduler,omitempty"`
-	TraceCache  benchCache      `json:"trace_cache"`
-	// Store reports the durable artifact tier; present only when the run
-	// used -store.
+	// Store reports the durable artifact store; present only when the
+	// run used -store.
 	Store *benchStore `json:"store,omitempty"`
 	// Metrics is the unified registry's end-of-run snapshot (schema v5).
-	// The cache and store sections above are derived from the same
-	// instruments, so the numbers agree by construction.
 	Metrics metrics.Snapshot `json:"metrics"`
 
 	store        *store.Store // nil without -store
@@ -471,19 +473,6 @@ type benchStore struct {
 	ResumedCells int `json:"resumed_cells"`
 }
 
-type benchCache struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	Entries int     `json:"entries"`
-	MiB     float64 `json:"mib"`
-	// TraceRawBytes is the resident streams' uncompressed event payload;
-	// TraceResidentBytes is what they actually occupy. CompressionRatio
-	// is raw/resident; 1.0 when the cache is empty.
-	TraceRawBytes      int64   `json:"trace_raw_bytes"`
-	TraceResidentBytes int64   `json:"trace_resident_bytes"`
-	CompressionRatio   float64 `json:"compression_ratio"`
-}
-
 func newBenchReport(parallelism int) *benchReport {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -516,16 +505,6 @@ func (b *benchReport) add(item experiments.SuiteItem) {
 func (b *benchReport) write(path string) error {
 	b.Timestamp = time.Now().UTC().Format(time.RFC3339)
 	b.Metrics = metrics.Default().Snapshot()
-	st := experiments.TraceCache().Stats()
-	b.TraceCache = benchCache{
-		Hits:               st.Hits,
-		Misses:             st.Misses,
-		Entries:            st.Entries,
-		MiB:                float64(st.Bytes) / (1 << 20),
-		TraceRawBytes:      st.RawBytes,
-		TraceResidentBytes: st.Bytes,
-		CompressionRatio:   compressionRatio(st.RawBytes, st.Bytes),
-	}
 	if b.store != nil {
 		ss := b.store.Stats()
 		b.Store = &benchStore{
@@ -547,46 +526,9 @@ func (b *benchReport) write(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// compressionRatio is raw/resident, defaulting to 1.0 for an empty
-// cache (and never dividing by zero).
-func compressionRatio(raw, resident int64) float64 {
-	if resident <= 0 || raw <= 0 {
-		return 1
-	}
-	return float64(raw) / float64(resident)
-}
-
-// finish emits end-of-run diagnostics and converts the failure list into
-// the process exit code.
-func finish(stderr io.Writer, traceStats bool, memprofile string, artifacts *store.Store, failed []string) int {
-	if traceStats {
-		st := experiments.TraceCache().Stats()
-		fmt.Fprintf(stderr,
-			"trace cache: %d hits, %d misses, %d streams resident (%.1f MiB, %.1f MiB raw, %.2fx)\n",
-			st.Hits, st.Misses, st.Entries,
-			float64(st.Bytes)/(1<<20),
-			float64(st.RawBytes)/(1<<20), compressionRatio(st.RawBytes, st.Bytes))
-		for _, r := range experiments.TraceCache().Residents() {
-			kind := "mem"
-			if r.Key.Timing {
-				kind = "inst"
-			}
-			fmt.Fprintf(stderr, "  %-12s size=%-2d %-4s %8.2f MiB raw -> %7.2f MiB resident (%.2fx)\n",
-				r.Key.Workload, r.Key.Size, kind,
-				float64(r.RawBytes)/(1<<20), float64(r.Bytes)/(1<<20),
-				compressionRatio(r.RawBytes, r.Bytes))
-		}
-		if artifacts != nil {
-			ss := artifacts.Stats()
-			fmt.Fprintf(stderr,
-				"artifact store: %d disk hits, %d misses, %.1f MiB read, %.1f MiB written (%.1f MiB raw), %d quarantined, %d retries, %d save errors\n",
-				ss.DiskHits, ss.DiskMisses,
-				float64(ss.BytesRead)/(1<<20), float64(ss.BytesWritten)/(1<<20),
-				float64(ss.RawBytesWritten)/(1<<20),
-				ss.Quarantines, ss.Retries, ss.SaveErrors)
-		}
-	}
-
+// finish writes the heap profile, if one was asked for, and converts the
+// failure list into the process exit code.
+func finish(stderr io.Writer, memprofile string, failed []string) int {
 	if memprofile != "" {
 		f, err := os.Create(memprofile)
 		if err != nil {

@@ -12,9 +12,7 @@ import (
 	"rarpred/internal/workload"
 )
 
-// Each test drives run() in-process. Tests needing fault injection use a
-// size no other test uses, so the shared trace cache cannot satisfy a
-// lookup from an earlier test and skip the faulted recording.
+// Each test drives run() in-process.
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
 	var out, errw strings.Builder
@@ -74,9 +72,9 @@ func TestCleanRunExitsZero(t *testing.T) {
 // TestKeepGoingSelfHeals: a workload that panics (transiently) fails
 // its job as one: table51 and fig2 share gcc's pass, so both render
 // partial results annotated with their own experiment, the keep-going
-// sweep finishes, and the aggregate exit status is non-zero. The
-// poisoned cache entry is dropped, so a later run re-records the
-// workload successfully.
+// sweep finishes, and the aggregate exit status is non-zero. Nothing of
+// the failed recording is kept, so a later run re-records the workload
+// successfully.
 func TestKeepGoingSelfHeals(t *testing.T) {
 	defer faultsim.Reset()
 	gcc := wname(t, "gcc")

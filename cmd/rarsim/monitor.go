@@ -12,11 +12,11 @@ import (
 
 // Live monitoring for long sweeps: -progress prints a periodic one-line
 // status on stderr (cells done/total, ETA from the cells done so far,
-// cache residency, Minsts/s), read from the default metrics registry
-// that the trace cache, scheduler and simulators report through. On a
-// TTY the line redraws in place via carriage return; piped to a file it
-// degrades to plain lines. It never writes to stdout, so the suite
-// report stays byte-identical with monitoring on.
+// Minsts/s), read from the default metrics registry that the scheduler
+// and simulators report through. On a TTY the line redraws in place via
+// carriage return; piped to a file it degrades to plain lines. It never
+// writes to stdout, so the suite report stays byte-identical with
+// monitoring on.
 
 // progressInterval paces the -progress ticker: fast enough to feel
 // live, slow enough that a piped log stays readable.
@@ -35,7 +35,6 @@ type progressMonitor struct {
 	// own, so the ticker shares books with the subsystems).
 	cellsTotal *metrics.Gauge
 	cellsDone  *metrics.Gauge
-	cacheBytes *metrics.Gauge
 	funcInsts  *metrics.Counter
 	pipeInsts  *metrics.Counter
 
@@ -66,7 +65,6 @@ func startProgress(out io.Writer) *progressMonitor {
 		ticker:     time.NewTicker(progressInterval),
 		cellsTotal: r.Gauge("suite.cells_total"),
 		cellsDone:  r.Gauge("suite.cells_done"),
-		cacheBytes: r.Gauge("trace.cache.bytes"),
 		funcInsts:  r.Counter("funcsim.insts_committed"),
 		pipeInsts:  r.Counter("pipeline.insts_committed"),
 	}
@@ -100,7 +98,7 @@ func (m *progressMonitor) close() {
 
 // render draws one status line. The cells/ETA fields show once the
 // suite scheduler has populated its gauges (a tick before the sweep
-// starts finds them zero); cache residency and throughput always show.
+// starts finds them zero); throughput always shows.
 func (m *progressMonitor) render() {
 	now := time.Now()
 	insts := m.funcInsts.Value() + m.pipeInsts.Value()
@@ -114,8 +112,7 @@ func (m *progressMonitor) render() {
 			line += fmt.Sprintf(" eta %s", fmtDuration(eta))
 		}
 	}
-	line += fmt.Sprintf(" | cache %.1f MiB | %.1f Minsts/s",
-		float64(m.cacheBytes.Value())/(1<<20), rate)
+	line += fmt.Sprintf(" | %.1f Minsts/s", rate)
 
 	if m.tty {
 		// Redraw in place; pad so a shrinking line leaves no residue.

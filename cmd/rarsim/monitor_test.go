@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,9 +13,9 @@ import (
 )
 
 // TestBenchJSONMetricsConsistent: schema v5 embeds the registry
-// snapshot, and because the legacy trace_cache section and the snapshot
-// read the same atomics, the two views in one report must agree
-// exactly.
+// snapshot, and the scheduler section and the snapshot's suite gauges
+// describe one run, so the two views in one report must agree exactly.
+// Since schema v9 neither carries the removed trace cache's books.
 func TestBenchJSONMetricsConsistent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	code, _, errw := runCLI("-exp", "table51,fig2", "-size", "3",
@@ -27,14 +28,10 @@ func TestBenchJSONMetricsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep struct {
-		SchemaVersion int `json:"schema_version"`
-		TraceCache    struct {
-			Hits               uint64 `json:"hits"`
-			Misses             uint64 `json:"misses"`
-			TraceRawBytes      int64  `json:"trace_raw_bytes"`
-			TraceResidentBytes int64  `json:"trace_resident_bytes"`
-		} `json:"trace_cache"`
-		Metrics metrics.Snapshot `json:"metrics"`
+		SchemaVersion int              `json:"schema_version"`
+		Scheduler     benchScheduler   `json:"scheduler"`
+		TraceCache    *json.RawMessage `json:"trace_cache"`
+		Metrics       metrics.Snapshot `json:"metrics"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
@@ -42,21 +39,26 @@ func TestBenchJSONMetricsConsistent(t *testing.T) {
 	if rep.SchemaVersion != benchSchemaVersion {
 		t.Fatalf("schema_version = %d, want %d", rep.SchemaVersion, benchSchemaVersion)
 	}
-	for name, want := range map[string]uint64{
-		"trace.cache.hits":   rep.TraceCache.Hits,
-		"trace.cache.misses": rep.TraceCache.Misses,
-	} {
-		if got := rep.Metrics.Counters[name]; got != want {
-			t.Errorf("metrics counter %s = %d, legacy section says %d", name, got, want)
+	if got := rep.Metrics.Gauges["suite.cells_total"]; got != int64(rep.Scheduler.Cells) {
+		t.Errorf("metrics gauge suite.cells_total = %d, scheduler section says %d cells", got, rep.Scheduler.Cells)
+	}
+	if got := rep.Metrics.Gauges["suite.workers"]; got != int64(rep.Scheduler.Workers) {
+		t.Errorf("metrics gauge suite.workers = %d, scheduler section says %d workers", got, rep.Scheduler.Workers)
+	}
+	if rep.TraceCache != nil {
+		t.Errorf("bench report has the removed trace_cache section: %s", *rep.TraceCache)
+	}
+	var names []string
+	for name := range rep.Metrics.Counters {
+		names = append(names, name)
+	}
+	for name := range rep.Metrics.Gauges {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, "trace.cache.") {
+			t.Errorf("metrics snapshot has the removed instrument %s", name)
 		}
-	}
-	if got := rep.Metrics.Gauges["trace.cache.bytes"]; got != rep.TraceCache.TraceResidentBytes {
-		t.Errorf("metrics gauge trace.cache.bytes = %d, legacy section says %d",
-			got, rep.TraceCache.TraceResidentBytes)
-	}
-	if got := rep.Metrics.Gauges["trace.cache.raw_bytes"]; got != rep.TraceCache.TraceRawBytes {
-		t.Errorf("metrics gauge trace.cache.raw_bytes = %d, legacy section says %d",
-			got, rep.TraceCache.TraceRawBytes)
 	}
 	// The run simulated something, so the throughput counter moved and
 	// the suite gauges retired every cell.

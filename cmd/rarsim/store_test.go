@@ -7,22 +7,12 @@ import (
 	"strings"
 	"testing"
 
-	"rarpred/internal/experiments"
 	"rarpred/internal/faultsim"
-	"rarpred/internal/trace"
+	"rarpred/internal/store"
 )
 
-// The persistence tests drive run() in-process, so they share the
-// process-wide trace cache with every other test. Each uses a unique
-// -size (see main_test.go) and, where the disk tier must actually be
-// read, drops the relevant key from the memory cache first — in a real
-// resume the process restarted and the memory cache is empty, which is
-// exactly the state Drop reproduces. The golden report test covers the
-// store's cross-run and resume flows.
-
-// defaultMaxInsts mirrors Options.maxInsts()'s default, which is part
-// of the cache key and so of the artifact filename.
-const defaultMaxInsts = 2_000_000_000
+// The persistence tests drive run() in-process. The golden report test
+// covers the store's cross-run and resume flows.
 
 func readBench(t *testing.T, path string) map[string]any {
 	t.Helper()
@@ -66,8 +56,6 @@ func TestCorruptArtifactQuarantinedAndRerecorded(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("first run exit %d: %s", code, errw)
 	}
-	key := trace.Key{Workload: wname(t, "go"), Size: 11, MaxInsts: defaultMaxInsts}
-	experiments.TraceCache().Drop(key)
 
 	// Flip one bit in the middle of the stored artifact.
 	arts, err := filepath.Glob(filepath.Join(dir, "traces", wname(t, "go")+"_*_mem.rart"))
@@ -115,5 +103,57 @@ func TestDiskFaultDuringStoreIsNonFatal(t *testing.T) {
 	m := readBench(t, bench)
 	if benchStoreField(t, m, "save_errors") != 1 || benchStoreField(t, m, "retries") == 0 {
 		t.Fatalf("store stats under injected ENOSPC: %v", m["store"])
+	}
+}
+
+// TestCorruptRecordingNeverStored: a recording that fails validation is
+// never saved. After an injected corruption, the job re-records on the
+// baseline interpreter and saves that, so the artifact on disk decodes
+// and a second run loads it without quarantining anything.
+func TestCorruptRecordingNeverStored(t *testing.T) {
+	for _, c := range []struct {
+		kind, exp string
+		decode    func([]byte) error
+	}{
+		{"mem", "fig2", func(data []byte) error { _, err := store.DecodeStream(data); return err }},
+		{"inst", "fig10", func(data []byte) error { _, err := store.DecodeIStream(data); return err }},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			defer faultsim.Reset()
+			dir := t.TempDir()
+			faultsim.Inject(wname(t, "go"), faultsim.Fault{Kind: faultsim.Corrupt, Times: 1})
+			code, ref, errw := runCLI("-exp", c.exp, "-size", "3", "-bench", "go", "-store", dir)
+			if code != 0 {
+				t.Fatalf("faulted run exit %d: %s", code, errw)
+			}
+			faultsim.Reset()
+			arts, err := filepath.Glob(filepath.Join(dir, "traces", wname(t, "go")+"_*_"+c.kind+".rart"))
+			if err != nil || len(arts) != 1 {
+				t.Fatalf("artifact glob: %v, %v", arts, err)
+			}
+			data, err := os.ReadFile(arts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.decode(data); err != nil {
+				t.Fatalf("stored artifact does not decode: %v", err)
+			}
+
+			bench := filepath.Join(dir, "b.json")
+			code, out, errw := runCLI("-exp", c.exp, "-size", "3", "-bench", "go", "-store", dir, "-benchjson", bench)
+			if code != 0 {
+				t.Fatalf("second run exit %d: %s", code, errw)
+			}
+			if normalizeTiming(out) != normalizeTiming(ref) {
+				t.Errorf("second run differs from the first:\n%s\nvs\n%s", out, ref)
+			}
+			m := readBench(t, bench)
+			if got := benchStoreField(t, m, "quarantines"); got != 0 {
+				t.Errorf("quarantines = %v, want 0", got)
+			}
+			if got := benchStoreField(t, m, "disk_hits"); got != 1 {
+				t.Errorf("disk_hits = %v, want the stored recording loaded", got)
+			}
+		})
 	}
 }

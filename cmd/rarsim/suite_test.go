@@ -8,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"rarpred/internal/experiments"
 	"rarpred/internal/faultsim"
-	"rarpred/internal/trace"
 )
 
 func readFile(path string) (string, error) {
@@ -71,11 +69,14 @@ func TestBenchJSONWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"experiments"`, `"scheduler"`, `"trace_cache"`,
+	for _, want := range []string{`"experiments"`, `"scheduler"`,
 		`"utilization"`, `"cells"`, `"workload"`} {
 		if !strings.Contains(data, want) {
 			t.Errorf("bench report lacks %s:\n%s", want, data)
 		}
+	}
+	if strings.Contains(data, `"trace_cache"`) {
+		t.Errorf("bench report has the removed trace_cache section:\n%s", data)
 	}
 }
 
@@ -133,8 +134,8 @@ func TestBenchJSONCellsSumToBusy(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaVersion != 8 {
-		t.Errorf("schema_version = %d, want 8", rep.SchemaVersion)
+	if rep.SchemaVersion != 9 {
+		t.Errorf("schema_version = %d, want 9", rep.SchemaVersion)
 	}
 	var total float64
 	for _, e := range rep.Experiments {
@@ -179,32 +180,5 @@ func TestBenchJSONOmitsSupervisionWhenUnarmed(t *testing.T) {
 		if strings.Contains(data, gone) {
 			t.Errorf("bench report emitted the removed %s section:\n%s", gone, data)
 		}
-	}
-}
-
-func dropSize6(t *testing.T) {
-	t.Helper()
-	for _, ab := range []string{"go", "gcc"} {
-		experiments.TraceCache().Drop(trace.Key{Workload: wname(t, ab), Size: 6, MaxInsts: defaultMaxInsts})
-	}
-}
-
-// TestTraceStatsListsStreams: -tracestats itemizes every resident
-// stream with raw and resident sizes. It uses size 6, which no other
-// test uses, so the streams it lists are its own recordings.
-func TestTraceStatsListsStreams(t *testing.T) {
-	dropSize6(t)
-	defer dropSize6(t)
-	code, _, errw := runCLI("-exp", "fig2", "-size", "6", "-bench", "go,gcc", "-tracestats")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errw)
-	}
-	for _, w := range []string{wname(t, "go"), wname(t, "gcc")} {
-		if !strings.Contains(errw, w) {
-			t.Errorf("tracestats missing stream %s:\n%s", w, errw)
-		}
-	}
-	if !strings.Contains(errw, "MiB raw ->") {
-		t.Errorf("tracestats missing per-stream raw/resident listing:\n%s", errw)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 
 	"rarpred/internal/faultsim"
 	"rarpred/internal/funcsim"
@@ -41,16 +40,23 @@ type Options struct {
 	// Parallelism bounds concurrent workload simulations (0 = GOMAXPROCS).
 	Parallelism int
 
-	// Live forces the experiments onto the pre-cache path, instead of
-	// replaying the shared trace cache: a functional job assembles its
-	// workload fresh and re-records its stream with the baseline Step
-	// interpreter over paged memory, and a timing job runs a full live
-	// interpreter per configuration (pipeline.RunProgram). Live changes
-	// only how a job gets its recording, not which cells share a job.
-	// The results are identical either way (both paths commit the exact
-	// same stream); Live exists so the equivalence can be asserted and
-	// the cache's speedup measured against the costs it removed.
+	// Live forces the experiments off their recordings: a functional
+	// job assembles its workload fresh and re-records its stream with
+	// the baseline Step interpreter over paged memory, and a timing job
+	// runs a full live interpreter per configuration
+	// (pipeline.RunProgram). Live changes only how a job gets its
+	// recording, not which cells share a job. The results are identical
+	// either way (both paths commit the exact same stream); Live exists
+	// so the equivalence can be asserted and the recordings' speedup
+	// measured against the costs they remove.
 	Live bool
+
+	// Store, when non-nil, is the durable home of the jobs' recordings
+	// (internal/store implements it): a job loads its recording from
+	// Store before recording it, and saves a recording it made once the
+	// recording has passed validation (see obtain). Under Live it is
+	// not consulted.
+	Store trace.Tier
 
 	// Context cancels the whole run: simulators poll it every
 	// funcsim.InterruptEvery committed instructions and the runner
@@ -67,13 +73,14 @@ type Options struct {
 	// persistence layer.
 	Journal SuiteJournal
 
-	// Check arms the run's differential oracle: the first time each
-	// cached reference stream is served, it is re-recorded live on the
-	// independent baseline interpreter and the two streams compared
-	// event by event (trace.DiffStreams). A divergence fails the
-	// workload with the first differing event. The cloak/pipeline
-	// invariant sweeps are armed separately via their packages'
-	// SetSelfCheck (cmd/rarsim -check does both).
+	// Check arms the run's differential oracles: each job verifies the
+	// recording it obtains against the independent baseline
+	// interpreter — a memory stream event by event
+	// (trace.DiffStreams), an instruction stream by timing it against
+	// the live pipeline — and a divergence fails the workload with the
+	// first difference. The cloak/pipeline invariant sweeps are armed
+	// separately via their packages' SetSelfCheck (cmd/rarsim -check
+	// does both).
 	Check bool
 }
 
@@ -369,28 +376,99 @@ func assembleCells(opt Options, r CellRunner, ws []workload.Workload, rows []any
 	return r.Assemble(opt, ws, rows, fails)
 }
 
-// traceCache is the process-wide store of committed reference streams.
-// Every functional experiment in a run (and every run in a process)
-// shares it, so `rarsim -exp all` simulates each workload once; the
-// suite's one pass per workload then replays that stream into every
-// functional experiment's analyzers (see passJob).
-var traceCache = trace.NewCache()
+// recording is what a job obtains: a memory-event trace.Stream or an
+// instruction-level trace.IStream.
+type recording interface {
+	trace.Cached
+	Validate() error
+}
 
-// TraceCache exposes the shared stream cache (for its durable tier and
-// statistics reporting in cmd/rarsim).
-func TraceCache() *trace.Cache { return traceCache }
+// recorder says how to obtain one recording, for obtain.
+type recorder[S recording] struct {
+	// record runs the fast recorder, under faultsim's hooks.
+	record func() (S, error)
+	// baseline re-records on the independent baseline interpreter.
+	baseline func() (S, error)
+	// truncated reports that the recording stopped at the instruction
+	// budget.
+	truncated func(S) bool
+	// verify is the -check oracle (Options.Check).
+	verify func(S) error
+}
 
-// workloadStream obtains one workload's committed reference stream under
-// the resilience policy. The degradation order on the cached path is:
-// shared cache -> (corrupt stream? drop the poisoned entry and re-record
-// live with the baseline interpreter) -> error, which the caller records
-// as an annotated per-workload failure. Fault-injection hooks
-// (faultsim) reach the interpreter through the record closure, so
-// injected panics, stalls, and corruption exercise exactly the paths a
-// real crash would take.
+// obtain is the one way a job gets its recording under key, for pass
+// jobs (workloadStream) and timing jobs (workloadIStream) alike:
+//
+//  1. load it from opt.Store if one is set, and otherwise (or on a miss
+//     or a load error) record it;
+//  2. validate it, and re-record one that fails on the baseline
+//     interpreter before declaring the workload failed — never serve a
+//     corrupt recording;
+//  3. fail a recording cut short by the instruction budget;
+//  4. under opt.Check, verify it once;
+//  5. save it to opt.Store if it was not loaded from there, so only a
+//     recording that passed validation is saved. A failed save costs
+//     durability, not the run.
+//
+// The recording belongs to the job that asked for it and becomes
+// garbage when the job returns. Fault-injection hooks (faultsim) reach
+// the interpreter through r.record, so injected panics, stalls, and
+// corruption exercise exactly the paths a real crash would take.
+func obtain[S recording](opt Options, key trace.Key, r recorder[S]) (S, error) {
+	var zero S
+	s, loaded := load[S](opt.Store, key)
+	if !loaded {
+		var err error
+		if s, err = r.record(); err != nil {
+			return zero, err
+		}
+	}
+	if verr := s.Validate(); verr != nil {
+		loaded = false
+		var err error
+		s, err = r.baseline()
+		if err == nil {
+			err = s.Validate()
+		}
+		if err != nil {
+			return zero, fmt.Errorf("%w; live re-record also failed: %w", verr, err)
+		}
+	}
+	if r.truncated(s) {
+		return zero, funcsim.ErrMaxInsts
+	}
+	if opt.Check {
+		if err := r.verify(s); err != nil {
+			return zero, err
+		}
+	}
+	if opt.Store != nil && !loaded {
+		_ = opt.Store.Store(key, s)
+	}
+	return s, nil
+}
+
+// load returns the recording tier holds under key, if tier is set and
+// holds one of type S. A load error is a miss: the tier has already
+// quarantined or reported what it needed to, and recording is the
+// degradation path that always works.
+func load[S recording](tier trace.Tier, key trace.Key) (s S, ok bool) {
+	if tier == nil {
+		return s, false
+	}
+	v, err := tier.Load(key)
+	if err != nil {
+		return s, false
+	}
+	s, ok = v.(S)
+	return s, ok
+}
+
+// workloadStream obtains one workload's committed reference stream
+// (obtain).
 func workloadStream(ctx context.Context, opt Options, w workload.Workload, size int, maxInsts uint64) (*trace.Stream, error) {
 	if opt.Live {
-		// The pre-cache harness re-assembled the workload and
+		// The harness without recordings re-assembled the workload and
 		// Step-interpreted it over paged memory for every experiment;
 		// model all three costs.
 		tr, err := trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
@@ -402,142 +480,40 @@ func workloadStream(ctx context.Context, opt Options, w workload.Workload, size 
 		}
 		return tr, nil
 	}
-
-	key := trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts}
-	record := func() (*trace.Stream, error) {
-		defer startSpan("cell/record").End()
-		tr, err := trace.RecordStreamContext(ctx, w.Program(size), maxInsts, faultsim.Hook(w.Name, ctx))
-		if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
-			// One spurious event desynchronises the tally from the
-			// execution profile, which Validate below must catch.
-			tr.Append(trace.KindLoad, 0, 0, 0)
-		}
-		return tr, err
-	}
-	tr, err := traceCache.GetContext(ctx, key, record)
-	if err == nil {
-		if verr := tr.Validate(); verr != nil {
-			// Graceful degradation: never serve a corrupt stream. Drop
-			// the poisoned entry so later lookups re-record, and retry
-			// live on the independent baseline interpreter before
-			// declaring the workload failed.
-			traceCache.Drop(key)
-			tr, err = trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
-			if err == nil {
-				err = tr.Validate()
+	return obtain(opt, trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts}, recorder[*trace.Stream]{
+		record: func() (*trace.Stream, error) {
+			defer startSpan("cell/record").End()
+			tr, err := trace.RecordStreamContext(ctx, w.Program(size), maxInsts, faultsim.Hook(w.Name, ctx))
+			if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
+				// One spurious event desynchronises the tally from the
+				// execution profile, which Validate must catch.
+				tr.Append(trace.KindLoad, 0, 0, 0)
 			}
-			if err != nil {
-				err = fmt.Errorf("%w; live re-record also failed: %w", verr, err)
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if tr.Truncated {
-		return nil, funcsim.ErrMaxInsts
-	}
-	if opt.Check {
-		if err := verifyStreamOnce(ctx, key, tr, w, size, maxInsts); err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
-}
-
-// verifyStreamOnce is the replay-vs-live differential oracle: the served
-// stream must be event-for-event identical to a fresh recording on the
-// baseline Step interpreter (an independent implementation of the same
-// semantics — different memory model, no recording fast path).
-// verifyOnce runs it once per recording and gives every consumer its
-// verdict.
-func verifyStreamOnce(ctx context.Context, key trace.Key, tr *trace.Stream, w workload.Workload, size int, maxInsts uint64) error {
-	return verifyOnce(ctx, key, tr, func() (diverged, err error) {
-		live, err := trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
-		if err != nil {
-			return nil, fmt.Errorf("check: live re-record for oracle failed: %w", err)
-		}
-		if err := trace.DiffStreams(tr, live); err != nil {
-			return fmt.Errorf("check: replayed stream diverges from live baseline: %w", err), nil
-		}
-		return nil, nil
+			return tr, err
+		},
+		baseline: func() (*trace.Stream, error) {
+			return trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
+		},
+		truncated: func(tr *trace.Stream) bool { return tr.Truncated },
+		verify: func(tr *trace.Stream) error {
+			return verifyStream(ctx, tr, w, size, maxInsts)
+		},
 	})
 }
 
-// verdicts holds the -check oracles' verdict on the recording last
-// judged under each cache key (memory and timing recordings differ by
-// trace.Key.Timing), so a -check run pays each live shadow once per
-// recording rather than once per consuming cell. Each verdict keeps its
-// recording reachable until another recording under the same key
-// replaces it.
-var verdicts = struct {
-	sync.Mutex
-	m map[trace.Key]*verdict
-}{m: make(map[trace.Key]*verdict)}
-
-// verdict is an oracle's judgement of one recording. done closes once
-// the check returns; err (the divergence, or nil for a verified
-// recording) and undecided (cleared when the check decides) are
-// written before that and never after.
-type verdict struct {
-	rec       any // the *trace.Stream or *trace.IStream judged
-	done      chan struct{}
-	err       error
-	undecided bool
-}
-
-// verifyOnce gives every consumer of rec, the recording served under
-// key, one verdict from check. The first consumer runs check; concurrent
-// consumers wait for its verdict, bounded by their own ctx; later
-// consumers reuse it, so a divergence fails every consumer of rec. check
-// returns the divergence, or err when it could not decide — say the
-// live re-record was canceled — which it reports to its own consumer
-// and leaves no verdict: the next consumer checks again, as does each
-// waiter, and so does a panic. A recording re-recorded under the same
-// key is a different rec and is checked afresh.
-func verifyOnce(ctx context.Context, key trace.Key, rec any, check func() (diverged, err error)) error {
-	for {
-		verdicts.Lock()
-		v := verdicts.m[key]
-		judge := v == nil || v.rec != rec
-		if judge {
-			v = &verdict{rec: rec, done: make(chan struct{}), undecided: true}
-			verdicts.m[key] = v
-		}
-		verdicts.Unlock()
-		if judge {
-			return v.judge(key, check)
-		}
-		select {
-		case <-v.done:
-			if !v.undecided {
-				return v.err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// judge runs check for v. Unless check returns a verdict, v is removed
-// from verdicts before done closes, so waiters check again.
-func (v *verdict) judge(key trace.Key, check func() (diverged, err error)) error {
-	defer func() {
-		if v.undecided {
-			verdicts.Lock()
-			if verdicts.m[key] == v {
-				delete(verdicts.m, key)
-			}
-			verdicts.Unlock()
-		}
-		close(v.done)
-	}()
-	diverged, err := check()
+// verifyStream is the replay-vs-live differential oracle: the served
+// stream must be event-for-event identical to a fresh recording on the
+// baseline Step interpreter (an independent implementation of the same
+// semantics — different memory model, no recording fast path).
+func verifyStream(ctx context.Context, tr *trace.Stream, w workload.Workload, size int, maxInsts uint64) error {
+	live, err := trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
 	if err != nil {
-		return err
+		return fmt.Errorf("check: live re-record for oracle failed: %w", err)
 	}
-	v.err, v.undecided = diverged, false
-	return diverged
+	if err := trace.DiffStreams(tr, live); err != nil {
+		return fmt.Errorf("check: replayed stream diverges from live baseline: %w", err)
+	}
+	return nil
 }
 
 // meansByClass computes the SPECint, SPECfp and overall arithmetic means

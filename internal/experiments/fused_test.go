@@ -213,8 +213,9 @@ func boxRows[T any](rows []T) []any {
 // workloads: on the second, a synthetic experiment's row step panics; on
 // the third, every recording panics. Each of those two workloads' cells
 // fails with ErrWorkloadPanic in every experiment, each annotation
-// naming its own experiment, and the panicking lookup records once for
-// its whole job. The first workload's rows equal its standalone cells.
+// naming its own experiment, and each workload's job, the panicking
+// lookup's included, asks the store for its recording once. The first
+// workload's rows equal its standalone cells.
 func TestFusedJobFailsAsOne(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -249,28 +250,17 @@ func TestFusedJobFailsAsOne(t *testing.T) {
 			opt.Size = c.size
 			opt.Parallelism = 2
 			healthy, rowBad, lookupBad := opt.Workloads[0], opt.Workloads[1], opt.Workloads[2]
-			ctx := context.Background()
-			// Record the streams that look up cleanly first, so the suite's
-			// only cache miss is the panicking lookup's.
-			for _, w := range []workload.Workload{healthy, rowBad} {
-				var err error
-				if c.timing {
-					_, err = timingStream(ctx, opt, w)
-				} else {
-					_, err = referenceStream(ctx, opt, w)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			traceCache.Drop(trace.Key{Workload: lookupBad.Name, Size: c.size, MaxInsts: opt.maxInsts(), Timing: c.timing})
+			tier := &fakeTier{}
+			opt.Store = tier
 			faultsim.Inject(lookupBad.Name, faultsim.Fault{Kind: faultsim.Panic})
 
 			exps := c.exps(rowBad.Name)
-			misses := traceCache.Stats().Misses
 			items := suiteRows(opt, exps)
-			if got := traceCache.Stats().Misses - misses; got != 1 {
-				t.Errorf("the panicking lookup recorded %d times, want once for its job", got)
+			for _, w := range opt.Workloads {
+				key := trace.Key{Workload: w.Name, Size: c.size, MaxInsts: opt.maxInsts(), Timing: c.timing}
+				if got := tier.loadsOf(key); got != 1 {
+					t.Errorf("%s's job asked the store for its recording %d times, want once", w.Name, got)
+				}
 			}
 
 			for _, e := range exps {

@@ -28,12 +28,5 @@ var (
 	suiteWorkersBusy = metrics.Default().Gauge("suite.workers_busy")
 )
 
-func init() {
-	// The process-wide stream cache reports through the same registry
-	// the CLI snapshots, so -benchjson and -progress see one set of
-	// books.
-	traceCache.RegisterMetrics(metrics.Default(), "trace.cache")
-}
-
 // startSpan opens a phase span on the default registry.
 func startSpan(path string) metrics.Span { return metrics.Default().StartSpan(path) }

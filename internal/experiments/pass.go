@@ -123,9 +123,10 @@ func (r tracedRunner[T]) planCell(p *pass) func() any {
 // experiments; the Section 5.6 cycle-level studies need full
 // register-state simulation, so their cells are plans on a timing job,
 // see simCells). plan registers the cell's needs on the workload's pass
-// and returns the step that builds the row after the replay. The stream
-// comes from the shared cache at workload.ReferenceSize, recorded on
-// first use; opt.Live re-records it instead.
+// and returns the step that builds the row after the replay. The pass
+// job obtains the stream at workload.ReferenceSize (obtain: from
+// opt.Store, or recorded); opt.Live re-records it on the baseline
+// interpreter instead.
 func tracedCells[T any](
 	plan func(p *pass) func() T,
 	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),

@@ -14,9 +14,7 @@ import (
 )
 
 // Resilience tests inject faults through internal/faultsim and assert
-// the harness degrades instead of dying. Each test uses a workload size
-// no other test uses, so the shared trace cache cannot satisfy a lookup
-// recorded by an earlier (unfaulted) test and silently skip the fault.
+// the harness degrades instead of dying.
 
 func name(t *testing.T, abbrev string) string {
 	t.Helper()
@@ -129,9 +127,9 @@ func TestStalledWorkloadHitsDeadline(t *testing.T) {
 	}
 }
 
-// TestCorruptStreamDegradesToLiveRecord: a corrupt cached stream is
-// dropped and transparently re-recorded live — the experiment completes
-// with no failure annotations and output identical to an unfaulted run.
+// TestCorruptStreamDegradesToLiveRecord: a corrupt recording is
+// transparently re-recorded live — the experiment completes with no
+// failure annotations and output identical to an unfaulted run.
 func TestCorruptStreamDegradesToLiveRecord(t *testing.T) {
 	defer faultsim.Reset()
 	opt := subset("hyd", "com")
@@ -162,7 +160,7 @@ func TestCorruptStreamDegradesToLiveRecord(t *testing.T) {
 // away, so no report is rendered.
 func TestRunContextCancelAborts(t *testing.T) {
 	opt := subset("go", "gcc")
-	opt.Size = 6 // may share the bench cache; cancellation is checked regardless
+	opt.Size = 6
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt.Context = ctx

@@ -90,8 +90,8 @@ type suiteExp struct {
 // (experiment × workload) cells: every cell from every experiment feeds
 // a single queue drained by Options.parallelism() workers, so a slow
 // experiment no longer serialises the suite behind it — its cells
-// interleave with everyone else's. Each workload's stream records once
-// via the shared cache's single-flight no matter how many experiments'
+// interleave with everyone else's. Each workload's stream is obtained
+// once, by the one job that reads it, no matter how many experiments'
 // cells are waiting on it. Experiment.Run is a suite of one.
 //
 // The unit of work is a job, and there are two kinds. The functional

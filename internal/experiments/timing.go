@@ -6,7 +6,6 @@ import (
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/faultsim"
-	"rarpred/internal/funcsim"
 	"rarpred/internal/pipeline"
 	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
@@ -16,13 +15,13 @@ import (
 // Timing experiments (fig9, fig10, ablmemspec, ablrecovery) sweep many
 // pipeline configurations over each workload. The paper evaluates every
 // configuration against one fixed committed instruction stream per
-// benchmark, so the harness records that stream once (trace.IStream,
-// cached under the shared trace.Cache with Timing keys) and replays it
-// into every configuration's pipeline.Sim — the timing sibling of the
-// functional experiments' shared memory-trace cache. A timing cell is a
-// plan on its workload's timing job (simJob): it declares the specs it
-// times, and the job simulates each distinct spec once for every cell
-// it covers, all of them in one walk of the stream.
+// benchmark, so the harness records that stream once per timing job
+// (trace.IStream, under a Timing key) and replays it into every
+// configuration's pipeline.Sim — the timing sibling of the functional
+// experiments' pass over the memory stream. A timing cell is a plan on
+// its workload's timing job (simJob): it declares the specs it times,
+// and the job simulates each distinct spec once for every cell it
+// covers, all of them in one walk of the stream.
 
 // simSpec describes one timing configuration of Section 5.6: the base
 // processor under a memory-dependence speculation policy, optionally
@@ -212,54 +211,30 @@ func interruptHook(ctx context.Context) func() error {
 }
 
 // workloadIStream obtains one workload's committed instruction stream
-// under the same resilience policy as workloadStream: shared cache ->
-// (corrupt recording? drop the poisoned entry and re-record on the
-// baseline interpreter) -> error. Fault-injection hooks reach the
-// recording loop through the record closure.
+// (obtain), the same way workloadStream obtains its memory stream.
 func workloadIStream(ctx context.Context, opt Options, w workload.Workload, size int, maxInsts uint64) (*trace.IStream, error) {
-	key := trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts, Timing: true}
-	record := func() (*trace.IStream, error) {
-		defer startSpan("cell/record").End()
-		is, err := trace.RecordIStreamContext(ctx, w.Program(size), maxInsts, faultsim.Hook(w.Name, ctx))
-		if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
-			// One spurious memory record desynchronises the tally from the
-			// execution profile, which Validate below must catch.
-			is.AppendMem(0, 0)
-		}
-		return is, err
-	}
-	is, err := traceCache.GetIStreamContext(ctx, key, record)
-	if err == nil {
-		if verr := is.Validate(); verr != nil {
-			// Graceful degradation: never replay a corrupt recording. Drop
-			// the poisoned entry so later lookups re-record, and retry on
-			// the independent baseline interpreter before declaring the
-			// workload failed.
-			traceCache.Drop(key)
-			is, err = trace.RecordIStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
-			if err == nil {
-				err = is.Validate()
+	return obtain(opt, trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts, Timing: true}, recorder[*trace.IStream]{
+		record: func() (*trace.IStream, error) {
+			defer startSpan("cell/record").End()
+			is, err := trace.RecordIStreamContext(ctx, w.Program(size), maxInsts, faultsim.Hook(w.Name, ctx))
+			if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
+				// One spurious memory record desynchronises the tally from
+				// the execution profile, which Validate must catch.
+				is.AppendMem(0, 0)
 			}
-			if err != nil {
-				err = fmt.Errorf("%w; live re-record also failed: %w", verr, err)
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if is.Truncated {
-		return nil, funcsim.ErrMaxInsts
-	}
-	if opt.Check {
-		if err := verifyIStreamOnce(ctx, key, is, w, size); err != nil {
-			return nil, err
-		}
-	}
-	return is, nil
+			return is, err
+		},
+		baseline: func() (*trace.IStream, error) {
+			return trace.RecordIStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
+		},
+		truncated: func(is *trace.IStream) bool { return is.Truncated },
+		verify: func(is *trace.IStream) error {
+			return verifyIStream(ctx, is, w, size)
+		},
+	})
 }
 
-// verifyIStreamOnce is the replay-vs-live pipeline oracle: a timing
+// verifyIStream is the replay-vs-live pipeline oracle: a timing
 // simulation fed from the recorded stream must produce a Result
 // identical to one driven by the live functional interpreter (the feed
 // is the only difference between the two simulations, so any divergence
@@ -267,29 +242,25 @@ func workloadIStream(ctx context.Context, opt Options, w workload.Workload, size
 // processor and one cloaked spec (RAW+RAR, selective, naive
 // speculation), so the walk's decision column is checked against the
 // live feed's inline engine on every workload it records too.
-// verifyOnce runs it once per recording and gives every consumer its
-// verdict.
-func verifyIStreamOnce(ctx context.Context, key trace.Key, is *trace.IStream, w workload.Workload, size int) error {
-	return verifyOnce(ctx, key, is, func() (diverged, err error) {
-		prog := w.Program(size)
-		for _, spec := range []simSpec{
-			baseSpec(pipeline.NaiveSpec),
-			cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pipeline.NaiveSpec),
-		} {
-			cfg := spec.config()
-			cfg.Interrupt = interruptHook(ctx)
-			live, err := pipeline.RunProgram(prog, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("check: live pipeline shadow failed: %w", err)
-			}
-			replay, err := pipeline.NewReplay(prog, is, cfg).Run()
-			if err != nil {
-				return nil, fmt.Errorf("check: replayed pipeline shadow failed: %w", err)
-			}
-			if replay != live {
-				return fmt.Errorf("check: replayed timing run diverges from live pipeline: got %+v, want %+v", replay, live), nil
-			}
+func verifyIStream(ctx context.Context, is *trace.IStream, w workload.Workload, size int) error {
+	prog := w.Program(size)
+	for _, spec := range []simSpec{
+		baseSpec(pipeline.NaiveSpec),
+		cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pipeline.NaiveSpec),
+	} {
+		cfg := spec.config()
+		cfg.Interrupt = interruptHook(ctx)
+		live, err := pipeline.RunProgram(prog, cfg)
+		if err != nil {
+			return fmt.Errorf("check: live pipeline shadow failed: %w", err)
 		}
-		return nil, nil
-	})
+		replay, err := pipeline.NewReplay(prog, is, cfg).Run()
+		if err != nil {
+			return fmt.Errorf("check: replayed pipeline shadow failed: %w", err)
+		}
+		if replay != live {
+			return fmt.Errorf("check: replayed timing run diverges from live pipeline: got %+v, want %+v", replay, live)
+		}
+	}
+	return nil
 }

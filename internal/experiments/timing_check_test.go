@@ -8,12 +8,9 @@ import (
 	"rarpred/internal/trace"
 )
 
-// These tests use timing sizes no other test uses (8, 10, 14, 16, 17),
-// so the shared trace cache cannot be pre-populated by another test.
-
 // TestTimingLiveMatchesReplay: Options.Live forces every configuration
 // onto a private live interpreter; the rendered result must be
-// identical to the shared-recording replay path. This is the
+// identical to the recording replay path. This is the
 // experiment-level twin of pipeline's TestReplayMatchesLive.
 func TestTimingLiveMatchesReplay(t *testing.T) {
 	opt := subset("go", "tom")
@@ -56,7 +53,7 @@ func TestTimingCheckCleanRun(t *testing.T) {
 	}
 }
 
-// TestTimingCheckCatchesDivergence: a cached instruction recording that
+// TestTimingCheckCatchesDivergence: a stored instruction recording that
 // passes Validate (tallies intact) but steers one branch the wrong way
 // is invisible to the tally check — only the replay-vs-live pipeline
 // shadow can see it.
@@ -64,7 +61,7 @@ func TestTimingCheckCatchesDivergence(t *testing.T) {
 	opt := subset("com", "m88")
 	opt.Size = 16
 	opt.Check = true
-	poisonIStream(t, opt)
+	opt.Store = poisonIStream(t, opt)
 
 	res, err := mustByID(t, "fig10").Run(opt)
 	assertDivergence(t, "fig10", res, err, opt.Workloads[0])
@@ -72,15 +69,16 @@ func TestTimingCheckCatchesDivergence(t *testing.T) {
 
 // TestVerdictReachesEveryTimingConsumer: the pipeline oracle's verdict
 // on a divergent recording fails every timing experiment that replays
-// it — the suite's cells and a standalone run after the suite — so no
-// consumer times, or shares a Result computed from, an unverified
-// recording.
+// it — each cell of the suite's timing job, which verifies the
+// recording once for all of them, and a standalone run after the suite,
+// which obtains and verifies it again — so no consumer times, or shares
+// a Result computed from, an unverified recording.
 func TestVerdictReachesEveryTimingConsumer(t *testing.T) {
 	opt := subset("apl", "li")
 	opt.Size = 17
 	opt.Check = true
 	opt.Parallelism = 2
-	poisonIStream(t, opt)
+	opt.Store = poisonIStream(t, opt)
 
 	exps := []Experiment{mustByID(t, "fig10"), mustByID(t, "ablmemspec")}
 	delivered := 0
@@ -96,10 +94,10 @@ func TestVerdictReachesEveryTimingConsumer(t *testing.T) {
 	assertDivergence(t, "fig9", res, err, opt.Workloads[0])
 }
 
-// poisonIStream caches, for opt's first workload, an instruction
-// recording that passes Validate but records the 50th branch going the
-// wrong way, and drops it when the test ends.
-func poisonIStream(t *testing.T, opt Options) {
+// poisonIStream returns a store that serves, for opt's first workload,
+// an instruction recording that passes Validate but records the 50th
+// branch going the wrong way.
+func poisonIStream(t *testing.T, opt Options) trace.Tier {
 	t.Helper()
 	w := opt.Workloads[0]
 	prog := w.Program(opt.Size)
@@ -146,18 +144,12 @@ func poisonIStream(t *testing.T, opt Options) {
 		t.Fatal("test setup: bad stream must pass Validate")
 	}
 
-	key := trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: opt.maxInsts(), Timing: true}
-	if _, err := TraceCache().GetIStreamContext(context.Background(), key,
-		func() (*trace.IStream, error) { return bad, nil }); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { TraceCache().Drop(key) })
+	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: opt.maxInsts(), Timing: true}, bad)
 }
 
 // TestTimingCorruptRecordingDegrades: an injected recording corruption
-// fails Validate, the poisoned cache entry is dropped, and the baseline
-// interpreter re-records — the experiment still delivers a result
-// identical to an unfaulted run.
+// fails Validate and the baseline interpreter re-records — the
+// experiment still delivers a result identical to an unfaulted run.
 func TestTimingCorruptRecordingDegrades(t *testing.T) {
 	defer faultsim.Reset()
 	opt := subset("li")

@@ -9,8 +9,8 @@ import (
 // trace-replay path must produce bit-identical results to live
 // simulation — same row structs, same rendered text.
 func TestTraceReplayEquivalence(t *testing.T) {
-	cached := subset("gcc", "tom", "hyd")
-	live := cached
+	recorded := subset("gcc", "tom", "hyd")
+	live := recorded
 	live.Live = true
 
 	for _, id := range []string{"fig2", "fig5", "table51"} {
@@ -19,40 +19,18 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s live: %v", id, err)
 		}
-		got, err := e.Run(cached)
+		got, err := e.Run(recorded)
 		if err != nil {
-			t.Fatalf("%s cached: %v", id, err)
+			t.Fatalf("%s recorded: %v", id, err)
 		}
 		// %#v rather than reflect.DeepEqual: Workload carries a generator
 		// func, and DeepEqual calls any non-nil func unequal.
 		if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-			t.Errorf("%s: cached result diverges from live:\n got %#v\nwant %#v", id, got, want)
+			t.Errorf("%s: replayed result diverges from live:\n got %#v\nwant %#v", id, got, want)
 		}
 		if got.String() != want.String() {
-			t.Errorf("%s: rendered output differs:\n--- live ---\n%s--- cached ---\n%s",
+			t.Errorf("%s: rendered output differs:\n--- live ---\n%s--- replayed ---\n%s",
 				id, want.String(), got.String())
 		}
-	}
-}
-
-// TestTraceCacheShared: consecutive experiments over the same workloads
-// reuse recordings instead of re-simulating.
-func TestTraceCacheShared(t *testing.T) {
-	opt := subset("go", "vor")
-	before := TraceCache().Stats()
-	for _, id := range []string{"fig2", "fig5", "fig6"} {
-		e, _ := ByID(id)
-		if _, err := e.Run(opt); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-	}
-	after := TraceCache().Stats()
-	// Three experiments x two workloads = six lookups; at most two may
-	// miss (one recording per workload), the rest must hit.
-	if gotMisses := after.Misses - before.Misses; gotMisses > 2 {
-		t.Errorf("%d recordings for 6 lookups; cache not shared", gotMisses)
-	}
-	if gotHits := after.Hits - before.Hits; gotHits < 4 {
-		t.Errorf("only %d cache hits for 6 lookups", gotHits)
 	}
 }

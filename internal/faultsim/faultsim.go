@@ -27,7 +27,7 @@ type Kind uint8
 
 const (
 	// Panic makes the workload's interpreter hook panic — exercising the
-	// worker-goroutine recovery and trace.Cache poisoning paths.
+	// jobs' panic isolation and the failed-recording paths.
 	Panic Kind = iota + 1
 	// Stall blocks the workload's interpreter hook until its context is
 	// canceled (then returns the context error) — exercising the run
@@ -35,8 +35,8 @@ const (
 	// goroutine.
 	Stall
 	// Corrupt flags the workload's next recorded stream for corruption —
-	// exercising Stream.Validate, cache Drop, and the live re-record
-	// degradation path. The caller applies the corruption (see
+	// exercising Stream.Validate and the live re-record degradation
+	// path. The caller applies the corruption (see
 	// ShouldCorrupt); this package stays dependency-free.
 	Corrupt
 )

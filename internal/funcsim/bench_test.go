@@ -35,9 +35,8 @@ func benchProg(b *testing.B) (insts uint64, run func(b *testing.B, observed bool
 	}
 }
 
-// BenchmarkRun measures the bare interpreter loop: the fast path taken
-// while replaying from the trace cache is only as good as the one-time
-// recording this loop performs.
+// BenchmarkRun measures the bare interpreter loop: a job's replay of its
+// recording is only as good as the one recording this loop performs.
 func BenchmarkRun(b *testing.B) {
 	insts, run := benchProg(b)
 	b.ResetTimer()

@@ -1,9 +1,9 @@
 // Package metrics is the simulator's unified instrumentation registry:
 // typed counters and gauges with an atomic fast path, labeled histogram
 // families for spans, and a point-in-time Snapshot for reporting. The
-// trace cache, suite scheduler, and functional and pipeline simulators
-// register their instruments here, so the -benchjson report and the
-// -progress ticker read the same numbers and can never drift apart.
+// suite scheduler, the functional and pipeline simulators and the trace
+// replay register their instruments here, so the -benchjson report and
+// the -progress ticker read the same numbers and can never drift apart.
 //
 // Design constraints, in order:
 //
@@ -27,9 +27,8 @@ import (
 )
 
 // Counter is a monotonically increasing uint64. The zero value is ready
-// to use; a subsystem may embed Counters directly and attach them to a
-// Registry with RegisterCounter, or obtain registry-owned ones from
-// Registry.Counter.
+// to use; a subsystem may keep Counters of its own, or obtain
+// registry-owned ones from Registry.Counter.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -143,40 +142,32 @@ func (v *HistogramVec) With(label string) *Histogram {
 	return h
 }
 
-// GaugeFunc is a gauge whose value is computed at snapshot time — for
-// values a subsystem already maintains under its own lock (the cache's
-// entry count) where mirroring into a Gauge on every mutation would
-// double the bookkeeping.
-type GaugeFunc func() int64
-
 // Registry holds named instruments. Names are flat, dot-separated by
-// convention ("trace.cache.hits", "store.bytes_written"); a vec member
-// renders in snapshots as name{label}. Registering the same name twice
-// returns the same instrument (get-or-create), so package-level wiring
-// from independent subsystems composes without coordination. A name
-// registered as two different kinds panics: that is a wiring bug.
+// convention ("suite.cells_done", "funcsim.insts_committed"); a vec
+// member renders in snapshots as name{label}. Registering the same name
+// twice returns the same instrument (get-or-create), so package-level
+// wiring from independent subsystems composes without coordination. A
+// name registered as two different kinds panics: that is a wiring bug.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	gaugeFuncs map[string]GaugeFunc
-	histoVec   map[string]*HistogramVec
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	histoVec map[string]*HistogramVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]GaugeFunc),
-		histoVec:   make(map[string]*HistogramVec),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		histoVec: make(map[string]*HistogramVec),
 	}
 }
 
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry. Package-level subsystems
-// (the shared trace cache, the suite scheduler) register here; code
+// (the suite scheduler, the simulators) register here; code
 // that wants isolation (tests) builds its own Registry.
 func Default() *Registry { return defaultRegistry }
 
@@ -186,9 +177,6 @@ func (r *Registry) checkName(name, kind string) {
 	}
 	if _, ok := r.gauges[name]; ok && kind != "gauge" {
 		panic("metrics: " + name + " already registered as gauge")
-	}
-	if _, ok := r.gaugeFuncs[name]; ok && kind != "gaugefunc" {
-		panic("metrics: " + name + " already registered as gauge func")
 	}
 	if _, ok := r.histoVec[name]; ok && kind != "histogramvec" {
 		panic("metrics: " + name + " already registered as histogram vec")
@@ -219,36 +207,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// GaugeFunc registers a snapshot-time gauge. Re-registering a name
-// replaces the function (a fresh subsystem instance supersedes the one
-// it replaced).
-func (r *Registry) GaugeFunc(name string, f GaugeFunc) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "gaugefunc")
-	r.gaugeFuncs[name] = f
-}
-
-// RegisterCounter attaches a subsystem-owned counter under name.
-// Re-registering replaces the previous instrument, so a fresh subsystem
-// instance (a reopened store, say) supersedes the one it replaced
-// instead of stacking.
-func (r *Registry) RegisterCounter(name string, c *Counter) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "counter")
-	r.counters[name] = c
-}
-
-// RegisterGauge attaches a subsystem-owned gauge under name, with the
-// same replace-on-reregister semantics as RegisterCounter.
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "gauge")
-	r.gauges[name] = g
 }
 
 // HistogramVec returns the named histogram family, creating it on
@@ -291,9 +249,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
-	}
-	for name, f := range r.gaugeFuncs {
-		s.Gauges[name] = f()
 	}
 	for name, v := range r.histoVec {
 		v.mu.RLock()

@@ -1,19 +1,19 @@
 // Package store is the crash-safe persistence layer of the experiment
-// harness: a durable second tier for the in-memory trace cache (chunked
-// binary artifacts with a versioned header and per-chunk CRC32C
-// checksums, published atomically) and an append-only suite run journal
-// that lets an interrupted `-exp all` sweep resume where it stopped.
+// harness: a durable home for trace recordings (chunked binary
+// artifacts with a versioned header and per-chunk CRC32C checksums,
+// published atomically) and an append-only suite run journal that lets
+// an interrupted `-exp all` sweep resume where it stopped.
 //
 // Every byte the store reads back is checksum-verified before it is
 // believed: a torn write, bit flip, or truncated file is detected, the
 // bad file is quarantined (renamed aside, never silently reused), and a
 // typed runerr corruption error sends the caller down the existing
-// degradation ladder (drop the poisoned entry, re-record live). Writes
+// degradation ladder (re-record live). Writes
 // publish atomically — encode to a temp file, fsync, rename — so a
 // crash at any instant leaves either the old artifact or the new one,
 // never a half-written file under the live name. Transient I/O failures
 // get a bounded retry with exponential backoff and jitter before the
-// store gives up and the run continues memory-only.
+// store gives up and the run continues without saving.
 //
 // All filesystem access goes through the FS seam so the faultsim disk
 // injector can deterministically exercise every recovery path.
@@ -92,7 +92,7 @@ func (OS) OpenAppend(name string) (File, error) {
 }
 
 // IsNotExist reports whether err means the file was simply absent — the
-// one read failure that is a cache miss, not a fault.
+// one read failure that is a miss, not a fault.
 func IsNotExist(err error) bool { return err != nil && errors.Is(err, fs.ErrNotExist) }
 
 // removeQuiet deletes name, ignoring errors (cleanup of scratch files on

@@ -48,15 +48,15 @@ type Stats struct {
 	// Retries counts transient I/O failures that were retried.
 	Retries uint64
 	// SaveErrors counts artifacts that could not be persisted even after
-	// retry (the run continued memory-only).
+	// retry (the run continued without saving them).
 	SaveErrors uint64
 }
 
 // Store is the durable artifact tier: trace recordings as checksummed
 // files under dir/traces, published atomically, quarantined on
-// corruption. It implements trace.Tier, so plugging it into the shared
-// trace.Cache (Cache.SetTier) gives every recording a durable second
-// tier behind the in-memory one. A Store is safe for concurrent use.
+// corruption. It implements trace.Tier, so setting it as the
+// experiments' Options.Store lets every job load its recording from
+// disk and save one it recorded. A Store is safe for concurrent use.
 type Store struct {
 	dir   string
 	fs    FS
@@ -128,7 +128,7 @@ func (s *Store) tracesDir() string { return join(s.dir, "traces") }
 // JournalPath returns the suite run journal's location inside the store.
 func (s *Store) JournalPath() string { return join(s.dir, "journal.rarj") }
 
-// artifactPath maps a cache key to its on-disk artifact. Workload names
+// artifactPath maps a recording's key to its on-disk artifact. Workload names
 // are identifier-shaped ([a-z0-9_]), so the filename is readable and
 // collision-free without hashing.
 func (s *Store) artifactPath(key trace.Key) string {
@@ -205,7 +205,7 @@ func (s *Store) quarantine(path string) {
 // Load implements trace.Tier: it returns the recording stored for key,
 // (nil, nil) when no artifact exists, or a typed error. A corrupt
 // artifact is quarantined and reported as runerr.ErrStoreCorrupt — the
-// cache treats any error as a miss and re-records, so corruption heals
+// caller treats any error as a miss and re-records, so corruption heals
 // by live re-recording while the evidence is kept.
 func (s *Store) Load(key trace.Key) (trace.Cached, error) {
 	path := s.artifactPath(key)

@@ -2,11 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
-
-var errRecording = errors.New("injected recording failure")
 
 // FuzzStreamRoundTrip builds a stream from arbitrary bytes, checks its
 // chunk invariants, and proves the binary format round-trips: Stream →
@@ -58,43 +55,6 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			if err != nil || len(reload.Events) != len(alien.Events) {
 				t.Fatalf("accepted input does not round-trip: %v", err)
 			}
-		}
-	})
-}
-
-// FuzzCacheOps drives a cache with an arbitrary op sequence (get, drop,
-// failed recording, stats) over a small key space, validating the full
-// accounting invariant set after every op and that the books return to
-// zero once every key is dropped.
-func FuzzCacheOps(f *testing.F) {
-	f.Add([]byte("get-drop-fail"))
-	f.Add([]byte{0, 1, 2, 8, 9, 10, 16, 17, 18, 3, 4, 5})
-	f.Add([]byte{0x00, 0x20, 0x01, 0x21, 0x04, 0x24, 0x02, 0x22, 0x03})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewCache()
-		keyOf := func(size int) Key { return Key{Workload: "w", Size: size} }
-		for _, b := range data {
-			key := keyOf(int(b >> 2 & 3))
-			switch b & 3 {
-			case 0:
-				if _, err := c.Get(key, func() (*Stream, error) { return buildStream(2), nil }); err != nil {
-					t.Fatalf("get: %v", err)
-				}
-			case 1:
-				c.Drop(key)
-			case 2:
-				c.Get(key, func() (*Stream, error) { return nil, errRecording })
-			case 3:
-				c.Stats()
-			}
-			c.CheckInvariants()
-		}
-		for size := 0; size < 4; size++ {
-			c.Drop(keyOf(size))
-		}
-		c.CheckInvariants()
-		if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.RawBytes != 0 {
-			t.Fatalf("after dropping every key: %+v, want empty books", st)
 		}
 	})
 }

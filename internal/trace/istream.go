@@ -20,11 +20,10 @@ import (
 //
 // Like Stream, the layout is chunked struct-of-arrays: no per-event
 // padding, fixed-size growth (no doubling spikes), and exact byte-size
-// accounting so recordings can live in the memory-bounded Cache. An
-// IStream is append-only while recording and immutable afterwards;
-// cursors over it are safe from many goroutines at once. Chunks seal
-// (compress, per codec.go) as they fill when compression is enabled,
-// exactly like Stream's.
+// accounting. An IStream is append-only while recording and immutable
+// afterwards; cursors over it are safe from many goroutines at once.
+// Chunks seal (compress, per codec.go) as they fill when compression is
+// enabled, exactly like Stream's.
 type IStream struct {
 	ichunks []*pairChunk // one (idx, next) record per committed instruction
 	mchunks []*pairChunk // one (addr, value) record per committed load or store
@@ -172,8 +171,8 @@ const istreamEntryBytes = 8
 
 // Bytes returns the resident size of the stream in bytes: the packed
 // payload for sealed chunks, full chunk capacity (allocation, not
-// occupancy) for raw ones — so the cache's books reflect real memory
-// use in either mode.
+// occupancy) for raw ones — so it reflects real memory use in either
+// mode.
 func (s *IStream) Bytes() int64 {
 	var b int64
 	for _, planes := range [2][]*pairChunk{s.ichunks, s.mchunks} {
@@ -273,8 +272,7 @@ func decodePackedPair(payload []byte, compress bool) (*pairChunk, int, error) {
 // exactly one memory record, so any mismatch means the stream was
 // mangled after recording (or recorded by a broken path). It returns an
 // error wrapping runerr.ErrTraceCorrupt, which the harness treats as a
-// poisoned cache entry: drop it and re-record before giving up on the
-// workload.
+// poisoned recording: re-record it before giving up on the workload.
 func (s *IStream) Validate() error {
 	if s.n != s.Counts.Insts || s.mems != s.Counts.Loads+s.Counts.Stores {
 		return fmt.Errorf("%w: %d instruction records (%d memory), but the run committed %d insts (%d loads + %d stores)",
@@ -455,7 +453,7 @@ func RecordIStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint6
 // RecordIStreamBaselineContext records the same stream as
 // RecordIStreamContext, but Step-driven over fully paged memory — the
 // independent interpreter configuration the harness falls back to when
-// a cached timing trace fails Validate. Because Step and the fast loop
+// a timing recording fails Validate. Because Step and the fast loop
 // funnel through the same exec core, the recording is bit-identical to
 // RecordIStreamContext's.
 func RecordIStreamBaselineContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*IStream, error) {

@@ -7,8 +7,8 @@ import (
 )
 
 // Self-checks for the trace layer (rarsim -check): structural invariants
-// for Stream and Cache, and the stream-vs-live differential used by the
-// experiment harness to prove a cached replay matches what a fresh
+// for Stream, and the stream-vs-live differential used by the
+// experiment harness to prove a replayed recording matches what a fresh
 // functional simulation would commit.
 
 // CheckInvariants validates the stream's chunked layout: parallel slices
@@ -168,7 +168,7 @@ func (w *streamWalker) close() {
 // DiffStreams compares two streams event-by-event (and over their
 // execution profiles) and returns a descriptive error at the first
 // divergence, or nil when they are identical. The harness uses it as the
-// replay-vs-live oracle: a cached stream must be bit-identical to a
+// replay-vs-live oracle: a served stream must be bit-identical to a
 // fresh baseline recording of the same workload. Chunk boundaries and
 // sealing state are not part of stream identity — only the events are.
 func DiffStreams(got, want *Stream) error {
@@ -198,44 +198,5 @@ func DiffStreams(got, want *Stream) error {
 			return fmt.Errorf("event %d: got {kind:%d pc:%#x addr:%#x val:%#x}, want {kind:%d pc:%#x addr:%#x val:%#x}",
 				i, gk, gpc, ga, gv, wk, wpc, wa, wv)
 		}
-	}
-}
-
-// CheckInvariants validates the cache's accounting under its lock: each
-// completed entry is error-free (a failed recording never stays
-// resident), and resident and raw bytes equal the sums of the completed
-// entries' sizes. Panics with *check.Violation on the first breach.
-func (c *Cache) CheckInvariants() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum, rawSum int64
-	for key, e := range c.entries {
-		if !e.completed() {
-			continue
-		}
-		if e.err != nil {
-			check.Failf("cache.entries", "key %+v: failed recording resident: %v", key, e.err)
-		}
-		sum += e.val.Bytes()
-		rawSum += rawBytesOf(e.val)
-	}
-	// Never-underflow: accounting going negative means a removal
-	// subtracted more than its entry's insertion added — the classic
-	// hazard for entries whose Bytes()/RawBytes() could drift between
-	// insert and Drop (e.g. a compressed entry loaded from the store
-	// tier, whose raw size is only known post-decode). Checked before the
-	// sum comparison so an underflow reports as itself, not as a generic
-	// mismatch.
-	if b := c.bytes.Value(); b < 0 {
-		check.Failf("cache.bytes", "resident bytes underflowed to %d", b)
-	}
-	if rb := c.rawBytes.Value(); rb < 0 {
-		check.Failf("cache.bytes", "raw bytes underflowed to %d", rb)
-	}
-	if sum != c.bytes.Value() {
-		check.Failf("cache.bytes", "resident bytes %d != sum of entry sizes %d", c.bytes.Value(), sum)
-	}
-	if rawSum != c.rawBytes.Value() {
-		check.Failf("cache.bytes", "raw bytes %d != sum of entry raw sizes %d", c.rawBytes.Value(), rawSum)
 	}
 }

@@ -67,46 +67,6 @@ func TestDiffStreams(t *testing.T) {
 	}
 }
 
-func TestCacheInvariantsClean(t *testing.T) {
-	c := NewCache()
-	for i := 0; i < 6; i++ {
-		key := Key{Workload: "w", Size: i}
-		if _, err := c.Get(key, func() (*Stream, error) { return buildStream(3), nil }); err != nil {
-			t.Fatal(err)
-		}
-		c.CheckInvariants()
-	}
-	c.Drop(Key{Workload: "w", Size: 1})
-	c.CheckInvariants()
-}
-
-func TestCacheInvariantsCatchAccountingDrift(t *testing.T) {
-	c := NewCache()
-	if _, err := c.Get(Key{Workload: "w"}, func() (*Stream, error) { return buildStream(3), nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	c.bytes.Add(13)
-	c.mu.Unlock()
-	if v := check.Catch(func() { c.CheckInvariants() }); v == nil || v.Site != "cache.bytes" {
-		t.Fatalf("byte-accounting drift not caught: %v", v)
-	}
-}
-
-func TestCacheInvariantsCatchFailedResident(t *testing.T) {
-	c := NewCache()
-	key := Key{Workload: "w"}
-	if _, err := c.Get(key, func() (*Stream, error) { return buildStream(3), nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	c.entries[key].err = errRecording // a failed recording that stayed resident
-	c.mu.Unlock()
-	if v := check.Catch(func() { c.CheckInvariants() }); v == nil || v.Site != "cache.entries" {
-		t.Fatalf("resident failed recording not caught: %v", v)
-	}
-}
-
 // recordingSink tallies what it sees, walking each chunk's columns
 // itself.
 type recordingSink struct{ loads, stores int }

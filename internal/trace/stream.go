@@ -16,7 +16,7 @@ import (
 // slices) that replays to any number of observers without re-executing
 // the program. Compared to []Event it has no per-event padding, grows in
 // fixed-size chunks (no doubling spikes), and keeps exact byte-size
-// accounting so streams can live in a memory-bounded cache.
+// accounting.
 //
 // A Stream is append-only while recording and immutable afterwards;
 // replaying is safe from many goroutines at once.
@@ -181,8 +181,8 @@ const eventBytes = 13
 
 // Bytes returns the resident size of the stream in bytes: the packed
 // payload for sealed chunks, full chunk capacity (allocation, not
-// occupancy) for raw ones — so the cache's books reflect real memory
-// use in either mode.
+// occupancy) for raw ones — so it reflects real memory use in either
+// mode.
 func (s *Stream) Bytes() int64 {
 	var b int64
 	for _, c := range s.chunks {
@@ -239,8 +239,8 @@ func (s *Stream) NumChunks() int { return len(s.chunks) }
 // recorded alongside it: every committed load and store appends exactly
 // one event, so any mismatch means the stream was mangled after
 // recording (or recorded by a broken path). It returns an error wrapping
-// runerr.ErrTraceCorrupt, which the harness treats as a poisoned cache
-// entry: drop it and re-record live before giving up on the workload.
+// runerr.ErrTraceCorrupt, which the harness treats as a poisoned
+// recording: re-record live before giving up on the workload.
 func (s *Stream) Validate() error {
 	events := s.Counts.Loads + s.Counts.Stores
 	if uint64(s.n) != events || s.loads != s.Counts.Loads {
@@ -373,12 +373,12 @@ func RecordStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64
 }
 
 // RecordStreamBaseline records the same stream as RecordStream, but the
-// way every experiment did before the shared cache existed: Step-driven
+// way every experiment did before recordings were shared: Step-driven
 // interpretation over fully paged memory, with no predecoded fast loop
-// and no flat-range reservation. Experiments' Live (pre-cache) mode and
-// the suite benchmark use it as the baseline cost model; because Step
-// and the fast loop funnel through the same exec core, the recorded
-// stream is bit-identical to RecordStream's.
+// and no flat-range reservation. Experiments' Live mode and the suite
+// benchmark use it as the baseline cost model; because Step and the
+// fast loop funnel through the same exec core, the recorded stream is
+// bit-identical to RecordStream's.
 func RecordStreamBaseline(prog *isa.Program, maxInsts uint64) (*Stream, error) {
 	return RecordStreamBaselineContext(context.Background(), prog, maxInsts)
 }
@@ -386,7 +386,7 @@ func RecordStreamBaseline(prog *isa.Program, maxInsts uint64) (*Stream, error) {
 // RecordStreamBaselineContext is RecordStreamBaseline with cancellation,
 // polled every funcsim.InterruptEvery committed instructions like the
 // fast path. It backs the harness's graceful-degradation re-record (a
-// corrupt cached stream falls back here) and the Live mode, both of
+// corrupt recording falls back here) and the Live mode, both of
 // which must stay interruptible under run deadlines.
 func RecordStreamBaselineContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*Stream, error) {
 	s := NewStream()
