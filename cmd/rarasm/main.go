@@ -7,6 +7,7 @@
 //	rarasm -run prog.s            # assemble and execute functionally
 //	rarasm -run -time prog.s      # execute on the cycle-level model
 //	rarasm -run -cloak prog.s     # report cloaking behaviour as well
+//	rarasm -run -savetrace t.rart prog.s  # record the memory trace as a store artifact
 //	rarasm -workload gcc -dis     # operate on a built-in workload
 package main
 
@@ -21,6 +22,7 @@ import (
 	"rarpred/internal/funcsim"
 	"rarpred/internal/isa"
 	"rarpred/internal/pipeline"
+	"rarpred/internal/store"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -35,7 +37,7 @@ func main() {
 		wl       = flag.String("workload", "", "use a built-in workload instead of a source file")
 		size     = flag.Int("size", 10, "workload size parameter (with -workload)")
 		traceN   = flag.Uint64("trace", 0, "with -run: print the first N executed instructions with cloaking annotations")
-		saveTr   = flag.String("savetrace", "", "with -run: record the memory trace to a file (trace format)")
+		saveTr   = flag.String("savetrace", "", "with -run: record the memory trace to a file (store artifact format)")
 	)
 	flag.Parse()
 
@@ -81,26 +83,17 @@ func main() {
 	}
 
 	if *saveTr != "" {
-		tr, err := trace.Record(prog, *maxInsts)
+		tr, err := trace.RecordStream(prog, *maxInsts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rarasm:", err)
 			os.Exit(1)
 		}
-		f, err := os.Create(*saveTr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rarasm:", err)
-			os.Exit(1)
-		}
-		if err := tr.Save(f); err != nil {
-			fmt.Fprintln(os.Stderr, "rarasm:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := saveTrace(*saveTr, tr); err != nil {
 			fmt.Fprintln(os.Stderr, "rarasm:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("%s: recorded %d events (%d loads) over %d instructions to %s\n",
-			name, len(tr.Events), tr.Loads(), tr.Insts, *saveTr)
+			name, tr.Len(), tr.Loads(), tr.Counts.Insts, *saveTr)
 		return
 	}
 
@@ -156,6 +149,20 @@ func main() {
 		fmt.Printf("cloaking: deps RAW %d / RAR %d; covered RAW %d / RAR %d; wrong %d\n",
 			st.LoadsWithRAW, st.LoadsWithRAR, st.CorrectRAW, st.CorrectRAR, st.Mispredicted())
 	}
+}
+
+// saveTrace writes tr to path as a store artifact, which
+// store.DecodeStream reads back.
+func saveTrace(path string, tr *trace.Stream) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := store.WriteStream(f, tr); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 func loadProgram(wl string, size int, args []string) (*isa.Program, string, error) {

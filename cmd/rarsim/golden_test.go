@@ -100,8 +100,8 @@ func TestGoldenReport(t *testing.T) {
 			if benchStoreField(t, m, "bytes_written") == 0 || benchStoreField(t, m, "disk_misses") == 0 {
 				t.Errorf("cold run wrote nothing to the store: %v", m["store"])
 			}
-			if v := m["schema_version"].(float64); v != 9 {
-				t.Errorf("benchjson schema_version = %v, want 9", v)
+			if v := m["schema_version"].(float64); v != 10 {
+				t.Errorf("benchjson schema_version = %v, want 10", v)
 			}
 			return out
 		}},

@@ -218,11 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// resumable.
 	var artifacts *store.Store
 	if *storeDir != "" {
-		// The fault-injecting FS wrapper costs one atomic load per
-		// operation when nothing is armed, so the CLI always routes
-		// through it: disk-fault drills then exercise the exact
-		// production store path, not a test-only double.
-		st, err := store.Open(*storeDir, store.WithFS(store.NewFaultFS(store.OS{}, nil)))
+		st, err := store.Open(*storeDir)
 		if err != nil {
 			fmt.Fprintf(stderr, "rarsim: -store: %v\n", err)
 			return 1
@@ -399,7 +395,9 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // the version stayed.) Version 9 dropped the trace_cache section and
 // the metrics snapshot's trace.cache.* instruments: recordings belong
 // to the jobs that read them, and no process-wide cache holds them.
-const benchSchemaVersion = 9
+// Version 10 dropped the store's retries and added its load_errors: the
+// store no longer retries, and a read that fails is served as a miss.
+const benchSchemaVersion = 10
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -462,7 +460,7 @@ type benchStore struct {
 	BytesRead    uint64 `json:"bytes_read"`
 	BytesWritten uint64 `json:"bytes_written"`
 	Quarantines  uint64 `json:"quarantines"`
-	Retries      uint64 `json:"retries"`
+	LoadErrors   uint64 `json:"load_errors"`
 	SaveErrors   uint64 `json:"save_errors"`
 	// RawBytesWritten is the uncompressed payload of the artifacts behind
 	// BytesWritten; the gap between the two is what compression saved on
@@ -513,7 +511,7 @@ func (b *benchReport) write(path string) error {
 			BytesRead:       ss.BytesRead,
 			BytesWritten:    ss.BytesWritten,
 			Quarantines:     ss.Quarantines,
-			Retries:         ss.Retries,
+			LoadErrors:      ss.LoadErrors,
 			SaveErrors:      ss.SaveErrors,
 			RawBytesWritten: ss.RawBytesWritten,
 			ResumedCells:    b.resumedCells,

@@ -88,21 +88,38 @@ func TestCorruptArtifactQuarantinedAndRerecorded(t *testing.T) {
 	}
 }
 
-// TestDiskFaultDuringStoreIsNonFatal: injected write failures while
-// persisting cost durability, never the run.
+// TestDiskFaultDuringStoreIsNonFatal: a memory artifact that can be
+// neither read nor published costs durability, never the run. A
+// non-empty directory at the artifact's name fails the load and the
+// publishing rename, even as root; the job records instead, and the
+// report is the one a run with a working store prints.
 func TestDiskFaultDuringStoreIsNonFatal(t *testing.T) {
-	defer faultsim.Reset()
-	faultsim.InjectDisk(wname(t, "go"), faultsim.DiskFault{Kind: faultsim.DiskENOSPC})
-	dir := t.TempDir()
-	bench := filepath.Join(dir, "b.json")
-	code, _, errw := runCLI("-exp", "fig2", "-size", "21", "-bench", "go",
-		"-store", dir, "-benchjson", bench)
+	args := []string{"-exp", "fig2", "-size", "21", "-bench", "go"}
+	ok := t.TempDir()
+	code, ref, errw := runCLI(append(args, "-store", ok)...)
 	if code != 0 {
-		t.Fatalf("run with failing store exit %d: %s", code, errw)
+		t.Fatalf("run with a working store exit %d: %s", code, errw)
+	}
+	arts, err := filepath.Glob(filepath.Join(ok, "traces", wname(t, "go")+"_*_mem.rart"))
+	if err != nil || len(arts) != 1 {
+		t.Fatalf("artifact glob: %v, %v", arts, err)
+	}
+
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "traces", filepath.Base(arts[0]), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	bench := filepath.Join(dir, "b.json")
+	code, out, errw := runCLI(append(args, "-store", dir, "-benchjson", bench)...)
+	if code != 0 {
+		t.Fatalf("run with a blocked artifact exit %d: %s", code, errw)
+	}
+	if normalizeTiming(out) != normalizeTiming(ref) {
+		t.Errorf("run with a blocked artifact differs:\n%s\nvs\n%s", out, ref)
 	}
 	m := readBench(t, bench)
-	if benchStoreField(t, m, "save_errors") != 1 || benchStoreField(t, m, "retries") == 0 {
-		t.Fatalf("store stats under injected ENOSPC: %v", m["store"])
+	if benchStoreField(t, m, "save_errors") != 1 || benchStoreField(t, m, "load_errors") != 1 {
+		t.Fatalf("store stats with a blocked artifact: %v", m["store"])
 	}
 }
 

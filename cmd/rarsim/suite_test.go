@@ -134,8 +134,8 @@ func TestBenchJSONCellsSumToBusy(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaVersion != 9 {
-		t.Errorf("schema_version = %d, want 9", rep.SchemaVersion)
+	if rep.SchemaVersion != 10 {
+		t.Errorf("schema_version = %d, want 10", rep.SchemaVersion)
 	}
 	var total float64
 	for _, e := range rep.Experiments {

@@ -38,10 +38,11 @@ func (r rowRecorder) planCell(p *pass) func() any {
 // TestSuitePassMatchesStandaloneCells: with one pass per workload for
 // every functional experiment, each cell's row equals the row of that
 // experiment's standalone cell (a pass with its one plan) on every
-// workload.
+// workload. The standalone cells load what the suite recorded.
 func TestSuitePassMatchesStandaloneCells(t *testing.T) {
 	opt := tiny()
 	opt.Parallelism = 2
+	opt.Store = &fakeTier{}
 	var exps []Experiment
 	recs := map[string]rowRecorder{}
 	for _, e := range All() {
@@ -92,7 +93,7 @@ var pipelineInsts = metrics.Default().Counter("pipeline.insts_committed")
 // stream events it replayed, the engine loads it simulated and the
 // instructions its timing simulations committed.
 func grown(f func()) (d [3]uint64) {
-	counters := []*metrics.Counter{trace.EventsReplayed, engineLoads, pipelineInsts}
+	counters := []*metrics.Counter{metrics.Default().Counter("trace.events_replayed"), engineLoads, pipelineInsts}
 	var before [3]uint64
 	for i, c := range counters {
 		before[i] = c.Value()

@@ -35,10 +35,11 @@ func timingRows(r Result) []any {
 // TestSuiteTimingMatchesStandaloneCells: with one timing job per
 // workload for the four timing experiments, each cell's row equals the
 // row of that experiment's standalone cell (a job of its own) on every
-// workload.
+// workload. The standalone cells load what the suite recorded.
 func TestSuiteTimingMatchesStandaloneCells(t *testing.T) {
 	opt := tiny()
 	opt.Parallelism = 2
+	opt.Store = &fakeTier{}
 	items := suiteRows(opt, timingExps(t))
 	for _, e := range timingExps(t) {
 		item := items[e.ID]
@@ -102,9 +103,11 @@ func recordingInsts(t *testing.T, opt Options) uint64 {
 // 17,529,340 committed instructions at size 4, the timing share of
 // `rarsim -exp all -size 4` — replays no memory stream, and renders
 // exactly what the experiments' standalone runs render, which simulate
-// their own 5, 3, 3 and 4 configurations.
+// their own 5, 3, 3 and 4 configurations. Every run after the first
+// recording loads it from a test-local store.
 func TestSimMemoSuiteSimulatesEachConfigOnce(t *testing.T) {
 	opt := tiny()
+	opt.Store = &fakeTier{}
 	insts := recordingInsts(t, opt)
 	items, d := suiteWork(t, opt, timingExps(t))
 	if want := [3]uint64{0, 0, 17_529_340}; d != want {
@@ -207,10 +210,12 @@ func walkWork(f func()) (walks, loads uint64) {
 // one walk with two engines, ablrecovery one walk with one engine
 // (RAW+RAR) and ablmemspec, all base processor, one walk with none. The
 // counts are per stream, so two workloads keep the test short under the
-// race detector; TestSimMemoSuiteSimulatesEachConfigOnce pins the whole
-// suite's simulations.
+// race detector, and every run after the first recording loads it from
+// a test-local store; TestSimMemoSuiteSimulatesEachConfigOnce pins the
+// whole suite's simulations.
 func TestTimingJobWalksOnce(t *testing.T) {
 	opt := subset("apl", "go")
+	opt.Store = &fakeTier{}
 	var streams, loads uint64
 	for _, w := range opt.workloads() {
 		is, err := timingStream(context.Background(), opt, w)

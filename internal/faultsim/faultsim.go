@@ -16,10 +16,8 @@ package faultsim
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind enumerates the injectable failure modes.
@@ -93,13 +91,12 @@ func Inject(workload string, f Fault) {
 	active.Store(true)
 }
 
-// Reset disarms every fault, including disk faults. Tests defer it.
+// Reset disarms every fault. Tests defer it.
 func Reset() {
 	mu.Lock()
 	faults = nil
 	active.Store(false)
 	mu.Unlock()
-	ResetDisk()
 }
 
 // Enabled reports whether any fault is armed (one atomic load).
@@ -168,126 +165,4 @@ func Hook(workload string, ctx context.Context) func() error {
 // stream when it returns true.
 func ShouldCorrupt(workload string) bool {
 	return take(workload, Corrupt, false)
-}
-
-// DiskKind enumerates the injectable filesystem failure modes. They
-// model the ways long simulation campaigns actually lose artifacts: a
-// process killed mid-write (torn write), media or transport corruption
-// (bit flip), a file chopped by a crashing filesystem (truncation), a
-// full disk (ENOSPC), and a device that is merely slow to persist
-// (slow fsync).
-type DiskKind uint8
-
-const (
-	// DiskTornWrite makes a write persist only a prefix of its bytes
-	// while still reporting success — the classic crash-mid-write shape
-	// that only a checksum can catch at read time.
-	DiskTornWrite DiskKind = iota + 1
-	// DiskBitFlip flips one bit in the middle of the written payload,
-	// again reporting success.
-	DiskBitFlip
-	// DiskTruncate drops the tail of the written payload (more than a
-	// torn write — down to the first quarter), reporting success.
-	DiskTruncate
-	// DiskENOSPC fails the write outright with an out-of-space error —
-	// the transient shape the store's bounded retry exists for.
-	DiskENOSPC
-	// DiskSlowSync delays Sync by the fault's Delay without corrupting
-	// anything, modelling a device that is slow to make data durable.
-	DiskSlowSync
-)
-
-// String names the disk fault kind for error messages.
-func (k DiskKind) String() string {
-	switch k {
-	case DiskTornWrite:
-		return "torn write"
-	case DiskBitFlip:
-		return "bit flip"
-	case DiskTruncate:
-		return "truncation"
-	case DiskENOSPC:
-		return "enospc"
-	case DiskSlowSync:
-		return "slow fsync"
-	}
-	return fmt.Sprintf("DiskKind(%d)", uint8(k))
-}
-
-// DiskFault describes one injected filesystem failure, armed against
-// every store file whose path contains the registered pattern.
-type DiskFault struct {
-	Kind DiskKind
-	// Times bounds how many operations the fault corrupts or fails
-	// before it disarms (0 = every matching operation). Times=1 makes a
-	// transient fault: the first attempt fails, the store's retry
-	// succeeds.
-	Times int
-	// Delay is how long DiskSlowSync stalls each Sync.
-	Delay time.Duration
-}
-
-// armedDisk is a registered disk fault plus its firing state.
-type armedDisk struct {
-	f     DiskFault
-	fired int
-}
-
-var (
-	diskMu     sync.Mutex
-	diskFaults map[string]*armedDisk
-
-	// diskActive mirrors len(diskFaults) != 0 so the store's filesystem
-	// seam pays one atomic load per operation while nothing is injected.
-	diskActive atomic.Bool
-)
-
-// InjectDisk arms f for every store path containing pattern, replacing
-// any previous fault registered under the same pattern. The store's
-// artifact filenames embed the workload name, so a workload name is the
-// usual pattern; "journal" matches the suite run journal.
-func InjectDisk(pattern string, f DiskFault) {
-	diskMu.Lock()
-	defer diskMu.Unlock()
-	if diskFaults == nil {
-		diskFaults = make(map[string]*armedDisk)
-	}
-	diskFaults[pattern] = &armedDisk{f: f}
-	diskActive.Store(true)
-}
-
-// ResetDisk disarms every disk fault. Tests defer it (Reset calls it
-// too, so one deferred Reset covers both tables).
-func ResetDisk() {
-	diskMu.Lock()
-	defer diskMu.Unlock()
-	diskFaults = nil
-	diskActive.Store(false)
-}
-
-// TakeDisk consumes one trigger of the fault matching path, honouring
-// Times. It returns the fault and whether one fires for this operation;
-// the caller (the store's fault-injecting filesystem) applies the
-// corruption or failure. Write-shaped kinds fire on writes, DiskSlowSync
-// on syncs; the caller passes which operation it is about to perform.
-func TakeDisk(path string, sync bool) (DiskFault, bool) {
-	if !diskActive.Load() {
-		return DiskFault{}, false
-	}
-	diskMu.Lock()
-	defer diskMu.Unlock()
-	for pattern, a := range diskFaults {
-		if !strings.Contains(path, pattern) {
-			continue
-		}
-		if sync != (a.f.Kind == DiskSlowSync) {
-			continue
-		}
-		if a.f.Times > 0 && a.fired >= a.f.Times {
-			continue
-		}
-		a.fired++
-		return a.f, true
-	}
-	return DiskFault{}, false
 }

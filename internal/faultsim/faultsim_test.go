@@ -105,83 +105,3 @@ func TestInjectReplacesAndResetDisarms(t *testing.T) {
 		t.Error("enabled after Reset")
 	}
 }
-
-func TestDiskDisarmedIsFree(t *testing.T) {
-	ResetDisk()
-	if _, ok := TakeDisk("traces/go_like_s3_m100_mem.rart", false); ok {
-		t.Fatal("disk fault fired with empty table")
-	}
-}
-
-func TestDiskFaultMatchesBySubstring(t *testing.T) {
-	defer ResetDisk()
-	InjectDisk("go_like", DiskFault{Kind: DiskBitFlip})
-	if _, ok := TakeDisk("store/traces/tmp-go_like_s3_m100_mem.rart-123", false); !ok {
-		t.Fatal("fault did not match a path containing its pattern")
-	}
-	if _, ok := TakeDisk("store/traces/gcc_like_s3_m100_mem.rart", false); ok {
-		t.Fatal("fault leaked to a non-matching path")
-	}
-}
-
-// TestDiskSyncMatching: write-shaped faults fire only on writes,
-// DiskSlowSync only on syncs — never the other way around.
-func TestDiskSyncMatching(t *testing.T) {
-	defer ResetDisk()
-	InjectDisk("artifact", DiskFault{Kind: DiskTornWrite})
-	InjectDisk("journal", DiskFault{Kind: DiskSlowSync, Delay: time.Millisecond})
-	if _, ok := TakeDisk("artifact", true); ok {
-		t.Fatal("write-shaped fault fired on a sync")
-	}
-	if f, ok := TakeDisk("artifact", false); !ok || f.Kind != DiskTornWrite {
-		t.Fatalf("torn write on write: %v, %v", f, ok)
-	}
-	if _, ok := TakeDisk("journal", false); ok {
-		t.Fatal("slow-sync fault fired on a write")
-	}
-	if f, ok := TakeDisk("journal", true); !ok || f.Kind != DiskSlowSync || f.Delay != time.Millisecond {
-		t.Fatalf("slow sync on sync: %v, %v", f, ok)
-	}
-}
-
-func TestDiskTimesDisarmsTransientFault(t *testing.T) {
-	defer ResetDisk()
-	InjectDisk("w", DiskFault{Kind: DiskENOSPC, Times: 2})
-	for i := 0; i < 2; i++ {
-		if _, ok := TakeDisk("w", false); !ok {
-			t.Fatalf("trigger %d suppressed", i)
-		}
-	}
-	if _, ok := TakeDisk("w", false); ok {
-		t.Fatal("transient disk fault fired past its budget")
-	}
-}
-
-func TestDiskInjectReplacesAndResetCascades(t *testing.T) {
-	InjectDisk("w", DiskFault{Kind: DiskENOSPC})
-	InjectDisk("w", DiskFault{Kind: DiskBitFlip})
-	if f, ok := TakeDisk("w", false); !ok || f.Kind != DiskBitFlip {
-		t.Fatalf("replacement not in effect: %v, %v", f, ok)
-	}
-	// Reset (not just ResetDisk) must clear the disk table too, so one
-	// deferred Reset covers a test arming both kinds.
-	Reset()
-	if _, ok := TakeDisk("w", false); ok {
-		t.Fatal("disk fault survived Reset")
-	}
-}
-
-func TestDiskKindStrings(t *testing.T) {
-	for k, want := range map[DiskKind]string{
-		DiskTornWrite: "torn write",
-		DiskBitFlip:   "bit flip",
-		DiskTruncate:  "truncation",
-		DiskENOSPC:    "enospc",
-		DiskSlowSync:  "slow fsync",
-		DiskKind(99):  "DiskKind(99)",
-	} {
-		if got := k.String(); got != want {
-			t.Errorf("DiskKind(%d).String() = %q, want %q", k, got, want)
-		}
-	}
-}

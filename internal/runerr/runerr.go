@@ -45,9 +45,10 @@ var (
 	ErrStoreCorrupt = errors.New("stored artifact corrupt")
 
 	// ErrDiskFault: a filesystem operation against the artifact store
-	// failed (write error, rename failure, out of space) and stayed
-	// failed through the bounded retry. Persistence is lost for that
-	// artifact; the in-memory run continues.
+	// failed (read error, write error, rename failure, out of space). A
+	// failed load is served as a miss and the job records; a failed
+	// save loses persistence for that artifact. Either way the
+	// in-memory run continues.
 	ErrDiskFault = errors.New("artifact store I/O failed")
 )
 

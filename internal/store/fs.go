@@ -11,12 +11,13 @@
 // degradation ladder (re-record live). Writes
 // publish atomically — encode to a temp file, fsync, rename — so a
 // crash at any instant leaves either the old artifact or the new one,
-// never a half-written file under the live name. Transient I/O failures
-// get a bounded retry with exponential backoff and jitter before the
-// store gives up and the run continues without saving.
+// never a half-written file under the live name. Every failed operation
+// takes that same path once: a failed read is a miss and the caller
+// records, and a failed save costs that artifact's durability, never
+// the run.
 //
-// All filesystem access goes through the FS seam so the faultsim disk
-// injector can deterministically exercise every recovery path.
+// All filesystem access goes through the FS seam, so a test can watch
+// the writes a save issues.
 package store
 
 import (
@@ -37,9 +38,8 @@ type File interface {
 }
 
 // FS is the filesystem seam every store operation goes through. The
-// production implementation is OS; tests wrap it with the faultsim disk
-// injector (NewFaultFS) to tear writes, flip bits, truncate files, and
-// fail syscalls deterministically.
+// production implementation is OS; a test wraps it to observe the
+// writes.
 type FS interface {
 	// MkdirAll creates dir and its parents.
 	MkdirAll(dir string) error

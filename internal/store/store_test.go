@@ -5,9 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"rarpred/internal/faultsim"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
@@ -184,27 +182,49 @@ func TestDecodeRejectsWrongKind(t *testing.T) {
 	}
 }
 
-// corruptionFaults are the write-damaging fault kinds: each must be
-// caught at load time, quarantine the file, and never serve bytes.
-var corruptionFaults = []struct {
-	name string
-	kind faultsim.DiskKind
+// damages rewrite a published artifact the ways a crash or the media
+// can leave it: each must be caught at load time, quarantine the file,
+// and never serve bytes.
+var damages = []struct {
+	name   string
+	damage func([]byte) []byte
 }{
-	{"torn-write", faultsim.DiskTornWrite},
-	{"bit-flip", faultsim.DiskBitFlip},
-	{"truncation", faultsim.DiskTruncate},
+	{"torn-write", func(b []byte) []byte { return b[:len(b)/2] }},
+	{"bit-flip", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }},
+	{"truncation", func(b []byte) []byte { return b[:len(b)/4] }},
+}
+
+// damageArtifact rewrites key's published artifact through damage.
+func damageArtifact(t *testing.T, s *Store, key trace.Key, damage func([]byte) []byte) {
+	t.Helper()
+	path := s.artifactPath(key)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, damage(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockArtifact puts a non-empty directory at key's artifact name: a
+// read of it fails, and no rename can replace it, even as root.
+func blockArtifact(t *testing.T, s *Store, key trace.Key) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(s.artifactPath(key), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestInjectedCorruptionQuarantined(t *testing.T) {
-	for _, tc := range corruptionFaults {
+	for _, tc := range damages {
 		t.Run(tc.name, func(t *testing.T) {
-			defer faultsim.Reset()
-			s := openTestStore(t, WithFS(NewFaultFS(OS{}, nil)))
+			s := openTestStore(t)
 			key := trace.Key{Workload: "dmg_" + tc.name, Size: 3, MaxInsts: 50}
-			faultsim.InjectDisk(key.Workload, faultsim.DiskFault{Kind: tc.kind, Times: 1})
 			if err := s.Store(key, buildStream(2000)); err != nil {
-				t.Fatalf("Store (fault lies about success): %v", err)
+				t.Fatalf("Store: %v", err)
 			}
+			damageArtifact(t, s, key, tc.damage)
 			v, err := s.Load(key)
 			if v != nil {
 				t.Fatalf("%s: corrupt artifact served as valid", tc.name)
@@ -223,72 +243,69 @@ func TestInjectedCorruptionQuarantined(t *testing.T) {
 			if v, err := s.Load(key); v != nil || err != nil {
 				t.Fatalf("%s: post-quarantine load: (%v, %v), want miss", tc.name, v, err)
 			}
-			if st := s.Stats(); st.Quarantines != 1 {
-				t.Fatalf("%s: Quarantines = %d, want 1", tc.name, st.Quarantines)
+			if st := s.Stats(); st.Quarantines != 1 || st.LoadErrors != 0 {
+				t.Fatalf("%s: stats %+v, want 1 quarantine and no load error", tc.name, st)
 			}
 		})
 	}
 }
 
-func TestTransientENOSPCRetried(t *testing.T) {
-	defer faultsim.Reset()
-	s := openTestStore(t,
-		WithFS(NewFaultFS(OS{}, nil)),
-		WithSleep(func(time.Duration) {}))
-	key := trace.Key{Workload: "full_once", Size: 3, MaxInsts: 50}
-	faultsim.InjectDisk(key.Workload, faultsim.DiskFault{Kind: faultsim.DiskENOSPC, Times: 1})
-	if err := s.Store(key, buildStream(500)); err != nil {
-		t.Fatalf("Store after transient ENOSPC: %v", err)
-	}
-	st := s.Stats()
-	if st.Retries == 0 {
-		t.Fatalf("transient failure consumed no retry: %+v", st)
-	}
-	if v, err := s.Load(key); v == nil || err != nil {
-		t.Fatalf("retried artifact unreadable: (%v, %v)", v, err)
-	}
-}
-
-func TestPersistentENOSPCFailsTyped(t *testing.T) {
-	defer faultsim.Reset()
-	s := openTestStore(t,
-		WithFS(NewFaultFS(OS{}, nil)),
-		WithSleep(func(time.Duration) {}))
-	key := trace.Key{Workload: "full_always", Size: 3, MaxInsts: 50}
-	faultsim.InjectDisk(key.Workload, faultsim.DiskFault{Kind: faultsim.DiskENOSPC})
+// TestBlockedPublishFailsTyped: a save whose publishing rename fails
+// reports runerr.ErrDiskFault, counts a save error, and leaves no temp
+// file behind.
+func TestBlockedPublishFailsTyped(t *testing.T) {
+	s := openTestStore(t)
+	key := trace.Key{Workload: "blocked", Size: 3, MaxInsts: 50}
+	blockArtifact(t, s, key)
 	err := s.Store(key, buildStream(500))
 	if !errors.Is(err, runerr.ErrDiskFault) {
-		t.Fatalf("persistent ENOSPC: error not typed ErrDiskFault: %v", err)
+		t.Fatalf("blocked publish: error not typed ErrDiskFault: %v", err)
 	}
-	st := s.Stats()
-	if st.SaveErrors != 1 || st.Retries != uint64(DefaultRetry.Attempts-1) {
-		t.Fatalf("stats after persistent failure: %+v", st)
+	if st := s.Stats(); st.SaveErrors != 1 || st.BytesWritten != 0 {
+		t.Fatalf("stats after failed publish: %+v", st)
 	}
-	// No half-written temp files left behind.
-	ents, _ := os.ReadDir(s.tracesDir())
+	ents, err := os.ReadDir(s.tracesDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range ents {
-		t.Fatalf("stray file after failed publish: %s", e.Name())
-	}
-	faultsim.Reset()
-	if v, err := s.Load(key); v != nil || err != nil {
-		t.Fatalf("failed publish left something loadable: (%v, %v)", v, err)
+		if e.Name() != base(s.artifactPath(key)) {
+			t.Fatalf("stray file after failed publish: %s", e.Name())
+		}
 	}
 }
 
-func TestSlowSyncDelaysButSucceeds(t *testing.T) {
-	defer faultsim.Reset()
-	var slept time.Duration
-	s := openTestStore(t, WithFS(NewFaultFS(OS{}, func(d time.Duration) { slept += d })))
-	key := trace.Key{Workload: "slow_disk", Size: 3, MaxInsts: 50}
-	faultsim.InjectDisk(key.Workload, faultsim.DiskFault{Kind: faultsim.DiskSlowSync, Times: 1, Delay: 40 * time.Millisecond})
-	if err := s.Store(key, buildStream(200)); err != nil {
-		t.Fatalf("Store under slow fsync: %v", err)
+// TestStatsCountEveryLookup: each way a lookup can end shows in the
+// stats — a present artifact is a hit, an absent one a miss, a damaged
+// one a quarantine, and one that cannot be read a load error.
+func TestStatsCountEveryLookup(t *testing.T) {
+	s := openTestStore(t)
+	key := func(name string) trace.Key { return trace.Key{Workload: name, Size: 3, MaxInsts: 50} }
+	for _, name := range []string{"present", "damaged"} {
+		if err := s.Store(key(name), buildStream(300)); err != nil {
+			t.Fatalf("Store %s: %v", name, err)
+		}
 	}
-	if slept != 40*time.Millisecond {
-		t.Fatalf("slow sync slept %v, want 40ms", slept)
+	damageArtifact(t, s, key("damaged"), damages[0].damage)
+	blockArtifact(t, s, key("blocked"))
+	for _, c := range []struct {
+		name  string
+		found bool
+		err   error
+	}{
+		{"present", true, nil},
+		{"absent", false, nil},
+		{"damaged", false, runerr.ErrStoreCorrupt},
+		{"blocked", false, runerr.ErrDiskFault},
+	} {
+		v, err := s.Load(key(c.name))
+		if (v != nil) != c.found || !errors.Is(err, c.err) {
+			t.Errorf("%s: Load = (%v, %v), want found %t and error %v", c.name, v, err, c.found, c.err)
+		}
 	}
-	if v, err := s.Load(key); v == nil || err != nil {
-		t.Fatalf("slow-synced artifact unreadable: (%v, %v)", v, err)
+	st := s.Stats()
+	if st.DiskHits != 1 || st.DiskMisses != 1 || st.Quarantines != 1 || st.LoadErrors != 1 {
+		t.Fatalf("stats %+v, want 1 disk hit, miss, quarantine and load error", st)
 	}
 }
 

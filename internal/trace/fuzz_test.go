@@ -6,14 +6,15 @@ import (
 )
 
 // FuzzStreamRoundTrip builds a stream from arbitrary bytes, checks its
-// chunk invariants, and proves the binary format round-trips: Stream →
-// Trace → Save → Load reproduces every event and the instruction count.
-// The same input is also tried directly as a save file; anything Load
-// accepts must re-save byte-identically.
+// chunk invariants, and proves the chunk form the store persists
+// round-trips: each chunk's PackedChunk, appended to a fresh stream
+// with AppendPackedChunk, reproduces every event. A raw chunk encodes
+// on the fly and a sealed one copies its payload, and both must yield
+// the same bytes.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add([]byte("roundtrip"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add([]byte("RAR\x01garbage-after-magic"))
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0, 0xff, 0, 0xff, 1, 0, 0xff, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStream()
 		for i := 0; i+3 < len(data); i += 4 {
@@ -25,36 +26,24 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}
 		s.CheckInvariants()
 
-		tr := s.Trace()
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatalf("save: %v", err)
+		raw := make([][]byte, s.NumChunks())
+		for ci := range raw {
+			raw[ci] = s.PackedChunk(ci, nil)
 		}
-		back, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("load of our own save: %v", err)
-		}
-		if back.Insts != tr.Insts || len(back.Events) != len(tr.Events) {
-			t.Fatalf("round trip: %d events/%d insts, want %d/%d",
-				len(back.Events), back.Insts, len(tr.Events), tr.Insts)
-		}
-		for i := range tr.Events {
-			if back.Events[i] != tr.Events[i] {
-				t.Fatalf("event %d: %+v != %+v", i, back.Events[i], tr.Events[i])
+		s.Seal()
+		back := NewStream()
+		for ci, want := range raw {
+			packed := s.PackedChunk(ci, nil)
+			if !bytes.Equal(packed, want) {
+				t.Fatalf("chunk %d: sealed payload differs from the raw chunk's encoding", ci)
+			}
+			if err := back.AppendPackedChunk(packed); err != nil {
+				t.Fatalf("chunk %d: own payload rejected: %v", ci, err)
 			}
 		}
-
-		// Arbitrary bytes as a save file: Load may reject them, but must
-		// not accept something it cannot reproduce.
-		if alien, err := Load(bytes.NewReader(data)); err == nil {
-			var resaved bytes.Buffer
-			if err := alien.Save(&resaved); err != nil {
-				t.Fatalf("re-save of accepted input: %v", err)
-			}
-			reload, err := Load(&resaved)
-			if err != nil || len(reload.Events) != len(alien.Events) {
-				t.Fatalf("accepted input does not round-trip: %v", err)
-			}
+		back.CheckInvariants()
+		if err := DiffStreams(back, s); err != nil {
+			t.Fatalf("round trip: %v", err)
 		}
 	})
 }

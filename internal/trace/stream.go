@@ -14,9 +14,9 @@ import (
 // Stream is the compact in-memory form of a committed access stream: a
 // chunked struct-of-arrays layout (kind, PC, address, value in separate
 // slices) that replays to any number of observers without re-executing
-// the program. Compared to []Event it has no per-event padding, grows in
-// fixed-size chunks (no doubling spikes), and keeps exact byte-size
-// accounting.
+// the program. Compared to an array of event structs it has no
+// per-event padding, grows in fixed-size chunks (no doubling spikes),
+// and keeps exact byte-size accounting.
 //
 // A Stream is append-only while recording and immutable afterwards;
 // replaying is safe from many goroutines at once.
@@ -250,25 +250,6 @@ func (s *Stream) Validate() error {
 	return nil
 }
 
-// Trace converts the stream to the array-of-structs form used by the
-// binary file format (Save/Load).
-func (s *Stream) Trace() *Trace {
-	t := &Trace{Events: make([]Event, 0, s.n), Insts: s.Counts.Insts}
-	var sc *eventScratch
-	for _, c := range s.chunks {
-		kinds, pcs, addrs, values := c.columns(&sc)
-		for i, k := range kinds {
-			t.Events = append(t.Events, Event{
-				Kind: Kind(k), PC: pcs[i], Addr: addrs[i], Value: values[i],
-			})
-		}
-	}
-	if sc != nil {
-		putEventScratch(sc)
-	}
-	return t
-}
-
 // PackedChunk appends the canonical packed payload of chunk ci to dst
 // and returns the extended slice. A sealed chunk's stored payload is
 // copied verbatim; a raw chunk encodes on the fly — the encoder is
@@ -344,7 +325,7 @@ func (s SinkFuncs) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
 // RecordStream executes prog functionally (up to maxInsts; 0 = to
 // completion) and returns its committed memory stream. An exhausted
 // instruction budget is reported through Stream.Truncated, not as an
-// error, matching Record.
+// error.
 func RecordStream(prog *isa.Program, maxInsts uint64) (*Stream, error) {
 	return RecordStreamContext(context.Background(), prog, maxInsts, nil)
 }

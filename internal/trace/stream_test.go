@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 
+	"rarpred/internal/funcsim"
 	"rarpred/internal/workload"
 )
 
@@ -206,14 +207,19 @@ func TestReplayEach(t *testing.T) {
 	}
 }
 
-// TestRecordStreamMatchesRecord: the struct-of-arrays recorder produces
-// the same event sequence as the array-of-structs one.
+// TestRecordStreamMatchesRecord: the recorder's stream holds exactly
+// the events the interpreter's hooks observe, in commit order, and the
+// run's execution profile.
 func TestRecordStreamMatchesRecord(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	tr, err := Record(w.Program(4), 0)
-	if err != nil {
+	want := NewStream()
+	sim := funcsim.New(w.Program(4))
+	sim.OnLoad = func(e funcsim.MemEvent) { want.Append(KindLoad, e.PC, e.Addr, e.Value) }
+	sim.OnStore = func(e funcsim.MemEvent) { want.Append(KindStore, e.PC, e.Addr, e.Value) }
+	if err := sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	want.Counts = sim.Counts
 	s, err := RecordStream(w.Program(4), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -221,20 +227,8 @@ func TestRecordStreamMatchesRecord(t *testing.T) {
 	if s.Truncated {
 		t.Error("complete run marked Truncated")
 	}
-	if s.Len() != len(tr.Events) {
-		t.Fatalf("event count: %d vs %d", s.Len(), len(tr.Events))
-	}
-	if s.Counts.Insts != tr.Insts {
-		t.Errorf("insts: %d vs %d", s.Counts.Insts, tr.Insts)
-	}
-	got := s.Trace()
-	for i := range tr.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, got.Events[i], tr.Events[i])
-		}
-	}
-	if got.Insts != tr.Insts {
-		t.Errorf("Trace().Insts = %d, want %d", got.Insts, tr.Insts)
+	if err := DiffStreams(s, want); err != nil {
+		t.Fatal(err)
 	}
 }
 

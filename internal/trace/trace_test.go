@@ -3,7 +3,6 @@
 package trace_test
 
 import (
-	"bytes"
 	"testing"
 
 	"rarpred/internal/cloak"
@@ -20,41 +19,54 @@ func engineSink(e *cloak.Engine) trace.Sink {
 	}
 }
 
-func record(t *testing.T) *trace.Trace {
-	t.Helper()
+// event is one committed access as the interpreter's hooks report it.
+type event struct {
+	kind            trace.Kind
+	pc, addr, value uint32
+}
+
+// eventLog collects a replayed stream's events in order.
+type eventLog []event
+
+func (l *eventLog) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
+	for i, k := range kinds {
+		*l = append(*l, event{trace.Kind(k), pcs[i], addrs[i], values[i]})
+	}
+}
+
+// TestRecordMatchesDirectObservation: replaying a recording yields
+// exactly the events the interpreter's hooks observe, in commit order,
+// and the recording counts the same instructions.
+func TestRecordMatchesDirectObservation(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	tr, err := trace.Record(w.Program(4), 0)
+	s, err := trace.RecordStream(w.Program(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
-}
+	var replayed eventLog
+	s.Replay(&replayed)
 
-func TestRecordMatchesDirectObservation(t *testing.T) {
-	w, _ := workload.ByAbbrev("per")
-	tr := record(t)
-
-	var direct []trace.Event
-	s := funcsim.New(w.Program(4))
-	s.OnLoad = func(e funcsim.MemEvent) {
-		direct = append(direct, trace.Event{Kind: trace.KindLoad, PC: e.PC, Addr: e.Addr, Value: e.Value})
+	var direct []event
+	sim := funcsim.New(w.Program(4))
+	sim.OnLoad = func(e funcsim.MemEvent) {
+		direct = append(direct, event{trace.KindLoad, e.PC, e.Addr, e.Value})
 	}
-	s.OnStore = func(e funcsim.MemEvent) {
-		direct = append(direct, trace.Event{Kind: trace.KindStore, PC: e.PC, Addr: e.Addr, Value: e.Value})
+	sim.OnStore = func(e funcsim.MemEvent) {
+		direct = append(direct, event{trace.KindStore, e.PC, e.Addr, e.Value})
 	}
-	if err := s.Run(0); err != nil {
+	if err := sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(direct) != len(tr.Events) {
-		t.Fatalf("event count: %d vs %d", len(direct), len(tr.Events))
+	if len(direct) != len(replayed) {
+		t.Fatalf("event count: %d vs %d", len(direct), len(replayed))
 	}
 	for i := range direct {
-		if direct[i] != tr.Events[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, direct[i], tr.Events[i])
+		if direct[i] != replayed[i] {
+			t.Fatalf("event %d: %+v vs %+v", i, direct[i], replayed[i])
 		}
 	}
-	if tr.Insts != s.Counts.Insts {
-		t.Errorf("insts: %d vs %d", tr.Insts, s.Counts.Insts)
+	if s.Counts.Insts != sim.Counts.Insts {
+		t.Errorf("insts: %d vs %d", s.Counts.Insts, sim.Counts.Insts)
 	}
 }
 
@@ -96,70 +108,5 @@ func TestReplayFanOut(t *testing.T) {
 	}
 	if both.Stats().Covered() < raw.Stats().Covered() {
 		t.Error("RAW+RAR covered less than RAW on the same trace")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := record(t)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wantSize := 4 + 16 + 13*len(tr.Events)
-	if buf.Len() != wantSize {
-		t.Errorf("encoded size %d, want %d", buf.Len(), wantSize)
-	}
-	got, err := trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Insts != tr.Insts || len(got.Events) != len(tr.Events) {
-		t.Fatalf("header mismatch: %d/%d vs %d/%d",
-			got.Insts, len(got.Events), tr.Insts, len(tr.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d mismatch", i)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("not a trace"),
-		{'R', 'A', 'R', 9, 0, 0, 0, 0}, // wrong version
-	}
-	for _, c := range cases {
-		if _, err := trace.Load(bytes.NewReader(c)); err == nil {
-			t.Errorf("Load(%q) succeeded", c)
-		}
-	}
-	// Truncated body.
-	tr := record(t)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := trace.Load(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated trace accepted")
-	}
-	// Implausible count.
-	hdr := append([]byte{}, buf.Bytes()[:20]...)
-	for i := 12; i < 20; i++ {
-		hdr[i] = 0xff
-	}
-	if _, err := trace.Load(bytes.NewReader(hdr)); err == nil {
-		t.Error("implausible event count accepted")
-	}
-}
-
-func TestLoadsCounter(t *testing.T) {
-	tr := &trace.Trace{Events: []trace.Event{
-		{Kind: trace.KindLoad}, {Kind: trace.KindStore}, {Kind: trace.KindLoad},
-	}}
-	if tr.Loads() != 2 {
-		t.Errorf("Loads() = %d", tr.Loads())
 	}
 }
