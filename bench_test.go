@@ -198,37 +198,18 @@ var functionalIDs = []string{
 
 // BenchmarkSuiteFunctional runs every functional experiment back to
 // back, each alone (Experiment.Run, a suite of one, so every experiment
-// obtains its stream and replays it in a pass of its own), under both
-// recording models:
-//
-//	live:   each experiment re-simulates every workload on the baseline
-//	        interpreter (Options.Live)
-//	replay: each experiment records every workload with the fast
-//	        recorder and replays the recording
-//
-// Nothing carries a recording from one experiment to the next, so both
-// sub-benchmarks pay for every recording in every iteration; comparing
-// them measures the fast recorder and the replay against baseline
-// interpretation.
+// records every workload with the fast recorder and replays the
+// recording in a pass of its own). Nothing carries a recording from one
+// experiment to the next, so each iteration pays for every recording.
 func BenchmarkSuiteFunctional(b *testing.B) {
-	runSuite := func(b *testing.B, opt experiments.Options) {
-		for i := 0; i < b.N; i++ {
-			for _, id := range functionalIDs {
-				e, _ := experiments.ByID(id)
-				if _, err := e.Run(opt); err != nil {
-					b.Fatalf("%s: %v", id, err)
-				}
+	for i := 0; i < b.N; i++ {
+		for _, id := range functionalIDs {
+			e, _ := experiments.ByID(id)
+			if _, err := e.Run(benchOptions()); err != nil {
+				b.Fatalf("%s: %v", id, err)
 			}
 		}
 	}
-	b.Run("live", func(b *testing.B) {
-		opt := benchOptions()
-		opt.Live = true
-		runSuite(b, opt)
-	})
-	b.Run("replay", func(b *testing.B) {
-		runSuite(b, benchOptions())
-	})
 }
 
 // BenchmarkSuiteAll runs the entire suite — every (experiment ×
@@ -279,7 +260,7 @@ func BenchmarkSuiteAll(b *testing.B) {
 // BenchmarkFunctionalSim measures raw functional-simulation throughput.
 func BenchmarkFunctionalSim(b *testing.B) {
 	w, _ := workload.ByAbbrev("gcc")
-	prog := w.Program(benchSize)
+	prog := w.Assemble(benchSize)
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
@@ -295,7 +276,7 @@ func BenchmarkFunctionalSim(b *testing.B) {
 // BenchmarkTimingSim measures cycle-level simulation throughput.
 func BenchmarkTimingSim(b *testing.B) {
 	w, _ := workload.ByAbbrev("gcc")
-	prog := w.Program(benchSize)
+	prog := w.Assemble(benchSize)
 	cfg := pipeline.DefaultConfig()
 	cc := cloak.TimingConfig(cloak.ModeRAWRAR)
 	cfg.Cloak = &cc

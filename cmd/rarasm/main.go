@@ -171,7 +171,7 @@ func loadProgram(wl string, size int, args []string) (*isa.Program, string, erro
 		if !ok {
 			return nil, "", fmt.Errorf("unknown workload %q", wl)
 		}
-		return w.Program(size), w.Name, nil
+		return w.Assemble(size), w.Name, nil
 	}
 	if len(args) != 1 {
 		return nil, "", fmt.Errorf("expected one source file (or -workload)")

@@ -397,7 +397,10 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // to the jobs that read them, and no process-wide cache holds them.
 // Version 10 dropped the store's retries and added its load_errors: the
 // store no longer retries, and a read that fails is served as a miss.
-const benchSchemaVersion = 10
+// Version 11 dropped the metrics snapshot's suite.queue_depth,
+// suite.workers and suite.workers_busy gauges, which nothing read: the
+// scheduler section's workers is the pool size.
+const benchSchemaVersion = 11
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.

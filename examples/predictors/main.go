@@ -67,7 +67,7 @@ func figure4Walkthrough() {
 func localityAnalysis() {
 	fmt.Println("== Section 2 analysis: RAR dependence locality of one workload")
 	w, _ := workload.ByAbbrev("gcc")
-	prog := w.Program(10)
+	prog := w.Assemble(10)
 
 	windows := []int{0, locality.MaxDepth * 1024} // infinite and 4K
 	analyzers := make([]*locality.RARLocality, len(windows))

@@ -28,8 +28,9 @@ func main() {
 	}
 	fmt.Printf("workload: %s (%s)\n%s\n\n", w.Name, w.Analog, w.Description)
 
+	prog := w.Assemble(workload.TimingSize)
 	run := func(label string, cfg pipeline.Config) pipeline.Result {
-		res, err := pipeline.RunProgram(w.Program(workload.TimingSize), cfg)
+		res, err := pipeline.RunProgram(prog, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func TestBankMatchesIndependentEngines(t *testing.T) {
 func TestBankMatchesIndependentEnginesOnWorkloads(t *testing.T) {
 	for _, abbrev := range []string{"go", "gcc", "vor", "tom", "hyd", "wav"} {
 		w, _ := workload.ByAbbrev(abbrev)
-		tr, err := trace.RecordStream(w.Program(4), 0)
+		tr, err := trace.RecordStream(w.Assemble(4), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -115,7 +115,7 @@ func TestDDTSweepMatchesPerCapacityDDTs(t *testing.T) {
 func TestDDTSweepMatchesWorkloads(t *testing.T) {
 	caps := []int{1, 32, 100, 128, 1000, 2048, 0}
 	for _, w := range workload.All() {
-		tr, err := trace.RecordStream(w.Program(4), 0)
+		tr, err := trace.RecordStream(w.Assemble(4), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -6,14 +6,12 @@ import "math/bits"
 // simulator's per-event hot paths on sparse keys (IDs' address
 // numbering, a cache's resident blocks, per-address analyzer state).
 // Compared to a built-in map it stores slots inline in one slice (one
-// cache line per probe, no per-entry allocation), hashes with a single
-// multiply, and deletes by backward shifting so the table never
-// accumulates tombstones. The zero U32Map is not ready for use;
-// construct with NewU32Map.
+// cache line per probe, no per-entry allocation) and hashes with a
+// single multiply. Entries are never removed. The zero U32Map is not
+// ready for use; construct with NewU32Map.
 //
 // Pointers returned by GetOrPut are valid only until the next insertion
-// (the table may grow); Delete moves surviving entries, so pointers do
-// not survive deletions either.
+// (the table may grow).
 type U32Map[V any] struct {
 	slots []slot[V]
 	n     int
@@ -66,19 +64,8 @@ func (m *U32Map[V]) find(k uint32) (uint32, bool) {
 	}
 }
 
-// Ptr returns a pointer to the value under k, or nil. Like GetOrPut
-// pointers, it is valid only until the next insertion or deletion.
-func (m *U32Map[V]) Ptr(k uint32) *V {
-	i, ok := m.find(k)
-	if !ok {
-		return nil
-	}
-	return &m.slots[i].val
-}
-
 // GetOrPut returns a pointer to the value under k, inserting the zero
-// value when absent. The pointer is valid only until the next insertion
-// or deletion.
+// value when absent. The pointer is valid only until the next insertion.
 func (m *U32Map[V]) GetOrPut(k uint32) (v *V, inserted bool) {
 	i, ok := m.find(k)
 	if ok {
@@ -91,37 +78,6 @@ func (m *U32Map[V]) GetOrPut(k uint32) (v *V, inserted bool) {
 	m.slots[i] = slot[V]{key: k, used: true}
 	m.n++
 	return &m.slots[i].val, true
-}
-
-// Delete removes k, reporting whether it was present. Entries displaced
-// by the deleted one are shifted back so probes stay tombstone-free.
-func (m *U32Map[V]) Delete(k uint32) bool {
-	i, ok := m.find(k)
-	if !ok {
-		return false
-	}
-	m.n--
-	slots := m.slots
-	mask := uint32(len(slots) - 1)
-	j := i
-	for {
-		slots[i&mask] = slot[V]{}
-		for {
-			j = (j + 1) & mask
-			s := &slots[j&mask]
-			if !s.used {
-				return true
-			}
-			// The entry at j can back-fill slot i only if i lies between
-			// its home slot and j (cyclically); otherwise it would become
-			// unreachable from its home.
-			if (j-m.home(s.key))&mask >= (j-i)&mask {
-				slots[i&mask] = *s
-				i = j
-				break
-			}
-		}
-	}
 }
 
 func (m *U32Map[V]) rehash() {

@@ -17,7 +17,7 @@ import (
 // allocated per chunk would show here.
 func BenchmarkBankReplay(b *testing.B) {
 	w, _ := workload.ByAbbrev("gcc")
-	tr, err := trace.RecordStream(w.Program(workload.ReferenceSize), 0)
+	tr, err := trace.RecordStream(w.Assemble(workload.ReferenceSize), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -109,7 +109,6 @@ func TestCheckOracleCleanRun(t *testing.T) {
 func TestCheckOracleCatchesDivergence(t *testing.T) {
 	opt := subset("com", "m88")
 	opt.Size = 23
-	opt.MaxInsts = 1_000_000
 	opt.Check = true
 	opt.Store = poisonStream(t, opt)
 
@@ -125,7 +124,6 @@ func TestCheckOracleCatchesDivergence(t *testing.T) {
 func TestVerdictReachesEveryStreamConsumer(t *testing.T) {
 	opt := subset("com", "m88")
 	opt.Size = 25
-	opt.MaxInsts = 1_000_000
 	opt.Check = true
 	opt.Parallelism = 2
 	opt.Store = poisonStream(t, opt)
@@ -150,7 +148,7 @@ func TestVerdictReachesEveryStreamConsumer(t *testing.T) {
 func poisonStream(t *testing.T, opt Options) trace.Tier {
 	t.Helper()
 	w := opt.Workloads[0]
-	correct, err := trace.RecordStreamBaselineContext(context.Background(), w.Assemble(opt.Size), opt.MaxInsts)
+	correct, err := trace.RecordStreamBaselineContext(context.Background(), w.Assemble(opt.Size), maxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func poisonStream(t *testing.T, opt Options) trace.Tier {
 		t.Fatal("test setup: bad stream must pass Validate yet differ")
 	}
 
-	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: opt.MaxInsts}, bad)
+	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts}, bad)
 }
 
 // assertDivergence reports unless exp's outcome is a partial result in

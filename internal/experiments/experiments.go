@@ -34,28 +34,13 @@ type Options struct {
 	// Workloads restricts the suite (nil = all 18 analogs).
 	Workloads []workload.Workload
 
-	// MaxInsts bounds each functional run as a safety net (0 = default).
-	MaxInsts uint64
-
 	// Parallelism bounds concurrent workload simulations (0 = GOMAXPROCS).
 	Parallelism int
-
-	// Live forces the experiments off their recordings: a functional
-	// job assembles its workload fresh and re-records its stream with
-	// the baseline Step interpreter over paged memory, and a timing job
-	// runs a full live interpreter per configuration
-	// (pipeline.RunProgram). Live changes only how a job gets its
-	// recording, not which cells share a job. The results are identical
-	// either way (both paths commit the exact same stream); Live exists
-	// so the equivalence can be asserted and the recordings' speedup
-	// measured against the costs they remove.
-	Live bool
 
 	// Store, when non-nil, is the durable home of the jobs' recordings
 	// (internal/store implements it): a job loads its recording from
 	// Store before recording it, and saves a recording it made once the
-	// recording has passed validation (see obtain). Under Live it is
-	// not consulted.
+	// recording has passed validation (see obtain).
 	Store trace.Tier
 
 	// Context cancels the whole run: simulators poll it every
@@ -91,18 +76,15 @@ func (o Options) workloads() []workload.Workload {
 	return workload.All()
 }
 
+// maxInsts bounds every recording, a safety net against a runaway
+// program: a recording it cuts short fails its workload (obtain).
+const maxInsts = 2_000_000_000
+
 func (o Options) size(def int) int {
 	if o.Size > 0 {
 		return o.Size
 	}
 	return def
-}
-
-func (o Options) maxInsts() uint64 {
-	if o.MaxInsts > 0 {
-		return o.MaxInsts
-	}
-	return 2_000_000_000
 }
 
 func (o Options) parallelism() int {
@@ -466,24 +448,11 @@ func load[S recording](tier trace.Tier, key trace.Key) (s S, ok bool) {
 
 // workloadStream obtains one workload's committed reference stream
 // (obtain).
-func workloadStream(ctx context.Context, opt Options, w workload.Workload, size int, maxInsts uint64) (*trace.Stream, error) {
-	if opt.Live {
-		// The harness without recordings re-assembled the workload and
-		// Step-interpreted it over paged memory for every experiment;
-		// model all three costs.
-		tr, err := trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
-		if err != nil {
-			return nil, err
-		}
-		if tr.Truncated {
-			return nil, funcsim.ErrMaxInsts
-		}
-		return tr, nil
-	}
+func workloadStream(ctx context.Context, opt Options, w workload.Workload, size int) (*trace.Stream, error) {
 	return obtain(opt, trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts}, recorder[*trace.Stream]{
 		record: func() (*trace.Stream, error) {
 			defer startSpan("cell/record").End()
-			tr, err := trace.RecordStreamContext(ctx, w.Program(size), maxInsts, faultsim.Hook(w.Name, ctx))
+			tr, err := trace.RecordStreamContext(ctx, w.Assemble(size), maxInsts, faultsim.Hook(w.Name, ctx))
 			if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
 				// One spurious event desynchronises the tally from the
 				// execution profile, which Validate must catch.
@@ -496,7 +465,7 @@ func workloadStream(ctx context.Context, opt Options, w workload.Workload, size 
 		},
 		truncated: func(tr *trace.Stream) bool { return tr.Truncated },
 		verify: func(tr *trace.Stream) error {
-			return verifyStream(ctx, tr, w, size, maxInsts)
+			return verifyStream(ctx, tr, w, size)
 		},
 	})
 }
@@ -505,7 +474,7 @@ func workloadStream(ctx context.Context, opt Options, w workload.Workload, size 
 // stream must be event-for-event identical to a fresh recording on the
 // baseline Step interpreter (an independent implementation of the same
 // semantics — different memory model, no recording fast path).
-func verifyStream(ctx context.Context, tr *trace.Stream, w workload.Workload, size int, maxInsts uint64) error {
+func verifyStream(ctx context.Context, tr *trace.Stream, w workload.Workload, size int) error {
 	live, err := trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
 	if err != nil {
 		return fmt.Errorf("check: live re-record for oracle failed: %w", err)

@@ -258,7 +258,7 @@ func TestFusedJobFailsAsOne(t *testing.T) {
 			exps := c.exps(rowBad.Name)
 			items := suiteRows(opt, exps)
 			for _, w := range opt.Workloads {
-				key := trace.Key{Workload: w.Name, Size: c.size, MaxInsts: opt.maxInsts(), Timing: c.timing}
+				key := trace.Key{Workload: w.Name, Size: c.size, MaxInsts: maxInsts, Timing: c.timing}
 				if got := tier.loadsOf(key); got != 1 {
 					t.Errorf("%s's job asked the store for its recording %d times, want once", w.Name, got)
 				}

@@ -4,12 +4,10 @@ import "rarpred/internal/metrics"
 
 // Suite-level instruments on the default registry. RunSuite resets the
 // gauges at suite start (a process runs suites sequentially), workers
-// update them as jobs move through the pool, and the -progress ticker
-// and the -benchjson snapshot read them lock-free:
+// update them as jobs retire, and the -progress ticker and the
+// -benchjson snapshot read them lock-free:
 //
 //	suite.cells_total / suite.cells_done — scheduled (non-resumed) cells
-//	suite.queue_depth                    — cells not yet picked up
-//	suite.workers / suite.workers_busy   — pool size and occupancy
 //
 // Wall time inside cells is attributed through spans (spans_ns{cell},
 // {cell/record}, {cell/replay}, {assemble}).
@@ -21,11 +19,8 @@ import "rarpred/internal/metrics"
 var (
 	engineLoads = metrics.Default().Counter("cloak.engine_loads")
 
-	suiteCellsTotal  = metrics.Default().Gauge("suite.cells_total")
-	suiteCellsDone   = metrics.Default().Gauge("suite.cells_done")
-	suiteQueueDepth  = metrics.Default().Gauge("suite.queue_depth")
-	suiteWorkers     = metrics.Default().Gauge("suite.workers")
-	suiteWorkersBusy = metrics.Default().Gauge("suite.workers_busy")
+	suiteCellsTotal = metrics.Default().Gauge("suite.cells_total")
+	suiteCellsDone  = metrics.Default().Gauge("suite.cells_done")
 )
 
 // startSpan opens a phase span on the default registry.

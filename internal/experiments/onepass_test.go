@@ -150,7 +150,7 @@ func TestOnePassCellsMatchPerVariantReference(t *testing.T) {
 	opt := tiny()
 	ctx := context.Background()
 	for _, w := range workload.All() {
-		tr, err := workloadStream(ctx, opt, w, opt.size(workload.ReferenceSize), opt.maxInsts())
+		tr, err := workloadStream(ctx, opt, w, opt.size(workload.ReferenceSize))
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -125,8 +125,7 @@ func (r tracedRunner[T]) planCell(p *pass) func() any {
 // see simCells). plan registers the cell's needs on the workload's pass
 // and returns the step that builds the row after the replay. The pass
 // job obtains the stream at workload.ReferenceSize (obtain: from
-// opt.Store, or recorded); opt.Live re-records it on the baseline
-// interpreter instead.
+// opt.Store, or recorded).
 func tracedCells[T any](
 	plan func(p *pass) func() T,
 	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
@@ -137,7 +136,7 @@ func tracedCells[T any](
 // referenceStream looks up w's committed memory stream at the
 // functional experiments' size.
 func referenceStream(ctx context.Context, opt Options, w workload.Workload) (*trace.Stream, error) {
-	return workloadStream(ctx, opt, w, opt.size(workload.ReferenceSize), opt.maxInsts())
+	return workloadStream(ctx, opt, w, opt.size(workload.ReferenceSize))
 }
 
 // passJob is a workload's functional job: one lookup of its reference

@@ -78,7 +78,7 @@ func recordingKeys(opt Options) []trace.Key {
 	var keys []trace.Key
 	for _, w := range opt.workloads() {
 		for _, timing := range []bool{false, true} {
-			keys = append(keys, trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: opt.maxInsts(), Timing: timing})
+			keys = append(keys, trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts, Timing: timing})
 		}
 	}
 	return keys
@@ -119,7 +119,7 @@ func TestNoRecordingOutlivesItsJob(t *testing.T) {
 	w := opt.Workloads[0]
 	var collected atomic.Int32
 	opt.Store = &fakeTier{load: func(key trace.Key) (trace.Cached, error) {
-		prog := w.Program(key.Size)
+		prog := w.Assemble(key.Size)
 		if key.Timing {
 			is, err := trace.RecordIStream(prog, key.MaxInsts)
 			runtime.SetFinalizer(is, func(*trace.IStream) { collected.Add(1) })
@@ -159,7 +159,7 @@ func TestObtain(t *testing.T) {
 	}
 	fresh := func(t *testing.T) *trace.Stream {
 		t.Helper()
-		tr, err := trace.RecordStream(w.Program(opt.Size), opt.maxInsts())
+		tr, err := trace.RecordStream(w.Assemble(opt.Size), maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -290,7 +290,7 @@ func TestRowEncodingRehydratesWorkload(t *testing.T) {
 	}
 	// The decoded workload must still assemble (build rehydrated from
 	// the registry by name).
-	if p := row.Program(4); p == nil {
+	if p := row.Assemble(4); p == nil {
 		t.Fatal("decoded workload cannot assemble")
 	}
 }

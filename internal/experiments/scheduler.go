@@ -259,9 +259,6 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	workers := opt.parallelism()
 	suiteCellsTotal.Set(int64(cellsTotal))
 	suiteCellsDone.Set(0)
-	suiteQueueDepth.Set(int64(cellsTotal))
-	suiteWorkers.Set(int64(workers))
-	suiteWorkersBusy.Set(0)
 
 	// retire records one finished cell of experiment ei for workload wi
 	// and assembles the experiment once its last cell is in.
@@ -319,14 +316,11 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 					st := states[ei]
 					st.startOnce.Do(func() { st.start = time.Now() })
 				}
-				suiteQueueDepth.Add(-int64(n))
-				suiteWorkersBusy.Add(1)
 				span := startSpan("cell")
 				jobStart := time.Now()
 				rows, errs := run(j)
 				elapsed := time.Since(jobStart)
 				span.End()
-				suiteWorkersBusy.Add(-1)
 				suiteCellsDone.Add(int64(n))
 				atomic.AddInt64(&busy, int64(elapsed))
 				// Split the job's time evenly over its cells, the first

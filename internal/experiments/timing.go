@@ -114,13 +114,9 @@ func simCells[T any](
 var simJob = jobKind[simRunner, *trace.IStream]{lookup: timingStream, shared: runSims}
 
 // timingStream looks up w's committed instruction stream at the timing
-// experiments' size. Under Options.Live there is none to look up: every
-// spec interprets the program live.
+// experiments' size.
 func timingStream(ctx context.Context, opt Options, w workload.Workload) (*trace.IStream, error) {
-	if opt.Live {
-		return nil, nil
-	}
-	return workloadIStream(ctx, opt, w, opt.size(workload.TimingSize), opt.maxInsts())
+	return workloadIStream(ctx, opt, w, opt.size(workload.TimingSize))
 }
 
 // runSims simulates each distinct spec the cells rs time once and builds
@@ -134,9 +130,10 @@ func timingStream(ctx context.Context, opt Options, w workload.Workload) (*trace
 // the next stretch of the stream once, runs one engine per distinct
 // cloak config (RAW's and RAW+RAR's for the four timing experiments) and
 // one machine over it, and times all the specs' Sims over it, at most
-// opt.parallelism() at a time. With no recording, under Options.Live,
-// each spec instead runs a full live interpreter with its own engine and
-// machine, the oracle the walked Results are tested against.
+// opt.parallelism() at a time. Each walked Result equals the one a live
+// interpreter with its own engine and machine gives the spec
+// (pipeline.RunProgram), the oracle -check (verifyIStream) and the tests
+// hold the walk to.
 //
 // A failed simulation fails the job with the error as labelled by the
 // first cell, in rs order, that times the spec; the first failed spec in
@@ -157,31 +154,16 @@ func runSims(ctx context.Context, opt Options, w workload.Workload, is *trace.IS
 			}
 		}
 	}
-	prog := w.Program(opt.size(workload.TimingSize))
+	prog := w.Assemble(opt.size(workload.TimingSize))
 	sims := make([]*pipeline.Sim, len(specs))
 	for j, s := range specs {
 		cfg := s.config()
 		cfg.Interrupt = interruptHook(ctx)
-		if is == nil {
-			sims[j] = pipeline.New(prog, cfg)
-		} else {
-			sims[j] = pipeline.NewReplay(prog, is, cfg)
-		}
+		sims[j] = pipeline.NewReplay(prog, is, cfg)
 	}
-	var (
-		results []pipeline.Result
-		errs    []error
-	)
-	if is == nil {
-		results, errs = make([]pipeline.Result, len(sims)), make([]error, len(sims))
-		for j, s := range sims {
-			results[j], errs[j] = s.Run()
-		}
-	} else {
-		span := startSpan("cell/replay")
-		results, errs = pipeline.Walk(sims, opt.parallelism())
-		span.End()
-	}
+	span := startSpan("cell/replay")
+	results, errs := pipeline.Walk(sims, opt.parallelism())
+	span.End()
 	for j, err := range errs {
 		if err != nil {
 			return nil, askers[j].simErr(w, specs[j], err)
@@ -212,11 +194,11 @@ func interruptHook(ctx context.Context) func() error {
 
 // workloadIStream obtains one workload's committed instruction stream
 // (obtain), the same way workloadStream obtains its memory stream.
-func workloadIStream(ctx context.Context, opt Options, w workload.Workload, size int, maxInsts uint64) (*trace.IStream, error) {
+func workloadIStream(ctx context.Context, opt Options, w workload.Workload, size int) (*trace.IStream, error) {
 	return obtain(opt, trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts, Timing: true}, recorder[*trace.IStream]{
 		record: func() (*trace.IStream, error) {
 			defer startSpan("cell/record").End()
-			is, err := trace.RecordIStreamContext(ctx, w.Program(size), maxInsts, faultsim.Hook(w.Name, ctx))
+			is, err := trace.RecordIStreamContext(ctx, w.Assemble(size), maxInsts, faultsim.Hook(w.Name, ctx))
 			if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
 				// One spurious memory record desynchronises the tally from
 				// the execution profile, which Validate must catch.
@@ -243,7 +225,7 @@ func workloadIStream(ctx context.Context, opt Options, w workload.Workload, size
 // speculation), so the walk's decision column is checked against the
 // live feed's inline engine on every workload it records too.
 func verifyIStream(ctx context.Context, is *trace.IStream, w workload.Workload, size int) error {
-	prog := w.Program(size)
+	prog := w.Assemble(size)
 	for _, spec := range []simSpec{
 		baseSpec(pipeline.NaiveSpec),
 		cloakSpec(cloak.ModeRAWRAR, pipeline.Selective, pipeline.NaiveSpec),

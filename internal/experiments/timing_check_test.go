@@ -8,28 +8,6 @@ import (
 	"rarpred/internal/trace"
 )
 
-// TestTimingLiveMatchesReplay: Options.Live forces every configuration
-// onto a private live interpreter; the rendered result must be
-// identical to the recording replay path. This is the
-// experiment-level twin of pipeline's TestReplayMatchesLive.
-func TestTimingLiveMatchesReplay(t *testing.T) {
-	opt := subset("go", "tom")
-	opt.Size = 8
-	replayed, err := mustByID(t, "fig9").Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Live = true
-	live, err := mustByID(t, "fig9").Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.String() != replayed.String() {
-		t.Errorf("Live diverges from replay:\n--- replay ---\n%s--- live ---\n%s",
-			replayed.String(), live.String())
-	}
-}
-
 // TestTimingCheckCleanRun: the replay-vs-live pipeline oracle passes on
 // an honest recording and does not perturb the rendered result.
 func TestTimingCheckCleanRun(t *testing.T) {
@@ -100,8 +78,8 @@ func TestVerdictReachesEveryTimingConsumer(t *testing.T) {
 func poisonIStream(t *testing.T, opt Options) trace.Tier {
 	t.Helper()
 	w := opt.Workloads[0]
-	prog := w.Program(opt.Size)
-	correct, err := trace.RecordIStreamBaselineContext(context.Background(), w.Assemble(opt.Size), opt.maxInsts())
+	prog := w.Assemble(opt.Size)
+	correct, err := trace.RecordIStreamBaselineContext(context.Background(), prog, maxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +122,7 @@ func poisonIStream(t *testing.T, opt Options) trace.Tier {
 		t.Fatal("test setup: bad stream must pass Validate")
 	}
 
-	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: opt.maxInsts(), Timing: true}, bad)
+	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts, Timing: true}, bad)
 }
 
 // TestTimingCorruptRecordingDegrades: an injected recording corruption

@@ -51,7 +51,7 @@ func TestTimingResultsGolden(t *testing.T) {
 			}
 			fmt.Fprintf(&b, "%s %s/%v: %+v\n", w.Abbrev, name, s.memSpec, res)
 		}
-		prog := w.Program(opt.size(workload.TimingSize))
+		prog := w.Assemble(opt.size(workload.TimingSize))
 		for _, v := range variants {
 			res, err := pipeline.NewReplay(prog, is, v.cfg).Run()
 			if err != nil {

@@ -178,7 +178,7 @@ func TestTimingJobWalkMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			walked := rows[0].([]pipeline.Result)
-			prog := w.Program(opt.size(workload.TimingSize))
+			prog := w.Assemble(opt.size(workload.TimingSize))
 			for i, s := range specs {
 				live, err := pipeline.RunProgram(prog, s.config())
 				if err != nil {

@@ -14,7 +14,7 @@ func benchProg(b *testing.B) (insts uint64, run func(b *testing.B, observed bool
 	if !ok {
 		b.Fatal("gcc workload missing")
 	}
-	prog := w.Program(6)
+	prog := w.Assemble(6)
 	c, err := funcsim.RunProgram(prog, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -57,7 +57,7 @@ func BenchmarkRunObserved(b *testing.B) {
 // pipeline uses, for comparison against the Run fast loop.
 func BenchmarkStep(b *testing.B) {
 	w, _ := workload.ByAbbrev("gcc")
-	prog := w.Program(6)
+	prog := w.Assemble(6)
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {

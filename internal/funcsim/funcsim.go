@@ -104,8 +104,8 @@ func New(prog *isa.Program) *Sim { return newSim(prog, true) }
 // NewPaged returns a simulator identical to New except that no flat
 // memory ranges are reserved: every access walks the page map. This was
 // the only configuration before the memory fast path existed; it is kept
-// so baseline benchmarks can price the pre-optimization interpreter
-// (see trace.RecordStreamBaseline).
+// as the baseline interpreter, the independent recording -check's oracle
+// compares against (see trace.RecordStreamBaselineContext).
 func NewPaged(prog *isa.Program) *Sim { return newSim(prog, false) }
 
 func newSim(prog *isa.Program, reserve bool) *Sim {

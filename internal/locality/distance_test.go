@@ -287,7 +287,7 @@ func TestDistanceMatchesNaiveStack(t *testing.T) {
 	}
 	for _, abbrev := range []string{"go", "li", "vor", "wav"} {
 		w, _ := workload.ByAbbrev(abbrev)
-		tr, err := trace.RecordStream(w.Program(4), 0)
+		tr, err := trace.RecordStream(w.Assemble(4), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -12,7 +12,7 @@ import (
 // one workload, the Figure 9 measurement in miniature.
 func Example() {
 	w, _ := workload.ByAbbrev("gcc")
-	prog := w.Program(6)
+	prog := w.Assemble(6)
 
 	base, err := pipeline.RunProgram(prog, pipeline.DefaultConfig())
 	if err != nil {
@@ -23,7 +23,7 @@ func Example() {
 	cc := cloak.TimingConfig(cloak.ModeRAWRAR)
 	cfg.Cloak = &cc
 	cfg.Bypassing = true
-	cloaked, err := pipeline.RunProgram(w.Program(6), cfg)
+	cloaked, err := pipeline.RunProgram(prog, cfg)
 	if err != nil {
 		panic(err)
 	}

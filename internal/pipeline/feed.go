@@ -45,11 +45,11 @@ type liveFeed struct {
 	cur    *committed    // destination of the in-flight next's mem observers
 }
 
-func newLiveFeed(prog *isa.Program, cfg Config, sc bool) *liveFeed {
+func newLiveFeed(prog *isa.Program, dec []decoded, cfg Config, sc bool) *liveFeed {
 	f := &liveFeed{
 		sim:   funcsim.New(prog),
 		insts: prog.Insts,
-		dec:   decodeFor(prog),
+		dec:   dec,
 		limit: uint32(len(prog.Insts)) * 4,
 		mach:  newMachine(cfg, sc),
 	}

@@ -14,7 +14,7 @@ func TestSuiteInvariants(t *testing.T) {
 		w := w
 		t.Run(w.Abbrev, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunProgram(w.Program(3), DefaultConfig())
+			res, err := RunProgram(w.Assemble(3), DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,14 +49,14 @@ func TestSuiteInvariants(t *testing.T) {
 func TestSuiteWidthMonotonic(t *testing.T) {
 	for _, ab := range []string{"go", "com", "tom", "fp*"} {
 		w, _ := workload.ByAbbrev(ab)
-		prog8 := w.Program(3)
-		wide, err := RunProgram(prog8, DefaultConfig())
+		prog := w.Assemble(3)
+		wide, err := RunProgram(prog, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
 		cfg.Width = 4
-		narrow, err := RunProgram(w.Program(3), cfg)
+		narrow, err := RunProgram(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestSuiteCloakingNeverCatastrophic(t *testing.T) {
 		w := w
 		t.Run(w.Abbrev, func(t *testing.T) {
 			t.Parallel()
-			base, err := RunProgram(w.Program(3), DefaultConfig())
+			base, err := RunProgram(w.Assemble(3), DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestSuiteCloakingNeverCatastrophic(t *testing.T) {
 			cc := cloak.TimingConfig(cloak.ModeRAWRAR)
 			cfg.Cloak = &cc
 			cfg.Bypassing = true
-			cloaked, err := RunProgram(w.Program(3), cfg)
+			cloaked, err := RunProgram(w.Assemble(3), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestSuiteArchitecturalStateUnaffected(t *testing.T) {
 
 	var insts []uint64
 	for _, cfg := range configs {
-		res, err := RunProgram(w.Program(3), cfg)
+		res, err := RunProgram(w.Assemble(3), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 
 	"rarpred/internal/check"
 	"rarpred/internal/cloak"
@@ -364,27 +363,15 @@ const noDest = 0xff
 
 // decoded is the per-static-instruction timing metadata step needs every
 // cycle: timing class, non-R0 source registers, destination (noDest if
-// none), and ALU latency. Precomputing it once per program removes the
-// Sources/Dest/Class calls from the per-instruction path.
+// none), and ALU latency. Each Sim precomputes it for its program
+// (decodeProgram), which removes the Sources/Dest/Class calls from the
+// per-instruction path.
 type decoded struct {
 	srcs [3]uint8
 	nsrc uint8
 	dest uint8
 	kind uint8
 	lat  uint8
-}
-
-// decCache memoizes decode tables per program. Programs themselves are
-// memoized per (workload, size), so the table is computed once
-// process-wide for each and shared by every live and replay simulation.
-var decCache sync.Map // *isa.Program -> []decoded
-
-func decodeFor(prog *isa.Program) []decoded {
-	if v, ok := decCache.Load(prog); ok {
-		return v.([]decoded)
-	}
-	v, _ := decCache.LoadOrStore(prog, decodeProgram(prog))
-	return v.([]decoded)
 }
 
 func decodeProgram(prog *isa.Program) []decoded {
@@ -529,7 +516,7 @@ type amaxEntry struct {
 // New prepares a timing simulation of prog with a live functional feed.
 func New(prog *isa.Program, cfg Config) *Sim {
 	s := newSim(prog, cfg)
-	s.live = newLiveFeed(prog, cfg, s.sc)
+	s.live = newLiveFeed(prog, s.dec, cfg, s.sc)
 	return s
 }
 
@@ -538,7 +525,7 @@ func newSim(prog *isa.Program, cfg Config) *Sim {
 	s := &Sim{
 		cfg:        cfg,
 		prog:       prog,
-		dec:        decodeFor(prog),
+		dec:        decodeProgram(prog),
 		issue:      newSlotCounter(cfg.Width, 1<<14),
 		ports:      newSlotCounter(cfg.MemPorts, 1<<14),
 		commitRing: make([]uint64, cfg.WindowSize),

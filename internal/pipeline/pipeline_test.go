@@ -300,7 +300,7 @@ loop:   li   r1, 69069
 
 func TestDeterministic(t *testing.T) {
 	w, _ := workload.ByAbbrev("li")
-	prog := w.Program(3)
+	prog := w.Assemble(3)
 	a, err := RunProgram(prog, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestDeterministic(t *testing.T) {
 func TestWorkloadTimingSmoke(t *testing.T) {
 	for _, ab := range []string{"go", "tom"} {
 		w, _ := workload.ByAbbrev(ab)
-		prog := w.Program(3)
+		prog := w.Assemble(3)
 		res, err := RunProgram(prog, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -633,7 +633,7 @@ loop:   addi r9, r9, -1
 
 func TestAllPoliciesDeterministic(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	prog := w.Program(3)
+	prog := w.Assemble(3)
 	for _, spec := range []MemSpecPolicy{NaiveSpec, NoSpec, StoreSets} {
 		cfg := DefaultConfig()
 		cfg.MemSpec = spec
@@ -653,7 +653,7 @@ func TestAllPoliciesDeterministic(t *testing.T) {
 
 func TestSamplingApproximatesFullTiming(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	prog := w.Program(20)
+	prog := w.Assemble(20)
 	full, err := RunProgram(prog, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -661,7 +661,7 @@ func TestSamplingApproximatesFullTiming(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SampleRatio = 2 // the paper's 1:2 ratio for this program
 	cfg.ObservationSize = 20_000
-	sampled, err := RunProgram(w.Program(20), cfg)
+	sampled, err := RunProgram(w.Assemble(20), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +696,7 @@ func TestSamplingKeepsCloakingAccuracy(t *testing.T) {
 		cfg.Cloak = &cc
 		cfg.SampleRatio = ratio
 		cfg.ObservationSize = 10_000
-		res, err := RunProgram(w.Program(10), cfg)
+		res, err := RunProgram(w.Assemble(10), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func TestReplayMatchesLive(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown workload %s", abbrev)
 		}
-		prog := w.Program(size)
+		prog := w.Assemble(size)
 		is, err := trace.RecordIStream(prog, 0)
 		if err != nil {
 			t.Fatalf("%s: record: %v", abbrev, err)
@@ -61,7 +61,7 @@ func TestReplayMatchesLiveBaseConfig(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload gcc")
 	}
-	prog := w.Program(4)
+	prog := w.Assemble(4)
 	is, err := trace.RecordIStream(prog, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestReplayMaxInsts(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload gcc")
 	}
-	prog := w.Program(4)
+	prog := w.Assemble(4)
 	is, err := trace.RecordIStream(prog, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func BenchmarkPipeline(b *testing.B) {
 	if !ok {
 		b.Fatal("unknown workload gcc")
 	}
-	prog := w.Program(6)
+	prog := w.Assemble(6)
 	cfg := benchConfig()
 	b.Run("live", func(b *testing.B) {
 		var insts uint64

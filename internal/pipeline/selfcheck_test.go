@@ -20,7 +20,7 @@ func TestSelfCheckCleanRun(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.SelfCheck = true
 			v := check.Catch(func() {
-				if _, err := RunProgram(w.Program(3), cfg); err != nil {
+				if _, err := RunProgram(w.Assemble(3), cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -32,7 +32,7 @@ func TestSelfCheckCleanRun(t *testing.T) {
 			cc.SelfCheck = true
 			cfg.Cloak = &cc
 			v = check.Catch(func() {
-				if _, err := RunProgram(w.Program(3), cfg); err != nil {
+				if _, err := RunProgram(w.Assemble(3), cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -47,7 +47,7 @@ func TestSelfCheckCleanRun(t *testing.T) {
 // checked run must produce the identical Result.
 func TestSelfCheckDoesNotPerturbTiming(t *testing.T) {
 	w, _ := workload.ByAbbrev("go")
-	prog := w.Program(3)
+	prog := w.Assemble(3)
 
 	mk := func(selfCheck bool) Result {
 		cfg := DefaultConfig()
@@ -73,7 +73,7 @@ func TestSweepCatchesCorruption(t *testing.T) {
 	newSim := func() *Sim {
 		cfg := DefaultConfig()
 		cfg.SelfCheck = true
-		return New(w.Program(3), cfg)
+		return New(w.Assemble(3), cfg)
 	}
 
 	s := newSim()
@@ -137,12 +137,12 @@ func TestSetSelfCheckGatesConstruction(t *testing.T) {
 	w, _ := workload.ByAbbrev("go")
 	SetSelfCheck(true)
 	defer SetSelfCheck(false)
-	s := New(w.Program(3), DefaultConfig())
+	s := New(w.Assemble(3), DefaultConfig())
 	if !s.sc {
 		t.Fatal("SetSelfCheck(true) did not arm a new Sim")
 	}
 	SetSelfCheck(false)
-	if s = New(w.Program(3), DefaultConfig()); s.sc {
+	if s = New(w.Assemble(3), DefaultConfig()); s.sc {
 		t.Fatal("gate off but Sim armed")
 	}
 }

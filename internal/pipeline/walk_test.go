@@ -20,7 +20,7 @@ func TestWalkMatchesLivePerSim(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload tom")
 	}
-	prog := w.Program(4)
+	prog := w.Assemble(4)
 	is, err := trace.RecordIStream(prog, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestWalkFailsOnABrokenStream(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload gcc")
 	}
-	prog := w.Program(3)
+	prog := w.Assemble(3)
 	good, err := trace.RecordIStream(prog, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestWalkFailsOnABrokenStream(t *testing.T) {
 // schedule) cannot share it, while Sims of different cloak configs can.
 func TestWalkRequiresOneMachine(t *testing.T) {
 	w, _ := workload.ByAbbrev("gcc")
-	prog := w.Program(3)
+	prog := w.Assemble(3)
 	is, err := trace.RecordIStream(prog, 0)
 	if err != nil {
 		t.Fatal(err)

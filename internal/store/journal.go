@@ -53,8 +53,6 @@ var ErrJournalMismatch = fmt.Errorf("journal fingerprint mismatch (run configura
 // SuiteJournal seam. Safe for concurrent use.
 type Journal struct {
 	mu      sync.Mutex
-	fs      FS
-	path    string
 	f       File
 	entries map[journalKey][]byte
 	loaded  int
@@ -67,7 +65,7 @@ type journalKey struct{ exp, workload string }
 // one (a run without -resume must not inherit stale cells).
 func CreateJournal(fsys FS, path, fingerprint string) (*Journal, error) {
 	removeQuiet(fsys, path)
-	j := &Journal{fs: fsys, path: path, entries: make(map[journalKey][]byte)}
+	j := &Journal{entries: make(map[journalKey][]byte)}
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -124,7 +122,7 @@ func ResumeJournal(fsys FS, path, fingerprint string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{fs: fsys, path: path, f: f, entries: entries, loaded: len(entries)}, nil
+	return &Journal{f: f, entries: entries, loaded: len(entries)}, nil
 }
 
 // journalHeader renders the header block for fingerprint.

@@ -212,14 +212,11 @@ func TestAppendPackedChunkRejects(t *testing.T) {
 	}
 }
 
-// TestSealedReplayMatchesRaw records the same events into a compressed
-// and an uncompressed stream and proves every replay surface agrees.
+// TestSealedReplayMatchesRaw records the same events into a sealed
+// stream and one of raw chunks (appendRaw) and proves every replay
+// surface agrees.
 func TestSealedReplayMatchesRaw(t *testing.T) {
-	prev := SetCompression(true)
-	defer SetCompression(prev)
-	comp := NewStream()
-	SetCompression(false)
-	raw := NewStream()
+	comp, raw := NewStream(), NewStream()
 	n := chunkEvents*2 + chunkEvents/3
 	for i := 0; i < n; i++ {
 		k := KindLoad
@@ -230,7 +227,7 @@ func TestSealedReplayMatchesRaw(t *testing.T) {
 		addr := uint32(i%4096) * 8
 		val := uint32(i * i)
 		comp.Append(k, pc, addr, val)
-		raw.Append(k, pc, addr, val)
+		appendRaw(raw, k, pc, addr, val)
 	}
 	comp.Seal()
 	comp.CheckInvariants()
@@ -249,8 +246,6 @@ func TestSealedReplayMatchesRaw(t *testing.T) {
 // TestReplayAllocs: steady-state replay of a sealed stream must not
 // allocate — chunk decode goes through the scratch pool.
 func TestReplayAllocs(t *testing.T) {
-	prev := SetCompression(true)
-	defer SetCompression(prev)
 	s := NewStream()
 	for i := 0; i < chunkEvents*2; i++ {
 		s.Append(KindLoad, uint32(i)*4, uint32(i)*8, uint32(i))
@@ -299,46 +294,32 @@ func TestReplayAllocs(t *testing.T) {
 	}
 }
 
-// benchReplayStream builds an 8-chunk stream in the given compression
-// mode with committed-trace-like regularity (near-sequential pcs,
-// strided addresses, low-entropy values).
-func benchReplayStream(compress bool) *Stream {
-	prev := SetCompression(compress)
-	defer SetCompression(prev)
-	s := NewStream()
-	for i := 0; i < chunkEvents*8; i++ {
-		k := KindLoad
-		if i%3 == 0 {
-			k = KindStore
-		}
-		s.Append(k, uint32(i)*4, uint32((i*13)%65536)*4, uint32(i%257))
-	}
-	s.Seal()
-	return s
-}
-
-// BenchmarkReplay compares replay throughput over raw chunks against
-// sealed (compressed) ones; -benchmem must report 0 allocs/op for both
-// — the sealed path decodes through the scratch pool.
+// BenchmarkReplay measures replay throughput over an 8-chunk sealed
+// stream with committed-trace-like regularity (near-sequential pcs,
+// strided addresses, low-entropy values); -benchmem must report 0
+// allocs/op — the sealed path decodes through the scratch pool.
 func BenchmarkReplay(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"raw", false}, {"sealed", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := benchReplayStream(mode.compress)
-			var acc uint64
-			count := func(_, _, v uint32) { acc += uint64(v) }
-			var snk Sink = SinkFuncs{OnLoad: count, OnStore: count}
-			s.Replay(snk) // warm the pools
-			b.SetBytes(int64(s.Len()) * eventBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Replay(snk)
+	b.Run("sealed", func(b *testing.B) {
+		s := NewStream()
+		for i := 0; i < chunkEvents*8; i++ {
+			k := KindLoad
+			if i%3 == 0 {
+				k = KindStore
 			}
-		})
-	}
+			s.Append(k, uint32(i)*4, uint32((i*13)%65536)*4, uint32(i%257))
+		}
+		s.Seal()
+		var acc uint64
+		count := func(_, _, v uint32) { acc += uint64(v) }
+		var snk Sink = SinkFuncs{OnLoad: count, OnStore: count}
+		s.Replay(snk) // warm the pools
+		b.SetBytes(int64(s.Len()) * eventBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Replay(snk)
+		}
+	})
 }
 
 // FuzzChunkCodecRoundTrip drives both codecs from arbitrary bytes in

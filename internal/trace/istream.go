@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -22,18 +23,14 @@ import (
 // padding, fixed-size growth (no doubling spikes), and exact byte-size
 // accounting. An IStream is append-only while recording and immutable
 // afterwards; cursors over it are safe from many goroutines at once.
-// Chunks seal (compress, per codec.go) as they fill when compression is
-// enabled, exactly like Stream's.
+// Chunks seal (compress, per codec.go) as they fill, exactly like
+// Stream's.
 type IStream struct {
 	ichunks []*pairChunk // one (idx, next) record per committed instruction
 	mchunks []*pairChunk // one (addr, value) record per committed load or store
 
 	n    uint64 // committed instructions
 	mems uint64 // memory events among them
-
-	// compress is captured from the package-wide setting at NewIStream:
-	// whether chunks seal as they fill.
-	compress bool
 
 	// Counts is the full dynamic execution profile of the traced run,
 	// recorded so Validate can cross-check the tallies and so consumers
@@ -107,14 +104,14 @@ func (c *pairChunk) columns(sc *pairScratch) (a, b []uint32) {
 }
 
 // appendPair adds one record to the chunk plane, sealing the tail when
-// it fills (if compress) and growing the plane as needed.
-func appendPair(chunks []*pairChunk, compress bool, a, b uint32) []*pairChunk {
+// it fills and growing the plane as needed.
+func appendPair(chunks []*pairChunk, a, b uint32) []*pairChunk {
 	var c *pairChunk
 	if len(chunks) > 0 {
 		c = chunks[len(chunks)-1]
 	}
 	if c == nil || c.packed != nil || len(c.a) == chunkEvents {
-		if c != nil && compress {
+		if c != nil {
 			c.seal()
 		}
 		c = newPairChunk()
@@ -126,12 +123,12 @@ func appendPair(chunks []*pairChunk, compress bool, a, b uint32) []*pairChunk {
 }
 
 // NewIStream returns an empty instruction stream ready for appends.
-func NewIStream() *IStream { return &IStream{compress: CompressionEnabled()} }
+func NewIStream() *IStream { return &IStream{} }
 
 // AppendInst adds one committed instruction: its predecoded index and
 // the PC that followed it.
 func (s *IStream) AppendInst(idx, next uint32) {
-	s.ichunks = appendPair(s.ichunks, s.compress, idx, next)
+	s.ichunks = appendPair(s.ichunks, idx, next)
 	s.n++
 }
 
@@ -139,18 +136,14 @@ func (s *IStream) AppendInst(idx, next uint32) {
 // address and the word read or written), owned by the next appended (or
 // just-appended) memory instruction.
 func (s *IStream) AppendMem(addr, value uint32) {
-	s.mchunks = appendPair(s.mchunks, s.compress, addr, value)
+	s.mchunks = appendPair(s.mchunks, addr, value)
 	s.mems++
 }
 
 // Seal compresses the partial tail chunk of both planes; recorders call
-// it when recording completes so a finished stream is fully packed. A
-// no-op when compression is off; later appends simply start new raw
-// chunks.
+// it when recording completes so a finished stream is fully packed.
+// Later appends simply start new raw chunks.
 func (s *IStream) Seal() {
-	if !s.compress {
-		return
-	}
 	if len(s.ichunks) > 0 {
 		s.ichunks[len(s.ichunks)-1].seal()
 	}
@@ -171,8 +164,8 @@ const istreamEntryBytes = 8
 
 // Bytes returns the resident size of the stream in bytes: the packed
 // payload for sealed chunks, full chunk capacity (allocation, not
-// occupancy) for raw ones — so it reflects real memory use in either
-// mode.
+// occupancy) for the raw tails of a stream still recording — so it
+// reflects real memory use.
 func (s *IStream) Bytes() int64 {
 	var b int64
 	for _, planes := range [2][]*pairChunk{s.ichunks, s.mchunks} {
@@ -227,43 +220,36 @@ func packedPair(c *pairChunk, dst []byte) []byte {
 // Chunks must arrive in stream order; the error reports the first
 // structural defect without modifying the stream.
 func (s *IStream) AppendPackedInstChunk(payload []byte) error {
-	c, n, err := decodePackedPair(payload, s.compress)
+	c, err := decodePackedPair(payload)
 	if err != nil {
 		return err
 	}
 	s.ichunks = append(s.ichunks, c)
-	s.n += uint64(n)
+	s.n += uint64(c.n)
 	return nil
 }
 
 // AppendPackedMemChunk validates payload as one packed pair chunk and
 // appends it to the memory plane, updating the memory tally.
 func (s *IStream) AppendPackedMemChunk(payload []byte) error {
-	c, n, err := decodePackedPair(payload, s.compress)
+	c, err := decodePackedPair(payload)
 	if err != nil {
 		return err
 	}
 	s.mchunks = append(s.mchunks, c)
-	s.mems += uint64(n)
+	s.mems += uint64(c.n)
 	return nil
 }
 
-func decodePackedPair(payload []byte, compress bool) (*pairChunk, int, error) {
+// decodePackedPair validates payload as one packed pair chunk and
+// returns a sealed chunk holding a copy of it.
+func decodePackedPair(payload []byte) (*pairChunk, error) {
 	sc := getPairScratch()
 	defer putPairScratch(sc)
 	if err := decodePairChunk(payload, sc); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	n := len(sc.a)
-	if compress {
-		packed := make([]byte, len(payload))
-		copy(packed, payload)
-		return &pairChunk{packed: packed, n: n}, n, nil
-	}
-	c := newPairChunk()
-	c.a = append(c.a, sc.a...)
-	c.b = append(c.b, sc.b...)
-	return c, n, nil
+	return &pairChunk{packed: bytes.Clone(payload), n: len(sc.a)}, nil
 }
 
 // Validate cross-checks the recorded tallies against the execution

@@ -29,16 +29,12 @@ func TestIStreamAppendCursor(t *testing.T) {
 	}
 	// 2 instruction chunks + 1 memory chunk. Raw chunks are charged at
 	// full capacity; the first instruction chunk sealed (compressed) on
-	// rollover when compression is on, shrinking the resident total.
+	// rollover, shrinking the resident total.
 	if want := int64(s.n+s.mems) * istreamEntryBytes; s.RawBytes() != want {
 		t.Errorf("RawBytes() = %d, want %d", s.RawBytes(), want)
 	}
-	if full := int64(3) * chunkEvents * istreamEntryBytes; s.compress {
-		if s.Bytes() >= full {
-			t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), full)
-		}
-	} else if s.Bytes() != full {
-		t.Errorf("Bytes() = %d, want %d", s.Bytes(), full)
+	if full := int64(3) * chunkEvents * istreamEntryBytes; s.Bytes() >= full {
+		t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), full)
 	}
 	s.CheckInvariants()
 
@@ -123,7 +119,7 @@ func TestRecordIStreamMatchesBaseline(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload gcc")
 	}
-	fast, err := RecordIStream(w.Program(3), 0)
+	fast, err := RecordIStream(w.Assemble(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +165,7 @@ func TestRecordIStreamCrossValidatesStream(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload tom")
 	}
-	prog := w.Program(3)
+	prog := w.Assemble(3)
 	is, err := RecordIStream(prog, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +201,7 @@ func TestIStreamValidateCatchesCorruption(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload gcc")
 	}
-	is, err := RecordIStream(w.Program(3), 0)
+	is, err := RecordIStream(w.Assemble(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +212,7 @@ func TestIStreamValidateCatchesCorruption(t *testing.T) {
 	if err := is.Validate(); !errors.Is(err, runerr.ErrTraceCorrupt) {
 		t.Errorf("Validate() = %v, want runerr.ErrTraceCorrupt", err)
 	}
-	is2, err := RecordIStream(w.Program(3), 0)
+	is2, err := RecordIStream(w.Assemble(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +229,7 @@ func TestRecordIStreamTruncation(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload gcc")
 	}
-	is, err := RecordIStream(w.Program(3), 1000)
+	is, err := RecordIStream(w.Assemble(3), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +249,7 @@ func TestRecordIStreamInterrupt(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RecordIStreamContext(ctx, w.Program(3), 0, nil); !errors.Is(err, context.Canceled) {
+	if _, err := RecordIStreamContext(ctx, w.Assemble(3), 0, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

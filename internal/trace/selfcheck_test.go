@@ -7,17 +7,34 @@ import (
 	"rarpred/internal/check"
 )
 
+// appendRaw adds one event to s as Append does, but never seals: a full
+// tail chunk is followed by a new raw one. Tests build raw streams with
+// it, to corrupt chunk internals directly (which only exist unsealed)
+// and as the oracle a sealed stream's replay must match.
+func appendRaw(s *Stream, kind Kind, pc, addr, value uint32) {
+	if k := len(s.chunks); k == 0 || len(s.chunks[k-1].kinds) == chunkEvents {
+		s.chunks = append(s.chunks, newChunk())
+	}
+	c := s.chunks[len(s.chunks)-1]
+	c.kinds = append(c.kinds, uint8(kind))
+	c.pcs = append(c.pcs, pc)
+	c.addrs = append(c.addrs, addr)
+	c.values = append(c.values, value)
+	s.n++
+	if kind == KindLoad {
+		s.loads++
+	}
+}
+
+// buildStream returns an n-event stream of raw chunks throughout.
 func buildStream(n int) *Stream {
 	s := NewStream()
-	// Raw chunks throughout: these tests corrupt and compare chunk
-	// internals directly, which only exist unsealed.
-	s.compress = false
 	for i := 0; i < n; i++ {
 		kind := KindLoad
 		if i%3 == 0 {
 			kind = KindStore
 		}
-		s.Append(kind, uint32(i)<<2, uint32(i%64), uint32(i*7))
+		appendRaw(s, kind, uint32(i)<<2, uint32(i%64), uint32(i*7))
 	}
 	s.Counts.Loads = s.loads
 	s.Counts.Stores = uint64(s.n) - s.loads

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -21,10 +22,10 @@ import (
 // A Stream is append-only while recording and immutable afterwards;
 // replaying is safe from many goroutines at once.
 //
-// Recording appends into raw struct-of-arrays chunks (the fast path);
-// when compression is enabled, a chunk seals — compresses to the
-// columnar delta/varint form in codec.go — as soon as it fills, and
-// Seal compresses the partial tail when recording completes. Replay
+// Recording appends into raw struct-of-arrays chunks (the fast path); a
+// chunk seals — compresses to the columnar delta/varint form in
+// codec.go — as soon as it fills, and Seal compresses the partial tail
+// when recording completes. Replay
 // decodes one sealed chunk at a time into a pooled scratch buffer, so
 // resident memory is the compressed bytes plus at most one decoded
 // chunk per active consumer.
@@ -33,10 +34,6 @@ type Stream struct {
 
 	n     int    // total events
 	loads uint64 // load events among n
-
-	// compress is captured from the package-wide setting at NewStream:
-	// whether chunks seal as they fill.
-	compress bool
 
 	// Counts is the full dynamic execution profile of the traced run, so
 	// experiments that report fractions over all instructions (or branch
@@ -127,7 +124,7 @@ func (c *chunk) columns(scp **eventScratch) (kinds []uint8, pcs, addrs, values [
 }
 
 // NewStream returns an empty stream ready for Append.
-func NewStream() *Stream { return &Stream{compress: CompressionEnabled()} }
+func NewStream() *Stream { return &Stream{} }
 
 // Append adds one event to the stream.
 func (s *Stream) Append(kind Kind, pc, addr, value uint32) {
@@ -136,7 +133,7 @@ func (s *Stream) Append(kind Kind, pc, addr, value uint32) {
 		c = s.chunks[len(s.chunks)-1]
 	}
 	if c == nil || c.packed != nil || len(c.kinds) == chunkEvents {
-		if c != nil && s.compress {
+		if c != nil {
 			c.seal()
 		}
 		c = newChunk()
@@ -160,10 +157,10 @@ func (s *Stream) Append(kind Kind, pc, addr, value uint32) {
 
 // Seal compresses the partial tail chunk; recorders call it when
 // recording completes so a finished stream is fully packed. A no-op
-// when compression is off or the tail is already sealed; later Appends
-// simply start a new raw chunk.
+// when the tail is already sealed; later Appends simply start a new raw
+// chunk.
 func (s *Stream) Seal() {
-	if !s.compress || len(s.chunks) == 0 {
+	if len(s.chunks) == 0 {
 		return
 	}
 	s.chunks[len(s.chunks)-1].seal()
@@ -181,8 +178,8 @@ const eventBytes = 13
 
 // Bytes returns the resident size of the stream in bytes: the packed
 // payload for sealed chunks, full chunk capacity (allocation, not
-// occupancy) for raw ones — so it reflects real memory use in either
-// mode.
+// occupancy) for the raw tail of a stream still recording — so it
+// reflects real memory use.
 func (s *Stream) Bytes() int64 {
 	var b int64
 	for _, c := range s.chunks {
@@ -265,10 +262,9 @@ func (s *Stream) PackedChunk(ci int, dst []byte) []byte {
 
 // AppendPackedChunk validates payload as one packed event chunk and
 // appends it to the stream, updating the event tallies from the decoded
-// contents. When compression is on, the exact payload bytes become the
-// sealed chunk; when off, the decoded raw columns are kept. Chunks must
-// arrive in stream order; the error reports the first structural defect
-// without modifying the stream.
+// contents: a copy of the exact payload bytes becomes the sealed chunk.
+// Chunks must arrive in stream order; the error reports the first
+// structural defect without modifying the stream.
 func (s *Stream) AppendPackedChunk(payload []byte) error {
 	sc := getEventScratch()
 	defer putEventScratch(sc)
@@ -277,19 +273,7 @@ func (s *Stream) AppendPackedChunk(payload []byte) error {
 		return err
 	}
 	n := len(sc.kinds)
-	var c *chunk
-	if s.compress {
-		packed := make([]byte, len(payload))
-		copy(packed, payload)
-		c = &chunk{packed: packed, n: n}
-	} else {
-		c = newChunk()
-		c.kinds = append(c.kinds, sc.kinds...)
-		c.pcs = append(c.pcs, sc.pcs...)
-		c.addrs = append(c.addrs, sc.addrs...)
-		c.values = append(c.values, sc.values...)
-	}
-	s.chunks = append(s.chunks, c)
+	s.chunks = append(s.chunks, &chunk{packed: bytes.Clone(payload), n: n})
 	s.n += n
 	s.loads += uint64(loads)
 	return nil
@@ -353,22 +337,15 @@ func RecordStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64
 	return s, nil
 }
 
-// RecordStreamBaseline records the same stream as RecordStream, but the
-// way every experiment did before recordings were shared: Step-driven
-// interpretation over fully paged memory, with no predecoded fast loop
-// and no flat-range reservation. Experiments' Live mode and the suite
-// benchmark use it as the baseline cost model; because Step and the
-// fast loop funnel through the same exec core, the recorded stream is
-// bit-identical to RecordStream's.
-func RecordStreamBaseline(prog *isa.Program, maxInsts uint64) (*Stream, error) {
-	return RecordStreamBaselineContext(context.Background(), prog, maxInsts)
-}
-
-// RecordStreamBaselineContext is RecordStreamBaseline with cancellation,
-// polled every funcsim.InterruptEvery committed instructions like the
-// fast path. It backs the harness's graceful-degradation re-record (a
-// corrupt recording falls back here) and the Live mode, both of
-// which must stay interruptible under run deadlines.
+// RecordStreamBaselineContext records the same stream as RecordStream,
+// but on the baseline interpreter: Step-driven interpretation over
+// fully paged memory, with no predecoded fast loop and no flat-range
+// reservation. Because Step and the fast loop funnel through the same
+// exec core, the recorded stream is bit-identical to RecordStream's, so
+// it is the independent recording -check's oracle compares against and
+// the re-record a corrupt recording falls back to. It polls ctx every
+// funcsim.InterruptEvery committed instructions like the fast path, so
+// both stay interruptible under run deadlines.
 func RecordStreamBaselineContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*Stream, error) {
 	s := NewStream()
 	sim := funcsim.NewPaged(prog)

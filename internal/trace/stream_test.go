@@ -25,18 +25,14 @@ func TestStreamAppendReplay(t *testing.T) {
 	if s.Loads() != wantLoads {
 		t.Errorf("Loads() = %d, want %d", s.Loads(), wantLoads)
 	}
-	// Appending seals full chunks as it rolls over (when compression is
-	// on), so a multi-chunk stream's resident size is well under the raw
-	// layout's; the raw payload tally is exact either way.
+	// Appending seals full chunks as it rolls over, so a multi-chunk
+	// stream's resident size is well under the raw layout's; the raw
+	// payload tally is exact either way.
 	if want := int64(n) * eventBytes; s.RawBytes() != want {
 		t.Errorf("RawBytes() = %d, want %d", s.RawBytes(), want)
 	}
-	if s.compress {
-		if raw := int64(2) * chunkEvents * eventBytes; s.Bytes() >= raw {
-			t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), raw)
-		}
-	} else if want := int64(2) * chunkEvents * eventBytes; s.Bytes() != want {
-		t.Errorf("Bytes() = %d, want %d (2 full chunks)", s.Bytes(), want)
+	if raw := int64(2) * chunkEvents * eventBytes; s.Bytes() >= raw {
+		t.Errorf("Bytes() = %d, want < %d (sealed chunk should compress)", s.Bytes(), raw)
 	}
 
 	var i int
@@ -213,14 +209,14 @@ func TestReplayEach(t *testing.T) {
 func TestRecordStreamMatchesRecord(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
 	want := NewStream()
-	sim := funcsim.New(w.Program(4))
+	sim := funcsim.New(w.Assemble(4))
 	sim.OnLoad = func(e funcsim.MemEvent) { want.Append(KindLoad, e.PC, e.Addr, e.Value) }
 	sim.OnStore = func(e funcsim.MemEvent) { want.Append(KindStore, e.PC, e.Addr, e.Value) }
 	if err := sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	want.Counts = sim.Counts
-	s, err := RecordStream(w.Program(4), 0)
+	s, err := RecordStream(w.Assemble(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +230,7 @@ func TestRecordStreamMatchesRecord(t *testing.T) {
 
 func TestRecordStreamTruncation(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	s, err := RecordStream(w.Program(4), 100)
+	s, err := RecordStream(w.Assemble(4), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

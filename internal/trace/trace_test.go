@@ -39,7 +39,7 @@ func (l *eventLog) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
 // and the recording counts the same instructions.
 func TestRecordMatchesDirectObservation(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	s, err := trace.RecordStream(w.Program(4), 0)
+	s, err := trace.RecordStream(w.Assemble(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRecordMatchesDirectObservation(t *testing.T) {
 	s.Replay(&replayed)
 
 	var direct []event
-	sim := funcsim.New(w.Program(4))
+	sim := funcsim.New(w.Assemble(4))
 	sim.OnLoad = func(e funcsim.MemEvent) {
 		direct = append(direct, event{trace.KindLoad, e.PC, e.Addr, e.Value})
 	}
@@ -74,7 +74,7 @@ func TestRecordMatchesDirectObservation(t *testing.T) {
 // exact same statistics as live simulation.
 func TestReplayEqualsLive(t *testing.T) {
 	w, _ := workload.ByAbbrev("gcc")
-	tr, err := trace.RecordStream(w.Program(4), 0)
+	tr, err := trace.RecordStream(w.Assemble(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestReplayEqualsLive(t *testing.T) {
 	tr.Replay(engineSink(replayed))
 
 	live := cloak.New(cloak.DefaultConfig())
-	s := funcsim.New(w.Program(4))
+	s := funcsim.New(w.Assemble(4))
 	s.OnLoad = func(e funcsim.MemEvent) { live.Load(e.PC, e.Addr, e.Value) }
 	s.OnStore = func(e funcsim.MemEvent) { live.Store(e.PC, e.Addr, e.Value) }
 	if err := s.Run(0); err != nil {
@@ -96,7 +96,7 @@ func TestReplayEqualsLive(t *testing.T) {
 // TestReplayFanOut: one stream drives several engines in one replay.
 func TestReplayFanOut(t *testing.T) {
 	w, _ := workload.ByAbbrev("per")
-	tr, err := trace.RecordStream(w.Program(4), 0)
+	tr, err := trace.RecordStream(w.Assemble(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

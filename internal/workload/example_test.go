@@ -10,7 +10,7 @@ import (
 // Example runs one benchmark of the SPEC95-analog suite.
 func Example() {
 	w, _ := workload.ByAbbrev("com")
-	counts, err := funcsim.RunProgram(w.Program(2), 0)
+	counts, err := funcsim.RunProgram(w.Assemble(2), 0)
 	if err != nil {
 		panic(err)
 	}

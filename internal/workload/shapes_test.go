@@ -35,7 +35,7 @@ func measure(t *testing.T, abbrev string) shape {
 	rloc := locality.NewRARLocality(0)
 	var vpCorrect uint64
 
-	s := funcsim.New(w.Program(12))
+	s := funcsim.New(w.Assemble(12))
 	s.OnLoad = func(e funcsim.MemEvent) {
 		engine.Load(e.PC, e.Addr, e.Value)
 		if _, ok := vp.Access(e.PC, e.Value); ok {

@@ -25,7 +25,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"rarpred/internal/asm"
 	"rarpred/internal/isa"
@@ -83,30 +82,14 @@ const ReferenceSize = 100
 // simulation tractable.
 const TimingSize = 12
 
-// progCache memoizes assembled programs per (workload, size). The suite
-// is re-assembled constantly by experiments and benchmarks at a handful
-// of sizes, and assembly is pure, so every caller can share one Program.
-var progCache sync.Map // progKey -> *isa.Program
-
-type progKey struct {
-	name string
-	size int
-}
-
-// Program assembles the workload at size n (n <= 0 selects ReferenceSize).
-// Assembled programs are memoized process-wide: the returned Program is
-// shared and must be treated as read-only (every caller already does —
-// simulators copy the data image into their own memory).
-func (w Workload) Program(n int) *isa.Program {
+// Assemble builds the workload's program at size n (n <= 0 selects
+// ReferenceSize). Each call assembles afresh: a job builds the program
+// it simulates and drops it with the job, as it does its recording.
+func (w Workload) Assemble(n int) *isa.Program {
 	if n <= 0 {
 		n = ReferenceSize
 	}
-	key := progKey{name: w.Name, size: n}
-	if p, ok := progCache.Load(key); ok {
-		return p.(*isa.Program)
-	}
-	p, _ := progCache.LoadOrStore(key, w.builder()(n))
-	return p.(*isa.Program)
+	return w.builder()(n)
 }
 
 // builder returns the assembly function, rehydrating from the registry
@@ -122,17 +105,6 @@ func (w Workload) builder() func(n int) *isa.Program {
 		panic(fmt.Sprintf("workload %q not in registry (deserialized from a foreign run?)", w.Name))
 	}
 	return r.build
-}
-
-// Assemble builds the program fresh, bypassing the memoization cache.
-// Experiments' Live (pre-cache) mode uses it so baseline measurements
-// include the assembly cost every experiment paid before programs and
-// traces were shared.
-func (w Workload) Assemble(n int) *isa.Program {
-	if n <= 0 {
-		n = ReferenceSize
-	}
-	return w.builder()(n)
 }
 
 var registry []Workload

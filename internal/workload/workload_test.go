@@ -13,7 +13,7 @@ func TestAllWorkloadsRunToCompletion(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			prog := w.Program(4)
+			prog := w.Assemble(4)
 			s := funcsim.New(prog)
 			if err := s.Run(80_000_000); err != nil {
 				t.Fatalf("%s: %v (insts=%d, pc=%#x)", w.Name, err, s.Counts.Insts, s.PC)
@@ -42,8 +42,8 @@ func TestWorkloadsDeterministic(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			a, err1 := funcsim.RunProgram(w.Program(2), 80_000_000)
-			b, err2 := funcsim.RunProgram(w.Program(2), 80_000_000)
+			a, err1 := funcsim.RunProgram(w.Assemble(2), 80_000_000)
+			b, err2 := funcsim.RunProgram(w.Assemble(2), 80_000_000)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("errors: %v, %v", err1, err2)
 			}
@@ -61,11 +61,11 @@ func TestWorkloadScaling(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			small, err := funcsim.RunProgram(w.Program(2), 80_000_000)
+			small, err := funcsim.RunProgram(w.Assemble(2), 80_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			large, err := funcsim.RunProgram(w.Program(50), 400_000_000)
+			large, err := funcsim.RunProgram(w.Assemble(50), 400_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,19 +138,5 @@ func TestDataBaseMatchesAsm(t *testing.T) {
 	p := mustBuild("probe", "main: halt")
 	if p.DataBase != dataBase {
 		t.Fatalf("dataBase %#x != asm.DataBase %#x", dataBase, p.DataBase)
-	}
-}
-
-func TestProgramMemoized(t *testing.T) {
-	w, _ := ByAbbrev("gcc")
-	if w.Program(4) != w.Program(4) {
-		t.Error("Program(4) assembled twice for the same size")
-	}
-	if w.Program(4) == w.Program(5) {
-		t.Error("different sizes share a program")
-	}
-	other, _ := ByAbbrev("per")
-	if w.Program(4) == other.Program(4) {
-		t.Error("different workloads share a program")
 	}
 }
