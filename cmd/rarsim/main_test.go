@@ -2,13 +2,13 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
-	"rarpred/internal/faultsim"
 	"rarpred/internal/workload"
 )
 
@@ -64,71 +64,84 @@ func TestCleanRunExitsZero(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0; stderr:\n%s", code, errw)
 	}
-	if !strings.Contains(out, "== fig2:") || strings.Contains(out, "partial result") {
+	if !strings.Contains(out, "== fig2:") {
 		t.Errorf("unexpected output:\n%s", out)
 	}
 }
 
-// TestKeepGoingSelfHeals: a workload that panics (transiently) fails
-// its job as one: table51 and fig2 share gcc's pass, so both render
-// partial results annotated with their own experiment, the keep-going
-// sweep finishes, and the aggregate exit status is non-zero. Nothing of
-// the failed recording is kept, so a later run re-records the workload
-// successfully.
-func TestKeepGoingSelfHeals(t *testing.T) {
-	defer faultsim.Reset()
-	gcc := wname(t, "gcc")
-	faultsim.Inject(gcc, faultsim.Fault{Kind: faultsim.Panic, Times: 1})
-
-	code, out, errw := runCLI("-exp", "table51,fig2", "-keepgoing",
-		"-size", "13", "-bench", "go,gcc")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errw)
-	}
-	for _, id := range []string{"table51", "fig2"} {
-		if !strings.Contains(out, "!!   "+id+"/"+gcc+": ") {
-			t.Errorf("no %s annotation naming the failed workload:\n%s", id, out)
-		}
-	}
-	if n := strings.Count(out, "!!   "); n != 2 {
-		t.Errorf("%d failure annotations, want 2:\n%s", n, out)
-	}
-	if !strings.Contains(out, "== fig2:") {
-		t.Errorf("fig2 missing from output:\n%s", out)
-	}
-	if !strings.Contains(errw, "completed with failures: table51 (1 workloads), fig2 (1 workloads)") {
-		t.Errorf("stderr lacks the aggregate summary: %q", errw)
-	}
-
-	// The fault burned out, so the next lookup re-records gcc whole.
-	code, out, errw = runCLI("-exp", "fig2", "-size", "13", "-bench", "go,gcc")
-	if code != 0 {
-		t.Fatalf("rerun: exit %d, want 0; stderr:\n%s", code, errw)
-	}
-	if strings.Contains(out, "partial result") || !strings.Contains(out, "gcc") {
-		t.Errorf("fig2 did not recover the faulted workload:\n%s", out)
-	}
-}
-
-// TestRunTimeoutEndsSweep: the run-wide -timeout aborts a stalled
-// experiment and marks everything after it as not run, even without
-// -keepgoing the deferred reporting still happens.
+// TestRunTimeoutEndsSweep: a run whose -timeout passes before any cell
+// starts reports every experiment not run, prints the failure summary,
+// and exits 1.
 func TestRunTimeoutEndsSweep(t *testing.T) {
-	defer faultsim.Reset()
-	faultsim.Inject(wname(t, "go"), faultsim.Fault{Kind: faultsim.Stall})
-
-	// -p 1: with a single worker fig2's cell cannot start before the
-	// deadline fires, so it is reported not-run.
-	code, _, errw := runCLI("-exp", "table51,fig2", "-timeout", "75ms",
+	code, out, errw := runCLI("-exp", "table51,fig2", "-timeout", "1ns",
 		"-size", "19", "-bench", "go", "-p", "1")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errw)
 	}
-	if !strings.Contains(errw, "fig2: not run") {
-		t.Errorf("stderr lacks the not-run report: %q", errw)
+	for _, id := range []string{"table51", "fig2"} {
+		if !strings.Contains(errw, "rarsim: "+id+": not run") {
+			t.Errorf("stderr lacks %s's not-run report: %q", id, errw)
+		}
 	}
-	if !strings.Contains(errw, "completed with failures") {
+	if !strings.Contains(errw, "completed with failures: table51, fig2") {
 		t.Errorf("stderr lacks the aggregate summary: %q", errw)
+	}
+	if strings.Contains(out, "== ") {
+		t.Errorf("a not-run experiment printed a section:\n%s", out)
+	}
+}
+
+// TestFailedExperimentEndsSweep: a failed workload fails the run. com's
+// memory recording is planted poisoned in the store (it passes
+// validation but holds one wrong value), so under -check the sweep
+// prints fig10, whose timing job reads the instruction recording, fails
+// fig2 on com's divergence, never delivers table51, and exits 1. The
+// failed cells are not journaled, so with the poison gone a -resume
+// reruns just them and prints a clean run's report.
+func TestFailedExperimentEndsSweep(t *testing.T) {
+	args := []string{"-exp", "fig10,fig2,table51", "-size", "5", "-bench", "com,m88", "-check", "-p", "1"}
+	dir := t.TempDir()
+	key := recordingKey(t, "com", 5, false)
+	plant(t, dir, key, poisonedStream(t, key))
+
+	code, out, errw := runCLI(append(args, "-store", dir)...)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errw)
+	}
+	if !strings.Contains(out, "== fig10:") || !strings.Contains(out, "[fig10 in ") {
+		t.Errorf("fig10's section missing:\n%s", out)
+	}
+	if strings.Contains(out, "table51") {
+		t.Errorf("table51 delivered after the failure:\n%s", out)
+	}
+	if want := "rarsim: fig2/" + key.Workload + ": check: replayed stream diverges from live baseline: event 7"; !strings.Contains(errw, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, errw)
+	}
+	if !strings.Contains(errw, "completed with failures: fig2\n") {
+		t.Errorf("stderr lacks the aggregate summary:\n%s", errw)
+	}
+
+	// With -p 1 the jobs run in paper order: fig10's two cells, com's
+	// failed pass, then m88's pass, whose two cells complete fig2 and
+	// deliver it. So four cells are journaled, and the resume reruns
+	// fig2's and table51's com cells alone.
+	if err := os.Remove(artifactPath(t, dir, key)); err != nil {
+		t.Fatal(err)
+	}
+	code, ref, errw := runCLI(args...)
+	if code != 0 {
+		t.Fatalf("run without a store exit %d, want 0; stderr:\n%s", code, errw)
+	}
+	bench := filepath.Join(t.TempDir(), "b.json")
+	code, out, errw = runCLI(append(args, "-store", dir, "-resume", "-benchjson", bench)...)
+	if code != 0 {
+		t.Fatalf("resume exit %d, want 0; stderr:\n%s", code, errw)
+	}
+	if got := benchStoreField(t, readBench(t, bench), "resumed_cells"); got != 4 {
+		t.Errorf("resumed %v cells, want the 4 the failed run completed", got)
+	}
+	if normalizeTiming(out) != normalizeTiming(ref) {
+		t.Errorf("resumed report differs from a clean run:\n%s\nvs\n%s", out, ref)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"rarpred/internal/faultsim"
 	"rarpred/internal/store"
+	"rarpred/internal/trace"
+	"rarpred/internal/workload"
 )
 
 // The persistence tests drive run() in-process. The golden report test
@@ -58,16 +59,13 @@ func TestCorruptArtifactQuarantinedAndRerecorded(t *testing.T) {
 	}
 
 	// Flip one bit in the middle of the stored artifact.
-	arts, err := filepath.Glob(filepath.Join(dir, "traces", wname(t, "go")+"_*_mem.rart"))
-	if err != nil || len(arts) != 1 {
-		t.Fatalf("artifact glob: %v, %v", arts, err)
-	}
-	data, err := os.ReadFile(arts[0])
+	art := artifactPath(t, dir, recordingKey(t, "go", 11, false))
+	data, err := os.ReadFile(art)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(arts[0], data, 0o644); err != nil {
+	if err := os.WriteFile(art, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +81,7 @@ func TestCorruptArtifactQuarantinedAndRerecorded(t *testing.T) {
 	if got := benchStoreField(t, readBench(t, bench), "quarantines"); got != 1 {
 		t.Fatalf("quarantines = %v, want 1", got)
 	}
-	if _, err := os.Stat(arts[0] + ".quarantined"); err != nil {
+	if _, err := os.Stat(art + ".quarantined"); err != nil {
 		t.Fatalf("corrupt artifact not quarantined: %v", err)
 	}
 }
@@ -100,13 +98,10 @@ func TestDiskFaultDuringStoreIsNonFatal(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("run with a working store exit %d: %s", code, errw)
 	}
-	arts, err := filepath.Glob(filepath.Join(ok, "traces", wname(t, "go")+"_*_mem.rart"))
-	if err != nil || len(arts) != 1 {
-		t.Fatalf("artifact glob: %v, %v", arts, err)
-	}
+	art := artifactPath(t, ok, recordingKey(t, "go", 21, false))
 
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "traces", filepath.Base(arts[0]), "blocker"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "traces", filepath.Base(art), "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	bench := filepath.Join(dir, "b.json")
@@ -123,53 +118,144 @@ func TestDiskFaultDuringStoreIsNonFatal(t *testing.T) {
 	}
 }
 
-// TestCorruptRecordingNeverStored: a recording that fails validation is
-// never saved. After an injected corruption, the job re-records on the
-// baseline interpreter and saves that, so the artifact on disk decodes
-// and a second run loads it without quarantining anything.
+// maxInsts is the instruction budget every recording runs under, part
+// of its store key.
+const maxInsts = 2_000_000_000
+
+// recordingKey is the store key of the workload's memory recording, or
+// its instruction recording with timing set, at size.
+func recordingKey(t *testing.T, abbrev string, size int, timing bool) trace.Key {
+	return trace.Key{Workload: wname(t, abbrev), Size: size, MaxInsts: maxInsts, Timing: timing}
+}
+
+// recording is a memory or an instruction recording.
+type recording interface {
+	trace.Cached
+	Validate() error
+}
+
+// record records the memory or the instruction stream key names.
+func record(t *testing.T, key trace.Key) recording {
+	t.Helper()
+	w, _ := workload.ByName(key.Workload)
+	prog := w.Assemble(key.Size)
+	var rec recording
+	var err error
+	if key.Timing {
+		rec, err = trace.RecordIStream(prog, key.MaxInsts)
+	} else {
+		rec, err = trace.RecordStream(prog, key.MaxInsts)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// poisonedStream is key's memory recording with event 7's value
+// flipped: it passes validation, and only -check's oracle can tell.
+func poisonedStream(t *testing.T, key trace.Key) *trace.Stream {
+	t.Helper()
+	correct := record(t, key).(*trace.Stream)
+	bad := trace.NewStream()
+	i := 0
+	flip := func(kind trace.Kind) func(pc, addr, value uint32) {
+		return func(pc, addr, value uint32) {
+			if i == 7 {
+				value ^= 1
+			}
+			bad.Append(kind, pc, addr, value)
+			i++
+		}
+	}
+	correct.Replay(trace.SinkFuncs{OnLoad: flip(trace.KindLoad), OnStore: flip(trace.KindStore)})
+	bad.Counts = correct.Counts
+	bad.Seal()
+	if bad.Validate() != nil {
+		t.Fatal("test setup: poisoned stream must pass validation")
+	}
+	return bad
+}
+
+// plant saves rec under key in the store at dir, as a run would.
+func plant(t *testing.T, dir string, key trace.Key, rec trace.Cached) {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Store(key, rec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// artifactPath returns the path of key's artifact in the store at dir.
+func artifactPath(t *testing.T, dir string, key trace.Key) string {
+	t.Helper()
+	kind := "mem"
+	if key.Timing {
+		kind = "inst"
+	}
+	arts, err := filepath.Glob(filepath.Join(dir, "traces", key.Workload+"_*_"+kind+".rart"))
+	if err != nil || len(arts) != 1 {
+		t.Fatalf("artifact glob: %v, %v", arts, err)
+	}
+	return arts[0]
+}
+
+// TestCorruptRecordingNeverStored: a stored recording that fails
+// validation is never served, and the recording the job makes in its
+// place is what the store keeps. An artifact whose execution profile
+// counts one record more than it holds is planted in the store; the run
+// exits 0 with the report of a run without a store, and the artifact on
+// disk afterwards decodes and validates.
 func TestCorruptRecordingNeverStored(t *testing.T) {
 	for _, c := range []struct {
 		kind, exp string
-		decode    func([]byte) error
-	}{
-		{"mem", "fig2", func(data []byte) error { _, err := store.DecodeStream(data); return err }},
-		{"inst", "fig10", func(data []byte) error { _, err := store.DecodeIStream(data); return err }},
-	} {
+		timing    bool
+	}{{"mem", "fig2", false}, {"inst", "fig10", true}} {
 		t.Run(c.kind, func(t *testing.T) {
-			defer faultsim.Reset()
-			dir := t.TempDir()
-			faultsim.Inject(wname(t, "go"), faultsim.Fault{Kind: faultsim.Corrupt, Times: 1})
-			code, ref, errw := runCLI("-exp", c.exp, "-size", "3", "-bench", "go", "-store", dir)
+			args := []string{"-exp", c.exp, "-size", "3", "-bench", "go"}
+			code, ref, errw := runCLI(args...)
 			if code != 0 {
-				t.Fatalf("faulted run exit %d: %s", code, errw)
+				t.Fatalf("run without a store exit %d: %s", code, errw)
 			}
-			faultsim.Reset()
-			arts, err := filepath.Glob(filepath.Join(dir, "traces", wname(t, "go")+"_*_"+c.kind+".rart"))
-			if err != nil || len(arts) != 1 {
-				t.Fatalf("artifact glob: %v, %v", arts, err)
+			dir := t.TempDir()
+			key := recordingKey(t, "go", 3, c.timing)
+			bad := record(t, key)
+			switch r := bad.(type) {
+			case *trace.Stream:
+				r.Counts.Loads++
+			case *trace.IStream:
+				r.Counts.Insts++
 			}
-			data, err := os.ReadFile(arts[0])
+			if bad.Validate() == nil {
+				t.Fatal("test setup: planted recording passes validation")
+			}
+			plant(t, dir, key, bad)
+
+			code, out, errw := runCLI(append(args, "-store", dir)...)
+			if code != 0 {
+				t.Fatalf("run over a corrupt artifact exit %d: %s", code, errw)
+			}
+			if normalizeTiming(out) != normalizeTiming(ref) {
+				t.Errorf("run over a corrupt artifact differs:\n%s\nvs\n%s", out, ref)
+			}
+			data, err := os.ReadFile(artifactPath(t, dir, key))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.decode(data); err != nil {
+			var rec recording
+			if c.timing {
+				rec, err = store.DecodeIStream(data)
+			} else {
+				rec, err = store.DecodeStream(data)
+			}
+			if err != nil {
 				t.Fatalf("stored artifact does not decode: %v", err)
 			}
-
-			bench := filepath.Join(dir, "b.json")
-			code, out, errw := runCLI("-exp", c.exp, "-size", "3", "-bench", "go", "-store", dir, "-benchjson", bench)
-			if code != 0 {
-				t.Fatalf("second run exit %d: %s", code, errw)
-			}
-			if normalizeTiming(out) != normalizeTiming(ref) {
-				t.Errorf("second run differs from the first:\n%s\nvs\n%s", out, ref)
-			}
-			m := readBench(t, bench)
-			if got := benchStoreField(t, m, "quarantines"); got != 0 {
-				t.Errorf("quarantines = %v, want 0", got)
-			}
-			if got := benchStoreField(t, m, "disk_hits"); got != 1 {
-				t.Errorf("disk_hits = %v, want the stored recording loaded", got)
+			if err := rec.Validate(); err != nil {
+				t.Errorf("stored artifact fails validation: %v", err)
 			}
 		})
 	}

@@ -7,8 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"rarpred/internal/faultsim"
 )
 
 func readFile(path string) (string, error) {
@@ -22,38 +20,6 @@ func readFile(path string) (string, error) {
 // comparison.
 func normalizeTiming(out string) string {
 	return timingLine.ReplaceAllString(out, "[$1]")
-}
-
-// TestSchedulerIsolatesPanickingCells: under the shared pool, a
-// workload that panics on every recording attempt fails exactly its own
-// (experiment × workload) cells — both experiments still render their
-// other rows and annotate only the faulted workload, at any
-// parallelism.
-func TestSchedulerIsolatesPanickingCells(t *testing.T) {
-	defer faultsim.Reset()
-	faultsim.Inject(wname(t, "gcc"), faultsim.Fault{Kind: faultsim.Panic, Times: 100})
-
-	code, out, errw := runCLI("-exp", "table51,fig2", "-keepgoing",
-		"-size", "23", "-bench", "go,gcc", "-p", "4")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errw)
-	}
-	if n := strings.Count(out, "partial result"); n != 2 {
-		t.Errorf("%d partial annotations, want 2 (gcc cell in each experiment):\n%s", n, out)
-	}
-	for _, id := range []string{"table51", "fig2"} {
-		if !strings.Contains(out, "== "+id+":") {
-			t.Errorf("experiment %s missing from output:\n%s", id, out)
-		}
-	}
-	// Every per-workload failure annotation must name the faulted
-	// workload — the healthy cell shares the pool but not the blast
-	// radius.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "!!   ") && !strings.Contains(line, wname(t, "gcc")) {
-			t.Errorf("failure annotation for an unexpected workload: %q", line)
-		}
-	}
 }
 
 // TestBenchJSONWritten: -benchjson emits the machine-readable suite

@@ -17,10 +17,10 @@
 //     one.
 //
 // A failed check panics with *Violation. Inside the experiment harness
-// that panic is caught by the per-cell recover and classified as
-// runerr.ErrWorkloadPanic, so one violated invariant fails exactly the
-// cell that violated it and the -keepgoing machinery reports it like any
-// other cell fault.
+// that panic is caught by the per-job recover and classified as
+// runerr.ErrWorkloadPanic, so one violated invariant fails the cells
+// that violated it, and with them their experiments: rarsim reports it
+// like any other failed cell and ends the sweep.
 package check
 
 import "fmt"

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rarpred/internal/cloak"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -73,8 +72,8 @@ func variantCells(title string, variants []string, cfgs []cloak.Config) CellRunn
 				return r
 			}
 		},
-		func(_ Options, _ []workload.Workload, rows []row, fails []*runerr.WorkloadError) (Result, error) {
-			return annotate(&AblationResult{Title: title, Variants: variants, Rows: rows}, fails), nil
+		func(_ []workload.Workload, rows []row) Result {
+			return &AblationResult{Title: title, Variants: variants, Rows: rows}
 		})
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"rarpred/internal/locality"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
@@ -55,8 +54,8 @@ var ablDistCells = tracedCells(
 			}
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []DistRow, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&DistResult{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []DistRow) Result {
+		return &DistResult{Rows: rows}
 	})
 
 // String renders the distance CDF at the Figure 5 DDT sizes.

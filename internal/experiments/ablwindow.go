@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -52,8 +51,8 @@ var ablWindowCells = tracedCells(
 			return row
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []WindowRow, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&WindowResult{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []WindowRow) Result {
+		return &WindowResult{Rows: rows}
 	})
 
 // String renders the sweep: sinks detected and their regularity per

@@ -58,7 +58,7 @@ func TestAssemblePanicIsolated(t *testing.T) {
 		Title: "assembler that panics",
 		Cells: tracedCells(
 			func(p *pass) func() int { return func() int { return 1 } },
-			func(opt Options, ws []workload.Workload, rows []int, fails []*runerr.WorkloadError) (Result, error) {
+			func(ws []workload.Workload, rows []int) Result {
 				panic("assembler exploded")
 			},
 		),
@@ -92,10 +92,7 @@ func TestCheckOracleCleanRun(t *testing.T) {
 	opt.Check = true
 	checked, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, partial := checked.(*PartialResult); partial {
-		t.Fatalf("oracle flagged an honest stream: %s", checked)
+		t.Fatalf("oracle flagged an honest stream: %v", err)
 	}
 	if plain.String() != checked.String() {
 		t.Errorf("-check perturbed the result:\n--- plain ---\n%s--- checked ---\n%s",
@@ -172,25 +169,21 @@ func poisonStream(t *testing.T, opt Options) trace.Tier {
 	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts}, bad)
 }
 
-// assertDivergence reports unless exp's outcome is a partial result in
-// which exactly the poisoned workload w failed the -check oracle. It
-// only uses t.Errorf, so suite delivery callbacks may call it.
+// assertDivergence reports unless exp failed, and its one failed cell
+// is the poisoned workload w's, failed by the -check oracle. It only
+// uses t.Errorf, so suite delivery callbacks may call it.
 func assertDivergence(t *testing.T, exp string, res Result, err error, w workload.Workload) {
 	t.Helper()
-	if err != nil {
-		t.Errorf("%s: divergence aborted the run instead of failing the workload: %v", exp, err)
-		return
-	}
-	p, ok := res.(*PartialResult)
-	if !ok {
+	if err == nil {
 		t.Errorf("%s: poisoned recording produced a clean result: %s", exp, res)
 		return
 	}
-	if len(p.Fails) != 1 || p.Fails[0].Workload != w.Name {
-		t.Errorf("%s: failures = %v, want exactly the poisoned workload", exp, p.Fails)
+	cells := cellErrors(err)
+	if len(cells) != 1 || !strings.HasPrefix(cells[0].Error(), exp+"/"+w.Name+": ") {
+		t.Errorf("%s: err = %v, want exactly the poisoned workload's failure", exp, err)
 		return
 	}
-	if msg := p.Fails[0].Error(); !strings.Contains(msg, "diverges") {
+	if msg := cells[0].Error(); !strings.Contains(msg, "diverges") {
 		t.Errorf("%s: failure does not describe the divergence: %s", exp, msg)
 	}
 }

@@ -15,9 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strings"
 
-	"rarpred/internal/faultsim"
 	"rarpred/internal/funcsim"
 	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
@@ -45,7 +43,7 @@ type Options struct {
 
 	// Context cancels the whole run: simulators poll it every
 	// funcsim.InterruptEvery committed instructions and the runner
-	// aborts (hard error, no partial result) once it is done. nil means
+	// aborts with a hard error once it is done. nil means
 	// context.Background().
 	Context context.Context
 
@@ -105,43 +103,6 @@ func (o Options) ctx() context.Context {
 // report. Concrete result types expose the underlying numbers.
 type Result interface{ fmt.Stringer }
 
-// PartialResult wraps an experiment's Result when one or more workloads
-// failed: the embedded Result covers the survivors and Fails carries one
-// typed error per failed workload (each a runerr.WorkloadError stamped
-// with the experiment id). String renders the underlying report followed
-// by the failure annotations, so partial output is never mistaken for a
-// complete run.
-type PartialResult struct {
-	Result
-	Fails []*runerr.WorkloadError
-}
-
-// Failures returns the per-workload errors behind the annotations.
-func (p *PartialResult) Failures() []*runerr.WorkloadError { return p.Fails }
-
-// String renders the survivors' report plus one annotation per failure.
-func (p *PartialResult) String() string {
-	var sb strings.Builder
-	sb.WriteString(p.Result.String())
-	fmt.Fprintf(&sb, "!! partial result: %d workload(s) failed\n", len(p.Fails))
-	for _, f := range p.Fails {
-		msg := f.Error()
-		if i := strings.IndexByte(msg, '\n'); i >= 0 {
-			msg = msg[:i] + " ..." // keep panic stacks out of the report
-		}
-		fmt.Fprintf(&sb, "!!   %s\n", msg)
-	}
-	return sb.String()
-}
-
-// annotate wraps res as partial when any workload failed.
-func annotate(res Result, fails []*runerr.WorkloadError) Result {
-	if len(fails) == 0 {
-		return res
-	}
-	return &PartialResult{Result: res, Fails: fails}
-}
-
 // Experiment is one runnable reproduction of a paper table or figure.
 type Experiment struct {
 	// ID is the paper's identifier (e.g. "fig6") or an ablation id.
@@ -157,16 +118,16 @@ type Experiment struct {
 // Run executes the experiment alone: a suite of one (RunSuite), whose
 // jobs each hold only this experiment's cell, so it shares no work with
 // any other experiment. It never journals: opt.Journal is ignored. Every
-// error leaving the experiment layer is attributed: hard errors gain
-// the experiment id prefix (a run the context ended before any cell
-// began included) and per-workload failures in a PartialResult are
-// stamped with it (completing the runerr.WorkloadError taxonomy).
+// error leaving the experiment layer is attributed: a failed cell reads
+// "<exp>/<workload>: <cause>" (cellFailures), and a hard error gains the
+// experiment id prefix (a run the context ended before any cell began
+// included).
 func (e Experiment) Run(opt Options) (Result, error) {
 	opt.Journal = nil
 	var item SuiteItem
 	RunSuite(opt, []Experiment{e}, func(it SuiteItem) bool { item = it; return true })
 	if item.NotRun {
-		return stamp(e.ID, nil, runerr.Classify(item.Err))
+		return nil, stamp(e.ID, runerr.Classify(item.Err))
 	}
 	return item.Result, item.Err
 }
@@ -184,25 +145,8 @@ func register(e Experiment) {
 	registry = append(registry, e)
 }
 
-// stamp attributes an experiment's outcome to its id: hard errors gain
-// the id prefix, per-workload failures inside a PartialResult are
-// stamped with it. A failure is stamped on a copy, because a fused job
-// hands one error to the cells of every experiment it covers.
-func stamp(id string, res Result, err error) (Result, error) {
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
-	}
-	if p, ok := res.(*PartialResult); ok {
-		for i, f := range p.Fails {
-			if f.Experiment == "" {
-				stamped := *f
-				stamped.Experiment = id
-				p.Fails[i] = &stamped
-			}
-		}
-	}
-	return res, nil
-}
+// stamp attributes a hard error to experiment id.
+func stamp(id string, err error) error { return fmt.Errorf("%s: %w", id, err) }
 
 // All returns the experiments in registration (paper) order.
 func All() []Experiment {
@@ -236,13 +180,14 @@ func IDs() []string {
 // through: one (experiment × workload) cell is the unit of results,
 // failures and journaling (the scheduler runs a workload's functional
 // cells as one job and its timing cells as another, see
-// jobKind.runFused), and Assemble turns the surviving cells back into
-// the experiment's paper-layout Result. Every runner is a passRunner or
-// a simRunner, built from a typed cellRunner.
+// jobKind.runFused), and Assemble turns the cells back into the
+// experiment's paper-layout Result. Every runner is a passRunner or a
+// simRunner, built from a typed cellRunner.
 type CellRunner interface {
-	// Assemble combines the surviving cells (suite order, index-aligned
-	// with ws) and the per-workload failures into the Result.
-	Assemble(opt Options, ws []workload.Workload, rows []any, fails []*runerr.WorkloadError) (Result, error)
+	// Assemble combines every workload's row (suite order, index-aligned
+	// with ws) into the Result. An experiment with a failed cell is
+	// never assembled (cellFailures).
+	Assemble(ws []workload.Workload, rows []any) Result
 	// EncodeRow serializes one cell's row for the suite run journal.
 	EncodeRow(row any) ([]byte, error)
 	// DecodeRow reverses EncodeRow into the concrete row type Assemble
@@ -254,9 +199,8 @@ type CellRunner interface {
 // durable run journal. Lookup returns the encoded row a previous run
 // journaled for one cell; Record durably appends a cell that just
 // completed. Both must be safe for concurrent use. Only successful
-// cells are journaled — failures re-run on resume, because a failure
-// may have been environmental (deadline, fault) and deserves a fresh
-// attempt.
+// cells are journaled, so a resumed run reruns exactly the cells that
+// failed or never ran.
 type SuiteJournal interface {
 	Lookup(exp, workload string) ([]byte, bool)
 	// Record appends one completed cell's encoded row.
@@ -266,15 +210,15 @@ type SuiteJournal interface {
 // cellRunner implements the typed half of CellRunner: the assembler and
 // the journal codec over the concrete row type T.
 type cellRunner[T any] struct {
-	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error)
+	assemble func(ws []workload.Workload, rows []T) Result
 }
 
-func (r cellRunner[T]) Assemble(opt Options, ws []workload.Workload, rows []any, fails []*runerr.WorkloadError) (Result, error) {
+func (r cellRunner[T]) Assemble(ws []workload.Workload, rows []any) Result {
 	typed := make([]T, len(rows))
 	for i, row := range rows {
 		typed[i] = row.(T)
 	}
-	return r.assemble(opt, ws, typed, fails)
+	return r.assemble(ws, typed)
 }
 
 // EncodeRow implements CellRunner: gob over the concrete row type. Row
@@ -314,48 +258,37 @@ func isolate(w workload.Workload, fn func() error) (err error) {
 	return fn()
 }
 
-// collectCells splits per-cell outcomes into surviving rows (suite
-// order, index-aligned with their workloads) and typed failures.
-// Failures are collected instead of aborting on the first, so the suite
-// always produces every row it can. The error return is reserved for
-// every workload failing — with no survivors there is nothing to
-// render.
-func collectCells(ws []workload.Workload, rows []any, errs []error) ([]any, []workload.Workload, []*runerr.WorkloadError, error) {
-	var (
-		outRows []any
-		outWs   []workload.Workload
-		fails   []*runerr.WorkloadError
-	)
-	for i, w := range ws {
-		if errs[i] == nil {
-			outRows = append(outRows, rows[i])
-			outWs = append(outWs, w)
-			continue
+// cellFailures is the suite's one failure rule: an experiment with any
+// failed cell fails as a whole. Its error joins, in suite order, each
+// failed cell's cause attributed as "<id>/<workload>: <cause>"; nil when
+// every cell succeeded. The simulation is deterministic, so a failed
+// cell would fail the same way again, and rendering the rest would only
+// hide the loss. Each attribution is a copy, because a fused job hands
+// one error to the cells of every experiment it covers.
+func cellFailures(id string, ws []workload.Workload, errs []error) error {
+	var fails []error
+	for i, err := range errs {
+		if err != nil {
+			we := *runerr.New(ws[i].Name, runerr.Classify(err))
+			we.Experiment = id
+			fails = append(fails, &we)
 		}
-		fails = append(fails, runerr.New(w.Name, runerr.Classify(errs[i])))
 	}
-	if len(outRows) == 0 && len(fails) > 0 {
-		joined := make([]error, len(fails))
-		for i, f := range fails {
-			joined[i] = f
-		}
-		return nil, nil, nil, fmt.Errorf("every workload failed: %w", errors.Join(joined...))
-	}
-	return outRows, outWs, fails, nil
+	return errors.Join(fails...)
 }
 
-// assembleCells invokes the experiment's assembler under the same panic
-// isolation as its cells: a panicking Assemble fails its experiment
-// instead of the pool worker that happened to retire the last cell
-// (which still owns queued jobs), and so instead of the process.
-func assembleCells(opt Options, r CellRunner, ws []workload.Workload, rows []any, fails []*runerr.WorkloadError) (res Result, err error) {
+// assembleCells invokes e's assembler under the same panic isolation as
+// its cells: a panicking Assemble fails its experiment instead of the
+// pool worker that happened to retire the last cell (which still owns
+// queued jobs), and so instead of the process.
+func assembleCells(e Experiment, ws []workload.Workload, rows []any) (res Result, err error) {
 	defer startSpan("assemble").End()
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, runerr.FromPanic("assemble", p, debug.Stack())
+			res, err = nil, stamp(e.ID, runerr.FromPanic("assemble", p, debug.Stack()))
 		}
 	}()
-	return r.Assemble(opt, ws, rows, fails)
+	return e.Cells.Assemble(ws, rows), nil
 }
 
 // recording is what a job obtains: a memory-event trace.Stream or an
@@ -367,10 +300,8 @@ type recording interface {
 
 // recorder says how to obtain one recording, for obtain.
 type recorder[S recording] struct {
-	// record runs the fast recorder, under faultsim's hooks.
+	// record records it on the fast interpreter.
 	record func() (S, error)
-	// baseline re-records on the independent baseline interpreter.
-	baseline func() (S, error)
 	// truncated reports that the recording stopped at the instruction
 	// budget.
 	truncated func(S) bool
@@ -381,21 +312,18 @@ type recorder[S recording] struct {
 // obtain is the one way a job gets its recording under key, for pass
 // jobs (workloadStream) and timing jobs (workloadIStream) alike:
 //
-//  1. load it from opt.Store if one is set, and otherwise (or on a miss
-//     or a load error) record it;
-//  2. validate it, and re-record one that fails on the baseline
-//     interpreter before declaring the workload failed — never serve a
-//     corrupt recording;
-//  3. fail a recording cut short by the instruction budget;
-//  4. under opt.Check, verify it once;
-//  5. save it to opt.Store if it was not loaded from there, so only a
+//  1. load it from opt.Store if one is set, and otherwise (on a miss, a
+//     load error, or a loaded recording that fails validation) record
+//     it;
+//  2. fail a fresh recording that fails validation, or one cut short by
+//     the instruction budget — never serve a corrupt recording;
+//  3. under opt.Check, verify it once;
+//  4. save it to opt.Store if it was not loaded from there, so only a
 //     recording that passed validation is saved. A failed save costs
 //     durability, not the run.
 //
 // The recording belongs to the job that asked for it and becomes
-// garbage when the job returns. Fault-injection hooks (faultsim) reach
-// the interpreter through r.record, so injected panics, stalls, and
-// corruption exercise exactly the paths a real crash would take.
+// garbage when the job returns.
 func obtain[S recording](opt Options, key trace.Key, r recorder[S]) (S, error) {
 	var zero S
 	s, loaded := load[S](opt.Store, key)
@@ -404,16 +332,8 @@ func obtain[S recording](opt Options, key trace.Key, r recorder[S]) (S, error) {
 		if s, err = r.record(); err != nil {
 			return zero, err
 		}
-	}
-	if verr := s.Validate(); verr != nil {
-		loaded = false
-		var err error
-		s, err = r.baseline()
-		if err == nil {
-			err = s.Validate()
-		}
-		if err != nil {
-			return zero, fmt.Errorf("%w; live re-record also failed: %w", verr, err)
+		if err := s.Validate(); err != nil {
+			return zero, err
 		}
 	}
 	if r.truncated(s) {
@@ -431,9 +351,9 @@ func obtain[S recording](opt Options, key trace.Key, r recorder[S]) (S, error) {
 }
 
 // load returns the recording tier holds under key, if tier is set and
-// holds one of type S. A load error is a miss: the tier has already
-// quarantined or reported what it needed to, and recording is the
-// degradation path that always works.
+// holds a valid one of type S. A load error, or a recording that fails
+// validation, is a miss: the tier has already quarantined or reported
+// what it needed to, and recording is the path that always works.
 func load[S recording](tier trace.Tier, key trace.Key) (s S, ok bool) {
 	if tier == nil {
 		return s, false
@@ -443,7 +363,7 @@ func load[S recording](tier trace.Tier, key trace.Key) (s S, ok bool) {
 		return s, false
 	}
 	s, ok = v.(S)
-	return s, ok
+	return s, ok && s.Validate() == nil
 }
 
 // workloadStream obtains one workload's committed reference stream
@@ -452,16 +372,7 @@ func workloadStream(ctx context.Context, opt Options, w workload.Workload, size 
 	return obtain(opt, trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts}, recorder[*trace.Stream]{
 		record: func() (*trace.Stream, error) {
 			defer startSpan("cell/record").End()
-			tr, err := trace.RecordStreamContext(ctx, w.Assemble(size), maxInsts, faultsim.Hook(w.Name, ctx))
-			if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
-				// One spurious event desynchronises the tally from the
-				// execution profile, which Validate must catch.
-				tr.Append(trace.KindLoad, 0, 0, 0)
-			}
-			return tr, err
-		},
-		baseline: func() (*trace.Stream, error) {
-			return trace.RecordStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
+			return trace.RecordStreamContext(ctx, w.Assemble(size), maxInsts)
 		},
 		truncated: func(tr *trace.Stream) bool { return tr.Truncated },
 		verify: func(tr *trace.Stream) error {

@@ -6,7 +6,6 @@ import (
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/pipeline"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
@@ -66,8 +65,8 @@ var ablMemSpecCells = simCells(
 			StoreSetViolations: results[2].MemViolations,
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []MemSpecRow, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&MemSpecResult{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []MemSpecRow) Result {
+		return &MemSpecResult{Rows: rows}
 	})
 
 // String renders IPCs and violation counts.
@@ -122,8 +121,8 @@ var ablRecoveryCells = simCells(
 			Skipped:   results[3].SpecSkipped,
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []RecoveryRow, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&RecoveryResult{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []RecoveryRow) Result {
+		return &RecoveryResult{Rows: rows}
 	})
 
 // String renders the three speedup columns.
@@ -186,12 +185,12 @@ var synergyCells = tracedCells(
 			}
 		}
 	},
-	func(_ Options, ws []workload.Workload, rows []SynergyRow, fails []*runerr.WorkloadError) (Result, error) {
+	func(ws []workload.Workload, rows []SynergyRow) Result {
 		res := &SynergyResult{Rows: rows}
 		_, _, res.CloakMean = meansByClass(ws, rows, func(r SynergyRow) float64 { return r.Cloak })
 		_, _, res.VPMean = meansByClass(ws, rows, func(r SynergyRow) float64 { return r.VP })
 		_, _, res.HybridMean = meansByClass(ws, rows, func(r SynergyRow) float64 { return r.Hybrid })
-		return annotate(res, fails), nil
+		return res
 	})
 
 // String renders per-program and mean coverage of each mechanism.
@@ -263,8 +262,8 @@ var ablProfileCells = tracedCells(
 			}
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []ProfileRow, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&ProfileResult{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []ProfileRow) Result {
+		return &ProfileResult{Rows: rows}
 	})
 
 // String renders hardware vs software-guided coverage.

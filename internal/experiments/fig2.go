@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rarpred/internal/locality"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -55,8 +54,8 @@ var fig2Cells = tracedCells(
 			return row
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []Fig2Row, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&Fig2Result{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []Fig2Row) Result {
+		return &Fig2Result{Rows: rows}
 	})
 
 // String renders both sub-figures as locality(1..4) columns.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rarpred/internal/cloak"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
@@ -70,8 +69,8 @@ var fig5Cells = tracedCells(
 			return row
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []Fig5Row, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&Fig5Result{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []Fig5Row) Result {
+		return &Fig5Result{Rows: rows}
 	})
 
 // tally adds one to counts[c] for every bit c set in mask.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rarpred/internal/cloak"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -73,13 +72,13 @@ var fig6Cells = tracedCells(
 			}
 		}
 	},
-	func(_ Options, ws []workload.Workload, rows []Fig6Row, fails []*runerr.WorkloadError) (Result, error) {
+	func(ws []workload.Workload, rows []Fig6Row) Result {
 		res := &Fig6Result{Rows: rows}
 		res.MispIntTwoBit, res.MispFPTwoBit, res.MispAllTwoBit =
 			meansByClass(ws, rows, func(r Fig6Row) float64 { return r.TwoBit.Misp() })
 		res.CovIntTwoBit, res.CovFPTwoBit, res.CovAllTwoBit =
 			meansByClass(ws, rows, func(r Fig6Row) float64 { return r.TwoBit.Coverage() })
-		return annotate(res, fails), nil
+		return res
 	})
 
 // String renders coverage (part a) and misspeculation (part b), one pair

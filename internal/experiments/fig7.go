@@ -6,7 +6,6 @@ import (
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/locality"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -98,8 +97,8 @@ func fig7Cells(value bool) CellRunner {
 				}
 			}
 		},
-		func(_ Options, _ []workload.Workload, rows []Fig7Row, fails []*runerr.WorkloadError) (Result, error) {
-			return annotate(&Fig7Result{Value: value, Rows: rows}, fails), nil
+		func(_ []workload.Workload, rows []Fig7Row) Result {
+			return &Fig7Result{Value: value, Rows: rows}
 		})
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/pipeline"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -110,7 +109,7 @@ func timingCells(nospec bool) CellRunner {
 			}
 			return row
 		},
-		func(_ Options, ws []workload.Workload, rows []Fig9Row, fails []*runerr.WorkloadError) (Result, error) {
+		func(ws []workload.Workload, rows []Fig9Row) Result {
 			res := &Fig9Result{NoSpec: nospec, Rows: rows}
 			res.SelRAWInt, res.SelRAWFP, res.SelRAWAll =
 				meansByClass(ws, rows, func(r Fig9Row) float64 { return r.SelRAW })
@@ -122,7 +121,7 @@ func timingCells(nospec bool) CellRunner {
 				times[i] = 1 / (1 + r.SelRAWRAR)
 			}
 			res.HMSelective = 1/stats.HarmonicMean(times) - 1
-			return annotate(res, fails), nil
+			return res
 		})
 }
 

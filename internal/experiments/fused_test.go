@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rarpred/internal/cloak"
-	"rarpred/internal/faultsim"
 	"rarpred/internal/metrics"
 	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
@@ -61,9 +60,6 @@ func TestSuitePassMatchesStandaloneCells(t *testing.T) {
 	RunSuite(opt, exps, func(item SuiteItem) bool {
 		if item.Err != nil {
 			t.Fatalf("%s: %v", item.Exp.ID, item.Err)
-		}
-		if _, partial := item.Result.(*PartialResult); partial {
-			t.Fatalf("%s: %s", item.Exp.ID, item.Result)
 		}
 		for _, c := range item.Cells {
 			if !c.Fused {
@@ -181,13 +177,13 @@ func rowBomb(bad string) Experiment {
 	}
 }
 
-// countLines renders one "workload=value" line per surviving row.
-func countLines(_ Options, _ []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
+// countLines renders one "workload=value" line per row.
+func countLines(_ []workload.Workload, rows []countRow) Result {
 	res := countResult{}
 	for _, r := range rows {
 		res.lines = append(res.lines, fmt.Sprintf("%s=%d", r.Name, r.Value))
 	}
-	return annotate(res, fails), nil
+	return res
 }
 
 // suiteRows runs exps as a suite and returns each experiment's item by
@@ -212,11 +208,11 @@ func boxRows[T any](rows []T) []any {
 // TestFusedJobFailsAsOne: a workload's job fails as one, for both job
 // kinds. Each row runs three experiments as one suite over three
 // workloads: on the second, a synthetic experiment's row step panics; on
-// the third, every recording panics. Each of those two workloads' cells
-// fails with ErrWorkloadPanic in every experiment, each annotation
-// naming its own experiment, and each workload's job, the panicking
-// lookup's included, asks the store for its recording once. The first
-// workload's rows equal its standalone cells.
+// the third, the store's Load panics. Each of those two workloads' cells
+// fails with ErrWorkloadPanic in every experiment, so every experiment
+// fails, its error naming both workloads under its own id; and each
+// workload's job, the panicking lookup's included, asks the store for
+// its recording once.
 func TestFusedJobFailsAsOne(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -224,36 +220,23 @@ func TestFusedJobFailsAsOne(t *testing.T) {
 		size    int
 		timing  bool
 		exps    func(bad string) []Experiment
-		rows    func(Result) []any // a real experiment's rows, nil for the synthetic one
 	}{
 		{"pass", []string{"go", "gcc", "tom"}, 15, false,
 			func(bad string) []Experiment {
 				return []Experiment{mustByID(t, "fig2"), rowBomb(bad), mustByID(t, "table51")}
-			},
-			func(r Result) []any {
-				switch r := r.(type) {
-				case *Fig2Result:
-					return boxRows(r.Rows)
-				case *Table51Result:
-					return boxRows(r.Rows)
-				}
-				return nil
 			}},
 		{"timing", []string{"apl", "go", "tom"}, 3, true,
 			func(bad string) []Experiment {
 				return []Experiment{mustByID(t, "fig10"), simBomb(bad), mustByID(t, "ablmemspec")}
-			},
-			timingRows},
+			}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			defer faultsim.Reset()
 			opt := subset(c.abbrevs...)
 			opt.Size = c.size
 			opt.Parallelism = 2
 			healthy, rowBad, lookupBad := opt.Workloads[0], opt.Workloads[1], opt.Workloads[2]
-			tier := &fakeTier{}
+			tier := panicTier(lookupBad.Name)
 			opt.Store = tier
-			faultsim.Inject(lookupBad.Name, faultsim.Fault{Kind: faultsim.Panic})
 
 			exps := c.exps(rowBad.Name)
 			items := suiteRows(opt, exps)
@@ -266,36 +249,23 @@ func TestFusedJobFailsAsOne(t *testing.T) {
 
 			for _, e := range exps {
 				item := items[e.ID]
-				p, ok := item.Result.(*PartialResult)
-				if item.Err != nil || !ok {
-					t.Fatalf("%s = %v, %v; want a partial result", e.ID, item.Result, item.Err)
+				if item.Err == nil || item.Result != nil {
+					t.Fatalf("%s = %v, %v; want an error and no result", e.ID, item.Result, item.Err)
 				}
-				if len(p.Fails) != 2 {
-					t.Fatalf("%s failures = %v, want one on %s and one on %s", e.ID, p.Fails, rowBad.Name, lookupBad.Name)
+				cells := cellErrors(item.Err)
+				if len(cells) != 2 {
+					t.Fatalf("%s error joins %d failures, want one on %s and one on %s: %v", e.ID, len(cells), rowBad.Name, lookupBad.Name, item.Err)
 				}
 				for k, w := range []workload.Workload{rowBad, lookupBad} {
-					if f := p.Fails[k]; f.Workload != w.Name || f.Experiment != e.ID || !errors.Is(f, runerr.ErrWorkloadPanic) {
-						t.Errorf("%s failure %d = %v, want a panic on %s", e.ID, k, f, w.Name)
-					}
-					if want := "!!   " + e.ID + "/" + w.Name + ": "; !strings.Contains(p.String(), want) {
-						t.Errorf("%s lacks the annotation %q:\n%s", e.ID, want, p)
+					if want := e.ID + "/" + w.Name + ": "; !strings.HasPrefix(cells[k].Error(), want) ||
+						!errors.Is(cells[k], runerr.ErrWorkloadPanic) {
+						t.Errorf("%s failure %d = %v, want a panic attributed %q", e.ID, k, cells[k], want)
 					}
 				}
 				for wi, cell := range item.Cells {
 					if !cell.Fused || cell.Failed != (wi > 0) {
 						t.Errorf("%s cell %+v, want fused, and failed unless on %s", e.ID, cell, healthy.Name)
 					}
-				}
-				rows := c.rows(p.Result)
-				if rows == nil {
-					if got := p.Result.String(); !strings.HasPrefix(got, healthy.Name+"=") || strings.Count(got, "=") != 1 {
-						t.Errorf("%s survivors = %q, want one row on %s", e.ID, got, healthy.Name)
-					}
-					continue
-				}
-				want := standaloneCell(t, opt, healthy, e.Cells)
-				if len(rows) != 1 || fmt.Sprintf("%#v", rows[0]) != fmt.Sprintf("%#v", want) {
-					t.Errorf("%s survivors differ from the standalone cell on %s:\n got %#v\nwant %#v", e.ID, healthy.Name, rows, want)
 				}
 			}
 		})

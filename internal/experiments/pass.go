@@ -5,7 +5,6 @@ import (
 
 	"rarpred/internal/cloak"
 	"rarpred/internal/locality"
-	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
 	"rarpred/internal/vpred"
 	"rarpred/internal/workload"
@@ -128,7 +127,7 @@ func (r tracedRunner[T]) planCell(p *pass) func() any {
 // opt.Store, or recorded).
 func tracedCells[T any](
 	plan func(p *pass) func() T,
-	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
+	assemble func(ws []workload.Workload, rows []T) Result,
 ) CellRunner {
 	return tracedRunner[T]{cellRunner: cellRunner[T]{assemble: assemble}, plan: plan}
 }

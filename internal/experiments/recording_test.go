@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -8,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"rarpred/internal/faultsim"
 	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
 )
@@ -145,13 +145,13 @@ func TestNoRecordingOutlivesItsJob(t *testing.T) {
 }
 
 // TestObtain: how a job gets its recording through the store. A stored
-// recording is served without recording; a miss, or a load error,
-// records and saves; and only a recording that passed validation is
-// ever saved.
+// recording is served without recording; a miss, a load error, or a
+// stored recording that fails validation records and saves; and only a
+// recording that passed validation is ever saved.
 func TestObtain(t *testing.T) {
 	opt := subset("gcc", "tom")
 	opt.Size = 5
-	w := opt.Workloads[0] // faults and the store's checks are on gcc alone
+	w := opt.Workloads[0] // the store's checks are on gcc alone
 	key := recordingKeys(opt)[0]
 	plain, err := mustByID(t, "fig2").Run(opt)
 	if err != nil {
@@ -165,14 +165,20 @@ func TestObtain(t *testing.T) {
 		}
 		return tr
 	}
-	// run runs fig2 against tier under fault f (if any), and returns its
-	// result.
-	run := func(t *testing.T, tier *fakeTier, f *faultsim.Fault) Result {
+	// corrupt is a recording whose execution profile counts one load
+	// more than its events hold, so it fails validation.
+	corrupt := func(t *testing.T) *trace.Stream {
 		t.Helper()
-		defer faultsim.Reset()
-		if f != nil {
-			faultsim.Inject(w.Name, *f)
+		tr := fresh(t)
+		tr.Counts.Loads++
+		if tr.Validate() == nil {
+			t.Fatal("test setup: corrupt recording passes validation")
 		}
+		return tr
+	}
+	// run runs fig2 against tier and returns its result.
+	run := func(t *testing.T, tier *fakeTier) Result {
+		t.Helper()
 		o := opt
 		o.Store = tier
 		res, err := mustByID(t, "fig2").Run(o)
@@ -180,6 +186,17 @@ func TestObtain(t *testing.T) {
 			t.Fatal(err)
 		}
 		return res
+	}
+	// obtainWith obtains gcc's recording from tier through rec, the
+	// recorder standing in for the interpreter.
+	obtainWith := func(tier *fakeTier, rec func() (*trace.Stream, error)) (*trace.Stream, error) {
+		o := opt
+		o.Store = tier
+		return obtain(o, key, recorder[*trace.Stream]{
+			record:    rec,
+			truncated: func(tr *trace.Stream) bool { return tr.Truncated },
+			verify:    func(*trace.Stream) error { return nil },
+		})
 	}
 	// savedValid reports unless tier saved exactly one recording under
 	// key, and it is the workload's committed stream.
@@ -207,16 +224,22 @@ func TestObtain(t *testing.T) {
 	}
 
 	t.Run("hit-skips-recording", func(t *testing.T) {
-		// Any recording would panic: the stored stream must be served.
-		tier := plantedTier(key, fresh(t))
-		same(t, run(t, tier, &faultsim.Fault{Kind: faultsim.Panic}))
+		stored := fresh(t)
+		tier := plantedTier(key, stored)
+		got, err := obtainWith(tier, func() (*trace.Stream, error) {
+			t.Error("recorded a stream the store holds")
+			return nil, errors.New("recorded")
+		})
+		if err != nil || got != stored {
+			t.Fatalf("obtain = %p, %v; want the stored recording %p", got, err, stored)
+		}
 		if n := tier.savesOf(key); n != 0 {
 			t.Errorf("a loaded recording was saved again %d times", n)
 		}
 	})
 	t.Run("miss-records-then-saves", func(t *testing.T) {
 		tier := &fakeTier{}
-		same(t, run(t, tier, nil))
+		same(t, run(t, tier))
 		if n := tier.loadsOf(key); n != 1 {
 			t.Errorf("asked the store %d times, want once", n)
 		}
@@ -226,25 +249,41 @@ func TestObtain(t *testing.T) {
 		tier := &fakeTier{load: func(trace.Key) (trace.Cached, error) {
 			return nil, errors.New("artifact quarantined")
 		}}
-		same(t, run(t, tier, nil))
+		same(t, run(t, tier))
 		savedValid(t, tier)
 	})
 	t.Run("failed-recording-not-saved", func(t *testing.T) {
-		tier := &fakeTier{}
-		res := run(t, tier, &faultsim.Fault{Kind: faultsim.Panic})
-		if p, ok := res.(*PartialResult); !ok || len(p.Fails) != 1 || p.Fails[0].Workload != w.Name ||
-			!errors.Is(p.Fails[0], runerr.ErrWorkloadPanic) {
-			t.Fatalf("result %s, want %s failed by its panic", res, w.Name)
+		// The store cancels the run and misses, so the recording that
+		// follows fails.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tier := &fakeTier{load: func(trace.Key) (trace.Cached, error) {
+			cancel()
+			return nil, nil
+		}}
+		o := opt
+		o.Store = tier
+		if _, err := workloadStream(ctx, o, w, opt.Size); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want the canceled recording's context.Canceled", err)
 		}
 		if n := tier.savesOf(key); n != 0 {
 			t.Errorf("a failed recording was saved %d times", n)
 		}
 	})
-	t.Run("corrupt-recording-rerecorded-then-saved", func(t *testing.T) {
-		// The corrupt recording fails validation; the baseline
-		// interpreter's re-record replaces it, and only that is saved.
+	t.Run("invalid-recording-fails-unsaved", func(t *testing.T) {
 		tier := &fakeTier{}
-		same(t, run(t, tier, &faultsim.Fault{Kind: faultsim.Corrupt, Times: 1}))
+		if _, err := obtainWith(tier, func() (*trace.Stream, error) { return corrupt(t), nil }); !errors.Is(err, runerr.ErrTraceCorrupt) {
+			t.Fatalf("err = %v, want ErrTraceCorrupt", err)
+		}
+		if n := tier.savesOf(key); n != 0 {
+			t.Errorf("a recording that fails validation was saved %d times", n)
+		}
+	})
+	t.Run("corrupt-recording-rerecorded-then-saved", func(t *testing.T) {
+		// A stored recording that fails validation is a miss: the job
+		// records the stream again and saves that.
+		tier := plantedTier(key, corrupt(t))
+		same(t, run(t, tier))
 		savedValid(t, tier)
 	})
 }

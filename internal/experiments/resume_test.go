@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -67,14 +68,20 @@ func countingExperiment(id string, calls *atomic.Int64, fail string) Experiment 
 					return countRow{Workload: p.w, Value: len(p.w.Name) + len(id)}
 				}
 			},
-			func(opt Options, ws []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
-				res := countResult{}
-				for _, r := range rows {
-					res.lines = append(res.lines, fmt.Sprintf("%s %s=%d", id, r.Name, r.Value))
-				}
-				return annotate(res, fails), nil
-			},
+			idLines(id),
 		),
+	}
+}
+
+// idLines is the assembler of the synthetic experiment id: one
+// "id workload=value" line per row.
+func idLines(id string) func([]workload.Workload, []countRow) Result {
+	return func(_ []workload.Workload, rows []countRow) Result {
+		res := countResult{}
+		for _, r := range rows {
+			res.lines = append(res.lines, fmt.Sprintf("%s %s=%d", id, r.Name, r.Value))
+		}
+		return res
 	}
 }
 
@@ -181,8 +188,9 @@ func TestSuiteResumePartialJournal(t *testing.T) {
 	}
 }
 
-// TestSuiteResumeFailedCellsRerun: failures are never journaled, so a
-// resumed run retries them — and, the fault now gone, succeeds.
+// TestSuiteResumeFailedCellsRerun: a failed cell fails its experiment
+// and is never journaled, so a resumed run reruns it alone and, the
+// fault now gone, succeeds.
 func TestSuiteResumeFailedCellsRerun(t *testing.T) {
 	plain := leading(4)
 	ws := plain.Workloads
@@ -192,18 +200,15 @@ func TestSuiteResumeFailedCellsRerun(t *testing.T) {
 	opt.Journal = jnl
 	var calls atomic.Int64
 
-	var sawPartial bool
+	var failed error
 	RunSuite(opt,
 		[]Experiment{countingExperiment("synthD", &calls, bad)},
 		func(item SuiteItem) bool {
-			if item.Err != nil {
-				t.Fatalf("suite failed outright: %v", item.Err)
-			}
-			_, sawPartial = item.Result.(*PartialResult)
+			failed = item.Err
 			return true
 		})
-	if !sawPartial {
-		t.Fatal("failing cell did not produce a partial result")
+	if !errors.Is(failed, runerr.ErrWorkloadPanic) || !strings.HasPrefix(failed.Error(), "synthD/"+bad+": ") {
+		t.Fatalf("suite error = %v, want synthD failed by its cell on %s", failed, bad)
 	}
 	if jnl.records != len(ws)-1 {
 		t.Fatalf("journaled %d cells, want %d (failures excluded)", jnl.records, len(ws)-1)

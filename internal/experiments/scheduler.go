@@ -18,8 +18,9 @@ type SuiteItem struct {
 	Index int
 	Exp   Experiment
 	// Result and Err are the experiment's outcome, as Experiment.Run
-	// returns it (Err is stamped with the experiment id; a partial run
-	// arrives as *PartialResult).
+	// returns it: Err, attributed to the experiment id, when any cell
+	// failed (cellFailures) or the run ended mid-experiment, and the
+	// Result otherwise.
 	Result Result
 	Err    error
 	// NotRun reports that the run context ended before any of the
@@ -107,8 +108,10 @@ type suiteExp struct {
 // Results are assembled the moment an experiment's last cell retires and
 // delivered in suite order — deliver(item) is called exactly once per
 // experiment, ordered, from whichever worker completed the ordering
-// gap. deliver returning false stops the suite: the remaining cells are
-// drained without running and nothing further is delivered.
+// gap. An experiment with a failed cell is delivered failed
+// (cellFailures); deliver decides whether the suite goes on. deliver
+// returning false stops the suite: the remaining cells are drained
+// without running and nothing further is delivered.
 //
 // If the run context ends mid-suite, experiments whose cells never
 // started are delivered with NotRun set; experiments caught mid-flight
@@ -234,16 +237,11 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 			item.Err = runCtx.Err()
 		case runCtx.Err() != nil:
 			// Hard abort mid-experiment, stamped with the experiment id.
-			_, item.Err = stamp(st.exp.ID, nil, runerr.Classify(runCtx.Err()))
+			item.Err = stamp(st.exp.ID, runerr.Classify(runCtx.Err()))
 		default:
-			outRows, outWs, fails, err := collectCells(ws, st.rows, st.errs)
-			if err == nil {
-				item.Result, err = assembleCells(opt, st.exp.Cells, outWs, outRows, fails)
+			if item.Err = cellFailures(st.exp.ID, ws, st.errs); item.Err == nil {
+				item.Result, item.Err = assembleCells(st.exp, ws, st.rows)
 			}
-			item.Result, item.Err = stamp(st.exp.ID, item.Result, err)
-		}
-		if item.Err != nil {
-			item.Result = nil
 		}
 		complete(ei, item)
 	}

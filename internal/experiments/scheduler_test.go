@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"rarpred/internal/pipeline"
-	"rarpred/internal/runerr"
 	"rarpred/internal/workload"
 )
 
@@ -38,13 +36,7 @@ func orderedExperiment(id string, mu *sync.Mutex, order *[]string, timing bool) 
 		mu.Unlock()
 		return countRow{Workload: w, Value: len(w.Name)}
 	}
-	assemble := func(opt Options, ws []workload.Workload, rows []countRow, fails []*runerr.WorkloadError) (Result, error) {
-		res := countResult{}
-		for _, r := range rows {
-			res.lines = append(res.lines, fmt.Sprintf("%s %s=%d", id, r.Name, r.Value))
-		}
-		return annotate(res, fails), nil
-	}
+	assemble := idLines(id)
 	cells := tracedCells(func(p *pass) func() countRow {
 		row := note(p.w)
 		return func() countRow { return row }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rarpred/internal/funcsim"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -35,8 +34,8 @@ var table51Cells = tracedCells(
 	func(p *pass) func() Table51Row {
 		return func() Table51Row { return Table51Row{Workload: p.w, Counts: p.tr.Counts} }
 	},
-	func(_ Options, _ []workload.Workload, rows []Table51Row, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&Table51Result{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []Table51Row) Result {
+		return &Table51Result{Rows: rows}
 	})
 
 // String renders the table in the paper's layout (instruction counts in

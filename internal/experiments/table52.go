@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rarpred/internal/cloak"
-	"rarpred/internal/runerr"
 	"rarpred/internal/stats"
 	"rarpred/internal/workload"
 )
@@ -87,8 +86,8 @@ var table52Cells = tracedCells(
 			}
 		}
 	},
-	func(_ Options, _ []workload.Workload, rows []Table52Row, fails []*runerr.WorkloadError) (Result, error) {
-		return annotate(&Table52Result{Rows: rows}, fails), nil
+	func(_ []workload.Workload, rows []Table52Row) Result {
+		return &Table52Result{Rows: rows}
 	})
 
 // String renders the paper's column layout: Cloaking/Bypassing RAW, RAR,

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"rarpred/internal/cloak"
-	"rarpred/internal/faultsim"
 	"rarpred/internal/pipeline"
-	"rarpred/internal/runerr"
 	"rarpred/internal/trace"
 	"rarpred/internal/workload"
 )
@@ -103,7 +101,7 @@ func simCells[T any](
 	specs []simSpec,
 	label func(w workload.Workload, s simSpec, err error) error,
 	row func(w workload.Workload, res []pipeline.Result) T,
-	assemble func(opt Options, ws []workload.Workload, rows []T, fails []*runerr.WorkloadError) (Result, error),
+	assemble func(ws []workload.Workload, rows []T) Result,
 ) CellRunner {
 	return simCellRunner[T]{cellRunner: cellRunner[T]{assemble: assemble}, specs: specs, label: label, row: row}
 }
@@ -198,16 +196,7 @@ func workloadIStream(ctx context.Context, opt Options, w workload.Workload, size
 	return obtain(opt, trace.Key{Workload: w.Name, Size: size, MaxInsts: maxInsts, Timing: true}, recorder[*trace.IStream]{
 		record: func() (*trace.IStream, error) {
 			defer startSpan("cell/record").End()
-			is, err := trace.RecordIStreamContext(ctx, w.Assemble(size), maxInsts, faultsim.Hook(w.Name, ctx))
-			if err == nil && faultsim.Enabled() && faultsim.ShouldCorrupt(w.Name) {
-				// One spurious memory record desynchronises the tally from
-				// the execution profile, which Validate must catch.
-				is.AppendMem(0, 0)
-			}
-			return is, err
-		},
-		baseline: func() (*trace.IStream, error) {
-			return trace.RecordIStreamBaselineContext(ctx, w.Assemble(size), maxInsts)
+			return trace.RecordIStreamContext(ctx, w.Assemble(size), maxInsts)
 		},
 		truncated: func(is *trace.IStream) bool { return is.Truncated },
 		verify: func(is *trace.IStream) error {

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 
-	"rarpred/internal/faultsim"
 	"rarpred/internal/trace"
 )
 
@@ -20,10 +18,7 @@ func TestTimingCheckCleanRun(t *testing.T) {
 	opt.Check = true
 	checked, err := mustByID(t, "fig10").Run(opt)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, partial := checked.(*PartialResult); partial {
-		t.Fatalf("oracle flagged an honest recording: %s", checked)
+		t.Fatalf("oracle flagged an honest recording: %v", err)
 	}
 	if plain.String() != checked.String() {
 		t.Errorf("-check perturbed the result:\n--- plain ---\n%s--- checked ---\n%s",
@@ -79,7 +74,7 @@ func poisonIStream(t *testing.T, opt Options) trace.Tier {
 	t.Helper()
 	w := opt.Workloads[0]
 	prog := w.Assemble(opt.Size)
-	correct, err := trace.RecordIStreamBaselineContext(context.Background(), prog, maxInsts)
+	correct, err := trace.RecordIStream(prog, maxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,28 +120,42 @@ func poisonIStream(t *testing.T, opt Options) trace.Tier {
 	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts, Timing: true}, bad)
 }
 
-// TestTimingCorruptRecordingDegrades: an injected recording corruption
-// fails Validate and the baseline interpreter re-records — the
-// experiment still delivers a result identical to an unfaulted run.
+// TestTimingCorruptRecordingDegrades: a stored instruction recording
+// that fails Validate is a miss. The job records the stream again, the
+// experiment's result equals a run without a store, and the valid
+// recording is saved once.
 func TestTimingCorruptRecordingDegrades(t *testing.T) {
-	defer faultsim.Reset()
 	opt := subset("li")
 	opt.Size = 10
-	faultsim.Inject(opt.Workloads[0].Name, faultsim.Fault{Kind: faultsim.Corrupt, Times: 1})
-	degraded, err := mustByID(t, "fig10").Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, partial := degraded.(*PartialResult); partial {
-		t.Fatalf("corrupt recording failed the workload instead of degrading: %s", degraded)
-	}
-	faultsim.Reset()
 	plain, err := mustByID(t, "fig10").Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := opt.Workloads[0]
+	bad, err := trace.RecordIStream(w.Assemble(opt.Size), maxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Counts.Insts++ // the profile counts one instruction the stream lacks
+	if bad.Validate() == nil {
+		t.Fatal("test setup: corrupt recording passes Validate")
+	}
+	key := trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts, Timing: true}
+	tier := plantedTier(key, bad)
+	opt.Store = tier
+
+	degraded, err := mustByID(t, "fig10").Run(opt)
+	if err != nil {
+		t.Fatalf("corrupt stored recording failed the run instead of being re-recorded: %v", err)
+	}
 	if degraded.String() != plain.String() {
 		t.Errorf("degraded run diverges from clean run:\n--- degraded ---\n%s--- plain ---\n%s",
 			degraded.String(), plain.String())
+	}
+	if n := tier.savesOf(key); n != 1 {
+		t.Fatalf("saved %d times, want once", n)
+	}
+	if saved, ok := tier.saved[key].(*trace.IStream); !ok || saved.Validate() != nil {
+		t.Errorf("saved %T, want a valid *trace.IStream", tier.saved[key])
 	}
 }

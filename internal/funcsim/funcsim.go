@@ -23,8 +23,8 @@ import (
 // simulation in the process (the -progress Minsts/s source). The
 // Step-driven recording loops in internal/trace add to the same
 // instrument by name, so one counter covers all architectural
-// execution. Run flushes in InterruptEvery batches — at poll points
-// and on exit — so the hot loop pays nothing per instruction.
+// execution. RunContext flushes in InterruptEvery batches — at poll
+// points and on exit — so the hot loop pays nothing per instruction.
 var InstsCommitted = metrics.Default().Counter("funcsim.insts_committed")
 
 // MemEvent describes one committed memory access.
@@ -78,21 +78,12 @@ type Sim struct {
 	// access in program order. Observers must not mutate the simulator.
 	OnLoad  func(MemEvent)
 	OnStore func(MemEvent)
-
-	// Interrupt, when non-nil, is polled by Run every InterruptEvery
-	// committed instructions (and once before the first); a non-nil
-	// return stops the run with that error wrapped. This is how the
-	// harness cancels a runaway simulation and how fault injection
-	// reaches the interpreter loop; the hook is never called while the
-	// simulator state is mid-instruction, so a stopped Sim is always at
-	// a committed boundary.
-	Interrupt func() error
 }
 
-// InterruptEvery is the interrupt poll interval of Run, in committed
-// instructions: coarse enough that polling is invisible next to the exec
-// switch, fine enough that cancellation lands within ~100µs of wall
-// time at the interpreter's throughput.
+// InterruptEvery is the context poll interval of RunContext, in
+// committed instructions: coarse enough that polling is invisible next
+// to the exec switch, fine enough that cancellation lands within ~100µs
+// of wall time at the interpreter's throughput.
 const InterruptEvery = 1 << 14
 
 // New returns a simulator with the program's data image loaded and the PC
@@ -373,27 +364,35 @@ func (s *Sim) set(rd isa.Reg, v uint32) {
 
 // Run executes until halt or until max instructions have committed (0
 // means no limit). It returns ErrMaxInsts if the budget ran out first.
+func (s *Sim) Run(max uint64) error { return s.RunContext(context.Background(), max) }
+
+// RunContext is Run with cancellation: ctx is polled every
+// InterruptEvery committed instructions (and once before the first),
+// never mid-instruction, so a canceled run stops at a committed boundary
+// with the context error wrapped. A context that can never be canceled
+// (Done() == nil, e.g. context.Background) adds no poll.
 //
-// Run is the interpreter's hot loop: it walks the predecoded text
+// It is the interpreter's hot loop: it walks the predecoded text
 // segment directly (one bounds check against a hoisted limit instead of
 // an InstAt call per instruction) and funnels execution through the same
 // exec switch as Step.
-func (s *Sim) Run(max uint64) error {
+func (s *Sim) RunContext(ctx context.Context, max uint64) error {
 	insts := s.Prog.Insts
 	limit := uint32(len(insts)) * 4
-	countdown := 0 // polls Interrupt on the first iteration, then every InterruptEvery
+	cancelable := ctx.Done() != nil
+	countdown := 0 // polls ctx on the first iteration, then every InterruptEvery
 	flushed := s.Counts.Insts
 	defer func() { InstsCommitted.Add(s.Counts.Insts - flushed) }()
 	for !s.Halted {
 		if max != 0 && s.Counts.Insts >= max {
 			return ErrMaxInsts
 		}
-		if s.Interrupt != nil {
+		if cancelable {
 			if countdown == 0 {
 				countdown = InterruptEvery
 				InstsCommitted.Add(s.Counts.Insts - flushed)
 				flushed = s.Counts.Insts
-				if err := s.Interrupt(); err != nil {
+				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("funcsim: interrupted after %d insts: %w", s.Counts.Insts, err)
 				}
 			}
@@ -411,28 +410,6 @@ func (s *Sim) Run(max uint64) error {
 		s.PC = next
 	}
 	return nil
-}
-
-// RunContext is Run with cancellation: ctx is polled alongside any
-// installed Interrupt hook, every InterruptEvery committed instructions.
-// A context that can never be canceled (Done() == nil, e.g.
-// context.Background) adds no per-instruction cost.
-func (s *Sim) RunContext(ctx context.Context, max uint64) error {
-	if ctx.Done() == nil {
-		return s.Run(max)
-	}
-	prev := s.Interrupt
-	s.Interrupt = func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if prev != nil {
-			return prev()
-		}
-		return nil
-	}
-	defer func() { s.Interrupt = prev }()
-	return s.Run(max)
 }
 
 // RunProgram is a convenience that executes prog to completion (with a

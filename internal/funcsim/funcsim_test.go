@@ -366,71 +366,46 @@ func TestRunContextCancelStopsWithinInterval(t *testing.T) {
 	}
 }
 
-// TestRunContextMidRunCancel: cancellation arriving while the interpreter
-// is running stops it within one further poll interval.
+// TestRunContextMidRunCancel: cancellation arriving while the
+// interpreter is running stops it at the next poll, at most one interval
+// later. An observer of a looping load cancels during the third
+// interval.
 func TestRunContextMidRunCancel(t *testing.T) {
-	p := asm.MustAssemble("main: j main")
+	p := asm.MustAssemble(`
+        .data
+v:      .word 1
+        .text
+main:   la   r1, v
+loop:   lw   r2, 0(r1)
+        j    loop`)
 	s := New(p)
 	ctx, cancel := context.WithCancel(context.Background())
-	polls := 0
-	s.Interrupt = func() error {
-		polls++
-		if polls == 3 {
+	var canceledAt uint64
+	s.OnLoad = func(MemEvent) {
+		if canceledAt == 0 && s.Counts.Insts >= 2*InterruptEvery {
+			canceledAt = s.Counts.Insts
 			cancel()
 		}
-		return nil
 	}
 	err := s.RunContext(ctx, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("err = %v, want context.Canceled wrapped as an interruption", err)
 	}
-	// Cancel lands during the 3rd poll; the 4th poll (one interval later)
-	// must observe it.
-	if got, max := s.Counts.Insts, uint64(4*InterruptEvery); got > max {
-		t.Errorf("ran %d insts, want <= %d", got, max)
+	if canceledAt == 0 {
+		t.Fatal("the observer never canceled")
+	}
+	if got, max := s.Counts.Insts, canceledAt+InterruptEvery; got > max {
+		t.Errorf("ran %d insts, want <= %d (one interval past the cancel at %d)", got, max, canceledAt)
 	}
 }
 
-// TestRunContextBackgroundIsFree: an uncancelable context takes the
-// plain Run path and leaves any installed Interrupt hook in place.
+// TestRunContextBackgroundIsFree: an uncancelable context runs to
+// completion without polling.
 func TestRunContextBackgroundIsFree(t *testing.T) {
 	s := run(t, "main: halt") // reuse a halted sim just for the method
 	s.Halted = false
 	s.PC = 0
 	if err := s.RunContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestInterruptErrorWrapped: a hook error is returned wrapped with the
-// instruction count and remains matchable.
-func TestInterruptErrorWrapped(t *testing.T) {
-	p := asm.MustAssemble("main: j main")
-	s := New(p)
-	sentinel := errors.New("injected")
-	s.Interrupt = func() error { return sentinel }
-	err := s.Run(0)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
-	}
-	if !strings.Contains(err.Error(), "interrupted") {
-		t.Errorf("err = %v, want interruption context", err)
-	}
-}
-
-// TestInterruptRestoredAfterRunContext: RunContext must not clobber a
-// pre-installed hook permanently.
-func TestInterruptRestoredAfterRunContext(t *testing.T) {
-	p := asm.MustAssemble("main: halt")
-	s := New(p)
-	base := func() error { return nil }
-	s.Interrupt = base
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := s.RunContext(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Interrupt == nil {
-		t.Error("Interrupt hook lost after RunContext")
 	}
 }

@@ -257,8 +257,9 @@ func decodePackedPair(payload []byte) (*pairChunk, error) {
 // exactly one instruction record and every committed load or store
 // exactly one memory record, so any mismatch means the stream was
 // mangled after recording (or recorded by a broken path). It returns an
-// error wrapping runerr.ErrTraceCorrupt, which the harness treats as a
-// poisoned recording: re-record it before giving up on the workload.
+// error wrapping runerr.ErrTraceCorrupt. The harness treats a stored
+// recording that fails it as a miss and records the stream again, and
+// fails the workload of a fresh recording that fails it.
 func (s *IStream) Validate() error {
 	if s.n != s.Counts.Insts || s.mems != s.Counts.Loads+s.Counts.Stores {
 		return fmt.Errorf("%w: %d instruction records (%d memory), but the run committed %d insts (%d loads + %d stores)",
@@ -378,17 +379,16 @@ func (c *pairCursor) advance() bool {
 // instruction budget is reported through IStream.Truncated, not as an
 // error, matching RecordStream.
 func RecordIStream(prog *isa.Program, maxInsts uint64) (*IStream, error) {
-	return RecordIStreamContext(context.Background(), prog, maxInsts, nil)
+	return RecordIStreamContext(context.Background(), prog, maxInsts)
 }
 
-// RecordIStreamContext is RecordIStream with cancellation and an
-// optional extra interrupt hook, both polled every
-// funcsim.InterruptEvery committed instructions (the hook is where fault
-// injection reaches the loop). The recording loop walks the predecoded
-// text segment directly, like funcsim.Run, and appends each committed
-// instruction's (index, next-PC) pair after the architectural step
-// commits it; the memory observers fill the parallel event arrays.
-func RecordIStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64, interrupt func() error) (*IStream, error) {
+// RecordIStreamContext is RecordIStream with cancellation: ctx is polled
+// every funcsim.InterruptEvery committed instructions. The recording
+// loop walks the predecoded text segment directly, like
+// funcsim.RunContext, and appends each committed instruction's (index,
+// next-PC) pair after the architectural step commits it; the memory
+// observers fill the parallel event arrays.
+func RecordIStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*IStream, error) {
 	s := NewIStream()
 	sim := funcsim.New(prog)
 	sim.OnLoad = func(e funcsim.MemEvent) { s.AppendMem(e.Addr, e.Value) }
@@ -404,7 +404,7 @@ func RecordIStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint6
 			s.Truncated = true
 			break
 		}
-		if cancelable || interrupt != nil {
+		if cancelable {
 			if countdown == 0 {
 				countdown = funcsim.InterruptEvery
 				funcsim.InstsCommitted.Add(sim.Counts.Insts - flushed)
@@ -412,12 +412,6 @@ func RecordIStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint6
 				if err := ctx.Err(); err != nil {
 					return nil, fmt.Errorf("trace: timing recording interrupted after %d insts: %w",
 						sim.Counts.Insts, err)
-				}
-				if interrupt != nil {
-					if err := interrupt(); err != nil {
-						return nil, fmt.Errorf("trace: timing recording interrupted after %d insts: %w",
-							sim.Counts.Insts, err)
-					}
 				}
 			}
 			countdown--
@@ -427,45 +421,6 @@ func RecordIStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint6
 			return nil, fmt.Errorf("trace: PC 0x%08x outside text segment", pc)
 		}
 		if err := sim.StepIn(insts[pc>>2]); err != nil {
-			return nil, err
-		}
-		s.AppendInst(pc>>2, sim.PC)
-	}
-	s.Counts = sim.Counts
-	s.Seal()
-	return s, nil
-}
-
-// RecordIStreamBaselineContext records the same stream as
-// RecordIStreamContext, but Step-driven over fully paged memory — the
-// independent interpreter configuration the harness falls back to when
-// a timing recording fails Validate. Because Step and the fast loop
-// funnel through the same exec core, the recording is bit-identical to
-// RecordIStreamContext's.
-func RecordIStreamBaselineContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*IStream, error) {
-	s := NewIStream()
-	sim := funcsim.NewPaged(prog)
-	sim.OnLoad = func(e funcsim.MemEvent) { s.AppendMem(e.Addr, e.Value) }
-	sim.OnStore = func(e funcsim.MemEvent) { s.AppendMem(e.Addr, e.Value) }
-	cancelable := ctx.Done() != nil
-	countdown := 0
-	for !sim.Halted {
-		if maxInsts > 0 && sim.Counts.Insts >= maxInsts {
-			s.Truncated = true
-			break
-		}
-		if cancelable {
-			if countdown == 0 {
-				countdown = funcsim.InterruptEvery
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("trace: baseline timing recording interrupted after %d insts: %w",
-						sim.Counts.Insts, err)
-				}
-			}
-			countdown--
-		}
-		pc := sim.PC
-		if err := sim.Step(); err != nil {
 			return nil, err
 		}
 		s.AppendInst(pc>>2, sim.PC)

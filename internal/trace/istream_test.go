@@ -112,51 +112,6 @@ func TestICursorReadsInSteps(t *testing.T) {
 	}
 }
 
-// TestRecordIStreamMatchesBaseline proves the predecoded fast recorder
-// and the page-walking baseline recorder produce identical streams.
-func TestRecordIStreamMatchesBaseline(t *testing.T) {
-	w, ok := workload.ByAbbrev("gcc")
-	if !ok {
-		t.Fatal("unknown workload gcc")
-	}
-	fast, err := RecordIStream(w.Assemble(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := RecordIStreamBaselineContext(context.Background(), w.Assemble(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Len() != base.Len() || fast.MemEvents() != base.MemEvents() {
-		t.Fatalf("fast %d insts/%d mems, baseline %d/%d",
-			fast.Len(), fast.MemEvents(), base.Len(), base.MemEvents())
-	}
-	if fast.Counts != base.Counts {
-		t.Fatalf("counts diverge: %+v vs %+v", fast.Counts, base.Counts)
-	}
-	fc, bc := fast.Cursor(), base.Cursor()
-	for i := uint64(0); i < fast.Len(); i++ {
-		fi, fn, _ := fc.NextInst()
-		bi, bn, _ := bc.NextInst()
-		if fi != bi || fn != bn {
-			t.Fatalf("inst %d: fast (%d,%d), baseline (%d,%d)", i, fi, fn, bi, bn)
-		}
-	}
-	for i := uint64(0); i < fast.MemEvents(); i++ {
-		fa, fv, _ := fc.NextMem()
-		ba, bv, _ := bc.NextMem()
-		if fa != ba || fv != bv {
-			t.Fatalf("mem %d: fast (%d,%d), baseline (%d,%d)", i, fa, fv, ba, bv)
-		}
-	}
-	if err := fast.Validate(); err != nil {
-		t.Errorf("fast stream fails validation: %v", err)
-	}
-	if err := base.Validate(); err != nil {
-		t.Errorf("baseline stream fails validation: %v", err)
-	}
-}
-
 // TestRecordIStreamCrossValidatesStream checks the timing recording
 // against the independent memory-trace recorder: same program, same
 // committed memory events in the same order.
@@ -249,7 +204,7 @@ func TestRecordIStreamInterrupt(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RecordIStreamContext(ctx, w.Assemble(3), 0, nil); !errors.Is(err, context.Canceled) {
+	if _, err := RecordIStreamContext(ctx, w.Assemble(3), 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

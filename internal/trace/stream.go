@@ -236,8 +236,9 @@ func (s *Stream) NumChunks() int { return len(s.chunks) }
 // recorded alongside it: every committed load and store appends exactly
 // one event, so any mismatch means the stream was mangled after
 // recording (or recorded by a broken path). It returns an error wrapping
-// runerr.ErrTraceCorrupt, which the harness treats as a poisoned
-// recording: re-record live before giving up on the workload.
+// runerr.ErrTraceCorrupt. The harness treats a stored recording that
+// fails it as a miss and records the stream again, and fails the
+// workload of a fresh recording that fails it.
 func (s *Stream) Validate() error {
 	events := s.Counts.Loads + s.Counts.Stores
 	if uint64(s.n) != events || s.loads != s.Counts.Loads {
@@ -311,21 +312,18 @@ func (s SinkFuncs) WalkChunk(kinds []uint8, pcs, addrs, values []uint32) {
 // instruction budget is reported through Stream.Truncated, not as an
 // error.
 func RecordStream(prog *isa.Program, maxInsts uint64) (*Stream, error) {
-	return RecordStreamContext(context.Background(), prog, maxInsts, nil)
+	return RecordStreamContext(context.Background(), prog, maxInsts)
 }
 
-// RecordStreamContext is RecordStream with cancellation and an optional
-// extra interrupt hook: both are polled by the interpreter every
-// funcsim.InterruptEvery committed instructions (the hook is where fault
-// injection reaches the loop). A canceled recording returns the context
-// error, not a partial stream; an uncancelable context with a nil hook
-// costs nothing over RecordStream.
-func RecordStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64, interrupt func() error) (*Stream, error) {
+// RecordStreamContext is RecordStream with cancellation: the interpreter
+// polls ctx every funcsim.InterruptEvery committed instructions. A
+// canceled recording returns the context error, not a partial stream;
+// an uncancelable context costs nothing over RecordStream.
+func RecordStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*Stream, error) {
 	s := NewStream()
 	sim := funcsim.New(prog)
 	sim.OnLoad = func(e funcsim.MemEvent) { s.Append(KindLoad, e.PC, e.Addr, e.Value) }
 	sim.OnStore = func(e funcsim.MemEvent) { s.Append(KindStore, e.PC, e.Addr, e.Value) }
-	sim.Interrupt = interrupt
 	if err := sim.RunContext(ctx, maxInsts); err != nil {
 		if err != funcsim.ErrMaxInsts {
 			return nil, err
@@ -342,8 +340,8 @@ func RecordStreamContext(ctx context.Context, prog *isa.Program, maxInsts uint64
 // fully paged memory, with no predecoded fast loop and no flat-range
 // reservation. Because Step and the fast loop funnel through the same
 // exec core, the recorded stream is bit-identical to RecordStream's, so
-// it is the independent recording -check's oracle compares against and
-// the re-record a corrupt recording falls back to. It polls ctx every
+// it is the independent recording -check's oracle compares against. It
+// polls ctx every
 // funcsim.InterruptEvery committed instructions like the fast path, so
 // both stay interruptible under run deadlines.
 func RecordStreamBaselineContext(ctx context.Context, prog *isa.Program, maxInsts uint64) (*Stream, error) {
