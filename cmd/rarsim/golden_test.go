@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,29 +27,11 @@ func goldenRun(t *testing.T, extra ...string) (stdout, stderr string) {
 	return normalizeTiming(out), errw
 }
 
-// journalRecordEnds returns the byte offset just past each record of a
-// run journal: its header is magic(4) version(2) reserved(2) fpLen(4)
-// fingerprint crc(4), and each record is len(4) payload crc(4).
-func journalRecordEnds(t *testing.T, data []byte) []int {
-	t.Helper()
-	off := 12 + int(binary.LittleEndian.Uint32(data[8:])) + 4
-	var ends []int
-	for off+4 <= len(data) {
-		off += 4 + int(binary.LittleEndian.Uint32(data[off:])) + 4
-		ends = append(ends, off)
-	}
-	if off != len(data) {
-		t.Fatalf("journal of %d bytes does not end on a record boundary", len(data))
-	}
-	return ends
-}
-
 // TestGoldenReport is the report contract: `-exp all` over an INT+FP
 // subset prints byte-identical stdout, timing footers aside, in every
-// mode below — parallelism, oracles, a cold or warm store, a resume
-// over a full or torn journal, and live monitoring. One -p 1 run is the
-// baseline; each row reruns the command in one mode and checks the
-// mode's own effects.
+// mode below — parallelism, oracles, a cold, warm or partly populated
+// store, and live monitoring. One -p 1 run is the baseline; each row
+// reruns the command in one mode and checks the mode's own effects.
 func TestGoldenReport(t *testing.T) {
 	want, _ := goldenRun(t, "-p", "1")
 	if !strings.Contains(want, "== fig9:") {
@@ -90,8 +71,8 @@ func TestGoldenReport(t *testing.T) {
 			if written, raw := benchStoreField(t, m, "bytes_written"), benchStoreField(t, m, "raw_bytes_written"); written == 0 || written >= raw {
 				t.Errorf("store wrote %v bytes for %v raw bytes of recordings, want fewer but some", written, raw)
 			}
-			if v := m["schema_version"].(float64); v != 11 {
-				t.Errorf("benchjson schema_version = %v, want 11", v)
+			if v := m["schema_version"].(float64); v != 12 {
+				t.Errorf("benchjson schema_version = %v, want 12", v)
 			}
 			return out
 		}},
@@ -108,49 +89,35 @@ func TestGoldenReport(t *testing.T) {
 			}
 			return out
 		}},
-		{"resume-full", func(t *testing.T, dir string) string {
-			goldenRun(t, "-store", dir)
-			data, err := os.ReadFile(filepath.Join(dir, "journal.rarj"))
+		// An interrupted run leaves the recordings it published and, if
+		// it was killed mid-save, a temp file. Rerunning the command
+		// loads the one and never reads the other.
+		{"store-partial", func(t *testing.T, dir string) string {
+			if code, _, errw := runCLI("-exp", "fig2", "-size", fmt.Sprint(goldenSize), "-bench", "go", "-store", dir); code != 0 {
+				t.Fatalf("populating run exit %d: %s", code, errw)
+			}
+			art := artifactPath(t, dir, recordingKey(t, "go", goldenSize, false))
+			data, err := os.ReadFile(art)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cells := len(journalRecordEnds(t, data))
-			bench := filepath.Join(dir, "b.json")
-			out, errw := goldenRun(t, "-store", dir, "-resume", "-benchjson", bench)
-			if !strings.Contains(errw, fmt.Sprintf("resuming: %d cell(s)", cells)) {
-				t.Errorf("resume did not report %d journaled cells: %q", cells, errw)
-			}
-			if got := benchStoreField(t, readBench(t, bench), "resumed_cells"); got != float64(cells) {
-				t.Errorf("resumed_cells = %v, want every cell (%d)", got, cells)
-			}
-			return out
-		}},
-		// A crash mid-append leaves a torn final record. Resume keeps
-		// the records before it and re-runs the rest.
-		{"resume-torn", func(t *testing.T, dir string) string {
-			full := filepath.Join(dir, "full")
-			goldenRun(t, "-p", "1", "-store", full)
-			data, err := os.ReadFile(filepath.Join(full, "journal.rarj"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ends := journalRecordEnds(t, data)
-			k := len(ends) / 2
-			cut := ends[k-1] + (ends[k]-ends[k-1])/2 // part-way into record k+1
-			torn := filepath.Join(dir, "torn")
-			if err := os.MkdirAll(torn, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(torn, "journal.rarj"), data[:cut], 0o644); err != nil {
+			// A save publishes through traces/tmp-<artifact>-<random>, so
+			// a kill mid-save leaves a torn file named after an artifact
+			// that was never published: tom's memory recording here.
+			unpublished := strings.Replace(filepath.Base(art), wname(t, "go"), wname(t, "tom"), 1)
+			stray := filepath.Join(dir, "traces", "tmp-"+unpublished+"-2718281828")
+			if err := os.WriteFile(stray, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			bench := filepath.Join(dir, "b.json")
-			out, errw := goldenRun(t, "-p", "1", "-store", torn, "-resume", "-benchjson", bench)
-			if !strings.Contains(errw, fmt.Sprintf("resuming: %d cell(s)", k)) {
-				t.Errorf("resume over a torn journal did not report %d of %d cells: %q", k, len(ends), errw)
+			out, _ := goldenRun(t, "-store", dir, "-benchjson", bench)
+			m := readBench(t, bench)
+			hits, misses := benchStoreField(t, m, "disk_hits"), benchStoreField(t, m, "disk_misses")
+			if hits != 1 || misses != float64(streams-1) {
+				t.Errorf("rerun read %v recordings from disk and missed %v, want 1 and %d", hits, misses, streams-1)
 			}
-			if got := benchStoreField(t, readBench(t, bench), "resumed_cells"); got != float64(k) {
-				t.Errorf("resumed_cells = %v, want %d of %d", got, k, len(ends))
+			if got := benchStoreField(t, m, "quarantines"); got != 0 {
+				t.Errorf("rerun quarantined %v artifacts, want none", got)
 			}
 			return out
 		}},

@@ -20,8 +20,7 @@
 //	rarsim -exp all -cpuprofile cpu.pprof   # profile the run
 //	rarsim -exp all -timeout 10m            # bounded sweep
 //	rarsim -exp all -benchjson BENCH_suite.json  # machine-readable timings
-//	rarsim -exp all -store .rarstore        # persist traces + run journal
-//	rarsim -exp all -store .rarstore -resume  # continue an interrupted sweep
+//	rarsim -exp all -store .rarstore        # persist trace recordings
 //
 // Multi-experiment sweeps run on a suite-level scheduler: every
 // (experiment × workload) cell from every requested experiment feeds,
@@ -42,14 +41,15 @@
 // `-exp <id> -bench <w>` reruns one cell alone.
 //
 // -store makes the run crash-safe: trace recordings persist as
-// checksummed artifacts (each job loads its recording from the store
-// before recording it, and saves one it recorded once it has passed
-// validation, so later runs and processes reuse it), and
-// multi-experiment sweeps journal each completed (experiment ×
-// workload) cell durably.
-// After an interruption — SIGKILL included — rerunning with -resume
-// replays the journaled cells' rows and simulates only the remainder,
-// producing byte-identical aggregate output.
+// checksummed artifacts, published atomically (each job loads its
+// recording from the store before recording it, and saves one it
+// recorded once it has passed validation, so later runs and processes
+// reuse it). The recordings are the only state a run leaves behind.
+// After an interruption — SIGKILL included — rerunning the same command
+// loads every recording the interrupted run published, records the
+// rest, and prints the byte-identical report. Under -check, a stored
+// recording that fails its oracle is quarantined, so the next run
+// records it afresh.
 package main
 
 import (
@@ -97,8 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		timeout    = fs.Duration("timeout", 0, "deadline for the whole run (0 = none)")
-		storeDir   = fs.String("store", "", "directory for durable artifacts: persisted trace recordings and the suite run journal")
-		resume     = fs.Bool("resume", false, "with -store: replay cells the journal recorded as complete and simulate only the remainder")
+		storeDir   = fs.String("store", "", "directory for durable artifacts: persisted trace recordings")
 		progress   = fs.Bool("progress", false, "periodic one-line status on stderr (cells done/total, ETA, Minsts/s); redraws in place on a TTY, plain lines otherwise")
 		selfcheck  = fs.Bool("check", false, "arm the differential oracles and invariant sweeps: cloak/pipeline self-checks, replay-vs-live stream verification, and a shadow run of each experiment alone compared against the suite's output")
 	)
@@ -122,9 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *exp == "":
 		fmt.Fprintln(stderr, "rarsim: -exp required (try -list)")
 		return 2
-	case *resume && *storeDir == "":
-		fmt.Fprintln(stderr, "rarsim: -resume requires -store")
-		return 2
 	}
 
 	if *cpuprofile != "" {
@@ -143,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// SIGTERM (the polite kill a scheduler or container runtime sends)
 	// drains exactly like Ctrl-C: simulators stop at the next poll point
-	// and everything journaled so far stays journaled.
+	// and every recording published so far stays in the store.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Escalation: a second SIGINT/SIGTERM during the graceful drain
@@ -215,8 +211,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The durable artifact store holds the jobs' recordings
-	// (Options.Store) and opens the run journal that makes the sweep
-	// resumable.
+	// (Options.Store).
 	var artifacts *store.Store
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
@@ -226,21 +221,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		artifacts = st
 		opt.Store = st
-		// The journal is bound to the run configuration: resuming under
-		// different experiments, workloads, or modes would splice rows
-		// that mean something else into the report.
-		fingerprint := fmt.Sprintf("v2 exp=%s size=%d bench=%s check=%t",
-			expIDs(todo), *size, *bench, *selfcheck)
-		jnl, err := st.OpenJournal(fingerprint, *resume)
-		if err != nil {
-			fmt.Fprintf(stderr, "rarsim: -store: %v\n", err)
-			return 1
-		}
-		defer jnl.Close()
-		opt.Journal = jnl
-		if *resume && jnl.Resumed() > 0 {
-			fmt.Fprintf(stderr, "rarsim: resuming: %d cell(s) journaled by a previous run\n", jnl.Resumed())
-		}
 	}
 
 	var failed []string
@@ -310,25 +290,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return finish(stderr, *memprofile, failed)
 }
 
-// expIDs renders the sweep's experiment list for the journal
-// fingerprint.
-func expIDs(todo []experiments.Experiment) string {
-	ids := make([]string, len(todo))
-	for i, e := range todo {
-		ids[i] = e.ID
-	}
-	return strings.Join(ids, ",")
-}
-
 // timingLine matches the per-experiment elapsed-time footer, the only
 // nondeterministic bytes in a sweep's report.
 var timingLine = regexp.MustCompile(`\[([a-z0-9]+) in [0-9.]+s\]`)
 
 // shadowCompare is the sharing-vs-alone differential oracle: it re-runs
-// the sweep one experiment at a time (Experiment.Run, a suite of one
-// that never touches the journal) and compares the rendered reports,
-// which the two runs promise to keep byte-identical modulo elapsed
-// times. Each experiment alone obtains its recordings again (from the
+// the sweep one experiment at a time (Experiment.Run, a suite of one)
+// and compares the rendered reports, which the two runs promise to keep
+// byte-identical modulo elapsed times. Each experiment alone obtains its recordings again (from the
 // store, if there is one), replays them in a pass of its own and
 // simulates its own timing configurations, so both the passes the
 // suite's functional cells shared and the timing Results its timing
@@ -397,8 +366,11 @@ func shadowCompare(opt experiments.Options, todo []experiments.Experiment, sched
 // store no longer retries, and a read that fails is served as a miss.
 // Version 11 dropped the metrics snapshot's suite.queue_depth,
 // suite.workers and suite.workers_busy gauges, which nothing read: the
-// scheduler section's workers is the pool size.
-const benchSchemaVersion = 11
+// scheduler section's workers is the pool size. Version 12 dropped the
+// store section's resumed_cells and the per-cell resumed flag, since no
+// run replays cells any more: an interrupted run is rerun, and the
+// rerun loads the recordings the interrupted one published (disk_hits).
+const benchSchemaVersion = 12
 
 // benchReport is the -benchjson payload: machine-readable timings for
 // the whole sweep.
@@ -418,8 +390,7 @@ type benchReport struct {
 	// Metrics is the unified registry's end-of-run snapshot (schema v5).
 	Metrics metrics.Snapshot `json:"metrics"`
 
-	store        *store.Store // nil without -store
-	resumedCells int
+	store *store.Store // nil without -store
 }
 
 type benchExp struct {
@@ -438,7 +409,6 @@ type benchCell struct {
 	// Seconds is the cell's share of its job's time (schema 8).
 	Seconds float64 `json:"seconds"`
 	Failed  bool    `json:"failed,omitempty"`
-	Resumed bool    `json:"resumed,omitempty"`
 	// Fused marks a cell that ran in one of its workload's jobs with
 	// other experiments' cells: the pass over its reference stream, or
 	// the timing job over its instruction stream (schema 8).
@@ -467,9 +437,6 @@ type benchStore struct {
 	// BytesWritten; the gap between the two is what compression saved on
 	// disk.
 	RawBytesWritten uint64 `json:"raw_bytes_written"`
-	// ResumedCells counts cells replayed from the run journal instead of
-	// simulated.
-	ResumedCells int `json:"resumed_cells"`
 }
 
 func newBenchReport(parallelism int) *benchReport {
@@ -492,11 +459,8 @@ func (b *benchReport) add(item experiments.SuiteItem) {
 		Failed:      item.Err != nil,
 	}
 	for _, c := range item.Cells {
-		if c.Resumed {
-			b.resumedCells++
-		}
 		e.Cells = append(e.Cells, benchCell{Workload: c.Workload, Seconds: c.Elapsed.Seconds(),
-			Failed: c.Failed, Resumed: c.Resumed, Fused: c.Fused})
+			Failed: c.Failed, Fused: c.Fused})
 	}
 	b.Experiments = append(b.Experiments, e)
 }
@@ -515,7 +479,6 @@ func (b *benchReport) write(path string) error {
 			LoadErrors:      ss.LoadErrors,
 			SaveErrors:      ss.SaveErrors,
 			RawBytesWritten: ss.RawBytesWritten,
-			ResumedCells:    b.resumedCells,
 		}
 	}
 	data, err := json.MarshalIndent(b, "", "  ")

@@ -96,15 +96,18 @@ func TestRunTimeoutEndsSweep(t *testing.T) {
 // validation but holds one wrong value), so under -check the sweep
 // prints fig10, whose timing job reads the instruction recording, fails
 // fig2 on com's divergence, never delivers table51, and exits 1. The
-// failed cells are not journaled, so with the poison gone a -resume
-// reruns just them and prints a clean run's report.
+// job that loaded the poisoned recording quarantines it, so a plain
+// rerun over the same store records com afresh and prints a clean
+// run's report.
 func TestFailedExperimentEndsSweep(t *testing.T) {
 	args := []string{"-exp", "fig10,fig2,table51", "-size", "5", "-bench", "com,m88", "-check", "-p", "1"}
 	dir := t.TempDir()
 	key := recordingKey(t, "com", 5, false)
 	plant(t, dir, key, poisonedStream(t, key))
+	art := artifactPath(t, dir, key)
 
-	code, out, errw := runCLI(append(args, "-store", dir)...)
+	bench := filepath.Join(t.TempDir(), "b.json")
+	code, out, errw := runCLI(append(args, "-store", dir, "-benchjson", bench)...)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errw)
 	}
@@ -120,28 +123,23 @@ func TestFailedExperimentEndsSweep(t *testing.T) {
 	if !strings.Contains(errw, "completed with failures: fig2\n") {
 		t.Errorf("stderr lacks the aggregate summary:\n%s", errw)
 	}
-
-	// With -p 1 the jobs run in paper order: fig10's two cells, com's
-	// failed pass, then m88's pass, whose two cells complete fig2 and
-	// deliver it. So four cells are journaled, and the resume reruns
-	// fig2's and table51's com cells alone.
-	if err := os.Remove(artifactPath(t, dir, key)); err != nil {
-		t.Fatal(err)
+	if got := benchStoreField(t, readBench(t, bench), "quarantines"); got != 1 {
+		t.Errorf("quarantines = %v, want the poisoned recording's 1", got)
 	}
+	if _, err := os.Stat(art + ".quarantined"); err != nil {
+		t.Errorf("poisoned artifact not quarantined: %v", err)
+	}
+
 	code, ref, errw := runCLI(args...)
 	if code != 0 {
 		t.Fatalf("run without a store exit %d, want 0; stderr:\n%s", code, errw)
 	}
-	bench := filepath.Join(t.TempDir(), "b.json")
-	code, out, errw = runCLI(append(args, "-store", dir, "-resume", "-benchjson", bench)...)
+	code, out, errw = runCLI(append(args, "-store", dir)...)
 	if code != 0 {
-		t.Fatalf("resume exit %d, want 0; stderr:\n%s", code, errw)
-	}
-	if got := benchStoreField(t, readBench(t, bench), "resumed_cells"); got != 4 {
-		t.Errorf("resumed %v cells, want the 4 the failed run completed", got)
+		t.Fatalf("rerun exit %d, want 0; stderr:\n%s", code, errw)
 	}
 	if normalizeTiming(out) != normalizeTiming(ref) {
-		t.Errorf("resumed report differs from a clean run:\n%s\nvs\n%s", out, ref)
+		t.Errorf("rerun's report differs from a run without a store:\n%s\nvs\n%s", out, ref)
 	}
 }
 

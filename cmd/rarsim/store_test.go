@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"rarpred/internal/store"
@@ -13,7 +12,8 @@ import (
 )
 
 // The persistence tests drive run() in-process. The golden report test
-// covers the store's cross-run and resume flows.
+// covers the store's cross-run flows: a cold, a warm and a partly
+// populated store.
 
 func readBench(t *testing.T, path string) map[string]any {
 	t.Helper()
@@ -39,13 +39,6 @@ func benchStoreField(t *testing.T, m map[string]any, field string) float64 {
 		t.Fatalf("store section missing %s: %v", field, st)
 	}
 	return v
-}
-
-func TestResumeRequiresStore(t *testing.T) {
-	code, _, errw := runCLI("-exp", "fig2", "-resume")
-	if code != 2 || !strings.Contains(errw, "-resume requires -store") {
-		t.Fatalf("exit %d, stderr %q", code, errw)
-	}
 }
 
 // TestCorruptArtifactQuarantinedAndRerecorded: a damaged on-disk trace

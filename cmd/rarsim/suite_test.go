@@ -100,8 +100,8 @@ func TestBenchJSONCellsSumToBusy(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaVersion != 11 {
-		t.Errorf("schema_version = %d, want 11", rep.SchemaVersion)
+	if rep.SchemaVersion != 12 {
+		t.Errorf("schema_version = %d, want 12", rep.SchemaVersion)
 	}
 	var total float64
 	for _, e := range rep.Experiments {

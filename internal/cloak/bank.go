@@ -41,7 +41,6 @@ type Bank struct {
 // for the chunk being walked.
 type sharedDetector struct {
 	det Detector
-	sc  bool // det is the self-checking variant
 	// deps[i] is the dependence chunk event i found, if it is a load
 	// (Kind DepNone: none visible); it holds at most one chunk and is
 	// reused for every chunk.
@@ -52,7 +51,7 @@ type sharedDetector struct {
 // NewBank returns a bank holding an engine for each config. Equal
 // configs share one engine; configs that agree on DDTCapacity,
 // SplitDDT and Mode share one detector, which self-checks when the
-// package gate or any of those configs asks for it.
+// package gate (SetSelfCheck) was on when it was built.
 func NewBank(cfgs ...Config) *Bank {
 	b := &Bank{byConfig: map[Config]int{}, byDetect: map[Config]int{}}
 	for _, cfg := range cfgs {
@@ -77,19 +76,13 @@ func (b *Bank) add(cfg Config) int {
 }
 
 // detector returns the shared detector for cfg's detection setup,
-// building it on first request and rebuilding it checked when cfg asks
-// for self-checking that it lacks.
+// building it on first request.
 func (b *Bank) detector(cfg Config) *sharedDetector {
 	key := Config{DDTCapacity: cfg.DDTCapacity, SplitDDT: cfg.SplitDDT, Mode: cfg.Mode}
-	sc := cfg.SelfCheck || SelfCheckEnabled()
 	if i, ok := b.byDetect[key]; ok {
-		s := b.shared[i]
-		if sc && !s.sc {
-			s.det, s.sc = newDetector(key, true, false), true
-		}
-		return s
+		return b.shared[i]
 	}
-	s := &sharedDetector{det: newDetector(key, sc, false), sc: sc}
+	s := &sharedDetector{det: newDetector(key, SelfCheckEnabled(), false)}
 	b.byDetect[key] = len(b.shared)
 	b.shared = append(b.shared, s)
 	return s

@@ -45,11 +45,6 @@ type Config struct {
 	Mode       Mode
 	Confidence ConfKind
 	Merge      MergeKind
-
-	// SelfCheck enables the reference-model oracle and sampled invariant
-	// sweeps for this engine even when the package-wide SetSelfCheck
-	// gate is off. Checks only read state, so results are unchanged.
-	SelfCheck bool
 }
 
 // DefaultConfig is the accuracy-study configuration of Section 5.3: a
@@ -151,7 +146,7 @@ type Engine struct {
 // New returns an engine for the configuration. Its Load, Store,
 // DecideLoad and DecideStore take raw addresses.
 func New(cfg Config) *Engine {
-	return newEngine(cfg, newDetector(cfg, cfg.SelfCheck || SelfCheckEnabled(), true))
+	return newEngine(cfg, newDetector(cfg, SelfCheckEnabled(), true))
 }
 
 // newDetector builds the dependence detector cfg describes; sc selects
@@ -181,7 +176,7 @@ func newEngine(cfg Config, det Detector) *Engine {
 		dpnt:     NewDPNT(cfg.DPNTSets, cfg.DPNTWays, cfg.Confidence, cfg.Merge),
 		sf:       NewSynonymFile(cfg.SFSets, cfg.SFWays),
 	}
-	if cfg.SelfCheck || SelfCheckEnabled() {
+	if SelfCheckEnabled() {
 		e.sc = true
 		e.scSamp = check.NewSampler(engineSweepInterval)
 	}

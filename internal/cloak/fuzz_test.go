@@ -64,7 +64,7 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{1, 5, 9, 0, 5, 9, 2, 5, 7, 0, 5, 7, 4, 5, 3, 0, 5, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := Config{DPNTSets: 4, DPNTWays: 2, SFSets: 4, SFWays: 2,
-			Confidence: Adaptive2Bit, Merge: MergeIncremental, SelfCheck: true}
+			Confidence: Adaptive2Bit, Merge: MergeIncremental}
 		cfgs := make([]Config, 0, 4)
 		for _, c := range []struct {
 			capacity int

@@ -129,7 +129,6 @@ func TestSelfCheckDoesNotPerturbStats(t *testing.T) {
 		cfg := Config{DDTCapacity: 8, DPNTSets: 4, DPNTWays: 2, SFSets: 4, SFWays: 2,
 			Mode: ModeRAWRAR, Confidence: Adaptive2Bit, Merge: MergeIncremental, SplitDDT: split}
 		plain := New(cfg)
-		cfg.SelfCheck = true
 		checked := New(cfg)
 		checked.forceSelfCheckAlways()
 		rng := rand.New(rand.NewSource(7))

@@ -102,15 +102,18 @@ func TestCheckOracleCleanRun(t *testing.T) {
 
 // TestCheckOracleCatchesDivergence: a stored stream that passes Validate
 // (tallies intact) but holds one wrong value is exactly what the
-// event-level oracle exists for — the tally check cannot see it.
+// event-level oracle exists for — the tally check cannot see it. The
+// job that loaded it quarantines it, so no later run is served it.
 func TestCheckOracleCatchesDivergence(t *testing.T) {
 	opt := subset("com", "m88")
 	opt.Size = 23
 	opt.Check = true
-	opt.Store = poisonStream(t, opt)
+	tier := poisonStream(t, opt)
+	opt.Store = tier
 
 	res, err := mustByID(t, "fig2").Run(opt)
 	assertDivergence(t, "fig2", res, err, opt.Workloads[0])
+	assertQuarantined(t, tier, poisonedKey(opt, false))
 }
 
 // TestVerdictReachesEveryStreamConsumer: the oracle's verdict on a
@@ -142,7 +145,7 @@ func TestVerdictReachesEveryStreamConsumer(t *testing.T) {
 // poisonStream returns a store that serves, for opt's first workload,
 // a memory stream that passes Validate (tallies intact) but holds one
 // wrong value.
-func poisonStream(t *testing.T, opt Options) trace.Tier {
+func poisonStream(t *testing.T, opt Options) *fakeTier {
 	t.Helper()
 	w := opt.Workloads[0]
 	correct, err := trace.RecordStreamBaselineContext(context.Background(), w.Assemble(opt.Size), maxInsts)
@@ -166,7 +169,22 @@ func poisonStream(t *testing.T, opt Options) trace.Tier {
 		t.Fatal("test setup: bad stream must pass Validate yet differ")
 	}
 
-	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts}, bad)
+	return plantedTier(poisonedKey(opt, false), bad)
+}
+
+// poisonedKey is the key of the recording poisonStream (timing false)
+// or poisonIStream (timing true) poisons: opt's first workload's.
+func poisonedKey(opt Options, timing bool) trace.Key {
+	return trace.Key{Workload: opt.Workloads[0].Name, Size: opt.Size, MaxInsts: maxInsts, Timing: timing}
+}
+
+// assertQuarantined reports unless key, and only key, was quarantined
+// in tier, once.
+func assertQuarantined(t *testing.T, tier *fakeTier, key trace.Key) {
+	t.Helper()
+	if n := tier.quarantinesOf(key); n != 1 || len(tier.quarantines) != 1 {
+		t.Errorf("quarantined %v, want %+v once", tier.quarantines, key)
+	}
 }
 
 // assertDivergence reports unless exp failed, and its one failed cell

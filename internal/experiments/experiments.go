@@ -7,9 +7,7 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"runtime"
@@ -46,15 +44,6 @@ type Options struct {
 	// aborts with a hard error once it is done. nil means
 	// context.Background().
 	Context context.Context
-
-	// Journal, when non-nil, makes the suite run resumable: RunSuite
-	// consults it before scheduling each (experiment × workload) cell —
-	// a journaled cell's row is decoded and delivered without
-	// re-simulation — and records each successfully completed cell's
-	// encoded row as it retires. The implementation lives in
-	// internal/store; this seam keeps experiments free of the
-	// persistence layer.
-	Journal SuiteJournal
 
 	// Check arms the run's differential oracles: each job verifies the
 	// recording it obtains against the independent baseline
@@ -117,13 +106,11 @@ type Experiment struct {
 
 // Run executes the experiment alone: a suite of one (RunSuite), whose
 // jobs each hold only this experiment's cell, so it shares no work with
-// any other experiment. It never journals: opt.Journal is ignored. Every
-// error leaving the experiment layer is attributed: a failed cell reads
-// "<exp>/<workload>: <cause>" (cellFailures), and a hard error gains the
-// experiment id prefix (a run the context ended before any cell began
-// included).
+// any other experiment. Every error leaving the experiment layer is
+// attributed: a failed cell reads "<exp>/<workload>: <cause>"
+// (cellFailures), and a hard error gains the experiment id prefix (a
+// run the context ended before any cell began included).
 func (e Experiment) Run(opt Options) (Result, error) {
-	opt.Journal = nil
 	var item SuiteItem
 	RunSuite(opt, []Experiment{e}, func(it SuiteItem) bool { item = it; return true })
 	if item.NotRun {
@@ -177,38 +164,20 @@ func IDs() []string {
 
 // CellRunner decomposes an experiment into per-workload cells plus an
 // assembly step. It is the contract the suite scheduler pools work
-// through: one (experiment × workload) cell is the unit of results,
-// failures and journaling (the scheduler runs a workload's functional
-// cells as one job and its timing cells as another, see
-// jobKind.runFused), and Assemble turns the cells back into the
-// experiment's paper-layout Result. Every runner is a passRunner or a
-// simRunner, built from a typed cellRunner.
+// through: one (experiment × workload) cell is the unit of results and
+// failures (the scheduler runs a workload's functional cells as one job
+// and its timing cells as another, see jobKind.runFused), and Assemble
+// turns the cells back into the experiment's paper-layout Result. Every
+// runner is a passRunner or a simRunner, built from a typed cellRunner.
 type CellRunner interface {
 	// Assemble combines every workload's row (suite order, index-aligned
 	// with ws) into the Result. An experiment with a failed cell is
 	// never assembled (cellFailures).
 	Assemble(ws []workload.Workload, rows []any) Result
-	// EncodeRow serializes one cell's row for the suite run journal.
-	EncodeRow(row any) ([]byte, error)
-	// DecodeRow reverses EncodeRow into the concrete row type Assemble
-	// expects.
-	DecodeRow(data []byte) (any, error)
 }
 
-// SuiteJournal is the resume seam between the suite scheduler and the
-// durable run journal. Lookup returns the encoded row a previous run
-// journaled for one cell; Record durably appends a cell that just
-// completed. Both must be safe for concurrent use. Only successful
-// cells are journaled, so a resumed run reruns exactly the cells that
-// failed or never ran.
-type SuiteJournal interface {
-	Lookup(exp, workload string) ([]byte, bool)
-	// Record appends one completed cell's encoded row.
-	Record(exp, workload string, row []byte) error
-}
-
-// cellRunner implements the typed half of CellRunner: the assembler and
-// the journal codec over the concrete row type T.
+// cellRunner implements the typed half of CellRunner: the assembler
+// over the concrete row type T.
 type cellRunner[T any] struct {
 	assemble func(ws []workload.Workload, rows []T) Result
 }
@@ -219,31 +188,6 @@ func (r cellRunner[T]) Assemble(ws []workload.Workload, rows []any) Result {
 		typed[i] = row.(T)
 	}
 	return r.assemble(ws, typed)
-}
-
-// EncodeRow implements CellRunner: gob over the concrete row type. Row
-// types are plain structs of exported fields (plus an embedded
-// workload.Workload, whose unexported build function gob skips and the
-// workload registry rehydrates), so gob needs no registration.
-func (r cellRunner[T]) EncodeRow(row any) ([]byte, error) {
-	t, ok := row.(T)
-	if !ok {
-		return nil, fmt.Errorf("journal: row is %T, want %T", row, *new(T))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&t); err != nil {
-		return nil, fmt.Errorf("journal: encoding row: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRow implements CellRunner.
-func (r cellRunner[T]) DecodeRow(data []byte) (any, error) {
-	var t T
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&t); err != nil {
-		return nil, fmt.Errorf("journal: decoding row: %w", err)
-	}
-	return t, nil
 }
 
 // isolate runs fn, the work of one or more cells of workload w, and
@@ -317,7 +261,9 @@ type recorder[S recording] struct {
 //     it;
 //  2. fail a fresh recording that fails validation, or one cut short by
 //     the instruction budget — never serve a corrupt recording;
-//  3. under opt.Check, verify it once;
+//  3. under opt.Check, verify it once, and quarantine a loaded
+//     recording that fails in opt.Store, so that no later run is
+//     served it (the job still fails; the next run records afresh);
 //  4. save it to opt.Store if it was not loaded from there, so only a
 //     recording that passed validation is saved. A failed save costs
 //     durability, not the run.
@@ -341,6 +287,9 @@ func obtain[S recording](opt Options, key trace.Key, r recorder[S]) (S, error) {
 	}
 	if opt.Check {
 		if err := r.verify(s); err != nil {
+			if loaded {
+				opt.Store.Quarantine(key)
+			}
 			return zero, err
 		}
 	}

@@ -7,7 +7,7 @@ import "rarpred/internal/metrics"
 // update them as jobs retire, and the -progress ticker and the
 // -benchjson snapshot read them lock-free:
 //
-//	suite.cells_total / suite.cells_done — scheduled (non-resumed) cells
+//	suite.cells_total / suite.cells_done — the suite's cells
 //
 // Wall time inside cells is attributed through spans (spans_ns{cell},
 // {cell/record}, {cell/replay}, {assemble}).

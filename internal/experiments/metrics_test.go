@@ -20,7 +20,7 @@ func TestSuiteGaugesAndSpans(t *testing.T) {
 		orderedExperiment("synthG2", &mu, &order, false),
 	}
 	before := metrics.Default().Snapshot().Histograms["spans_ns{cell}"].Count
-	renderSuite(t, opt, exps)
+	runSuite(t, opt, exps)
 
 	s := metrics.Default().Snapshot()
 	cells := int64(len(exps) * len(opt.Workloads))

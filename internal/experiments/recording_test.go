@@ -15,14 +15,16 @@ import (
 
 // fakeTier is an in-memory trace.Tier standing in for the artifact
 // store (Options.Store). It serves what was saved to it, or, with load
-// set, what load returns, and counts loads and saves by key.
+// set, what load returns, and counts loads, saves and quarantines by
+// key. Quarantine drops what was saved under the key.
 type fakeTier struct {
 	load func(trace.Key) (trace.Cached, error)
 
-	mu    sync.Mutex
-	saved map[trace.Key]trace.Cached
-	loads map[trace.Key]int
-	saves map[trace.Key]int
+	mu          sync.Mutex
+	saved       map[trace.Key]trace.Cached
+	loads       map[trace.Key]int
+	saves       map[trace.Key]int
+	quarantines map[trace.Key]int
 }
 
 func (f *fakeTier) Load(key trace.Key) (trace.Cached, error) {
@@ -50,6 +52,16 @@ func (f *fakeTier) Store(key trace.Key, v trace.Cached) error {
 	return nil
 }
 
+func (f *fakeTier) Quarantine(key trace.Key) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.quarantines == nil {
+		f.quarantines = make(map[trace.Key]int)
+	}
+	delete(f.saved, key)
+	f.quarantines[key]++
+}
+
 func (f *fakeTier) loadsOf(key trace.Key) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -60,6 +72,12 @@ func (f *fakeTier) savesOf(key trace.Key) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.saves[key]
+}
+
+func (f *fakeTier) quarantinesOf(key trace.Key) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.quarantines[key]
 }
 
 // plantedTier is a store that serves rec under key and nothing else.
@@ -146,8 +164,9 @@ func TestNoRecordingOutlivesItsJob(t *testing.T) {
 
 // TestObtain: how a job gets its recording through the store. A stored
 // recording is served without recording; a miss, a load error, or a
-// stored recording that fails validation records and saves; and only a
-// recording that passed validation is ever saved.
+// stored recording that fails validation records and saves; only a
+// recording that passed validation is ever saved; and a stored
+// recording that fails -check's oracle is quarantined.
 func TestObtain(t *testing.T) {
 	opt := subset("gcc", "tom")
 	opt.Size = 5
@@ -188,14 +207,16 @@ func TestObtain(t *testing.T) {
 		return res
 	}
 	// obtainWith obtains gcc's recording from tier through rec, the
-	// recorder standing in for the interpreter.
-	obtainWith := func(tier *fakeTier, rec func() (*trace.Stream, error)) (*trace.Stream, error) {
+	// recorder standing in for the interpreter, and under -check when
+	// verify, the oracle, is set.
+	obtainWith := func(tier *fakeTier, rec func() (*trace.Stream, error), verify func(*trace.Stream) error) (*trace.Stream, error) {
 		o := opt
 		o.Store = tier
+		o.Check = verify != nil
 		return obtain(o, key, recorder[*trace.Stream]{
 			record:    rec,
 			truncated: func(tr *trace.Stream) bool { return tr.Truncated },
-			verify:    func(*trace.Stream) error { return nil },
+			verify:    verify,
 		})
 	}
 	// savedValid reports unless tier saved exactly one recording under
@@ -229,7 +250,7 @@ func TestObtain(t *testing.T) {
 		got, err := obtainWith(tier, func() (*trace.Stream, error) {
 			t.Error("recorded a stream the store holds")
 			return nil, errors.New("recorded")
-		})
+		}, nil)
 		if err != nil || got != stored {
 			t.Fatalf("obtain = %p, %v; want the stored recording %p", got, err, stored)
 		}
@@ -272,7 +293,7 @@ func TestObtain(t *testing.T) {
 	})
 	t.Run("invalid-recording-fails-unsaved", func(t *testing.T) {
 		tier := &fakeTier{}
-		if _, err := obtainWith(tier, func() (*trace.Stream, error) { return corrupt(t), nil }); !errors.Is(err, runerr.ErrTraceCorrupt) {
+		if _, err := obtainWith(tier, func() (*trace.Stream, error) { return corrupt(t), nil }, nil); !errors.Is(err, runerr.ErrTraceCorrupt) {
 			t.Fatalf("err = %v, want ErrTraceCorrupt", err)
 		}
 		if n := tier.savesOf(key); n != 0 {
@@ -285,5 +306,26 @@ func TestObtain(t *testing.T) {
 		tier := plantedTier(key, corrupt(t))
 		same(t, run(t, tier))
 		savedValid(t, tier)
+	})
+	t.Run("failed-check-quarantines-loaded-only", func(t *testing.T) {
+		// The oracle fails both recordings. The loaded one is
+		// quarantined; the fresh one was never saved, so nothing is.
+		diverges := errors.New("diverges")
+		verify := func(*trace.Stream) error { return diverges }
+		record := func() (*trace.Stream, error) { return fresh(t), nil }
+		loaded := plantedTier(key, fresh(t))
+		if _, err := obtainWith(loaded, record, verify); !errors.Is(err, diverges) {
+			t.Fatalf("loaded: err = %v, want the oracle's", err)
+		}
+		if n := loaded.quarantinesOf(key); n != 1 {
+			t.Errorf("loaded: quarantined %d times, want once", n)
+		}
+		recorded := &fakeTier{}
+		if _, err := obtainWith(recorded, record, verify); !errors.Is(err, diverges) {
+			t.Fatalf("recorded: err = %v, want the oracle's", err)
+		}
+		if q, n := recorded.quarantinesOf(key), recorded.savesOf(key); q != 0 || n != 0 {
+			t.Errorf("recorded: %d quarantines and %d saves, want none", q, n)
+		}
 	})
 }

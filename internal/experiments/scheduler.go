@@ -52,10 +52,6 @@ type CellStat struct {
 	// SuiteStats.Busy.
 	Elapsed time.Duration
 	Failed  bool
-	// Resumed reports the cell was replayed from the suite run journal
-	// (Options.Journal) instead of simulated: a previous interrupted run
-	// completed it and journaled its row.
-	Resumed bool
 	// Fused reports the cell ran in one job with other experiments'
 	// cells for the same workload: one pass over its reference stream, or
 	// one timing job over its instruction stream (jobKind.runFused).
@@ -117,14 +113,6 @@ type suiteExp struct {
 // started are delivered with NotRun set; experiments caught mid-flight
 // get the classified context error as a hard failure, stamped with
 // their id.
-//
-// With Options.Journal set the suite is resumable: cells a previous run
-// journaled are prefilled from their decoded rows (CellStat.Resumed)
-// and never scheduled — no simulation, no stream lookup, no place in a
-// workload's job — and each cell that completes successfully in this
-// run is journaled as it retires. Because delivery order, row order,
-// and assembly are unchanged, a resumed run's aggregate output is
-// byte-identical to an uninterrupted one.
 func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) SuiteStats {
 	begin := time.Now()
 	runCtx := opt.ctx()
@@ -146,35 +134,12 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	var jobs []*job
 	// Each workload's pass and timing jobs, once it has them.
 	passJobs, simJobs := make([]*job, len(ws)), make([]*job, len(ws))
-	cellsTotal := 0
-	var fullyResumed []int // experiments with every cell journaled
 	for ei, e := range exps {
 		st := &suiteExp{
 			exp:   e,
 			rows:  make([]any, len(ws)),
 			errs:  make([]error, len(ws)),
 			stats: make([]CellStat, len(ws)),
-		}
-		// Prefill cells the journal already holds: the decoded row lands
-		// exactly where the worker would have put it, so assembly cannot
-		// tell a resumed cell from a fresh one. An undecodable journal row
-		// (foreign build's gob layout, say) just re-runs the cell — resume
-		// is an optimisation, never a correctness risk.
-		resumed := make([]bool, len(ws))
-		if opt.Journal != nil {
-			for wi, w := range ws {
-				enc, hit := opt.Journal.Lookup(e.ID, w.Name)
-				if !hit {
-					continue
-				}
-				row, derr := e.Cells.DecodeRow(enc)
-				if derr != nil {
-					continue
-				}
-				resumed[wi] = true
-				st.rows[wi] = row
-				st.stats[wi] = CellStat{Workload: w.Name, Resumed: true}
-			}
 		}
 		run, shared := passJob.runFused, passJobs
 		switch e.Cells.(type) {
@@ -184,12 +149,7 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		default:
 			panic("experiments: " + e.ID + " has neither pass nor timing cells")
 		}
-		remaining := 0
 		for wi := range ws {
-			if resumed[wi] {
-				continue
-			}
-			remaining++
 			if shared[wi] != nil {
 				shared[wi].eis = append(shared[wi].eis, ei)
 				continue
@@ -197,14 +157,10 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 			shared[wi] = &job{wi: wi, eis: []int{ei}, run: run}
 			jobs = append(jobs, shared[wi])
 		}
-		cellsTotal += remaining
-		st.pending.Store(int32(remaining))
-		if remaining == 0 {
-			st.startOnce.Do(func() { st.start = time.Now() })
-			fullyResumed = append(fullyResumed, ei)
-		}
+		st.pending.Store(int32(len(ws)))
 		states[ei] = st
 	}
+	cellsTotal := len(exps) * len(ws)
 
 	// In-order delivery: completed experiments buffer until the suite
 	// prefix before them is delivered.
@@ -246,13 +202,6 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 		complete(ei, item)
 	}
 
-	// Experiments the journal completed outright assemble before the pool
-	// starts: their rows are all present, and in-order delivery buffers
-	// them behind any still-running predecessors as usual.
-	for _, ei := range fullyResumed {
-		assemble(ei)
-	}
-
 	// Reset the suite gauges the -progress ticker reads.
 	workers := opt.parallelism()
 	suiteCellsTotal.Set(int64(cellsTotal))
@@ -262,13 +211,6 @@ func RunSuite(opt Options, exps []Experiment, deliver func(SuiteItem) bool) Suit
 	// and assembles the experiment once its last cell is in.
 	retire := func(ei, wi int, row any, err error, stat CellStat) {
 		st := states[ei]
-		if err == nil && opt.Journal != nil {
-			// Journal the finished cell durably, best effort: a failed
-			// append costs only this cell's resumability, never the run.
-			if enc, eerr := st.exp.Cells.EncodeRow(row); eerr == nil {
-				_ = opt.Journal.Record(st.exp.ID, ws[wi].Name, enc)
-			}
-		}
 		st.rows[wi], st.errs[wi], st.stats[wi] = row, err, stat
 		if st.pending.Add(-1) == 0 {
 			assemble(ei)
@@ -362,8 +304,7 @@ type jobKind[R CellRunner, S any] struct {
 // in the shared step, fails every cell with that error. The simulation
 // is deterministic, so the failure reproduces, and `rarsim -exp <id>
 // -bench <w>` runs one cell as a job of its own to attribute it. A job
-// the run's end overtook fails with the run context's error, so it
-// journals nothing.
+// the run's end overtook fails with the run context's error.
 //
 // started counts the cells whose work began, a prefix of rs: the lookup
 // is its first cell's work, and the rest begin with the shared step.

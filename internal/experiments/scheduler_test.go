@@ -57,7 +57,7 @@ func TestSuiteRunsCellsInPaperOrder(t *testing.T) {
 	opt.Parallelism = 1
 	var mu sync.Mutex
 	var order []string
-	renderSuite(t, opt, []Experiment{
+	runSuite(t, opt, []Experiment{
 		orderedExperiment("synthT", &mu, &order, true),
 		orderedExperiment("synthP1", &mu, &order, false),
 		orderedExperiment("synthP2", &mu, &order, false),

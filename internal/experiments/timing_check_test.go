@@ -29,15 +29,17 @@ func TestTimingCheckCleanRun(t *testing.T) {
 // TestTimingCheckCatchesDivergence: a stored instruction recording that
 // passes Validate (tallies intact) but steers one branch the wrong way
 // is invisible to the tally check — only the replay-vs-live pipeline
-// shadow can see it.
+// shadow can see it. The job that loaded it quarantines it.
 func TestTimingCheckCatchesDivergence(t *testing.T) {
 	opt := subset("com", "m88")
 	opt.Size = 16
 	opt.Check = true
-	opt.Store = poisonIStream(t, opt)
+	tier := poisonIStream(t, opt)
+	opt.Store = tier
 
 	res, err := mustByID(t, "fig10").Run(opt)
 	assertDivergence(t, "fig10", res, err, opt.Workloads[0])
+	assertQuarantined(t, tier, poisonedKey(opt, true))
 }
 
 // TestVerdictReachesEveryTimingConsumer: the pipeline oracle's verdict
@@ -70,7 +72,7 @@ func TestVerdictReachesEveryTimingConsumer(t *testing.T) {
 // poisonIStream returns a store that serves, for opt's first workload,
 // an instruction recording that passes Validate but records the 50th
 // branch going the wrong way.
-func poisonIStream(t *testing.T, opt Options) trace.Tier {
+func poisonIStream(t *testing.T, opt Options) *fakeTier {
 	t.Helper()
 	w := opt.Workloads[0]
 	prog := w.Assemble(opt.Size)
@@ -117,7 +119,7 @@ func poisonIStream(t *testing.T, opt Options) trace.Tier {
 		t.Fatal("test setup: bad stream must pass Validate")
 	}
 
-	return plantedTier(trace.Key{Workload: w.Name, Size: opt.Size, MaxInsts: maxInsts, Timing: true}, bad)
+	return plantedTier(poisonedKey(opt, true), bad)
 }
 
 // TestTimingCorruptRecordingDegrades: a stored instruction recording

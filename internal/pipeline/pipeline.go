@@ -157,11 +157,6 @@ type Config struct {
 	// 50,000 instructions, the paper's observation size).
 	ObservationSize uint64
 
-	// SelfCheck enables sampled invariant sweeps over the timing state
-	// for this run even when the package-wide SetSelfCheck gate is off.
-	// Sweeps only read state; cycle counts are unchanged.
-	SelfCheck bool
-
 	// Interrupt, when non-nil, is polled every funcsim.InterruptEvery
 	// committed instructions — the same boundary the committed-inst
 	// counter flushes on. A non-nil error aborts the run with that
@@ -541,7 +536,7 @@ func newSim(prog *isa.Program, cfg Config) *Sim {
 	if cfg.MemSpec == NoSpec {
 		s.amax = make([]amaxEntry, cfg.LSQSize+1)
 	}
-	if cfg.SelfCheck || SelfCheckEnabled() {
+	if SelfCheckEnabled() {
 		s.sc = true
 		s.scSamp = check.NewSampler(sweepInterval)
 	}

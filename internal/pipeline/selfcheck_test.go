@@ -8,17 +8,30 @@ import (
 	"rarpred/internal/workload"
 )
 
-// TestSelfCheckCleanRun runs the suite with the invariant sweep enabled,
+// armSelfCheck arms the pipeline's and the cloaking structures'
+// package gates until t and its subtests end. It disarms them in
+// t.Cleanup, which, unlike a deferred call, waits for parallel
+// subtests.
+func armSelfCheck(t *testing.T) {
+	SetSelfCheck(true)
+	cloak.SetSelfCheck(true)
+	t.Cleanup(func() {
+		SetSelfCheck(false)
+		cloak.SetSelfCheck(false)
+	})
+}
+
+// TestSelfCheckCleanRun runs the suite with the invariant sweeps armed,
 // base and cloaked. Regression for the setDest verify clamp: before the
 // fix, any ALU or jump result whose sources verify early recorded
 // verify < ready, and the first sweep tripped "pipeline.regs".
 func TestSelfCheckCleanRun(t *testing.T) {
+	armSelfCheck(t)
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Abbrev, func(t *testing.T) {
 			t.Parallel()
 			cfg := DefaultConfig()
-			cfg.SelfCheck = true
 			v := check.Catch(func() {
 				if _, err := RunProgram(w.Assemble(3), cfg); err != nil {
 					t.Fatal(err)
@@ -29,7 +42,6 @@ func TestSelfCheckCleanRun(t *testing.T) {
 			}
 
 			cc := cloak.TimingConfig(cloak.ModeRAWRAR)
-			cc.SelfCheck = true
 			cfg.Cloak = &cc
 			v = check.Catch(func() {
 				if _, err := RunProgram(w.Assemble(3), cfg); err != nil {
@@ -49,19 +61,19 @@ func TestSelfCheckDoesNotPerturbTiming(t *testing.T) {
 	w, _ := workload.ByAbbrev("go")
 	prog := w.Assemble(3)
 
-	mk := func(selfCheck bool) Result {
+	run := func() Result {
 		cfg := DefaultConfig()
 		cc := cloak.TimingConfig(cloak.ModeRAWRAR)
-		cc.SelfCheck = selfCheck
 		cfg.Cloak = &cc
-		cfg.SelfCheck = selfCheck
 		res, err := RunProgram(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	if plain, checked := mk(false), mk(true); plain != checked {
+	plain := run()
+	armSelfCheck(t)
+	if checked := run(); plain != checked {
 		t.Fatalf("self-check perturbed the run:\nplain   %+v\nchecked %+v", plain, checked)
 	}
 }
@@ -70,11 +82,8 @@ func TestSelfCheckDoesNotPerturbTiming(t *testing.T) {
 // and verifies the sweep attributes it to the right site.
 func TestSweepCatchesCorruption(t *testing.T) {
 	w, _ := workload.ByAbbrev("go")
-	newSim := func() *Sim {
-		cfg := DefaultConfig()
-		cfg.SelfCheck = true
-		return New(w.Assemble(3), cfg)
-	}
+	armSelfCheck(t)
+	newSim := func() *Sim { return New(w.Assemble(3), DefaultConfig()) }
 
 	s := newSim()
 	s.regs[3] = regState{ready: 10, verify: 5}

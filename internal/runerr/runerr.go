@@ -37,10 +37,9 @@ var (
 	// (event counts inconsistent with the execution profile).
 	ErrTraceCorrupt = errors.New("trace stream corrupt")
 
-	// ErrStoreCorrupt: a durable artifact (on-disk trace or journal
-	// record) failed its integrity check — bad magic, unsupported
-	// version, a chunk checksum mismatch, or tallies inconsistent with
-	// the header. The store quarantines the file and the harness falls
+	// ErrStoreCorrupt: a durable artifact (an on-disk recording) failed
+	// its integrity check — bad magic, unsupported version, a chunk
+	// checksum mismatch, or tallies inconsistent with the header. The store quarantines the file and the harness falls
 	// back to live re-recording; the bad bytes are never served.
 	ErrStoreCorrupt = errors.New("stored artifact corrupt")
 

@@ -1,20 +1,22 @@
 // Package store is the crash-safe persistence layer of the experiment
 // harness: a durable home for trace recordings (chunked binary
 // artifacts with a versioned header and per-chunk CRC32C checksums,
-// published atomically) and an append-only suite run journal that lets
-// an interrupted `-exp all` sweep resume where it stopped.
+// published atomically). The recordings are the only state a run
+// leaves behind: a run that was interrupted is rerun, and the rerun
+// loads every recording the interrupted one published.
 //
 // Every byte the store reads back is checksum-verified before it is
 // believed: a torn write, bit flip, or truncated file is detected, the
 // bad file is quarantined (renamed aside, never silently reused), and a
-// typed runerr corruption error sends the caller down the existing
-// degradation ladder (re-record live). Writes
-// publish atomically — encode to a temp file, fsync, rename — so a
-// crash at any instant leaves either the old artifact or the new one,
-// never a half-written file under the live name. Every failed operation
-// takes that same path once: a failed read is a miss and the caller
-// records, and a failed save costs that artifact's durability, never
-// the run.
+// typed runerr corruption error sends the caller down the one path a
+// miss takes (record again). A recording the caller finds wrong after
+// loading it (a -check divergence) is quarantined the same way
+// (Store.Quarantine). Writes publish atomically — encode to a temp
+// file, fsync, rename — so a crash at any instant leaves either the old
+// artifact or the new one, never a half-written file under the live
+// name. Every failed operation takes that same path once: a failed read
+// is a miss and the caller records, and a failed save costs that
+// artifact's durability, never the run.
 //
 // All filesystem access goes through the FS seam, so a test can watch
 // the writes a save issues.
@@ -53,10 +55,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes name.
 	Remove(name string) error
-	// Truncate cuts name down to size bytes (journal tail repair).
-	Truncate(name string, size int64) error
-	// OpenAppend opens name for appending, creating it if absent.
-	OpenAppend(name string) (File, error)
 }
 
 // OS is the production FS: direct os calls.
@@ -82,14 +80,6 @@ func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newp
 
 // Remove implements FS.
 func (OS) Remove(name string) error { return os.Remove(name) }
-
-// Truncate implements FS.
-func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
-
-// OpenAppend implements FS.
-func (OS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-}
 
 // IsNotExist reports whether err means the file was simply absent — the
 // one read failure that is a miss, not a fault.

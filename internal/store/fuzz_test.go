@@ -50,29 +50,3 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzJournalScan throws arbitrary bytes at the journal scanner: it must
-// never panic, and whatever prefix it accepts must stay accepted after
-// the torn-tail repair (truncation to the reported offset).
-func FuzzJournalScan(f *testing.F) {
-	f.Add([]byte("garbage"))
-	j := journalHeader(testFP)
-	f.Add(j)
-	f.Add(append(append([]byte{}, j...), 0x01, 0x02, 0x03))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		count := 0
-		good, err := scanJournal(data, testFP, func(exp, wl string, row []byte) { count++ })
-		if err != nil {
-			return
-		}
-		if good > int64(len(data)) {
-			t.Fatalf("scan reported %d good bytes of %d", good, len(data))
-		}
-		recount := 0
-		regood, rerr := scanJournal(data[:good], testFP, func(exp, wl string, row []byte) { recount++ })
-		if rerr != nil || regood != good || recount != count {
-			t.Fatalf("repair-truncated journal rescans differently: %d/%d records, %d/%d bytes, %v",
-				recount, count, regood, good, rerr)
-		}
-	})
-}

@@ -17,14 +17,16 @@ type Stats struct {
 	// absent (a miss is normal on first contact; the recording that
 	// follows publishes the artifact).
 	DiskHits, DiskMisses uint64
-	// BytesRead / BytesWritten total artifact and journal I/O.
+	// BytesRead / BytesWritten total artifact I/O.
 	BytesRead, BytesWritten uint64
 	// RawBytesWritten totals the uncompressed payload of the artifacts
 	// persisted — what the write volume would have been without the
 	// packed encoding (BytesWritten / RawBytesWritten is the on-disk
 	// compression ratio's inverse).
 	RawBytesWritten uint64
-	// Quarantines counts corrupt files renamed aside (never served).
+	// Quarantines counts artifacts renamed aside, never to be served
+	// again: ones that failed to decode, and ones a caller quarantined
+	// (Quarantine).
 	Quarantines uint64
 	// LoadErrors counts artifact reads that failed for a reason other
 	// than absence; each is served as a miss, and the job records.
@@ -74,9 +76,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 
 func (s *Store) tracesDir() string { return join(s.dir, "traces") }
 
-// JournalPath returns the suite run journal's location inside the store.
-func (s *Store) JournalPath() string { return join(s.dir, "journal.rarj") }
-
 // artifactPath maps a recording's key to its on-disk artifact. Workload names
 // are identifier-shaped ([a-z0-9_]), so the filename is readable and
 // collision-free without hashing.
@@ -112,6 +111,14 @@ func (s *Store) quarantine(path string) {
 	if err := s.fs.Rename(path, path+".quarantined"); err != nil {
 		removeQuiet(s.fs, path)
 	}
+}
+
+// Quarantine implements trace.Tier: it renames key's artifact aside, as
+// Load does with one that fails to decode, so no later run is served
+// it. The caller calls it for a recording it loaded and then found
+// wrong (a -check divergence); the next run records key afresh.
+func (s *Store) Quarantine(key trace.Key) {
+	s.quarantine(s.artifactPath(key))
 }
 
 // Load implements trace.Tier: it returns the recording stored for key,

@@ -24,8 +24,11 @@ type Cached interface {
 // treats any error as a miss and records instead, since the tier owns
 // quarantining whatever produced it. Store failures are likewise
 // non-fatal to a caller: the run continues with the recording it has.
+// Quarantine drops what the tier holds for a key, for a recording the
+// caller loaded and then found wrong, so no later Load serves it.
 // A Tier must be safe for concurrent use.
 type Tier interface {
 	Load(Key) (Cached, error)
 	Store(Key, Cached) error
+	Quarantine(Key)
 }

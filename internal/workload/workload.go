@@ -64,13 +64,6 @@ type Workload struct {
 	// build assembles the program for a given size parameter n; n = 100
 	// is the reference ("functional") size, smaller values shrink the
 	// outer iteration counts proportionally for timing runs.
-	//
-	// Being unexported, build is skipped by gob: a Workload round-tripped
-	// through the suite run journal comes back with build == nil, and
-	// builder() rehydrates it from the registry by Name. (Do not "fix"
-	// this with GobEncode/GobDecode on Workload — the methods would be
-	// promoted into every row struct embedding it and silently replace
-	// the rows' own encoding.)
 	build func(n int) *isa.Program
 }
 
@@ -89,22 +82,7 @@ func (w Workload) Assemble(n int) *isa.Program {
 	if n <= 0 {
 		n = ReferenceSize
 	}
-	return w.builder()(n)
-}
-
-// builder returns the assembly function, rehydrating from the registry
-// when this Workload value was deserialized (gob skips the unexported
-// build field). A name the registry does not know is a bug — serialized
-// workloads only ever originate from the registry.
-func (w Workload) builder() func(n int) *isa.Program {
-	if w.build != nil {
-		return w.build
-	}
-	r, ok := ByName(w.Name)
-	if !ok || r.build == nil {
-		panic(fmt.Sprintf("workload %q not in registry (deserialized from a foreign run?)", w.Name))
-	}
-	return r.build
+	return w.build(n)
 }
 
 var registry []Workload
