@@ -3,13 +3,20 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 )
 
 // Chunk compression: sealed chunks hold a columnar varint encoding of
 // their columns instead of the raw struct-of-arrays slices. Each u32
-// column carries a one-byte mode chosen canonically by the encoder
-// (smallest encoding wins, ties broken by lowest mode id):
+// column carries a one-byte mode chosen canonically by the encoder:
+// the smallest encoding wins, and a tie goes to the candidate compared
+// first, in the order delta, xor, ctxStride, ctxStride+RLE (0x82),
+// ctxLast, ctxLast+RLE, ctx2Last, ctx2Last+RLE, raw — not to the lowest
+// mode id (raw, 4, loses a tie to ctx2Last, 5). The order is part of
+// the format: changing it changes bytes. One pass over the column
+// sizes every candidate (sizeModes).
 //
 //	0 delta      zigzag varints of v - prev (chain starts at 0)
 //	1 xor        varints of v ^ prev (repeats collapse to one byte)
@@ -369,58 +376,104 @@ func decodeRawCol(p []byte, off, n int, out []uint32) (int, bool) {
 	return off + 4*n, true
 }
 
-func sizeDeltaCol(col []uint32) int {
-	size, prev := 0, uint32(0)
-	for _, v := range col {
-		size += uvarintLen(zigzag(v - prev))
-		prev = v
-	}
-	return size
+// candidates lists the column modes appendModeCol weighs, in the order
+// it compares them: a later candidate must be strictly smaller to win,
+// so the earlier one keeps a tie, and raw is weighed after all of them.
+// The order is part of the format — reordering it changes which bytes
+// a tie produces.
+var candidates = [...]byte{
+	colModeDelta,
+	colModeXor,
+	colModeCtxStride,
+	colModeCtxStride | colModeRLE0,
+	colModeCtxLast,
+	colModeCtxLast | colModeRLE0,
+	colModeCtx2Last,
+	colModeCtx2Last | colModeRLE0,
 }
 
-func sizeXorCol(col []uint32) int {
-	size, prev := 0, uint32(0)
-	for _, v := range col {
-		size += uvarintLen(v ^ prev)
-		prev = v
-	}
-	return size
-}
+// noSize marks a candidate whose context column is absent.
+const noSize = math.MaxInt
 
-// sizeCtxCol returns the encoded size of col under a context-keyed
-// predictor, both as plain varint tokens and with zero runs
-// run-length coded.
-func sizeCtxCol(ctx, col []uint32, withStride bool) (plain, rle int) {
-	var last, stride [predSize]uint32
-	zrun := uint32(0)
+// sizeModes returns col's encoded size under every candidate, indexed
+// like candidates, in one pass. ctxStride and ctxLast both leave
+// last[idx] = v behind, so one primary-context table (plus the stride
+// table) serves both; ctx2Last keeps its own. ctx2 is consulted only
+// alongside ctx1 (the value column has both).
+func sizeModes(col, ctx1, ctx2 []uint32) [len(candidates)]int {
+	var delta, xor int
+	prev := uint32(0)
+	if ctx1 == nil {
+		for _, v := range col {
+			delta += uvarintLen(zigzag(v - prev))
+			xor += uvarintLen(v ^ prev)
+			prev = v
+		}
+		return [...]int{delta, xor, noSize, noSize, noSize, noSize, noSize, noSize}
+	}
+	var last, stride, last2 [predSize]uint32
+	var sStride, rStride, sLast, rLast, sLast2, rLast2 int // plain and zero-run sizes
+	var runStride, runLast, runLast2 uint32                // open zero runs
+	// Context columns are as long as col; reslicing says so once, so
+	// the loop indexes them without per-element bounds checks.
+	ctx1 = ctx1[:len(col)]
+	if ctx2 != nil {
+		ctx2 = ctx2[:len(col)]
+	}
 	for i, v := range col {
-		idx := predIdx(ctx[i])
-		pred := last[idx]
-		if withStride {
-			pred += stride[idx]
-			stride[idx] = v - last[idx]
-		}
-		z := zigzag(v - pred)
+		delta += uvarintLen(zigzag(v - prev))
+		xor += uvarintLen(v ^ prev)
+		prev = v
+		idx := predIdx(ctx1[i])
+		l := last[idx]
+		z := zigzag(v - l - stride[idx])
+		sStride += uvarintLen(z)
+		rStride, runStride = rleAdd(rStride, runStride, z)
+		z = zigzag(v - l)
+		sLast += uvarintLen(z)
+		rLast, runLast = rleAdd(rLast, runLast, z)
+		stride[idx] = v - l
 		last[idx] = v
-		plain += uvarintLen(z)
-		if z == 0 {
-			zrun++
-			continue
+		if ctx2 != nil {
+			idx = predIdx(ctx2[i])
+			z = zigzag(v - last2[idx])
+			sLast2 += uvarintLen(z)
+			rLast2, runLast2 = rleAdd(rLast2, runLast2, z)
+			last2[idx] = v
 		}
-		if zrun > 0 {
-			rle += 1 + uvarintLen(zrun)
-			zrun = 0
-		}
-		rle += uvarintLen(z)
 	}
-	if zrun > 0 {
-		rle += 1 + uvarintLen(zrun)
+	if ctx2 == nil {
+		sLast2, rLast2 = noSize, noSize
+	} else {
+		rLast2 += runBytes(runLast2)
 	}
-	return plain, rle
+	return [...]int{delta, xor,
+		sStride, rStride + runBytes(runStride),
+		sLast, rLast + runBytes(runLast),
+		sLast2, rLast2}
+}
+
+// rleAdd accounts one residual z of a zero-run coded stream of size
+// bytes whose open zero run is run long: a zero extends the run, and
+// any other token closes it and costs its varint.
+func rleAdd(size int, run, z uint32) (int, uint32) {
+	if z == 0 {
+		return size, run + 1
+	}
+	return size + runBytes(run) + uvarintLen(z), 0
+}
+
+// runBytes is the size of a zero run's token and length varint, 0 for
+// no run.
+func runBytes(run uint32) int {
+	if run == 0 {
+		return 0
+	}
+	return 1 + uvarintLen(run)
 }
 
 // appendModeCol sizes every applicable mode for col, picks the
-// smallest (earlier candidate wins ties — the canonical choice the
+// smallest (the earlier candidate wins ties — the canonical choice the
 // store's re-encode oracle depends on), and appends mode byte + column
 // bytes. ctx1 is the primary prediction context (the pc column for
 // event-chunk addr/value columns, the a column for a pair chunk's b
@@ -428,36 +481,14 @@ func sizeCtxCol(ctx, col []uint32, withStride bool) (plain, rle int) {
 // column: per-address last value is the memory-state model). nil
 // contexts restrict the choice to context-free modes.
 func appendModeCol(dst []byte, col, ctx1, ctx2 []uint32) []byte {
-	mode, best := byte(colModeDelta), sizeDeltaCol(col)
-	if s := sizeXorCol(col); s < best {
-		mode, best = colModeXor, s
-	}
-	if ctx1 != nil {
-		plain, rle := sizeCtxCol(ctx1, col, true)
-		if plain < best {
-			mode, best = colModeCtxStride, plain
-		}
-		if rle < best {
-			mode, best = colModeCtxStride|colModeRLE0, rle
-		}
-		plain, rle = sizeCtxCol(ctx1, col, false)
-		if plain < best {
-			mode, best = colModeCtxLast, plain
-		}
-		if rle < best {
-			mode, best = colModeCtxLast|colModeRLE0, rle
+	sizes := sizeModes(col, ctx1, ctx2)
+	mode, best := candidates[0], sizes[0]
+	for i := 1; i < len(candidates); i++ {
+		if sizes[i] < best {
+			mode, best = candidates[i], sizes[i]
 		}
 	}
-	if ctx2 != nil {
-		plain, rle := sizeCtxCol(ctx2, col, false)
-		if plain < best {
-			mode, best = colModeCtx2Last, plain
-		}
-		if rle < best {
-			mode, best = colModeCtx2Last|colModeRLE0, rle
-		}
-	}
-	if s := 4 * len(col); s < best {
+	if 4*len(col) < best {
 		mode = colModeRaw
 	}
 	dst = append(dst, mode)
@@ -577,14 +608,10 @@ func rawEventPayloadSize(n int) int {
 	return 1 + uvarintLen(uint32(n)) + n*eventBytes
 }
 
-func uvarintLen(v uint32) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+// uvarintLen is len(appendUvarint(nil, v)), without a branch: one byte
+// per started 7 bits, and one for zero. (9*bits + 64) / 64 rounds
+// bits/7 up exactly for 1..32 bits, with a shift for the divide.
+func uvarintLen(v uint32) int { return (bits.Len32(v|1)*9 + 64) >> 6 }
 
 // decodeEventChunk reverses encodeEventChunk into sc's columns,
 // validating the payload end to end (every structural surprise is an

@@ -1,8 +1,16 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
+
+	"rarpred/internal/check"
+	"rarpred/internal/workload"
 )
 
 // roundTripEvents encodes one chunk's columns and decodes them back,
@@ -322,6 +330,317 @@ func BenchmarkReplay(b *testing.B) {
 	})
 }
 
+// TestRecordAllocs: encoding a chunk into a reused buffer allocates
+// nothing — the sizing tables stay on the stack — and recording pays
+// exactly two objects per sealed chunk: its header and its exact-size
+// payload (the raw columns recycle through the scratch pool).
+func TestRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts, so pooled allocation counts are not exact")
+	}
+	kinds := make([]uint8, chunkEvents)
+	pcs := make([]uint32, chunkEvents)
+	addrs := make([]uint32, chunkEvents)
+	values := make([]uint32, chunkEvents)
+	for i := range kinds {
+		kinds[i] = uint8(i % 3 / 2)
+		pcs[i] = uint32(i%61) * 4
+		addrs[i] = uint32((i*13)%65536) * 4
+		values[i] = uint32(i % 257)
+	}
+	buf := encodeEventChunk(nil, kinds, pcs, addrs, values)
+	if avg := testing.AllocsPerRun(5, func() { buf = encodeEventChunk(buf[:0], kinds, pcs, addrs, values) }); avg != 0 {
+		t.Errorf("encodeEventChunk allocates %.1f objects per chunk, want 0", avg)
+	}
+	buf = encodePairChunk(buf[:0], pcs, addrs)
+	if avg := testing.AllocsPerRun(5, func() { buf = encodePairChunk(buf[:0], pcs, addrs) }); avg != 0 {
+		t.Errorf("encodePairChunk allocates %.1f objects per chunk, want 0", avg)
+	}
+
+	if check.Enabled {
+		// Append's assertions box their arguments: about one object
+		// per event.
+		return
+	}
+	const runs = 4
+	s := NewStream()
+	// Room for every chunk up front, so the count is per chunk and not
+	// the chunk list's amortized growth.
+	s.chunks = make([]*chunk, 0, runs+3)
+	fill := func() {
+		for i := range kinds {
+			s.Append(Kind(kinds[i]), pcs[i], addrs[i], values[i])
+		}
+	}
+	// A collection empties the pools, and two in a row would make the
+	// next chunk allocate fresh scratch; hold them off while counting.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fill()
+	// Each run's first Append seals the chunk the run before filled and
+	// starts a fresh one from the pooled scratch that seal released.
+	if avg := testing.AllocsPerRun(runs, fill); avg != 2 {
+		t.Errorf("recording allocates %.1f objects per sealed chunk, want 2", avg)
+	}
+}
+
+// recordedChunks records each workload's memory stream at memSize and
+// instruction stream at instSize and returns the raw columns of every
+// event chunk and of every instruction- and memory-plane chunk: the
+// encoder's real input.
+func recordedChunks(tb testing.TB, abbrevs []string, memSize, instSize int) (events []eventScratch, pairs []pairScratch) {
+	tb.Helper()
+	for _, ab := range abbrevs {
+		w, ok := workload.ByAbbrev(ab)
+		if !ok {
+			tb.Fatalf("no workload %q", ab)
+		}
+		s, err := RecordStream(w.Assemble(memSize), 0)
+		if err != nil {
+			tb.Fatalf("%s: %v", ab, err)
+		}
+		var sc *eventScratch
+		for _, c := range s.chunks {
+			kinds, pcs, addrs, values := c.columns(&sc)
+			events = append(events, eventScratch{slices.Clone(kinds), slices.Clone(pcs), slices.Clone(addrs), slices.Clone(values)})
+		}
+		putEventScratch(sc)
+		is, err := RecordIStream(w.Assemble(instSize), 0)
+		if err != nil {
+			tb.Fatalf("%s: %v", ab, err)
+		}
+		psc := getPairScratch()
+		for _, c := range slices.Concat(is.ichunks, is.mchunks) {
+			a, b := c.columns(psc)
+			pairs = append(pairs, pairScratch{slices.Clone(a), slices.Clone(b)})
+		}
+		putPairScratch(psc)
+	}
+	return events, pairs
+}
+
+// BenchmarkEncode measures chunk encoding — sizing every column mode
+// and writing the winner — over every chunk of four workloads'
+// recordings, each op encoding the whole set into a reused buffer:
+// event chunks of memory streams at the reference size, pair chunks of
+// both instruction-stream planes at the timing size. -benchmem must
+// report 0 allocs/op.
+func BenchmarkEncode(b *testing.B) {
+	events, pairs := recordedChunks(b, []string{"gcc", "swm", "li", "tom"},
+		workload.ReferenceSize, workload.TimingSize)
+	buf := make([]byte, 0, chunkEvents*eventBytes+16)
+	var eventN, pairN int64
+	for _, c := range events {
+		eventN += int64(len(c.kinds))
+	}
+	for _, c := range pairs {
+		pairN += int64(len(c.a))
+	}
+	for _, bc := range []struct {
+		name   string
+		bytes  int64
+		encode func()
+	}{
+		{"event", eventN * eventBytes, func() {
+			for _, c := range events {
+				buf = encodeEventChunk(buf[:0], c.kinds, c.pcs, c.addrs, c.values)
+			}
+		}},
+		{"pair", pairN * istreamEntryBytes, func() {
+			for _, c := range pairs {
+				buf = encodePairChunk(buf[:0], c.a, c.b)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			// One untimed pass first. The runtime's background scavenger
+			// wakes after the collection the framework runs before each
+			// measurement, and its first timer on a processor allocates,
+			// which -benchmem would count against the encoder.
+			bc.encode()
+			b.SetBytes(bc.bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.encode()
+			}
+		})
+	}
+}
+
+// modeEncoding is one candidate's column bytes, as its writer emits
+// them.
+type modeEncoding struct {
+	mode byte
+	enc  []byte
+}
+
+// writtenEncodings writes col under every applicable mode with the
+// append functions themselves, in the documented comparison order:
+// delta, xor, ctxStride, ctxStride+RLE, ctxLast, ctxLast+RLE, ctx2Last,
+// ctx2Last+RLE, then raw.
+func writtenEncodings(col, ctx1, ctx2 []uint32) []modeEncoding {
+	encs := []modeEncoding{
+		{colModeDelta, appendDeltaCol(nil, col)},
+		{colModeXor, appendXorCol(nil, col)},
+	}
+	if ctx1 != nil {
+		encs = append(encs,
+			modeEncoding{colModeCtxStride, appendCtxCol(nil, ctx1, col, true, false)},
+			modeEncoding{colModeCtxStride | colModeRLE0, appendCtxCol(nil, ctx1, col, true, true)},
+			modeEncoding{colModeCtxLast, appendCtxCol(nil, ctx1, col, false, false)},
+			modeEncoding{colModeCtxLast | colModeRLE0, appendCtxCol(nil, ctx1, col, false, true)})
+	}
+	if ctx2 != nil {
+		encs = append(encs,
+			modeEncoding{colModeCtx2Last, appendCtxCol(nil, ctx2, col, false, false)},
+			modeEncoding{colModeCtx2Last | colModeRLE0, appendCtxCol(nil, ctx2, col, false, true)})
+	}
+	return append(encs, modeEncoding{colModeRaw, appendU32sLE(nil, col)})
+}
+
+// checkModeChoice holds appendModeCol to the writers: its output must
+// be the mode byte followed by the first shortest written encoding (a
+// later candidate must be strictly shorter), and sizeModes must have
+// sized every candidate at exactly its written length.
+func checkModeChoice(col, ctx1, ctx2 []uint32) error {
+	encs := writtenEncodings(col, ctx1, ctx2)
+	best := encs[0]
+	written := map[byte]int{}
+	for _, e := range encs {
+		written[e.mode] = len(e.enc)
+		if len(e.enc) < len(best.enc) {
+			best = e
+		}
+	}
+	for i, size := range sizeModes(col, ctx1, ctx2) {
+		w, ok := written[candidates[i]]
+		if !ok {
+			w = noSize // no context column, no candidate
+		}
+		if size != w {
+			return fmt.Errorf("sizeModes sized mode %#02x at %d bytes, its writer emits %d", candidates[i], size, w)
+		}
+	}
+	want := append([]byte{best.mode}, best.enc...)
+	if got := appendModeCol(nil, col, ctx1, ctx2); !bytes.Equal(got, want) {
+		return fmt.Errorf("appendModeCol chose mode %#02x (%d bytes), the smallest encoding is mode %#02x (%d bytes)",
+			got[0], len(got), want[0], len(want))
+	}
+	return nil
+}
+
+// checkEventModes applies checkModeChoice to an event chunk's three
+// columns with the contexts encodeEventChunk gives them.
+func checkEventModes(pcs, addrs, values []uint32) error {
+	for _, c := range []struct {
+		name            string
+		col, ctx1, ctx2 []uint32
+	}{
+		{"pc", pcs, nil, nil},
+		{"addr", addrs, pcs, nil},
+		{"value", values, pcs, addrs},
+	} {
+		if err := checkModeChoice(c.col, c.ctx1, c.ctx2); err != nil {
+			return fmt.Errorf("%s column: %w", c.name, err)
+		}
+	}
+	return nil
+}
+
+// TestModeChoiceIsSmallestEncoding: every column the encoder writes is
+// the first shortest of its real candidate encodings — measured by the
+// writers' output, never by the sizer — on recorded chunks and on
+// columns built to sit at the sizer's edges.
+func TestModeChoiceIsSmallestEncoding(t *testing.T) {
+	// Every 7-bit boundary of the varint length, up to 2^32-1.
+	lens := []uint32{0, 1, math.MaxUint32}
+	for shift := 7; shift < 32; shift += 7 {
+		lens = append(lens, 1<<shift-1, 1<<shift)
+	}
+	for _, v := range lens {
+		if got, want := uvarintLen(v), len(appendUvarint(nil, v)); got != want {
+			t.Errorf("uvarintLen(%#x) = %d, want %d", v, got, want)
+		}
+	}
+
+	events, pairs := recordedChunks(t, []string{"gcc", "li", "swm", "tom", "com", "apl"},
+		workload.TimingSize, workload.TimingSize)
+	for i, c := range events {
+		if err := checkEventModes(c.pcs, c.addrs, c.values); err != nil {
+			t.Errorf("event chunk %d: %v", i, err)
+		}
+	}
+	for i, c := range pairs {
+		if err := checkModeChoice(c.a, nil, nil); err != nil {
+			t.Errorf("pair chunk %d, first column: %v", i, err)
+		}
+		if err := checkModeChoice(c.b, c.a, nil); err != nil {
+			t.Errorf("pair chunk %d, second column: %v", i, err)
+		}
+	}
+	t.Logf("%d recorded event chunks, %d pair chunks", len(events), len(pairs))
+
+	const n = 4096
+	seq := func(n int, f func(i int) uint32) []uint32 {
+		col := make([]uint32, n)
+		for i := range col {
+			col[i] = f(i)
+		}
+		return col
+	}
+	twoPCs := seq(n, func(i int) uint32 { return 0x400 + uint32(i%2)*4 })
+	var noise []uint32
+	x := uint32(0x2545F491)
+	for range n {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		noise = append(noise, x)
+	}
+	type modeCase struct {
+		name            string
+		col, ctx1, ctx2 []uint32
+		wantMode        int // -1: any
+	}
+	cases := []modeCase{
+		{"n=1", []uint32{7}, []uint32{4}, []uint32{8}, -1},
+		// Every mode takes 4 bytes for the one value: raw ties and loses.
+		{"n=1-ties-raw", []uint32{1 << 21}, nil, nil, colModeDelta},
+		{"constant", seq(n, func(int) uint32 { return 0x1234 }), twoPCs, twoPCs, -1},
+		{"wraparound-deltas", seq(n, func(i int) uint32 { return -uint32(i % 2) }), twoPCs, nil, -1},
+		// xorshift noise: every predictor residual is full width.
+		{"noise", noise, twoPCs, noise, colModeRaw},
+		// Two instructions stride through arrays far apart with a +-1
+		// jitter, so no residual is ever zero: plain ctxStride ties its
+		// zero-run form and wins as the earlier candidate.
+		{"ctx-stride", seq(n, func(i int) uint32 {
+			j := uint32(1 - 2*(i/2%2))
+			return uint32(i%2)<<30 + uint32(i/2)*64 + j
+		}), twoPCs, nil, colModeCtxStride},
+		// Each instruction repeats every value twice: ctxLast's zero runs
+		// are all two long, so the run-coded form ties the plain one.
+		{"runs-of-two", seq(n, func(i int) uint32 {
+			return uint32(i%2)<<30 + uint32(i/4)*8
+		}), twoPCs, nil, colModeCtxLast},
+	}
+	// Zero runs at the run-length varint's boundaries, left open at the
+	// column's end and closed by a nonzero token.
+	for _, run := range []int{127, 128, 16383, 16384} {
+		cases = append(cases,
+			modeCase{fmt.Sprintf("zero-run-%d-open", run), make([]uint32, run), make([]uint32, run), nil, -1},
+			modeCase{fmt.Sprintf("zero-run-%d-closed", run), append(make([]uint32, run), 1), make([]uint32, run+1), nil, -1})
+	}
+	for _, tc := range cases {
+		if err := checkModeChoice(tc.col, tc.ctx1, tc.ctx2); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got := appendModeCol(nil, tc.col, tc.ctx1, tc.ctx2)[0]; tc.wantMode >= 0 && got != byte(tc.wantMode) {
+			t.Errorf("%s: chose mode %#02x, want %#02x", tc.name, got, tc.wantMode)
+		}
+	}
+}
+
 // FuzzChunkCodecRoundTrip drives both codecs from arbitrary bytes in
 // two directions: structured columns must round-trip exactly, and raw
 // fuzz bytes fed to the decoders must never panic and never decode to
@@ -356,6 +675,9 @@ func FuzzChunkCodecRoundTrip(f *testing.F) {
 				}
 			}
 			putEventScratch(sc)
+			if err := checkEventModes(pcs, addrs, values); err != nil {
+				t.Fatal(err)
+			}
 
 			pp := encodePairChunk(nil, pcs, addrs)
 			psc := getPairScratch()
